@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 
-	"procdecomp/internal/core"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
@@ -57,7 +56,6 @@ func main() {
 		os.Exit(1)
 	}
 	name := pickEntry(info, *entry)
-	comp := core.New(info)
 
 	format := spmd.Format
 	switch *emit {
@@ -68,34 +66,15 @@ func main() {
 		fatal(fmt.Errorf("unknown -emit %q", *emit))
 	}
 
-	if *mode == "rtr" {
-		generic, err := comp.CompileRTR(name)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(format(generic))
-		return
-	}
-
-	progs, err := comp.CompileCTR(name, true)
+	progs, err := xform.Compile(info, name, *mode, *blk)
 	if err != nil {
 		fatal(err)
 	}
-	switch *mode {
-	case "ctr":
-	case "opt1":
-		xform.Vectorize(progs)
-	case "opt2":
-		xform.Vectorize(progs)
-		xform.Jam(progs)
-	case "opt3":
-		xform.Vectorize(progs)
-		xform.Jam(progs)
-		xform.StripMine(progs, *blk)
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
-	}
 	for _, p := range progs {
+		if p.Proc < 0 {
+			fmt.Print(format(p)) // the one generic program: -spec does not apply
+			continue
+		}
 		if *spec >= 0 && p.Proc != *spec {
 			continue
 		}

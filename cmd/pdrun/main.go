@@ -23,14 +23,12 @@ import (
 
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/autotune"
-	"procdecomp/internal/core"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/faults"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
-	"procdecomp/internal/spmd"
 	"procdecomp/internal/trace"
 	"procdecomp/internal/xform"
 )
@@ -97,14 +95,9 @@ func main() {
 			fatal(fmt.Errorf("entry parameters must be matrices; use consts for scalars"))
 		}
 		mk := func() *istruct.Matrix {
-			m, err := istruct.NewMatrix(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
+			m, err := istruct.Pattern(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
 			if err != nil {
 				fatal(err)
-			}
-			for i := int64(1); i <= prm.Type.Dims[0]; i++ {
-				for j := int64(1); j <= prm.Type.Dims[1]; j++ {
-					m.Write(i, j, float64((i*31+j*17)%29)+0.5)
-				}
 			}
 			return m
 		}
@@ -112,26 +105,9 @@ func main() {
 		seqArgs = append(seqArgs, exec.ArgVal{Matrix: mk()})
 	}
 
-	comp := core.New(info)
-	var progs []*spmd.Program
-	if *mode == "rtr" {
-		generic, err := comp.CompileRTR(name)
-		if err != nil {
-			fatal(err)
-		}
-		progs = []*spmd.Program{generic}
-	} else {
-		passes, ok := xform.StandardPipeline(*mode, *blk)
-		if !ok {
-			fatal(fmt.Errorf("unknown mode %q", *mode))
-		}
-		progs, err = comp.CompileCTR(name, true)
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := xform.Apply(progs, passes); err != nil {
-			fatal(err)
-		}
+	progs, err := xform.Compile(info, name, *mode, *blk)
+	if err != nil {
+		fatal(err)
 	}
 
 	cfg := machine.DefaultConfig(*procs)

@@ -265,3 +265,26 @@ func TestAnalyzeEmptyRun(t *testing.T) {
 		t.Fatalf("empty run report = %+v", r)
 	}
 }
+
+// Replay on hand-built actions: the recurrence charges what the machine
+// would, a send's Dur delays only its own message, and a receive whose
+// message is never sent is a deadlock error rather than a hang or a number.
+func TestReplay(t *testing.T) {
+	costs := Costs{SendStartup: 10, RecvStartup: 5, PerValue: 1, Latency: 3}
+	acts := [][]Action{
+		{{Kind: trace.KindCompute, Dur: 7}, {Kind: trace.KindSend, Peer: 1, Values: 2, Seq: 1}},
+		{{Kind: trace.KindRecv, Peer: 0, Values: 2, Seq: 1}, {Kind: trace.KindCompute, Dur: 4}},
+	}
+	// Sender: 7 + (10+2) = 19; arrival 22; receiver: 22 + (5+2) + 4 = 33.
+	if got, err := Replay(acts, costs); err != nil || got != 33 {
+		t.Errorf("Replay = %d, %v; want 33", got, err)
+	}
+	acts[0][1].Dur = 6 // transport excess on the message
+	if got, err := Replay(acts, costs); err != nil || got != 39 {
+		t.Errorf("Replay with 6 cycles of excess = %d, %v; want 39", got, err)
+	}
+	acts[1][0].Seq = 2 // names a message process 0 never sends
+	if _, err := Replay(acts, costs); err == nil || !strings.Contains(err.Error(), "deadlocked") {
+		t.Errorf("Replay of a receive with no send: error %v, want the deadlock error", err)
+	}
+}

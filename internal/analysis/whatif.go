@@ -78,14 +78,18 @@ func DefaultScenarios() []Scenario {
 	}
 }
 
-// replayAction is one step of a process's recorded program, in order.
-type replayAction struct {
-	kind   trace.Kind // KindCompute (also for blocked), KindSend, KindRecv
-	dur    uint64     // compute/blocked: recorded duration
-	peer   int        // send: destination; recv: source
-	seq    uint64     // message edge ID (sender's counter)
-	values int
-	excess uint64 // send: recorded arrival minus (departure + latency)
+// Action is one step of a process's program in a replayable communication
+// DAG, in program order. The analyzer rebuilds actions from a recorded trace;
+// the decomposition search (internal/autotune) derives them statically.
+type Action struct {
+	Kind trace.Kind // KindCompute, KindSend or KindRecv
+	// Dur is a compute (or blocked) span's cycles; on a send, the transport
+	// delay of its message beyond the nominal latency (retries, jitter).
+	Dur    uint64
+	Peer   int   // send: destination; recv: source
+	Tag    int64 // message tag (Replay does not read it)
+	Values int
+	Seq    uint64 // message edge ID: the sender's 1-based send counter
 }
 
 type msgKey struct {
@@ -96,8 +100,6 @@ type msgKey struct {
 // Predict replays the dump under the scenario and returns the predicted
 // makespan.
 func (d *Dump) Predict(sc Scenario) (uint64, error) {
-	costs := sc.apply(d.Costs)
-
 	// Recorded release stamps, for per-message transport excess.
 	arrive := map[msgKey]uint64{}
 	for p := range d.Events {
@@ -110,23 +112,23 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 
 	// Rebuild each process's action list. Idle spans are dropped (waits are
 	// recomputed); blocked spans become fixed delays.
-	acts := make([][]replayAction, d.Procs)
+	acts := make([][]Action, d.Procs)
 	for p := range d.Events {
 		for _, e := range d.Events[p] {
 			switch e.Kind {
 			case trace.KindCompute, trace.KindBlocked:
-				acts[p] = append(acts[p], replayAction{kind: trace.KindCompute, dur: e.Dur()})
+				acts[p] = append(acts[p], Action{Kind: trace.KindCompute, Dur: e.Dur()})
 			case trace.KindSend:
-				a := replayAction{kind: trace.KindSend, peer: e.Peer, seq: e.Seq, values: e.Values}
+				a := Action{Kind: trace.KindSend, Peer: e.Peer, Tag: e.Tag, Seq: e.Seq, Values: e.Values}
 				if rel, ok := arrive[msgKey{src: p, seq: e.Seq}]; ok {
 					nominal := e.End + d.Costs.Latency
 					if rel > nominal {
-						a.excess = rel - nominal
+						a.Dur = rel - nominal
 					}
 				}
 				acts[p] = append(acts[p], a)
 			case trace.KindRecv:
-				acts[p] = append(acts[p], replayAction{kind: trace.KindRecv, peer: e.Peer, seq: e.Seq, values: e.Values})
+				acts[p] = append(acts[p], Action{Kind: trace.KindRecv, Peer: e.Peer, Tag: e.Tag, Seq: e.Seq, Values: e.Values})
 			case trace.KindIdle:
 				// recomputed from the matching send
 			default:
@@ -134,33 +136,40 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 			}
 		}
 	}
+	return Replay(acts, sc.apply(d.Costs))
+}
 
-	// Event-driven replay: advance each process until it blocks on a message
-	// whose send has not executed yet; repeat until quiescent. The recorded
-	// run completed, so the dependence structure is acyclic and every round
-	// makes progress until all processes finish.
-	clocks := make([]uint64, d.Procs)
-	idx := make([]int, d.Procs)
+// Replay runs each process's actions under the machine's clock recurrence
+// and returns the makespan: a send completes after startup + per-value
+// packing and its message arrives Latency (plus its recorded excess) later;
+// a receive waits for the arrival stamp of the message its (Peer, Seq) names,
+// then pays startup + per-value unpacking. It is event-driven: advance each
+// process until it blocks on a message whose send has not executed yet, and
+// repeat until quiescent. An acyclic dependence structure — any run that
+// completed — makes progress every round until all processes finish.
+func Replay(acts [][]Action, costs Costs) (uint64, error) {
+	clocks := make([]uint64, len(acts))
+	idx := make([]int, len(acts))
 	released := map[msgKey]uint64{}
 	for {
 		progressed, done := false, true
 		for p := range acts {
 			for idx[p] < len(acts[p]) {
 				a := acts[p][idx[p]]
-				if a.kind == trace.KindRecv {
-					rel, ok := released[msgKey{src: a.peer, seq: a.seq}]
+				if a.Kind == trace.KindRecv {
+					rel, ok := released[msgKey{src: a.Peer, seq: a.Seq}]
 					if !ok {
 						break // sender has not reached this message yet
 					}
 					if rel > clocks[p] {
 						clocks[p] = rel
 					}
-					clocks[p] += costs.RecvStartup + uint64(a.values)*costs.PerValue
-				} else if a.kind == trace.KindSend {
-					clocks[p] += costs.SendStartup + uint64(a.values)*costs.PerValue
-					released[msgKey{src: p, seq: a.seq}] = clocks[p] + costs.Latency + a.excess
+					clocks[p] += costs.RecvStartup + uint64(a.Values)*costs.PerValue
+				} else if a.Kind == trace.KindSend {
+					clocks[p] += costs.SendStartup + uint64(a.Values)*costs.PerValue
+					released[msgKey{src: p, seq: a.Seq}] = clocks[p] + costs.Latency + a.Dur
 				} else {
-					clocks[p] += a.dur
+					clocks[p] += a.Dur
 				}
 				idx[p]++
 				progressed = true
@@ -173,7 +182,7 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 			break
 		}
 		if !progressed {
-			return 0, fmt.Errorf("analysis: what-if replay deadlocked (a receive's message has no recorded send)")
+			return 0, fmt.Errorf("analysis: replay deadlocked (a receive's message is never sent)")
 		}
 	}
 	var makespan uint64

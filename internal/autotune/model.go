@@ -3,29 +3,29 @@ package autotune
 import (
 	"fmt"
 
+	"procdecomp/internal/analysis"
 	"procdecomp/internal/exec"
-	"procdecomp/internal/expr"
-	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
+	"procdecomp/internal/trace"
 )
 
-// The static cost model: an abstract walk of each process's compiled program
-// that mirrors the interpreter's cost accounting charge for charge
-// (internal/exec) without computing any data values. Control flow — loop
-// bounds, guards, message endpoints — is evaluated over the integer
-// environment exactly as the interpreter would; data values are tracked as
+// The static cost model: an abstract run of each process's compiled program
+// (exec.Walk — the interpreter's own stepper over a domain that computes no
+// data values), recorded as an action sequence. Control flow — loop bounds,
+// guards, message endpoints — is evaluated over the integer environment
+// exactly as in a real run, because it is the same code; data values are
 // "unknown" and only become an error if control flow ever depends on one
 // (ErrUnmodeled, the fallback-to-measurement signal).
 //
-// The walk of one process yields its action sequence: coalesced compute
-// spans, sends, and receives, in program order. Because no modeled program's
-// control flow depends on received values, every process can be walked
-// independently; the message matching (k-th receive on a (src,tag) channel
-// pairs with the sender's k-th send on it) reproduces the machine's FIFO
-// mailbox semantics. Replaying the matched DAG under the machine's cost
-// recurrence — the identical recurrence analysis.(*Dump).Predict uses —
-// yields the predicted makespan, exact whenever the walk succeeded.
+// The walk of one process yields its actions: coalesced compute spans, sends,
+// and receives, in program order. Because no modeled program's control flow
+// depends on received values, every process can be walked independently; the
+// message matching (k-th receive on a (src,tag) channel pairs with the
+// sender's k-th send on it) reproduces the machine's FIFO mailbox semantics.
+// Replaying the matched DAG with analysis.Replay — the replay pdtrace's
+// what-if scenarios use — yields the predicted makespan, exact whenever the
+// walk succeeded.
 
 // ErrUnmodeled reports a program whose control flow the static walk cannot
 // decide (a branch on a computed data value). Candidates that hit it fall
@@ -39,27 +39,11 @@ func (e *ErrUnmodeled) Error() string {
 	return fmt.Sprintf("autotune: process %d not statically modelable: %s", e.Proc, e.Reason)
 }
 
-const (
-	actCompute = iota
-	actSend
-	actRecv
-)
-
-// action is one step of a process's abstract execution.
-type action struct {
-	kind   int
-	dur    uint64 // compute: accumulated cycles
-	peer   int    // send: destination; recv: source
-	tag    int64
-	values int // send: values carried; recv: expected (-1 = any), then matched
-	seq    int // per-(src,dst,tag) channel sequence, filled by matching
-}
-
 // Profile is the abstract execution of all processes: the statically derived
 // communication DAG plus per-process busy times.
 type Profile struct {
 	Procs int
-	Acts  [][]action
+	Acts  [][]analysis.Action
 	// Messages/Values totals, after matching.
 	Messages int64
 	Values   int64
@@ -72,35 +56,23 @@ type chanKey struct {
 	tag      int64
 }
 
-type msgID struct {
-	ch  chanKey
-	seq int
-}
-
 // BuildProfile walks the compiled programs (one generic or cfg.Procs
 // specialized, as exec.RunSPMD accepts them) and returns the matched profile.
 func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
-	pick := func(p int) *spmd.Program { return progs[p] }
-	switch {
-	case len(progs) == 1 && progs[0].Proc < 0:
-		pick = func(int) *spmd.Program { return progs[0] }
-	case len(progs) == cfg.Procs:
-		for i, pr := range progs {
-			if pr.Proc != i {
-				return nil, fmt.Errorf("autotune: program %d is specialized for process %d", i, pr.Proc)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("autotune: got %d program(s) for %d processes", len(progs), cfg.Procs)
+	pick, err := exec.PerProcess(progs, cfg.Procs)
+	if err != nil {
+		return nil, err
 	}
-	pf := &Profile{Procs: cfg.Procs, Acts: make([][]action, cfg.Procs)}
+	pf := &Profile{Procs: cfg.Procs, Acts: make([][]analysis.Action, cfg.Procs)}
+	var prev []analysis.Action
 	for p := 0; p < cfg.Procs; p++ {
-		w := newWalker(p, cfg)
-		if err := w.stmts(pick(p).Body); err != nil {
-			return nil, err
+		// SPMD processes do alike work: size p's list by its predecessor's.
+		r := recorder{cfg: &cfg, acts: make([]analysis.Action, 0, len(prev))}
+		if err := exec.Walk(pick(p), p, &r); err != nil {
+			return nil, &ErrUnmodeled{Proc: p, Reason: err.Error()}
 		}
-		w.flush()
-		pf.Acts[p] = w.acts
+		r.flush()
+		pf.Acts[p], prev = r.acts, r.acts
 	}
 	if err := pf.match(); err != nil {
 		return nil, err
@@ -108,23 +80,67 @@ func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
 	return pf, nil
 }
 
-// match pairs receives with sends channel by channel and fills in message
-// sizes. A receive with no matching send means the candidate would deadlock.
+// recorder is the exec.Sink that turns one process's walk into actions:
+// charges accumulate into a compute span that each send or receive closes.
+type recorder struct {
+	cfg  *machine.Config
+	acts []analysis.Action
+	acc  uint64 // pending compute cycles
+}
+
+func (r *recorder) Procs() int  { return r.cfg.Procs }
+func (r *recorder) Ops(n int64) { r.acc += uint64(n) * r.cfg.OpCost }
+func (r *recorder) Mem(n int64) { r.acc += uint64(n) * r.cfg.MemCost }
+func (r *recorder) LoopStep()   { r.acc += r.cfg.LoopCost }
+
+func (r *recorder) flush() {
+	if r.acc > 0 {
+		r.acts = append(r.acts, analysis.Action{Kind: trace.KindCompute, Dur: r.acc})
+		r.acc = 0
+	}
+}
+
+// message closes the pending compute span and records one send or receive,
+// refusing a peer outside the machine as the machine itself would.
+func (r *recorder) message(kind trace.Kind, verb string, peer int, tag int64, values int) error {
+	if peer < 0 || peer >= r.cfg.Procs {
+		return fmt.Errorf("%s processor %d out of range [0,%d)", verb, peer, r.cfg.Procs)
+	}
+	r.flush()
+	r.acts = append(r.acts, analysis.Action{Kind: kind, Peer: peer, Tag: tag, Values: values})
+	return nil
+}
+
+func (r *recorder) Send(dst int, tag int64, values int) error {
+	return r.message(trace.KindSend, "send to", dst, tag, values)
+}
+
+// Recv records the expected value count; match checks it against the send.
+func (r *recorder) Recv(src int, tag int64, values int) error {
+	return r.message(trace.KindRecv, "recv from", src, tag, values)
+}
+
+// match pairs receives with sends channel by channel, numbering each
+// sender's messages from 1 as the machine does, so a receive names its
+// message by (sender, number) exactly as a traced run's would. A receive
+// with no matching send means the candidate would deadlock.
 func (pf *Profile) match() error {
-	sends := map[chanKey][]*action{}
-	recvs := map[chanKey][]*action{}
+	sends := map[chanKey][]*analysis.Action{}
+	recvs := map[chanKey][]*analysis.Action{}
 	for p := range pf.Acts {
+		var sent uint64
 		for i := range pf.Acts[p] {
 			a := &pf.Acts[p][i]
-			switch a.kind {
-			case actSend:
-				k := chanKey{src: p, dst: a.peer, tag: a.tag}
-				a.seq = len(sends[k])
+			switch a.Kind {
+			case trace.KindSend:
+				sent++
+				a.Seq = sent
+				k := chanKey{src: p, dst: a.Peer, tag: a.Tag}
 				sends[k] = append(sends[k], a)
 				pf.Messages++
-				pf.Values += int64(a.values)
-			case actRecv:
-				k := chanKey{src: a.peer, dst: p, tag: a.tag}
+				pf.Values += int64(a.Values)
+			case trace.KindRecv:
+				k := chanKey{src: a.Peer, dst: p, tag: a.Tag}
 				recvs[k] = append(recvs[k], a)
 			}
 		}
@@ -136,12 +152,11 @@ func (pf *Profile) match() error {
 				len(rs)-len(ss), k.src, k.dst, k.tag)
 		}
 		for i, r := range rs {
-			if r.values >= 0 && r.values != ss[i].values {
+			if r.Values != ss[i].Values {
 				return fmt.Errorf("autotune: block receive on %d->%d tag %d expects %d values, send carries %d",
-					k.src, k.dst, k.tag, r.values, ss[i].values)
+					k.src, k.dst, k.tag, r.Values, ss[i].Values)
 			}
-			r.values = ss[i].values
-			r.seq = i
+			r.Seq = ss[i].Seq
 		}
 	}
 	return nil
@@ -154,13 +169,13 @@ func (pf *Profile) Busy(cfg machine.Config) []uint64 {
 	busy := make([]uint64, pf.Procs)
 	for p, acts := range pf.Acts {
 		for _, a := range acts {
-			switch a.kind {
-			case actCompute:
-				busy[p] += a.dur
-			case actSend:
-				busy[p] += cfg.SendStartup + uint64(a.values)*cfg.PerValue
-			case actRecv:
-				busy[p] += cfg.RecvStartup + uint64(a.values)*cfg.PerValue
+			switch a.Kind {
+			case trace.KindCompute:
+				busy[p] += a.Dur
+			case trace.KindSend:
+				busy[p] += cfg.SendStartup + uint64(a.Values)*cfg.PerValue
+			case trace.KindRecv:
+				busy[p] += cfg.RecvStartup + uint64(a.Values)*cfg.PerValue
 			}
 		}
 	}
@@ -179,415 +194,7 @@ func (pf *Profile) Static(cfg machine.Config) uint64 {
 }
 
 // Predict replays the profile's communication DAG under the machine's cost
-// parameters and returns the predicted makespan — the tier-2 score. The
-// recurrence is the one analysis.(*Dump).Predict uses (and the machine
-// implements): a send completes after startup + per-value packing and its
-// message arrives Latency later; a receive waits for the arrival stamp, then
-// pays startup + per-value unpacking.
+// parameters and returns the predicted makespan — the tier-2 score.
 func (pf *Profile) Predict(cfg machine.Config) (uint64, error) {
-	clocks := make([]uint64, pf.Procs)
-	idx := make([]int, pf.Procs)
-	released := map[msgID]uint64{}
-	for {
-		progressed, done := false, true
-		for p := range pf.Acts {
-			for idx[p] < len(pf.Acts[p]) {
-				a := pf.Acts[p][idx[p]]
-				switch a.kind {
-				case actRecv:
-					rel, ok := released[msgID{ch: chanKey{src: a.peer, dst: p, tag: a.tag}, seq: a.seq}]
-					if !ok {
-						goto next // sender has not reached this message yet
-					}
-					if rel > clocks[p] {
-						clocks[p] = rel
-					}
-					clocks[p] += cfg.RecvStartup + uint64(a.values)*cfg.PerValue
-				case actSend:
-					clocks[p] += cfg.SendStartup + uint64(a.values)*cfg.PerValue
-					released[msgID{ch: chanKey{src: p, dst: a.peer, tag: a.tag}, seq: a.seq}] = clocks[p] + cfg.Latency
-				default:
-					clocks[p] += a.dur
-				}
-				idx[p]++
-				progressed = true
-			}
-		next:
-			if idx[p] < len(pf.Acts[p]) {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		if !progressed {
-			return 0, fmt.Errorf("autotune: predicted replay deadlocked")
-		}
-	}
-	var makespan uint64
-	for _, c := range clocks {
-		if c > makespan {
-			makespan = c
-		}
-	}
-	return makespan, nil
-}
-
-// walker is the per-process abstract interpreter.
-type walker struct {
-	me    int64
-	procs int
-	cfg   machine.Config
-	env   expr.Env           // integer view: me, loop vars, known assignments
-	vals  map[string]float64 // known variable values
-	acts  []action
-	acc   uint64 // pending compute cycles, flushed before sends/receives
-}
-
-func newWalker(me int, cfg machine.Config) *walker {
-	w := &walker{me: int64(me), procs: cfg.Procs, cfg: cfg,
-		env: expr.Env{}, vals: map[string]float64{}}
-	w.env[spmd.Me] = int64(me)
-	return w
-}
-
-func (w *walker) failf(format string, args ...any) error {
-	return &ErrUnmodeled{Proc: int(w.me), Reason: fmt.Sprintf(format, args...)}
-}
-
-// Cost charges, mirroring machine.Proc.
-func (w *walker) ops(n int64) { w.acc += uint64(n) * w.cfg.OpCost }
-func (w *walker) mem(n int64) { w.acc += uint64(n) * w.cfg.MemCost }
-func (w *walker) loopStep()   { w.acc += w.cfg.LoopCost }
-
-// flush closes the pending compute span.
-func (w *walker) flush() {
-	if w.acc > 0 {
-		w.acts = append(w.acts, action{kind: actCompute, dur: w.acc})
-		w.acc = 0
-	}
-}
-
-func (w *walker) send(dst int, tag int64, values int) error {
-	if dst < 0 || dst >= w.procs {
-		return w.failf("send to processor %d out of range [0,%d)", dst, w.procs)
-	}
-	w.flush()
-	w.acts = append(w.acts, action{kind: actSend, peer: dst, tag: tag, values: values})
-	return nil
-}
-
-func (w *walker) recv(src int, tag int64, expect int) error {
-	if src < 0 || src >= w.procs {
-		return w.failf("recv from processor %d out of range [0,%d)", src, w.procs)
-	}
-	w.flush()
-	w.acts = append(w.acts, action{kind: actRecv, peer: src, tag: tag, values: expect})
-	return nil
-}
-
-// setVar mirrors exec's setVar for a statically known value.
-func (w *walker) setVar(name string, v float64) {
-	w.vals[name] = v
-	w.env[name] = int64(v)
-}
-
-// setUnknown marks a variable as data-dependent: later integer expressions
-// that mention it will fail to evaluate, surfacing as ErrUnmodeled.
-func (w *walker) setUnknown(name string) {
-	delete(w.vals, name)
-	delete(w.env, name)
-}
-
-// intOf evaluates a control expression over the integer environment.
-func (w *walker) intOf(e expr.Expr) (int64, error) {
-	v, err := e.Eval(w.env)
-	if err != nil {
-		return 0, w.failf("%v", err)
-	}
-	return v, nil
-}
-
-// evalV evaluates a value expression if every input is statically known.
-func (w *walker) evalV(v spmd.VExpr) (float64, bool) {
-	switch v := v.(type) {
-	case spmd.VConst:
-		return v.F, true
-	case spmd.VVar:
-		val, ok := w.vals[v.Name]
-		return val, ok
-	case spmd.VInt:
-		i, err := v.X.Eval(w.env)
-		if err != nil {
-			return 0, false
-		}
-		return float64(i), true
-	case spmd.VBin:
-		l, ok := w.evalV(v.L)
-		if !ok {
-			return 0, false
-		}
-		r, ok := w.evalV(v.R)
-		if !ok {
-			return 0, false
-		}
-		bad := false
-		res := exec.EvalBin(v.Op, l, r, func(string) { bad = true })
-		return res, !bad
-	case spmd.VUn:
-		x, ok := w.evalV(v.X)
-		if !ok {
-			return 0, false
-		}
-		if v.Op == lang.OpNeg {
-			return -x, true
-		}
-		if x != 0 {
-			return 0, true
-		}
-		return 1, true
-	default:
-		return 0, false
-	}
-}
-
-// vexprOps mirrors exec.vexprOps: operator nodes cost one op each.
-func vexprOps(v spmd.VExpr) int64 {
-	switch v := v.(type) {
-	case spmd.VBin:
-		return 1 + vexprOps(v.L) + vexprOps(v.R)
-	case spmd.VUn:
-		return 1 + vexprOps(v.X)
-	default:
-		return 0
-	}
-}
-
-func (w *walker) stmts(body []spmd.Stmt) error {
-	for _, s := range body {
-		if err := w.stmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stmt mirrors exec.(*pstate).stmt charge for charge.
-func (w *walker) stmt(s spmd.Stmt) error {
-	const indexCost = 2 // exec's flat subscript charge
-	switch s := s.(type) {
-	case *spmd.Alloc, *spmd.AllocBuf:
-		// Allocation is uncharged in the interpreter.
-		return nil
-	case *spmd.AssignVar:
-		w.ops(vexprOps(s.Val))
-		if v, ok := w.evalV(s.Val); ok {
-			w.setVar(s.Name, v)
-		} else {
-			w.setUnknown(s.Name)
-		}
-		return nil
-	case *spmd.AssignIVar:
-		w.ops(vexprOps(s.Val))
-		if v, ok := w.evalV(s.Val); ok {
-			w.setVar(s.Name, v)
-		} else {
-			w.setUnknown(s.Name)
-		}
-		return nil
-	case *spmd.ARead:
-		w.ops(indexCost)
-		w.mem(1)
-		w.setUnknown(s.Dst) // array contents are data
-		return nil
-	case *spmd.AWrite:
-		w.ops(indexCost + vexprOps(s.Val))
-		w.mem(1)
-		return nil
-	case *spmd.BufRead:
-		w.ops(indexCost)
-		w.mem(1)
-		w.setUnknown(s.Dst)
-		return nil
-	case *spmd.BufWrite:
-		w.ops(indexCost + vexprOps(s.Val))
-		w.mem(1)
-		return nil
-	case *spmd.Send:
-		w.ops(vexprOps(s.Val))
-		dst, err := w.intOf(s.Dst)
-		if err != nil {
-			return err
-		}
-		return w.send(int(dst), s.Tag, 1)
-	case *spmd.Recv:
-		src, err := w.intOf(s.Src)
-		if err != nil {
-			return err
-		}
-		if err := w.recv(int(src), s.Tag, 1); err != nil {
-			return err
-		}
-		w.setUnknown(s.Dst)
-		return nil
-	case *spmd.SendBuf:
-		dst, err := w.intOf(s.Dst)
-		if err != nil {
-			return err
-		}
-		lo, err := w.intOf(s.Lo)
-		if err != nil {
-			return err
-		}
-		hi, err := w.intOf(s.Hi)
-		if err != nil {
-			return err
-		}
-		if hi < lo {
-			return w.failf("block send of %s[%d..%d]", s.Buf, lo, hi)
-		}
-		return w.send(int(dst), s.Tag, int(hi-lo+1))
-	case *spmd.RecvBuf:
-		src, err := w.intOf(s.Src)
-		if err != nil {
-			return err
-		}
-		lo, err := w.intOf(s.Lo)
-		if err != nil {
-			return err
-		}
-		hi, err := w.intOf(s.Hi)
-		if err != nil {
-			return err
-		}
-		if hi < lo {
-			return w.failf("block receive into %s[%d..%d]", s.Buf, lo, hi)
-		}
-		return w.recv(int(src), s.Tag, int(hi-lo+1))
-	case *spmd.Coerce:
-		return w.coerce(s, indexCost)
-	case *spmd.For:
-		lo, err := w.intOf(s.Lo)
-		if err != nil {
-			return err
-		}
-		hi, err := w.intOf(s.Hi)
-		if err != nil {
-			return err
-		}
-		step, err := w.intOf(s.Step)
-		if err != nil {
-			return err
-		}
-		if step <= 0 {
-			return w.failf("loop step %d", step)
-		}
-		for x := lo; x <= hi; x += step {
-			w.loopStep()
-			w.setVar(s.Var, float64(x))
-			w.env[s.Var] = x // exact integer, not a float round-trip
-			if err := w.stmts(s.Body); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *spmd.Guard:
-		w.ops(1) // the mynode() test, charged on every process
-		p, err := w.intOf(s.Proc)
-		if err != nil {
-			return err
-		}
-		if p == w.me {
-			return w.stmts(s.Body)
-		}
-		return nil
-	case *spmd.IfValue:
-		w.ops(vexprOps(s.Cond))
-		c, ok := w.evalV(s.Cond)
-		if !ok {
-			return w.failf("branch on a computed value")
-		}
-		if c != 0 {
-			return w.stmts(s.Then)
-		}
-		return w.stmts(s.Else)
-	default:
-		return w.failf("unknown statement %T", s)
-	}
-}
-
-// coerce mirrors exec.(*pstate).coerce: run-time resolution's value movement,
-// with ownership tests charged as compute.
-func (w *walker) coerce(s *spmd.Coerce, indexCost int64) error {
-	w.ops(2) // owner/needer membership tests
-	readSrc := func() {
-		w.mem(1)
-		if s.Array != "" {
-			w.ops(indexCost)
-		}
-	}
-	switch {
-	case s.OwnerAll:
-		if s.NeederAll {
-			readSrc()
-			w.setUnknown(s.Dst)
-			return nil
-		}
-		needer, err := w.intOf(s.Needer)
-		if err != nil {
-			return err
-		}
-		if needer == w.me {
-			readSrc()
-			w.setUnknown(s.Dst)
-		}
-		return nil
-	case s.NeederAll:
-		owner, err := w.intOf(s.Owner)
-		if err != nil {
-			return err
-		}
-		if owner == w.me {
-			readSrc()
-			for q := 0; q < w.procs; q++ {
-				if int64(q) != w.me {
-					if err := w.send(q, s.Tag, 1); err != nil {
-						return err
-					}
-				}
-			}
-			w.setUnknown(s.Dst)
-		} else {
-			if err := w.recv(int(owner), s.Tag, 1); err != nil {
-				return err
-			}
-			w.setUnknown(s.Dst)
-		}
-		return nil
-	default:
-		owner, err := w.intOf(s.Owner)
-		if err != nil {
-			return err
-		}
-		needer, err := w.intOf(s.Needer)
-		if err != nil {
-			return err
-		}
-		switch {
-		case owner == needer:
-			if owner == w.me {
-				readSrc()
-				w.setUnknown(s.Dst)
-			}
-		case owner == w.me:
-			readSrc()
-			return w.send(int(needer), s.Tag, 1)
-		case needer == w.me:
-			if err := w.recv(int(owner), s.Tag, 1); err != nil {
-				return err
-			}
-			w.setUnknown(s.Dst)
-		}
-		return nil
-	}
+	return analysis.Replay(pf.Acts, analysis.CostsOf(cfg))
 }

@@ -58,7 +58,7 @@ type Baseline struct {
 	Mode      string
 	Blk       int64 `json:",omitempty"`
 	Measured  uint64
-	Predicted uint64 // the walker's prediction; search fails unless equal
+	Predicted uint64 // the walked profile's replay; search fails unless equal
 	Messages  int64
 	Values    int64
 }
@@ -253,7 +253,7 @@ func safeMeasure(ctx context.Context, w *Workload, c Candidate, cfg machine.Conf
 
 // measure optionally traces the run and captures it for the analyzer.
 func measure(ctx context.Context, w *Workload, c Candidate, cfg machine.Config, traced bool) (Measurement, *analysis.Dump, error) {
-	progs, info, err := w.compile(c, cfg.Procs)
+	progs, info, err := w.compile(&c.Mapping, c.Mode, c.Blk, cfg.Procs)
 	if err != nil {
 		return Measurement{}, nil, err
 	}
@@ -372,7 +372,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	}
 
 	// Anchor: run the program as annotated, traced, and demand that both the
-	// dump's identity replay and the walker's prediction reproduce the
+	// dump's identity replay and the walked profile's replay reproduce the
 	// measured makespan before trusting the model anywhere else.
 	if err := anchor(ctx, w, cfg, opts, rep); err != nil {
 		if ctx.Err() != nil {
@@ -430,7 +430,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			if opts.evalHook != nil {
 				opts.evalHook("static", c)
 			}
-			progs, _, err := w.compile(c, cfg.Procs)
+			progs, _, err := w.compile(&c.Mapping, c.Mode, c.Blk, cfg.Procs)
 			if err != nil {
 				return nil, err
 			}
@@ -647,10 +647,10 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 }
 
 // anchor measures the declared program traced and checks the model against
-// it: dump identity replay, walker DAG replay, and message totals must all
+// it: dump identity replay, walked-profile replay, and message totals must all
 // agree with the machine.
 func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, rep *Report) error {
-	progs, info, err := w.compileDeclared(opts.BaselineMode, opts.BaselineBlk, cfg.Procs)
+	progs, info, err := w.compile(nil, opts.BaselineMode, opts.BaselineBlk, cfg.Procs)
 	if err != nil {
 		return fmt.Errorf("autotune: baseline does not compile: %w", err)
 	}
@@ -687,7 +687,7 @@ func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, 
 		return fmt.Errorf("autotune: baseline DAG replay: %w", err)
 	}
 	if pred != measured {
-		return fmt.Errorf("autotune: baseline predicted %d != measured %d — the walker disagrees with the interpreter", pred, measured)
+		return fmt.Errorf("autotune: baseline predicted %d != measured %d — the DAG replay disagrees with the machine", pred, measured)
 	}
 	if pf.Messages != out.Stats.Messages || pf.Values != out.Stats.Values {
 		return fmt.Errorf("autotune: baseline modeled %d messages/%d values, machine reports %d/%d",

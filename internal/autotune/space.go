@@ -8,16 +8,16 @@
 // The evaluation tiers, cheapest first:
 //
 //  1. Static walk. Each candidate is compiled and its per-process programs
-//     are walked abstractly, mirroring the interpreter's exact cost
-//     accounting (internal/exec) without computing data values. The walk
-//     yields each process's busy time (compute + message overheads, no
-//     waits); the maximum over processes is a lower bound on the makespan,
-//     which makes the prune branch-and-bound: a candidate whose bound
-//     exceeds the best tier-2 prediction provably cannot win.
+//     are run abstractly (exec.Walk): the interpreter's own stepper, and so
+//     its exact cost accounting, over a domain that computes no data
+//     values. The walk yields each process's busy time (compute + message
+//     overheads, no waits); the maximum over processes is a lower bound on
+//     the makespan, which makes the prune branch-and-bound: a candidate
+//     whose bound exceeds the best tier-2 prediction provably cannot win.
 //  2. Communication-DAG replay. The same walk also records every process's
 //     action sequence (compute spans, sends, receives). Replaying that DAG
-//     with the machine's cost parameters — the identical event-driven
-//     recurrence analysis.(*Dump).Predict uses for what-if scenarios —
+//     with the machine's cost parameters — analysis.Replay, the one
+//     event-driven replay pdtrace's what-if scenarios also run on —
 //     yields the candidate's predicted makespan including pipeline stalls.
 //  3. Simulated runs. The top-k survivors execute on the real simulated
 //     machine, results validated against the sequential reference. A
@@ -25,8 +25,8 @@
 //     prediction is an error, never a report.
 //
 // A traced baseline run of the program's declared mapping anchors the model:
-// the dump's identity replay and the walker's prediction must both equal the
-// measured makespan before any candidate is trusted.
+// the dump's identity replay and the walked profile's replay must both equal
+// the measured makespan before any candidate is trusted.
 package autotune
 
 import (

@@ -1,10 +1,10 @@
 package autotune
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
-	"procdecomp/internal/core"
 	"procdecomp/internal/dist"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
@@ -32,84 +32,39 @@ type Workload struct {
 	refOut *exec.Outcome
 }
 
-// compile builds the per-process programs for one candidate: parse, retarget
-// the distribution, semantic-check at the machine size, resolve (run-time or
-// compile-time), and apply the mode's validated pass pipeline.
-func (w *Workload) compile(c Candidate, procs int) ([]*spmd.Program, *sem.Info, error) {
+// compile builds the per-process programs: parse, retarget the distribution
+// to m (nil compiles the program exactly as written — the annotation the
+// paper's programmer chose, for the baseline run that anchors the model),
+// semantic-check at the machine size, and hand the back half to xform.Compile.
+func (w *Workload) compile(m *Mapping, mode string, blk int64, procs int) ([]*spmd.Program, *sem.Info, error) {
 	prog, err := lang.Parse(w.Source)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Reject mappings the machine cannot execute before they are compiled in:
-	// a degenerate or out-of-machine mapping would otherwise panic deep in
-	// dist/exec instead of surfacing as an infeasible candidate.
-	if err := c.Mapping.Validate(int64(procs)); err != nil {
-		return nil, nil, err
-	}
-	if err := Retarget(prog, w.Dist, c.Mapping); err != nil {
-		return nil, nil, err
+	if m != nil {
+		// Reject mappings the machine cannot execute before they are compiled
+		// in: a degenerate or out-of-machine mapping would otherwise panic deep
+		// in dist/exec instead of surfacing as an infeasible candidate.
+		if err := m.Validate(int64(procs)); err != nil {
+			return nil, nil, err
+		}
+		if err := Retarget(prog, w.Dist, *m); err != nil {
+			return nil, nil, err
+		}
 	}
 	info, errs := sem.Check(prog, sem.Config{Procs: int64(procs), Defines: w.Defines})
 	if len(errs) > 0 {
 		return nil, nil, errs[0]
 	}
-	comp := core.New(info)
-	if c.Mode == "rtr" {
-		generic, err := comp.CompileRTR(w.Entry)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*spmd.Program{generic}, info, nil
+	progs, err := xform.Compile(info, w.Entry, mode, blk)
+	if errors.Is(err, xform.ErrUnknownMode) {
+		err = fmt.Errorf("autotune: %w", err)
 	}
-	passes, ok := xform.StandardPipeline(c.Mode, c.Blk)
-	if !ok {
-		return nil, nil, fmt.Errorf("autotune: unknown mode %q", c.Mode)
-	}
-	progs, err := comp.CompileCTR(w.Entry, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := xform.Apply(progs, passes); err != nil {
-		return nil, nil, err
-	}
-	return progs, info, nil
+	return progs, info, err
 }
 
-// compileDeclared compiles the program exactly as written — the annotation
-// the paper's programmer chose — for the baseline run that anchors the model.
-func (w *Workload) compileDeclared(mode string, blk int64, procs int) ([]*spmd.Program, *sem.Info, error) {
-	prog, err := lang.Parse(w.Source)
-	if err != nil {
-		return nil, nil, err
-	}
-	info, errs := sem.Check(prog, sem.Config{Procs: int64(procs), Defines: w.Defines})
-	if len(errs) > 0 {
-		return nil, nil, errs[0]
-	}
-	comp := core.New(info)
-	if mode == "rtr" {
-		generic, err := comp.CompileRTR(w.Entry)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*spmd.Program{generic}, info, nil
-	}
-	passes, ok := xform.StandardPipeline(mode, blk)
-	if !ok {
-		return nil, nil, fmt.Errorf("autotune: unknown mode %q", mode)
-	}
-	progs, err := comp.CompileCTR(w.Entry, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := xform.Apply(progs, passes); err != nil {
-		return nil, nil, err
-	}
-	return progs, info, nil
-}
-
-// inputs builds the deterministic test matrices for the entry's parameters —
-// the same pattern pdrun uses, so a searched result is reproducible by hand.
+// inputs builds the istruct.Pattern matrices for the entry's parameters: one
+// set for the distributed run, one for the sequential reference.
 func (w *Workload) inputs(info *sem.Info) (map[string]*istruct.Matrix, []exec.ArgVal, error) {
 	p, ok := info.Procs[w.Entry]
 	if !ok {
@@ -121,30 +76,13 @@ func (w *Workload) inputs(info *sem.Info) (map[string]*istruct.Matrix, []exec.Ar
 		if prm.Type.Base != lang.TMatrix {
 			return nil, nil, fmt.Errorf("autotune: entry parameter %s is not a matrix", prm.Name)
 		}
-		mk := func() (*istruct.Matrix, error) {
-			m, err := istruct.NewMatrix(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
-			if err != nil {
-				return nil, err
-			}
-			for i := int64(1); i <= prm.Type.Dims[0]; i++ {
-				for j := int64(1); j <= prm.Type.Dims[1]; j++ {
-					if err := m.Write(i, j, float64((i*31+j*17)%29)+0.5); err != nil {
-						return nil, err
-					}
-				}
-			}
-			return m, nil
-		}
-		m, err := mk()
+		m, err := istruct.Pattern(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
 		if err != nil {
 			return nil, nil, err
 		}
 		ins[prm.Name] = m
-		m2, err := mk()
-		if err != nil {
-			return nil, nil, err
-		}
-		args = append(args, exec.ArgVal{Matrix: m2})
+		ref, _ := istruct.Pattern(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1]) // same arguments: cannot fail either
+		args = append(args, exec.ArgVal{Matrix: ref})
 	}
 	return ins, args, nil
 }

@@ -1,9 +1,9 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
-	"procdecomp/internal/core"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
 	"procdecomp/internal/xform"
@@ -103,32 +103,16 @@ func makeSpec(v Variant, name string) VariantSpec {
 	return spec
 }
 
-// compileGSAs compiles the Fig. 1 program under a named optimization mode,
-// applying the standard validated pass pipeline. This is the one compile path
-// behind CompileGS, the registry, and pdrun's mode switch.
+// compileGSAs compiles the Fig. 1 program under a named optimization mode:
+// the one compile path behind CompileGS and the registry.
 func compileGSAs(mode string, procs int, n, blk int64) ([]*spmd.Program, error) {
 	info, err := checkGS(GSSource, procs, n)
 	if err != nil {
 		return nil, err
 	}
-	comp := core.New(info)
-	if mode == "rtr" {
-		generic, err := comp.CompileRTR("gs_iteration")
-		if err != nil {
-			return nil, err
-		}
-		return []*spmd.Program{generic}, nil
+	progs, err := xform.Compile(info, "gs_iteration", mode, blk)
+	if errors.Is(err, xform.ErrUnknownMode) {
+		err = fmt.Errorf("bench: unknown optimization mode %q", mode)
 	}
-	passes, ok := xform.StandardPipeline(mode, blk)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown optimization mode %q", mode)
-	}
-	progs, err := comp.CompileCTR("gs_iteration", true)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := xform.Apply(progs, passes); err != nil {
-		return nil, err
-	}
-	return progs, nil
+	return progs, err
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"procdecomp/internal/core"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
@@ -171,7 +172,7 @@ func TestConformanceRandomStencils(t *testing.T) {
 			t.Fatalf("trial %d: sequential: %v\n%s", trial, err, src)
 		}
 
-		comp := New(info)
+		comp := core.New(info)
 		runAndCompare := func(label string, progs []*spmd.Program) {
 			t.Helper()
 			out, err := exec.RunSPMD(progs, machine.DefaultConfig(int(procs)),
@@ -253,7 +254,7 @@ func TestConformanceValuesInvariant(t *testing.T) {
 		mkInput := func() *istruct.Matrix {
 			return confInput(n, rand.New(rand.NewSource(seed)))
 		}
-		comp := New(info)
+		comp := core.New(info)
 		rtr, err := comp.CompileRTR("step")
 		if err != nil {
 			t.Fatal(err)
@@ -313,7 +314,7 @@ func TestConformanceMultiplexed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs, err := New(info).CompileCTR("step", true)
+		progs, err := core.New(info).CompileCTR("step", true)
 		if err != nil {
 			t.Fatal(err)
 		}

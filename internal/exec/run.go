@@ -8,7 +8,6 @@ import (
 	"procdecomp/internal/dist"
 	"procdecomp/internal/expr"
 	"procdecomp/internal/istruct"
-	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
 )
@@ -51,29 +50,37 @@ func RunSPMDCtx(ctx context.Context, progs []*spmd.Program, cfg machine.Config, 
 	return out, err
 }
 
-func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istruct.Matrix) (*SPMDOutcome, error) {
-	pick := func(p int) *spmd.Program { return progs[p] }
+// PerProcess resolves which program each of procs processes runs: progs must
+// hold exactly one generic program (Proc == -1, run by every process) or procs
+// specialized programs indexed by process number.
+func PerProcess(progs []*spmd.Program, procs int) (func(p int) *spmd.Program, error) {
 	switch {
 	case len(progs) == 1 && progs[0].Proc < 0:
-		pick = func(int) *spmd.Program { return progs[0] }
-	case len(progs) == cfg.Procs:
+		return func(int) *spmd.Program { return progs[0] }, nil
+	case len(progs) == procs:
 		for i, pr := range progs {
 			if pr.Proc != i {
 				return nil, fmt.Errorf("exec: program %d is specialized for process %d", i, pr.Proc)
 			}
 		}
-	default:
-		return nil, fmt.Errorf("exec: got %d program(s) for %d processes", len(progs), cfg.Procs)
+		return func(p int) *spmd.Program { return progs[p] }, nil
+	}
+	return nil, fmt.Errorf("exec: got %d program(s) for %d processes", len(progs), procs)
+}
+
+func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istruct.Matrix) (*SPMDOutcome, error) {
+	pick, err := PerProcess(progs, cfg.Procs)
+	if err != nil {
+		return nil, err
 	}
 
 	m := machine.New(cfg)
-	states := make([]*pstate, cfg.Procs)
-	for i := range states {
-		states[i] = newPState(pick(i), i)
-	}
+	states := make([]*concrete, cfg.Procs)
 	// Scatter input arrays (setup, not timed).
-	for i, st := range states {
-		for _, prm := range st.prog.Params {
+	for i := range states {
+		st := newConcrete()
+		states[i] = st
+		for _, prm := range pick(i).Params {
 			g, ok := inputs[prm.Name]
 			if !ok {
 				return nil, fmt.Errorf("exec: no input supplied for parameter %s", prm.Name)
@@ -86,10 +93,12 @@ func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 		}
 	}
 
-	err := m.Run(func(p *machine.Proc) {
-		st := states[p.ID()]
-		st.p = p
-		st.exec(st.prog.Body)
+	err = m.Run(func(p *machine.Proc) {
+		d := states[p.ID()]
+		d.Proc = p
+		if err := newStepper(p.ID(), d).run(pick(p.ID()).Body); err != nil {
+			panic(fmt.Errorf("process %d: %w", p.ID(), err))
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -167,7 +176,7 @@ func scatter(g *istruct.Matrix, d dist.Dist, p int64) (*istruct.Matrix, error) {
 
 // gather reassembles a global array from the owners' local pieces. Vectors
 // (rank 1) gather into an n×1 matrix, matching their local representation.
-func gather(states []*pstate, name string, info spmd.ArrayInfo) (*istruct.Matrix, error) {
+func gather(states []*concrete, name string, info spmd.ArrayInfo) (*istruct.Matrix, error) {
 	shape := info.GlobalShape
 	rows, cols := shape[0], int64(1)
 	if len(shape) == 2 {
@@ -210,315 +219,141 @@ func gather(states []*pstate, name string, info spmd.ArrayInfo) (*istruct.Matrix
 	return g, nil
 }
 
-// pstate is one process's interpreter state.
-type pstate struct {
-	prog   *spmd.Program
-	me     int64
-	p      *machine.Proc
+// concrete is the domain of a real run: one process's local arrays, scalar
+// I-variables and message buffers, on its simulated processor.
+type concrete struct {
+	*machine.Proc
 	arrays map[string]*istruct.Matrix
 	ivars  map[string]*istruct.IVar
 	bufs   map[string][]Value
-	vars   map[string]Value
-	ienv   expr.Env // integer view of vars + loop variables + me
 }
 
-func newPState(prog *spmd.Program, me int) *pstate {
-	st := &pstate{
-		prog:   prog,
-		me:     int64(me),
+func newConcrete() *concrete {
+	return &concrete{
 		arrays: map[string]*istruct.Matrix{},
 		ivars:  map[string]*istruct.IVar{},
 		bufs:   map[string][]Value{},
-		vars:   map[string]Value{},
-		ienv:   expr.Env{},
 	}
-	st.ienv[spmd.Me] = int64(me)
-	return st
 }
 
-func (st *pstate) failf(format string, args ...any) {
-	panic(fmt.Errorf(format, args...))
+func (d *concrete) absent(err error) (Value, bool) {
+	fail(err)
+	return 0, false
 }
 
-func (st *pstate) setVar(name string, v Value) {
-	st.vars[name] = v
-	st.ienv[name] = int64(v)
+func (d *concrete) stored(st *stepper, v spmd.VExpr) Value {
+	val, _ := st.evalV(v)
+	return val
 }
 
-func (st *pstate) intOf(e expr.Expr) int64 {
-	v, err := e.Eval(st.ienv)
+func (d *concrete) alloc(st *stepper, s *spmd.Alloc) {
+	if n := len(s.Shape); n != 1 && n != 2 {
+		failf("alloc of rank %d", n)
+	}
+	rows, cols := st.intOf(s.Shape[0]), int64(1)
+	if len(s.Shape) == 2 {
+		cols = st.intOf(s.Shape[1])
+	}
+	m, err := istruct.NewMatrix(s.Array, rows, cols)
 	if err != nil {
-		st.failf("process %d: %v", st.me, err)
+		fail(err)
 	}
-	return v
+	d.arrays[s.Array] = m
 }
 
-// vexprOps counts operator nodes, for cost accounting.
-func vexprOps(v spmd.VExpr) int64 {
-	switch v := v.(type) {
-	case spmd.VBin:
-		return 1 + vexprOps(v.L) + vexprOps(v.R)
-	case spmd.VUn:
-		return 1 + vexprOps(v.X)
-	default:
-		return 0
-	}
+func (d *concrete) allocBuf(st *stepper, s *spmd.AllocBuf) {
+	d.bufs[s.Buf] = make([]Value, st.intOf(s.Size)+1) // 1-based
 }
 
-func (st *pstate) evalV(v spmd.VExpr) Value {
-	switch v := v.(type) {
-	case spmd.VConst:
-		return v.F
-	case spmd.VVar:
-		if val, ok := st.vars[v.Name]; ok {
-			return val
-		}
-		if iv, ok := st.ivars[v.Name]; ok {
-			val, err := iv.Read()
-			if err != nil {
-				st.failf("process %d: %v", st.me, err)
-			}
-			return val
-		}
-		st.failf("process %d: undefined variable %s", st.me, v.Name)
-		return 0
-	case spmd.VInt:
-		return Value(st.intOf(v.X))
-	case spmd.VBin:
-		return EvalBin(v.Op, st.evalV(v.L), st.evalV(v.R), func(msg string) {
-			st.failf("process %d: %s", st.me, msg)
-		})
-	case spmd.VUn:
-		x := st.evalV(v.X)
-		if v.Op == lang.OpNeg {
-			return -x
-		}
-		if x != 0 {
-			return 0
-		}
-		return 1
-	default:
-		st.failf("process %d: unknown value expression %T", st.me, v)
-		return 0
-	}
-}
-
-func (st *pstate) exec(body []spmd.Stmt) {
-	for _, s := range body {
-		st.stmt(s)
-	}
-}
-
-// indexCost is the flat operation charge for computing one array or buffer
-// subscript (the local-index arithmetic of the paper's column_local).
-const indexCost = 2
-
-func (st *pstate) stmt(s spmd.Stmt) {
-	switch s := s.(type) {
-	case *spmd.Alloc:
-		switch len(s.Shape) {
-		case 2:
-			m, err := istruct.NewMatrix(s.Array, st.intOf(s.Shape[0]), st.intOf(s.Shape[1]))
-			if err != nil {
-				st.failf("process %d: %v", st.me, err)
-			}
-			st.arrays[s.Array] = m
-		case 1:
-			m, err := istruct.NewMatrix(s.Array, st.intOf(s.Shape[0]), 1)
-			if err != nil {
-				st.failf("process %d: %v", st.me, err)
-			}
-			st.arrays[s.Array] = m
-		default:
-			st.failf("process %d: alloc of rank %d", st.me, len(s.Shape))
-		}
-	case *spmd.AllocBuf:
-		st.bufs[s.Buf] = make([]Value, st.intOf(s.Size)+1) // 1-based
-	case *spmd.AssignVar:
-		st.p.Ops(vexprOps(s.Val))
-		st.setVar(s.Name, st.evalV(s.Val))
-	case *spmd.AssignIVar:
-		st.p.Ops(vexprOps(s.Val))
-		v := st.evalV(s.Val)
-		iv, ok := st.ivars[s.Name]
-		if !ok {
-			iv = istruct.NewIVar(s.Name)
-			st.ivars[s.Name] = iv
-		}
-		if err := iv.Write(v); err != nil {
-			st.failf("process %d: %v", st.me, err)
-		}
-		st.ienv[s.Name] = int64(v)
-	case *spmd.ARead:
-		st.p.Ops(indexCost)
-		st.p.Mem(1)
-		st.setVar(s.Dst, st.aread(s.Array, s.Idx))
-	case *spmd.AWrite:
-		st.p.Ops(indexCost + vexprOps(s.Val))
-		st.p.Mem(1)
-		st.awrite(s.Array, s.Idx, st.evalV(s.Val))
-	case *spmd.BufRead:
-		st.p.Ops(indexCost)
-		st.p.Mem(1)
-		buf := st.buf(s.Buf)
-		i := st.intOf(s.Idx)
-		st.checkBuf(s.Buf, buf, i)
-		st.setVar(s.Dst, buf[i])
-	case *spmd.BufWrite:
-		st.p.Ops(indexCost + vexprOps(s.Val))
-		st.p.Mem(1)
-		buf := st.buf(s.Buf)
-		i := st.intOf(s.Idx)
-		st.checkBuf(s.Buf, buf, i)
-		buf[i] = st.evalV(s.Val)
-	case *spmd.Send:
-		st.p.Ops(vexprOps(s.Val))
-		st.p.Send(int(st.intOf(s.Dst)), s.Tag, st.evalV(s.Val))
-	case *spmd.Recv:
-		v := st.p.Recv1(int(st.intOf(s.Src)), s.Tag)
-		st.setVar(s.Dst, v)
-	case *spmd.SendBuf:
-		buf := st.buf(s.Buf)
-		lo, hi := st.intOf(s.Lo), st.intOf(s.Hi)
-		st.checkBuf(s.Buf, buf, lo)
-		st.checkBuf(s.Buf, buf, hi)
-		st.p.Send(int(st.intOf(s.Dst)), s.Tag, buf[lo:hi+1]...)
-	case *spmd.RecvBuf:
-		buf := st.buf(s.Buf)
-		lo, hi := st.intOf(s.Lo), st.intOf(s.Hi)
-		st.checkBuf(s.Buf, buf, lo)
-		st.checkBuf(s.Buf, buf, hi)
-		vals := st.p.Recv(int(st.intOf(s.Src)), s.Tag)
-		if int64(len(vals)) != hi-lo+1 {
-			st.failf("process %d: block receive of %d values into %s[%d..%d]", st.me, len(vals), s.Buf, lo, hi)
-		}
-		copy(buf[lo:hi+1], vals)
-	case *spmd.Coerce:
-		st.coerce(s)
-	case *spmd.For:
-		lo, hi, step := st.intOf(s.Lo), st.intOf(s.Hi), st.intOf(s.Step)
-		if step <= 0 {
-			st.failf("process %d: loop step %d", st.me, step)
-		}
-		for x := lo; x <= hi; x += step {
-			st.p.LoopStep()
-			st.vars[s.Var] = Value(x)
-			st.ienv[s.Var] = x
-			st.exec(s.Body)
-		}
-	case *spmd.Guard:
-		st.p.Ops(1) // the mynode() test of run-time resolution
-		if st.intOf(s.Proc) == st.me {
-			st.exec(s.Body)
-		}
-	case *spmd.IfValue:
-		st.p.Ops(vexprOps(s.Cond))
-		if st.evalV(s.Cond) != 0 {
-			st.exec(s.Then)
-		} else {
-			st.exec(s.Else)
-		}
-	default:
-		st.failf("process %d: unknown statement %T", st.me, s)
-	}
-}
-
-func (st *pstate) buf(name string) []Value {
-	b, ok := st.bufs[name]
+func (d *concrete) defineScalar(name string, v Value) {
+	iv, ok := d.ivars[name]
 	if !ok {
-		st.failf("process %d: undefined buffer %s", st.me, name)
+		iv = istruct.NewIVar(name)
+		d.ivars[name] = iv
 	}
-	return b
-}
-
-func (st *pstate) checkBuf(name string, buf []Value, i int64) {
-	if i < 1 || i >= int64(len(buf)) {
-		st.failf("process %d: buffer %s index %d out of range [1,%d]", st.me, name, i, len(buf)-1)
+	if err := iv.Write(v); err != nil {
+		fail(err)
 	}
 }
 
-func (st *pstate) aread(name string, idx []expr.Expr) Value {
-	arr, ok := st.arrays[name]
+func (d *concrete) scalar(name string) (Value, bool) {
+	iv, ok := d.ivars[name]
 	if !ok {
-		st.failf("process %d: undefined array %s", st.me, name)
+		failf("coerce of undefined scalar %s", name)
+	}
+	v, err := iv.Read()
+	if err != nil {
+		fail(err)
+	}
+	return v, true
+}
+
+// elem resolves an array element reference to the local array and indices.
+func (d *concrete) elem(st *stepper, name string, idx []expr.Expr) (*istruct.Matrix, int64, int64) {
+	arr, ok := d.arrays[name]
+	if !ok {
+		failf("undefined array %s", name)
 	}
 	i, j := st.intOf(idx[0]), int64(1)
 	if len(idx) == 2 {
 		j = st.intOf(idx[1])
 	}
+	return arr, i, j
+}
+
+func (d *concrete) aread(st *stepper, name string, idx []expr.Expr) (Value, bool) {
+	arr, i, j := d.elem(st, name, idx)
 	v, err := arr.Read(i, j)
 	if err != nil {
-		st.failf("process %d: %v", st.me, err)
+		fail(err)
 	}
-	return v
+	return v, true
 }
 
-func (st *pstate) awrite(name string, idx []expr.Expr, v Value) {
-	arr, ok := st.arrays[name]
-	if !ok {
-		st.failf("process %d: undefined array %s", st.me, name)
-	}
-	i, j := st.intOf(idx[0]), int64(1)
-	if len(idx) == 2 {
-		j = st.intOf(idx[1])
-	}
+func (d *concrete) awrite(st *stepper, name string, idx []expr.Expr, v Value) {
+	arr, i, j := d.elem(st, name, idx)
 	if err := arr.Write(i, j, v); err != nil {
-		st.failf("process %d: %v", st.me, err)
+		fail(err)
 	}
 }
 
-// coerce implements run-time resolution's value movement (§3.1). Every
-// process executes the statement and plays its role; the ownership tests are
-// charged as compute.
-func (st *pstate) coerce(s *spmd.Coerce) {
-	st.p.Ops(2) // owner/needer membership tests
-	readSrc := func() Value {
-		st.p.Mem(1)
-		if s.Array != "" {
-			st.p.Ops(indexCost)
-			return st.aread(s.Array, s.Idx)
-		}
-		iv, ok := st.ivars[s.Var]
-		if !ok {
-			st.failf("process %d: coerce of undefined scalar %s", st.me, s.Var)
-		}
-		v, err := iv.Read()
-		if err != nil {
-			st.failf("process %d: %v", st.me, err)
-		}
-		return v
+// slot resolves buf[lo..hi] after checking both ends are in range.
+func (d *concrete) slot(name string, lo, hi int64) []Value {
+	buf, ok := d.bufs[name]
+	if !ok {
+		failf("undefined buffer %s", name)
 	}
+	for _, i := range [2]int64{lo, hi} {
+		if i < 1 || i >= int64(len(buf)) {
+			failf("buffer %s index %d out of range [1,%d]", name, i, len(buf)-1)
+		}
+	}
+	return buf[lo : hi+1]
+}
 
-	switch {
-	case s.OwnerAll:
-		// Replicated source: everyone who needs it reads its own copy.
-		if s.NeederAll || st.intOf(s.Needer) == st.me {
-			st.setVar(s.Dst, readSrc())
-		}
-	case s.NeederAll:
-		owner := st.intOf(s.Owner)
-		if owner == st.me {
-			v := readSrc()
-			for q := 0; q < st.p.Procs(); q++ {
-				if int64(q) != st.me {
-					st.p.Send(q, s.Tag, v)
-				}
-			}
-			st.setVar(s.Dst, v)
-		} else {
-			st.setVar(s.Dst, st.p.Recv1(int(owner), s.Tag))
-		}
-	default:
-		owner, needer := st.intOf(s.Owner), st.intOf(s.Needer)
-		switch {
-		case owner == needer:
-			if owner == st.me {
-				st.setVar(s.Dst, readSrc())
-			}
-		case owner == st.me:
-			st.p.Send(int(needer), s.Tag, readSrc())
-		case needer == st.me:
-			st.setVar(s.Dst, st.p.Recv1(int(owner), s.Tag))
-		}
+func (d *concrete) bufRead(st *stepper, name string, idx expr.Expr) (Value, bool) {
+	i := st.intOf(idx)
+	return d.slot(name, i, i)[0], true
+}
+
+func (d *concrete) bufWrite(st *stepper, name string, idx expr.Expr, v Value) {
+	i := st.intOf(idx)
+	d.slot(name, i, i)[0] = v
+}
+
+func (d *concrete) send(dst int, tag int64, v Value) { d.Send(dst, tag, v) }
+
+func (d *concrete) recv(src int, tag int64) (Value, bool) { return d.Recv1(src, tag), true }
+
+func (d *concrete) sendBuf(name string, lo, hi int64, dst int, tag int64) {
+	d.Send(dst, tag, d.slot(name, lo, hi)...)
+}
+
+func (d *concrete) recvBuf(name string, lo, hi int64, src int, tag int64) {
+	into := d.slot(name, lo, hi)
+	vals := d.Recv(src, tag)
+	if len(vals) != len(into) {
+		failf("block receive of %d values into %s[%d..%d]", len(vals), name, lo, hi)
 	}
+	copy(into, vals)
 }

@@ -4,6 +4,12 @@
 // compiled per-process programs on the simulated multicomputer, charging the
 // machine's cost model. Comparing the two on the same inputs is how the test
 // suite establishes that process decomposition preserves program meaning.
+//
+// The SPMD interpreter is one stepper (step.go) over two data domains.
+// RunSPMD drives it with real values on a machine.Proc; Walk drives it with
+// no data at all and reports what the run would charge and communicate to a
+// Sink — the static cost model of internal/autotune. The cost semantics are
+// stated once, in the stepper.
 package exec
 
 import (

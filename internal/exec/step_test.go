@@ -1,0 +1,107 @@
+package exec
+
+import (
+	"testing"
+
+	"procdecomp/internal/expr"
+	"procdecomp/internal/machine"
+	"procdecomp/internal/spmd"
+)
+
+// The concrete domain's user-visible failures, pinned to the text a run
+// reports: each names the process twice (the machine's frame, then the
+// interpreter's) and the offending object.
+func TestConcreteFailureMessages(t *testing.T) {
+	c := expr.C
+	one := spmd.VConst{F: 1}
+	on := func(p int64, body ...spmd.Stmt) spmd.Stmt { return &spmd.Guard{Proc: c(p), Body: body} }
+	cases := []struct {
+		name string
+		body []spmd.Stmt
+		want string
+	}{
+		{"undefined array",
+			[]spmd.Stmt{on(0, &spmd.ARead{Dst: "t", Array: "B", Idx: []expr.Expr{c(1), c(1)}})},
+			"machine: process 0 failed: process 0: undefined array B"},
+		{"undefined buffer",
+			[]spmd.Stmt{on(0, &spmd.BufRead{Dst: "t", Buf: "b", Idx: c(1)})},
+			"machine: process 0 failed: process 0: undefined buffer b"},
+		{"undefined variable",
+			[]spmd.Stmt{on(0, &spmd.AssignVar{Name: "x", Val: spmd.VVar{Name: "nope"}})},
+			"machine: process 0 failed: process 0: undefined variable nope"},
+		{"buffer index out of range",
+			[]spmd.Stmt{on(0,
+				&spmd.AllocBuf{Buf: "b", Size: c(2)},
+				&spmd.BufWrite{Buf: "b", Idx: c(3), Val: one})},
+			"machine: process 0 failed: process 0: buffer b index 3 out of range [1,2]"},
+		{"block receive length mismatch",
+			[]spmd.Stmt{
+				on(0,
+					&spmd.AllocBuf{Buf: "b", Size: c(2)},
+					&spmd.BufWrite{Buf: "b", Idx: c(1), Val: one},
+					&spmd.BufWrite{Buf: "b", Idx: c(2), Val: one},
+					&spmd.SendBuf{Dst: c(1), Tag: 1, Buf: "b", Lo: c(1), Hi: c(2)}),
+				on(1,
+					&spmd.AllocBuf{Buf: "b", Size: c(3)},
+					&spmd.RecvBuf{Src: c(0), Tag: 1, Buf: "b", Lo: c(1), Hi: c(3)})},
+			"machine: process 1 failed: process 1: block receive of 2 values into b[1..3]"},
+		{"loop step 0",
+			[]spmd.Stmt{on(0, &spmd.For{Var: "i", Lo: c(1), Hi: c(2), Step: c(0)})},
+			"machine: process 0 failed: process 0: loop step 0"},
+		{"coerce of undefined scalar",
+			[]spmd.Stmt{on(0, &spmd.Coerce{Dst: "t", Var: "x", OwnerAll: true, NeederAll: true, Tag: 1})},
+			"machine: process 0 failed: process 0: coerce of undefined scalar x"},
+	}
+	for _, tc := range cases {
+		p := &spmd.Program{Name: "t", Proc: -1, Body: tc.body}
+		_, err := RunSPMD([]*spmd.Program{p}, machine.DefaultConfig(2), nil)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// nullSink accepts every charge and message.
+type nullSink struct{ procs int }
+
+func (s nullSink) Procs() int               { return s.procs }
+func (nullSink) Ops(int64)                  {}
+func (nullSink) Mem(int64)                  {}
+func (nullSink) LoopStep()                  {}
+func (nullSink) Send(int, int64, int) error { return nil }
+func (nullSink) Recv(int, int64, int) error { return nil }
+
+// An abstract run has no data: a branch on an array element is the one thing
+// it cannot decide, and it says so instead of guessing; a branch on a value
+// it can compute is taken as a real run would take it.
+func TestWalkRefusesBranchOnData(t *testing.T) {
+	idx := []expr.Expr{expr.C(1), expr.C(1)}
+	branch := func(cond spmd.VExpr) *spmd.Program {
+		return &spmd.Program{Name: "t", Proc: -1, Body: []spmd.Stmt{
+			&spmd.Alloc{Array: "A", Shape: []expr.Expr{expr.C(2), expr.C(2)}},
+			&spmd.AWrite{Array: "A", Idx: idx, Val: spmd.VConst{F: 1}},
+			&spmd.ARead{Dst: "t1", Array: "A", Idx: idx},
+			&spmd.AssignVar{Name: "k", Val: spmd.VConst{F: 0}},
+			&spmd.IfValue{Cond: cond, Else: []spmd.Stmt{
+				&spmd.Send{Dst: expr.C(9), Tag: 1, Val: spmd.VConst{F: 1}},
+			}},
+		}}
+	}
+	err := Walk(branch(spmd.VVar{Name: "t1"}), 0, nullSink{procs: 2})
+	if err == nil || err.Error() != "branch on a computed value" {
+		t.Errorf("branch on an ARead result: error %v, want \"branch on a computed value\"", err)
+	}
+	// k is known to be 0, so the Else arm runs and its send reaches the sink.
+	sent := 0
+	err = Walk(branch(spmd.VVar{Name: "k"}), 0, sendCounter{nullSink{procs: 2}, &sent})
+	if err != nil || sent != 1 {
+		t.Errorf("branch on a known value: error %v, %d send(s); want the Else arm's one send", err, sent)
+	}
+}
+
+type sendCounter struct {
+	nullSink
+	n *int
+}
+
+func (s sendCounter) Send(int, int64, int) error { *s.n++; return nil }

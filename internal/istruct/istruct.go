@@ -94,6 +94,24 @@ func NewMatrix(name string, rows, cols int64) (*Matrix, error) {
 	}, nil
 }
 
+// Pattern builds the fully defined rows×cols matrix every driver (pdrun,
+// pdserve, pdmap's search, the benchmarks) feeds a program as input: element
+// (i,j) is ((31i + 17j) mod 29) + 0.5. One definition, so a result any of
+// them reports is reproducible by hand with any other.
+func Pattern(name string, rows, cols int64) (*Matrix, error) {
+	m, err := NewMatrix(name, rows, cols)
+	if err != nil {
+		return nil, err
+	}
+	for i := int64(1); i <= rows; i++ {
+		for j := int64(1); j <= cols; j++ {
+			off := (i-1)*cols + (j - 1)
+			m.vals[off], m.sts[off] = Value((i*31+j*17)%29)+0.5, full
+		}
+	}
+	return m, nil
+}
+
 // Rows returns the row count.
 func (m *Matrix) Rows() int64 { return m.rows }
 

@@ -184,3 +184,26 @@ func TestReadReturnsWrittenValue(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Pattern is the input every driver shares: fully defined, write-once like
+// any other matrix, and equal to the documented formula.
+func TestPattern(t *testing.T) {
+	m, err := Pattern("Old", 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		for j := int64(1); j <= 5; j++ {
+			want := float64((i*31+j*17)%29) + 0.5
+			if got, err := m.Read(i, j); err != nil || got != want {
+				t.Errorf("Pattern[%d,%d] = %v, %v; want %v", i, j, got, err, want)
+			}
+		}
+	}
+	if err := m.Write(2, 2, 1); err == nil {
+		t.Error("a Pattern element accepted a second write")
+	}
+	if _, err := Pattern("Old", 0, 5); err == nil {
+		t.Error("Pattern accepted a zero dimension")
+	}
+}

@@ -138,7 +138,10 @@ func (s *Server) persistDecision(d adapt.Decision) {
 	s.adaptDecisions = append(s.adaptDecisions, d)
 	s.adaptDecLines = append(s.adaptDecLines, line...)
 	s.adaptMu.Unlock()
-	s.adaptJournal.append(d, line)
+	if err := s.adaptJournal.append(d, line); err != nil {
+		s.log.LogAttrs(context.Background(), slog.LevelWarn, "adapt decision not durable",
+			slog.String("scenario", d.Scenario), slog.Uint64("seq", d.Seq), slog.String("err", err.Error()))
+	}
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "adapt decision",
 		slog.String("scenario", d.Scenario), slog.String("shape", d.Shape),
 		slog.String("outcome", d.Outcome), slog.String("mapping", d.Mapping))
@@ -348,20 +351,24 @@ func openDecisionJournal(dir string, compactEvery int) (*decisionJournal, []adap
 }
 
 // append durably records one settled decision (write + fsync — decisions are
-// rare) and folds it into the in-memory state, compacting at the threshold.
-func (j *decisionJournal) append(d adapt.Decision, line []byte) {
+// rare) and, once it is on disk, folds it into the in-memory state,
+// compacting at the threshold. A decision that did not reach disk is an
+// error and stays out of the fold, so a later compaction cannot resurrect it.
+func (j *decisionJournal) append(d adapt.Decision, line []byte) error {
 	if j == nil {
-		return
+		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.dead {
-		return
+		return fmt.Errorf("serve: decision journal closed")
 	}
 	if _, err := j.f.Write(line); err != nil {
-		return
+		return fmt.Errorf("serve: decision journal write: %w", err)
 	}
-	j.f.Sync()
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("serve: decision journal fsync: %w", err)
+	}
 	st := j.states[d.Scenario]
 	if st == nil {
 		st = &adapt.State{Scenario: d.Scenario}
@@ -374,6 +381,7 @@ func (j *decisionJournal) append(d adapt.Decision, line []byte) {
 	}
 	j.appended++
 	j.maybeCompactLocked()
+	return nil
 }
 
 // maybeCompactLocked folds the journal in place once compactEvery decisions
@@ -422,23 +430,10 @@ func (j *decisionJournal) maybeCompactLocked() {
 	}
 }
 
-// Close stops the journal; further appends are silently dropped (the
-// in-memory stream behind /adapt/journal already has them).
+// Close stops the journal; further appends fail (the in-memory stream behind
+// /adapt/journal still has them). Appends are unbuffered, so Close is also
+// all a kill -9 does to the journal — the crash test seam calls it too.
 func (j *decisionJournal) Close() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead {
-		return
-	}
-	j.dead = true
-	j.f.Close()
-}
-
-// crash abandons the journal without flushing — the kill -9 test seam.
-func (j *decisionJournal) crash() {
 	if j == nil {
 		return
 	}

@@ -205,3 +205,41 @@ func TestServeAdaptsToWorkloadShift(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A decision the journal could not make durable is an error the caller sees,
+// and it stays out of the folded state: a restart restores exactly what
+// reached disk.
+func TestDecisionJournalAppendReportsFailure(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _, err := openDecisionJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendDecision := func(d adapt.Decision) error {
+		line, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.append(d, append(line, '\n'))
+	}
+	kept := adapt.Decision{Seq: 1, Scenario: "s", Shape: "a", Outcome: "switched", Mapping: "all"}
+	if err := appendDecision(kept); err != nil {
+		t.Fatalf("append on an open journal: %v", err)
+	}
+	j.Close() // what Server.crash does to it
+	lost := adapt.Decision{Seq: 2, Scenario: "s", Shape: "b", Outcome: "switched", Mapping: "single"}
+	if err := appendDecision(lost); err == nil {
+		t.Fatal("append after the journal closed reported success")
+	}
+	if st := j.states["s"]; st.Preferred != "all" || st.Decisions != 1 || j.maxSeq != 1 {
+		t.Errorf("failed append reached the fold: %+v, maxSeq %d", *st, j.maxSeq)
+	}
+	j2, restored, maxSeq, err := openDecisionJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(restored) != 1 || restored[0].Preferred != "all" || restored[0].TunedFor != "a" || maxSeq != 1 {
+		t.Errorf("restart restored %+v (maxSeq %d), want only the durable decision", restored, maxSeq)
+	}
+}

@@ -29,7 +29,6 @@ import (
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/autotune"
 	"procdecomp/internal/bench"
-	"procdecomp/internal/core"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
@@ -215,8 +214,7 @@ func source(req Request) string {
 }
 
 // compile builds the per-process programs the way pdrun does: parse,
-// semantic-check at the machine size, compile (run-time or compile-time
-// resolution), and apply the mode's pass pipeline. A non-empty mapping —
+// semantic-check at the machine size, then xform.Compile. A non-empty mapping —
 // the adaptation controller's preference — retargets the program's dist
 // declaration between parse and semantic check, exactly the way the
 // autotune search compiles its candidates.
@@ -242,27 +240,11 @@ func compile(req Request, mapping string) ([]*spmd.Program, *sem.Info, error) {
 	if len(errs) > 0 {
 		return nil, nil, errs[0]
 	}
-	comp := core.New(info)
-	if req.Mode == "rtr" {
-		generic, err := comp.CompileRTR(req.Entry)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*spmd.Program{generic}, info, nil
-	}
-	passes, _ := xform.StandardPipeline(req.Mode, req.Blk)
-	progs, err := comp.CompileCTR(req.Entry, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := xform.Apply(progs, passes); err != nil {
-		return nil, nil, err
-	}
-	return progs, info, nil
+	progs, err := xform.Compile(info, req.Entry, req.Mode, req.Blk)
+	return progs, info, err
 }
 
-// testInputs fills the entry's matrix parameters with the deterministic
-// pattern pdrun uses, so a served result is reproducible by hand.
+// testInputs fills the entry's matrix parameters with istruct.Pattern.
 func testInputs(info *sem.Info, entry string) (map[string]*istruct.Matrix, error) {
 	p, ok := info.Procs[entry]
 	if !ok {
@@ -273,16 +255,9 @@ func testInputs(info *sem.Info, entry string) (map[string]*istruct.Matrix, error
 		if prm.Type.Base != lang.TMatrix {
 			return nil, fmt.Errorf("entry parameter %s is not a matrix", prm.Name)
 		}
-		m, err := istruct.NewMatrix(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
+		m, err := istruct.Pattern(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
 		if err != nil {
 			return nil, err
-		}
-		for i := int64(1); i <= prm.Type.Dims[0]; i++ {
-			for j := int64(1); j <= prm.Type.Dims[1]; j++ {
-				if err := m.Write(i, j, float64((i*31+j*17)%29)+0.5); err != nil {
-					return nil, err
-				}
-			}
 		}
 		ins[prm.Name] = m
 	}

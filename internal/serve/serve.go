@@ -917,7 +917,7 @@ func (s *Server) crash() {
 	if s.journal != nil {
 		s.journal.crash()
 	}
-	s.adaptJournal.crash()
+	s.adaptJournal.Close()
 	s.abort()
 }
 

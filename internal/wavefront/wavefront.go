@@ -5,10 +5,10 @@
 // pipelining the wavefront. This is the baseline the compiler-generated
 // code is measured against in Figs. 6 and 7.
 //
-// Cost accounting mirrors the SPMD interpreter's (one Mem per I-structure
-// access plus a flat two-operation subscript charge, one Op per arithmetic
-// operator, one LoopStep per iteration), so the comparison with compiled
-// code is apples-to-apples.
+// Cost accounting follows the tariff internal/exec charges compiled code (one
+// Mem per I-structure access plus a flat two-operation subscript charge, one
+// Op per arithmetic operator, one LoopStep per iteration), so the comparison
+// with compiled code is apples-to-apples.
 package wavefront
 
 import (
@@ -24,7 +24,8 @@ const (
 	tagNew
 )
 
-// indexCost mirrors exec's flat subscript charge.
+// indexCost is the flat subscript charge, the same two operations
+// internal/exec charges compiled code.
 const indexCost = 2
 
 // Result carries the gathered output and the run's machine statistics.

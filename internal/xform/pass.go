@@ -1,8 +1,11 @@
 package xform
 
 import (
+	"errors"
 	"fmt"
 
+	"procdecomp/internal/core"
+	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
 )
 
@@ -132,8 +135,7 @@ func Apply(progs []*spmd.Program, passes []Pass) ([]int, error) {
 }
 
 // StandardPipeline maps an optimization-mode name to the pass pipeline the
-// paper's variants use. It is the single definition shared by pdrun, the
-// bench registry, and the auto-mapper, so the three can never drift:
+// paper's variants use — the single definition behind Compile:
 //
 //	rtr, ctr  — no passes (rtr additionally selects run-time resolution)
 //	opt1      — vectorize
@@ -153,6 +155,37 @@ func StandardPipeline(mode string, blk int64) ([]Pass, bool) {
 		return []Pass{{Kind: PassVectorize}, {Kind: PassJam}, {Kind: PassStripMine, Blk: blk}}, true
 	}
 	return nil, false
+}
+
+// ErrUnknownMode is Compile's error for a mode StandardPipeline does not know.
+var ErrUnknownMode = errors.New("unknown mode")
+
+// Compile is the back half of the compile pipeline, shared by every driver
+// (pdc, pdrun, pdserve, the bench registry and the auto-mapper): resolve
+// entry of the checked program — run-time resolution for "rtr" (one generic
+// program), compile-time resolution with loop restriction otherwise (one
+// program per process) — and apply the mode's StandardPipeline.
+func Compile(info *sem.Info, entry, mode string, blk int64) ([]*spmd.Program, error) {
+	passes, ok := StandardPipeline(mode, blk)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownMode, mode)
+	}
+	comp := core.New(info)
+	if mode == "rtr" {
+		generic, err := comp.CompileRTR(entry)
+		if err != nil {
+			return nil, err
+		}
+		return []*spmd.Program{generic}, nil
+	}
+	progs, err := comp.CompileCTR(entry, true)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := Apply(progs, passes); err != nil {
+		return nil, err
+	}
+	return progs, nil
 }
 
 // StandardModes lists the mode names StandardPipeline accepts, in
