@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,30 @@ func TestSearchOutputByteIdentical(t *testing.T) {
 	}
 	if rep.Winner == "" || rep.Hand == "" {
 		t.Fatalf("JSON report missing winner or reference: %+v", rep)
+	}
+}
+
+// The cost semantics does not drift: the N=24 smoke search CI runs renders to
+// the committed report byte for byte — every candidate's static score,
+// predicted and measured makespan, message count and rank. A change to what
+// a statement charges, to what the compiler emits or to how the search ranks
+// shows up here before it shows up in a figure.
+func TestSearchMatchesGolden(t *testing.T) {
+	const golden = "../../testdata/golden/pdmap_gs_s4_n24.json"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(context.Background(), []string{"-gs", "-procs", "4", "-D", "N=24", "-json"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("pdmap -gs -procs 4 -D N=24 -json differs from %s.\n"+
+			"If the cost model or the compiler was meant to change, regenerate both goldens from the repository root and review the diff:\n"+
+			"  go run ./cmd/pdmap -gs -procs 4 -D N=24 -json > testdata/golden/pdmap_gs_s4_n24.json\n"+
+			"  go run ./cmd/pdbench -fig none -n 64 -procs 1,2,4,8 -json testdata/golden/fig6_n64.json\n"+
+			"got:\n%s", golden, got.Bytes())
 	}
 }
 

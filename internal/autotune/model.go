@@ -11,10 +11,10 @@ import (
 )
 
 // The static cost model: an abstract run of each process's compiled program
-// (exec.Walk — the interpreter's own stepper over a domain that computes no
-// data values), recorded as an action sequence. Control flow — loop bounds,
-// guards, message endpoints — is evaluated over the integer environment
-// exactly as in a real run, because it is the same code; data values are
+// (exec.Lower, then Walk — the interpreter's own stepper over a domain that
+// computes no data values), recorded as an action sequence. Control flow —
+// loop bounds, guards, message endpoints — is evaluated over the integer
+// frame exactly as in a real run, because it is the same code; data values are
 // "unknown" and only become an error if control flow ever depends on one
 // (ErrUnmodeled, the fallback-to-measurement signal).
 //
@@ -65,10 +65,16 @@ func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
 	}
 	pf := &Profile{Procs: cfg.Procs, Acts: make([][]analysis.Action, cfg.Procs)}
 	var prev []analysis.Action
+	var low *exec.Lowered
 	for p := 0; p < cfg.Procs; p++ {
+		// The generic program of run-time resolution is lowered once, not
+		// once per process.
+		if p == 0 || pick(p) != pick(p-1) {
+			low = exec.Lower(pick(p))
+		}
 		// SPMD processes do alike work: size p's list by its predecessor's.
 		r := recorder{cfg: &cfg, acts: make([]analysis.Action, 0, len(prev))}
-		if err := exec.Walk(pick(p), p, &r); err != nil {
+		if err := low.Walk(p, &r); err != nil {
 			return nil, &ErrUnmodeled{Proc: p, Reason: err.Error()}
 		}
 		r.flush()

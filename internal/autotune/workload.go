@@ -18,8 +18,8 @@ import (
 // and the name of the dist declaration the search retargets per candidate.
 type Workload struct {
 	Name string
-	// Source is the Idn program text. Each candidate re-parses it and
-	// rewrites the Dist declaration, so the source itself is never mutated.
+	// Source is the Idn program text. It is parsed once; each candidate
+	// retargets a private copy of the tree, so neither is ever mutated.
 	Source string
 	// Entry is the procedure compiled and measured.
 	Entry string
@@ -28,16 +28,30 @@ type Workload struct {
 	// Defines overrides source constants (e.g. the grid size N).
 	Defines map[string]int64
 
+	parseOnce sync.Once
+	parsed    *lang.Program
+	parseErr  error
+
 	refMu  sync.Mutex
 	refOut *exec.Outcome
 }
 
-// compile builds the per-process programs: parse, retarget the distribution
-// to m (nil compiles the program exactly as written — the annotation the
-// paper's programmer chose, for the baseline run that anchors the model),
-// semantic-check at the machine size, and hand the back half to xform.Compile.
+// parse returns a copy of the parsed source that the caller may rewrite.
+func (w *Workload) parse() (*lang.Program, error) {
+	w.parseOnce.Do(func() { w.parsed, w.parseErr = lang.Parse(w.Source) })
+	if w.parseErr != nil {
+		return nil, w.parseErr
+	}
+	return lang.CloneProgram(w.parsed), nil
+}
+
+// compile builds the per-process programs: take a copy of the parsed source,
+// retarget the distribution to m (nil compiles the program exactly as written
+// — the annotation the paper's programmer chose, for the baseline run that
+// anchors the model), semantic-check at the machine size, and hand the back
+// half to xform.Compile.
 func (w *Workload) compile(m *Mapping, mode string, blk int64, procs int) ([]*spmd.Program, *sem.Info, error) {
-	prog, err := lang.Parse(w.Source)
+	prog, err := w.parse()
 	if err != nil {
 		return nil, nil, err
 	}

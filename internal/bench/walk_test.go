@@ -89,7 +89,7 @@ func TestWalkMatchesRunPerProcess(t *testing.T) {
 				}
 				for p := 0; p < procs; p++ {
 					sink := &countingSink{cfg: cfg}
-					if err := exec.Walk(pick(p), p, sink); err != nil {
+					if err := exec.Lower(pick(p)).Walk(p, sink); err != nil {
 						t.Fatalf("process %d: walk: %v", p, err)
 					}
 					if got, want := sink.cycles, uint64(out.Stats.Breakdown[p].Compute); got != want {

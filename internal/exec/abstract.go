@@ -1,10 +1,5 @@
 package exec
 
-import (
-	"procdecomp/internal/expr"
-	"procdecomp/internal/spmd"
-)
-
 // Sink receives what an abstract run of one process charges and
 // communicates. Procs, Ops, Mem and LoopStep have machine.Proc's meaning;
 // Send and Recv carry the message's endpoint, tag and value count, and an
@@ -18,30 +13,30 @@ type Sink interface {
 	Recv(src int, tag int64, values int) error
 }
 
-// Walk runs prog as process me without computing any data: the statements
-// visited and the charges made are exactly those of a real run, delivered to
-// sink. It returns an error when the program's control flow depends on a
-// data value (or would fail at run time for a reason visible without data);
-// such a program's cost is only known by running it.
-func Walk(prog *spmd.Program, me int, sink Sink) error {
-	return newStepper(me, abstract{sink}).run(prog.Body)
+// Walk runs the program as process me without computing any data: the
+// statements visited and the charges made are exactly those of a real run,
+// delivered to sink. It returns an error when the program's control flow
+// depends on a data value (or would fail at run time for a reason visible
+// without data); such a program's cost is only known by running it.
+func (l *Lowered) Walk(me int, sink Sink) error {
+	return newStepper(l, me, abstract{sink}).run()
 }
 
 // abstract is the domain of Walk: it stores nothing, so every read is
 // unknown and every write is dropped; only message shapes reach the Sink.
 type abstract struct{ Sink }
 
-func (abstract) absent(error) (Value, bool)                  { return 0, false }
-func (abstract) stored(*stepper, spmd.VExpr) Value           { return 0 }
-func (abstract) alloc(*stepper, *spmd.Alloc)                 {}
-func (abstract) allocBuf(*stepper, *spmd.AllocBuf)           {}
-func (abstract) defineScalar(string, Value)                  {}
-func (abstract) scalar(string) (Value, bool)                 { return 0, false }
-func (abstract) awrite(*stepper, string, []expr.Expr, Value) {}
-func (abstract) bufWrite(*stepper, string, expr.Expr, Value) {}
-
-func (abstract) aread(*stepper, string, []expr.Expr) (Value, bool) { return 0, false }
-func (abstract) bufRead(*stepper, string, expr.Expr) (Value, bool) { return 0, false }
+func (abstract) undefined(*stepper, int32) (Value, bool) { return 0, false }
+func (abstract) absent(error) (Value, bool)              { return 0, false }
+func (abstract) stored(*stepper, *lvexpr) Value          { return 0 }
+func (abstract) alloc(*stepper, *lstmt)                  {}
+func (abstract) allocBuf(*stepper, *lstmt)               {}
+func (abstract) defineScalar(*stepper, int32, Value)     {}
+func (abstract) scalar(*stepper, int32) (Value, bool)    { return 0, false }
+func (abstract) awrite(*stepper, *lstmt, Value)          {}
+func (abstract) bufWrite(*stepper, *lstmt, Value)        {}
+func (abstract) aread(*stepper, *lstmt) (Value, bool)    { return 0, false }
+func (abstract) bufRead(*stepper, *lstmt) (Value, bool)  { return 0, false }
 
 func (a abstract) send(dst int, tag int64, _ Value) {
 	if err := a.Send(dst, tag, 1); err != nil {
@@ -56,18 +51,18 @@ func (a abstract) recv(src int, tag int64) (Value, bool) {
 	return 0, false
 }
 
-func (a abstract) sendBuf(buf string, lo, hi int64, dst int, tag int64) {
+func (a abstract) sendBuf(st *stepper, buf int32, lo, hi int64, dst int, tag int64) {
 	if hi < lo {
-		failf("block send of %s[%d..%d]", buf, lo, hi)
+		failf("block send of %s[%d..%d]", st.low.bufs[buf], lo, hi)
 	}
 	if err := a.Send(dst, tag, int(hi-lo+1)); err != nil {
 		fail(err)
 	}
 }
 
-func (a abstract) recvBuf(buf string, lo, hi int64, src int, tag int64) {
+func (a abstract) recvBuf(st *stepper, buf int32, lo, hi int64, src int, tag int64) {
 	if hi < lo {
-		failf("block receive into %s[%d..%d]", buf, lo, hi)
+		failf("block receive into %s[%d..%d]", st.low.bufs[buf], lo, hi)
 	}
 	if err := a.Recv(src, tag, int(hi-lo+1)); err != nil {
 		fail(err)

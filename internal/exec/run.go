@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"procdecomp/internal/dist"
-	"procdecomp/internal/expr"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
@@ -75,28 +74,40 @@ func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 	}
 
 	m := machine.New(cfg)
+	// Lower each distinct program once: the generic program of run-time
+	// resolution is shared by every process.
 	states := make([]*concrete, cfg.Procs)
-	// Scatter input arrays (setup, not timed).
-	for i := range states {
-		st := newConcrete()
-		states[i] = st
-		for _, prm := range pick(i).Params {
-			g, ok := inputs[prm.Name]
-			if !ok {
-				return nil, fmt.Errorf("exec: no input supplied for parameter %s", prm.Name)
+	for p := range states {
+		if p > 0 && pick(p) == pick(p-1) {
+			states[p] = newConcrete(states[p-1].low)
+		} else {
+			states[p] = newConcrete(Lower(pick(p)))
+		}
+	}
+	// Scatter input arrays (setup, not timed). Specializations share their
+	// generic program's parameters, so process 0's list speaks for all.
+	for _, prm := range pick(0).Params {
+		g, ok := inputs[prm.Name]
+		if !ok {
+			return nil, fmt.Errorf("exec: no input supplied for parameter %s", prm.Name)
+		}
+		locals, serr := scatter(g, prm.Dist, cfg.Procs)
+		if serr != nil {
+			return nil, fmt.Errorf("exec: parameter %s: %w", prm.Name, serr)
+		}
+		for p, st := range states {
+			// A program that does not declare the parameter has no slot for
+			// it, and no use for its piece.
+			if slot := index(st.low.arrays, prm.Name); slot >= 0 {
+				st.arrays[slot] = locals[p]
 			}
-			lp, serr := scatter(g, prm.Dist, int64(i))
-			if serr != nil {
-				return nil, fmt.Errorf("exec: parameter %s: %w", prm.Name, serr)
-			}
-			st.arrays[prm.Name] = lp
 		}
 	}
 
 	err = m.Run(func(p *machine.Proc) {
 		d := states[p.ID()]
 		d.Proc = p
-		if err := newStepper(p.ID(), d).run(pick(p.ID()).Body); err != nil {
+		if err := newStepper(d.low, p.ID(), d).run(); err != nil {
 			panic(fmt.Errorf("process %d: %w", p.ID(), err))
 		}
 	})
@@ -131,53 +142,74 @@ func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 			if o.ScalarDist != nil && o.ScalarDist.Kind() == dist.KindSingle {
 				owner, _ = dist.ProcOf(o.ScalarDist)
 			}
-			iv, ok := states[owner].ivars[o.Name]
-			if !ok || !iv.Defined() {
+			st := states[owner]
+			slot := index(st.low.scalars, o.Name)
+			if slot < 0 || st.ivars[slot] == nil || !st.ivars[slot].Defined() {
 				return nil, fmt.Errorf("exec: output scalar %s undefined on process %d", o.Name, owner)
 			}
-			v, _ := iv.Read()
+			v, _ := st.ivars[slot].Read()
 			out.Scalars[o.Name] = v
 		}
 	}
 	return out, nil
 }
 
-// scatter builds process p's local piece of a global input array. A mapping
-// that is inconsistent with the array — a degenerate local allocation, or a
-// local index outside it — is reported as an error naming the array, the
-// mapping, and the offending element, so callers (and ultimately
-// `pdrun -check`) can surface it instead of crashing on a raw panic.
-func scatter(g *istruct.Matrix, d dist.Dist, p int64) (*istruct.Matrix, error) {
+// scatter builds every process's local piece of a global input array in one
+// pass over its elements. Each process gets an allocation even when it owns
+// nothing; a replicated element (owner dist.All) goes to every piece, and one
+// whose owner lies outside the machine to none. A mapping that is
+// inconsistent with the array — a degenerate local allocation, or a local
+// index outside it — is reported as an error naming the array, the mapping,
+// and the offending element, so callers (and ultimately `pdrun -check`) can
+// surface it instead of crashing on a raw panic.
+func scatter(g *istruct.Matrix, d dist.Dist, procs int) ([]*istruct.Matrix, error) {
 	ls := d.LocalShape()
-	local, err := istruct.NewMatrix(g.Name(), ls[0], ls[1])
-	if err != nil {
-		return nil, fmt.Errorf("scatter %s under %s: local allocation %v: %w", g.Name(), d, ls, err)
+	locals := make([]*istruct.Matrix, procs)
+	for p := range locals {
+		local, err := istruct.NewMatrix(g.Name(), ls[0], ls[1])
+		if err != nil {
+			return nil, fmt.Errorf("scatter %s under %s: local allocation %v: %w", g.Name(), d, ls, err)
+		}
+		locals[p] = local
 	}
 	rows, cols := g.Rows(), g.Cols()
+	idx := make([]int64, 2)
 	for i := int64(1); i <= rows; i++ {
 		for j := int64(1); j <= cols; j++ {
-			owner := d.Owner([]int64{i, j})
-			if owner != p && owner != dist.All {
-				continue
-			}
 			if !g.Defined(i, j) {
 				continue
 			}
+			idx[0], idx[1] = i, j
+			owner := d.Owner(idx)
+			first, last := owner, owner
+			if owner == dist.All {
+				first, last = 0, int64(procs)-1
+			} else if owner < 0 || owner >= int64(procs) {
+				continue
+			}
 			v, _ := g.Read(i, j)
-			l := d.Local([]int64{i, j})
-			if err := local.Write(l[0], l[1], v); err != nil {
-				return nil, fmt.Errorf("scatter %s[%d,%d] under %s to process %d at local [%d,%d]: %w",
-					g.Name(), i, j, d, p, l[0], l[1], err)
+			l := d.Local(idx)
+			for p := first; p <= last; p++ {
+				if err := locals[p].Write(l[0], l[1], v); err != nil {
+					return nil, fmt.Errorf("scatter %s[%d,%d] under %s to process %d at local [%d,%d]: %w",
+						g.Name(), i, j, d, p, l[0], l[1], err)
+				}
 			}
 		}
 	}
-	return local, nil
+	return locals, nil
 }
 
 // gather reassembles a global array from the owners' local pieces. Vectors
 // (rank 1) gather into an n×1 matrix, matching their local representation.
 func gather(states []*concrete, name string, info spmd.ArrayInfo) (*istruct.Matrix, error) {
 	shape := info.GlobalShape
+	if len(shape) == 0 {
+		return nil, fmt.Errorf("exec: output array %s has no recorded shape", name)
+	}
+	if len(shape) > 2 {
+		return nil, fmt.Errorf("exec: output array %s has rank %d", name, len(shape))
+	}
 	rows, cols := shape[0], int64(1)
 	if len(shape) == 2 {
 		cols = shape[1]
@@ -186,20 +218,28 @@ func gather(states []*concrete, name string, info spmd.ArrayInfo) (*istruct.Matr
 	if err != nil {
 		return nil, err
 	}
+	// Each process's piece, found by name once: specialized programs number
+	// their arrays independently.
+	locals := make([]*istruct.Matrix, len(states))
+	for p, st := range states {
+		if slot := index(st.low.arrays, name); slot >= 0 {
+			locals[p] = st.arrays[slot]
+		}
+	}
 	d := info.Dist
+	idx := make([]int64, len(shape))
 	for i := int64(1); i <= rows; i++ {
 		for j := int64(1); j <= cols; j++ {
-			idx := []int64{i, j}
-			if len(shape) == 1 {
-				idx = []int64{i}
+			idx[0] = i
+			if len(idx) == 2 {
+				idx[1] = j
 			}
 			owner := d.Owner(idx)
 			if owner == dist.All {
 				owner = 0
 			}
-			st := states[owner]
-			local, ok := st.arrays[name]
-			if !ok {
+			local := locals[owner]
+			if local == nil {
 				return nil, fmt.Errorf("exec: process %d never allocated %s", owner, name)
 			}
 			l := d.Local(idx)
@@ -220,20 +260,28 @@ func gather(states []*concrete, name string, info spmd.ArrayInfo) (*istruct.Matr
 }
 
 // concrete is the domain of a real run: one process's local arrays, scalar
-// I-variables and message buffers, on its simulated processor.
+// I-variables and message buffers, indexed by its program's slots (nil until
+// allocated or defined), on its simulated processor.
 type concrete struct {
 	*machine.Proc
-	arrays map[string]*istruct.Matrix
-	ivars  map[string]*istruct.IVar
-	bufs   map[string][]Value
+	low    *Lowered
+	arrays []*istruct.Matrix
+	ivars  []*istruct.IVar
+	bufs   [][]Value
 }
 
-func newConcrete() *concrete {
+func newConcrete(low *Lowered) *concrete {
 	return &concrete{
-		arrays: map[string]*istruct.Matrix{},
-		ivars:  map[string]*istruct.IVar{},
-		bufs:   map[string][]Value{},
+		low:    low,
+		arrays: make([]*istruct.Matrix, len(low.arrays)),
+		ivars:  make([]*istruct.IVar, len(low.scalars)),
+		bufs:   make([][]Value, len(low.bufs)),
 	}
+}
+
+func (d *concrete) undefined(st *stepper, slot int32) (Value, bool) {
+	failf("undefined variable %s", st.low.vars[slot])
+	return 0, false
 }
 
 func (d *concrete) absent(err error) (Value, bool) {
@@ -241,45 +289,45 @@ func (d *concrete) absent(err error) (Value, bool) {
 	return 0, false
 }
 
-func (d *concrete) stored(st *stepper, v spmd.VExpr) Value {
+func (d *concrete) stored(st *stepper, v *lvexpr) Value {
 	val, _ := st.evalV(v)
 	return val
 }
 
-func (d *concrete) alloc(st *stepper, s *spmd.Alloc) {
-	if n := len(s.Shape); n != 1 && n != 2 {
-		failf("alloc of rank %d", n)
+func (d *concrete) alloc(st *stepper, s *lstmt) {
+	if s.rank != 1 && s.rank != 2 {
+		failf("alloc of rank %d", s.rank)
 	}
-	rows, cols := st.intOf(s.Shape[0]), int64(1)
-	if len(s.Shape) == 2 {
-		cols = st.intOf(s.Shape[1])
+	rows, cols := st.intOf(s.lo), int64(1)
+	if s.hi != nil {
+		cols = st.intOf(s.hi)
 	}
-	m, err := istruct.NewMatrix(s.Array, rows, cols)
+	m, err := istruct.NewMatrix(st.low.arrays[s.obj], rows, cols)
 	if err != nil {
 		fail(err)
 	}
-	d.arrays[s.Array] = m
+	d.arrays[s.obj] = m
 }
 
-func (d *concrete) allocBuf(st *stepper, s *spmd.AllocBuf) {
-	d.bufs[s.Buf] = make([]Value, st.intOf(s.Size)+1) // 1-based
+func (d *concrete) allocBuf(st *stepper, s *lstmt) {
+	d.bufs[s.obj] = make([]Value, st.intOf(s.lo)+1) // 1-based
 }
 
-func (d *concrete) defineScalar(name string, v Value) {
-	iv, ok := d.ivars[name]
-	if !ok {
-		iv = istruct.NewIVar(name)
-		d.ivars[name] = iv
+func (d *concrete) defineScalar(st *stepper, slot int32, v Value) {
+	iv := d.ivars[slot]
+	if iv == nil {
+		iv = istruct.NewIVar(st.low.scalars[slot])
+		d.ivars[slot] = iv
 	}
 	if err := iv.Write(v); err != nil {
 		fail(err)
 	}
 }
 
-func (d *concrete) scalar(name string) (Value, bool) {
-	iv, ok := d.ivars[name]
-	if !ok {
-		failf("coerce of undefined scalar %s", name)
+func (d *concrete) scalar(st *stepper, slot int32) (Value, bool) {
+	iv := d.ivars[slot]
+	if iv == nil {
+		failf("coerce of undefined scalar %s", st.low.scalars[slot])
 	}
 	v, err := iv.Read()
 	if err != nil {
@@ -289,20 +337,20 @@ func (d *concrete) scalar(name string) (Value, bool) {
 }
 
 // elem resolves an array element reference to the local array and indices.
-func (d *concrete) elem(st *stepper, name string, idx []expr.Expr) (*istruct.Matrix, int64, int64) {
-	arr, ok := d.arrays[name]
-	if !ok {
-		failf("undefined array %s", name)
+func (d *concrete) elem(st *stepper, s *lstmt) (*istruct.Matrix, int64, int64) {
+	arr := d.arrays[s.obj]
+	if arr == nil {
+		failf("undefined array %s", st.low.arrays[s.obj])
 	}
-	i, j := st.intOf(idx[0]), int64(1)
-	if len(idx) == 2 {
-		j = st.intOf(idx[1])
+	i, j := st.intOf(s.lo), int64(1)
+	if s.hi != nil {
+		j = st.intOf(s.hi)
 	}
 	return arr, i, j
 }
 
-func (d *concrete) aread(st *stepper, name string, idx []expr.Expr) (Value, bool) {
-	arr, i, j := d.elem(st, name, idx)
+func (d *concrete) aread(st *stepper, s *lstmt) (Value, bool) {
+	arr, i, j := d.elem(st, s)
 	v, err := arr.Read(i, j)
 	if err != nil {
 		fail(err)
@@ -310,50 +358,50 @@ func (d *concrete) aread(st *stepper, name string, idx []expr.Expr) (Value, bool
 	return v, true
 }
 
-func (d *concrete) awrite(st *stepper, name string, idx []expr.Expr, v Value) {
-	arr, i, j := d.elem(st, name, idx)
+func (d *concrete) awrite(st *stepper, s *lstmt, v Value) {
+	arr, i, j := d.elem(st, s)
 	if err := arr.Write(i, j, v); err != nil {
 		fail(err)
 	}
 }
 
-// slot resolves buf[lo..hi] after checking both ends are in range.
-func (d *concrete) slot(name string, lo, hi int64) []Value {
-	buf, ok := d.bufs[name]
-	if !ok {
-		failf("undefined buffer %s", name)
+// span resolves buf[lo..hi] after checking both ends are in range.
+func (d *concrete) span(st *stepper, slot int32, lo, hi int64) []Value {
+	buf := d.bufs[slot]
+	if buf == nil {
+		failf("undefined buffer %s", st.low.bufs[slot])
 	}
 	for _, i := range [2]int64{lo, hi} {
 		if i < 1 || i >= int64(len(buf)) {
-			failf("buffer %s index %d out of range [1,%d]", name, i, len(buf)-1)
+			failf("buffer %s index %d out of range [1,%d]", st.low.bufs[slot], i, len(buf)-1)
 		}
 	}
 	return buf[lo : hi+1]
 }
 
-func (d *concrete) bufRead(st *stepper, name string, idx expr.Expr) (Value, bool) {
-	i := st.intOf(idx)
-	return d.slot(name, i, i)[0], true
+func (d *concrete) bufRead(st *stepper, s *lstmt) (Value, bool) {
+	i := st.intOf(s.lo)
+	return d.span(st, s.obj, i, i)[0], true
 }
 
-func (d *concrete) bufWrite(st *stepper, name string, idx expr.Expr, v Value) {
-	i := st.intOf(idx)
-	d.slot(name, i, i)[0] = v
+func (d *concrete) bufWrite(st *stepper, s *lstmt, v Value) {
+	i := st.intOf(s.lo)
+	d.span(st, s.obj, i, i)[0] = v
 }
 
 func (d *concrete) send(dst int, tag int64, v Value) { d.Send(dst, tag, v) }
 
 func (d *concrete) recv(src int, tag int64) (Value, bool) { return d.Recv1(src, tag), true }
 
-func (d *concrete) sendBuf(name string, lo, hi int64, dst int, tag int64) {
-	d.Send(dst, tag, d.slot(name, lo, hi)...)
+func (d *concrete) sendBuf(st *stepper, buf int32, lo, hi int64, dst int, tag int64) {
+	d.Send(dst, tag, d.span(st, buf, lo, hi)...)
 }
 
-func (d *concrete) recvBuf(name string, lo, hi int64, src int, tag int64) {
-	into := d.slot(name, lo, hi)
+func (d *concrete) recvBuf(st *stepper, buf int32, lo, hi int64, src int, tag int64) {
+	into := d.span(st, buf, lo, hi)
 	vals := d.Recv(src, tag)
 	if len(vals) != len(into) {
-		failf("block receive of %d values into %s[%d..%d]", len(vals), name, lo, hi)
+		failf("block receive of %d values into %s[%d..%d]", len(vals), st.low.bufs[buf], lo, hi)
 	}
 	copy(into, vals)
 }

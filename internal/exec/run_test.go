@@ -236,10 +236,11 @@ func TestScatterPartialInput(t *testing.T) {
 	g, _ := istruct.NewMatrix("In", 3, 3)
 	g.Write(1, 1, 5)
 	d := dist.NewCyclicCols(2, 3, 3)
-	local, err := scatter(g, d, 1) // owner of column 1 is process 1
+	locals, err := scatter(g, d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	local := locals[1] // owner of column 1 is process 1
 	l := d.Local([]int64{1, 1})
 	v, err := local.Read(l[0], l[1])
 	if err != nil || v != 5 {
@@ -247,6 +248,9 @@ func TestScatterPartialInput(t *testing.T) {
 	}
 	if local.Defined(2, 1) {
 		t.Error("scatter invented undefined elements")
+	}
+	if locals[0] == nil || locals[0].Defined(l[0], l[1]) {
+		t.Error("process 0 owns nothing: it should get an empty allocation of its own")
 	}
 }
 
@@ -275,7 +279,7 @@ func scatterProg(d dist.Dist) *spmd.Program {
 func TestScatterBadAllocationIsError(t *testing.T) {
 	g, _ := istruct.NewMatrix("In", 2, 2)
 	g.Write(1, 2, 1)
-	_, err := scatter(g, badAllocDist{dist.NewCyclicCols(2, 2, 2)}, 0)
+	_, err := scatter(g, badAllocDist{dist.NewCyclicCols(2, 2, 2)}, 2)
 	if err == nil || !strings.Contains(err.Error(), "local allocation") {
 		t.Fatalf("err = %v, want local-allocation error", err)
 	}
@@ -284,8 +288,8 @@ func TestScatterBadAllocationIsError(t *testing.T) {
 func TestScatterBadLocalIndexIsError(t *testing.T) {
 	g, _ := istruct.NewMatrix("In", 2, 2)
 	g.Write(1, 2, 1) // owned by process 0 under cyclic_cols(S=2)
-	_, err := scatter(g, badLocalDist{dist.NewCyclicCols(2, 2, 2)}, 0)
-	if err == nil || !strings.Contains(err.Error(), "at local [99,99]") {
+	_, err := scatter(g, badLocalDist{dist.NewCyclicCols(2, 2, 2)}, 2)
+	if err == nil || !strings.Contains(err.Error(), "to process 0 at local [99,99]") {
 		t.Fatalf("err = %v, want out-of-range local index error", err)
 	}
 }
@@ -310,5 +314,55 @@ func TestRunSPMDScatterErrorsSurface(t *testing.T) {
 		if err != nil && !strings.Contains(err.Error(), "parameter In") {
 			t.Errorf("%s: err = %v, want parameter name in message", tc.name, err)
 		}
+	}
+}
+
+// gather used to index GlobalShape[0] unasked, so an output array the program
+// records no ArrayInfo for (or one of a rank the harness cannot hold) killed
+// the caller with an index-out-of-range panic after the run had succeeded.
+func TestRunSPMDGatherErrorsSurface(t *testing.T) {
+	d := dist.NewReplicated(4, 2, 2)
+	for _, tc := range []struct {
+		name   string
+		arrays map[string]spmd.ArrayInfo
+		want   string
+	}{
+		{"no ArrayInfo", nil, "exec: output array A has no recorded shape"},
+		{"rank 3", map[string]spmd.ArrayInfo{"A": {Name: "A", Dist: d, GlobalShape: []int64{2, 2, 2}}},
+			"exec: output array A has rank 3"},
+	} {
+		p := &spmd.Program{Name: "t", Proc: -1, Arrays: tc.arrays,
+			Outputs: []spmd.OutVar{{Name: "A", IsArray: true}}}
+		_, err := RunSPMD([]*spmd.Program{p}, cfg4(), nil)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Scattering a parameter is one pass over its elements whatever the machine
+// size: the allocations that remain per process are its local matrix, not a
+// share of the element loop. (The per-process scatter this replaced visited
+// all N² elements once per process and allocated per visit, so S=8 cost
+// about 2.5 times S=2.)
+func TestScatterAllocationsDoNotGrowWithProcs(t *testing.T) {
+	const n = 16
+	g, err := istruct.Pattern("In", n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(procs int) float64 {
+		d := dist.NewCyclicCols(int64(procs), n, n)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := scatter(g, d, procs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a2, a8 := allocs(2), allocs(8)
+	// Six more processes: six more local matrices (a struct and two slices
+	// each) and nothing that scales with the n*n elements.
+	if grow := a8 - a2; grow > 6*3 {
+		t.Errorf("scatter allocates %.0f objects at S=2 and %.0f at S=8: %.0f more, want at most %d", a2, a8, grow, 6*3)
 	}
 }

@@ -6,10 +6,24 @@
 // suite establishes that process decomposition preserves program meaning.
 //
 // The SPMD interpreter is one stepper (step.go) over two data domains.
-// RunSPMD drives it with real values on a machine.Proc; Walk drives it with
-// no data at all and reports what the run would charge and communicate to a
-// Sink — the static cost model of internal/autotune. The cost semantics are
-// stated once, in the stepper.
+// RunSPMD drives it with real values on a machine.Proc; (*Lowered).Walk
+// drives it with no data at all and reports what the run would charge and
+// communicate to a Sink — the static cost model of internal/autotune. The
+// cost semantics are stated once, in the stepper.
+//
+// The stepper runs lowered programs only. Lower (lower.go) resolves an
+// spmd.Program once: variable, array, buffer and scalar I-variable names
+// become integer slots, every expr.Expr becomes an expr.Code over the
+// variable slots, and each value expression's operator count becomes a
+// constant. What is left for a step is what depends on the run: the frame
+// (a Value and an int64 view of each variable slot, with a known bit that
+// an untracked value clears), the checks, the charges and the messages.
+// Each distinct program is lowered once per run or walk — the generic
+// program of run-time resolution once, not once per process — and nothing
+// lowered outlives the call that lowered it. RunSPMD's set-up is linear as
+// well: a parameter is scattered to all processes in one pass over its
+// elements. The sequential interpreter in this file shares none of this; it
+// is the oracle the rest is checked against.
 package exec
 
 import (

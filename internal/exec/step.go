@@ -6,12 +6,12 @@ import (
 
 	"procdecomp/internal/expr"
 	"procdecomp/internal/lang"
-	"procdecomp/internal/spmd"
 )
 
 // The SPMD statement interpreter. One stepper owns everything that decides
-// what a compiled process costs: control flow, the variable environment, and
-// every charge site. What it does not own is data. Arrays, buffers, scalar
+// what a compiled process costs: control flow, the variable frame, and every
+// charge site. It runs the lowered form of a program (lower.go), never the
+// spmd tree. What it does not own is data. Arrays, buffers, scalar
 // I-variables and the message fabric sit behind the domain interface, which
 // has two implementations: concrete (run.go) holds real values and drives a
 // *machine.Proc; abstract (abstract.go) holds nothing, answers "unknown" for
@@ -20,7 +20,8 @@ import (
 // abstract run visits exactly the statements a concrete run does and charges
 // exactly the same — by construction, not by a second copy of these rules.
 
-// domain is where a stepper's data lives and where its charges go.
+// domain is where a stepper's data lives and where its charges go. Arrays,
+// buffers and scalar I-variables are named by their Lowered slots.
 type domain interface {
 	// The machine size and the compute charges: *machine.Proc's own methods
 	// on the concrete side, the Sink's on the abstract.
@@ -29,40 +30,54 @@ type domain interface {
 	Mem(n int64)
 	LoopStep()
 
-	// absent answers a value expression that reads a name the environment
-	// does not hold (err says which). Concretely that is a program error;
-	// abstractly it is data the run does not track: unknown.
+	// undefined answers a read of a variable the frame does not hold, and
+	// absent a value expression that failed to evaluate (err says why).
+	// Concretely either is a program error; abstractly it is data the run
+	// does not track: unknown.
+	undefined(st *stepper, slot int32) (Value, bool)
 	absent(err error) (Value, bool)
 	// stored resolves a value that is only stored or sent, never branched
 	// on. Subscripts and stored values reach the domain unevaluated, so an
 	// abstract run never pays for them.
-	stored(st *stepper, v spmd.VExpr) Value
+	stored(st *stepper, v *lvexpr) Value
 
-	alloc(st *stepper, s *spmd.Alloc)
-	allocBuf(st *stepper, s *spmd.AllocBuf)
-	defineScalar(name string, v Value)
-	scalar(name string) (Value, bool)
-	aread(st *stepper, array string, idx []expr.Expr) (Value, bool)
-	awrite(st *stepper, array string, idx []expr.Expr, v Value)
-	bufRead(st *stepper, buf string, idx expr.Expr) (Value, bool)
-	bufWrite(st *stepper, buf string, idx expr.Expr, v Value)
+	alloc(st *stepper, s *lstmt)
+	allocBuf(st *stepper, s *lstmt)
+	defineScalar(st *stepper, slot int32, v Value)
+	scalar(st *stepper, slot int32) (Value, bool)
+	// aread, awrite, bufRead and bufWrite access element s.lo (, s.hi) of
+	// array or buffer s.obj.
+	aread(st *stepper, s *lstmt) (Value, bool)
+	awrite(st *stepper, s *lstmt, v Value)
+	bufRead(st *stepper, s *lstmt) (Value, bool)
+	bufWrite(st *stepper, s *lstmt, v Value)
 
 	send(dst int, tag int64, v Value)
 	recv(src int, tag int64) (Value, bool)
-	sendBuf(buf string, lo, hi int64, dst int, tag int64)
-	recvBuf(buf string, lo, hi int64, src int, tag int64)
+	sendBuf(st *stepper, buf int32, lo, hi int64, dst int, tag int64)
+	recvBuf(st *stepper, buf int32, lo, hi int64, src int, tag int64)
 }
 
-// stepper is one process's interpreter state.
+// stepper is one process's interpreter state: the program and its frame.
+// Variable slot s holds vals[s] when def[s]; f is the integer view of the
+// same slots that control expressions read. The two agree except on me, which
+// is an integer the program can compute with but not a variable it can read.
 type stepper struct {
 	d    domain
+	low  *Lowered
 	me   int64
-	vars map[string]Value
-	ienv expr.Env // integer view of vars + loop variables + me
+	f    expr.Frame
+	vals []Value
+	def  []bool
 }
 
-func newStepper(me int, d domain) *stepper {
-	return &stepper{d: d, me: int64(me), vars: map[string]Value{}, ienv: expr.Env{spmd.Me: int64(me)}}
+func newStepper(low *Lowered, me int, d domain) *stepper {
+	n := len(low.vars)
+	st := &stepper{d: d, low: low, me: int64(me),
+		f:    expr.Frame{Vals: make([]int64, n), Known: make([]bool, n), Names: low.vars},
+		vals: make([]Value, n), def: make([]bool, n)}
+	st.f.Vals[meSlot], st.f.Known[meSlot] = st.me, true
+	return st
 }
 
 // failure is the panic a failed step unwinds with; run turns it back into an
@@ -74,8 +89,9 @@ func fail(err error) { panic(failure{err}) }
 
 func failf(format string, args ...any) { fail(fmt.Errorf(format, args...)) }
 
-// run executes body and returns the step failure that stopped it, if any.
-func (st *stepper) run(body []spmd.Stmt) (err error) {
+// run executes the program and returns the step failure that stopped it, if
+// any.
+func (st *stepper) run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			f, ok := r.(failure)
@@ -85,91 +101,74 @@ func (st *stepper) run(body []spmd.Stmt) (err error) {
 			err = f.err
 		}
 	}()
-	st.exec(body)
+	st.exec(st.low.body)
 	return nil
 }
 
 // set binds a variable; an unknown value unbinds it, so a later control
 // expression that mentions it fails to evaluate.
-func (st *stepper) set(name string, v Value, known bool) {
-	if !known {
-		delete(st.vars, name)
-		delete(st.ienv, name)
-		return
-	}
-	st.vars[name] = v
-	st.ienv[name] = int64(v)
+func (st *stepper) set(slot int32, v Value, known bool) {
+	st.vals[slot], st.def[slot] = v, known
+	st.f.Vals[slot], st.f.Known[slot] = int64(v), known
 }
 
-func (st *stepper) intOf(e expr.Expr) int64 {
-	v, err := e.Eval(st.ienv)
+func (st *stepper) intOf(c *expr.Code) int64 {
+	v, err := c.Eval(&st.f)
 	if err != nil {
 		fail(err)
 	}
 	return v
 }
 
-// vexprOps counts operator nodes, for cost accounting.
-func vexprOps(v spmd.VExpr) int64 {
-	switch v := v.(type) {
-	case spmd.VBin:
-		return 1 + vexprOps(v.L) + vexprOps(v.R)
-	case spmd.VUn:
-		return 1 + vexprOps(v.X)
-	default:
-		return 0
-	}
-}
-
 // evalV evaluates a value expression; the second result is false when some
 // input is data the domain does not track.
-func (st *stepper) evalV(v spmd.VExpr) (Value, bool) {
-	switch v := v.(type) {
-	case spmd.VConst:
-		return v.F, true
-	case spmd.VVar:
-		if val, ok := st.vars[v.Name]; ok {
-			return val, true
+func (st *stepper) evalV(v *lvexpr) (Value, bool) {
+	switch v.kind {
+	case vConst:
+		return v.f, true
+	case vVar:
+		if st.def[v.slot] {
+			return st.vals[v.slot], true
 		}
-		return st.d.absent(fmt.Errorf("undefined variable %s", v.Name))
-	case spmd.VInt:
-		i, err := v.X.Eval(st.ienv)
+		return st.d.undefined(st, v.slot)
+	case vInt:
+		i, err := v.x.Eval(&st.f)
 		if err != nil {
 			return st.d.absent(err)
 		}
 		return Value(i), true
-	case spmd.VBin:
-		l, lok := st.evalV(v.L)
-		r, rok := st.evalV(v.R)
+	case vBin:
+		l, lok := st.evalV(v.l)
+		r, rok := st.evalV(v.r)
 		if !lok || !rok {
 			return 0, false
 		}
 		bad := ""
-		res := EvalBin(v.Op, l, r, func(msg string) { bad = msg })
+		res := EvalBin(v.op, l, r, func(msg string) { bad = msg })
 		if bad != "" {
 			return st.d.absent(errors.New(bad))
 		}
 		return res, true
-	case spmd.VUn:
-		x, ok := st.evalV(v.X)
+	case vUn:
+		x, ok := st.evalV(v.l)
 		switch {
 		case !ok:
 			return 0, false
-		case v.Op == lang.OpNeg:
+		case v.op == lang.OpNeg:
 			return -x, true
 		case x != 0:
 			return 0, true
 		}
 		return 1, true
 	default:
-		failf("unknown value expression %T", v)
+		fail(errors.New(st.low.unknown[v.slot]))
 		return 0, false
 	}
 }
 
-func (st *stepper) exec(body []spmd.Stmt) {
-	for _, s := range body {
-		st.stmt(s)
+func (st *stepper) exec(body []lstmt) {
+	for i := range body {
+		st.stmt(&body[i])
 	}
 }
 
@@ -177,137 +176,137 @@ func (st *stepper) exec(body []spmd.Stmt) {
 // subscript (the local-index arithmetic of the paper's column_local).
 const indexCost = 2
 
-func (st *stepper) stmt(s spmd.Stmt) {
+func (st *stepper) stmt(s *lstmt) {
 	d := st.d
-	switch s := s.(type) {
-	case *spmd.Alloc:
+	switch s.op {
+	case opAlloc:
 		d.alloc(st, s)
-	case *spmd.AllocBuf:
+	case opAllocBuf:
 		d.allocBuf(st, s)
-	case *spmd.AssignVar:
-		d.Ops(vexprOps(s.Val))
-		v, known := st.evalV(s.Val)
-		st.set(s.Name, v, known)
-	case *spmd.AssignIVar:
-		d.Ops(vexprOps(s.Val))
-		v, known := st.evalV(s.Val)
-		d.defineScalar(s.Name, v)
-		st.set(s.Name, v, known)
-	case *spmd.ARead:
+	case opAssignVar:
+		d.Ops(s.ops)
+		v, known := st.evalV(s.val)
+		st.set(s.dst, v, known)
+	case opAssignIVar:
+		d.Ops(s.ops)
+		v, known := st.evalV(s.val)
+		d.defineScalar(st, s.obj, v)
+		st.set(s.dst, v, known)
+	case opARead:
 		d.Ops(indexCost)
 		d.Mem(1)
-		v, known := d.aread(st, s.Array, s.Idx)
-		st.set(s.Dst, v, known)
-	case *spmd.AWrite:
-		d.Ops(indexCost + vexprOps(s.Val))
+		v, known := d.aread(st, s)
+		st.set(s.dst, v, known)
+	case opAWrite:
+		d.Ops(indexCost + s.ops)
 		d.Mem(1)
-		d.awrite(st, s.Array, s.Idx, d.stored(st, s.Val))
-	case *spmd.BufRead:
+		d.awrite(st, s, d.stored(st, s.val))
+	case opBufRead:
 		d.Ops(indexCost)
 		d.Mem(1)
-		v, known := d.bufRead(st, s.Buf, s.Idx)
-		st.set(s.Dst, v, known)
-	case *spmd.BufWrite:
-		d.Ops(indexCost + vexprOps(s.Val))
+		v, known := d.bufRead(st, s)
+		st.set(s.dst, v, known)
+	case opBufWrite:
+		d.Ops(indexCost + s.ops)
 		d.Mem(1)
-		d.bufWrite(st, s.Buf, s.Idx, d.stored(st, s.Val))
-	case *spmd.Send:
-		d.Ops(vexprOps(s.Val))
-		d.send(int(st.intOf(s.Dst)), s.Tag, d.stored(st, s.Val))
-	case *spmd.Recv:
-		v, known := d.recv(int(st.intOf(s.Src)), s.Tag)
-		st.set(s.Dst, v, known)
-	case *spmd.SendBuf:
-		lo, hi := st.intOf(s.Lo), st.intOf(s.Hi)
-		d.sendBuf(s.Buf, lo, hi, int(st.intOf(s.Dst)), s.Tag)
-	case *spmd.RecvBuf:
-		lo, hi := st.intOf(s.Lo), st.intOf(s.Hi)
-		d.recvBuf(s.Buf, lo, hi, int(st.intOf(s.Src)), s.Tag)
-	case *spmd.Coerce:
+		d.bufWrite(st, s, d.stored(st, s.val))
+	case opSend:
+		d.Ops(s.ops)
+		d.send(int(st.intOf(s.x)), s.tag, d.stored(st, s.val))
+	case opRecv:
+		v, known := d.recv(int(st.intOf(s.x)), s.tag)
+		st.set(s.dst, v, known)
+	case opSendBuf:
+		lo, hi := st.intOf(s.lo), st.intOf(s.hi)
+		d.sendBuf(st, s.obj, lo, hi, int(st.intOf(s.x)), s.tag)
+	case opRecvBuf:
+		lo, hi := st.intOf(s.lo), st.intOf(s.hi)
+		d.recvBuf(st, s.obj, lo, hi, int(st.intOf(s.x)), s.tag)
+	case opCoerce:
 		st.coerce(s)
-	case *spmd.For:
-		lo, hi, step := st.intOf(s.Lo), st.intOf(s.Hi), st.intOf(s.Step)
+	case opFor:
+		lo, hi, step := st.intOf(s.lo), st.intOf(s.hi), st.intOf(s.x)
 		if step <= 0 {
 			failf("loop step %d", step)
 		}
 		for x := lo; x <= hi; x += step {
 			d.LoopStep()
-			st.vars[s.Var] = Value(x)
-			st.ienv[s.Var] = x // exact integer, not a float round-trip
-			st.exec(s.Body)
+			st.vals[s.dst], st.def[s.dst] = Value(x), true
+			st.f.Vals[s.dst], st.f.Known[s.dst] = x, true // exact integer, not a float round-trip
+			st.exec(s.body)
 		}
-	case *spmd.Guard:
+	case opGuard:
 		d.Ops(1) // the mynode() test of run-time resolution, charged on every process
-		if st.intOf(s.Proc) == st.me {
-			st.exec(s.Body)
+		if st.intOf(s.x) == st.me {
+			st.exec(s.body)
 		}
-	case *spmd.IfValue:
-		d.Ops(vexprOps(s.Cond))
-		c, known := st.evalV(s.Cond)
+	case opIfValue:
+		d.Ops(s.ops)
+		c, known := st.evalV(s.val)
 		switch {
 		case !known:
 			failf("branch on a computed value")
 		case c != 0:
-			st.exec(s.Then)
+			st.exec(s.body)
 		default:
-			st.exec(s.Else)
+			st.exec(s.els)
 		}
 	default:
-		failf("unknown statement %T", s)
+		fail(errors.New(st.low.unknown[s.obj]))
 	}
 }
 
 // coerceSrc reads a coerce's source element or scalar, charging the access.
-func (st *stepper) coerceSrc(s *spmd.Coerce) (Value, bool) {
+func (st *stepper) coerceSrc(s *lstmt) (Value, bool) {
 	st.d.Mem(1)
-	if s.Array != "" {
+	if s.fromArray {
 		st.d.Ops(indexCost)
-		return st.d.aread(st, s.Array, s.Idx)
+		return st.d.aread(st, s)
 	}
-	return st.d.scalar(s.Var)
+	return st.d.scalar(st, s.obj)
 }
 
 // coerce implements run-time resolution's value movement (§3.1). Every
 // process executes the statement and plays its role; the ownership tests are
-// charged as compute.
-func (st *stepper) coerce(s *spmd.Coerce) {
+// charged as compute. s.x is the owner and s.y the needer.
+func (st *stepper) coerce(s *lstmt) {
 	d := st.d
 	d.Ops(2) // owner/needer membership tests
 	switch {
-	case s.OwnerAll:
+	case s.ownerAll:
 		// Replicated source: everyone who needs it reads its own copy.
-		if s.NeederAll || st.intOf(s.Needer) == st.me {
+		if s.neederAll || st.intOf(s.y) == st.me {
 			v, known := st.coerceSrc(s)
-			st.set(s.Dst, v, known)
+			st.set(s.dst, v, known)
 		}
-	case s.NeederAll:
-		owner := st.intOf(s.Owner)
+	case s.neederAll:
+		owner := st.intOf(s.x)
 		if owner == st.me {
 			v, known := st.coerceSrc(s)
 			for q := 0; q < d.Procs(); q++ {
 				if int64(q) != st.me {
-					d.send(q, s.Tag, v)
+					d.send(q, s.tag, v)
 				}
 			}
-			st.set(s.Dst, v, known)
+			st.set(s.dst, v, known)
 		} else {
-			v, known := d.recv(int(owner), s.Tag)
-			st.set(s.Dst, v, known)
+			v, known := d.recv(int(owner), s.tag)
+			st.set(s.dst, v, known)
 		}
 	default:
-		owner, needer := st.intOf(s.Owner), st.intOf(s.Needer)
+		owner, needer := st.intOf(s.x), st.intOf(s.y)
 		switch {
 		case owner == needer:
 			if owner == st.me {
 				v, known := st.coerceSrc(s)
-				st.set(s.Dst, v, known)
+				st.set(s.dst, v, known)
 			}
 		case owner == st.me:
 			v, _ := st.coerceSrc(s)
-			d.send(int(needer), s.Tag, v)
+			d.send(int(needer), s.tag, v)
 		case needer == st.me:
-			v, known := d.recv(int(owner), s.Tag)
-			st.set(s.Dst, v, known)
+			v, known := d.recv(int(owner), s.tag)
+			st.set(s.dst, v, known)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"procdecomp/internal/expr"
+	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
 )
@@ -87,13 +88,13 @@ func TestWalkRefusesBranchOnData(t *testing.T) {
 			}},
 		}}
 	}
-	err := Walk(branch(spmd.VVar{Name: "t1"}), 0, nullSink{procs: 2})
+	err := Lower(branch(spmd.VVar{Name: "t1"})).Walk(0, nullSink{procs: 2})
 	if err == nil || err.Error() != "branch on a computed value" {
 		t.Errorf("branch on an ARead result: error %v, want \"branch on a computed value\"", err)
 	}
 	// k is known to be 0, so the Else arm runs and its send reaches the sink.
 	sent := 0
-	err = Walk(branch(spmd.VVar{Name: "k"}), 0, sendCounter{nullSink{procs: 2}, &sent})
+	err = Lower(branch(spmd.VVar{Name: "k"})).Walk(0, sendCounter{nullSink{procs: 2}, &sent})
 	if err != nil || sent != 1 {
 		t.Errorf("branch on a known value: error %v, %d send(s); want the Else arm's one send", err, sent)
 	}
@@ -105,3 +106,54 @@ type sendCounter struct {
 }
 
 func (s sendCounter) Send(int, int64, int) error { *s.n++; return nil }
+
+// stepLoop is a communication-free loop of the four statements that make up
+// the inner loops the compiler emits: it reads A[i], computes on it, and
+// writes the result to B[i] and to a buffer.
+func stepLoop(trips int64) *spmd.Program {
+	const size = 1000
+	c, i := expr.C, expr.V("i")
+	vec := func(name string) spmd.Stmt { return &spmd.Alloc{Array: name, Shape: []expr.Expr{c(size)}} }
+	return &spmd.Program{Name: "t", Proc: -1, Body: []spmd.Stmt{
+		vec("A"), vec("B"),
+		&spmd.AllocBuf{Buf: "b", Size: c(size)},
+		&spmd.For{Var: "i", Lo: c(1), Hi: c(size), Step: c(1), Body: []spmd.Stmt{
+			&spmd.AWrite{Array: "A", Idx: []expr.Expr{i}, Val: spmd.VInt{X: i}},
+		}},
+		&spmd.For{Var: "i", Lo: c(1), Hi: c(trips), Step: c(1), Body: []spmd.Stmt{
+			&spmd.ARead{Dst: "t1", Array: "A", Idx: []expr.Expr{i}},
+			&spmd.AssignVar{Name: "t2", Val: spmd.VBin{Op: lang.OpMul, L: spmd.VVar{Name: "t1"}, R: spmd.VConst{F: 2}}},
+			&spmd.AWrite{Array: "B", Idx: []expr.Expr{expr.Add(expr.Mod(i, c(size)), c(1))}, Val: spmd.VVar{Name: "t2"}},
+			&spmd.BufWrite{Buf: "b", Idx: i, Val: spmd.VVar{Name: "t2"}},
+		}},
+	}}
+}
+
+// Stepping allocates nothing: a run's allocations are its set-up (lowering,
+// the frame, the machine), so a loop of 1,000 trips allocates exactly what a
+// loop of 10 does — in the abstract domain, where every t1 is unknown, and
+// in the concrete one on a one-process machine.
+func TestSteppingDoesNotAllocate(t *testing.T) {
+	walk := func(trips int64) float64 {
+		low := Lower(stepLoop(trips))
+		return testing.AllocsPerRun(10, func() {
+			if err := low.Walk(0, nullSink{procs: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := walk(10), walk(1000); a != b {
+		t.Errorf("abstract walk: %.0f allocations at 10 trips, %.0f at 1,000", a, b)
+	}
+	run := func(trips int64) float64 {
+		progs := []*spmd.Program{stepLoop(trips)}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := RunSPMD(progs, machine.DefaultConfig(1), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := run(10), run(1000); a != b {
+		t.Errorf("concrete run: %.0f allocations at 10 trips, %.0f at 1,000", a, b)
+	}
+}

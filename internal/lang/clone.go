@@ -219,3 +219,23 @@ func CloneProc(p *ProcDecl, newName string, s *Subst) *ProcDecl {
 	c.Body = CloneBlock(p.Body, s)
 	return c
 }
+
+// CloneProgram returns a copy of p whose dist declarations and procedures can
+// be rewritten without touching p: each DistDecl is copied, each ProcDecl is
+// deep-copied (mapping annotations sit inside procedure bodies), and the
+// ConstDecls, which no rewrite changes, are shared.
+func CloneProgram(p *Program) *Program {
+	c := &Program{Decls: make([]Decl, len(p.Decls))}
+	for i, d := range p.Decls {
+		switch d := d.(type) {
+		case *DistDecl:
+			dd := *d
+			c.Decls[i] = &dd
+		case *ProcDecl:
+			c.Decls[i] = CloneProc(d, d.Name, nil)
+		default:
+			c.Decls[i] = d
+		}
+	}
+	return c
+}
