@@ -9,12 +9,10 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync"
 
 	"procdecomp/internal/adapt"
+	"procdecomp/internal/durable"
 )
 
 // The serve side of the adaptation loop: how requests map onto the
@@ -133,14 +131,15 @@ func (s *Server) persistDecision(d adapt.Decision) {
 	if err != nil {
 		return
 	}
-	line = append(line, '\n')
 	s.adaptMu.Lock()
 	s.adaptDecisions = append(s.adaptDecisions, d)
-	s.adaptDecLines = append(s.adaptDecLines, line...)
+	s.adaptDecLines = append(append(s.adaptDecLines, line...), '\n')
 	s.adaptMu.Unlock()
-	if err := s.adaptJournal.append(d, line); err != nil {
-		s.log.LogAttrs(context.Background(), slog.LevelWarn, "adapt decision not durable",
-			slog.String("scenario", d.Scenario), slog.Uint64("seq", d.Seq), slog.String("err", err.Error()))
+	if s.adaptJournal != nil {
+		if err := s.adaptJournal.Append(line); err != nil {
+			s.log.LogAttrs(context.Background(), slog.LevelWarn, "adapt decision not durable",
+				slog.String("scenario", d.Scenario), slog.Uint64("seq", d.Seq), slog.String("err", err.Error()))
+		}
 	}
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "adapt decision",
 		slog.String("scenario", d.Scenario), slog.String("shape", d.Shape),
@@ -182,16 +181,12 @@ func (s *Server) handleAdaptJournal(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// The decision journal: an append-only NDJSON file in the cache directory
-// holding every settled decision, compacted — at open and at the runtime
-// append threshold — to one folded "state" line per scenario. Decisions are
-// rare (one per detected shift), so each append is written and fsynced
-// immediately rather than group-committed.
+// The decision journal: a durable.Log in the cache directory holding every
+// settled decision, compacted to one folded "state" line per scenario.
+// Decisions are rare (one per detected shift), so each is a batch of one:
+// one write, one fsync.
 
-const (
-	adaptJournalName     = "adapt.journal"
-	adaptJournalTornName = "adapt.journal.torn"
-)
+const adaptJournalName = "adapt.journal"
 
 // adaptStateRec is the folded form of a scenario's decision history — what
 // a restarted controller actually needs. Seq carries the journal-wide
@@ -205,26 +200,6 @@ type adaptStateRec struct {
 	Seq       uint64 `json:",omitempty"`
 }
 
-type decisionJournal struct {
-	path string
-	dir  string
-	// compacted records whether open found anything to rewrite.
-	compacted    bool
-	compactEvery int
-	// onCompact observes each runtime threshold fold. Set before traffic.
-	onCompact func()
-
-	mu       sync.Mutex
-	f        *os.File
-	dead     bool
-	appended int
-	// The folded view, maintained incrementally so a threshold compaction
-	// never re-reads the file.
-	states map[string]*adapt.State
-	order  []string
-	maxSeq uint64
-}
-
 // applyDecision folds one decision into a scenario's durable state: the
 // mapping in force is always the decision's, and the tuning anchor moves on
 // the outcomes that settle a shift ("switched" and "held" alike).
@@ -236,212 +211,84 @@ func applyDecision(st *adapt.State, d adapt.Decision) {
 	st.Decisions++
 }
 
-// parseDecisionJournal reads the journal's valid prefix into per-scenario
-// state, returning scenarios in first-seen order, the highest decision
-// sequence, the valid byte prefix, and any torn tail.
-func parseDecisionJournal(path string) (states map[string]*adapt.State, order []string, maxSeq uint64, valid, torn []byte, err error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[string]*adapt.State{}, nil, 0, nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, 0, nil, nil, fmt.Errorf("serve: read decision journal: %w", err)
-	}
-	states = map[string]*adapt.State{}
-	ensure := func(key string) *adapt.State {
-		st := states[key]
-		if st == nil {
-			st = &adapt.State{Scenario: key}
-			states[key] = st
-			order = append(order, key)
-		}
-		return st
-	}
-	off := 0
-	for off < len(raw) {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // no trailing newline: torn tail
-		}
-		line := raw[off : off+nl]
-		var probe struct{ Op, Scenario string }
-		if err := json.Unmarshal(line, &probe); err != nil || probe.Scenario == "" {
-			break // garbage from here on: torn tail
-		}
-		if probe.Op == "state" {
-			var rec adaptStateRec
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break
-			}
-			st := ensure(rec.Scenario)
-			st.Preferred, st.TunedFor, st.Decisions = rec.Preferred, rec.TunedFor, rec.Decisions
-			if rec.Seq > maxSeq {
-				maxSeq = rec.Seq
-			}
-		} else {
-			var d adapt.Decision
-			if err := json.Unmarshal(line, &d); err != nil || d.Outcome == "" {
-				break
-			}
-			applyDecision(ensure(d.Scenario), d)
-			if d.Seq > maxSeq {
-				maxSeq = d.Seq
-			}
-		}
-		off += nl + 1
-	}
-	return states, order, maxSeq, raw[:off], raw[off:], nil
+// decisionFold is the decision journal's folder: per-scenario state in
+// first-seen order, plus the highest decision sequence.
+type decisionFold struct {
+	states map[string]*adapt.State
+	order  []string
+	maxSeq uint64
 }
 
-// foldDecisions renders the compacted image: one state line per scenario, in
+func newDecisionFold() *decisionFold { return &decisionFold{states: map[string]*adapt.State{}} }
+
+func (f *decisionFold) state(key string) *adapt.State {
+	st := f.states[key]
+	if st == nil {
+		st = &adapt.State{Scenario: key}
+		f.states[key] = st
+		f.order = append(f.order, key)
+	}
+	return st
+}
+
+// Accept folds one journal line — a folded state or a single decision — into
+// its scenario. Anything else starts the torn tail.
+func (f *decisionFold) Accept(line []byte) bool {
+	var probe struct{ Op, Scenario string }
+	if err := json.Unmarshal(line, &probe); err != nil || probe.Scenario == "" {
+		return false
+	}
+	seq := uint64(0)
+	if probe.Op == "state" {
+		var rec adaptStateRec
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return false
+		}
+		st := f.state(rec.Scenario)
+		st.Preferred, st.TunedFor, st.Decisions = rec.Preferred, rec.TunedFor, rec.Decisions
+		seq = rec.Seq
+	} else {
+		var d adapt.Decision
+		if err := json.Unmarshal(line, &d); err != nil || d.Outcome == "" {
+			return false
+		}
+		applyDecision(f.state(d.Scenario), d)
+		seq = d.Seq
+	}
+	if seq > f.maxSeq {
+		f.maxSeq = seq
+	}
+	return true
+}
+
+// Image renders the compacted journal: one state line per scenario, in
 // first-seen order.
-func foldDecisions(states map[string]*adapt.State, order []string, maxSeq uint64) (*bytes.Buffer, error) {
+func (f *decisionFold) Image() ([]byte, error) {
 	var buf bytes.Buffer
-	for _, key := range order {
-		st := states[key]
+	for _, key := range f.order {
+		st := f.states[key]
 		rec := adaptStateRec{Op: "state", Scenario: key, Preferred: st.Preferred,
-			TunedFor: st.TunedFor, Decisions: st.Decisions, Seq: maxSeq}
+			TunedFor: st.TunedFor, Decisions: st.Decisions, Seq: f.maxSeq}
 		b, err := json.Marshal(rec)
 		if err != nil {
 			return nil, err
 		}
 		buf.Write(append(b, '\n'))
 	}
-	return &buf, nil
+	return buf.Bytes(), nil
 }
 
-// openDecisionJournal opens (creating if needed) the decision journal under
-// dir, recovering prior state first: parse the valid prefix, quarantine a
-// torn tail, rewrite the folded journal atomically, and return the restored
-// per-scenario states in first-seen order plus the highest decision
-// sequence. The same crash-safety discipline as the job journal.
-func openDecisionJournal(dir string, compactEvery int) (*decisionJournal, []adapt.State, uint64, error) {
-	path := filepath.Join(dir, adaptJournalName)
-	states, order, maxSeq, valid, torn, err := parseDecisionJournal(path)
+// openDecisionJournal recovers and opens the decision journal under dir,
+// returning the restored per-scenario states in first-seen order plus the
+// highest decision sequence.
+func openDecisionJournal(fs durable.FS, dir string, opt durable.Options) (*durable.Log, []adapt.State, uint64, error) {
+	l, f, err := durable.Open(fs, dir, adaptJournalName, opt, newDecisionFold)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, fmt.Errorf("serve: decision journal: %w", err)
 	}
-	if len(torn) > 0 {
-		tornPath := filepath.Join(dir, quarantineDir, adaptJournalTornName)
-		if err := os.WriteFile(tornPath, torn, 0o644); err != nil {
-			return nil, nil, 0, fmt.Errorf("serve: quarantine decision journal tail: %w", err)
-		}
+	restored := make([]adapt.State, 0, len(f.order))
+	for _, key := range f.order {
+		restored = append(restored, *f.states[key])
 	}
-	buf, err := foldDecisions(states, order, maxSeq)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("serve: decision journal compact: %w", err)
-	}
-	compacted := len(valid) != buf.Len() || len(torn) > 0
-	if compacted {
-		if err := atomicRewrite(dir, path, buf.Bytes()); err != nil {
-			return nil, nil, 0, fmt.Errorf("serve: decision journal compact: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("serve: open decision journal: %w", err)
-	}
-	j := &decisionJournal{path: path, dir: dir, compacted: compacted,
-		compactEvery: compactEvery, f: f, states: states, order: order, maxSeq: maxSeq}
-	restored := make([]adapt.State, 0, len(order))
-	for _, key := range order {
-		restored = append(restored, *states[key])
-	}
-	return j, restored, maxSeq, nil
-}
-
-// append durably records one settled decision (write + fsync — decisions are
-// rare) and, once it is on disk, folds it into the in-memory state,
-// compacting at the threshold. A decision that did not reach disk is an
-// error and stays out of the fold, so a later compaction cannot resurrect it.
-func (j *decisionJournal) append(d adapt.Decision, line []byte) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead {
-		return fmt.Errorf("serve: decision journal closed")
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("serve: decision journal write: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("serve: decision journal fsync: %w", err)
-	}
-	st := j.states[d.Scenario]
-	if st == nil {
-		st = &adapt.State{Scenario: d.Scenario}
-		j.states[d.Scenario] = st
-		j.order = append(j.order, d.Scenario)
-	}
-	applyDecision(st, d)
-	if d.Seq > j.maxSeq {
-		j.maxSeq = d.Seq
-	}
-	j.appended++
-	j.maybeCompactLocked()
-	return nil
-}
-
-// maybeCompactLocked folds the journal in place once compactEvery decisions
-// have been appended since the last fold. Crash-safe the same way the job
-// journal's fold is: the image goes to a temp file that stays open, the
-// rename either installs it (and appends continue on that fd) or fails and
-// leaves the journal untouched. Errors skip the fold — compaction is an
-// optimization, never a reason to drop a decision.
-func (j *decisionJournal) maybeCompactLocked() {
-	if j.compactEvery <= 0 || j.appended < j.compactEvery {
-		return
-	}
-	j.appended = 0
-	buf, err := foldDecisions(j.states, j.order, j.maxSeq)
-	if err != nil {
-		return
-	}
-	fi, err := os.Stat(j.path)
-	if err != nil || int64(buf.Len()) >= fi.Size() {
-		return // nothing to fold away
-	}
-	tmp, err := os.CreateTemp(j.dir, adaptJournalName+".*"+cacheTmpSuffix)
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	old := j.f
-	j.f = tmp // tmp's fd now addresses the live journal, at its end
-	old.Close()
-	if j.onCompact != nil {
-		j.onCompact()
-	}
-}
-
-// Close stops the journal; further appends fail (the in-memory stream behind
-// /adapt/journal still has them). Appends are unbuffered, so Close is also
-// all a kill -9 does to the journal — the crash test seam calls it too.
-func (j *decisionJournal) Close() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead {
-		return
-	}
-	j.dead = true
-	j.f.Close()
+	return l, restored, f.maxSeq, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"procdecomp/internal/adapt"
+	"procdecomp/internal/durable"
 )
 
 // The end-to-end adaptation proof: a server watching real /run traffic
@@ -211,7 +212,7 @@ func TestServeAdaptsToWorkloadShift(t *testing.T) {
 // reached disk.
 func TestDecisionJournalAppendReportsFailure(t *testing.T) {
 	dir := t.TempDir()
-	j, _, _, err := openDecisionJournal(dir, 0)
+	j, _, _, err := openDecisionJournal(durable.OS{}, dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestDecisionJournalAppendReportsFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return j.append(d, append(line, '\n'))
+		return j.Append(line)
 	}
 	kept := adapt.Decision{Seq: 1, Scenario: "s", Shape: "a", Outcome: "switched", Mapping: "all"}
 	if err := appendDecision(kept); err != nil {
@@ -231,10 +232,7 @@ func TestDecisionJournalAppendReportsFailure(t *testing.T) {
 	if err := appendDecision(lost); err == nil {
 		t.Fatal("append after the journal closed reported success")
 	}
-	if st := j.states["s"]; st.Preferred != "all" || st.Decisions != 1 || j.maxSeq != 1 {
-		t.Errorf("failed append reached the fold: %+v, maxSeq %d", *st, j.maxSeq)
-	}
-	j2, restored, maxSeq, err := openDecisionJournal(dir, 0)
+	j2, restored, maxSeq, err := openDecisionJournal(durable.OS{}, dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

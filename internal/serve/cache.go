@@ -10,17 +10,16 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"procdecomp/internal/durable"
 )
 
 // DiskCache is the service's persistent result store: content key -> exact
-// response bytes. It is crash-safe by construction —
-//
-//   - writes go to a temp file in the cache directory and are renamed into
-//     place, so a kill at any instant leaves either the old entry, the new
-//     entry, or a .tmp leftover (swept on the next open), never a torn file;
-//   - every entry carries a checksum of its payload and echoes its key, both
-//     verified on read; an entry that fails either check is moved to a
-//     quarantine subdirectory and reported as a miss, never served.
+// response bytes. Entries are written with durable.Install, so a kill at any
+// instant leaves the old entry or the new one, never a torn file; and every
+// entry carries a checksum of its payload and echoes its key, both verified
+// on read — an entry that fails either check is moved to a quarantine
+// subdirectory and reported as a miss, never served.
 //
 // Keys are hex content hashes (contentKey); the entry's filename is a hash
 // of the key, so hostile or oversized keys cannot escape the directory.
@@ -30,6 +29,7 @@ import (
 // footprint fits the budget. Recency is a logical access clock, not the
 // filesystem's atime — mount options must not change eviction order.
 type DiskCache struct {
+	fs         durable.FS // every mutation of the directory goes through it
 	dir        string
 	maxBytes   int64      // 0 = unbounded
 	mu         sync.Mutex // serializes writers per cache, not readers
@@ -57,14 +57,12 @@ type entryMeta struct {
 }
 
 const (
-	cacheMagic     = "pdserve-cache v1"
-	quarantineDir  = "quarantined"
-	cacheExt       = ".entry"
-	cacheTmpSuffix = ".tmp"
+	cacheMagic    = "pdserve-cache v1"
+	quarantineDir = durable.QuarantineDir
+	cacheExt      = ".entry"
 )
 
-// OpenDiskCache opens (creating if needed) an unbounded cache rooted at dir
-// and sweeps temp files a previous crash may have stranded.
+// OpenDiskCache opens (creating if needed) an unbounded cache rooted at dir.
 func OpenDiskCache(dir string) (*DiskCache, error) {
 	return OpenDiskCacheLimit(dir, 0)
 }
@@ -74,6 +72,10 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 // ledger in file-name order — a deterministic recency seed — and an
 // over-budget directory is swept immediately, coldest first.
 func OpenDiskCacheLimit(dir string, maxBytes int64) (*DiskCache, error) {
+	return openDiskCache(durable.OS{}, dir, maxBytes)
+}
+
+func openDiskCache(fs durable.FS, dir string, maxBytes int64) (*DiskCache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open cache: %w", err)
 	}
@@ -81,20 +83,18 @@ func OpenDiskCacheLimit(dir string, maxBytes int64) (*DiskCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: open cache: %w", err)
 	}
-	c := &DiskCache{dir: dir, maxBytes: maxBytes, meta: map[string]*entryMeta{}}
+	c := &DiskCache{fs: fs, dir: dir, maxBytes: maxBytes, meta: map[string]*entryMeta{}}
 	for _, e := range names { // ReadDir sorts by name
-		switch {
-		case strings.HasSuffix(e.Name(), cacheTmpSuffix):
-			os.Remove(filepath.Join(dir, e.Name()))
-		case strings.HasSuffix(e.Name(), cacheExt):
-			info, err := e.Info()
-			if err != nil {
-				continue
-			}
-			c.clock++
-			c.meta[e.Name()] = &entryMeta{size: info.Size(), atime: c.clock}
-			c.bytes += info.Size()
+		if !strings.HasSuffix(e.Name(), cacheExt) {
+			continue
 		}
+		info, err := e.Info()
+		if err != nil {
+			continue
+		}
+		c.clock++
+		c.meta[e.Name()] = &entryMeta{size: info.Size(), atime: c.clock}
+		c.bytes += info.Size()
 	}
 	c.sweep("")
 	return c, nil
@@ -161,10 +161,10 @@ func (c *DiskCache) forget(name string) {
 	c.lmu.Unlock()
 }
 
-// Put stores the payload under key with an atomic write-rename. A concurrent
-// Put of the same key is harmless: both writers produce identical bytes
-// (responses are deterministic in the key), so whichever rename lands last
-// installs the same entry.
+// Put installs the payload under key atomically. A concurrent Put of the same
+// key is harmless: both writers produce identical bytes (responses are
+// deterministic in the key), so whichever rename lands last installs the same
+// entry.
 func (c *DiskCache) Put(key string, payload []byte) error {
 	if c == nil {
 		return nil
@@ -172,24 +172,8 @@ func (c *DiskCache) Put(key string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	path := c.path(key)
-	tmp, err := os.CreateTemp(c.dir, filepath.Base(path)+".*"+cacheTmpSuffix)
-	if err != nil {
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	enc := encodeEntry(key, payload)
-	if _, err := tmp.Write(enc); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := durable.Install(c.fs, c.dir, path, enc); err != nil {
 		return fmt.Errorf("serve: cache write: %w", err)
 	}
 	name := filepath.Base(path)
@@ -239,7 +223,7 @@ func (c *DiskCache) sweep(protect string) {
 		c.bytes -= vm.size
 		delete(c.meta, victim)
 		c.lmu.Unlock()
-		os.Remove(filepath.Join(c.dir, victim))
+		c.fs.Remove(filepath.Join(c.dir, victim))
 		c.evictions.Add(1)
 		c.observe("evict")
 	}
@@ -250,8 +234,8 @@ func (c *DiskCache) sweep(protect string) {
 // overwrite: the bytes there are corrupt anyway.
 func (c *DiskCache) quarantineEntry(path string) {
 	dst := filepath.Join(c.dir, quarantineDir, filepath.Base(path))
-	if err := os.Rename(path, dst); err != nil {
-		os.Remove(path) // last resort: a corrupt entry must not be re-served
+	if err := c.fs.Rename(path, dst); err != nil {
+		c.fs.Remove(path) // last resort: a corrupt entry must not be re-served
 	}
 	c.forget(filepath.Base(path))
 	c.quarantine.Add(1)

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"procdecomp/internal/durable"
 )
 
 func TestDiskCacheRoundTrip(t *testing.T) {
@@ -108,8 +110,8 @@ func TestDiskCacheRejectsWrongKey(t *testing.T) {
 	}
 }
 
-// A crash between temp-write and rename strands a .tmp file; reopening the
-// cache sweeps it and never serves it.
+// A crash between temp-write and rename strands a .tmp file; restarting the
+// server sweeps it before anything opens, so it is never served.
 func TestDiskCacheSweepsTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	stranded := filepath.Join(dir, "deadbeef.entry.123.tmp")
@@ -119,9 +121,11 @@ func TestDiskCacheSweepsTempFiles(t *testing.T) {
 	if err := os.WriteFile(stranded, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDiskCache(dir); err != nil {
+	s, err := New(Config{CacheDir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
 		t.Error("stranded temp file survived reopen")
 	}
@@ -216,10 +220,11 @@ func TestDiskCacheConcurrentSameKeyWriters(t *testing.T) {
 	}
 }
 
-// The tmp-sweep vs in-flight-write race: a second process opening the cache
-// sweeps *.tmp files while the first is mid-Put. The sweep may steal the
-// temp file out from under an in-flight write (a visible Put error), but it
-// must never corrupt an installed entry or make a reader see torn bytes.
+// The tmp-sweep vs in-flight-write race: a second pdserve booting on the same
+// directory sweeps *.tmp files (durable.SweepTemps, then the cache open) while
+// the first is mid-Put. The sweep may steal the temp file out from under an
+// in-flight write (a visible Put error), but it must never corrupt an
+// installed entry or make a reader see torn bytes.
 func TestDiskCacheSweepRaceWithInflightWrites(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenDiskCache(dir)
@@ -227,16 +232,18 @@ func TestDiskCacheSweepRaceWithInflightWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("sweep-race-payload."), 256)
-	// The sweeper opens the cache once per Put iteration, concurrently with
-	// that Put: an unpaced sweeper can starve every Put of its temp file on a
-	// small machine, which says nothing about safety.
+	// The sweeper boots once per Put iteration, concurrently with that Put: an
+	// unpaced sweeper can starve every Put of its temp file on a small
+	// machine, which says nothing about safety.
 	tick := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for range tick {
-			// A concurrent open: sweeps every .tmp it can see.
+			// A concurrent boot, as newServer does it: remove every .tmp in
+			// sight, then open the cache over what is left.
+			durable.SweepTemps(durable.OS{}, dir)
 			if _, err := OpenDiskCache(dir); err != nil {
 				t.Errorf("concurrent open: %v", err)
 			}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"procdecomp/internal/durable"
 )
 
 // writeJournal lays down a journal file from raw lines.
@@ -43,7 +45,7 @@ func TestJournalQuarantinesTornTail(t *testing.T) {
 	torn := `{"Op":"accepted","ID":"j000000000000dead","Endpoint":"/run","Req":{"GS":tr` // cut mid-token
 	writeJournal(t, dir, finished, finishedDone, unfinished, running, torn)
 
-	j, jobs, maxSeq, err := openJournal(dir, 0)
+	j, jobs, maxSeq, err := openJournal(durable.OS{}, dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestJournalQuarantinesTornTail(t *testing.T) {
 		t.Errorf("maxSeq = %d, want 2", maxSeq)
 	}
 	// The torn bytes are preserved for inspection, not re-parsed.
-	got, err := os.ReadFile(filepath.Join(dir, quarantineDir, journalTornName))
+	got, err := os.ReadFile(filepath.Join(dir, quarantineDir, journalName+".torn"))
 	if err != nil || string(got) != torn {
 		t.Errorf("quarantined tail = %q (err %v), want the torn bytes", got, err)
 	}
@@ -78,7 +80,7 @@ func TestJournalQuarantinesTornTail(t *testing.T) {
 		t.Error("compacted journal does not end on a record boundary")
 	}
 	j.Close()
-	j2, jobs2, _, err := openJournal(dir, 0)
+	j2, jobs2, _, err := openJournal(durable.OS{}, dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestJournalTreatsRequestlessAcceptAsTorn(t *testing.T) {
 	bad := rec(t, journalRec{Op: "accepted", ID: jobID(9), Endpoint: "/run", Key: "k9"})
 	writeJournal(t, dir, good, bad)
 
-	j, jobs, _, err := openJournal(dir, 0)
+	j, jobs, _, err := openJournal(durable.OS{}, dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestJournalTreatsRequestlessAcceptAsTorn(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].id != jobID(1) {
 		t.Fatalf("recovered %+v, want only the intact job", jobs)
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, journalTornName)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, journalName+".torn")); err != nil {
 		t.Errorf("request-less accept not quarantined: %v", err)
 	}
 }
@@ -116,7 +118,7 @@ func TestJournalAppendRoundTrip(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	j, jobs, _, err := openJournal(dir, 0)
+	j, jobs, _, err := openJournal(durable.OS{}, dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,24 +126,48 @@ func TestJournalAppendRoundTrip(t *testing.T) {
 		t.Fatalf("fresh journal recovered %d jobs", len(jobs))
 	}
 	req := Request{GS: true, Procs: 4, Mode: "opt3", Blk: 8, Entry: "gs_iteration"}
-	if err := j.Append(journalRec{Op: "accepted", ID: jobID(3), Endpoint: "/search", Tenant: "t1", Key: "kk", Budget: 4, Req: &req}); err != nil {
+	if err := appendJob(j, journalRec{Op: "accepted", ID: jobID(3), Endpoint: "/search", Tenant: "t1", Key: "kk", Budget: 4, Req: &req}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(journalRec{Op: "failed", ID: jobID(3), Kind: KindPanic, Message: "boom", Attempts: 3}); err != nil {
+	if err := appendJob(j, journalRec{Op: "running", ID: jobID(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendJob(j, journalRec{Op: "failed", ID: jobID(3), Kind: KindPanic, Message: "boom", Attempts: 3}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if err := j.Append(journalRec{Op: "done", ID: jobID(3)}); err == nil {
+	if err := appendJob(j, journalRec{Op: "done", ID: jobID(3)}); err == nil {
 		t.Error("append after Close succeeded")
 	}
 
-	j2, jobs2, maxSeq, err := openJournal(dir, 0)
+	opens := 0
+	counting := durable.Options{OnCompact: func(string) { opens++ }}
+	j2, jobs2, maxSeq, err := openJournal(durable.OS{}, dir, counting)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
+	j2.Close()
 	if len(jobs2) != 1 || maxSeq != 3 {
 		t.Fatalf("recovered %d jobs, maxSeq %d; want 1 and 3", len(jobs2), maxSeq)
+	}
+	// The first reopen folds the running marker away; opening the folded
+	// journal again installs nothing and leaves its bytes alone.
+	folded, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j3, _, _, err := openJournal(durable.OS{}, dir, counting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j3.Close()
+	again, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opens != 1 || !bytes.Equal(folded, again) {
+		t.Errorf("%d open compactions over two reopens (want 1); bytes unchanged by the second: %v",
+			opens, bytes.Equal(folded, again))
 	}
 	rj := jobs2[0]
 	if rj.endpoint != "/search" || rj.tenant != "t1" || rj.budget != 4 || rj.req.Blk != 8 {
@@ -161,15 +187,15 @@ func TestJournalCompactsAtThreshold(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	j, jobs, _, err := openJournal(dir, 4)
+	compactions := 0 // writer goroutine only; reads below happen after Close
+	opt := durable.Options{CompactEvery: 4, OnCompact: func(string) { compactions++ }}
+	j, jobs, _, err := openJournal(durable.OS{}, dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(jobs) != 0 {
 		t.Fatalf("fresh journal recovered %d jobs", len(jobs))
 	}
-	compactions := 0
-	j.onCompact = func() { compactions++ } // writer goroutine only; reads below happen after Close
 
 	req := Request{GS: true, Procs: 2, Mode: "ctr", Entry: "gs_iteration"}
 	// Sequential appends: accepted + two running markers + done crosses the
@@ -181,7 +207,7 @@ func TestJournalCompactsAtThreshold(t *testing.T) {
 		{Op: "done", ID: jobID(1), Key: "k1"},
 		{Op: "accepted", ID: jobID(2), Endpoint: "/run", Key: "k2", Req: &req},
 	} {
-		if err := j.Append(r); err != nil {
+		if err := appendJob(j, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +227,7 @@ func TestJournalCompactsAtThreshold(t *testing.T) {
 		t.Error("running markers survived the fold")
 	}
 	// Recovery reads the folded file like any other journal.
-	j2, jobs2, maxSeq, err := openJournal(dir, 4)
+	j2, jobs2, maxSeq, err := openJournal(durable.OS{}, dir, durable.Options{CompactEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

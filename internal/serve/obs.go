@@ -273,17 +273,17 @@ func (s *Server) jemit(j *job, ev Event) {
 // whose durability contract requires the record (the accepted record before
 // a 202) can refuse; best-effort sites log and move on.
 func (s *Server) journalAppend(ctx context.Context, site string, rec journalRec) error {
-	err := s.journal.Append(rec)
-	if err != nil {
+	if s.journal == nil {
+		return nil
+	}
+	if err := appendJob(s.journal, rec); err != nil {
 		s.m.journalErrors.Inc(site)
 		s.log.LogAttrs(ctx, slog.LevelWarn, "journal append failed",
 			slog.String("site", site), slog.String("op", rec.Op),
 			slog.String("job", rec.ID), slog.String("error", err.Error()))
 		return err
 	}
-	if s.journal != nil {
-		s.m.journalAppends.Inc(rec.Op)
-	}
+	s.m.journalAppends.Inc(rec.Op)
 	return nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"procdecomp/internal/adapt"
+	"procdecomp/internal/durable"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/obs"
 )
@@ -317,12 +318,12 @@ type Server struct {
 	cfg     Config
 	cache   *DiskCache
 	adm     *admission
-	journal *journal
+	journal *durable.Log // nil without a cache directory
 
 	// The adaptation plane: the shift controller, its durable decision
 	// journal, and the in-memory decision list behind GET /adapt.
 	adapt          *adapt.Controller
-	adaptJournal   *decisionJournal
+	adaptJournal   *durable.Log // nil unless adapting with a cache directory
 	adaptMu        sync.Mutex
 	adaptDecisions []adapt.Decision
 	adaptDecLines  []byte // NDJSON of this process's decisions, append-only
@@ -383,7 +384,11 @@ type Server struct {
 // recovers and re-enqueues journal jobs a previous process left unfinished,
 // and launches the worker pool. The server reports ready (/readyz) only
 // after recovery completes.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, durable.OS{}) }
+
+// newServer is New over a chosen file system — the seam the crash-point sweep
+// substitutes a failing one through.
+func newServer(cfg Config, fs durable.FS) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, adm: newAdmission(cfg), jobs: map[string]*asyncJob{}}
 	s.m = newServerMetrics()
@@ -395,7 +400,10 @@ func New(cfg Config) (*Server, error) {
 	var restoredStates []adapt.State
 	var restoredSeq uint64
 	if cfg.CacheDir != "" {
-		c, err := OpenDiskCacheLimit(cfg.CacheDir, cfg.CacheMaxBytes)
+		// One sweep, before anything opens: a temp file stranded by a kill
+		// mid-install belongs to no one, while a running log's fold owns one.
+		durable.SweepTemps(fs, cfg.CacheDir)
+		c, err := openDiskCache(fs, cfg.CacheDir, cfg.CacheMaxBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -404,34 +412,27 @@ func New(cfg Config) (*Server, error) {
 		// once a handler runs, both after New returns.
 		c.onOp = func(op string) { s.m.cacheOps.Inc(op) }
 		s.cache = c
-		j, jobs, maxSeq, err := openJournal(cfg.CacheDir, cfg.JournalCompactEvery)
+		j, jobs, maxSeq, err := openJournal(fs, cfg.CacheDir, durable.Options{
+			CompactEvery: cfg.JournalCompactEvery,
+			OnCompact:    s.compactionObserver(&s.compactOpen, &s.compactThreshold, ""),
+			OnFsync:      func(d time.Duration) { s.m.journalFsync.Observe(d.Seconds()) },
+			OnFail:       func(err error) { s.logStopped("job journal", err) },
+		})
 		if err != nil {
 			return nil, err
-		}
-		j.onFsync = func(d time.Duration) { s.m.journalFsync.Observe(d.Seconds()) }
-		if j.compacted {
-			s.compactOpen.Add(1)
-			s.m.journalCompactions.Inc("open")
-		}
-		j.onCompact = func() {
-			s.compactThreshold.Add(1)
-			s.m.journalCompactions.Inc("threshold")
 		}
 		s.journal = j
 		s.seq.Store(maxSeq)
 		recovered = jobs
 		if cfg.Adapt.Enabled {
-			dj, states, seq, err := openDecisionJournal(cfg.CacheDir, cfg.JournalCompactEvery)
+			dj, states, seq, err := openDecisionJournal(fs, cfg.CacheDir, durable.Options{
+				CompactEvery: cfg.JournalCompactEvery,
+				OnCompact:    s.compactionObserver(&s.compactAdaptOpen, &s.compactAdaptThreshold, "adapt_"),
+				OnFail:       func(err error) { s.logStopped("decision journal", err) },
+			})
 			if err != nil {
+				j.Close() // the job log's writer is already running
 				return nil, err
-			}
-			if dj.compacted {
-				s.compactAdaptOpen.Add(1)
-				s.m.journalCompactions.Inc("adapt_open")
-			}
-			dj.onCompact = func() {
-				s.compactAdaptThreshold.Add(1)
-				s.m.journalCompactions.Inc("adapt_threshold")
 			}
 			s.adaptJournal = dj
 			restoredStates, restoredSeq = states, seq
@@ -452,6 +453,28 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ready.Store(true)
 	return s, nil
+}
+
+// compactionObserver is one log's OnCompact observer: the log's two Stats
+// counters and their metric mirror, whose pdserve_journal_compactions_total
+// label is prefix+cause. Whatever is not an open fold counts as a threshold
+// fold, so the ledger and the metric cannot drift apart.
+func (s *Server) compactionObserver(open, threshold *atomic.Int64, prefix string) func(cause string) {
+	return func(cause string) {
+		if cause == "open" {
+			open.Add(1)
+		} else {
+			threshold.Add(1)
+		}
+		s.m.journalCompactions.Inc(prefix + cause)
+	}
+}
+
+// logStopped is both logs' OnFail observer: the one line that names why a
+// journal fail-stopped. Every append after it is refused with the same error.
+func (s *Server) logStopped(which string, err error) {
+	s.log.LogAttrs(context.Background(), slog.LevelError, which+" stopped: appends are refused until restart",
+		slog.String("error", err.Error()))
 }
 
 // recover materializes journal jobs: terminal ones become served records
@@ -895,8 +918,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if s.adapt != nil {
 			s.adapt.Close()
 		}
-		s.adaptJournal.Close()
-		s.journal.Close()
+		for _, l := range []*durable.Log{s.adaptJournal, s.journal} {
+			if l != nil {
+				l.Close()
+			}
+		}
 	})
 	return err
 }
@@ -910,14 +936,15 @@ func (s *Server) Close() {
 }
 
 // crash abandons the server the way kill -9 would — the test seam behind
-// the restart-recovery proof. The journal stops accepting writes without a
+// the restart-recovery proof. Both journals stop accepting writes without a
 // flush and in-flight work is canceled; nothing is drained, recorded, or
 // acknowledged past this point.
 func (s *Server) crash() {
-	if s.journal != nil {
-		s.journal.crash()
+	for _, l := range []*durable.Log{s.journal, s.adaptJournal} {
+		if l != nil {
+			l.Crash()
+		}
 	}
-	s.adaptJournal.Close()
 	s.abort()
 }
 
