@@ -46,27 +46,34 @@ func TestSearchOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// The cost semantics does not drift: the N=24 smoke search CI runs renders to
-// the committed report byte for byte — every candidate's static score,
-// predicted and measured makespan, message count and rank. A change to what
-// a statement charges, to what the compiler emits or to how the search ranks
-// shows up here before it shows up in a figure.
+// The cost semantics does not drift: the smoke searches CI runs render to the
+// committed reports byte for byte — every candidate's static score, predicted
+// and measured makespan, message count and rank. A change to what a statement
+// charges, to what the compiler emits or to how the search ranks shows up here
+// before it shows up in a figure. The S=8 search covers what S=4 cannot: the
+// 2x4 and 4x2 block2d grids, and eight-way spans.
 func TestSearchMatchesGolden(t *testing.T) {
-	const golden = "../../testdata/golden/pdmap_gs_s4_n24.json"
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := run(context.Background(), []string{"-gs", "-procs", "4", "-D", "N=24", "-json"}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("pdmap -gs -procs 4 -D N=24 -json differs from %s.\n"+
-			"If the cost model or the compiler was meant to change, regenerate both goldens from the repository root and review the diff:\n"+
-			"  go run ./cmd/pdmap -gs -procs 4 -D N=24 -json > testdata/golden/pdmap_gs_s4_n24.json\n"+
-			"  go run ./cmd/pdbench -fig none -n 64 -procs 1,2,4,8 -json testdata/golden/fig6_n64.json\n"+
-			"got:\n%s", golden, got.Bytes())
+	for _, tc := range []struct{ procs, n, golden string }{
+		{"4", "24", "pdmap_gs_s4_n24.json"},
+		{"8", "32", "pdmap_gs_s8_n32.json"},
+	} {
+		golden := "../../testdata/golden/" + tc.golden
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := run(context.Background(), []string{"-gs", "-procs", tc.procs, "-D", "N=" + tc.n, "-json"}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("pdmap -gs -procs %s -D N=%s -json differs from %s.\n"+
+				"If the cost model or the compiler was meant to change, regenerate the goldens from the repository root and review the diff:\n"+
+				"  go run ./cmd/pdmap -gs -procs 4 -D N=24 -json > testdata/golden/pdmap_gs_s4_n24.json\n"+
+				"  go run ./cmd/pdmap -gs -procs 8 -D N=32 -json > testdata/golden/pdmap_gs_s8_n32.json\n"+
+				"  go run ./cmd/pdbench -fig none -n 64 -procs 1,2,4,8 -json testdata/golden/fig6_n64.json\n"+
+				"got:\n%s", tc.procs, tc.n, golden, got.Bytes())
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"fmt"
+	"sync"
 
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/exec"
@@ -11,7 +12,7 @@ import (
 )
 
 // The static cost model: an abstract run of each process's compiled program
-// (exec.Lower, then Walk — the interpreter's own stepper over a domain that
+// (exec.LowerAll, then Walk — the interpreter's own stepper over a domain that
 // computes no data values), recorded as an action sequence. Control flow —
 // loop bounds, guards, message endpoints — is evaluated over the integer
 // frame exactly as in a real run, because it is the same code; data values are
@@ -59,26 +60,42 @@ type chanKey struct {
 // BuildProfile walks the compiled programs (one generic or cfg.Procs
 // specialized, as exec.RunSPMD accepts them) and returns the matched profile.
 func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
-	pick, err := exec.PerProcess(progs, cfg.Procs)
+	img, err := exec.LowerAll(progs, cfg.Procs)
 	if err != nil {
 		return nil, err
 	}
-	pf := &Profile{Procs: cfg.Procs, Acts: make([][]analysis.Action, cfg.Procs)}
-	var prev []analysis.Action
-	var low *exec.Lowered
-	for p := 0; p < cfg.Procs; p++ {
-		// The generic program of run-time resolution is lowered once, not
-		// once per process.
-		if p == 0 || pick(p) != pick(p-1) {
-			low = exec.Lower(pick(p))
-		}
-		// SPMD processes do alike work: size p's list by its predecessor's.
-		r := recorder{cfg: &cfg, acts: make([]analysis.Action, 0, len(prev))}
-		if err := low.Walk(p, &r); err != nil {
+	return profileOf(img, cfg)
+}
+
+// walkScratch recycles the slice the recorder appends into, so that growing
+// it by doubling is paid once per worker rather than once per profile.
+var walkScratch = sync.Pool{New: func() any { return new([]analysis.Action) }}
+
+// profileOf walks every process of the image into one scratch list, then
+// copies the finished lists out at their exact size into one backing array:
+// a profile's garbage is nothing, not the doubled slices it grew through.
+func profileOf(img *exec.Image, cfg machine.Config) (*Profile, error) {
+	scratch := walkScratch.Get().(*[]analysis.Action)
+	r := recorder{cfg: &cfg, acts: (*scratch)[:0]}
+	defer func() {
+		*scratch = r.acts
+		walkScratch.Put(scratch)
+	}()
+	ends := make([]int, cfg.Procs)
+	for p := range ends {
+		if err := img.Walk(p, &r); err != nil {
 			return nil, &ErrUnmodeled{Proc: p, Reason: err.Error()}
 		}
 		r.flush()
-		pf.Acts[p], prev = r.acts, r.acts
+		ends[p] = len(r.acts)
+	}
+	pf := &Profile{Procs: cfg.Procs, Acts: make([][]analysis.Action, cfg.Procs)}
+	all := make([]analysis.Action, len(r.acts))
+	copy(all, r.acts)
+	start := 0
+	for p, end := range ends {
+		pf.Acts[p] = all[start:end:end]
+		start = end
 	}
 	if err := pf.match(); err != nil {
 		return nil, err
@@ -86,8 +103,9 @@ func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
 	return pf, nil
 }
 
-// recorder is the exec.Sink that turns one process's walk into actions:
-// charges accumulate into a compute span that each send or receive closes.
+// recorder is the exec.Sink that turns a walk into actions: charges accumulate
+// into a compute span that each send or receive (or the caller's flush, at the
+// end of a process) closes.
 type recorder struct {
 	cfg  *machine.Config
 	acts []analysis.Action
@@ -129,10 +147,28 @@ func (r *recorder) Recv(src int, tag int64, values int) error {
 // match pairs receives with sends channel by channel, numbering each
 // sender's messages from 1 as the machine does, so a receive names its
 // message by (sender, number) exactly as a traced run's would. A receive
-// with no matching send means the candidate would deadlock.
+// with no matching send means the candidate would deadlock. Both ends of
+// every channel are counted before any list is built, so the lists are
+// allocated once, at their size.
 func (pf *Profile) match() error {
-	sends := map[chanKey][]*analysis.Action{}
-	recvs := map[chanKey][]*analysis.Action{}
+	// One entry per channel, in order of first appearance: its sends occupy
+	// sent[off : off+sends], filled up to fill; recvd counts the receives
+	// matched so far.
+	type channel struct {
+		key                            chanKey
+		sends, recvs, off, fill, recvd int
+	}
+	var chans []channel
+	at := map[chanKey]int{}
+	lookup := func(k chanKey) *channel {
+		i, ok := at[k]
+		if !ok {
+			i = len(chans)
+			at[k] = i
+			chans = append(chans, channel{key: k})
+		}
+		return &chans[i]
+	}
 	for p := range pf.Acts {
 		var sent uint64
 		for i := range pf.Acts[p] {
@@ -141,28 +177,46 @@ func (pf *Profile) match() error {
 			case trace.KindSend:
 				sent++
 				a.Seq = sent
-				k := chanKey{src: p, dst: a.Peer, tag: a.Tag}
-				sends[k] = append(sends[k], a)
+				lookup(chanKey{src: p, dst: a.Peer, tag: a.Tag}).sends++
 				pf.Messages++
 				pf.Values += int64(a.Values)
 			case trace.KindRecv:
-				k := chanKey{src: a.Peer, dst: p, tag: a.Tag}
-				recvs[k] = append(recvs[k], a)
+				lookup(chanKey{src: a.Peer, dst: p, tag: a.Tag}).recvs++
 			}
 		}
 	}
-	for k, rs := range recvs {
-		ss := sends[k]
-		if len(rs) > len(ss) {
+	for i := range chans {
+		c := &chans[i]
+		if c.recvs > c.sends {
 			return fmt.Errorf("autotune: candidate deadlocks: %d receive(s) on %d->%d tag %d have no matching send",
-				len(rs)-len(ss), k.src, k.dst, k.tag)
+				c.recvs-c.sends, c.key.src, c.key.dst, c.key.tag)
 		}
-		for i, r := range rs {
-			if r.Values != ss[i].Values {
-				return fmt.Errorf("autotune: block receive on %d->%d tag %d expects %d values, send carries %d",
-					k.src, k.dst, k.tag, r.Values, ss[i].Values)
+		if i > 0 {
+			c.off = chans[i-1].off + chans[i-1].sends
+		}
+	}
+	sent := make([]*analysis.Action, pf.Messages)
+	for p := range pf.Acts {
+		for i := range pf.Acts[p] {
+			if a := &pf.Acts[p][i]; a.Kind == trace.KindSend {
+				c := &chans[at[chanKey{src: p, dst: a.Peer, tag: a.Tag}]]
+				sent[c.off+c.fill] = a
+				c.fill++
 			}
-			r.Seq = ss[i].Seq
+		}
+	}
+	for p := range pf.Acts {
+		for i := range pf.Acts[p] {
+			if r := &pf.Acts[p][i]; r.Kind == trace.KindRecv {
+				c := &chans[at[chanKey{src: r.Peer, dst: p, tag: r.Tag}]]
+				s := sent[c.off+c.recvd]
+				c.recvd++
+				if r.Values != s.Values {
+					return fmt.Errorf("autotune: block receive on %d->%d tag %d expects %d values, send carries %d",
+						c.key.src, c.key.dst, c.key.tag, r.Values, s.Values)
+				}
+				r.Seq = s.Seq
+			}
 		}
 	}
 	return nil

@@ -21,15 +21,28 @@ func smallSpace() Space {
 }
 
 // TestSearchSurvivesPanickingCandidate: a candidate whose evaluation panics —
-// in the tier-1 static walk or in the tier-3 measurement pool — must be
+// in the tier-1 lowering and walk or in the tier-3 measurement pool — must be
 // recorded as infeasible with the panic message, not crash the search or
-// poison the report. The winner still emerges from the surviving candidates.
+// poison the report, and must take no other candidate with it, not even one
+// of its own mapping. A panic in the front half a mapping's candidates share
+// marks each of them, under its own key, and no other mapping's. The winner
+// still emerges from the surviving candidates.
 func TestSearchSurvivesPanickingCandidate(t *testing.T) {
-	for _, stage := range []string{"static", "measure"} {
-		t.Run(stage, func(t *testing.T) {
-			opts := Options{Space: smallSpace()}
+	twoSpans := smallSpace()
+	twoSpans.Spans = []int64{2, 4}
+	for _, tc := range []struct {
+		stage string
+		space Space
+		hit   func(Candidate) bool
+	}{
+		{"static", smallSpace(), func(c Candidate) bool { return c.Mode == "opt1" }},
+		{"measure", smallSpace(), func(c Candidate) bool { return c.Mode == "opt1" }},
+		{"compile", twoSpans, func(c Candidate) bool { return c.Mapping.Span == 2 }},
+	} {
+		t.Run(tc.stage, func(t *testing.T) {
+			opts := Options{Space: tc.space}
 			opts.evalHook = func(s string, c Candidate) {
-				if s == stage && c.Mode == "opt1" {
+				if s == tc.stage && tc.hit(c) {
 					panic("injected evaluation fault")
 				}
 			}
@@ -40,24 +53,27 @@ func TestSearchSurvivesPanickingCandidate(t *testing.T) {
 			if rep.Winner == "" {
 				t.Fatal("search survived but crowned no winner")
 			}
-			if strings.Contains(rep.Winner, "opt1") {
-				t.Fatalf("the panicking candidate %s won", rep.Winner)
-			}
 			var panicked int
 			for _, r := range rep.Results {
-				if r.Candidate.Mode != "opt1" {
+				if !tc.hit(r.Candidate) {
+					if r.Status == StatusInfeasible {
+						t.Errorf("%s: infeasible (%s) though nothing of its own panicked", r.Candidate.Key(), r.Note)
+					}
 					continue
+				}
+				if r.Candidate.Key() == rep.Winner {
+					t.Errorf("the panicking candidate %s won", rep.Winner)
 				}
 				if r.Status != StatusInfeasible {
 					t.Errorf("%s: status %s, want %s", r.Candidate.Key(), r.Status, StatusInfeasible)
 				}
-				if !strings.Contains(r.Note, "panic: injected evaluation fault") {
-					t.Errorf("%s: note %q does not carry the panic message", r.Candidate.Key(), r.Note)
+				if !strings.Contains(r.Note, r.Candidate.Key()+": panic: injected evaluation fault") {
+					t.Errorf("%s: note %q does not carry its key and the panic message", r.Candidate.Key(), r.Note)
 				}
 				panicked++
 			}
 			if panicked == 0 {
-				t.Fatal("no opt1 candidate reached the panicking stage")
+				t.Fatalf("no candidate reached the panicking stage %s", tc.stage)
 			}
 		})
 	}

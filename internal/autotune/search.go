@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -11,9 +12,11 @@ import (
 
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/dist"
-	"procdecomp/internal/exec"
+	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/sem"
 	"procdecomp/internal/trace"
+	"procdecomp/internal/xform"
 )
 
 // Status records how far a candidate got through the evaluation tiers.
@@ -129,9 +132,11 @@ type Options struct {
 	// must return promptly. It is observational only — the search's report
 	// is bit-identical with or without it.
 	Progress func(Progress)
-	// evalHook, when non-nil, is called before each candidate evaluation
-	// (stage "static" for the tier-1 walk, "measure" for a tier-3 run) — a
-	// test seam for injecting panics into the worker pool.
+	// evalHook, when non-nil, is called before each evaluation (stage
+	// "compile" for a mapping's shared front half, with a candidate that
+	// carries only the mapping; "static" for a candidate's tier-1 walk;
+	// "measure" for a tier-3 run) — a test seam for injecting panics into
+	// the worker pool.
 	evalHook func(stage string, c Candidate)
 }
 
@@ -211,17 +216,19 @@ func (c *Cache) put(key string, m Measurement) {
 func (c *Cache) Len() int  { c.mu.Lock(); defer c.mu.Unlock(); return len(c.m) }
 func (c *Cache) Hits() int { c.mu.Lock(); defer c.mu.Unlock(); return c.hits }
 
-// CacheKey is the content key of one measurement: the workload identity, the
-// candidate's generated-code key, and the machine calibration. Equal keys
-// mean the run is bit-identical, so the cached result substitutes exactly.
+// CacheKey is the content key of one measurement: the workload identity — its
+// names and a digest of the program text, since callers reuse names (pdserve
+// calls every inline program "request") — the candidate's generated-code key,
+// and the machine calibration. Equal keys mean the run is bit-identical, so
+// the cached result substitutes exactly.
 func CacheKey(w *Workload, c Candidate, cfg machine.Config) string {
 	defs := make([]string, 0, len(w.Defines))
 	for k, v := range w.Defines {
 		defs = append(defs, fmt.Sprintf("%s=%d", k, v))
 	}
 	sort.Strings(defs)
-	return fmt.Sprintf("%s/%s/%s|%s|%s|p%d,op%d,mem%d,loop%d,ss%d,rs%d,pv%d,lat%d",
-		w.Name, w.Entry, w.Dist, strings.Join(defs, ","), c.Key(),
+	return fmt.Sprintf("%s/%s/%s#%x|%s|%s|p%d,op%d,mem%d,loop%d,ss%d,rs%d,pv%d,lat%d",
+		w.Name, w.Entry, w.Dist, sha256.Sum256([]byte(w.Source)), strings.Join(defs, ","), c.Key(),
 		cfg.Procs, cfg.OpCost, cfg.MemCost, cfg.LoopCost,
 		cfg.SendStartup, cfg.RecvStartup, cfg.PerValue, cfg.Latency)
 }
@@ -231,14 +238,22 @@ func CacheKey(w *Workload, c Candidate, cfg machine.Config) string {
 // It is deterministic: rerunning the same candidate reproduces the makespan
 // exactly, which the search (and its tests) rely on.
 func Measure(w *Workload, c Candidate, cfg machine.Config) (Measurement, error) {
-	m, _, err := measure(context.Background(), w, c, cfg, false)
+	b, err := w.build(&c.Mapping, c.Mode, c.Blk, cfg.Procs)
+	if err != nil {
+		return Measurement{}, err
+	}
+	ins, err := w.inputs(b.info)
+	if err != nil {
+		return Measurement{}, err
+	}
+	m, _, err := measure(context.Background(), w, c, b, ins, cfg, false)
 	return m, err
 }
 
-// safeMeasure is Measure under a context with the worker pool's panic
-// isolation: a panicking evaluation comes back as an ErrEvalPanic-wrapped
-// error instead of unwinding the pool.
-func safeMeasure(ctx context.Context, w *Workload, c Candidate, cfg machine.Config, hook func(string, Candidate)) (m Measurement, err error) {
+// safeMeasure is a tier-3 run of what tier 1 built, with the worker pool's
+// panic isolation: a panicking evaluation comes back as an
+// ErrEvalPanic-wrapped error instead of unwinding the pool.
+func safeMeasure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config, hook func(string, Candidate)) (m Measurement, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m, err = Measurement{}, panicAsError(c, r)
@@ -247,31 +262,24 @@ func safeMeasure(ctx context.Context, w *Workload, c Candidate, cfg machine.Conf
 	if hook != nil {
 		hook("measure", c)
 	}
-	m, _, err = measure(ctx, w, c, cfg, false)
+	m, _, err = measure(ctx, w, c, b, ins, cfg, false)
 	return m, err
 }
 
-// measure optionally traces the run and captures it for the analyzer.
-func measure(ctx context.Context, w *Workload, c Candidate, cfg machine.Config, traced bool) (Measurement, *analysis.Dump, error) {
-	progs, info, err := w.compile(&c.Mapping, c.Mode, c.Blk, cfg.Procs)
-	if err != nil {
-		return Measurement{}, nil, err
-	}
-	ins, _, err := w.inputs(info)
-	if err != nil {
-		return Measurement{}, nil, err
-	}
+// measure runs a built candidate and validates its result; it optionally
+// traces the run and captures it for the analyzer.
+func measure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config, traced bool) (Measurement, *analysis.Dump, error) {
 	cfg.Tracer = nil
 	var tr *trace.Log
 	if traced {
 		tr = trace.New()
 		cfg.Tracer = tr
 	}
-	out, err := exec.RunSPMDCtx(ctx, progs, cfg, ins)
+	out, err := b.img.Run(ctx, cfg, ins)
 	if err != nil {
 		return Measurement{}, nil, err
 	}
-	if err := w.validate(out, progs, info); err != nil {
+	if err := w.validate(out, b.img.Outputs(), b.info); err != nil {
 		return Measurement{}, nil, fmt.Errorf("%s computes the wrong answer: %w", c.Key(), err)
 	}
 	m := Measurement{Makespan: uint64(out.Stats.Makespan), Messages: out.Stats.Messages, Values: out.Stats.Values}
@@ -374,7 +382,8 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// Anchor: run the program as annotated, traced, and demand that both the
 	// dump's identity replay and the walked profile's replay reproduce the
 	// measured makespan before trusting the model anywhere else.
-	if err := anchor(ctx, w, cfg, opts, rep); err != nil {
+	ins, err := anchor(ctx, w, cfg, opts, rep)
+	if err != nil {
 		if ctx.Err() != nil {
 			return interrupted(rep, nil, ctx.Err())
 		}
@@ -413,43 +422,61 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	}
 	emit(Progress{Stage: "enumerated", Total: len(cands)})
 
-	// Tier 1: compile and walk everything. Each evaluation runs under a
-	// recover, so a candidate whose compilation or walk panics is recorded
-	// as infeasible (with the panic message) instead of crashing the pool.
+	// Tier 1: compile and walk everything, one mapping per pool task — its
+	// candidates share one retarget, one check and one resolution of the
+	// entry, and differ only in the pass suffix xform.CompileAll applies.
+	// What each candidate lowers to is kept: tier 3 runs it. Every
+	// evaluation runs under a recover, so a candidate whose lowering or walk
+	// panics is recorded as infeasible (with the panic message) instead of
+	// crashing the pool; a panic in the shared front half marks each of the
+	// mapping's candidates so.
 	results := make([]Result, len(cands))
 	profiles := make([]*Profile, len(cands))
-	forEach(len(cands), opts.Workers, func(i int) {
-		c := cands[i]
-		results[i] = Result{Candidate: c}
-		pf, err := func() (pf *Profile, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					pf, err = nil, panicAsError(c, r)
-				}
-			}()
+	builds := make([]*built, len(cands))
+	groups := byMapping(cands)
+	forEach(len(groups), opts.Workers, func(g int) {
+		idx := groups[g]
+		mapping := cands[idx[0]].Mapping
+		points := make([]xform.Point, len(idx))
+		for k, i := range idx {
+			points[k] = xform.Point{Mode: cands[i].Mode, Blk: cands[i].Blk}
+		}
+		var (
+			info       *sem.Info
+			stages     []xform.Stage
+			frontErr   error
+			frontPanic any
+		)
+		func() {
+			defer func() { frontPanic = recover() }()
 			if opts.evalHook != nil {
-				opts.evalHook("static", c)
+				opts.evalHook("compile", Candidate{Mapping: mapping})
 			}
-			progs, _, err := w.compile(&c.Mapping, c.Mode, c.Blk, cfg.Procs)
-			if err != nil {
-				return nil, err
-			}
-			return BuildProfile(progs, cfg)
+			info, stages, frontErr = w.compileAll(&mapping, points, cfg.Procs)
 		}()
-		if err != nil {
+		for k, i := range idx {
+			c := cands[i]
+			results[i] = Result{Candidate: c}
+			err := frontErr
+			if frontPanic != nil {
+				err = panicAsError(c, frontPanic)
+			}
+			if err == nil {
+				builds[i], profiles[i], err = model(info, stages[k], c, cfg, opts.evalHook)
+			}
 			var um *ErrUnmodeled
-			if errors.As(err, &um) {
+			switch {
+			case err == nil:
+				results[i].Status = StatusPruned
+				results[i].Static = profiles[i].Static(cfg)
+			case errors.As(err, &um):
 				results[i].Unmodeled = true
 				results[i].Note = um.Reason
-				return
+			default:
+				results[i].Status = StatusInfeasible
+				results[i].Note = err.Error()
 			}
-			results[i].Status = StatusInfeasible
-			results[i].Note = err.Error()
-			return
 		}
-		profiles[i] = pf
-		results[i].Status = StatusPruned
-		results[i].Static = pf.Static(cfg)
 	})
 	if err := ctx.Err(); err != nil {
 		return interrupted(rep, results, err)
@@ -555,7 +582,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		m, ok := opts.Cache.get(key)
 		if !ok {
 			var err error
-			m, err = safeMeasure(ctx, w, results[i].Candidate, cfg, opts.evalHook)
+			m, err = safeMeasure(ctx, w, results[i].Candidate, builds[i], ins, cfg, opts.evalHook)
 			if err != nil {
 				errs[n] = err
 				return
@@ -622,9 +649,10 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	rep.Winner = results[winner].Candidate.Key()
 	rep.Regret = results[handIdx].Measured - results[winner].Measured
 
-	// Rerun the winner traced: the rerun must reproduce the measurement
-	// exactly, and its critical path attributes the makespan by cause.
-	m2, d, err := measure(ctx, w, results[winner].Candidate, cfg, true)
+	// Rerun the winner's image traced: the rerun must reproduce the
+	// measurement exactly, and its critical path attributes the makespan by
+	// cause. A winner served from the cache has an image all the same.
+	m2, d, err := measure(ctx, w, results[winner].Candidate, builds[winner], ins, cfg, true)
 	if err != nil {
 		if ctx.Err() != nil {
 			return interrupted(rep, results, ctx.Err())
@@ -646,51 +674,72 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	return rep, nil
 }
 
+// model is tier 1 for one candidate of a compiled mapping: lower its stage
+// and walk the image, with the worker pool's panic isolation. A candidate the
+// walk cannot decide (*ErrUnmodeled) still returns its image: tier 3 measures
+// it.
+func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook func(string, Candidate)) (b *built, pf *Profile, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			b, pf, err = nil, nil, panicAsError(c, r)
+		}
+	}()
+	if hook != nil {
+		hook("static", c)
+	}
+	if b, err = lower(info, st, cfg.Procs); err != nil {
+		return nil, nil, err
+	}
+	pf, err = profileOf(b.img, cfg)
+	return b, pf, err
+}
+
 // anchor measures the declared program traced and checks the model against
 // it: dump identity replay, walked-profile replay, and message totals must all
-// agree with the machine.
-func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, rep *Report) error {
-	progs, info, err := w.compile(nil, opts.BaselineMode, opts.BaselineBlk, cfg.Procs)
+// agree with the machine. It returns the run inputs it built, which every
+// later run of the search shares.
+func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, rep *Report) (map[string]*istruct.Matrix, error) {
+	b, err := w.build(nil, opts.BaselineMode, opts.BaselineBlk, cfg.Procs)
 	if err != nil {
-		return fmt.Errorf("autotune: baseline does not compile: %w", err)
+		return nil, fmt.Errorf("autotune: baseline does not compile: %w", err)
 	}
-	ins, _, err := w.inputs(info)
+	ins, err := w.inputs(b.info)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bcfg := cfg
 	tr := trace.New()
 	bcfg.Tracer = tr
-	out, err := exec.RunSPMDCtx(ctx, progs, bcfg, ins)
+	out, err := b.img.Run(ctx, bcfg, ins)
 	if err != nil {
-		return fmt.Errorf("autotune: baseline run: %w", err)
+		return nil, fmt.Errorf("autotune: baseline run: %w", err)
 	}
-	if err := w.validate(out, progs, info); err != nil {
-		return fmt.Errorf("autotune: baseline computes the wrong answer: %w", err)
+	if err := w.validate(out, b.img.Outputs(), b.info); err != nil {
+		return nil, fmt.Errorf("autotune: baseline computes the wrong answer: %w", err)
 	}
 	measured := uint64(out.Stats.Makespan)
 
 	d := analysis.NewDump(bcfg, tr)
 	identity, err := d.Predict(analysis.Scenario{})
 	if err != nil {
-		return fmt.Errorf("autotune: baseline identity replay: %w", err)
+		return nil, fmt.Errorf("autotune: baseline identity replay: %w", err)
 	}
 	if identity != measured {
-		return fmt.Errorf("autotune: baseline identity replay %d != measured %d", identity, measured)
+		return nil, fmt.Errorf("autotune: baseline identity replay %d != measured %d", identity, measured)
 	}
-	pf, err := BuildProfile(progs, cfg)
+	pf, err := profileOf(b.img, cfg)
 	if err != nil {
-		return fmt.Errorf("autotune: baseline is not statically modelable: %w", err)
+		return nil, fmt.Errorf("autotune: baseline is not statically modelable: %w", err)
 	}
 	pred, err := pf.Predict(cfg)
 	if err != nil {
-		return fmt.Errorf("autotune: baseline DAG replay: %w", err)
+		return nil, fmt.Errorf("autotune: baseline DAG replay: %w", err)
 	}
 	if pred != measured {
-		return fmt.Errorf("autotune: baseline predicted %d != measured %d — the DAG replay disagrees with the machine", pred, measured)
+		return nil, fmt.Errorf("autotune: baseline predicted %d != measured %d — the DAG replay disagrees with the machine", pred, measured)
 	}
 	if pf.Messages != out.Stats.Messages || pf.Values != out.Stats.Values {
-		return fmt.Errorf("autotune: baseline modeled %d messages/%d values, machine reports %d/%d",
+		return nil, fmt.Errorf("autotune: baseline modeled %d messages/%d values, machine reports %d/%d",
 			pf.Messages, pf.Values, out.Stats.Messages, out.Stats.Values)
 	}
 	rep.Baseline = Baseline{
@@ -698,7 +747,24 @@ func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, 
 		Measured: measured, Predicted: pred,
 		Messages: out.Stats.Messages, Values: out.Stats.Values,
 	}
-	return nil
+	return ins, nil
+}
+
+// byMapping groups candidate indices by mapping, groups and members both in
+// order of first appearance.
+func byMapping(cands []Candidate) [][]int {
+	var groups [][]int
+	at := map[Mapping]int{}
+	for i, c := range cands {
+		g, ok := at[c.Mapping]
+		if !ok {
+			g = len(groups)
+			at[c.Mapping] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
 }
 
 func hasKey(cands []Candidate, key string) bool {

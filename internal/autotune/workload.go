@@ -45,12 +45,14 @@ func (w *Workload) parse() (*lang.Program, error) {
 	return lang.CloneProgram(w.parsed), nil
 }
 
-// compile builds the per-process programs: take a copy of the parsed source,
-// retarget the distribution to m (nil compiles the program exactly as written
-// — the annotation the paper's programmer chose, for the baseline run that
-// anchors the model), semantic-check at the machine size, and hand the back
-// half to xform.Compile.
-func (w *Workload) compile(m *Mapping, mode string, blk int64, procs int) ([]*spmd.Program, *sem.Info, error) {
+// compileAll is the front half every candidate of one mapping shares, and
+// the back half at each of their pipeline points: take a copy of the parsed
+// source, retarget the distribution to m (nil compiles the program exactly as
+// written — the annotation the paper's programmer chose, for the baseline run
+// that anchors the model), semantic-check at the machine size, and hand the
+// points to xform.CompileAll. The error is the mapping's; a point that fails
+// alone says so in its Stage.
+func (w *Workload) compileAll(m *Mapping, points []xform.Point, procs int) (*sem.Info, []xform.Stage, error) {
 	prog, err := w.parse()
 	if err != nil {
 		return nil, nil, err
@@ -70,35 +72,62 @@ func (w *Workload) compile(m *Mapping, mode string, blk int64, procs int) ([]*sp
 	if len(errs) > 0 {
 		return nil, nil, errs[0]
 	}
-	progs, err := xform.Compile(info, w.Entry, mode, blk)
-	if errors.Is(err, xform.ErrUnknownMode) {
-		err = fmt.Errorf("autotune: %w", err)
-	}
-	return progs, info, err
+	return info, xform.CompileAll(info, w.Entry, points), nil
 }
 
-// inputs builds the istruct.Pattern matrices for the entry's parameters: one
-// set for the distributed run, one for the sequential reference.
-func (w *Workload) inputs(info *sem.Info) (map[string]*istruct.Matrix, []exec.ArgVal, error) {
+// built is one candidate ready to walk and to run: the lowered image tier 1
+// makes and tier 3 runs, and the checked program the sequential reference
+// interprets.
+type built struct {
+	img  *exec.Image
+	info *sem.Info
+}
+
+// lower turns one compiled point into a built candidate.
+func lower(info *sem.Info, st xform.Stage, procs int) (*built, error) {
+	if st.Err != nil {
+		if errors.Is(st.Err, xform.ErrUnknownMode) {
+			return nil, fmt.Errorf("autotune: %w", st.Err)
+		}
+		return nil, st.Err
+	}
+	img, err := exec.LowerAll(st.Progs, procs)
+	if err != nil {
+		return nil, err
+	}
+	return &built{img: img, info: info}, nil
+}
+
+// build compiles and lowers a single candidate (or, with m nil, the program
+// as written) through the path the search takes for a whole mapping.
+func (w *Workload) build(m *Mapping, mode string, blk int64, procs int) (*built, error) {
+	info, stages, err := w.compileAll(m, []xform.Point{{Mode: mode, Blk: blk}}, procs)
+	if err != nil {
+		return nil, err
+	}
+	return lower(info, stages[0], procs)
+}
+
+// inputs builds the istruct.Pattern matrix of each entry parameter, by name.
+// A distributed run only reads them (exec scatters copies to the owners), so
+// one set serves every run of a search.
+func (w *Workload) inputs(info *sem.Info) (map[string]*istruct.Matrix, error) {
 	p, ok := info.Procs[w.Entry]
 	if !ok {
-		return nil, nil, fmt.Errorf("autotune: no procedure %s", w.Entry)
+		return nil, fmt.Errorf("autotune: no procedure %s", w.Entry)
 	}
 	ins := map[string]*istruct.Matrix{}
-	var args []exec.ArgVal
 	for _, prm := range p.Params {
 		if prm.Type.Base != lang.TMatrix {
-			return nil, nil, fmt.Errorf("autotune: entry parameter %s is not a matrix", prm.Name)
+			return nil, fmt.Errorf("autotune: entry parameter %s is not a matrix", prm.Name)
 		}
 		m, err := istruct.Pattern(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ins[prm.Name] = m
-		ref, _ := istruct.Pattern(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1]) // same arguments: cannot fail either
-		args = append(args, exec.ArgVal{Matrix: ref})
 	}
-	return ins, args, nil
+	return ins, nil
 }
 
 // reference runs the sequential interpreter once per workload and caches the
@@ -109,9 +138,13 @@ func (w *Workload) reference(info *sem.Info) (*exec.Outcome, error) {
 	if w.refOut != nil {
 		return w.refOut, nil
 	}
-	_, args, err := w.inputs(info)
+	ins, err := w.inputs(info)
 	if err != nil {
 		return nil, err
+	}
+	var args []exec.ArgVal
+	for _, prm := range info.Procs[w.Entry].Params {
+		args = append(args, exec.ArgVal{Matrix: ins[prm.Name]})
 	}
 	out, err := exec.RunSequential(info, w.Entry, args)
 	if err != nil {
@@ -123,7 +156,7 @@ func (w *Workload) reference(info *sem.Info) (*exec.Outcome, error) {
 
 // validate compares a distributed outcome's returned array with the
 // sequential reference, identifying it by name the way pdrun does.
-func (w *Workload) validate(out *exec.SPMDOutcome, progs []*spmd.Program, info *sem.Info) error {
+func (w *Workload) validate(out *exec.SPMDOutcome, outputs []spmd.OutVar, info *sem.Info) error {
 	seq, err := w.reference(info)
 	if err != nil {
 		return fmt.Errorf("sequential reference failed: %w", err)
@@ -133,7 +166,7 @@ func (w *Workload) validate(out *exec.SPMDOutcome, progs []*spmd.Program, info *
 	}
 	want := seq.Ret.Matrix
 	retName, lastArray := "", ""
-	for _, o := range progs[0].Outputs {
+	for _, o := range outputs {
 		if !o.IsArray {
 			continue
 		}

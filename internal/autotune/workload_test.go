@@ -7,6 +7,7 @@ import (
 
 	"procdecomp/internal/dist"
 	"procdecomp/internal/spmd"
+	"procdecomp/internal/xform"
 )
 
 // A Workload parses its source once and Search compiles candidates on several
@@ -19,12 +20,15 @@ func TestCompileSharesOneParseSafely(t *testing.T) {
 	const procs = 4
 	mappings := []Mapping{{Kind: dist.KindCyclicCols, Span: 2}, {Kind: dist.KindReplicated}}
 	format := func(w *Workload, m Mapping) (string, error) {
-		progs, _, err := w.compile(&m, "opt3", 4, procs)
+		_, stages, err := w.compileAll(&m, []xform.Point{{Mode: "opt3", Blk: 4}}, procs)
+		if err == nil {
+			err = stages[0].Err
+		}
 		if err != nil {
 			return "", err
 		}
 		var b strings.Builder
-		for _, p := range progs {
+		for _, p := range stages[0].Progs {
 			b.WriteString(spmd.Format(p))
 		}
 		return b.String(), nil

@@ -32,21 +32,13 @@ func RunSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 	return RunSPMDCtx(context.Background(), progs, cfg, inputs)
 }
 
-// RunSPMDCtx is RunSPMD under a context: the context's Done channel is wired
-// to the machine's Cancel hook, so a deadline or cancellation aborts the
-// simulated run at the next machine action of any process. A canceled run
-// returns an error satisfying errors.Is against both machine.ErrCanceled and
-// the context's own error (context.Canceled or context.DeadlineExceeded), so
-// callers can tell a host-side abort from a simulation failure.
+// RunSPMDCtx is RunSPMD under a context: LowerAll, then the image's Run.
 func RunSPMDCtx(ctx context.Context, progs []*spmd.Program, cfg machine.Config, inputs map[string]*istruct.Matrix) (*SPMDOutcome, error) {
-	if done := ctx.Done(); done != nil {
-		cfg.Cancel = done
+	im, err := LowerAll(progs, cfg.Procs)
+	if err != nil {
+		return nil, err
 	}
-	out, err := runSPMD(progs, cfg, inputs)
-	if err != nil && errors.Is(err, machine.ErrCanceled) && ctx.Err() != nil {
-		return nil, fmt.Errorf("exec: %w: %w", err, ctx.Err())
-	}
-	return out, err
+	return im.Run(ctx, cfg, inputs)
 }
 
 // PerProcess resolves which program each of procs processes runs: progs must
@@ -67,26 +59,73 @@ func PerProcess(progs []*spmd.Program, procs int) (func(p int) *spmd.Program, er
 	return nil, fmt.Errorf("exec: got %d program(s) for %d processes", len(progs), procs)
 }
 
-func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istruct.Matrix) (*SPMDOutcome, error) {
-	pick, err := PerProcess(progs, cfg.Procs)
+// An Image is a program suite lowered for a machine of a fixed size: what
+// each process steps, plus the parameter and output declarations the harness
+// scatters and gathers by. It is immutable, so one image serves any number of
+// runs and walks, concurrently.
+type Image struct {
+	low []*Lowered // by process; a generic program's one Lowered, repeated
+	// Specializations share their generic program's declarations, so process
+	// 0's speak for all.
+	params  []spmd.ArrayInfo
+	arrays  map[string]spmd.ArrayInfo
+	outputs []spmd.OutVar
+}
+
+// LowerAll resolves progs for procs processes (as PerProcess accepts them)
+// and lowers each distinct program once: the generic program of run-time
+// resolution is shared by every process.
+func LowerAll(progs []*spmd.Program, procs int) (*Image, error) {
+	pick, err := PerProcess(progs, procs)
 	if err != nil {
 		return nil, err
 	}
-
-	m := machine.New(cfg)
-	// Lower each distinct program once: the generic program of run-time
-	// resolution is shared by every process.
-	states := make([]*concrete, cfg.Procs)
-	for p := range states {
+	im := &Image{low: make([]*Lowered, procs), params: pick(0).Params, arrays: pick(0).Arrays, outputs: pick(0).Outputs}
+	for p := range im.low {
 		if p > 0 && pick(p) == pick(p-1) {
-			states[p] = newConcrete(states[p-1].low)
+			im.low[p] = im.low[p-1]
 		} else {
-			states[p] = newConcrete(Lower(pick(p)))
+			im.low[p] = Lower(pick(p))
 		}
 	}
-	// Scatter input arrays (setup, not timed). Specializations share their
-	// generic program's parameters, so process 0's list speaks for all.
-	for _, prm := range pick(0).Params {
+	return im, nil
+}
+
+// Outputs lists the values a run of the image produces.
+func (im *Image) Outputs() []spmd.OutVar { return im.outputs }
+
+// Walk is process p's abstract run (see Lowered.Walk).
+func (im *Image) Walk(p int, sink Sink) error { return im.low[p].Walk(p, sink) }
+
+// Run executes the image on a fresh simulated machine of the size it was
+// lowered for. The context's Done channel is wired to the machine's Cancel
+// hook, so a deadline or cancellation aborts the simulated run at the next
+// machine action of any process. A canceled run returns an error satisfying
+// errors.Is against both machine.ErrCanceled and the context's own error
+// (context.Canceled or context.DeadlineExceeded), so callers can tell a
+// host-side abort from a simulation failure.
+func (im *Image) Run(ctx context.Context, cfg machine.Config, inputs map[string]*istruct.Matrix) (*SPMDOutcome, error) {
+	if cfg.Procs != len(im.low) {
+		return nil, fmt.Errorf("exec: image lowered for %d processes run on %d", len(im.low), cfg.Procs)
+	}
+	if done := ctx.Done(); done != nil {
+		cfg.Cancel = done
+	}
+	out, err := im.run(cfg, inputs)
+	if err != nil && errors.Is(err, machine.ErrCanceled) && ctx.Err() != nil {
+		return nil, fmt.Errorf("exec: %w: %w", err, ctx.Err())
+	}
+	return out, err
+}
+
+func (im *Image) run(cfg machine.Config, inputs map[string]*istruct.Matrix) (*SPMDOutcome, error) {
+	m := machine.New(cfg)
+	states := make([]*concrete, cfg.Procs)
+	for p := range states {
+		states[p] = newConcrete(im.low[p])
+	}
+	// Scatter input arrays (setup, not timed).
+	for _, prm := range im.params {
 		g, ok := inputs[prm.Name]
 		if !ok {
 			return nil, fmt.Errorf("exec: no input supplied for parameter %s", prm.Name)
@@ -104,7 +143,7 @@ func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 		}
 	}
 
-	err = m.Run(func(p *machine.Proc) {
+	err := m.Run(func(p *machine.Proc) {
 		d := states[p.ID()]
 		d.Proc = p
 		if err := newStepper(d.low, p.ID(), d).run(); err != nil {
@@ -129,9 +168,9 @@ func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 		Arrays:  map[string]*istruct.Matrix{},
 		Scalars: map[string]Value{},
 	}
-	for _, o := range pick(0).Outputs {
+	for _, o := range im.outputs {
 		if o.IsArray {
-			info := pick(0).Arrays[o.Name]
+			info := im.arrays[o.Name]
 			g, gerr := gather(states, o.Name, info)
 			if gerr != nil {
 				return nil, gerr

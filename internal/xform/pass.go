@@ -3,6 +3,7 @@ package xform
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"procdecomp/internal/core"
 	"procdecomp/internal/sem"
@@ -127,11 +128,16 @@ func Apply(progs []*spmd.Program, passes []Pass) ([]int, error) {
 	for i, p := range passes {
 		n, err := p.Apply(progs)
 		if err != nil {
-			return counts, fmt.Errorf("pass %d (%s): %w", i, p, err)
+			return counts, passError(i, p, err)
 		}
 		counts[i] = n
 	}
 	return counts, nil
+}
+
+// passError names the failing pass by its index in the pipeline it is part of.
+func passError(i int, p Pass, err error) error {
+	return fmt.Errorf("pass %d (%s): %w", i, p, err)
 }
 
 // StandardPipeline maps an optimization-mode name to the pass pipeline the
@@ -164,28 +170,125 @@ var ErrUnknownMode = errors.New("unknown mode")
 // (pdc, pdrun, pdserve, the bench registry and the auto-mapper): resolve
 // entry of the checked program — run-time resolution for "rtr" (one generic
 // program), compile-time resolution with loop restriction otherwise (one
-// program per process) — and apply the mode's StandardPipeline.
+// program per process) — and apply the mode's StandardPipeline. It is
+// CompileAll of one point, which clones nothing.
 func Compile(info *sem.Info, entry, mode string, blk int64) ([]*spmd.Program, error) {
-	passes, ok := StandardPipeline(mode, blk)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownMode, mode)
-	}
-	comp := core.New(info)
-	if mode == "rtr" {
-		generic, err := comp.CompileRTR(entry)
-		if err != nil {
-			return nil, err
+	st := CompileAll(info, entry, []Point{{Mode: mode, Blk: blk}})[0]
+	return st.Progs, st.Err
+}
+
+// A Point is one optimization level of the standard pipeline: a mode name and
+// the strip-mine block size (which only opt3 reads).
+type Point struct {
+	Mode string
+	Blk  int64
+}
+
+// A Stage is what one Point compiled to: its programs, or why there are none.
+// Points with equal pipelines share one Stage's programs, and every stage
+// shares the generic program's declarations; treat them as read-only.
+type Stage struct {
+	Progs []*spmd.Program
+	Err   error
+
+	passes []Pass // the point's StandardPipeline
+}
+
+// CompileAll compiles entry at every requested point for the price of one
+// front half: the entry is resolved once (the generic program is the "rtr"
+// point) and specialized once (the "ctr" point), and each pass of the points'
+// pipelines runs once, on the stage its prefix produced — the paper's
+// optimization levels are suffixes of one pipeline over one CTR output. A
+// stage is copied before a pass rewrites it only if it is still needed as
+// itself: it is a requested point, or another requested point extends it by a
+// different pass. Otherwise the pass runs in place, so compiling one point
+// copies nothing. The result is indexed like points. A point fails alone with
+// what Compile would say of it; points that extend a failed pass share its
+// error.
+func CompileAll(info *sem.Info, entry string, points []Point) []Stage {
+	out := make([]Stage, len(points))
+	resolve, specialize := false, false
+	for i, pt := range points {
+		passes, ok := StandardPipeline(pt.Mode, pt.Blk)
+		if !ok {
+			out[i].Err = fmt.Errorf("%w %q", ErrUnknownMode, pt.Mode)
+			continue
 		}
-		return []*spmd.Program{generic}, nil
+		out[i].passes = passes
+		resolve = true
+		specialize = specialize || pt.Mode != "rtr"
 	}
-	progs, err := comp.CompileCTR(entry, true)
-	if err != nil {
-		return nil, err
+	if !resolve {
+		return out
 	}
-	if _, err := Apply(progs, passes); err != nil {
-		return nil, err
+	generic, err := core.New(info).CompileRTR(entry)
+	for i, pt := range points {
+		switch {
+		case out[i].Err != nil:
+		case err != nil:
+			out[i].Err = err
+		case pt.Mode == "rtr":
+			out[i].Progs = []*spmd.Program{generic}
+		}
 	}
-	return progs, nil
+	if err == nil && specialize {
+		grow(out, core.SpecializeAll(generic, info.Cfg.Procs, true), nil)
+	}
+	return out
+}
+
+// pending reports whether the stage is still to be produced and its pipeline
+// starts with prefix.
+func (st *Stage) pending(prefix []Pass) bool {
+	return st.Progs == nil && st.Err == nil && len(st.passes) >= len(prefix) &&
+		slices.Equal(st.passes[:len(prefix)], prefix)
+}
+
+// grow settles every pending stage whose pipeline starts with prefix, given
+// progs, the programs prefix produces: the stages that stop here take progs,
+// and each distinct next pass runs once, on a copy if progs is still needed.
+func grow(out []Stage, progs []*spmd.Program, prefix []Pass) {
+	d := len(prefix)
+	needed := false
+	for i := range out {
+		if out[i].pending(prefix) && len(out[i].passes) == d {
+			out[i].Progs, needed = progs, true
+		}
+	}
+	for i := range out {
+		if !out[i].pending(prefix) {
+			continue
+		}
+		next := out[i].passes[:d+1]
+		stage := progs
+		if needed || otherBranch(out[i+1:], prefix, next[d]) {
+			stage = make([]*spmd.Program, len(progs))
+			for p, prog := range progs {
+				stage[p] = prog.CloneProgram()
+			}
+		}
+		if _, err := next[d].Apply(stage); err != nil {
+			err = passError(d, next[d], err)
+			for j := range out {
+				if out[j].pending(next) {
+					out[j].Err = err
+				}
+			}
+			continue
+		}
+		grow(out, stage, next)
+	}
+}
+
+// otherBranch reports whether a pending stage extends prefix by a pass other
+// than next.
+func otherBranch(out []Stage, prefix []Pass, next Pass) bool {
+	for i := range out {
+		if out[i].pending(prefix) && out[i].passes[len(prefix)] != next {
+			return true
+		}
+	}
+	return false
 }
 
 // StandardModes lists the mode names StandardPipeline accepts, in

@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -75,14 +76,6 @@ func TestInterchangeApplicability(t *testing.T) {
 // functions they wrap — Pass is a contract change, not a behavior change.
 func TestPassesMatchBareFunctions(t *testing.T) {
 	compile := func() []*spmd.Program { return compileCTR(t, checked(t, 4, 16)) }
-	format := func(progs []*spmd.Program) string {
-		var b strings.Builder
-		for _, p := range progs {
-			b.WriteString(spmd.Format(p))
-		}
-		return b.String()
-	}
-
 	bare := compile()
 	Vectorize(bare)
 	Jam(bare)
@@ -102,7 +95,7 @@ func TestPassesMatchBareFunctions(t *testing.T) {
 			t.Errorf("pass %v transformed nothing on the GS program", passes[i])
 		}
 	}
-	if format(bare) != format(viaPasses) {
+	if formatAll(bare) != formatAll(viaPasses) {
 		t.Fatal("pass pipeline and bare functions produced different code")
 	}
 }
@@ -145,5 +138,119 @@ func TestStandardPipelineModes(t *testing.T) {
 	passes, _ := StandardPipeline("opt3", 0)
 	if _, err := Apply(compileCTR(t, checked(t, 4, 16)), passes); err == nil {
 		t.Error("opt3 with block size 0 accepted")
+	}
+}
+
+func formatAll(progs []*spmd.Program) string {
+	var b strings.Builder
+	for _, p := range progs {
+		b.WriteString(spmd.Format(p))
+	}
+	return b.String()
+}
+
+// CompileAll's shared stages must not alias: every point of a multi-point
+// compile formats exactly as a one-point Compile of its own does, the early
+// stages are unchanged by deriving opt3/blk4 and opt3/blk8 from them, points
+// with different pipelines share no program, and the order the points are
+// asked in changes nothing.
+func TestCompileAllStagesDoNotAlias(t *testing.T) {
+	early := []Point{{Mode: "rtr"}, {Mode: "ctr"}, {Mode: "opt1"}, {Mode: "opt2"}}
+	all := append(append([]Point(nil), early...), Point{Mode: "opt3", Blk: 4}, Point{Mode: "opt3", Blk: 8})
+	reversed := make([]Point, len(all))
+	for i, pt := range all {
+		reversed[len(all)-1-i] = pt
+	}
+
+	before := CompileAll(checked(t, 4, 16), "gs_iteration", early)
+	stages := CompileAll(checked(t, 4, 16), "gs_iteration", all)
+	back := CompileAll(checked(t, 4, 16), "gs_iteration", reversed)
+	owner := map[*spmd.Program]int{}
+	for i, pt := range all {
+		if stages[i].Err != nil {
+			t.Fatalf("%v: %v", pt, stages[i].Err)
+		}
+		want, err := Compile(checked(t, 4, 16), "gs_iteration", pt.Mode, pt.Blk)
+		if err != nil {
+			t.Fatalf("%v: %v", pt, err)
+		}
+		got := formatAll(stages[i].Progs)
+		if got != formatAll(want) {
+			t.Errorf("%v: the multi-point compile differs from a one-point compile", pt)
+		}
+		if i < len(early) && got != formatAll(before[i].Progs) {
+			t.Errorf("%v: deriving the opt3 points changed an earlier stage", pt)
+		}
+		if got != formatAll(back[len(all)-1-i].Progs) {
+			t.Errorf("%v: the order of the points changed the result", pt)
+		}
+		for _, p := range stages[i].Progs {
+			if j, dup := owner[p]; dup {
+				t.Errorf("%v and %v share a program", all[j], pt)
+			}
+			owner[p] = i
+		}
+	}
+}
+
+// A point fails alone, with exactly what Compile says of it (a failing pass
+// names its index in the point's full pipeline), and the points beside it
+// still compile; a failure to resolve the entry is every point's.
+func TestCompileAllPerPointErrors(t *testing.T) {
+	points := []Point{{Mode: "opt3", Blk: 0}, {Mode: "warp"}, {Mode: "opt2"}, {Mode: "opt3", Blk: 4}, {Mode: "rtr"}}
+	for _, entry := range []string{"gs_iteration", "no_such_proc"} {
+		stages := CompileAll(checked(t, 4, 16), entry, points)
+		for i, pt := range points {
+			want, wantErr := Compile(checked(t, 4, 16), entry, pt.Mode, pt.Blk)
+			if (wantErr == nil) != (stages[i].Err == nil) || (wantErr != nil && wantErr.Error() != stages[i].Err.Error()) {
+				t.Errorf("%s %v: error %v, Compile says %v", entry, pt, stages[i].Err, wantErr)
+			}
+			if formatAll(stages[i].Progs) != formatAll(want) {
+				t.Errorf("%s %v: programs differ from Compile's", entry, pt)
+			}
+		}
+		if !errors.Is(stages[1].Err, ErrUnknownMode) {
+			t.Errorf("%s: unknown mode reported as %v", entry, stages[1].Err)
+		}
+	}
+	if err := CompileAll(checked(t, 4, 16), "gs_iteration", points)[0].Err; err == nil ||
+		!strings.HasPrefix(err.Error(), "pass 2 (stripmine(0)): ") {
+		t.Errorf("opt3 with block size 0: error %v, want the failing pass named by its pipeline index", err)
+	}
+}
+
+// Compile is CompileAll of one point, which must copy nothing: it allocates
+// what resolving the entry and applying the pipeline by hand allocate, give or
+// take a few of bookkeeping (the result slice and the point's pass list for
+// Apply's counts; the race detector's runtime adds noise of its own) — nowhere
+// near the cost of copying a stage.
+func TestCompileOnePointClonesNothing(t *testing.T) {
+	info := checked(t, 4, 16)
+	ctr := compileCTR(t, info)
+	clone := testing.AllocsPerRun(20, func() {
+		for _, p := range ctr {
+			p.CloneProgram()
+		}
+	})
+	for _, mode := range []string{"ctr", "opt1", "opt3"} {
+		byHand := testing.AllocsPerRun(20, func() {
+			progs, err := core.New(info).CompileCTR("gs_iteration", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes, _ := StandardPipeline(mode, 4)
+			if _, err := Apply(progs, passes); err != nil {
+				t.Fatal(err)
+			}
+		})
+		compile := testing.AllocsPerRun(20, func() {
+			if _, err := Compile(info, "gs_iteration", mode, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if compile-byHand > clone/10 {
+			t.Errorf("%s: Compile allocates %.0f times, the pipeline by hand %.0f; copying the ctr stage costs %.0f",
+				mode, compile, byHand, clone)
+		}
 	}
 }
