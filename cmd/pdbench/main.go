@@ -22,13 +22,12 @@ import (
 	"strings"
 
 	"procdecomp/internal/bench"
-	"procdecomp/internal/enginebench"
 	"procdecomp/internal/machine"
 )
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "6 | 7 | messages | blocksize | interchange | sharedmem | utilization | attribution | balance | multiplex | faults | engine | none | all (engine runs only when named)")
+		fig       = flag.String("fig", "all", strings.Join(figures, " | ")+" | none | all")
 		n         = flag.Int64("n", 128, "grid size N (the paper uses 128)")
 		blk       = flag.Int64("blk", bench.DefaultBlk, "block size for Optimized III / handwritten")
 		procsCS   = flag.String("procs", "", "comma-separated processor counts (default: the paper's sweep)")
@@ -36,11 +35,11 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of one Optimized III Fig. 6 run (open in Perfetto, analyze with pdtrace)")
 		faultRate = flag.Float64("faults", 0.10, "top drop rate of the fault sweep (-fig faults)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for the fault sweep's chaos schedules")
-
-		engineJSON = flag.String("engine-json", "", "write the engine differential benchmark as JSON to this file (implies -fig engine)")
-		minSpeedup = flag.Float64("engine-min-speedup", 5, "fail unless the event loop beats the goroutine baseline by this factor on the gated shape")
 	)
 	flag.Parse()
+	if err := checkFig(*fig); err != nil {
+		fatal(err)
+	}
 
 	procs := bench.DefaultProcs
 	if *procsCS != "" {
@@ -109,34 +108,6 @@ func main() {
 		})
 	}
 
-	if *fig == "engine" || *engineJSON != "" {
-		rep, err := enginebench.RunEngineBench(*minSpeedup)
-		if err != nil {
-			fatal(fmt.Errorf("engine benchmark: %w", err))
-		}
-		fmt.Println(rep.Format())
-		if *engineJSON != "" {
-			f, err := os.Create(*engineJSON)
-			if err != nil {
-				fatal(err)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("json: engine differential benchmark -> %s\n", *engineJSON)
-		}
-		if !rep.Pass {
-			fatal(fmt.Errorf("engine gate: event loop is %.1fx faster than the goroutine baseline on the gated shape, need >= %.1fx",
-				rep.GateSpeedup, *minSpeedup))
-		}
-	}
-
 	if *jsonOut != "" {
 		recs, err := bench.Figure6JSON(*n, procs, *blk)
 		if err != nil {
@@ -184,6 +155,24 @@ func main() {
 		fmt.Printf("trace: Optimized III, S=%d, N=%d, blksize %d: makespan %d, %d messages -> %s\n",
 			p, *n, *blk, st.Makespan, d.Messages(), *traceOut)
 	}
+}
+
+// figures is what -fig accepts besides "none" and "all".
+var figures = []string{"6", "7", "messages", "blocksize", "interchange", "sharedmem",
+	"utilization", "attribution", "balance", "multiplex", "faults"}
+
+// checkFig rejects a -fig value that would select nothing: a misspelt or
+// retired name must not pass as an empty, successful run.
+func checkFig(name string) error {
+	if name == "none" || name == "all" {
+		return nil
+	}
+	for _, f := range figures {
+		if name == f {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown -fig %q (valid: %s | none | all)", name, strings.Join(figures, " | "))
 }
 
 func parseProcs(s string) ([]int, error) {

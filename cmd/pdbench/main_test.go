@@ -38,3 +38,23 @@ func TestParseProcs(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckFig(t *testing.T) {
+	for _, name := range append([]string{"none", "all"}, figures...) {
+		if err := checkFig(name); err != nil {
+			t.Errorf("checkFig(%q) failed: %v", name, err)
+		}
+	}
+	for _, name := range []string{"engine", "bogus", "", "6,7"} {
+		err := checkFig(name)
+		if err == nil {
+			t.Errorf("checkFig(%q) accepted an unknown figure", name)
+			continue
+		}
+		for _, valid := range []string{"multiplex", "none", "all"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("checkFig(%q) error does not name the valid value %q: %v", name, valid, err)
+			}
+		}
+	}
+}

@@ -129,7 +129,7 @@ func main() {
 	if err != nil {
 		if errors.Is(err, machine.ErrCanceled) {
 			var ce *machine.CanceledError
-			if errors.As(err, &ce) && ce.Proc >= 0 {
+			if errors.As(err, &ce) {
 				fmt.Fprintf(os.Stderr, "pdrun: interrupted at process %d, cycle %d\n", ce.Proc, ce.Clock)
 			} else {
 				fmt.Fprintln(os.Stderr, "pdrun: interrupted")

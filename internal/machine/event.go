@@ -3,22 +3,11 @@ package machine
 import (
 	"errors"
 	"fmt"
-
-	"procdecomp/internal/trace"
 )
 
 // The discrete-event engine.
 //
-// The goroutine engine (the original core, kept behind Config.Engine) lets
-// every process goroutine run freely and serializes them with a mutex and
-// condition-variable broadcasts. That is semantically fine — the simulated
-// clocks are order-independent — but each message wakes every blocked
-// goroutine (a thundering herd that is O(procs) per event), so wall-clock
-// cost grows quadratically with machine size and a pdmap search pays real
-// scheduler overhead for every candidate run.
-//
-// This engine replaces the free-running goroutines with a single-threaded
-// discrete-event loop in virtual time:
+// The machine is a single-threaded discrete-event loop in virtual time:
 //
 //   - The event queue is a binary min-heap of runnable processes keyed by
 //     (clock, id) — process ids break virtual-time ties, which is the
@@ -32,7 +21,10 @@ import (
 //   - Wake-ups are exact, not broadcast: the process whose step creates the
 //     awaited state (an enqueue for a parked receiver, a freed slot for a
 //     capacity-parked sender, a lost message or crash for a watchdogged
-//     receiver) moves exactly the affected process back into the heap.
+//     receiver) moves exactly the affected process back into the heap. A
+//     machine that instead wakes every parked process on every event pays
+//     O(procs) per event and quadratic wall-clock in machine size; the
+//     first core did (EXPERIMENTS, "Engine speedup").
 //
 // Processes keep the blocking Proc API (Compute/Send/Recv), so their stacks
 // have to live somewhere: each process still owns a goroutine, but it is a
@@ -42,41 +34,16 @@ import (
 // lock. The happens-before edges of the token handoffs are what make the
 // engine race-detector clean.
 //
-// Equivalence with the goroutine engine is exact, not approximate, and is
-// enforced by the differential harness in internal/bench:
+// Why any order the heap picks is the right one:
 //
-//   - Direct mode: arrival stamps are computed at send time and each
-//     (src, tag) FIFO has a single sender, so any execution order that
+//   - One process per node: arrival stamps are computed at send time and
+//     each (src, tag) FIFO has a single sender, so any execution order that
 //     respects message availability yields bit-identical clocks, traces,
 //     and counters. The heap order is one such order.
-//   - Multiplexed mode: the goroutine engine admits the active process with
-//     the minimal (clock, id) key; parking on that exact rule reproduces the
-//     same admission sequence, and busyCore is shared code.
-//   - The reliable transport (transmitLocked), watchdog diagnosis
-//     (unsatisfiableLocked), backpressure arithmetic, and deadlock report
-//     (deadlockErrorLocked) are the same functions in both engines; their
-//     "Locked" suffix is satisfied here by the execution token.
-
-// Engine selects the simulation core (Config.Engine).
-type Engine uint8
-
-const (
-	// EngineEvent is the single-threaded discrete-event loop — the default.
-	EngineEvent Engine = iota
-	// EngineGoroutine is the original goroutines+condvar machine, retained
-	// as the differential-testing and benchmark baseline.
-	EngineGoroutine
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineEvent:
-		return "event"
-	case EngineGoroutine:
-		return "goroutine"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
+//   - Under Placement node CPUs are shared, so order matters: every action
+//     first waits (admit) until its process holds the minimal (clock, id)
+//     key among runnable processes. No later action can then causally
+//     affect an admitted one (mux.go).
 
 type evState uint8
 
@@ -182,11 +149,10 @@ func (ev *evLoop) park(p *Proc) {
 	}
 }
 
-// main is the body wrapper of one process coroutine. Its recover
-// classification is the same as the goroutine engine's Run defer; the one
-// addition is the crash wake-up, which replaces the old engine's broadcast:
-// receivers blocked on the crashed process must learn their receive became
-// unsatisfiable.
+// main is the body wrapper of one process coroutine. Its recover classifies
+// how the body ended: a secondary abort, a fault-scheduled crash-stop (whose
+// peers must be woken to learn that their receive or send became
+// unsatisfiable), or the run's first failure.
 func (ev *evLoop) main(p *Proc, body func(p *Proc)) {
 	defer func() {
 		m := ev.m
@@ -213,13 +179,10 @@ func (ev *evLoop) main(p *Proc, body func(p *Proc)) {
 	body(p)
 }
 
-// runEvent is Machine.Run on the event engine: the event loop itself.
-func (m *Machine) runEvent(body func(p *Proc)) error {
-	m.mu.Lock()
-	m.running = true
-	m.mu.Unlock()
-
-	ev := m.ev
+// run is the event loop itself: it starts one coroutine per process and
+// dispatches until all of them are done.
+func (ev *evLoop) run(body func(p *Proc)) {
+	m := ev.m
 	ev.live = m.cfg.Procs
 	for _, p := range m.procs {
 		ev.state[p.id] = evReady
@@ -234,8 +197,7 @@ func (m *Machine) runEvent(body func(p *Proc)) error {
 	for ev.live > 0 {
 		if len(ev.heap) == 0 {
 			// Quiescence: every live process is parked in m.waiting. Diagnose
-			// (watchdog first, deadlock otherwise — the same order as the
-			// goroutine engine's checkDeadlockLocked) and tear down.
+			// (watchdog first, deadlock otherwise) and tear down.
 			if m.failed == nil && !ev.quiesce() {
 				continue // a defensive wake found runnable work
 			}
@@ -255,19 +217,17 @@ func (m *Machine) runEvent(body func(p *Proc)) error {
 		ev.resume[pid] <- true
 		<-ev.yield
 	}
-
-	m.mu.Lock()
-	m.running = false
-	m.mu.Unlock()
-	return m.failed
 }
 
-// quiesce diagnoses a run where no process can step: prefer the watchdog
-// (scanning in process order, so the reported receive is deterministic),
-// fall back to the deadlock report. It returns false — without setting a
-// failure — if some parked process turns out to be satisfiable after all;
-// that cannot happen if the wake rules are complete, but handling it keeps
-// the engine live rather than deadlocking the host on a missed wake.
+// quiesce diagnoses a run where no process can step: every live process is
+// parked (in Recv, or in Send on a full channel) and nothing pending can
+// satisfy any of them. If faults made a parked action provably unsatisfiable
+// the failure is the watchdog's typed error naming it (scanning in process
+// order, so the reported action is deterministic); otherwise a DeadlockError
+// listing every parked process and its mailbox. It returns false — without
+// setting a failure — if some parked process turns out to be satisfiable
+// after all; that cannot happen if the wake rules are complete, but handling
+// it keeps the engine live rather than deadlocking the host on a missed wake.
 func (ev *evLoop) quiesce() bool {
 	m := ev.m
 	for pid := 0; pid < m.cfg.Procs; pid++ {
@@ -291,28 +251,28 @@ func (ev *evLoop) quiesce() bool {
 		}
 		wi := m.waiting[pid]
 		if wi.send {
-			if reason := m.sendUnsatisfiableLocked(wi.dst); reason != "" {
+			if reason := m.sendUnsatisfiable(wi.dst); reason != "" {
 				m.failed = &SendTimeoutError{Proc: pid, Dst: wi.dst,
 					Clock: m.procs[pid].clock, Reason: reason}
 				return true
 			}
 			continue
 		}
-		if reason := m.unsatisfiableLocked(pid, wi.k); reason != "" {
+		if reason := m.recvUnsatisfiable(pid, wi.k); reason != "" {
 			m.failed = &RecvTimeoutError{Proc: pid, Src: wi.k.src, Tag: wi.k.tag,
 				Clock: m.procs[pid].clock, Reason: reason}
 			return true
 		}
 	}
-	m.failed = m.deadlockErrorLocked()
+	m.failed = m.deadlockError()
 	return true
 }
 
 // abortWaiting unwinds every parked process after a failure: each gets a
 // false resume, panics errAborted up its own stack (running its defers), and
 // yields back from its termination. Ready processes need no special
-// handling — the loop keeps resuming them and they die at their next machine
-// action (or finish cleanly, as in the goroutine engine).
+// handling — the loop keeps resuming them and they die at a later machine
+// action (or finish cleanly).
 func (ev *evLoop) abortWaiting() {
 	for pid := range ev.state {
 		if ev.state[pid] != evWaiting {
@@ -341,7 +301,7 @@ func (ev *evLoop) wakeRecv(dst int, k key) {
 
 // wakeLoss readies dst if it is parked receiving from src on any tag: a
 // lost-forever message killed the src→dst link, so the watchdog must run at
-// the receiver (the goroutine engine broadcast here).
+// the receiver.
 func (ev *evLoop) wakeLoss(dst, src int) {
 	if ev.state[dst] != evWaiting {
 		return
@@ -383,12 +343,24 @@ func (ev *evLoop) wakeCrashed(crashed int) {
 	}
 }
 
-// admit parks p until it holds the minimal (clock, id) key among runnable
-// processes — the event engine's half of the conservative admission rule
-// used under Placement (the goroutine engine's acquireLocked). Processes
-// parked in m.waiting are not runnable and do not gate admission, exactly as
-// muxWaiting processes do not in myTurnLocked.
+// wait parks p until another process's step creates the state why describes,
+// or the run is torn down. Callers re-check their condition on return.
+func (ev *evLoop) wait(p *Proc, why waitInfo) {
+	ev.m.waiting[p.id] = why
+	ev.state[p.id] = evWaiting
+	ev.park(p)
+	delete(ev.m.waiting, p.id)
+}
+
+// admit is the conservative admission rule of a multiplexed machine (mux.go):
+// it parks p until it holds the minimal (clock, id) key among runnable
+// processes. Processes parked in m.waiting are not runnable and do not gate
+// admission. With one process per node there is nothing to wait for: every
+// order the heap picks gives the same clocks.
 func (p *Proc) admit() {
+	if p.m.sched == nil {
+		return
+	}
 	ev := p.m.ev
 	for {
 		if p.m.failed != nil {
@@ -401,257 +373,4 @@ func (p *Proc) admit() {
 		ev.push(int32(p.id))
 		ev.park(p)
 	}
-}
-
-// evSend is Proc.Send on the event engine (direct mode). The virtual-time
-// arithmetic is copied line for line from Send/faultySend; only the
-// synchronization differs (exact wakes instead of mutex+broadcast).
-func (p *Proc) evSend(dst int, tag int64, vals []Value) {
-	m := p.m
-	cfg := &m.cfg
-	if m.faultive() {
-		if m.failed != nil {
-			panic(errAborted)
-		}
-		p.evCapWait(dst)
-	}
-	p.msgSeq++
-	over := cfg.SendStartup + Cost(len(vals))*cfg.PerValue
-	start := p.clock
-	p.clock += over
-	p.comm += over
-	if t := cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindSend, Start: start, End: p.clock,
-			Peer: dst, Tag: tag, Values: len(vals), Seq: p.msgSeq})
-	}
-	arrive, ok := p.clock+cfg.Latency, true
-	if cfg.Faults != nil {
-		arrive, ok = m.transmitLocked(p, dst, tag, len(vals), p.clock)
-	}
-	if m.failed != nil {
-		panic(errAborted)
-	}
-	m.msgs++
-	m.vals += int64(len(vals))
-	if !ok {
-		// Lost forever: nothing arrives, but a receiver blocked on this link
-		// must wake and run its watchdog check.
-		m.ev.wakeLoss(dst, p.id)
-		return
-	}
-	k := key{src: p.id, tag: tag}
-	m.boxes[dst][k] = append(m.boxes[dst][k],
-		message{vals: append([]Value(nil), vals...), arrive: arrive, seq: p.msgSeq})
-	if m.faultive() {
-		m.links[p.id][dst].sent++
-	}
-	m.ev.wakeRecv(dst, k)
-}
-
-// evCapWait is capWaitLocked on the event engine: park until the awaited
-// slot frees, then adopt its virtual time.
-func (p *Proc) evCapWait(dst int) {
-	m := p.m
-	capN := uint64(m.cfg.MailboxCap)
-	if capN == 0 {
-		return
-	}
-	ls := &m.links[p.id][dst]
-	if ls.sent < capN {
-		return
-	}
-	idx := ls.sent - capN
-	ev := m.ev
-	for uint64(len(ls.freed)) <= idx {
-		if m.failed != nil {
-			panic(errAborted)
-		}
-		// The send watchdog: a slot that can be proven never to free (the
-		// receiver crash-stopped) fails now with a typed error instead of
-		// surfacing as a deadlock at quiescence.
-		if reason := m.sendUnsatisfiableLocked(dst); reason != "" {
-			m.failed = &SendTimeoutError{Proc: p.id, Dst: dst, Clock: p.clock, Reason: reason}
-			panic(errAborted)
-		}
-		m.waiting[p.id] = waitInfo{send: true, dst: dst, idx: idx}
-		ev.state[p.id] = evWaiting
-		ev.park(p)
-		delete(m.waiting, p.id)
-	}
-	if freeAt := ls.freed[idx]; freeAt > p.clock {
-		if t := m.cfg.Tracer; t != nil {
-			t.Emit(trace.Event{Proc: p.id, Kind: trace.KindBlocked, Start: p.clock, End: freeAt, Peer: dst})
-		}
-		p.idle += freeAt - p.clock
-		p.clock = freeAt
-	}
-}
-
-// evRecv is Proc.Recv on the event engine (direct mode).
-func (p *Proc) evRecv(src int, tag int64) []Value {
-	m := p.m
-	ev := m.ev
-	k := key{src: src, tag: tag}
-	for len(m.boxes[p.id][k]) == 0 {
-		if m.failed != nil {
-			panic(errAborted)
-		}
-		// The watchdog: a receive that can be proven unsatisfiable fails
-		// now, at the receiver's virtual time.
-		if reason := m.unsatisfiableLocked(p.id, k); reason != "" {
-			m.failed = &RecvTimeoutError{Proc: p.id, Src: src, Tag: tag, Clock: p.clock, Reason: reason}
-			panic(errAborted)
-		}
-		m.waiting[p.id] = waitInfo{k: k}
-		ev.state[p.id] = evWaiting
-		ev.park(p)
-		delete(m.waiting, p.id)
-	}
-	q := m.boxes[p.id][k]
-	msg := q[0]
-	if len(q) == 1 {
-		delete(m.boxes[p.id], k)
-	} else {
-		m.boxes[p.id][k] = q[1:]
-	}
-	vals := p.finishRecv(msg, src, tag)
-	if m.cfg.MailboxCap > 0 {
-		// Free the channel slot at the receiver's post-overhead clock and
-		// wake a sender parked on it.
-		m.links[src][p.id].freed = append(m.links[src][p.id].freed, p.clock)
-		ev.wakeCap(src, p.id)
-	}
-	return vals
-}
-
-// evMuxCompute is Proc.Compute under Placement on the event engine.
-func (p *Proc) evMuxCompute(c Cost) {
-	p.admit()
-	m := p.m
-	m.sched.busyCore(p, c)
-	p.compute += c
-	if t := m.cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindCompute, Start: p.clock - c, End: p.clock, Peer: -1})
-	}
-}
-
-// evMuxSend is Proc.Send under Placement on the event engine.
-func (p *Proc) evMuxSend(dst int, tag int64, vals []Value) {
-	m := p.m
-	cfg := &m.cfg
-	if cfg.MailboxCap > 0 {
-		p.evMuxCapWait(dst)
-	} else {
-		p.admit()
-	}
-	p.msgSeq++
-	over := cfg.SendStartup + Cost(len(vals))*cfg.PerValue
-	m.sched.busyCore(p, over)
-	p.comm += over
-	if t := cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindSend, Start: p.clock - over, End: p.clock,
-			Peer: dst, Tag: tag, Values: len(vals), Seq: p.msgSeq})
-	}
-	arrive, ok := p.clock+cfg.Latency, true
-	if cfg.Faults != nil {
-		arrive, ok = m.transmitLocked(p, dst, tag, len(vals), p.clock)
-	}
-	m.msgs++
-	m.vals += int64(len(vals))
-	if !ok {
-		m.ev.wakeLoss(dst, p.id)
-		return
-	}
-	k := key{src: p.id, tag: tag}
-	m.boxes[dst][k] = append(m.boxes[dst][k],
-		message{vals: append([]Value(nil), vals...), arrive: arrive, seq: p.msgSeq})
-	if m.faultive() {
-		m.links[p.id][dst].sent++
-	}
-	// The goroutine engine reactivates a receiver parked on exactly this
-	// message atomically with the send; the exact wake is the same rule.
-	m.ev.wakeRecv(dst, k)
-}
-
-// evMuxCapWait is muxCapWaitLocked on the event engine: admission and a free
-// slot are acquired together, re-admitting after every park.
-func (p *Proc) evMuxCapWait(dst int) {
-	m := p.m
-	ev := m.ev
-	capN := uint64(m.cfg.MailboxCap)
-	ls := &m.links[p.id][dst]
-	for {
-		p.admit()
-		if ls.sent < capN {
-			return
-		}
-		idx := ls.sent - capN
-		if uint64(len(ls.freed)) > idx {
-			if freeAt := ls.freed[idx]; freeAt > p.clock {
-				if t := m.cfg.Tracer; t != nil {
-					t.Emit(trace.Event{Proc: p.id, Kind: trace.KindBlocked, Start: p.clock, End: freeAt, Peer: dst})
-				}
-				p.idle += freeAt - p.clock
-				p.clock = freeAt
-			}
-			return
-		}
-		if reason := m.sendUnsatisfiableLocked(dst); reason != "" {
-			m.failed = &SendTimeoutError{Proc: p.id, Dst: dst, Clock: p.clock, Reason: reason}
-			panic(errAborted)
-		}
-		m.waiting[p.id] = waitInfo{send: true, dst: dst, idx: idx}
-		ev.state[p.id] = evWaiting
-		ev.park(p)
-		delete(m.waiting, p.id)
-	}
-}
-
-// evMuxRecv is Proc.Recv under Placement on the event engine.
-func (p *Proc) evMuxRecv(src int, tag int64) []Value {
-	m := p.m
-	cfg := &m.cfg
-	ev := m.ev
-	k := key{src: src, tag: tag}
-	for {
-		p.admit()
-		if len(m.boxes[p.id][k]) > 0 {
-			break
-		}
-		if reason := m.unsatisfiableLocked(p.id, k); reason != "" {
-			m.failed = &RecvTimeoutError{Proc: p.id, Src: src, Tag: tag, Clock: p.clock, Reason: reason}
-			panic(errAborted)
-		}
-		m.waiting[p.id] = waitInfo{k: k}
-		ev.state[p.id] = evWaiting
-		ev.park(p)
-		delete(m.waiting, p.id)
-	}
-	q := m.boxes[p.id][k]
-	msg := q[0]
-	if len(q) == 1 {
-		delete(m.boxes[p.id], k)
-	} else {
-		m.boxes[p.id][k] = q[1:]
-	}
-	if msg.arrive > p.clock {
-		if t := cfg.Tracer; t != nil {
-			t.Emit(trace.Event{Proc: p.id, Kind: trace.KindIdle, Start: p.clock, End: msg.arrive,
-				Peer: src, Tag: tag, Seq: msg.seq, Arrive: msg.arrive})
-		}
-		p.idle += msg.arrive - p.clock
-		p.clock = msg.arrive // waiting: no CPU charged
-	}
-	over := cfg.RecvStartup + Cost(len(msg.vals))*cfg.PerValue
-	m.sched.busyCore(p, over)
-	p.comm += over
-	if t := cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindRecv, Start: p.clock - over, End: p.clock,
-			Peer: src, Tag: tag, Values: len(msg.vals), Seq: msg.seq, Arrive: msg.arrive})
-	}
-	if cfg.MailboxCap > 0 {
-		m.links[src][p.id].freed = append(m.links[src][p.id].freed, p.clock)
-		ev.wakeCap(src, p.id)
-	}
-	return msg.vals
 }

@@ -22,13 +22,12 @@ func pingPong(rounds int) func(p *Proc) {
 	}
 }
 
-// heartbeats runs the workload on the given engine and returns the beat
-// clocks in call order plus the run's stats. Heartbeat runs on the loop's
-// own goroutine, and Run joins it, so the slice is safe to read after.
-func heartbeats(t *testing.T, engine Engine, every, rounds int) ([]Cost, Stats) {
+// heartbeats runs the workload and returns the beat clocks in call order
+// plus the run's stats. Heartbeat runs on the loop's own goroutine, and Run
+// joins it, so the slice is safe to read after.
+func heartbeats(t *testing.T, every, rounds int) ([]Cost, Stats) {
 	t.Helper()
 	cfg := testConfig(2)
-	cfg.Engine = engine
 	cfg.HeartbeatEvery = every
 	var beats []Cost
 	cfg.Heartbeat = func(c Cost) { beats = append(beats, c) }
@@ -39,19 +38,19 @@ func heartbeats(t *testing.T, engine Engine, every, rounds int) ([]Cost, Stats) 
 	return beats, mustStats(t, m)
 }
 
-// TestHeartbeatCadence pins the contract: on the event engine, Heartbeat
-// fires exactly every HeartbeatEvery dispatches — halving the interval over
-// the same workload yields floor(D/k) beats for the same dispatch count D.
+// TestHeartbeatCadence pins the contract: Heartbeat fires exactly every
+// HeartbeatEvery dispatches — halving the interval over the same workload
+// yields floor(D/k) beats for the same dispatch count D.
 func TestHeartbeatCadence(t *testing.T) {
 	const rounds = 200
 	// every=1 counts every dispatch, giving us the workload's exact D.
-	all, _ := heartbeats(t, EngineEvent, 1, rounds)
+	all, _ := heartbeats(t, 1, rounds)
 	d := len(all)
 	if d < 2*rounds {
 		t.Fatalf("ping-pong of %d rounds produced only %d dispatches", rounds, d)
 	}
 	for _, every := range []int{4, 8, 16, 64} {
-		beats, _ := heartbeats(t, EngineEvent, every, rounds)
+		beats, _ := heartbeats(t, every, rounds)
 		if want := d / every; len(beats) != want {
 			t.Errorf("every=%d: %d beats over %d dispatches, want %d", every, len(beats), d, want)
 		}
@@ -62,7 +61,7 @@ func TestHeartbeatCadence(t *testing.T) {
 // loop's current virtual time, so the sequence is non-decreasing and never
 // exceeds the run's makespan.
 func TestHeartbeatOrdering(t *testing.T) {
-	beats, st := heartbeats(t, EngineEvent, 8, 200)
+	beats, st := heartbeats(t, 8, 200)
 	if len(beats) == 0 {
 		t.Fatal("no beats")
 	}
@@ -78,8 +77,8 @@ func TestHeartbeatOrdering(t *testing.T) {
 
 // TestHeartbeatDeterministic: equal runs beat at equal virtual clocks.
 func TestHeartbeatDeterministic(t *testing.T) {
-	a, _ := heartbeats(t, EngineEvent, 8, 200)
-	b, _ := heartbeats(t, EngineEvent, 8, 200)
+	a, _ := heartbeats(t, 8, 200)
+	b, _ := heartbeats(t, 8, 200)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("beat sequences differ between identical runs:\n%v\n%v", a, b)
 	}
@@ -90,9 +89,8 @@ func TestHeartbeatDeterministic(t *testing.T) {
 // only applies when the hook is set at all.
 func TestHeartbeatObservationalOnly(t *testing.T) {
 	const rounds = 200
-	_, withBeats := heartbeats(t, EngineEvent, 3, rounds)
+	_, withBeats := heartbeats(t, 3, rounds)
 	cfg := testConfig(2)
-	cfg.Engine = EngineEvent
 	m := New(cfg)
 	if err := m.Run(pingPong(rounds)); err != nil {
 		t.Fatal(err)
@@ -107,22 +105,13 @@ func TestHeartbeatObservationalOnly(t *testing.T) {
 // dispatch count.
 func TestHeartbeatDefaultInterval(t *testing.T) {
 	const rounds = 3000 // enough dispatches to cross 4096 at least once
-	all, _ := heartbeats(t, EngineEvent, 1, rounds)
+	all, _ := heartbeats(t, 1, rounds)
 	d := len(all)
 	if d <= 4096 {
 		t.Fatalf("workload produced only %d dispatches, cannot observe the default interval", d)
 	}
-	beats, _ := heartbeats(t, EngineEvent, 0, rounds)
+	beats, _ := heartbeats(t, 0, rounds)
 	if want := d / 4096; len(beats) != want {
 		t.Errorf("default interval: %d beats over %d dispatches, want %d", len(beats), d, want)
-	}
-}
-
-// TestHeartbeatGoroutineEngineIgnores: the goroutine engine has no single
-// clock owner, so the hook documents itself as event-engine-only.
-func TestHeartbeatGoroutineEngineIgnores(t *testing.T) {
-	beats, _ := heartbeats(t, EngineGoroutine, 1, 50)
-	if len(beats) != 0 {
-		t.Errorf("goroutine engine called Heartbeat %d times, want 0", len(beats))
 	}
 }

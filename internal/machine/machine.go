@@ -16,15 +16,14 @@
 // final clock over all processors — which is what the paper's Figures 6 and
 // 7 plot against the number of processors.
 //
-// Two simulation cores implement these semantics (Config.Engine). The
-// default, EngineEvent, is a single-threaded discrete-event loop (event.go):
-// at most one process executes at any instant, and a (clock, id) priority
-// queue of runnable processes decides who steps next, so a run costs no lock
-// contention and no broadcast wake-ups. EngineGoroutine is the original
-// machine — one free-running goroutine per process, a mutex around the
-// mailboxes, and condition-variable broadcasts — kept as the baseline the
-// event loop is differentially tested and benchmarked against
-// (internal/bench). Both engines produce bit-identical virtual-time results.
+// One simulation core implements these semantics: a single-threaded
+// discrete-event loop (event.go). At most one process executes at any
+// instant, and a (clock, id) priority queue of runnable processes decides who
+// steps next, so a run costs no lock contention and no broadcast wake-ups.
+// It replaced a machine of free-running goroutines, a mutex and
+// condition-variable broadcasts; that core's behaviour is what
+// testdata/golden/engine_witness.json records and internal/bench holds this
+// one to.
 package machine
 
 import (
@@ -96,13 +95,6 @@ type Config struct {
 	// 0 (the default) keeps channels unbounded, preserving the iPSC's
 	// never-blocking csend semantics.
 	MailboxCap int
-	// Engine selects the simulation core. The zero value, EngineEvent, is
-	// the single-threaded discrete-event loop; EngineGoroutine is the
-	// original goroutines+condvar machine, retained as the differential-
-	// testing and benchmark baseline (internal/bench's engine diff harness
-	// proves the two bit-identical). Both produce identical virtual-time
-	// results; they differ only in wall-clock cost.
-	Engine Engine
 	// Cancel, when non-nil, lets the host abort a run in wall-clock time:
 	// once the channel is closed, every process fails at its next machine
 	// action and Run returns a *CanceledError (errors.Is ErrCanceled).
@@ -113,14 +105,13 @@ type Config struct {
 	// or a channel that never closes, is bit-identical to earlier versions).
 	// Typically wired to a context's Done channel by exec.RunSPMDCtx.
 	Cancel <-chan struct{}
-	// Heartbeat, when non-nil, is called by the event-loop engine roughly
+	// Heartbeat, when non-nil, is called by the event loop roughly
 	// every HeartbeatEvery process dispatches with the current virtual
 	// clock. It is a purely observational progress hook (pdserve streams it
 	// to clients of long runs): it runs on the loop's own goroutine between
 	// dispatches, must return promptly, and must not call back into the
 	// machine. It has no effect on the simulation — clocks, traces, and
-	// Stats are bit-identical with or without it. The goroutine engine has
-	// no single clock owner and ignores it.
+	// Stats are bit-identical with or without it.
 	Heartbeat func(clock Cost)
 	// HeartbeatEvery is the dispatch interval between Heartbeat calls
 	// (default 4096 when Heartbeat is set).
@@ -228,15 +219,20 @@ func (s Stats) MeanUtilization() float64 {
 
 // Machine is one simulated multicomputer run. Create with New, execute with
 // Run, then inspect Stats. A Machine is not reusable after Run returns.
+//
+// Everything but mu, running and canceled is touched only by the holder of
+// the event loop's execution token (event.go) — the loop, or the one process
+// it resumed — and so needs no lock.
 type Machine struct {
 	cfg Config
 
+	// mu guards running, and nothing else: it is what lets Stats and
+	// NodeTimes, called from any goroutine, refuse a mid-run snapshot.
 	mu      sync.Mutex
-	cond    *sync.Cond
+	running bool // Run in progress
+
 	boxes   []map[key][]message // per-destination mailboxes
-	waiting map[int]waitInfo    // blocked processes and what they wait for
-	active  int                 // processes started and not yet finished
-	running bool                // Run in progress; guards Stats snapshots
+	waiting map[int]waitInfo    // parked processes and what they wait for
 	failed  error               // first failure; aborts everything
 
 	// Fault-injection and backpressure state (transport.go). links and lost
@@ -249,11 +245,11 @@ type Machine struct {
 	retries, dups, lostCount int64
 	procs                    []*Proc
 	sched                    *muxSched // nil unless Config.Placement multiplexes processes
-	ev                       *evLoop   // nil unless Config.Engine is EngineEvent
+	ev                       *evLoop
 
 	// canceled is set by the Cancel watcher; processes poll it at every
 	// machine action. It is the only cross-thread signal into the event
-	// engine, which is why it is atomic rather than token-guarded.
+	// loop, which is why it is atomic rather than token-guarded.
 	canceled atomic.Bool
 }
 
@@ -281,18 +277,15 @@ var ErrSendTimeout = errors.New("machine: send watchdog timeout")
 var ErrCanceled = errors.New("machine: run canceled")
 
 // CanceledError reports a run aborted through Config.Cancel. Proc and Clock
-// name the first process that observed the cancellation and its virtual time
-// (Proc is -1 when the watcher itself recorded the failure); they describe
-// where the abort landed, not a deterministic property of the program.
+// name the first process that observed the cancellation and its virtual
+// time; they describe where the abort landed, not a deterministic property of
+// the program.
 type CanceledError struct {
 	Proc  int
 	Clock Cost
 }
 
 func (e *CanceledError) Error() string {
-	if e.Proc < 0 {
-		return "machine: run canceled by the host"
-	}
 	return fmt.Sprintf("machine: run canceled by the host at process %d, cycle %d", e.Proc, e.Clock)
 }
 
@@ -305,8 +298,9 @@ var errAborted = errors.New("machine: run aborted")
 
 // ErrRunInProgress is returned by Stats when called while Run is still in
 // progress: the per-process clocks and time partitions are written lock-free
-// by the process goroutines, and the only happens-before edge making them
-// readable is Run returning, so a mid-run snapshot would be torn.
+// by whichever process holds the execution token, and the only happens-before
+// edge making them readable is Run returning, so a mid-run snapshot would be
+// torn.
 var ErrRunInProgress = errors.New("machine: Stats called while Run is in progress; per-process clocks are only readable after Run returns")
 
 // New creates a machine with the given configuration.
@@ -318,7 +312,6 @@ func New(cfg Config) *Machine {
 		cfg.ValueBytes = 4
 	}
 	m := &Machine{cfg: cfg, waiting: map[int]waitInfo{}}
-	m.cond = sync.NewCond(&m.mu)
 	m.boxes = make([]map[key][]message, cfg.Procs)
 	m.procs = make([]*Proc, cfg.Procs)
 	m.crashed = make([]bool, cfg.Procs)
@@ -340,14 +333,7 @@ func New(cfg Config) *Machine {
 		}
 		m.sched = sched
 	}
-	switch cfg.Engine {
-	case EngineEvent:
-		m.ev = newEvLoop(m)
-	case EngineGoroutine:
-		// The legacy core needs no extra state.
-	default:
-		panic(fmt.Sprintf("machine: unknown engine %d", cfg.Engine))
-	}
+	m.ev = newEvLoop(m)
 	if cfg.Tracer != nil {
 		cfg.Tracer.Begin(cfg.Procs, cfg.Placement)
 	}
@@ -357,85 +343,35 @@ func New(cfg Config) *Machine {
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Run executes body once per processor, concurrently, and waits for all
-// processes to finish. A panic in any process (an I-structure error, for
-// example) aborts the run and is returned as an error, as is deadlock.
+// Run executes body once per processor and waits for all processes to
+// finish. A panic in any process (an I-structure error, for example) aborts
+// the run and is returned as an error, as is deadlock.
 func (m *Machine) Run(body func(p *Proc)) error {
 	if m.cfg.Cancel != nil {
 		stop := make(chan struct{})
 		defer close(stop)
 		go m.watchCancel(stop)
 	}
-	if m.ev != nil {
-		return m.runEvent(body)
-	}
 	m.mu.Lock()
-	m.active = m.cfg.Procs
 	m.running = true
-	if m.sched != nil {
-		// Register every process before any runs, so the conservative
-		// scheduler's minimum is over the full set from the first action.
-		for _, p := range m.procs {
-			m.sched.start(p)
-		}
-	}
 	m.mu.Unlock()
 
-	var wg sync.WaitGroup
-	for _, p := range m.procs {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
-			defer func() {
-				m.mu.Lock()
-				m.active--
-				if m.sched != nil {
-					m.sched.stop(p)
-				}
-				if r := recover(); r != nil {
-					if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-						// Secondary abort; keep the original failure.
-					} else if cs, ok := r.(crashStop); ok {
-						// A fault-scheduled crash-stop: the process dies
-						// silently, like a failed node. The run is not
-						// aborted — peers that depended on it surface
-						// watchdog or deadlock errors naming it.
-						m.crashed[cs.proc] = true
-					} else if m.failed == nil {
-						m.failed = fmt.Errorf("machine: process %d failed: %v", p.id, r)
-					}
-				}
-				m.checkDeadlockLocked()
-				m.cond.Broadcast()
-				m.mu.Unlock()
-			}()
-			body(p)
-		}(p)
-	}
-	wg.Wait()
+	m.ev.run(body)
+
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.running = false
+	m.mu.Unlock()
 	return m.failed
 }
 
 // watchCancel waits for Config.Cancel (or the end of the run) and raises the
-// cancellation flag. On the goroutine engine it also records the failure and
-// broadcasts, so processes parked in cond.Wait unwind promptly; on the event
-// engine the loop's single-threaded state may only be touched by the token
-// holder, so processes discover the flag at their next machine action.
+// cancellation flag. The loop's single-threaded state may only be touched by
+// the token holder, so the watcher records nothing else: processes discover
+// the flag at their next machine action.
 func (m *Machine) watchCancel(stop chan struct{}) {
 	select {
 	case <-m.cfg.Cancel:
 		m.canceled.Store(true)
-		if m.ev == nil {
-			m.mu.Lock()
-			if m.failed == nil {
-				m.failed = &CanceledError{Proc: -1}
-			}
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		}
 	case <-stop:
 	}
 }
@@ -448,75 +384,17 @@ func (p *Proc) checkCancel() {
 	if m.cfg.Cancel == nil || !m.canceled.Load() {
 		return
 	}
-	if m.ev != nil {
-		// Token holder: event-engine state needs no lock.
-		if m.failed == nil {
-			m.failed = &CanceledError{Proc: p.id, Clock: p.clock}
-		}
-		panic(errAborted)
-	}
-	m.mu.Lock()
 	if m.failed == nil {
 		m.failed = &CanceledError{Proc: p.id, Clock: p.clock}
 	}
-	m.cond.Broadcast()
-	m.mu.Unlock()
 	panic(errAborted)
-}
-
-// checkDeadlockLocked flags deadlock when every live process is blocked (in
-// Recv, or in Send on a full channel) and nothing pending can satisfy any of
-// them. The satisfiability test matters: a receiver woken by a send — or a
-// capacity-blocked sender woken by a dequeue — still counts as waiting until
-// it reacquires the lock, so the count alone would misfire. At quiescence,
-// if faults made a blocked receive provably unsatisfiable, the failure is a
-// RecvTimeoutError naming it (the watchdog); otherwise a DeadlockError
-// listing every blocked process and its pending mailbox.
-func (m *Machine) checkDeadlockLocked() {
-	if m.failed != nil || m.active == 0 || len(m.waiting) != m.active {
-		return
-	}
-	for pid, wi := range m.waiting {
-		if wi.send {
-			if uint64(len(m.links[pid][wi.dst].freed)) > wi.idx {
-				return // the slot freed; the sender just hasn't woken yet
-			}
-		} else if len(m.boxes[pid][wi.k]) > 0 {
-			return
-		}
-	}
-	// Quiescent: nothing can make progress. Prefer the watchdog diagnosis,
-	// scanning in process order so the reported action is deterministic: a
-	// blocked receive whose message can never come, or a capacity-blocked
-	// send whose receiver can never drain.
-	for pid := 0; pid < m.cfg.Procs; pid++ {
-		wi, ok := m.waiting[pid]
-		if !ok {
-			continue
-		}
-		if wi.send {
-			if reason := m.sendUnsatisfiableLocked(wi.dst); reason != "" {
-				m.failed = &SendTimeoutError{Proc: pid, Dst: wi.dst,
-					Clock: m.procs[pid].clock, Reason: reason}
-				return
-			}
-			continue
-		}
-		if reason := m.unsatisfiableLocked(pid, wi.k); reason != "" {
-			m.failed = &RecvTimeoutError{Proc: pid, Src: wi.k.src, Tag: wi.k.tag,
-				Clock: m.procs[pid].clock, Reason: reason}
-			return
-		}
-	}
-	m.failed = m.deadlockErrorLocked()
 }
 
 // Stats reports the metrics of a finished run. It must not be called while
 // Run is in progress: the per-process clocks and time partitions are written
-// lock-free by the process goroutines (single writer each), and the only
-// happens-before edge making them readable is Run returning. A mid-run call
-// would be a data race, so Stats reports ErrRunInProgress instead of
-// returning torn values.
+// lock-free by the token holder, and the only happens-before edge making them
+// readable is Run returning. A mid-run call would be a data race, so Stats
+// reports ErrRunInProgress instead of returning torn values.
 func (m *Machine) Stats() (Stats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -565,8 +443,8 @@ func (m *Machine) VerifyTrace() error {
 }
 
 // Proc is one simulated process, usable only from the goroutine Run gave it
-// to. Clock manipulation needs no locking (single writer); the machine mutex
-// guards only mailbox traffic.
+// to. Neither its clocks nor the mailboxes it reaches need locking: a process
+// runs only while it holds the event loop's execution token.
 type Proc struct {
 	id    int
 	m     *Machine
@@ -598,19 +476,17 @@ func (p *Proc) Compute(c Cost) {
 		p.checkCrash()
 		c = Cost(f.ScaleCompute(p.id, uint64(c)))
 	}
-	if p.m.sched != nil {
-		if p.m.ev != nil {
-			p.evMuxCompute(c)
-		} else {
-			p.muxCompute(c)
-		}
-		return
+	// admit and charge, spelled out: this is the simulator's hottest call,
+	// and with one process per node it is one addition.
+	if s := p.m.sched; s != nil {
+		p.admit()
+		s.busy(p, c)
+	} else {
+		p.clock += c
 	}
-	start := p.clock
-	p.clock += c
 	p.compute += c
 	if t := p.m.cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindCompute, Start: start, End: p.clock, Peer: -1})
+		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindCompute, Start: p.clock - c, End: p.clock, Peer: -1})
 	}
 }
 
@@ -625,142 +501,96 @@ func (p *Proc) LoopStep() { p.Compute(p.m.cfg.LoopCost) }
 
 // Send transmits vals to processor dst with the given tag: the paper's
 // csend. The sender is charged start-up plus per-value packing; the message
-// arrives on the wire Latency cycles later. Sends are buffered and never
-// block (iPSC semantics: csend returns once the message is copied out).
+// arrives on the wire Latency cycles later. Sends are buffered and, unless
+// Config.MailboxCap bounds the channel, never block (iPSC semantics: csend
+// returns once the message is copied out).
+//
+// Config.Placement decides two things here and in Recv, and nothing else:
+// whether the action first waits for conservative admission (admit), and
+// whether its CPU cost lands on the process's own clock or on its node's
+// (charge).
 func (p *Proc) Send(dst int, tag int64, vals ...Value) {
 	if dst < 0 || dst >= p.m.cfg.Procs {
 		panic(fmt.Sprintf("machine: send to processor %d out of range [0,%d)", dst, p.m.cfg.Procs))
 	}
 	p.checkCancel()
 	p.checkCrash()
-	if p.m.sched != nil {
-		if p.m.ev != nil {
-			p.evMuxSend(dst, tag, vals)
-		} else {
-			p.muxSend(dst, tag, vals)
-		}
-		return
-	}
-	m := p.m
-	if m.ev != nil {
-		p.evSend(dst, tag, vals)
-		return
-	}
-	if m.faultive() {
-		p.faultySend(dst, tag, vals)
-		return
-	}
-	cfg := &p.m.cfg
-	p.msgSeq++
-	over := cfg.SendStartup + Cost(len(vals))*cfg.PerValue
-	start := p.clock
-	p.clock += over
-	p.comm += over
-	if t := cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindSend, Start: start, End: p.clock,
-			Peer: dst, Tag: tag, Values: len(vals), Seq: p.msgSeq})
-	}
-	msg := message{vals: append([]Value(nil), vals...), arrive: p.clock + cfg.Latency, seq: p.msgSeq}
-
-	m.mu.Lock()
-	if m.failed != nil {
-		m.mu.Unlock()
-		panic(errAborted)
-	}
-	k := key{src: p.id, tag: tag}
-	m.boxes[dst][k] = append(m.boxes[dst][k], msg)
-	m.msgs++
-	m.vals += int64(len(vals))
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// faultySend is Send over the fault transport and/or bounded channels. The
-// whole action runs under the machine mutex: the capacity wait, the send
-// overhead charge, the reliable-delivery simulation, and the enqueue.
-func (p *Proc) faultySend(dst int, tag int64, vals []Value) {
 	m := p.m
 	cfg := &m.cfg
-	m.mu.Lock()
-	if m.failed != nil {
-		m.mu.Unlock()
+	// A process still runnable after the run failed dies at its next send:
+	// here on a fabric where the send could park, and in any case before the
+	// message is enqueued.
+	if m.faultive() && m.failed != nil {
 		panic(errAborted)
 	}
-	m.capWaitLocked(p, dst) // unlocks and panics if the run fails meanwhile
+	p.awaitSlot(dst)
 
 	p.msgSeq++
 	over := cfg.SendStartup + Cost(len(vals))*cfg.PerValue
-	start := p.clock
-	p.clock += over
+	p.charge(over)
 	p.comm += over
 	if t := cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindSend, Start: start, End: p.clock,
+		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindSend, Start: p.clock - over, End: p.clock,
 			Peer: dst, Tag: tag, Values: len(vals), Seq: p.msgSeq})
 	}
 	arrive, ok := p.clock+cfg.Latency, true
 	if cfg.Faults != nil {
-		arrive, ok = m.transmitLocked(p, dst, tag, len(vals), p.clock)
+		arrive, ok = m.transmit(p, dst, tag, len(vals), p.clock)
+	}
+	if m.failed != nil {
+		panic(errAborted)
 	}
 	m.msgs++
 	m.vals += int64(len(vals))
-	if ok {
-		k := key{src: p.id, tag: tag}
-		m.boxes[dst][k] = append(m.boxes[dst][k], message{vals: append([]Value(nil), vals...), arrive: arrive, seq: p.msgSeq})
+	if !ok {
+		// Lost forever: nothing arrives, but a receiver parked on this link
+		// must wake and run its watchdog check.
+		m.ev.wakeLoss(dst, p.id)
+		return
+	}
+	k := key{src: p.id, tag: tag}
+	m.boxes[dst][k] = append(m.boxes[dst][k],
+		message{vals: append([]Value(nil), vals...), arrive: arrive, seq: p.msgSeq})
+	if m.faultive() {
 		m.links[p.id][dst].sent++
 	}
-	// Broadcast even on a lost message: a receiver blocked on this queue
-	// must wake and run its watchdog check.
-	m.cond.Broadcast()
-	m.mu.Unlock()
+	// A receiver parked on exactly this message becomes runnable now, in the
+	// same step as the send, so under Placement no process with a larger
+	// clock can be admitted ahead of it.
+	m.ev.wakeRecv(dst, k)
 }
 
 // Recv blocks until a message with the given tag from processor src is
 // available — the paper's crecv. The receiver's clock advances to the
-// message's arrival time if it was earlier (idle wait), then is charged
-// start-up plus per-value unpacking.
+// message's arrival time if it was earlier (idle wait, which occupies no CPU:
+// under Placement co-residents run during it), then is charged start-up plus
+// per-value unpacking.
 func (p *Proc) Recv(src int, tag int64) []Value {
 	if src < 0 || src >= p.m.cfg.Procs {
 		panic(fmt.Sprintf("machine: recv from processor %d out of range [0,%d)", src, p.m.cfg.Procs))
 	}
 	p.checkCancel()
 	p.checkCrash()
-	if p.m.sched != nil {
-		if p.m.ev != nil {
-			return p.evMuxRecv(src, tag)
-		}
-		return p.muxRecv(src, tag)
-	}
 	m := p.m
-	if m.ev != nil {
-		return p.evRecv(src, tag)
-	}
+	cfg := &m.cfg
 	k := key{src: src, tag: tag}
-	m.mu.Lock()
-	for len(m.boxes[p.id][k]) == 0 {
+	for {
+		p.admit()
+		if len(m.boxes[p.id][k]) > 0 {
+			break
+		}
 		if m.failed != nil {
-			m.mu.Unlock()
 			panic(errAborted)
 		}
 		// The watchdog: a receive that can be proven unsatisfiable — its
 		// message lost forever, its link dead, its sender crash-stopped —
 		// fails now, at the receiver's virtual time, instead of hanging
 		// until (or past) global quiescence.
-		if reason := m.unsatisfiableLocked(p.id, k); reason != "" {
+		if reason := m.recvUnsatisfiable(p.id, k); reason != "" {
 			m.failed = &RecvTimeoutError{Proc: p.id, Src: src, Tag: tag, Clock: p.clock, Reason: reason}
-			m.cond.Broadcast()
-			m.mu.Unlock()
 			panic(errAborted)
 		}
-		m.waiting[p.id] = waitInfo{k: k}
-		m.checkDeadlockLocked()
-		if m.failed != nil {
-			delete(m.waiting, p.id)
-			m.cond.Broadcast()
-			m.mu.Unlock()
-			panic(errAborted)
-		}
-		m.cond.Wait()
-		delete(m.waiting, p.id)
+		m.ev.wait(p, waitInfo{k: k})
 	}
 	q := m.boxes[p.id][k]
 	msg := q[0]
@@ -769,27 +599,6 @@ func (p *Proc) Recv(src int, tag int64) []Value {
 	} else {
 		m.boxes[p.id][k] = q[1:]
 	}
-	if m.cfg.MailboxCap > 0 {
-		// Bounded channels: finish the receive accounting under the lock so
-		// the freed slot carries the receiver's post-overhead clock — the
-		// virtual time a capacity-blocked sender will resume at.
-		vals := p.finishRecv(msg, src, tag)
-		ls := &m.links[src][p.id]
-		ls.freed = append(ls.freed, p.clock)
-		m.cond.Broadcast()
-		m.mu.Unlock()
-		return vals
-	}
-	m.mu.Unlock()
-	return p.finishRecv(msg, src, tag)
-}
-
-// finishRecv performs the receiver-side accounting of a dequeued message:
-// the idle jump to its arrival stamp, then the unpacking overhead. It
-// touches only the receiving process's own state, so it is safe with or
-// without the machine mutex.
-func (p *Proc) finishRecv(msg message, src int, tag int64) []Value {
-	cfg := &p.m.cfg
 	if msg.arrive > p.clock {
 		if t := cfg.Tracer; t != nil {
 			t.Emit(trace.Event{Proc: p.id, Kind: trace.KindIdle, Start: p.clock, End: msg.arrive,
@@ -799,12 +608,18 @@ func (p *Proc) finishRecv(msg message, src int, tag int64) []Value {
 		p.clock = msg.arrive
 	}
 	over := cfg.RecvStartup + Cost(len(msg.vals))*cfg.PerValue
-	start := p.clock
-	p.clock += over
+	p.charge(over)
 	p.comm += over
 	if t := cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindRecv, Start: start, End: p.clock,
+		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindRecv, Start: p.clock - over, End: p.clock,
 			Peer: src, Tag: tag, Values: len(msg.vals), Seq: msg.seq, Arrive: msg.arrive})
+	}
+	if cfg.MailboxCap > 0 {
+		// Free the channel slot at the receiver's post-overhead clock — the
+		// virtual time a capacity-parked sender will resume at — and wake
+		// that sender in the same step.
+		m.links[src][p.id].freed = append(m.links[src][p.id].freed, p.clock)
+		m.ev.wakeCap(src, p.id)
 	}
 	return msg.vals
 }

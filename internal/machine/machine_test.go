@@ -343,38 +343,35 @@ func TestBreakdownAccountsEveryCycle(t *testing.T) {
 }
 
 // Stats must refuse to report mid-run: the per-process clocks are written
-// lock-free by the process goroutines, so a concurrent snapshot would be a
-// data race returning torn values. (This call used to panic; it now returns
-// the typed ErrRunInProgress, and `go test -race` keeps the guard honest.)
+// lock-free by whichever process holds the execution token, so a concurrent
+// snapshot would be a data race returning torn values. (This call used to
+// panic; it now returns the typed ErrRunInProgress, and `go test -race` keeps
+// the guard honest.)
 func TestStatsDuringRunReturnsError(t *testing.T) {
-	for _, engine := range []Engine{EngineEvent, EngineGoroutine} {
-		cfg := testConfig(2)
-		cfg.Engine = engine
-		m := New(cfg)
-		inBody := make(chan struct{})
-		release := make(chan struct{})
-		done := make(chan error, 1)
-		go func() {
-			done <- m.Run(func(p *Proc) {
-				if p.ID() == 0 {
-					close(inBody)
-				}
-				<-release
-				p.Compute(10)
-			})
-		}()
-		<-inBody
-		if _, err := m.Stats(); !errors.Is(err, ErrRunInProgress) {
-			t.Errorf("%v: Stats during Run: err = %v, want ErrRunInProgress", engine, err)
-		}
-		close(release)
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		// After Run returns, Stats is safe again.
-		if st := mustStats(t, m); st.Makespan != 10 {
-			t.Errorf("%v: makespan = %d, want 10", engine, st.Makespan)
-		}
+	m := New(testConfig(2))
+	inBody := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- m.Run(func(p *Proc) {
+			if p.ID() == 0 {
+				close(inBody)
+			}
+			<-release
+			p.Compute(10)
+		})
+	}()
+	<-inBody
+	if _, err := m.Stats(); !errors.Is(err, ErrRunInProgress) {
+		t.Errorf("Stats during Run: err = %v, want ErrRunInProgress", err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// After Run returns, Stats is safe again.
+	if st := mustStats(t, m); st.Makespan != 10 {
+		t.Errorf("makespan = %d, want 10", st.Makespan)
 	}
 }
 

@@ -21,32 +21,20 @@ import (
 // waiting for a message occupies no CPU — co-residents run during it. That
 // is exactly the latency hiding §5.4 describes.
 //
-// Determinism: a global conservative scheduler admits exactly one virtual
-// process action at a time, always the active process with the smallest
-// (clock, id) key. A process blocked in a receive is not active and rejoins
-// with its clock advanced to the message's arrival. Because every admitted
-// action has the globally minimal timestamp, no later action can causally
-// affect it, so simulated clocks are independent of Go scheduling — the same
-// guarantee the direct machine gives, extended to CPU contention.
+// Determinism: conservative admission (admit, event.go) lets exactly one
+// process action proceed at a time, always that of the runnable process with
+// the smallest (clock, id) key. A process parked in a receive is not runnable
+// and rejoins with its clock advanced to the message's arrival. Because every
+// admitted action has the globally minimal timestamp, no later action can
+// causally affect it, so simulated clocks are independent of Go scheduling —
+// the same guarantee the direct machine gives, extended to CPU contention.
 
-// muxSched is the conservative global scheduler used when Placement is set.
+// muxSched is the node-CPU state of a multiplexed machine (Placement set).
 type muxSched struct {
 	m     *Machine
 	node  []int  // virtual process -> physical node
 	nodes []Cost // physical node CPU clocks
-
-	// Per-process scheduler state, guarded by the machine mutex.
-	state []muxState
 }
-
-type muxState int
-
-const (
-	muxUnstarted muxState = iota
-	muxActive             // between actions or parked in acquire
-	muxWaiting            // blocked in a receive with an empty queue
-	muxFinished
-)
 
 // initMux validates the placement and builds the scheduler.
 func initMux(m *Machine, placement []int) (*muxSched, error) {
@@ -66,47 +54,8 @@ func initMux(m *Machine, placement []int) (*muxSched, error) {
 		m:     m,
 		node:  append([]int(nil), placement...),
 		nodes: make([]Cost, maxNode+1),
-		state: make([]muxState, m.cfg.Procs),
 	}
 	return s, nil
-}
-
-// start marks a process live; stop marks it finished. Both run under m.mu.
-func (s *muxSched) start(p *Proc) { s.state[p.id] = muxActive }
-
-func (s *muxSched) stop(p *Proc) {
-	s.state[p.id] = muxFinished
-	s.m.cond.Broadcast()
-}
-
-// myTurnLocked reports whether p holds the minimal (clock, id) key among
-// active processes.
-func (s *muxSched) myTurnLocked(p *Proc) bool {
-	for _, q := range s.m.procs {
-		if q == p || s.state[q.id] != muxActive {
-			continue
-		}
-		if q.clock < p.clock || (q.clock == p.clock && q.id < p.id) {
-			return false
-		}
-	}
-	return true
-}
-
-// acquire blocks until it is p's turn to act. Callers must hold m.mu and
-// must perform the whole action before releasing it (the scheduler admits
-// one action at a time by construction: every acquirer re-checks on each
-// wake-up, and only the minimal process proceeds).
-func (s *muxSched) acquireLocked(p *Proc) {
-	for !s.myTurnLocked(p) {
-		if s.m.failed != nil {
-			panic(errAborted)
-		}
-		s.m.cond.Wait()
-	}
-	if s.m.failed != nil {
-		panic(errAborted)
-	}
 }
 
 // busy charges c cycles of CPU to p's node, serializing with co-residents:
@@ -114,16 +63,7 @@ func (s *muxSched) acquireLocked(p *Proc) {
 // process spends runnable but waiting for the node CPU (a co-resident held
 // it) is charged to its idle account — every cycle of the final clock must be
 // compute, comm, or idle — and traced as a blocked span.
-func (s *muxSched) busyLocked(p *Proc, c Cost) {
-	s.busyCore(p, c)
-	s.m.cond.Broadcast()
-}
-
-// busyCore is the engine-independent node-CPU accounting of busyLocked: both
-// engines charge contention gaps and advance the node clock with exactly this
-// arithmetic, which is what keeps their blocked spans bit-identical. The
-// event engine calls it directly (no condvar to broadcast on).
-func (s *muxSched) busyCore(p *Proc, c Cost) {
+func (s *muxSched) busy(p *Proc, c Cost) {
 	n := s.node[p.id]
 	start := p.clock
 	if s.nodes[n] > start {
@@ -139,198 +79,25 @@ func (s *muxSched) busyCore(p *Proc, c Cost) {
 	s.nodes[n] = p.clock
 }
 
-// muxCompute is Proc.Compute under multiplexing.
-func (p *Proc) muxCompute(c Cost) {
-	m := p.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sched.acquireLocked(p)
-	m.sched.busyLocked(p, c)
-	p.compute += c
-	if t := m.cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindCompute, Start: p.clock - c, End: p.clock, Peer: -1})
-	}
-}
-
-// muxSend is Proc.Send under multiplexing.
-func (p *Proc) muxSend(dst int, tag int64, vals []Value) {
-	m := p.m
-	cfg := &m.cfg
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cfg.MailboxCap > 0 {
-		m.muxCapWaitLocked(p, dst)
-	} else {
-		m.sched.acquireLocked(p)
-	}
-	p.msgSeq++
-	over := cfg.SendStartup + Cost(len(vals))*cfg.PerValue
-	m.sched.busyLocked(p, over)
-	p.comm += over
-	if t := cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindSend, Start: p.clock - over, End: p.clock,
-			Peer: dst, Tag: tag, Values: len(vals), Seq: p.msgSeq})
-	}
-	arrive, ok := p.clock+cfg.Latency, true
-	if cfg.Faults != nil {
-		arrive, ok = m.transmitLocked(p, dst, tag, len(vals), p.clock)
-	}
-	m.msgs++
-	m.vals += int64(len(vals))
-	if !ok {
-		// Lost forever: nothing arrives, nobody to wake — but broadcast so
-		// blocked receivers re-run their watchdog check.
-		m.cond.Broadcast()
+// charge bills p for c cycles of CPU: on its own clock when it has a node to
+// itself, on its node's under Placement (the same arithmetic when no
+// co-resident holds the node).
+func (p *Proc) charge(c Cost) {
+	if s := p.m.sched; s != nil {
+		s.busy(p, c)
 		return
 	}
-	msg := message{vals: append([]Value(nil), vals...), arrive: arrive, seq: p.msgSeq}
-	k := key{src: p.id, tag: tag}
-	m.boxes[dst][k] = append(m.boxes[dst][k], msg)
-	if m.faultive() {
-		m.links[p.id][dst].sent++
-	}
-	// If the destination is asleep waiting for exactly this message, it
-	// re-enters the active set NOW, atomically with the send — otherwise a
-	// process with a larger clock could be admitted before the receiver's
-	// goroutine wakes, breaking the deterministic admission order.
-	if m.sched.state[dst] == muxWaiting {
-		if wi, ok := m.waiting[dst]; ok && !wi.send && wi.k == k {
-			m.sched.state[dst] = muxActive
-		}
-	}
-	m.cond.Broadcast()
+	p.clock += c
 }
 
-// muxCapWaitLocked is capWaitLocked under multiplexing: it acquires p's
-// scheduler turn AND a free slot on the channel p→dst together. While parked
-// for capacity the process leaves the active set (like a blocked receive), so
-// co-residents run; on wake it re-acquires its turn before re-checking — the
-// same loop shape as muxRecv, preserving the conservative admission order.
-// Called with m.mu held; panics with errAborted (mutex released by the
-// caller's deferred unlock) if the run fails while waiting.
-func (m *Machine) muxCapWaitLocked(p *Proc, dst int) {
-	capN := uint64(m.cfg.MailboxCap)
-	ls := &m.links[p.id][dst]
-	for {
-		m.sched.acquireLocked(p)
-		if ls.sent < capN {
-			return
-		}
-		idx := ls.sent - capN
-		if uint64(len(ls.freed)) > idx {
-			if freeAt := ls.freed[idx]; freeAt > p.clock {
-				if t := m.cfg.Tracer; t != nil {
-					t.Emit(trace.Event{Proc: p.id, Kind: trace.KindBlocked, Start: p.clock, End: freeAt, Peer: dst})
-				}
-				p.idle += freeAt - p.clock
-				p.clock = freeAt
-			}
-			return
-		}
-		m.sched.state[p.id] = muxWaiting
-		m.waiting[p.id] = waitInfo{send: true, dst: dst, idx: idx}
-		m.checkDeadlockLocked()
-		if m.failed != nil {
-			delete(m.waiting, p.id)
-			m.sched.state[p.id] = muxActive
-			m.cond.Broadcast()
-			panic(errAborted)
-		}
-		m.cond.Broadcast()
-		m.cond.Wait()
-		delete(m.waiting, p.id)
-		m.sched.state[p.id] = muxActive
-		if m.failed != nil {
-			m.cond.Broadcast()
-			panic(errAborted)
-		}
-	}
-}
-
-// muxRecv is Proc.Recv under multiplexing. Waiting for the message occupies
-// no CPU; only the unpacking overhead does.
-func (p *Proc) muxRecv(src int, tag int64) []Value {
-	m := p.m
-	cfg := &m.cfg
-	k := key{src: src, tag: tag}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		m.sched.acquireLocked(p)
-		if len(m.boxes[p.id][k]) > 0 {
-			break
-		}
-		// The watchdog (see Recv): a provably unsatisfiable receive fails
-		// now instead of hanging.
-		if reason := m.unsatisfiableLocked(p.id, k); reason != "" {
-			m.failed = &RecvTimeoutError{Proc: p.id, Src: src, Tag: tag, Clock: p.clock, Reason: reason}
-			m.cond.Broadcast()
-			panic(errAborted)
-		}
-		// Nothing to receive: step out of the active set so co-residents
-		// (and everyone else) can proceed.
-		m.sched.state[p.id] = muxWaiting
-		m.waiting[p.id] = waitInfo{k: k}
-		m.checkDeadlockLocked()
-		if m.failed != nil {
-			delete(m.waiting, p.id)
-			m.sched.state[p.id] = muxActive
-			m.cond.Broadcast()
-			panic(errAborted)
-		}
-		m.cond.Broadcast()
-		m.cond.Wait()
-		delete(m.waiting, p.id)
-		m.sched.state[p.id] = muxActive
-		if m.failed != nil {
-			m.cond.Broadcast()
-			panic(errAborted)
-		}
-	}
-	q := m.boxes[p.id][k]
-	msg := q[0]
-	if len(q) == 1 {
-		delete(m.boxes[p.id], k)
-	} else {
-		m.boxes[p.id][k] = q[1:]
-	}
-	if msg.arrive > p.clock {
-		if t := cfg.Tracer; t != nil {
-			t.Emit(trace.Event{Proc: p.id, Kind: trace.KindIdle, Start: p.clock, End: msg.arrive,
-				Peer: src, Tag: tag, Seq: msg.seq, Arrive: msg.arrive})
-		}
-		p.idle += msg.arrive - p.clock
-		p.clock = msg.arrive // waiting: no CPU charged
-	}
-	over := cfg.RecvStartup + Cost(len(msg.vals))*cfg.PerValue
-	m.sched.busyLocked(p, over)
-	p.comm += over
-	if t := cfg.Tracer; t != nil {
-		t.Emit(trace.Event{Proc: p.id, Kind: trace.KindRecv, Start: p.clock - over, End: p.clock,
-			Peer: src, Tag: tag, Values: len(msg.vals), Seq: msg.seq, Arrive: msg.arrive})
-	}
-	if cfg.MailboxCap > 0 {
-		// Free the channel slot at the receiver's post-overhead clock, and —
-		// like muxSend waking a waiting receiver — reactivate a sender parked
-		// on this channel NOW, atomically with the free, so the deterministic
-		// admission order cannot depend on when its goroutine wakes.
-		m.links[src][p.id].freed = append(m.links[src][p.id].freed, p.clock)
-		if m.sched.state[src] == muxWaiting {
-			if wi, ok := m.waiting[src]; ok && wi.send && wi.dst == p.id {
-				m.sched.state[src] = muxActive
-			}
-		}
-		m.cond.Broadcast()
-	}
-	return msg.vals
-}
-
-// NodeTimes reports the physical node clocks of a multiplexed run (nil when
-// the machine was not multiplexed).
+// NodeTimes reports the physical node clocks of a multiplexed run: nil when
+// the machine was not multiplexed, and — the node clocks being written
+// lock-free by the token holder, like everything Stats reads — nil while Run
+// is in progress.
 func (m *Machine) NodeTimes() []Cost {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sched == nil {
+	if m.sched == nil || m.running {
 		return nil
 	}
 	return append([]Cost(nil), m.sched.nodes...)

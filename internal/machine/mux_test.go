@@ -63,6 +63,36 @@ func TestMuxSerializesCompute(t *testing.T) {
 	}
 }
 
+// NodeTimes reads clocks the running processes write without a lock, so, like
+// Stats, it must refuse a mid-run snapshot (`go test -race` keeps it honest).
+func TestNodeTimesDuringRunReturnsNil(t *testing.T) {
+	m := New(muxConfig(2, []int{0, 0}))
+	inBody := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- m.Run(func(p *Proc) {
+			p.Compute(1000)
+			if p.ID() == 0 {
+				close(inBody)
+			}
+			<-release
+			p.Compute(1000)
+		})
+	}()
+	<-inBody
+	if nodes := m.NodeTimes(); nodes != nil {
+		t.Errorf("NodeTimes during Run = %v, want nil", nodes)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if nodes := m.NodeTimes(); len(nodes) != 1 || nodes[0] != 4000 {
+		t.Errorf("node times after Run = %v, want [4000]", nodes)
+	}
+}
+
 // Latency hiding (§5.4): while one resident waits for a remote message, its
 // co-resident computes. The node finishes much earlier than if the wait
 // held the CPU.

@@ -24,7 +24,7 @@ import (
 // decision is a pure function of (seed, link, seq, attempt) and retry timers
 // live in virtual time, the entire retransmission dialogue — and therefore
 // the message's final release stamp — is computable the moment the send
-// happens, in the sender's goroutine, without simulating the NIC as a
+// happens, in the sender's own step, without simulating the NIC as a
 // separate process. Retransmissions are NIC work, not process work: they
 // consume no process CPU, so fault storms surface as receiver idle time
 // (later arrival stamps), exactly where a real latency hit would land.
@@ -47,8 +47,8 @@ type waitInfo struct {
 
 // linkState is the per-(src,dst) transport and backpressure state. seq,
 // lastRel, dead, and sent are written only by the sending process; freed is
-// appended by the receiving process. All access happens under the machine
-// mutex (fault/backpressure paths only — the ideal fabric never touches it).
+// appended by the receiving process (fault/backpressure paths only — the
+// ideal fabric never touches it).
 type linkState struct {
 	seq     uint64 // transport sequence numbers consumed (including lost)
 	lastRel Cost   // release stamp of the last delivered message (in-order)
@@ -72,11 +72,11 @@ func (m *Machine) faultive() bool {
 	return m.cfg.Faults != nil || m.cfg.MailboxCap > 0
 }
 
-// transmitLocked simulates the reliable delivery of one message departing
-// p→dst at virtual time depart, and returns its release stamp at the
-// receiver. ok is false when the transport gave up: the message is lost
-// forever and recorded for watchdog diagnostics. Called with m.mu held.
-func (m *Machine) transmitLocked(p *Proc, dst int, tag int64, nvals int, depart Cost) (release Cost, ok bool) {
+// transmit simulates the reliable delivery of one message departing p→dst at
+// virtual time depart, and returns its release stamp at the receiver. ok is
+// false when the transport gave up: the message is lost forever and recorded
+// for watchdog diagnostics.
+func (m *Machine) transmit(p *Proc, dst int, tag int64, nvals int, depart Cost) (release Cost, ok bool) {
 	f := m.cfg.Faults
 	ls := &m.links[p.id][dst]
 	seq := ls.seq
@@ -89,7 +89,7 @@ func (m *Machine) transmitLocked(p *Proc, dst int, tag int64, nvals int, depart 
 		}
 	}
 	if ls.dead {
-		m.recordLostLocked(p.id, dst, tag, seq, depart, 0)
+		m.recordLost(p.id, dst, tag, seq, depart, 0)
 		wire(trace.WireLost, 0, depart)
 		return 0, false
 	}
@@ -137,7 +137,7 @@ func (m *Machine) transmitLocked(p *Proc, dst int, tag int64, nvals int, depart 
 	}
 	if !delivered {
 		ls.dead = true
-		m.recordLostLocked(p.id, dst, tag, seq, depart, attempts)
+		m.recordLost(p.id, dst, tag, seq, depart, attempts)
 		wire(trace.WireLost, attempts, depart)
 		return 0, false
 	}
@@ -152,9 +152,9 @@ func (m *Machine) transmitLocked(p *Proc, dst int, tag int64, nvals int, depart 
 	return firstArrive, true
 }
 
-// recordLostLocked notes a lost-forever message so a receive blocked on its
+// recordLost notes a lost-forever message so a receive blocked on its
 // queue can fail with a precise diagnosis rather than a bare deadlock.
-func (m *Machine) recordLostLocked(src, dst int, tag int64, seq uint64, at Cost, attempts int) {
+func (m *Machine) recordLost(src, dst int, tag int64, seq uint64, at Cost, attempts int) {
 	m.lostCount++
 	k := key{src: src, tag: tag}
 	if m.lost[dst] == nil {
@@ -168,11 +168,11 @@ func (m *Machine) recordLostLocked(src, dst int, tag int64, seq uint64, at Cost,
 	m.lost[dst][k] = r
 }
 
-// unsatisfiableLocked reports why a receive by pid on queue k can never be
+// recvUnsatisfiable reports why a receive by pid on queue k can never be
 // satisfied ("" when it still can): the message was lost forever, the link
 // is dead, or the sender crash-stopped. Only meaningful when the queue is
 // empty and faults are enabled.
-func (m *Machine) unsatisfiableLocked(pid int, k key) string {
+func (m *Machine) recvUnsatisfiable(pid int, k key) string {
 	if m.cfg.Faults == nil {
 		return ""
 	}
@@ -189,11 +189,11 @@ func (m *Machine) unsatisfiableLocked(pid int, k key) string {
 	return ""
 }
 
-// sendUnsatisfiableLocked reports why a send blocked on dst's full bounded
+// sendUnsatisfiable reports why a send blocked on dst's full bounded
 // channel can never proceed ("" when it still can): only dst itself drains
 // its mailbox, so once dst crash-stops no slot will ever free. Crashes only
 // happen under a fault schedule.
-func (m *Machine) sendUnsatisfiableLocked(dst int) string {
+func (m *Machine) sendUnsatisfiable(dst int) string {
 	if m.cfg.Faults == nil {
 		return ""
 	}
@@ -203,54 +203,51 @@ func (m *Machine) sendUnsatisfiableLocked(dst int) string {
 	return ""
 }
 
-// capWaitLocked blocks p until the channel p→dst has a free slot
-// (Config.MailboxCap), then advances p's clock to the virtual time the slot
-// freed — backpressure in virtual time. The wait is charged to the sender's
-// idle account and traced as a blocked span. Determinism: the slot p waits
-// for is the (sent-cap)-th dequeue on this exact channel, whose virtual time
-// is a deterministic property of the receiver's program, so the adopted
-// clock cannot depend on goroutine scheduling. Called with m.mu held; panics
-// with errAborted (after unlocking) if the run fails while waiting.
-func (m *Machine) capWaitLocked(p *Proc, dst int) {
+// awaitSlot is what a send waits for before it may start: its turn, under
+// Placement (admit), and, under Config.MailboxCap, a free slot on the channel
+// p→dst — acquired together, re-admitting after every park. Parked for
+// capacity, the process is not runnable (like a parked receive), so
+// co-residents run. On return p's clock has advanced to the virtual time the
+// slot freed — backpressure in virtual time; the wait is charged to the
+// sender's idle account and traced as a blocked span. Determinism: the slot p
+// waits for is the (sent-cap)-th dequeue on this exact channel, whose virtual
+// time is a deterministic property of the receiver's program, so the adopted
+// clock cannot depend on scheduling.
+func (p *Proc) awaitSlot(dst int) {
+	m := p.m
 	capN := uint64(m.cfg.MailboxCap)
-	ls := &m.links[p.id][dst]
-	if capN == 0 || ls.sent < capN {
-		return
-	}
-	idx := ls.sent - capN
-	for uint64(len(ls.freed)) <= idx {
+	for {
+		p.admit()
+		if capN == 0 {
+			return
+		}
+		ls := &m.links[p.id][dst]
+		if ls.sent < capN {
+			return
+		}
+		idx := ls.sent - capN
+		if uint64(len(ls.freed)) > idx {
+			if freeAt := ls.freed[idx]; freeAt > p.clock {
+				if t := m.cfg.Tracer; t != nil {
+					t.Emit(trace.Event{Proc: p.id, Kind: trace.KindBlocked, Start: p.clock, End: freeAt, Peer: dst})
+				}
+				p.idle += freeAt - p.clock
+				p.clock = freeAt
+			}
+			return
+		}
+		if m.failed != nil {
+			panic(errAborted)
+		}
 		// The send watchdog: a wait for a slot that can be proven never to
 		// free — the receiver crash-stopped — fails now with a typed error,
 		// at the sender's virtual time, instead of surfacing as a deadlock
 		// at quiescence.
-		if reason := m.sendUnsatisfiableLocked(dst); reason != "" {
+		if reason := m.sendUnsatisfiable(dst); reason != "" {
 			m.failed = &SendTimeoutError{Proc: p.id, Dst: dst, Clock: p.clock, Reason: reason}
-			m.cond.Broadcast()
-			m.mu.Unlock()
 			panic(errAborted)
 		}
-		m.waiting[p.id] = waitInfo{send: true, dst: dst, idx: idx}
-		m.checkDeadlockLocked()
-		if m.failed != nil {
-			delete(m.waiting, p.id)
-			m.cond.Broadcast()
-			m.mu.Unlock()
-			panic(errAborted)
-		}
-		m.cond.Wait()
-		delete(m.waiting, p.id)
-		if m.failed != nil {
-			m.cond.Broadcast()
-			m.mu.Unlock()
-			panic(errAborted)
-		}
-	}
-	if freeAt := ls.freed[idx]; freeAt > p.clock {
-		if t := m.cfg.Tracer; t != nil {
-			t.Emit(trace.Event{Proc: p.id, Kind: trace.KindBlocked, Start: p.clock, End: freeAt, Peer: dst})
-		}
-		p.idle += freeAt - p.clock
-		p.clock = freeAt
+		m.ev.wait(p, waitInfo{send: true, dst: dst, idx: idx})
 	}
 }
 
@@ -367,9 +364,9 @@ func (e *DeadlockError) Error() string {
 // contract of earlier versions.
 func (e *DeadlockError) Is(target error) bool { return target == ErrDeadlock }
 
-// deadlockErrorLocked builds the diagnostic for the current quiescent state,
+// deadlockError builds the diagnostic for the current quiescent state,
 // deterministically ordered by process id.
-func (m *Machine) deadlockErrorLocked() error {
+func (m *Machine) deadlockError() error {
 	pids := make([]int, 0, len(m.waiting))
 	for pid := range m.waiting {
 		pids = append(pids, pid)

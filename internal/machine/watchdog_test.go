@@ -9,14 +9,9 @@ import (
 	"procdecomp/internal/faults"
 )
 
-// engines runs a subtest per simulation core, since the watchdog and
-// cancellation rules are implemented separately in each.
-func engines(t *testing.T, f func(t *testing.T, e Engine)) {
-	t.Helper()
-	for _, e := range []Engine{EngineEvent, EngineGoroutine} {
-		t.Run(e.String(), func(t *testing.T) { f(t, e) })
-	}
-}
+// The tests in this file ran once per simulation core, as subtests named
+// after it. One core is left; its subtest keeps the name ("event") under
+// which these checks have been tracked since they were written.
 
 // TestCapBlockedSenderOnCrashedPeer: MailboxCap backpressure interacting
 // with a crash-stop fault. Process 1 crash-stops before receiving anything;
@@ -25,9 +20,8 @@ func engines(t *testing.T, f func(t *testing.T, e Engine)) {
 // naming the sender, the dead destination, and the reason — never a bare
 // deadlock report and never a hang.
 func TestCapBlockedSenderOnCrashedPeer(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
+	t.Run("event", func(t *testing.T) {
 		cfg := DefaultConfig(2)
-		cfg.Engine = e
 		cfg.MailboxCap = 1
 		cfg.Faults = &faults.Schedule{Seed: 1, Crash: map[int]uint64{1: 0}}
 		m := New(cfg)
@@ -67,9 +61,8 @@ func TestCapBlockedSenderOnCrashedPeer(t *testing.T) {
 // mid-run. The crash wake-up must reach capacity-blocked senders, not only
 // blocked receivers.
 func TestCapBlockedSenderCrashAfterBlock(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
+	t.Run("event", func(t *testing.T) {
 		cfg := DefaultConfig(2)
-		cfg.Engine = e
 		cfg.MailboxCap = 1
 		// Process 1 crashes at virtual time 5000: after it has received one
 		// message (freeing a slot) but before it drains the rest.
@@ -99,11 +92,10 @@ func TestCapBlockedSenderCrashAfterBlock(t *testing.T) {
 // TestCancelAbortsRun: closing Config.Cancel makes a long compute-bound run
 // return a typed *CanceledError instead of running to completion.
 func TestCancelAbortsRun(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
+	t.Run("event", func(t *testing.T) {
 		cancel := make(chan struct{})
 		close(cancel) // canceled before the run starts: the first action aborts
 		cfg := DefaultConfig(4)
-		cfg.Engine = e
 		cfg.Cancel = cancel
 		m := New(cfg)
 		err := m.Run(func(p *Proc) {
@@ -128,10 +120,9 @@ func TestCancelAbortsRun(t *testing.T) {
 // blocked in Recv with no message coming — the case where only the host's
 // wall-clock signal can end the run.
 func TestCancelUnblocksParkedReceiver(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
+	t.Run("event", func(t *testing.T) {
 		cancel := make(chan struct{})
 		cfg := DefaultConfig(2)
-		cfg.Engine = e
 		cfg.Cancel = cancel
 		m := New(cfg)
 		done := make(chan error, 1)
@@ -167,10 +158,9 @@ func TestCancelUnblocksParkedReceiver(t *testing.T) {
 // TestCancelNeverClosedIsIdentical: a Cancel channel that never fires must
 // not change the simulated result in any way.
 func TestCancelNeverClosedIsIdentical(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
+	t.Run("event", func(t *testing.T) {
 		run := func(cancel <-chan struct{}) Stats {
 			cfg := DefaultConfig(3)
-			cfg.Engine = e
 			cfg.Cancel = cancel
 			m := New(cfg)
 			if err := m.Run(func(p *Proc) {
