@@ -16,10 +16,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
+	"sort"
 	"strings"
 
+	"procdecomp/internal/cli"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
@@ -27,35 +29,49 @@ import (
 )
 
 func main() {
-	var (
-		file    = flag.String("file", "", "Idn source file (default: stdin)")
-		entry   = flag.String("entry", "", "entry procedure (default: sole procedure or 'main')")
-		procs   = flag.Int("procs", 4, "number of processors")
-		mode    = flag.String("mode", "ctr", "rtr | ctr | opt1 | opt2 | opt3")
-		spec    = flag.Int("spec", -1, "print only this processor's program (ctr modes)")
-		blk     = flag.Int64("blk", 8, "block size for opt3")
-		emit    = flag.String("emit", "pseudo", "pseudo (the paper's pseudo-code) | c (iPSC/2 C, Appendix A style)")
-		defines defineFlag
-	)
-	flag.Var(&defines, "D", "override a constant, e.g. -D N=64 (repeatable)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "pdc:", err)
+		os.Exit(1)
+	}
+}
 
-	src, err := readSource(*file)
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	// ExitOnError keeps -h at status 0 and a bad flag at 2, as before run
+	// was split from main.
+	fs := flag.NewFlagSet("pdc", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		file    = fs.String("file", "", "Idn source file (default: stdin)")
+		entry   = fs.String("entry", "", "entry procedure (default: sole procedure or 'main')")
+		procs   = fs.Int("procs", 4, "number of processors")
+		mode    = fs.String("mode", "ctr", "rtr | ctr | opt1 | opt2 | opt3")
+		spec    = fs.Int("spec", -1, "print only this processor's program (ctr modes)")
+		blk     = fs.Int64("blk", 8, "block size for opt3")
+		emit    = fs.String("emit", "pseudo", "pseudo (the paper's pseudo-code) | c (iPSC/2 C, Appendix A style)")
+		defines cli.Defines
+	)
+	fs.Var(&defines, "D", "override a constant, e.g. -D N=64 (repeatable)")
+	fs.Parse(args)
+
+	src, err := cli.ReadSource(*file, stdin)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	prog, err := lang.Parse(src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	info, errs := sem.Check(prog, sem.Config{Procs: int64(*procs), Defines: defines.vals})
+	info, errs := sem.Check(prog, sem.Config{Procs: int64(*procs), Defines: defines})
 	if len(errs) > 0 {
 		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "error:", e)
+			fmt.Fprintln(stderr, "error:", e)
 		}
-		os.Exit(1)
+		return fmt.Errorf("%d semantic error(s)", len(errs))
 	}
-	name := pickEntry(info, *entry)
+	name, err := pickEntry(info, *entry)
+	if err != nil {
+		return err
+	}
 
 	format := spmd.Format
 	switch *emit {
@@ -63,59 +79,38 @@ func main() {
 	case "c":
 		format = spmd.FormatC
 	default:
-		fatal(fmt.Errorf("unknown -emit %q", *emit))
+		return fmt.Errorf("unknown -emit %q", *emit)
 	}
 
 	progs, err := xform.Compile(info, name, *mode, *blk)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for _, p := range progs {
 		if p.Proc < 0 {
-			fmt.Print(format(p)) // the one generic program: -spec does not apply
+			fmt.Fprint(stdout, format(p)) // the one generic program: -spec does not apply
 			continue
 		}
 		if *spec >= 0 && p.Proc != *spec {
 			continue
 		}
-		fmt.Print(format(p))
-		fmt.Println()
+		fmt.Fprint(stdout, format(p))
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }
 
-func readSource(file string) (string, error) {
-	if file == "" {
-		var b strings.Builder
-		buf := make([]byte, 64*1024)
-		for {
-			n, err := os.Stdin.Read(buf)
-			b.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return b.String(), nil
-	}
-	data, err := os.ReadFile(file)
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
-}
-
-func pickEntry(info *sem.Info, entry string) string {
+// pickEntry resolves the procedure to compile: the named one, else main, else
+// the only procedure nothing else calls (sem rejects recursion, so a program's
+// sole procedure is that). Several uncalled procedures are an error, not a
+// coin toss over map iteration order.
+func pickEntry(info *sem.Info, entry string) (string, error) {
 	if entry != "" {
-		return entry
+		return entry, nil
 	}
 	if _, ok := info.Procs["main"]; ok {
-		return "main"
+		return "main", nil
 	}
-	if len(info.Procs) == 1 {
-		for name := range info.Procs {
-			return name
-		}
-	}
-	// Prefer a procedure nothing else calls.
 	called := map[string]bool{}
 	for _, p := range info.Procs {
 		var names []string
@@ -124,13 +119,21 @@ func pickEntry(info *sem.Info, entry string) string {
 			called[n] = true
 		}
 	}
+	var roots []string
 	for name := range info.Procs {
 		if !called[name] {
-			return name
+			roots = append(roots, name)
 		}
 	}
-	fatal(fmt.Errorf("cannot determine entry procedure; use -entry"))
-	return ""
+	sort.Strings(roots)
+	switch len(roots) {
+	case 1:
+		return roots[0], nil
+	case 0:
+		return "", fmt.Errorf("cannot determine entry procedure; use -entry")
+	default:
+		return "", fmt.Errorf("cannot determine entry procedure (candidates: %s); use -entry", strings.Join(roots, ", "))
+	}
 }
 
 func collectCalled(p *sem.Proc, out *[]string) {
@@ -184,32 +187,4 @@ func collectCalled(p *sem.Proc, out *[]string) {
 		}
 	}
 	walk(p.Decl.Body)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pdc:", err)
-	os.Exit(1)
-}
-
-// defineFlag parses repeated -D NAME=VALUE flags.
-type defineFlag struct {
-	vals map[string]int64
-}
-
-func (d *defineFlag) String() string { return fmt.Sprint(d.vals) }
-
-func (d *defineFlag) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("expected NAME=VALUE, got %q", s)
-	}
-	v, err := strconv.ParseInt(val, 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad value in %q: %v", s, err)
-	}
-	if d.vals == nil {
-		d.vals = map[string]int64{}
-	}
-	d.vals[name] = v
-	return nil
 }

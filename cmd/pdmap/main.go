@@ -30,6 +30,7 @@ import (
 
 	"procdecomp/internal/autotune"
 	"procdecomp/internal/bench"
+	"procdecomp/internal/cli"
 	"procdecomp/internal/dist"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
@@ -70,7 +71,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		warm     = fs.String("warm", "", "warm-start from a previous run: a pdmap JSON report whose winner seeds the branch-and-bound prune")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON instead of text")
 		htmlOut  = fs.String("html", "", "also write a self-contained HTML report to this file")
-		defines  defineFlag
+		defines  cli.Defines
 	)
 	fs.Var(&defines, "D", "override a constant, e.g. -D N=64 (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -86,24 +87,24 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *entry == "" {
 			*entry = "gs_iteration"
 		}
-	case *file != "":
-		data, err := os.ReadFile(*file)
-		if err != nil {
-			return err
-		}
-		src, name = string(data), *file
 	default:
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
+		var err error
+		if src, err = cli.ReadSource(*file, os.Stdin); err != nil {
 			return err
 		}
-		src, name = string(data), "stdin"
+		if name = *file; name == "" {
+			name = "stdin"
+		}
 	}
 	if *entry == "" {
 		return fmt.Errorf("-entry is required")
 	}
 
-	dn, err := pickDist(src, *distName)
+	prog, err := lang.Parse(src)
+	if err != nil {
+		return err
+	}
+	dn, err := autotune.PickDist(prog, *distName)
 	if err != nil {
 		return err
 	}
@@ -122,7 +123,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		seed = []autotune.Mapping{m}
 	}
 
-	w := &autotune.Workload{Name: name, Source: src, Entry: *entry, Dist: dn, Defines: defines.vals}
+	w := &autotune.Workload{Name: name, Source: src, Entry: *entry, Dist: dn, Defines: defines}
 	rep, err := autotune.SearchCtx(ctx, w, machine.DefaultConfig(*procs), autotune.Options{
 		Space: space, Keep: *keep, TopK: *topk, Workers: *workers,
 		BaselineMode: *baseMode, BaselineBlk: *baseBlk, Seed: seed,
@@ -183,36 +184,6 @@ func warmSeed(path string) (autotune.Mapping, error) {
 	return m, nil
 }
 
-// pickDist resolves the dist declaration the search varies: the named one, or
-// the program's only one.
-func pickDist(src, name string) (string, error) {
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	var found []string
-	for _, d := range prog.Decls {
-		if dd, ok := d.(*lang.DistDecl); ok {
-			found = append(found, dd.Name)
-			if dd.Name == name {
-				return name, nil
-			}
-		}
-	}
-	if name != "" {
-		return "", fmt.Errorf("no dist declaration %s (program has: %s)", name, strings.Join(found, ", "))
-	}
-	switch len(found) {
-	case 0:
-		return "", fmt.Errorf("the program has no dist declaration to retarget")
-	case 1:
-		return found[0], nil
-	default:
-		return "", fmt.Errorf("the program has %d dist declarations (%s); pick one with -dist",
-			len(found), strings.Join(found, ", "))
-	}
-}
-
 // parseSpace builds the candidate space from the comma-separated flags,
 // leaving zero fields for the library defaults.
 func parseSpace(kinds, spans, modes, blks string) (autotune.Space, error) {
@@ -255,27 +226,4 @@ func parseInts(s, flagName string) ([]int64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// defineFlag parses repeated -D NAME=VALUE flags.
-type defineFlag struct {
-	vals map[string]int64
-}
-
-func (d *defineFlag) String() string { return fmt.Sprint(d.vals) }
-
-func (d *defineFlag) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("expected NAME=VALUE, got %q", s)
-	}
-	v, err := strconv.ParseInt(val, 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad value in %q: %v", s, err)
-	}
-	if d.vals == nil {
-		d.vals = map[string]int64{}
-	}
-	d.vals[name] = v
-	return nil
 }

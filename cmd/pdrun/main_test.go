@@ -1,11 +1,14 @@
 package main
 
 import (
-	"errors"
-	"io"
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"procdecomp/internal/bench"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 )
@@ -43,48 +46,55 @@ func TestPrintOutputsSorted(t *testing.T) {
 	}
 }
 
-// errReader yields some bytes and then fails with a non-EOF error, like a
-// pipe whose writer died.
-type errReader struct {
-	data string
-	err  error
-	done bool
-}
-
-func (r *errReader) Read(p []byte) (int, error) {
-	if r.done {
-		return 0, r.err
-	}
-	r.done = true
-	return copy(p, r.data), nil
-}
-
-func TestReadAllReturnsReadError(t *testing.T) {
-	broken := errors.New("pipe burst")
-	_, err := readAll(&errReader{data: "proc f", err: broken})
-	if !errors.Is(err, broken) {
-		t.Fatalf("err = %v, want wrapped %v (a non-EOF stdin failure must not be swallowed)", err, broken)
-	}
-}
-
-func TestReadAllHappyPath(t *testing.T) {
-	// Longer than one Read call's worth for a small reader.
-	src := strings.Repeat("const N = 8;\n", 100)
-	got, err := readAll(strings.NewReader(src))
+// pdrun's stdout and exit status are pinned: testdata/golden/cli was recorded
+// from the binaries of the commit before run was split from main and the
+// -check comparison moved into internal/exec, and every listed invocation
+// must still print the same bytes.
+func TestMatchesCLIGoldens(t *testing.T) {
+	const dir = "../../testdata/golden/cli/"
+	cases, err := os.ReadFile(dir + "cases.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != src {
-		t.Fatalf("got %d bytes, want %d", len(got), len(src))
+	ran := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(cases)), "\n") {
+		f := strings.Fields(line) // name status command args...
+		if f[2] != "pdrun" {
+			continue
+		}
+		ran++
+		name, wantOK, args := f[0], f[1] == "0", append([]string{"-entry", "gs_iteration", "-D", "N=16", "-procs", "4"}, f[3:]...)
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), args, strings.NewReader(bench.GSSource), &stdout, &stderr)
+		if (err == nil) != wantOK {
+			t.Errorf("%s: run returned %v (stderr %q), recorded exit status %s", name, err, stderr.String(), f[1])
+		}
+		want, rerr := os.ReadFile(dir + name + ".stdout")
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !bytes.Equal(stdout.Bytes(), want) {
+			observed := filepath.Join(os.TempDir(), name+".observed.stdout")
+			if werr := os.WriteFile(observed, stdout.Bytes(), 0o644); werr != nil {
+				t.Log(werr)
+			}
+			t.Errorf("%s: pdrun %s prints different bytes than %s%s.stdout; observed output written to %s",
+				name, strings.Join(args, " "), dir, name, observed)
+		}
+	}
+	if ran == 0 {
+		t.Fatal("cases.txt lists no pdrun invocation")
 	}
 }
 
-func TestReadAllKeepsBytesBeforeEOF(t *testing.T) {
-	got, err := readAll(io.LimitReader(strings.NewReader("abc"), 2))
-	if err != nil {
-		t.Fatal(err)
+// An entry the program does not define is an error before anything runs.
+func TestRunReportsMissingEntry(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{"-entry", "nosuch", "-D", "N=8"}, strings.NewReader(bench.GSSource), &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "no procedure nosuch") {
+		t.Fatalf("err = %v, want a missing-procedure error", err)
 	}
-	if got != "ab" {
-		t.Fatalf("got %q, want %q", got, "ab")
+	if stdout.Len() != 0 {
+		t.Errorf("a failed run printed %q", stdout.String())
 	}
 }

@@ -75,19 +75,17 @@ func main() {
 	fmt.Println("1-D heat equation, 64 time steps on a 64-point rod, steps wrapped by row")
 	fmt.Printf("\n%-6s  %12s  %10s\n", "procs", "makespan", "messages")
 
-	var seqResult *istruct.Matrix
+	var seq *exec.Outcome
 	for _, procs := range []int{1, 2, 4, 8} {
 		info, errs := sem.Check(prog, sem.Config{Procs: int64(procs)})
 		if len(errs) > 0 {
 			log.Fatal(errs[0])
 		}
-		if seqResult == nil {
-			seq, err := exec.RunSequential(info, "heat",
-				[]exec.ArgVal{{Matrix: initialRod(tSteps, width)}})
-			if err != nil {
+		if seq == nil {
+			if seq, err = exec.RunSequential(info, "heat",
+				[]exec.ArgVal{{Matrix: initialRod(tSteps, width)}}); err != nil {
 				log.Fatal(err)
 			}
-			seqResult = seq.Ret.Matrix
 		}
 
 		progs, err := core.New(info).CompileCTR("heat", true)
@@ -105,20 +103,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i := int64(1); i <= tSteps; i++ {
-			for x := int64(1); x <= width; x++ {
-				if seqResult.Defined(i, x) != out.Arrays["U"].Defined(i, x) {
-					log.Fatalf("definedness mismatch at (%d,%d)", i, x)
-				}
-				if !seqResult.Defined(i, x) {
-					continue
-				}
-				w, _ := seqResult.Read(i, x)
-				g, _ := out.Arrays["U"].Read(i, x)
-				if d := w - g; d > 1e-9 || d < -1e-9 {
-					log.Fatalf("mismatch at (%d,%d): %g vs %g", i, x, g, w)
-				}
-			}
+		if err := seq.Check(progs[0].Outputs, out); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("%-6d  %12d  %10d\n", procs, out.Stats.Makespan, out.Stats.Messages)
 	}
@@ -130,7 +116,7 @@ func main() {
 	// Show the final temperature profile coarsely.
 	fmt.Println("\nfinal profile (step 64, every 8th point):")
 	for x := int64(1); x <= width; x += 8 {
-		v, _ := seqResult.Read(tSteps, x)
+		v, _ := seq.Ret.Matrix.Read(tSteps, x)
 		fmt.Printf("  x=%2d: %6.2f\n", x, v)
 	}
 }

@@ -86,14 +86,8 @@ func run(distName string, procs int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := int64(1); i <= n; i++ {
-		for j := int64(1); j <= n; j++ {
-			w, _ := seq.Ret.Matrix.Read(i, j)
-			g, _ := out.Arrays["New"].Read(i, j)
-			if d := w - g; d > 1e-9 || d < -1e-9 {
-				log.Fatalf("%s: mismatch at (%d,%d)", distName, i, j)
-			}
-		}
+	if err := seq.Check(progs[0].Outputs, out); err != nil {
+		log.Fatalf("%s: %v", distName, err)
 	}
 
 	fmt.Printf("  %-12s  makespan %10d  messages %7d  (validated)\n",

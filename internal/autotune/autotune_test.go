@@ -29,7 +29,7 @@ func TestProfilePredictsEveryVariant(t *testing.T) {
 		if spec.Handwritten {
 			continue
 		}
-		progs, err := spec.Compile(4, 16, 4)
+		progs, err := bench.CompileGS(spec.Variant, 4, 16, 4)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", spec.Name, err)
 		}
@@ -41,7 +41,7 @@ func TestProfilePredictsEveryVariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: replay: %v", spec.Name, err)
 		}
-		pt, err := spec.Run(cfg, 16, 4)
+		pt, err := bench.RunGSWith(cfg, spec.Variant, 16, 4)
 		if err != nil {
 			t.Fatalf("%s: run: %v", spec.Name, err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/dist"
+	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
@@ -242,7 +243,7 @@ func Measure(w *Workload, c Candidate, cfg machine.Config) (Measurement, error) 
 	if err != nil {
 		return Measurement{}, err
 	}
-	ins, err := w.inputs(b.info)
+	ins, err := exec.PatternInputs(b.info, w.Entry)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -279,7 +280,7 @@ func measure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[st
 	if err != nil {
 		return Measurement{}, nil, err
 	}
-	if err := w.validate(out, b.img.Outputs(), b.info); err != nil {
+	if err := w.validate(out, b); err != nil {
 		return Measurement{}, nil, fmt.Errorf("%s computes the wrong answer: %w", c.Key(), err)
 	}
 	m := Measurement{Makespan: uint64(out.Stats.Makespan), Messages: out.Stats.Messages, Values: out.Stats.Values}
@@ -703,7 +704,7 @@ func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, 
 	if err != nil {
 		return nil, fmt.Errorf("autotune: baseline does not compile: %w", err)
 	}
-	ins, err := w.inputs(b.info)
+	ins, err := exec.PatternInputs(b.info, w.Entry)
 	if err != nil {
 		return nil, err
 	}
@@ -714,7 +715,7 @@ func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, 
 	if err != nil {
 		return nil, fmt.Errorf("autotune: baseline run: %w", err)
 	}
-	if err := w.validate(out, b.img.Outputs(), b.info); err != nil {
+	if err := w.validate(out, b); err != nil {
 		return nil, fmt.Errorf("autotune: baseline computes the wrong answer: %w", err)
 	}
 	measured := uint64(out.Stats.Makespan)

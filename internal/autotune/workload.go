@@ -3,14 +3,13 @@ package autotune
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"procdecomp/internal/dist"
 	"procdecomp/internal/exec"
-	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/sem"
-	"procdecomp/internal/spmd"
 	"procdecomp/internal/xform"
 )
 
@@ -108,103 +107,55 @@ func (w *Workload) build(m *Mapping, mode string, blk int64, procs int) (*built,
 	return lower(info, stages[0], procs)
 }
 
-// inputs builds the istruct.Pattern matrix of each entry parameter, by name.
-// A distributed run only reads them (exec scatters copies to the owners), so
-// one set serves every run of a search.
-func (w *Workload) inputs(info *sem.Info) (map[string]*istruct.Matrix, error) {
-	p, ok := info.Procs[w.Entry]
-	if !ok {
-		return nil, fmt.Errorf("autotune: no procedure %s", w.Entry)
-	}
-	ins := map[string]*istruct.Matrix{}
-	for _, prm := range p.Params {
-		if prm.Type.Base != lang.TMatrix {
-			return nil, fmt.Errorf("autotune: entry parameter %s is not a matrix", prm.Name)
-		}
-		m, err := istruct.Pattern(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
-		if err != nil {
-			return nil, err
-		}
-		ins[prm.Name] = m
-	}
-	return ins, nil
-}
-
-// reference runs the sequential interpreter once per workload and caches the
-// outcome: every candidate's distributed result is compared against it.
+// reference runs the sequential interpreter once per workload and keeps the
+// outcome: every candidate's distributed result is checked against it.
 func (w *Workload) reference(info *sem.Info) (*exec.Outcome, error) {
 	w.refMu.Lock()
 	defer w.refMu.Unlock()
-	if w.refOut != nil {
-		return w.refOut, nil
+	if w.refOut == nil {
+		ref, err := exec.Reference(info, w.Entry)
+		if err != nil {
+			return nil, err
+		}
+		w.refOut = ref
 	}
-	ins, err := w.inputs(info)
-	if err != nil {
-		return nil, err
-	}
-	var args []exec.ArgVal
-	for _, prm := range info.Procs[w.Entry].Params {
-		args = append(args, exec.ArgVal{Matrix: ins[prm.Name]})
-	}
-	out, err := exec.RunSequential(info, w.Entry, args)
-	if err != nil {
-		return nil, err
-	}
-	w.refOut = out
-	return out, nil
+	return w.refOut, nil
 }
 
-// validate compares a distributed outcome's returned array with the
-// sequential reference, identifying it by name the way pdrun does.
-func (w *Workload) validate(out *exec.SPMDOutcome, outputs []spmd.OutVar, info *sem.Info) error {
-	seq, err := w.reference(info)
+// validate checks a built candidate's distributed outcome against the
+// workload's reference.
+func (w *Workload) validate(out *exec.SPMDOutcome, b *built) error {
+	ref, err := w.reference(b.info)
 	if err != nil {
-		return fmt.Errorf("sequential reference failed: %w", err)
+		return err
 	}
-	if !seq.HasRet || seq.Ret.Matrix == nil {
-		return nil // nothing to compare
-	}
-	want := seq.Ret.Matrix
-	retName, lastArray := "", ""
-	for _, o := range outputs {
-		if !o.IsArray {
-			continue
-		}
-		lastArray = o.Name
-		if o.Name == want.Name() {
-			retName = o.Name
-		}
-	}
-	if retName == "" {
-		retName = lastArray
-	}
-	if retName == "" {
-		return fmt.Errorf("the entry returns an array but the compiled program has no array output")
-	}
-	got := out.Arrays[retName]
-	if got == nil {
-		return fmt.Errorf("output array %s missing from the distributed result", retName)
-	}
-	if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
-		return fmt.Errorf("output array %s is %dx%d, reference is %dx%d",
-			retName, got.Rows(), got.Cols(), want.Rows(), want.Cols())
-	}
-	for i := int64(1); i <= want.Rows(); i++ {
-		for j := int64(1); j <= want.Cols(); j++ {
-			if want.Defined(i, j) != got.Defined(i, j) {
-				return fmt.Errorf("definedness mismatch at (%d,%d)", i, j)
-			}
-			if !want.Defined(i, j) {
-				continue
-			}
-			vw, _ := want.Read(i, j)
-			vg, _ := got.Read(i, j)
-			if d := vw - vg; d > 1e-9 || d < -1e-9 {
-				return fmt.Errorf("value mismatch at (%d,%d): %g vs %g", i, j, vg, vw)
+	return ref.Check(b.img.Outputs(), out)
+}
+
+// PickDist resolves which dist declaration of prog a search varies: the named
+// one, or the program's only one.
+func PickDist(prog *lang.Program, name string) (string, error) {
+	var found []string
+	for _, d := range prog.Decls {
+		if dd, ok := d.(*lang.DistDecl); ok {
+			found = append(found, dd.Name)
+			if dd.Name == name {
+				return name, nil
 			}
 		}
 	}
-	return nil
+	if name != "" {
+		return "", fmt.Errorf("no dist declaration %s (program has: %s)", name, strings.Join(found, ", "))
+	}
+	switch len(found) {
+	case 0:
+		return "", fmt.Errorf("the program has no dist declaration to retarget")
+	case 1:
+		return found[0], nil
+	default:
+		return "", fmt.Errorf("the program has %d dist declarations (%s); name one",
+			len(found), strings.Join(found, ", "))
+	}
 }
 
 // Retarget rewrites the program's named distribution to the candidate

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"procdecomp/internal/dist"
+	"procdecomp/internal/lang"
 	"procdecomp/internal/spmd"
 	"procdecomp/internal/xform"
 )
@@ -64,4 +65,48 @@ func TestCompileSharesOneParseSafely(t *testing.T) {
 		}(i, m)
 	}
 	wg.Wait()
+}
+
+// PickDist is the one rule for which declaration a search varies: pdmap's
+// -dist and pdserve's Dist both resolve through it.
+func TestPickDist(t *testing.T) {
+	decls := func(names ...string) string {
+		var b strings.Builder
+		for _, n := range names {
+			b.WriteString("dist " + n + " = cyclic_cols(NPROCS);\n")
+		}
+		return b.String()
+	}
+	for _, tc := range []struct {
+		name, src, pick string
+		want            string
+		errHas          []string
+	}{
+		{"named hit", decls("A", "B"), "B", "B", nil},
+		{"named miss lists what exists", decls("A", "B"), "C", "", []string{"no dist declaration C", "A, B"}},
+		{"zero", "const N = 4;\n", "", "", []string{"no dist declaration to retarget"}},
+		{"one", decls("Only"), "", "Only", nil},
+		{"several", decls("A", "B", "C"), "", "", []string{"3 dist declarations", "A, B, C"}},
+	} {
+		prog, err := lang.Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := PickDist(prog, tc.pick)
+		if tc.errHas == nil {
+			if err != nil || got != tc.want {
+				t.Errorf("%s: PickDist = %q, %v, want %q", tc.name, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: resolved to %q, want an error", tc.name, got)
+			continue
+		}
+		for _, s := range tc.errHas {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, s)
+			}
+		}
+	}
 }

@@ -16,6 +16,7 @@ import (
 	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
 	"procdecomp/internal/wavefront"
+	"procdecomp/internal/xform"
 )
 
 // GSSource is the Gauss-Seidel program of the paper's Fig. 1, in Idn. The
@@ -152,15 +153,26 @@ func checkGS(src string, procs int, n int64) (*sem.Info, error) {
 	return info, nil
 }
 
-// CompileGS compiles the Fig. 1 program under a variant, dispatching through
-// the exported registry. For Handwritten it returns nil (RunGS dispatches to
-// the wavefront package instead).
+// CompileGS compiles the Fig. 1 program under a variant: the registry name of
+// a compiled variant is its xform.StandardPipeline mode. For Handwritten it
+// returns nil (RunGS dispatches to the wavefront package instead).
 func CompileGS(v Variant, procs int, n, blk int64) ([]*spmd.Program, error) {
-	spec, ok := SpecOf(v)
+	if v == Handwritten {
+		return nil, nil
+	}
+	info, err := checkGS(GSSource, procs, n)
+	if err != nil {
+		return nil, err
+	}
+	return compileGS(info, v, blk)
+}
+
+func compileGS(info *sem.Info, v Variant, blk int64) ([]*spmd.Program, error) {
+	mode, ok := variantNames[v]
 	if !ok {
 		return nil, fmt.Errorf("bench: variant %v has no registry entry", v)
 	}
-	return spec.Compile(procs, n, blk)
+	return xform.Compile(info, "gs_iteration", mode, blk)
 }
 
 // RunGS measures one configuration on the default (iPSC/2-like) machine.
@@ -174,65 +186,53 @@ func RunGS(v Variant, procs int, n, blk int64) (*Point, error) {
 // RunGSWith measures one configuration on an explicit machine calibration
 // (used by the shared-memory ablation).
 func RunGSWith(cfg machine.Config, v Variant, n, blk int64) (*Point, error) {
-	procs := cfg.Procs
-	input := Input(n)
-
-	var stats machine.Stats
-	var result *istruct.Matrix
-	if v == Handwritten {
-		res, err := wavefront.Run(cfg, n, blk, input)
-		if err != nil {
-			return nil, err
-		}
-		stats, result = res.Stats, res.New
-	} else {
-		progs, err := CompileGS(v, procs, n, blk)
-		if err != nil {
-			return nil, err
-		}
-		out, err := exec.RunSPMD(progs, cfg, map[string]*istruct.Matrix{"Old": Input(n)})
-		if err != nil {
-			return nil, err
-		}
-		stats, result = out.Stats, out.Arrays["New"]
-	}
-
-	if err := validateGS(procs, n, result); err != nil {
-		return nil, fmt.Errorf("%v (procs=%d, n=%d, blk=%d): %w", v, procs, n, blk, err)
+	stats, err := runGS(cfg, v, n, blk)
+	if err != nil {
+		return nil, err
 	}
 	return &Point{
-		Variant: v, Procs: procs, N: n, BlkSize: blk,
+		Variant: v, Procs: cfg.Procs, N: n, BlkSize: blk,
 		Makespan: stats.Makespan, Messages: stats.Messages,
 		Values: stats.Values, Bytes: stats.Bytes,
 	}, nil
 }
 
-// validateGS compares a distributed result with the sequential reference.
-func validateGS(procs int, n int64, got *istruct.Matrix) error {
-	info, err := checkGS(GSSource, procs, n)
+// runGS is how the harness runs one Gauss-Seidel point: check the Fig. 1
+// source once, compile it under the variant (or dispatch to the hand-written
+// wavefront), run on cfg — the caller sets Tracer, Placement and Faults —
+// and compare the gathered result with the sequential reference. Every figure
+// and table goes through it, so none reports a run that computed the wrong
+// answer.
+func runGS(cfg machine.Config, v Variant, n, blk int64) (machine.Stats, error) {
+	info, err := checkGS(GSSource, cfg.Procs, n)
 	if err != nil {
-		return err
+		return machine.Stats{}, err
 	}
-	out, err := exec.RunSequential(info, "gs_iteration", []exec.ArgVal{{Matrix: Input(n)}})
+	ref, err := exec.Reference(info, "gs_iteration")
 	if err != nil {
-		return err
+		return machine.Stats{}, err
 	}
-	want := out.Ret.Matrix
-	for i := int64(1); i <= n; i++ {
-		for j := int64(1); j <= n; j++ {
-			dw, dg := want.Defined(i, j), got.Defined(i, j)
-			if dw != dg {
-				return fmt.Errorf("definedness mismatch at (%d,%d)", i, j)
-			}
-			if !dw {
-				continue
-			}
-			vw, _ := want.Read(i, j)
-			vg, _ := got.Read(i, j)
-			if diff := vw - vg; diff > 1e-9 || diff < -1e-9 {
-				return fmt.Errorf("value mismatch at (%d,%d): %g vs %g", i, j, vg, vw)
-			}
+	var stats machine.Stats
+	var wrong error
+	if v == Handwritten {
+		res, err := wavefront.Run(cfg, n, blk, Input(n))
+		if err != nil {
+			return machine.Stats{}, err
 		}
+		stats, wrong = res.Stats, ref.CheckMatrix(res.New)
+	} else {
+		progs, err := compileGS(info, v, blk)
+		if err != nil {
+			return machine.Stats{}, err
+		}
+		out, err := exec.RunSPMD(progs, cfg, map[string]*istruct.Matrix{"Old": Input(n)})
+		if err != nil {
+			return machine.Stats{}, err
+		}
+		stats, wrong = out.Stats, ref.Check(progs[0].Outputs, out)
 	}
-	return nil
+	if wrong != nil {
+		return stats, fmt.Errorf("%v (procs=%d, n=%d, blk=%d): %w", v, cfg.Procs, n, blk, wrong)
+	}
+	return stats, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"procdecomp/internal/exec"
 	"procdecomp/internal/machine"
 )
 
@@ -136,9 +137,17 @@ func TestMessageTableSmall(t *testing.T) {
 }
 
 func TestValidationCatchesCorruption(t *testing.T) {
-	// validateGS must reject a wrong result.
+	// The comparison runGS applies must reject a wrong result.
+	info, err := checkGS(GSSource, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := exec.Reference(info, "gs_iteration")
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := Input(16) // the input is not the GS output
-	if err := validateGS(2, 16, got); err == nil {
+	if err := ref.CheckMatrix(got); err == nil {
 		t.Error("validation accepted a wrong matrix")
 	}
 }

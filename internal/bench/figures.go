@@ -12,7 +12,6 @@ import (
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
 	"procdecomp/internal/trace"
-	"procdecomp/internal/wavefront"
 	"procdecomp/internal/xform"
 )
 
@@ -174,6 +173,16 @@ func InterchangeAblation(n int64, procs int, blk int64) (*Series, error) {
 		Title:   fmt.Sprintf("Loop interchange ablation (%dx%d grid, S=%d)", n, n, procs),
 		Columns: []string{"program", "makespan", "messages"},
 	}
+	// Both reversed-loop programs must compute what Fig. 1 computes in normal
+	// order, so the reference is the Fig. 1 source's.
+	gs, err := checkGS(GSSource, procs, n)
+	if err != nil {
+		return nil, err
+	}
+	ref, err := exec.Reference(gs, "gs_iteration")
+	if err != nil {
+		return nil, err
+	}
 	run := func(label string, interchange bool) error {
 		info, err := checkGS(GSReversedSource, procs, n)
 		if err != nil {
@@ -197,7 +206,7 @@ func InterchangeAblation(n int64, procs int, blk int64) (*Series, error) {
 		if err != nil {
 			return err
 		}
-		if err := validateGS(procs, n, out.Arrays["New"]); err != nil {
+		if err := ref.Check(progs[0].Outputs, out); err != nil {
 			return err
 		}
 		s.Rows = append(s.Rows, []string{label,
@@ -297,57 +306,16 @@ func TraceGS(v Variant, procs int, n, blk int64, placement []int) (*machine.Stat
 
 // TraceGSWith is TraceGS on an explicit machine calibration — the hook for
 // tracing fault-injected or re-calibrated runs (cfg.Tracer is installed here;
-// any existing value is replaced).
+// any existing value is replaced). Like every run of the harness, the traced
+// run's result is validated before anything about it is reported.
 func TraceGSWith(cfg machine.Config, v Variant, n, blk int64) (*machine.Stats, *trace.Log, error) {
-	procs := cfg.Procs
 	tr := trace.New()
 	cfg.Tracer = tr
-	if v == Handwritten {
-		res, err := wavefront.Run(cfg, n, blk, Input(n))
-		if err != nil {
-			return nil, nil, err
-		}
-		return &res.Stats, tr, nil
-	}
-	progs, err := CompileGS(v, procs, n, blk)
+	stats, err := runGS(cfg, v, n, blk)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := exec.RunSPMD(progs, cfg, map[string]*istruct.Matrix{"Old": Input(n)})
-	if err != nil {
-		return nil, nil, err
-	}
-	return &out.Stats, tr, nil
-}
-
-// statsGS runs one Gauss-Seidel variant on an explicit machine calibration,
-// validates the result matrix against the sequential reference, and returns
-// the full machine statistics (RunGSWith's Point drops the transport
-// counters a fault experiment needs).
-func statsGS(cfg machine.Config, v Variant, n, blk int64) (machine.Stats, error) {
-	var stats machine.Stats
-	var result *istruct.Matrix
-	if v == Handwritten {
-		res, err := wavefront.Run(cfg, n, blk, Input(n))
-		if err != nil {
-			return stats, err
-		}
-		stats, result = res.Stats, res.New
-	} else {
-		progs, err := CompileGS(v, cfg.Procs, n, blk)
-		if err != nil {
-			return stats, err
-		}
-		out, err := exec.RunSPMD(progs, cfg, map[string]*istruct.Matrix{"Old": Input(n)})
-		if err != nil {
-			return stats, err
-		}
-		stats, result = out.Stats, out.Arrays["New"]
-	}
-	if err := validateGS(cfg.Procs, n, result); err != nil {
-		return stats, fmt.Errorf("%v (procs=%d, n=%d, blk=%d): %w", v, cfg.Procs, n, blk, err)
-	}
-	return stats, nil
+	return &stats, tr, nil
 }
 
 // FaultSweep quantifies the cost of unreliability: for each drop rate it runs
@@ -371,7 +339,7 @@ func FaultSweep(n, blk int64, procs int, seed uint64, rates []float64) (*Series,
 			if rate > 0 {
 				cfg.Faults = faults.Chaos(seed, rate)
 			}
-			st, err := statsGS(cfg, v, n, blk)
+			st, err := runGS(cfg, v, n, blk)
 			if err != nil {
 				return nil, err
 			}
@@ -452,17 +420,12 @@ func LoadBalanceTable(procs int) (*Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Validate against the sequential interpreter.
-		seq, err := exec.RunSequential(info, "tri", []exec.ArgVal{{Matrix: Input(n)}})
+		ref, err := exec.Reference(info, "tri")
 		if err != nil {
 			return nil, err
 		}
-		for i := int64(1); i <= n; i++ {
-			for j := int64(1); j <= n; j++ {
-				if seq.Ret.Matrix.Defined(i, j) != out.Arrays["New"].Defined(i, j) {
-					return nil, fmt.Errorf("load balance: wrong result under %s at (%d,%d)", d, i, j)
-				}
-			}
+		if err := ref.Check(progs[0].Outputs, out); err != nil {
+			return nil, fmt.Errorf("load balance: wrong result under %s: %w", d, err)
 		}
 		maxC, minC := machine.Cost(0), machine.Cost(0)
 		for i, b := range out.Stats.Breakdown {
@@ -506,21 +469,14 @@ func MultiplexTable(nodes int, n, blk int64) (*Series, error) {
 	add := func(label, placementName string, vprocs int, placement []int) error {
 		cfg := machine.DefaultConfig(vprocs)
 		cfg.Placement = placement
-		progs, err := CompileGS(OptimizedIII, vprocs, n, blk)
+		st, err := runGS(cfg, OptimizedIII, n, blk)
 		if err != nil {
-			return err
-		}
-		out, err := exec.RunSPMD(progs, cfg, map[string]*istruct.Matrix{"Old": Input(n)})
-		if err != nil {
-			return err
-		}
-		if err := validateGS(vprocs, n, out.Arrays["New"]); err != nil {
 			return err
 		}
 		s.Rows = append(s.Rows, []string{label, placementName,
-			fmt.Sprintf("%d", out.Stats.Makespan),
-			fmt.Sprintf("%d", out.Stats.Messages),
-			fmt.Sprintf("%4.1f%%", 100*out.Stats.MeanUtilization())})
+			fmt.Sprintf("%d", st.Makespan),
+			fmt.Sprintf("%d", st.Messages),
+			fmt.Sprintf("%4.1f%%", 100*st.MeanUtilization())})
 		return nil
 	}
 	if err := add(fmt.Sprintf("%d processes (direct)", nodes), "one per node", nodes, nil); err != nil {

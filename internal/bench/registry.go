@@ -1,31 +1,22 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
-	"procdecomp/internal/machine"
-	"procdecomp/internal/spmd"
 	"procdecomp/internal/xform"
 )
 
 // A VariantSpec is one entry of the exported variant registry: the single
-// place that ties a curve of Figs. 6/7 to its flag-friendly name, its
-// transformation pipeline, and its compile/run hooks. pdbench and the pdmap
-// search driver both consume this table, so the set of variants and the code
-// each one generates cannot drift between the two.
+// place that ties a curve of Figs. 6/7 to its flag-friendly name and its
+// transformation pipeline. CompileGS and RunGSWith take the Variant. The
+// table's consumers are the pdperf benchmark and the tests that check the
+// cost model (autotune) and the walker against every variant; the pdmap
+// search does not read it — autotune imports bench only in its tests.
 type VariantSpec struct {
 	Variant     Variant
 	Name        string // short flag/mode name: rtr, ctr, opt1, opt2, opt3, hand
 	Legend      string // the figure legend, Variant.String()
 	Handwritten bool   // runs the wavefront package, not compiled code
-
-	// Compile builds the per-process SPMD programs for the Fig. 1 source.
-	// Handwritten has no compiled form and returns (nil, nil).
-	Compile func(procs int, n, blk int64) ([]*spmd.Program, error)
-	// Run measures one configuration on an explicit machine calibration,
-	// validating the result against the sequential reference.
-	Run func(cfg machine.Config, n, blk int64) (*Point, error)
 }
 
 // Pipeline reports the transformation passes the variant applies after
@@ -58,7 +49,7 @@ func SpecOf(v Variant) (VariantSpec, bool) {
 	if !ok {
 		return VariantSpec{}, false
 	}
-	return makeSpec(v, name), true
+	return VariantSpec{Variant: v, Name: name, Legend: v.String(), Handwritten: v == Handwritten}, true
 }
 
 // LookupVariant resolves a registry entry by its short name ("opt3") or its
@@ -66,7 +57,7 @@ func SpecOf(v Variant) (VariantSpec, bool) {
 func LookupVariant(name string) (VariantSpec, bool) {
 	for _, v := range AllVariants {
 		if variantNames[v] == name || v.String() == name {
-			return makeSpec(v, variantNames[v]), true
+			return SpecOf(v)
 		}
 	}
 	return VariantSpec{}, false
@@ -81,38 +72,4 @@ var variantNames = map[Variant]string{
 	OptimizedII:  "opt2",
 	OptimizedIII: "opt3",
 	Handwritten:  "hand",
-}
-
-func makeSpec(v Variant, name string) VariantSpec {
-	spec := VariantSpec{
-		Variant:     v,
-		Name:        name,
-		Legend:      v.String(),
-		Handwritten: v == Handwritten,
-	}
-	if spec.Handwritten {
-		spec.Compile = func(procs int, n, blk int64) ([]*spmd.Program, error) { return nil, nil }
-	} else {
-		spec.Compile = func(procs int, n, blk int64) ([]*spmd.Program, error) {
-			return compileGSAs(name, procs, n, blk)
-		}
-	}
-	spec.Run = func(cfg machine.Config, n, blk int64) (*Point, error) {
-		return RunGSWith(cfg, v, n, blk)
-	}
-	return spec
-}
-
-// compileGSAs compiles the Fig. 1 program under a named optimization mode:
-// the one compile path behind CompileGS and the registry.
-func compileGSAs(mode string, procs int, n, blk int64) ([]*spmd.Program, error) {
-	info, err := checkGS(GSSource, procs, n)
-	if err != nil {
-		return nil, err
-	}
-	progs, err := xform.Compile(info, "gs_iteration", mode, blk)
-	if errors.Is(err, xform.ErrUnknownMode) {
-		err = fmt.Errorf("bench: unknown optimization mode %q", mode)
-	}
-	return progs, err
 }

@@ -6,11 +6,12 @@ import (
 
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
+	"procdecomp/internal/xform"
 )
 
 // The registry must cover every variant exactly once, under a unique name,
-// with the legend matching the enum's String — the invariants that let
-// pdbench and pdmap share it without drifting.
+// with the legend matching the enum's String — the invariants its consumers
+// (pdperf, the autotune and walker tests) rely on.
 func TestRegistryCoversAllVariants(t *testing.T) {
 	specs := Variants()
 	if len(specs) != len(AllVariants) {
@@ -27,9 +28,6 @@ func TestRegistryCoversAllVariants(t *testing.T) {
 		names[spec.Name] = true
 		if spec.Legend != spec.Variant.String() {
 			t.Errorf("entry %v legend %q != String %q", spec.Variant, spec.Legend, spec.Variant.String())
-		}
-		if spec.Compile == nil || spec.Run == nil {
-			t.Fatalf("entry %v missing hooks", spec.Variant)
 		}
 		if spec.Handwritten != (spec.Variant == Handwritten) {
 			t.Errorf("entry %v Handwritten flag wrong", spec.Variant)
@@ -48,9 +46,9 @@ func TestRegistryCoversAllVariants(t *testing.T) {
 	}
 }
 
-// The registry's compile hooks are the same code path CompileGS uses — the
-// generated programs must be identical, and the pipelines must match the
-// standard modes.
+// A compiled variant's registry name is its xform.StandardPipeline mode:
+// CompileGS must generate exactly what xform.Compile does under that name,
+// and the handwritten variant has no compiled form.
 func TestRegistryCompileMatchesCompileGS(t *testing.T) {
 	format := func(progs []*spmd.Program) string {
 		var b strings.Builder
@@ -64,39 +62,43 @@ func TestRegistryCompileMatchesCompileGS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: CompileGS: %v", spec.Variant, err)
 		}
-		viaSpec, err := spec.Compile(4, 16, 4)
-		if err != nil {
-			t.Fatalf("%v: registry compile: %v", spec.Variant, err)
-		}
 		if spec.Handwritten {
-			if direct != nil || viaSpec != nil {
+			if direct != nil {
 				t.Errorf("%v: handwritten variant compiled to programs", spec.Variant)
 			}
 			continue
 		}
-		if format(direct) != format(viaSpec) {
-			t.Errorf("%v: registry and CompileGS produced different code", spec.Variant)
+		info, err := checkGS(GSSource, 4, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName, err := xform.Compile(info, "gs_iteration", spec.Name, 4)
+		if err != nil {
+			t.Fatalf("%v: xform.Compile(%q): %v", spec.Variant, spec.Name, err)
+		}
+		if format(direct) != format(byName) {
+			t.Errorf("%v: CompileGS and mode %q produced different code", spec.Variant, spec.Name)
 		}
 	}
 }
 
-// The registry run hook measures exactly what RunGSWith measures.
+// A variant looked up in the registry runs as the enum value does: RunGS on
+// the default machine measures exactly what RunGSWith measures.
 func TestRegistryRunMatchesRunGS(t *testing.T) {
 	spec, ok := LookupVariant("opt3")
 	if !ok {
 		t.Fatal("opt3 missing")
 	}
-	cfg := machine.DefaultConfig(4)
-	got, err := spec.Run(cfg, 16, 4)
+	got, err := RunGS(spec.Variant, 4, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunGSWith(cfg, OptimizedIII, 16, 4)
+	want, err := RunGSWith(machine.DefaultConfig(4), OptimizedIII, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *want {
-		t.Fatalf("registry run %+v != RunGSWith %+v", got, want)
+		t.Fatalf("RunGS %+v != RunGSWith %+v", got, want)
 	}
 }
 

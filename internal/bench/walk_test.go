@@ -57,7 +57,7 @@ func TestWalkMatchesRunPerProcess(t *testing.T) {
 			if spec.Handwritten {
 				continue
 			}
-			progs, err := spec.Compile(procs, n, blk)
+			progs, err := CompileGS(spec.Variant, procs, n, blk)
 			if err != nil {
 				t.Fatalf("%s S=%d: %v", spec.Name, procs, err)
 			}

@@ -87,7 +87,7 @@ func (s *Server) adaptObserve(endpoint string, req Request, body []byte) {
 	}
 	// A program with no resolvable dist declaration still profiles; a search
 	// triggered for it settles "failed", deterministically.
-	dist, _ := pickDist(source(req), req.Dist)
+	dist, _ := pickDist(req)
 	s.adapt.Observe(adapt.Observation{
 		Scenario: scenarioKey(req),
 		Shape:    shapeKey(req),

@@ -24,13 +24,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/autotune"
 	"procdecomp/internal/bench"
 	"procdecomp/internal/exec"
-	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
@@ -213,11 +211,11 @@ func source(req Request) string {
 	return req.Source
 }
 
-// compile builds the per-process programs the way pdrun does: parse,
-// semantic-check at the machine size, then xform.Compile. A non-empty mapping —
-// the adaptation controller's preference — retargets the program's dist
-// declaration between parse and semantic check, exactly the way the
-// autotune search compiles its candidates.
+// compile builds the per-process programs: parse, semantic-check at the
+// machine size, then xform.Compile. A non-empty mapping — the adaptation
+// controller's preference — retargets the program's dist declaration between
+// parse and semantic check, exactly the way the autotune search compiles its
+// candidates.
 func compile(req Request, mapping string) ([]*spmd.Program, *sem.Info, error) {
 	prog, err := lang.Parse(source(req))
 	if err != nil {
@@ -228,7 +226,7 @@ func compile(req Request, mapping string) ([]*spmd.Program, *sem.Info, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: adapt mapping %q: %w", mapping, err)
 		}
-		dn, err := pickDistProg(prog, req.Dist)
+		dn, err := autotune.PickDist(prog, req.Dist)
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: adapt retarget: %w", err)
 		}
@@ -242,26 +240,6 @@ func compile(req Request, mapping string) ([]*spmd.Program, *sem.Info, error) {
 	}
 	progs, err := xform.Compile(info, req.Entry, req.Mode, req.Blk)
 	return progs, info, err
-}
-
-// testInputs fills the entry's matrix parameters with istruct.Pattern.
-func testInputs(info *sem.Info, entry string) (map[string]*istruct.Matrix, error) {
-	p, ok := info.Procs[entry]
-	if !ok {
-		return nil, fmt.Errorf("no procedure %s", entry)
-	}
-	ins := map[string]*istruct.Matrix{}
-	for _, prm := range p.Params {
-		if prm.Type.Base != lang.TMatrix {
-			return nil, fmt.Errorf("entry parameter %s is not a matrix", prm.Name)
-		}
-		m, err := istruct.Pattern(prm.Name, prm.Type.Dims[0], prm.Type.Dims[1])
-		if err != nil {
-			return nil, err
-		}
-		ins[prm.Name] = m
-	}
-	return ins, nil
 }
 
 // CompileResponse is /compile's body: the generated C per process program.
@@ -288,19 +266,6 @@ func doCompile(req Request) (*CompileResponse, error) {
 	return resp, nil
 }
 
-// ArrayResult summarizes one output array; ScalarResult one scalar. Both are
-// emitted in sorted name order so the response bytes are deterministic.
-type ArrayResult struct {
-	Name       string
-	Rows, Cols int64
-	Defined    int64
-}
-
-type ScalarResult struct {
-	Name  string
-	Value float64
-}
-
 // RunResponse is /run's body.
 type RunResponse struct {
 	Entry    string
@@ -313,9 +278,11 @@ type RunResponse struct {
 	Bytes    int64
 	// Mapping reports the adaptive decomposition the run was compiled with,
 	// when the controller had a preference ("" = the program as declared).
-	Mapping string         `json:",omitempty"`
-	Arrays  []ArrayResult  `json:",omitempty"`
-	Scalars []ScalarResult `json:",omitempty"`
+	Mapping string `json:",omitempty"`
+	// Arrays and Scalars summarize the outputs in sorted name order, so the
+	// response bytes are deterministic.
+	Arrays  []exec.ArraySummary  `json:",omitempty"`
+	Scalars []exec.ScalarSummary `json:",omitempty"`
 }
 
 func doRun(ctx context.Context, req Request, hooks *evalHooks) (*RunResponse, error) {
@@ -332,31 +299,7 @@ func doRun(ctx context.Context, req Request, hooks *evalHooks) (*RunResponse, er
 	if req.Mode == "opt3" {
 		resp.Blk = req.Blk
 	}
-	names := make([]string, 0, len(out.Arrays))
-	for name := range out.Arrays {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := out.Arrays[name]
-		var defined int64
-		for i := int64(1); i <= m.Rows(); i++ {
-			for j := int64(1); j <= m.Cols(); j++ {
-				if m.Defined(i, j) {
-					defined++
-				}
-			}
-		}
-		resp.Arrays = append(resp.Arrays, ArrayResult{Name: name, Rows: m.Rows(), Cols: m.Cols(), Defined: defined})
-	}
-	names = names[:0]
-	for name := range out.Scalars {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		resp.Scalars = append(resp.Scalars, ScalarResult{Name: name, Value: out.Scalars[name]})
-	}
+	resp.Arrays, resp.Scalars = out.Summary()
 	return resp, nil
 }
 
@@ -373,7 +316,7 @@ func runOnce(ctx context.Context, req Request, tr *trace.Log, hooks *evalHooks) 
 	if err != nil {
 		return nil, machine.Config{}, err
 	}
-	ins, err := testInputs(info, req.Entry)
+	ins, err := exec.PatternInputs(info, req.Entry)
 	if err != nil {
 		return nil, machine.Config{}, err
 	}
@@ -420,7 +363,7 @@ type SearchResponse struct {
 }
 
 func doSearch(ctx context.Context, req Request, hooks *evalHooks) (*SearchResponse, error) {
-	dn, err := pickDist(source(req), req.Dist)
+	dn, err := pickDist(req)
 	if err != nil {
 		return nil, invalidf("%v", err)
 	}
@@ -452,33 +395,12 @@ func doSearch(ctx context.Context, req Request, hooks *evalHooks) (*SearchRespon
 	return &SearchResponse{Report: rep, DegradedBudget: budget}, nil
 }
 
-// pickDist resolves the declaration /search varies: the named one, or the
-// program's only one — the same rule pdmap applies.
-func pickDist(src, name string) (string, error) {
-	prog, err := lang.Parse(src)
+// pickDist resolves the declaration a search of the request's program
+// varies (autotune.PickDist on its parsed source).
+func pickDist(req Request) (string, error) {
+	prog, err := lang.Parse(source(req))
 	if err != nil {
 		return "", err
 	}
-	return pickDistProg(prog, name)
-}
-
-// pickDistProg is pickDist on an already-parsed program — the adapt
-// retarget path reuses the parse it is about to rewrite.
-func pickDistProg(prog *lang.Program, name string) (string, error) {
-	var found []string
-	for _, d := range prog.Decls {
-		if dd, ok := d.(*lang.DistDecl); ok {
-			found = append(found, dd.Name)
-			if dd.Name == name {
-				return name, nil
-			}
-		}
-	}
-	if name != "" {
-		return "", fmt.Errorf("no dist declaration %s", name)
-	}
-	if len(found) != 1 {
-		return "", fmt.Errorf("the program has %d dist declarations; set Dist", len(found))
-	}
-	return found[0], nil
+	return autotune.PickDist(prog, req.Dist)
 }
