@@ -23,7 +23,11 @@
 // lowered outlives the call that lowered it. RunSPMD's set-up is linear as
 // well: a parameter is scattered to all processes in one pass over its
 // elements. The sequential interpreter in this file shares none of this; it
-// is the oracle the rest is checked against.
+// is the oracle the rest is checked against. It too resolves, then runs: a
+// pre-pass over the Idn AST gives each sem.Symbol a slot in its procedure's
+// frame and turns each statement and expression into a closure, so a run
+// touches no map and no name. It resolves through sem.Info, not through
+// Lower, so that the two sides share one definition only: EvalBin.
 package exec
 
 import (
@@ -52,21 +56,54 @@ type Outcome struct {
 	Ret    ArgVal
 }
 
-// binding is one scope entry of the sequential interpreter.
-type binding struct {
-	sym    *sem.Symbol
-	ivar   *istruct.IVar   // scalars (single-assignment)
-	loop   *Value          // loop variables (mutable)
+// slot is the storage of one symbol in one activation. sem forbids shadowing
+// and recursion, so a symbol is a slot of its procedure's frame; which field
+// is live is decided once, from the symbol's kind and type.
+type slot struct {
+	ivar   istruct.IVar    // scalars (single-assignment)
+	loop   Value           // loop variables (mutable)
 	matrix *istruct.Matrix // arrays
 	vector *istruct.Vector
 }
 
-type seqInterp struct {
-	info   *sem.Info
-	scopes []map[string]*binding
+func (s *slot) array() ArgVal { return ArgVal{Matrix: s.matrix, Vector: s.vector} }
+
+// frame is one activation: its slots, and the outcome a return statement sets.
+type frame struct {
+	slots []slot
+	Outcome
 }
 
-type returnSignal struct{ val ArgVal }
+// Resolved expressions and statements are closures over the frame they run in.
+type evalFn func(*frame) Value
+type execFn func(*frame)
+
+// seqProc is a resolved procedure. Parameters hold slots 0..len(Params)-1.
+type seqProc struct {
+	*sem.Proc
+	nslots int
+	body   execFn
+}
+
+// seqFailure carries a run-time error of the interpreted program up to
+// RunSequential. It is the only panic RunSequential recovers: any other is a
+// bug in the interpreter (or an inconsistent sem.Info) and propagates.
+type seqFailure struct{ err error }
+
+func seqFail(pos lang.Pos, format string, args ...any) {
+	panic(seqFailure{fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))})
+}
+
+func seqCheck(err error) {
+	if err != nil {
+		panic(seqFailure{err})
+	}
+}
+
+func seqValue(v Value, err error) Value {
+	seqCheck(err)
+	return v
+}
 
 // RunSequential interprets procedure procName of the checked program with
 // the given arguments, using the reference (single machine, global arrays)
@@ -80,284 +117,301 @@ func RunSequential(info *sem.Info, procName string, args []ArgVal) (out *Outcome
 	if len(args) != len(p.Params) {
 		return nil, fmt.Errorf("exec: %s expects %d argument(s), got %d", procName, len(p.Params), len(args))
 	}
-	it := &seqInterp{info: info}
+	entry := (&resolver{info: info, procs: map[*sem.Proc]*seqProc{}, slots: map[*sem.Symbol]int{}}).proc(p)
 	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				out, err = nil, e
-				return
-			}
+		switch r := recover().(type) {
+		case nil:
+		case seqFailure:
+			out, err = nil, r.err
+		default:
 			panic(r)
 		}
 	}()
-	ret, hasRet := it.call(p, args)
-	return &Outcome{HasRet: hasRet, Ret: ret}, nil
+	res := entry.run(args)
+	return &res, nil
 }
 
-func (it *seqInterp) fail(pos lang.Pos, format string, args ...any) {
-	panic(fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
-}
-
-func (it *seqInterp) failErr(err error) { panic(err) }
-
-func (it *seqInterp) call(p *sem.Proc, args []ArgVal) (ArgVal, bool) {
-	saved := it.scopes
-	it.scopes = []map[string]*binding{{}}
-	defer func() { it.scopes = saved }()
-
+// run is one activation: bind the arguments, checking each against its
+// parameter's kind and declared shape, and execute the body in a new frame.
+func (p *seqProc) run(args []ArgVal) Outcome {
+	f := &frame{slots: make([]slot, p.nslots)}
 	for i, prm := range p.Params {
-		b := &binding{sym: prm}
-		a := args[i]
-		switch {
-		case prm.Type.Base == lang.TMatrix:
+		a, s, dims := args[i], &f.slots[i], prm.Type.Dims
+		switch prm.Type.Base {
+		case lang.TMatrix:
 			if a.Matrix == nil {
-				it.fail(p.Decl.Pos, "argument %d of %s must be a matrix", i+1, p.Name)
+				seqFail(p.Decl.Pos, "argument %d of %s must be a matrix", i+1, p.Name)
 			}
-			b.matrix = a.Matrix
-		case prm.Type.Base == lang.TVector:
+			if rows, cols := a.Matrix.Rows(), a.Matrix.Cols(); rows != dims[0] || cols != dims[1] {
+				seqFail(p.Decl.Pos, "argument %d of %s must be a %dx%d matrix, got %dx%d", i+1, p.Name, dims[0], dims[1], rows, cols)
+			}
+			s.matrix = a.Matrix
+		case lang.TVector:
 			if a.Vector == nil {
-				it.fail(p.Decl.Pos, "argument %d of %s must be a vector", i+1, p.Name)
+				seqFail(p.Decl.Pos, "argument %d of %s must be a vector", i+1, p.Name)
 			}
-			b.vector = a.Vector
+			if n := a.Vector.Len(); n != dims[0] {
+				seqFail(p.Decl.Pos, "argument %d of %s must be a vector of length %d, got %d", i+1, p.Name, dims[0], n)
+			}
+			s.vector = a.Vector
 		default:
-			b.ivar = istruct.NewIVar(prm.Name)
-			if err := b.ivar.Write(a.Scalar); err != nil {
-				it.failErr(err)
-			}
-		}
-		it.scopes[0][prm.Name] = b
-	}
-
-	var ret ArgVal
-	hasRet := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if sig, ok := r.(returnSignal); ok {
-					ret, hasRet = sig.val, true
-					return
-				}
-				panic(r)
-			}
-		}()
-		it.block(p.Decl.Body)
-	}()
-	return ret, hasRet
-}
-
-func (it *seqInterp) pushScope() { it.scopes = append(it.scopes, map[string]*binding{}) }
-func (it *seqInterp) popScope()  { it.scopes = it.scopes[:len(it.scopes)-1] }
-
-func (it *seqInterp) lookup(name string) *binding {
-	for i := len(it.scopes) - 1; i >= 0; i-- {
-		if b, ok := it.scopes[i][name]; ok {
-			return b
+			s.ivar = *istruct.NewIVar(prm.Name)
+			seqCheck(s.ivar.Write(a.Scalar))
 		}
 	}
-	return nil
+	p.body(f)
+	return f.Outcome
 }
 
-func (it *seqInterp) block(b *lang.Block) {
-	it.pushScope()
-	defer it.popScope()
-	for _, st := range b.Stmts {
-		it.stmt(st)
+// resolver turns checked procedures into seqProcs. Its maps exist only while
+// it resolves: what it produces holds slot indices, values and closures.
+type resolver struct {
+	info  *sem.Info
+	procs map[*sem.Proc]*seqProc
+	slots map[*sem.Symbol]int // a symbol's slot in its own procedure's frame
+	cur   *seqProc            // the procedure being resolved
+}
+
+// proc resolves p once, and through its call sites every procedure it can
+// reach; sem has already rejected recursion.
+func (r *resolver) proc(p *sem.Proc) *seqProc {
+	if sp, ok := r.procs[p]; ok {
+		return sp
+	}
+	sp := &seqProc{Proc: p}
+	r.procs[p] = sp
+	in := &resolver{info: r.info, procs: r.procs, slots: r.slots, cur: sp}
+	for _, prm := range p.Params {
+		in.bind(prm)
+	}
+	sp.body = in.block(p.Decl.Body)
+	return sp
+}
+
+// bind gives a symbol being declared the current procedure's next slot.
+func (r *resolver) bind(sym *sem.Symbol) int {
+	i := r.cur.nslots
+	r.cur.nslots++
+	r.slots[sym] = i
+	return i
+}
+
+// slot returns the slot a symbol was bound to when it was declared.
+func (r *resolver) slot(sym *sem.Symbol) int {
+	i, ok := r.slots[sym]
+	if !ok {
+		panic(fmt.Sprintf("exec: %s %s is used before it is declared", sym.Kind, sym.Name))
+	}
+	return i
+}
+
+// element resolves an array element reference, node[indices]: the array's
+// slot and subscripts. col is nil for a vector.
+func (r *resolver) element(node any, indices []lang.Expr) (i int, row, col evalFn) {
+	sym := r.info.SymbolOf(node)
+	if sym.Type.Base == lang.TMatrix {
+		col = r.expr(indices[1])
+	}
+	return r.slot(sym), r.expr(indices[0]), col
+}
+
+func (r *resolver) block(b *lang.Block) execFn {
+	stmts := make([]execFn, len(b.Stmts))
+	for i, st := range b.Stmts {
+		stmts[i] = r.stmt(st)
+	}
+	return func(f *frame) {
+		for _, st := range stmts {
+			if st(f); f.HasRet {
+				return
+			}
+		}
 	}
 }
 
-func (it *seqInterp) stmt(st lang.Stmt) {
+func (r *resolver) stmt(st lang.Stmt) execFn {
 	switch st := st.(type) {
 	case *lang.LetStmt:
-		sym := it.info.SymbolOf(st)
-		b := &binding{sym: sym}
-		switch {
-		case sym.Kind == sem.SymArray:
-			if _, isAlloc := st.Init.(*lang.AllocExpr); isAlloc {
-				if sym.Type.Base == lang.TMatrix {
-					m, err := istruct.NewMatrix(st.Name, sym.Type.Dims[0], sym.Type.Dims[1])
-					if err != nil {
-						it.failErr(err)
-					}
-					b.matrix = m
-				} else {
-					v, err := istruct.NewVector(st.Name, sym.Type.Dims[0])
-					if err != nil {
-						it.failErr(err)
-					}
-					b.vector = v
-				}
-			} else {
-				// Array-valued call.
-				call := st.Init.(*lang.CallExpr)
-				rv := it.evalCall(call)
-				b.matrix, b.vector = rv.Matrix, rv.Vector
-			}
-		default:
-			b.ivar = istruct.NewIVar(st.Name)
-			if err := b.ivar.Write(it.eval(st.Init)); err != nil {
-				it.failErr(err)
-			}
-		}
-		it.scopes[len(it.scopes)-1][st.Name] = b
+		return r.let(st)
 	case *lang.AssignStmt:
-		b := it.lookup(st.Name)
-		v := it.eval(st.Value)
-		if err := b.ivar.Write(v); err != nil {
-			it.failErr(err)
-		}
+		i, value := r.slot(r.info.SymbolOf(st)), r.expr(st.Value)
+		return func(f *frame) { seqCheck(f.slots[i].ivar.Write(value(f))) }
 	case *lang.StoreStmt:
-		b := it.lookup(st.Array)
-		v := it.eval(st.Value)
-		if b.matrix != nil {
-			i, j := it.evalInt(st.Indices[0]), it.evalInt(st.Indices[1])
-			if err := b.matrix.Write(i, j, v); err != nil {
-				it.failErr(err)
+		i, row, col := r.element(st, st.Indices)
+		value := r.expr(st.Value)
+		if col == nil {
+			return func(f *frame) {
+				v := value(f)
+				seqCheck(f.slots[i].vector.Write(int64(row(f)), v))
 			}
-		} else {
-			i := it.evalInt(st.Indices[0])
-			if err := b.vector.Write(i, v); err != nil {
-				it.failErr(err)
-			}
+		}
+		return func(f *frame) {
+			v := value(f)
+			seqCheck(f.slots[i].matrix.Write(int64(row(f)), int64(col(f)), v))
 		}
 	case *lang.ForStmt:
-		lo, hi := it.evalInt(st.Lo), it.evalInt(st.Hi)
-		step := int64(1)
+		lo, hi := r.expr(st.Lo), r.expr(st.Hi)
+		var step evalFn
 		if st.Step != nil {
-			step = it.evalInt(st.Step)
-			if step <= 0 {
-				it.fail(st.Pos, "loop step must be positive, got %d", step)
+			step = r.expr(st.Step)
+		}
+		i := r.bind(r.info.SymbolOf(st))
+		body, pos := r.block(st.Body), st.Pos
+		return func(f *frame) {
+			from, to, by := int64(lo(f)), int64(hi(f)), int64(1)
+			if step != nil {
+				if by = int64(step(f)); by <= 0 {
+					seqFail(pos, "loop step must be positive, got %d", by)
+				}
+			}
+			for x := from; x <= to && !f.HasRet; x += by {
+				f.slots[i].loop = Value(x)
+				body(f)
 			}
 		}
-		v := Value(0)
-		b := &binding{sym: it.info.SymbolOf(st), loop: &v}
-		it.pushScope()
-		it.scopes[len(it.scopes)-1][st.Var] = b
-		for x := lo; x <= hi; x += step {
-			v = Value(x)
-			it.block(st.Body)
-		}
-		it.popScope()
 	case *lang.IfStmt:
-		if it.eval(st.Cond) != 0 {
-			it.block(st.Then)
-		} else if st.Else != nil {
-			it.block(st.Else)
+		cond, then := r.expr(st.Cond), r.block(st.Then)
+		els := func(*frame) {}
+		if st.Else != nil {
+			els = r.block(st.Else)
+		}
+		return func(f *frame) {
+			if cond(f) != 0 {
+				then(f)
+			} else {
+				els(f)
+			}
 		}
 	case *lang.CallStmt:
-		it.doCall(st.Pos, st.Name, st.Args)
+		call := r.call(st.Pos, st.Name, st.Args, false)
+		return func(f *frame) { call(f) }
 	case *lang.ReturnStmt:
-		if st.Value == nil {
-			panic(returnSignal{})
+		value := func(*frame) ArgVal { return ArgVal{} }
+		if vr, ok := st.Value.(*lang.VarRef); ok && r.info.SymbolOf(vr).Kind == sem.SymArray {
+			i := r.slot(r.info.SymbolOf(vr))
+			value = func(f *frame) ArgVal { return f.slots[i].array() }
+		} else if st.Value != nil {
+			scalar := r.expr(st.Value)
+			value = func(f *frame) ArgVal { return ArgVal{IsScal: true, Scalar: scalar(f)} }
 		}
-		if vr, ok := st.Value.(*lang.VarRef); ok {
-			if b := it.lookup(vr.Name); b != nil && b.sym.Kind == sem.SymArray {
-				panic(returnSignal{val: ArgVal{Matrix: b.matrix, Vector: b.vector}})
+		return func(f *frame) { f.Outcome = Outcome{HasRet: true, Ret: value(f)} }
+	}
+	panic(fmt.Sprintf("exec: sem accepted a statement the interpreter does not know: %T", st))
+}
+
+// let resolves a declaration. Executing it makes a fresh I-variable or array
+// every time, so a let in a loop body is written once per iteration: the slot
+// is reused, the storage is not.
+func (r *resolver) let(st *lang.LetStmt) execFn {
+	sym := r.info.SymbolOf(st)
+	name, dims := st.Name, sym.Type.Dims
+	switch init := st.Init.(type) {
+	case *lang.AllocExpr:
+		i, isMatrix := r.bind(sym), sym.Type.Base == lang.TMatrix
+		return func(f *frame) {
+			var err error
+			if s := &f.slots[i]; isMatrix {
+				s.matrix, err = istruct.NewMatrix(name, dims[0], dims[1])
+			} else {
+				s.vector, err = istruct.NewVector(name, dims[0])
+			}
+			seqCheck(err)
+		}
+	case *lang.CallExpr:
+		if sym.Kind == sem.SymArray {
+			call, i := r.call(init.Pos, init.Name, init.Args, true), r.bind(sym)
+			return func(f *frame) {
+				rv := call(f)
+				f.slots[i].matrix, f.slots[i].vector = rv.Matrix, rv.Vector
 			}
 		}
-		panic(returnSignal{val: ArgVal{IsScal: true, Scalar: it.eval(st.Value)}})
-	default:
-		it.fail(st.Position(), "unsupported statement in interpreter")
+	}
+	value, i := r.expr(st.Init), r.bind(sym)
+	return func(f *frame) {
+		f.slots[i].ivar = *istruct.NewIVar(name)
+		seqCheck(f.slots[i].ivar.Write(value(f)))
 	}
 }
 
-func (it *seqInterp) doCall(pos lang.Pos, name string, args []lang.Expr) (ArgVal, bool) {
-	callee := it.info.Procs[name]
-	vals := make([]ArgVal, len(args))
+// call resolves a call site: the arguments are evaluated left to right in
+// the caller's frame, then the callee runs in a frame of its own. A call
+// whose result is used must come back with one.
+func (r *resolver) call(pos lang.Pos, name string, args []lang.Expr, used bool) func(*frame) ArgVal {
+	callee := r.proc(r.info.Procs[name])
+	argFns := make([]func(*frame) ArgVal, len(args))
 	for i, a := range args {
-		prm := callee.Params[i]
-		if prm.Type.IsArray() {
-			b := it.lookup(a.(*lang.VarRef).Name)
-			vals[i] = ArgVal{Matrix: b.matrix, Vector: b.vector}
+		if callee.Params[i].Type.IsArray() {
+			s := r.slot(r.info.SymbolOf(a.(*lang.VarRef)))
+			argFns[i] = func(f *frame) ArgVal { return f.slots[s].array() }
 		} else {
-			vals[i] = ArgVal{IsScal: true, Scalar: it.eval(a)}
+			value := r.expr(a)
+			argFns[i] = func(f *frame) ArgVal { return ArgVal{IsScal: true, Scalar: value(f)} }
 		}
 	}
-	return it.call(callee, vals)
-}
-
-func (it *seqInterp) evalCall(e *lang.CallExpr) ArgVal {
-	rv, ok := it.doCall(e.Pos, e.Name, e.Args)
-	if !ok {
-		it.fail(e.Pos, "procedure %s did not return a value", e.Name)
+	return func(f *frame) ArgVal {
+		vals := make([]ArgVal, len(argFns))
+		for i, arg := range argFns {
+			vals[i] = arg(f)
+		}
+		res := callee.run(vals)
+		if used && !res.HasRet {
+			seqFail(pos, "procedure %s did not return a value", name)
+		}
+		return res.Ret
 	}
-	return rv
 }
 
-func (it *seqInterp) evalInt(e lang.Expr) int64 {
-	v := it.eval(e)
-	return int64(v)
-}
-
-func (it *seqInterp) eval(e lang.Expr) Value {
+func (r *resolver) expr(e lang.Expr) evalFn {
 	switch e := e.(type) {
 	case *lang.NumLit:
-		return e.Val
+		return func(*frame) Value { return e.Val }
 	case *lang.BoolLit:
-		if e.Val {
-			return 1
-		}
-		return 0
+		v := boolToV(e.Val)
+		return func(*frame) Value { return v }
 	case *lang.VarRef:
-		sym := it.info.SymbolOf(e)
+		sym := r.info.SymbolOf(e)
 		if sym.Kind == sem.SymConst {
-			return sym.Const
+			v := sym.Const
+			return func(*frame) Value { return v }
 		}
-		b := it.lookup(e.Name)
-		if b.loop != nil {
-			return *b.loop
+		i := r.slot(sym)
+		if sym.Kind == sem.SymLoopVar {
+			return func(f *frame) Value { return f.slots[i].loop }
 		}
-		v, err := b.ivar.Read()
-		if err != nil {
-			it.failErr(err)
-		}
-		return v
+		return func(f *frame) Value { return seqValue(f.slots[i].ivar.Read()) }
 	case *lang.IndexExpr:
-		b := it.lookup(e.Array)
-		if b.matrix != nil {
-			v, err := b.matrix.Read(it.evalInt(e.Indices[0]), it.evalInt(e.Indices[1]))
-			if err != nil {
-				it.failErr(err)
-			}
-			return v
+		i, row, col := r.element(e, e.Indices)
+		if col == nil {
+			return func(f *frame) Value { return seqValue(f.slots[i].vector.Read(int64(row(f)))) }
 		}
-		v, err := b.vector.Read(it.evalInt(e.Indices[0]))
-		if err != nil {
-			it.failErr(err)
-		}
-		return v
+		return func(f *frame) Value { return seqValue(f.slots[i].matrix.Read(int64(row(f)), int64(col(f)))) }
 	case *lang.UnExpr:
-		x := it.eval(e.X)
+		x := r.expr(e.X)
 		if e.Op == lang.OpNeg {
-			return -x
+			return func(f *frame) Value { return -x(f) }
 		}
-		if x != 0 {
-			return 0
-		}
-		return 1
+		return func(f *frame) Value { return boolToV(x(f) == 0) }
 	case *lang.BinExpr:
-		return EvalBin(e.Op, it.eval(e.L), it.eval(e.R), func(msg string) { it.fail(e.Pos, "%s", msg) })
+		op, l, rhs, pos := e.Op, r.expr(e.L), r.expr(e.R), e.Pos
+		fail := func(msg string) { seqFail(pos, "%s", msg) }
+		return func(f *frame) Value { return EvalBin(op, l(f), rhs(f), fail) }
 	case *lang.CallExpr:
-		rv := it.evalCall(e)
-		if !rv.IsScal {
-			it.fail(e.Pos, "array-valued call used as a scalar")
+		call, pos := r.call(e.Pos, e.Name, e.Args, true), e.Pos
+		return func(f *frame) Value {
+			rv := call(f)
+			if !rv.IsScal {
+				seqFail(pos, "array-valued call used as a scalar")
+			}
+			return rv.Scalar
 		}
-		return rv.Scalar
-	default:
-		it.fail(e.Position(), "unsupported expression in interpreter")
-		return 0
 	}
+	panic(fmt.Sprintf("exec: sem accepted an expression the interpreter does not know: %T", e))
 }
 
 // EvalBin applies a binary operator to runtime values with Idn semantics:
 // div is floor division, mod is Euclidean, comparisons yield 1/0. The fail
 // callback reports division by zero.
 func EvalBin(op lang.Op, l, r Value, fail func(string)) Value {
-	boolToV := func(b bool) Value {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	switch op {
 	case lang.OpAdd:
 		return l + r
@@ -407,6 +461,13 @@ func EvalBin(op lang.Op, l, r Value, fail func(string)) Value {
 		fail(fmt.Sprintf("unsupported operator %v", op))
 		return 0
 	}
+}
+
+func boolToV(b bool) Value {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func floorDivI(a, b int64) int64 {
