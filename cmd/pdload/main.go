@@ -1,5 +1,6 @@
-// Command pdload is the overload harness for pdserve: it boots an
-// in-process server, waits for /readyz, and drives thousands of concurrent
+// Command pdload is the driver for pdserve — its overload harness, its
+// self-check and its adaptation experiment: it boots an in-process server,
+// waits for /readyz, and by default drives thousands of concurrent
 // mixed requests — synchronous endpoints, durable async jobs, NDJSON event
 // streams, deadline-doomed requests, mid-flight disconnects, and injected
 // panics — then reports latency percentiles and the robustness gates:
@@ -15,6 +16,13 @@
 //	pdload -mix tame -concurrency 1 -metrics-compare
 //	                               # racy ops remapped; counter values must
 //	                               # reproduce exactly across the seeded runs
+//	pdload -mix smoke -requests 60 -concurrency 8 -json BENCH_pdserve.json
+//	                               # the service's self-check: every other
+//	                               # evaluation panics and every response must
+//	                               # still be a 200; a traced request must
+//	                               # stitch and be found in /logz; /metrics
+//	                               # must reconcile (-queue and
+//	                               # -chaos-panic-every are fixed by the mix)
 //	pdload -mix phase -json BENCH_adapt.json
 //	                               # seeded workload-shift experiment: the
 //	                               # adaptation loop must switch exactly once,
@@ -48,7 +56,7 @@ func main() {
 		degradeAt   = flag.Float64("degrade-at", 0.5, "server occupancy past which /search degrades")
 		timeout     = flag.Duration("client-timeout", 60*time.Second, "per-operation hang bound")
 		jsonOut     = flag.String("json", "", "write the first run's report to this file")
-		mixFlag     = flag.String("mix", "chaos", "operation mix: chaos (disconnects + doomed deadlines), tame (reproducible outcome counters), or phase (workload-shift adaptation experiment)")
+		mixFlag     = flag.String("mix", "chaos", "operation mix: chaos (disconnects + doomed deadlines), tame (reproducible outcome counters), smoke (self-check: all 200 through injected panics, trace and /logz round trip), or phase (workload-shift adaptation experiment)")
 		metricsGate = flag.Bool("metrics", false, "fail the gate when the post-drain /metrics scrape does not reconcile with the server's ground truth")
 		metricsCmp  = flag.Bool("metrics-compare", false, "with -repeat > 1: require later runs to scrape the same counter values as run 1 (needs -mix tame)")
 	)
@@ -85,6 +93,10 @@ func main() {
 			rep.Latency.P50, rep.Latency.P99, rep.Latency.P999,
 			rep.Hung, rep.JobsTerminal, rep.JobsSubmitted,
 			rep.Stats.Degraded, rep.Stats.Shed, rep.Stats.Doomed)
+		if rep.Trace != nil {
+			fmt.Printf("pdload: smoke: %d panics isolated, %d cache hits; traced request stitched %d wall spans with %d machine events and left %d log lines\n",
+				rep.Stats.Panics, rep.Stats.Cache.Hits, rep.Trace.WallSpans, rep.Trace.MachineEvents, rep.Trace.LogLines)
+		}
 		if err := rep.Gate(*metricsGate); err != nil {
 			fmt.Fprintln(os.Stderr, "pdload:", err)
 			failed = true
@@ -95,15 +107,7 @@ func main() {
 		if first == nil {
 			first = rep
 			if *jsonOut != "" {
-				f, err := os.Create(*jsonOut)
-				if err != nil {
-					fatal(err)
-				}
-				if err := rep.WriteJSON(f); err != nil {
-					f.Close()
-					fatal(err)
-				}
-				if err := f.Close(); err != nil {
+				if err := load.WriteJSON(*jsonOut, rep); err != nil {
 					fatal(err)
 				}
 			}
@@ -149,15 +153,7 @@ func runPhase(seed uint64, jsonOut string) {
 			gain*100, rep.GainFrac*100)
 	}
 	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := load.WriteJSON(jsonOut, rep); err != nil {
 			fatal(err)
 		}
 	}

@@ -30,19 +30,19 @@
 //
 //	pdserve -addr :8420 -cache /var/cache/pdserve
 //	pdserve -addr :8420 -cache /var/cache/pdserve -adapt -cache-max-bytes 1073741824
-//	pdserve -smoke -json    # self-check: serve, hammer, report, exit
 //	pdserve -debug-addr 127.0.0.1:8421   # net/http/pprof, on its own listener
 //
 // Every response is a deterministic function of the request body; identical
 // requests are answered with identical bytes, before or after a restart.
+// The self-check that holds a live server to that — concurrent load through
+// injected panics, a traced request followed through /logz, the post-drain
+// /metrics scrape reconciled with ground truth — is pdload -mix smoke.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -77,11 +77,6 @@ func main() {
 		degradeAt  = flag.Float64("degrade-at", 0.75, "smoothed occupancy past which /search degrades to a bounded budget (>=1 disables)")
 		degKeep    = flag.Int("degrade-keep", 4, "degraded /search candidate budget")
 		panicEvery = flag.Int("chaos-panic-every", 0, "chaos: every Nth evaluation panics once (0 = off)")
-		smoke      = flag.Bool("smoke", false, "self-check: start a server, drive concurrent load through injected panics, report, exit")
-		smokeN     = flag.Int("smoke-requests", 60, "smoke request count")
-		smokeC     = flag.Int("smoke-concurrency", 8, "smoke client concurrency")
-		jsonOut    = flag.String("json", "", "with -smoke: also write the report to this file")
-		metricsOut = flag.String("metrics-json", "", "with -smoke: write the scraped (and reconciled) counter samples to this file")
 		debugAddr  = flag.String("debug-addr", "", "also serve net/http/pprof on this address (kept off the public listener)")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON on stderr (default: human-readable text)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -128,29 +123,6 @@ func main() {
 		go http.Serve(dln, dmux)
 	}
 
-	if *smoke {
-		rep, err := serve.Smoke(serve.SmokeConfig{Requests: *smokeN, Concurrency: *smokeC, Server: cfg})
-		if rep != nil {
-			rep.WriteJSON(os.Stdout)
-			if *jsonOut != "" {
-				writeJSONFile(*jsonOut, rep.WriteJSON)
-			}
-			if *metricsOut != "" {
-				// Just the reconciled counter samples — a stable artifact CI
-				// can diff between runs without the timing fields.
-				writeJSONFile(*metricsOut, func(w io.Writer) error {
-					enc := json.NewEncoder(w)
-					enc.SetIndent("", "  ")
-					return enc.Encode(rep.Metrics)
-				})
-			}
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	s, err := serve.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -188,20 +160,6 @@ func main() {
 	st := s.Stats()
 	fmt.Printf("pdserve: done: %d completed, %d failed, %d shed, %d panics isolated\n",
 		st.Completed, st.Failed, st.Shed, st.Panics)
-}
-
-func writeJSONFile(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

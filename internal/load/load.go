@@ -1,6 +1,12 @@
-// Package load is the overload harness for the serve package: it boots an
-// in-process pdserve (real TCP listener, real HTTP clients), gates on
-// /readyz, and drives thousands of concurrent mixed requests — synchronous
+// Package load is the one driver for the serve package. client.go boots an
+// in-process pdserve (real TCP listener, real HTTP client), gates on /readyz
+// and, at the end, drains it, scrapes /metrics and reconciles the scrape with
+// the server's own Stats — once, for every scenario. The scenarios are plain
+// functions over that *Target: the storm in this file (mixes "chaos" and
+// "tame"), the self-check it also runs (mix "smoke"), and the workload-shift
+// experiment in phase.go.
+//
+// The storm drives thousands of concurrent mixed requests — synchronous
 // compile/run/search/trace, durable async jobs, NDJSON event streams, doomed
 // deadlines, mid-flight client disconnects, and server-injected panics —
 // recording latency percentiles, every outcome class, and the two
@@ -24,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -33,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"procdecomp/internal/obs"
 	"procdecomp/internal/serve"
 )
 
@@ -52,10 +56,14 @@ type Config struct {
 	// synchronous operations, leaving a schedule whose outcome counters are
 	// reproducible across runs (disconnect and doom outcomes race the
 	// server's progress, so only the tame mix supports exact cross-run
-	// counter comparison).
+	// counter comparison); "smoke" is the service's self-check — five
+	// request shapes round-robin, all synchronous, every other evaluation
+	// panicking, every response required to be a 200, then one traced
+	// request followed through /logz.
 	Mix string
 	// Server configures the in-process server under test. Zero values take
-	// the serve defaults; the harness leaves chaos knobs to the caller.
+	// the serve defaults; the harness leaves chaos knobs to the caller,
+	// except under the smoke mix, which fixes PanicEvery and QueueDepth.
 	Server serve.Config
 	// ClientTimeout is the per-operation hang bound (default 60s): an
 	// operation still unresolved past it counts as hung, which fails the
@@ -95,6 +103,7 @@ type Percentiles struct {
 // Report is the harness's outcome. The gates a CI run should assert on:
 // Hung == 0, JobsSubmitted == JobsTerminal, DigestConflicts == 0.
 type Report struct {
+	Mix         string
 	Requests    int
 	Concurrency int
 	Seed        uint64
@@ -131,6 +140,9 @@ type Report struct {
 	// first violation. Gate(true) makes a non-empty check a failure.
 	Metrics      map[string]float64 `json:",omitempty"`
 	MetricsCheck string             `json:",omitempty"`
+
+	// Trace is the smoke mix's observability round trip (nil otherwise).
+	Trace *TraceCheck `json:",omitempty"`
 
 	// Stats is the server's own view after drain.
 	Stats serve.Stats
@@ -242,51 +254,49 @@ func mix(seed, i uint64) uint64 {
 	return x
 }
 
+// smokeTemplates is the smoke mix's request list, sent round-robin: distinct
+// programs for misses, repeats for hits. Small N keeps a run fast even under
+// -race.
+func smokeTemplates() []template {
+	n := map[string]int64{"N": 16}
+	return []template{
+		{"run-p4-ctr", "/run", serve.Request{GS: true, Procs: 4, Mode: "ctr", Defines: n}},
+		{"run-p4-opt3b8", "/run", serve.Request{GS: true, Procs: 4, Mode: "opt3", Blk: 8, Defines: n}},
+		{"compile-p4-opt2", "/compile", serve.Request{GS: true, Procs: 4, Mode: "opt2", Defines: n}},
+		{"trace-p4-opt3b8", "/trace", serve.Request{GS: true, Procs: 4, Mode: "opt3", Blk: 8, Defines: n}},
+		{"run-p8-opt1", "/run", serve.Request{GS: true, Procs: 8, Mode: "opt1", Defines: n}},
+	}
+}
+
 // Run executes one load run against a fresh in-process server and returns
 // the report. The server is drained (not killed) at the end, so its own
-// counters in Report.Stats are complete. With no Server.CacheDir, each run
-// gets a fresh temporary cache + journal directory (removed afterwards), so
-// the durable-job and cache paths are always under load.
+// counters in Report.Stats are complete; a drain that had to cancel
+// stragglers is an error, not a report.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Mix != "chaos" && cfg.Mix != "tame" {
-		return nil, fmt.Errorf("load: unknown mix %q (want chaos or tame)", cfg.Mix)
+	tmpls := templates()
+	switch cfg.Mix {
+	case "chaos", "tame":
+	case "smoke":
+		tmpls = smokeTemplates()
+		// Most of the mix is repeats answered from the cache, so only a
+		// handful of jobs ever reach the pool; every other one must panic
+		// for the isolation path to be exercised at all.
+		cfg.Server.PanicEvery = 2
+		// The smoke asserts universal success, so the queue must absorb the
+		// whole client herd; the storm covers shedding.
+		cfg.Server.QueueDepth = cfg.Requests
+	default:
+		return nil, fmt.Errorf("load: unknown mix %q (want chaos, tame or smoke)", cfg.Mix)
 	}
-	if cfg.Server.CacheDir == "" {
-		dir, err := os.MkdirTemp("", "pdload-cache-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		cfg.Server.CacheDir = dir
-	}
-	s, err := serve.New(cfg.Server)
+	t, err := Boot(cfg.Server, cfg.Concurrency)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        cfg.Concurrency,
-		MaxIdleConnsPerHost: cfg.Concurrency,
-	}}
+	defer t.Drain() // for the error returns; a second Drain is a no-op
 
-	// Gate on readiness: the server only reports ready once journal
-	// recovery is complete, so no request can race the recovery sweep.
-	if err := awaitReady(client, base); err != nil {
-		hs.Close()
-		s.Close()
-		return nil, err
-	}
-
-	h := &harness{cfg: cfg, base: base, client: client,
-		tmpls: templates(), digests: map[string]string{}, statuses: map[string]int{}}
+	h := &harness{cfg: cfg, t: t,
+		tmpls: tmpls, digests: map[string]string{}, statuses: map[string]int{}}
 	start := time.Now()
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -306,23 +316,21 @@ func Run(cfg Config) (*Report, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// Drain the server first (terminal events flush to any stream the
-	// harness left open), then the listener.
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	s.Shutdown(shutCtx)
-
-	// Scrape /metrics over the wire after the drain (the reconciliation
-	// identities need every job settled) but before the listener closes, then
-	// verify the scrape against the server's ground-truth Stats. The check's
-	// outcome ships in the report; Gate(true) turns it into a hard failure.
-	metrics, metricsCheck := scrapeCounters(client, base, s)
-	hs.Shutdown(shutCtx)
+	var trace *TraceCheck
+	if cfg.Mix == "smoke" {
+		if trace, err = traceRoundTrip(t, cfg.ClientTimeout); err != nil {
+			return nil, err
+		}
+	}
+	d, err := t.Drain()
+	if err != nil {
+		return nil, fmt.Errorf("load: the report would describe a server that was cut short: %w", err)
+	}
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rep := &Report{
-		Requests: cfg.Requests, Concurrency: cfg.Concurrency, Seed: cfg.Seed,
+	return &Report{
+		Mix: cfg.Mix, Requests: cfg.Requests, Concurrency: cfg.Concurrency, Seed: cfg.Seed,
 		ElapsedMS: elapsed.Milliseconds(),
 		Statuses:  h.statuses,
 		Sync:      h.sync, Jobs: h.jobs, Streams: h.streams, Disconnects: h.disconnects,
@@ -331,64 +339,81 @@ func Run(cfg Config) (*Report, error) {
 		DegradedReplies: h.degraded,
 		Latency:         percentiles(h.latencies),
 		Digests:         h.digests, DigestConflicts: h.conflicts,
-		Metrics: metrics, MetricsCheck: metricsCheck,
-		Stats: s.Stats(),
-	}
-	return rep, nil
+		Metrics: d.Metrics, MetricsCheck: d.Check,
+		Trace: trace,
+		Stats: d.Stats,
+	}, nil
 }
 
-// scrapeCounters reads /metrics over the wire, verifies the scrape against
-// the drained server's Stats, and flattens the counter samples for the
-// report. A scrape or parse failure lands in the check string too — an
-// unscrapeable exposition is itself a reconciliation failure.
-func scrapeCounters(client *http.Client, base string, s *serve.Server) (map[string]float64, string) {
-	resp, err := client.Get(base + "/metrics")
+// TraceCheck is what the smoke's observability round trip counted; all three
+// are non-zero in any report that exists.
+type TraceCheck struct {
+	WallSpans     int
+	MachineEvents int
+	LogLines      int
+}
+
+// traceRoundTrip drives the correlation contract end to end, over real HTTP:
+// one traced request under a known request ID must come back as a stitched
+// two-clock-domain Chrome trace, and the same ID must retrieve the structured
+// log lines the request produced.
+func traceRoundTrip(t *Target, bound time.Duration) (*TraceCheck, error) {
+	const rid = "r-smoke-trace"
+	ctx, cancel := context.WithTimeout(context.Background(), bound)
+	defer cancel()
+	resp, stitched, err := slurp(t.Post(ctx, "/run?trace=1", "", rid, smokeTemplates()[1].body))
 	if err != nil {
-		return nil, fmt.Sprintf("scrape: %v", err)
+		return nil, fmt.Errorf("load: traced request: %w", err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Sprintf("scrape: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("load: traced request: status %d: %.200s", resp.StatusCode, stitched)
 	}
-	sc, err := obs.ParsePrometheus(resp.Body)
+	_, logz, err := slurp(t.Get(ctx, "/logz?req="+rid))
 	if err != nil {
-		return nil, fmt.Sprintf("scrape does not parse: %v", err)
+		return nil, fmt.Errorf("load: /logz: %w", err)
 	}
-	out := map[string]float64{}
-	for _, smp := range sc.Samples {
-		if sc.Types[smp.Name] == "counter" {
-			out[smp.Key()] = smp.Value
-		}
-	}
-	if err := serve.VerifyScrape(sc, s.Stats()); err != nil {
-		return out, err.Error()
-	}
-	return out, ""
+	return traceVerdict(rid, resp.Header.Get("X-Request-Id"), stitched, logz)
 }
 
-func awaitReady(client *http.Client, base string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := client.Get(base + "/readyz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("load: server never became ready: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+// traceVerdict checks what the round trip read: the ID echoed in the response
+// header, the stitched trace's summary naming that ID with wall spans and
+// machine events, and /logz's lines for it.
+func traceVerdict(rid, echoed string, stitched, logz []byte) (*TraceCheck, error) {
+	if echoed != rid {
+		return nil, fmt.Errorf("load: request ID not echoed: got %q, want %q", echoed, rid)
 	}
+	var doc struct {
+		PDObs struct {
+			RequestID     string
+			WallSpans     int
+			MachineEvents int
+		} `json:"pdobs"`
+	}
+	if err := json.Unmarshal(stitched, &doc); err != nil {
+		return nil, fmt.Errorf("load: stitched trace does not parse: %w", err)
+	}
+	switch {
+	case doc.PDObs.RequestID != rid:
+		return nil, fmt.Errorf("load: trace names request %q, want %q", doc.PDObs.RequestID, rid)
+	case doc.PDObs.WallSpans == 0:
+		return nil, fmt.Errorf("load: stitched trace has no wall-time service spans")
+	case doc.PDObs.MachineEvents == 0:
+		return nil, fmt.Errorf("load: stitched trace has no virtual-time machine events")
+	}
+	var lines []json.RawMessage
+	if err := json.Unmarshal(logz, &lines); err != nil {
+		return nil, fmt.Errorf("load: /logz does not parse: %w", err)
+	}
+	if len(lines) == 0 {
+		return nil, fmt.Errorf("load: request %s left no structured log lines", rid)
+	}
+	return &TraceCheck{doc.PDObs.WallSpans, doc.PDObs.MachineEvents, len(lines)}, nil
 }
 
 type harness struct {
-	cfg    Config
-	base   string
-	client *http.Client
-	tmpls  []template
+	cfg   Config
+	t     *Target
+	tmpls []template
 
 	mu              sync.Mutex
 	statuses        map[string]int
@@ -404,6 +429,13 @@ type harness struct {
 	streamsOpened   int
 	streamsTerminal int
 	degraded        int
+}
+
+// bump increments one of the harness's tallies.
+func (h *harness) bump(n *int) {
+	h.mu.Lock()
+	*n++
+	h.mu.Unlock()
 }
 
 func (h *harness) count(status string) {
@@ -441,55 +473,50 @@ func (h *harness) record(tmplKey, budget string, body []byte) {
 	h.digests[key] = digest
 }
 
-func (h *harness) operate(i int) {
-	p := planFor(h.cfg.Seed, i, len(h.tmpls))
-	if h.cfg.Mix == "tame" {
-		p = tamePlan(p)
+// planOf is operation i's plan under the configured mix.
+func (h *harness) planOf(i int) plan {
+	switch h.cfg.Mix {
+	case "smoke":
+		return plan{kind: opSync, tmpl: i % len(h.tmpls)}
+	case "tame":
+		return tamePlan(planFor(h.cfg.Seed, i, len(h.tmpls)))
 	}
+	return planFor(h.cfg.Seed, i, len(h.tmpls))
+}
+
+func (h *harness) operate(i int) {
+	p := h.planOf(i)
 	t := h.tmpls[p.tmpl]
 	switch p.kind {
 	case opSync:
-		h.mu.Lock()
-		h.sync++
-		h.mu.Unlock()
+		h.bump(&h.sync)
 		h.doSync(t, p, 0)
 	case opDoomed:
-		h.mu.Lock()
-		h.sync++
-		h.mu.Unlock()
+		h.bump(&h.sync)
 		// A 1ms budget is doomed the moment there is any queue: the server
 		// should shed it at admission (504) or, if idle, still answer.
 		h.doSync(t, p, 1)
 	case opDisconnect:
-		h.mu.Lock()
-		h.disconnects++
-		h.mu.Unlock()
+		h.bump(&h.disconnects)
 		h.doDisconnect(t, p)
 	case opJob:
-		h.mu.Lock()
-		h.jobs++
-		h.mu.Unlock()
+		h.bump(&h.jobs)
 		h.doJob(t, p, false)
 	case opStream:
-		h.mu.Lock()
-		h.streams++
-		h.mu.Unlock()
+		h.bump(&h.streams)
 		h.doJob(t, p, true)
 	}
 }
 
-func (h *harness) post(ctx context.Context, path string, tenant string, payload any) (*http.Response, error) {
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return nil, err
+// lost settles an operation whose request or response failed in transport:
+// past the client bound it hung, which fails the gate; otherwise it is an
+// "error" outcome.
+func (h *harness) lost(ctx context.Context) {
+	if ctx.Err() != nil {
+		h.bump(&h.hung)
+		return
 	}
-	req, err := http.NewRequestWithContext(ctx, "POST", h.base+path, strings.NewReader(string(b)))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Tenant", tenant)
-	return h.client.Do(req)
+	h.count("error")
 }
 
 func (h *harness) doSync(t template, p plan, timeoutMS int64) {
@@ -498,24 +525,12 @@ func (h *harness) doSync(t template, p plan, timeoutMS int64) {
 	body := t.body
 	body.TimeoutMS = timeoutMS
 	start := time.Now()
-	resp, err := h.post(ctx, t.endpoint, p.tenant, body)
-	if err != nil {
-		if ctx.Err() != nil {
-			h.markHung()
-			return
-		}
-		h.count("error")
-		return
+	resp, payload, err := slurp(h.t.Post(ctx, t.endpoint, p.tenant, "", body))
+	if resp != nil {
+		h.latency(time.Since(start))
 	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	h.latency(time.Since(start))
 	if err != nil {
-		if ctx.Err() != nil {
-			h.markHung()
-			return
-		}
-		h.count("error")
+		h.lost(ctx)
 		return
 	}
 	h.count(fmt.Sprint(resp.StatusCode))
@@ -527,7 +542,7 @@ func (h *harness) doSync(t template, p plan, timeoutMS int64) {
 func (h *harness) doDisconnect(t template, p plan) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(p.cancelMS)*time.Millisecond)
 	defer cancel()
-	resp, err := h.post(ctx, t.endpoint, p.tenant, t.body)
+	resp, err := h.t.Post(ctx, t.endpoint, p.tenant, "", t.body)
 	if err != nil {
 		h.count("disconnect")
 		return
@@ -538,88 +553,44 @@ func (h *harness) doDisconnect(t template, p plan) {
 	h.count(fmt.Sprint(resp.StatusCode))
 }
 
-func (h *harness) markHung() {
-	h.mu.Lock()
-	h.hung++
-	h.mu.Unlock()
-}
-
-type jobAck struct {
-	ID       string
-	Status   string
-	Degraded int
-}
-
 func (h *harness) doJob(t template, p plan, stream bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.ClientTimeout)
 	defer cancel()
 	start := time.Now()
-	resp, err := h.post(ctx, "/jobs", p.tenant, struct {
-		Endpoint string
-		Request  serve.Request
-	}{t.endpoint, t.body})
-	if err != nil {
-		if ctx.Err() != nil {
-			h.markHung()
-			return
-		}
-		h.count("error")
-		return
+	resp, ackBody, err := slurp(h.t.Post(ctx, "/jobs", p.tenant, "",
+		serve.JobSubmit{Endpoint: t.endpoint, Request: t.body}))
+	if resp != nil {
+		h.latency(time.Since(start))
 	}
-	ackBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	h.latency(time.Since(start))
 	if err != nil {
-		h.count("error")
+		h.lost(ctx)
 		return
 	}
 	h.count(fmt.Sprint(resp.StatusCode))
 	if resp.StatusCode != http.StatusAccepted {
 		return // shed, rejected, invalid: a terminal outcome in itself
 	}
-	var ack jobAck
+	var ack serve.JobAccepted
 	if err := json.Unmarshal(ackBody, &ack); err != nil {
 		h.count("error")
 		return
 	}
-	h.mu.Lock()
-	h.jobsSubmitted++
-	h.mu.Unlock()
+	h.bump(&h.jobsSubmitted)
 
 	if stream {
-		h.mu.Lock()
-		h.streamsOpened++
-		h.mu.Unlock()
-		if h.followStream(ctx, ack.ID) {
-			h.mu.Lock()
-			h.streamsTerminal++
-			h.mu.Unlock()
-		} else {
-			h.markHung()
+		h.bump(&h.streamsOpened)
+		if !h.followStream(ctx, ack.ID) {
+			h.bump(&h.hung)
 			return
 		}
+		h.bump(&h.streamsTerminal)
 	}
 
 	// Poll the job to its terminal state and fetch the result bytes.
 	for {
-		req, err := http.NewRequestWithContext(ctx, "GET", h.base+"/jobs/"+ack.ID, nil)
+		resp, payload, err := slurp(h.t.Get(ctx, "/jobs/"+ack.ID))
 		if err != nil {
-			h.count("error")
-			return
-		}
-		resp, err := h.client.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				h.markHung()
-			} else {
-				h.count("error")
-			}
-			return
-		}
-		payload, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			h.count("error")
+			h.lost(ctx)
 			return
 		}
 		if resp.StatusCode == http.StatusAccepted {
@@ -627,13 +598,11 @@ func (h *harness) doJob(t template, p plan, stream bool) {
 			case <-time.After(h.cfg.JobPoll):
 				continue
 			case <-ctx.Done():
-				h.markHung()
+				h.bump(&h.hung)
 				return
 			}
 		}
-		h.mu.Lock()
-		h.jobsTerminal++
-		h.mu.Unlock()
+		h.bump(&h.jobsTerminal)
 		if resp.StatusCode == http.StatusOK {
 			h.record(t.key, resp.Header.Get("X-Degraded"), payload)
 		}
@@ -644,11 +613,7 @@ func (h *harness) doJob(t template, p plan, stream bool) {
 // followStream reads the job's NDJSON event stream to its terminal event.
 // Returns false if the stream ended (or the client gave up) without one.
 func (h *harness) followStream(ctx context.Context, id string) bool {
-	req, err := http.NewRequestWithContext(ctx, "GET", h.base+"/jobs/"+id+"/events", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := h.client.Do(req)
+	resp, err := h.t.Get(ctx, "/jobs/"+id+"/events")
 	if err != nil {
 		return false
 	}
@@ -659,9 +624,7 @@ func (h *harness) followStream(ctx context.Context, id string) bool {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
-		var ev struct {
-			Terminal bool
-		}
+		var ev serve.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			return false
 		}
@@ -672,6 +635,9 @@ func (h *harness) followStream(ctx context.Context, id string) bool {
 	return false
 }
 
+// percentiles is the one latency summary: the q-quantile of n samples is
+// sorted[int(q*n)], clamped to the last element — so the p99 of fewer than a
+// hundred samples is the maximum.
 func percentiles(ms []float64) Percentiles {
 	if len(ms) == 0 {
 		return Percentiles{}
@@ -688,17 +654,28 @@ func percentiles(ms []float64) Percentiles {
 	return Percentiles{P50: at(0.50), P99: at(0.99), P999: at(0.999), Max: s[len(s)-1]}
 }
 
-// WriteJSON writes the report.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
+// WriteJSON writes a report (*Report or *PhaseReport) to path, indented and
+// newline-terminated.
+func WriteJSON(path string, report any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	if err := enc.Encode(report); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Gate returns an error when a robustness gate fails: a hung operation, a
 // non-terminal acknowledged job, or a byte-identity conflict. With metrics
 // set, a failed metrics reconciliation (Report.MetricsCheck) fails the gate
-// too.
+// too. A smoke report promises more: the reconciliation held whether or not
+// metrics is set, every outcome was a 200, and panics were injected — a
+// smoke run that injected nothing proves nothing about isolating them.
 func (r *Report) Gate(metrics bool) error {
 	var problems []string
 	if r.Hung > 0 {
@@ -710,8 +687,24 @@ func (r *Report) Gate(metrics bool) error {
 	if r.DigestConflicts > 0 {
 		problems = append(problems, fmt.Sprintf("%d byte-identity conflicts", r.DigestConflicts))
 	}
-	if metrics && r.MetricsCheck != "" {
+	smoke := r.Mix == "smoke"
+	if (metrics || smoke) && r.MetricsCheck != "" {
 		problems = append(problems, "metrics reconciliation: "+r.MetricsCheck)
+	}
+	if smoke {
+		var other []string
+		for status, n := range r.Statuses {
+			if status != "200" {
+				other = append(other, fmt.Sprintf("%d × %s", n, status))
+			}
+		}
+		if len(other) > 0 {
+			sort.Strings(other)
+			problems = append(problems, "smoke outcomes other than 200: "+strings.Join(other, ", "))
+		}
+		if r.Stats.Panics == 0 {
+			problems = append(problems, "the chaos knob injected no panics — the isolation path went unexercised")
+		}
 	}
 	if len(problems) > 0 {
 		return fmt.Errorf("load: gate failed: %s", strings.Join(problems, "; "))
@@ -733,9 +726,8 @@ func CompareDigests(a, b map[string]string) []string {
 }
 
 // CompareMetrics checks two seeded tame-mix runs for equal counter values
-// over the union of their samples (a counter present in one run and absent
-// in the other is a mismatch too) and returns the differing keys. Two
-// families are exempt even under the tame mix:
+// (CompareCounters) and returns the differing keys. Two families are exempt
+// even under the tame mix:
 //
 //   - timing counters (any family naming "seconds"): wall-clock sums differ
 //     between equal runs by construction;
@@ -743,6 +735,16 @@ func CompareDigests(a, b map[string]string) []string {
 //     on wall-clock intervals, so the HTTP edge sees a run-dependent number
 //     of polls even when every logical outcome is identical.
 func CompareMetrics(a, b map[string]float64) []string {
+	return CompareCounters(a, b, func(k string) bool {
+		return strings.Contains(k, "seconds") || strings.HasPrefix(k, "pdserve_http_requests_total")
+	})
+}
+
+// CompareCounters returns, sorted, the keys whose values differ between two
+// scraped counter maps over the union of their samples (a counter present in
+// one and absent in the other differs too), skipping the keys exempt names
+// (nil exempts none).
+func CompareCounters(a, b map[string]float64, exempt func(key string) bool) []string {
 	union := map[string]bool{}
 	for k := range a {
 		union[k] = true
@@ -752,7 +754,7 @@ func CompareMetrics(a, b map[string]float64) []string {
 	}
 	var bad []string
 	for k := range union {
-		if strings.Contains(k, "seconds") || strings.HasPrefix(k, "pdserve_http_requests_total") {
+		if exempt != nil && exempt(k) {
 			continue
 		}
 		av, aok := a[k]

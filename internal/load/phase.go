@@ -4,10 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -145,53 +142,25 @@ func RunPhase(cfg PhaseConfig) (*PhaseReport, error) {
 // phaseRun drives one server through the phase schedule at concurrency 1.
 func phaseRun(label string, cfg PhaseConfig, adaptOn, shifted bool) (PhaseRun, error) {
 	run := PhaseRun{Label: label}
-	dir, err := os.MkdirTemp("", "pdphase-*")
-	if err != nil {
-		return run, err
-	}
-	defer os.RemoveAll(dir)
-	s, err := serve.New(serve.Config{
-		Workers: 1, QueueDepth: 16, CacheDir: dir, AdmitSeed: cfg.Seed,
+	t, err := Boot(serve.Config{
+		Workers: 1, QueueDepth: 16, AdmitSeed: cfg.Seed,
 		Adapt: phaseAdaptConfig(adaptOn),
-	})
+	}, 1)
 	if err != nil {
 		return run, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		s.Close()
-		return run, err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	client := &http.Client{}
-	defer func() {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		hs.Shutdown(shutCtx)
-		s.Close()
-	}()
-	if err := awaitReady(client, base); err != nil {
-		return run, err
-	}
+	defer t.Drain() // for the error returns; a second Drain is a no-op
 
 	post := func(n int64) (string, uint64, error) {
-		body, _ := json.Marshal(serve.Request{
-			GS: true, Procs: cfg.Procs, Mode: "ctr", Defines: map[string]int64{"N": n}})
-		resp, err := client.Post(base+"/run", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			return "", 0, err
-		}
-		payload, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		resp, payload, err := slurp(t.Post(context.Background(), "/run", "", "", serve.Request{
+			GS: true, Procs: cfg.Procs, Mode: "ctr", Defines: map[string]int64{"N": n}}))
 		if err != nil {
 			return "", 0, err
 		}
 		if resp.StatusCode != http.StatusOK {
 			return "", 0, fmt.Errorf("load: phase %s: /run N=%d: status %d: %.200s", label, n, resp.StatusCode, payload)
 		}
-		var rr struct{ Makespan uint64 }
+		var rr serve.RunResponse
 		if err := json.Unmarshal(payload, &rr); err != nil {
 			return "", 0, err
 		}
@@ -217,7 +186,7 @@ func phaseRun(label string, cfg PhaseConfig, adaptOn, shifted bool) (PhaseRun, e
 	// Let any in-flight or queued search settle before measuring steady
 	// state, so the steady requests run under the post-decision preference.
 	if adaptOn {
-		if err := awaitAdaptIdle(client, base); err != nil {
+		if err := awaitAdaptIdle(t); err != nil {
 			return run, err
 		}
 	}
@@ -229,72 +198,45 @@ func phaseRun(label string, cfg PhaseConfig, adaptOn, shifted bool) (PhaseRun, e
 		run.Mapping, run.SteadyMakespan = mapping, makespan
 	}
 
-	// Drain, then read the settled ledgers: the decision journal bytes, the
-	// post-drain scrape, and the controller's counters.
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(shutCtx); err != nil {
+	// Drain, then keep the settled ledgers: the decision journal bytes, the
+	// post-drain scrape's verdict, and the controller's counters.
+	d, err := t.Drain()
+	if err != nil {
 		return run, err
 	}
-	if adaptOn {
-		resp, err := client.Get(base + "/adapt/journal")
-		if err != nil {
-			return run, err
-		}
-		lines, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return run, err
-		}
-		run.Decisions = string(lines)
-	}
-	metrics, check := scrapeCounters(client, base, s)
-	run.MetricsCheck = check
+	run.Decisions, run.MetricsCheck = d.Decisions, d.Check
 	run.AdaptCounters = map[string]float64{}
-	for k, v := range metrics {
+	for k, v := range d.Metrics {
 		if strings.HasPrefix(k, "pdserve_adapt_") {
 			run.AdaptCounters[k] = v
 		}
 	}
-	st := s.Stats()
-	run.Triggers, run.Switches = st.Adapt.Triggers, st.Adapt.Switched
+	run.Triggers, run.Switches = d.Stats.Adapt.Triggers, d.Stats.Adapt.Switched
 	return run, nil
 }
 
 // awaitAdaptIdle polls GET /adapt until no search is queued or running.
-func awaitAdaptIdle(client *http.Client, base string) error {
-	deadline := time.Now().Add(60 * time.Second)
+func awaitAdaptIdle(t *Target) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	for {
-		resp, err := client.Get(base + "/adapt")
+		_, body, err := slurp(t.Get(ctx, "/adapt"))
 		if err != nil {
-			return err
+			return fmt.Errorf("load: adaptation never settled: %w", err)
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		var ar struct {
-			Status struct{ Busy bool }
-		}
+		var ar serve.AdaptResponse
 		if err := json.Unmarshal(body, &ar); err != nil {
 			return err
 		}
 		if !ar.Status.Busy {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("load: adaptation never settled")
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("load: adaptation never settled: %w", ctx.Err())
+		case <-time.After(5 * time.Millisecond):
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// WriteJSON writes the report.
-func (r *PhaseReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Gate returns an error when any phase-shift promise fails: the shifted
@@ -316,9 +258,8 @@ func (r *PhaseReport) Gate() error {
 	if r.Adaptive.Decisions != r.Repeat.Decisions {
 		problems = append(problems, "decision journals differ between equal seeded runs")
 	}
-	if len(CompareCounters(r.Adaptive.AdaptCounters, r.Repeat.AdaptCounters)) > 0 {
-		problems = append(problems, fmt.Sprintf("adapt counters differ between equal seeded runs: %v",
-			CompareCounters(r.Adaptive.AdaptCounters, r.Repeat.AdaptCounters)))
+	if bad := CompareCounters(r.Adaptive.AdaptCounters, r.Repeat.AdaptCounters, nil); len(bad) > 0 {
+		problems = append(problems, fmt.Sprintf("adapt counters differ between equal seeded runs: %v", bad))
 	}
 	if r.Unshifted.Triggers != 0 {
 		problems = append(problems, fmt.Sprintf("unshifted control triggered %d searches", r.Unshifted.Triggers))
@@ -339,25 +280,4 @@ func (r *PhaseReport) Gate() error {
 		return fmt.Errorf("load: phase gate failed: %s", strings.Join(problems, "; "))
 	}
 	return nil
-}
-
-// CompareCounters returns the keys whose values differ between two scraped
-// counter maps (a key present in only one side differs too).
-func CompareCounters(a, b map[string]float64) []string {
-	union := map[string]bool{}
-	for k := range a {
-		union[k] = true
-	}
-	for k := range b {
-		union[k] = true
-	}
-	var bad []string
-	for k := range union {
-		av, aok := a[k]
-		bv, bok := b[k]
-		if !aok || !bok || av != bv {
-			bad = append(bad, k)
-		}
-	}
-	return bad
 }

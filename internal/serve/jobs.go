@@ -145,7 +145,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	rid := obs.RequestID(r.Context())
 	mapping := s.preferredMapping(sub.Endpoint, req)
 	if body, ok := s.cacheGet(contentKey(sub.Endpoint, req, 0, mapping)); ok {
-		if aj, jerr := s.bornDone(sub.Endpoint, req, tenantOf(r), rid, mapping, body); jerr != nil {
+		if aj, jerr := s.bornDone(sub.Endpoint, req, tenantOf(r), rid, mapping, 0, body); jerr != nil {
 			s.writeError(w, jerr)
 		} else {
 			s.writeAccepted(w, JobAccepted{ID: aj.id, Status: "done"})
@@ -166,7 +166,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if cached != nil {
 		// Degraded-key hit: the saturated answer is already on disk.
-		if aj, jerr := s.bornDone(sub.Endpoint, req, tenantOf(r), rid, mapping, cached); jerr != nil {
+		if aj, jerr := s.bornDone(sub.Endpoint, req, tenantOf(r), rid, mapping, s.cfg.DegradeKeep, cached); jerr != nil {
 			s.writeError(w, jerr)
 		} else {
 			s.writeAccepted(w, JobAccepted{ID: aj.id, Status: "done", Degraded: s.cfg.DegradeKeep})
@@ -178,7 +178,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // bornDone registers a job that is terminal on arrival (its result was
 // cached): journaled accepted+done so a restart re-serves it identically.
-func (s *Server) bornDone(endpoint string, req Request, tenant, rid, mapping string, body []byte) (*asyncJob, *JobError) {
+// budget is the degraded budget body was cached under (0 = full fidelity):
+// it is part of the key a restart looks the bytes up by, and GET /jobs/<id>
+// reports it as X-Degraded exactly as a job that ran degraded would.
+func (s *Server) bornDone(endpoint string, req Request, tenant, rid, mapping string, budget int, body []byte) (*asyncJob, *JobError) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -188,12 +191,12 @@ func (s *Server) bornDone(endpoint string, req Request, tenant, rid, mapping str
 			RetryAfter: s.adm.retryAfter(s.seq.Add(1))}
 	}
 	s.mu.Unlock()
-	key := contentKey(endpoint, req, 0, mapping)
+	key := contentKey(endpoint, req, budget, mapping)
 	aj := &asyncJob{id: jobID(s.seq.Add(1)), rid: rid, endpoint: endpoint, tenant: tenant,
-		key: key, mapping: mapping, req: req, log: newEventLog()}
+		key: key, budget: budget, mapping: mapping, req: req, log: newEventLog()}
 	ctx := obs.WithRequestID(context.Background(), rid)
 	if err := s.journalAppend(ctx, "born_done", journalRec{Op: "accepted", ID: aj.id,
-		RID: rid, Endpoint: endpoint, Tenant: tenant, Key: key, Mapping: mapping, Req: &req}); err != nil {
+		RID: rid, Endpoint: endpoint, Tenant: tenant, Key: key, Budget: budget, Mapping: mapping, Req: &req}); err != nil {
 		return nil, &JobError{Kind: KindInternal, Message: "job journal write failed: " + err.Error()}
 	}
 	// Best-effort: without the done record a restart re-runs the job, which

@@ -447,6 +447,46 @@ func TestHealthAndReadiness(t *testing.T) {
 	}
 }
 
+// A job born done from a degraded cache hit is still a degraded answer: its
+// result must say so (X-Degraded, as its 202 did), and a restart must find
+// the same bytes — under the degraded key, not the full-fidelity one.
+func TestBornDoneDegradedJobKeepsBudget(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{CacheDir: dir, DegradeAt: -1, DegradeKeep: 3}
+	a, hsA := newTestServer(t, cfg)
+	req := Request{GS: true, Procs: 2}
+	resp, degraded := postJSON(t, hsA.URL+"/search", req)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Degraded") != "3" {
+		t.Fatalf("degraded search = %d, X-Degraded %q", resp.StatusCode, resp.Header.Get("X-Degraded"))
+	}
+	resp, ack := postJSON(t, hsA.URL+"/jobs", JobSubmit{Endpoint: "/search", Request: req})
+	var acc JobAccepted
+	if err := json.Unmarshal(ack, &acc); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || acc.Status != "done" || acc.Degraded != 3 {
+		t.Fatalf("job on a cached degraded answer: %d %+v, want 202 born done with Degraded 3", resp.StatusCode, acc)
+	}
+	check := func(when, base string) {
+		t.Helper()
+		r, body := pollJob(t, base, acc.ID)
+		if r.StatusCode != http.StatusOK || !bytes.Equal(body, degraded) {
+			t.Errorf("%s: job result %d, bytes identical to the degraded answer: %v", when, r.StatusCode, bytes.Equal(body, degraded))
+		}
+		if got := r.Header.Get("X-Degraded"); got != "3" {
+			t.Errorf("%s: job result X-Degraded = %q, want 3", when, got)
+		}
+	}
+	check("live", hsA.URL)
+
+	hsA.Close()
+	if err := a.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, hsB := newTestServer(t, cfg)
+	check("after restart", hsB.URL)
+}
+
 func TestDegradedSearchReportsBudget(t *testing.T) {
 	// DegradeAt < 0 forces the degraded path on every /search admission.
 	_, hs := newTestServer(t, Config{CacheDir: t.TempDir(), DegradeAt: -1, DegradeKeep: 3})
