@@ -1,8 +1,18 @@
+//go:build go1.23
+
+// The line above is not a platform constraint: it raises this file's language
+// version to 1.23, which package iter needs, while go.mod stays at 1.22
+// (benchmarks/pdperf is a go 1.22 module that builds this package and may not
+// change with it; go vet rejects the file without the line). The next PR
+// allowed to edit benchmarks/ sets both go.mod files to 1.23 and deletes it.
+// There is no engine for older toolchains.
+
 package machine
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // The discrete-event engine.
@@ -27,12 +37,21 @@ import (
 //     first core did (EXPERIMENTS, "Engine speedup").
 //
 // Processes keep the blocking Proc API (Compute/Send/Recv), so their stacks
-// have to live somewhere: each process still owns a goroutine, but it is a
-// coroutine, not a thread of execution — the loop and the processes hand a
-// single execution token around over unbuffered-in-effect channels, so no
-// two of them are ever runnable at once and no event-path state needs a
-// lock. The happens-before edges of the token handoffs are what make the
-// engine race-detector clean.
+// have to live somewhere: each process is a coroutine made by iter.Pull. The
+// loop resumes one with next[pid](), the process gives control back by
+// calling its yield (park) or by returning, and the runtime switches between
+// the two directly — no channel, no scheduler wake-up, no second thread. One
+// of them runs at a time by construction (it "holds the execution token"), so
+// no event-path state needs a lock, and iter.Pull's own acquire/release pairs
+// around every switch are the happens-before edges that keep the engine
+// race-detector clean.
+//
+// Tearing a run down is stop[pid](): the parked process's yield returns
+// false, park panics errAborted, and the body's deferred calls run on the way
+// out. A body that leaves by runtime.Goexit (a t.Fatal inside a test body)
+// ends the goroutine that called Run, as iter.Pull propagates it: the loop's
+// deferred stopAll unwinds every other process first, so no coroutine
+// outlives the run.
 //
 // Why any order the heap picks is the right one:
 //
@@ -50,37 +69,35 @@ type evState uint8
 const (
 	evReady   evState = iota // in the run heap, waiting to be resumed
 	evRunning                // holds the execution token
-	evWaiting                // parked on a condition recorded in m.waiting
+	evWaiting                // parked on the condition recorded in m.waiting[pid]
 	evDone                   // body returned or process unwound
 )
 
 // evLoop is the event engine's state. Everything here is touched only by
-// whichever goroutine holds the execution token (the loop or exactly one
+// whichever side of a coroutine switch is running (the loop or exactly one
 // process), so none of it is locked.
 type evLoop struct {
 	m *Machine
-	// resume[p] carries the token to process p; false means "unwind now".
-	resume []chan bool
-	// yield carries the token back to the loop; every resume is answered by
-	// exactly one yield (a park or a termination).
-	yield chan struct{}
+	// next[p] switches to process p until it parks or ends; stop[p] makes its
+	// pending yield return false ("unwind now"). yield[p] is p's way back to
+	// the loop, stored by p itself when it first runs.
+	next  []func() (struct{}, bool)
+	stop  []func()
+	yield []func(struct{}) bool
 	state []evState
 	heap  []int32 // runnable pids, min-heap by (clock, id)
 	live  int     // processes not yet evDone
 }
 
 func newEvLoop(m *Machine) *evLoop {
-	ev := &evLoop{
-		m:      m,
-		resume: make([]chan bool, m.cfg.Procs),
-		yield:  make(chan struct{}, 1),
-		state:  make([]evState, m.cfg.Procs),
-		heap:   make([]int32, 0, m.cfg.Procs),
+	return &evLoop{
+		m:     m,
+		next:  make([]func() (struct{}, bool), m.cfg.Procs),
+		stop:  make([]func(), m.cfg.Procs),
+		yield: make([]func(struct{}) bool, m.cfg.Procs),
+		state: make([]evState, m.cfg.Procs),
+		heap:  make([]int32, 0, m.cfg.Procs),
 	}
-	for i := range ev.resume {
-		ev.resume[i] = make(chan bool, 1)
-	}
-	return ev
 }
 
 // less orders heap entries by (clock, id) — the engine's tie-breaking rule.
@@ -131,20 +148,19 @@ func (ev *evLoop) pop() int32 {
 
 // ready moves a parked process into the run heap. Callers have already
 // checked the process is evWaiting and its awaited condition now holds; its
-// m.waiting entry stays until the process itself deletes it on resume, which
-// is why every wake predicate also checks the state.
+// m.waiting entry is stale from here until it parks again, which is why every
+// wake predicate checks the state before reading it.
 func (ev *evLoop) ready(pid int) {
 	ev.state[pid] = evReady
 	ev.push(int32(pid))
 }
 
-// park hands the token back to the loop and blocks until resumed. The caller
-// has already recorded why it is parked (state + m.waiting, or a heap entry
-// for a conservative-admission wait). A false resume means the run is being
-// torn down: unwind without touching any clocks.
+// park switches back to the loop until p is resumed. The caller has already
+// recorded why it is parked (state + m.waiting, or a heap entry for a
+// conservative-admission wait). A false yield means the run is being torn
+// down: unwind without touching any clocks.
 func (ev *evLoop) park(p *Proc) {
-	ev.yield <- struct{}{}
-	if !<-ev.resume[p.id] {
+	if !ev.yield[p.id](struct{}{}) {
 		panic(errAborted)
 	}
 }
@@ -171,24 +187,30 @@ func (ev *evLoop) main(p *Proc, body func(p *Proc)) {
 		}
 		ev.state[p.id] = evDone
 		ev.live--
-		ev.yield <- struct{}{}
 	}()
-	if !<-ev.resume[p.id] {
-		panic(errAborted)
-	}
 	body(p)
 }
 
-// run is the event loop itself: it starts one coroutine per process and
+// run is the event loop itself: it makes one coroutine per process and
 // dispatches until all of them are done.
 func (ev *evLoop) run(body func(p *Proc)) {
 	m := ev.m
 	ev.live = m.cfg.Procs
+	// One seq serves every process. A coroutine's seq starts at its first
+	// next(), which only dispatch below makes, right after it has set cur —
+	// so the process a starting seq belongs to is m.procs[cur].
+	cur := 0
+	seq := func(yield func(struct{}) bool) {
+		p := m.procs[cur]
+		ev.yield[p.id] = yield
+		ev.main(p, body)
+	}
 	for _, p := range m.procs {
 		ev.state[p.id] = evReady
 		ev.push(int32(p.id))
-		go ev.main(p, body)
+		ev.next[p.id], ev.stop[p.id] = iter.Pull(seq)
 	}
+	defer ev.stopAll()
 	beatEvery := m.cfg.HeartbeatEvery
 	if beatEvery <= 0 {
 		beatEvery = 4096
@@ -214,8 +236,19 @@ func (ev *evLoop) run(body func(p *Proc)) {
 			}
 		}
 		ev.state[pid] = evRunning
-		ev.resume[pid] <- true
-		<-ev.yield
+		cur = int(pid)
+		ev.next[pid]()
+	}
+}
+
+// stopAll ends every coroutine that has not ended by itself. After a run that
+// returned there is none and each stop is a no-op. It matters when a body
+// left by runtime.Goexit: that unwinds run from inside next, and the other
+// processes — parked, or not yet started — would otherwise sit in their
+// switch forever.
+func (ev *evLoop) stopAll() {
+	for _, stop := range ev.stop {
+		stop()
 	}
 }
 
@@ -240,7 +273,7 @@ func (ev *evLoop) quiesce() bool {
 				ev.ready(pid)
 				return false
 			}
-		} else if len(m.boxes[pid][wi.k]) > 0 {
+		} else if m.queue(pid, wi.k).len() > 0 {
 			ev.ready(pid)
 			return false
 		}
@@ -268,19 +301,18 @@ func (ev *evLoop) quiesce() bool {
 	return true
 }
 
-// abortWaiting unwinds every parked process after a failure: each gets a
-// false resume, panics errAborted up its own stack (running its defers), and
-// yields back from its termination. Ready processes need no special
-// handling — the loop keeps resuming them and they die at a later machine
-// action (or finish cleanly).
+// abortWaiting unwinds every parked process after a failure: each is stopped,
+// so its yield returns false, it panics errAborted up its own stack (running
+// its defers), and stop returns when it has ended. Ready processes need no
+// special handling — the loop keeps resuming them and they die at a later
+// machine action (or finish cleanly).
 func (ev *evLoop) abortWaiting() {
 	for pid := range ev.state {
 		if ev.state[pid] != evWaiting {
 			continue
 		}
 		ev.state[pid] = evRunning
-		ev.resume[pid] <- false
-		<-ev.yield
+		ev.stop[pid]()
 	}
 }
 
@@ -294,7 +326,7 @@ func (ev *evLoop) wakeRecv(dst int, k key) {
 	if ev.state[dst] != evWaiting {
 		return
 	}
-	if wi, ok := ev.m.waiting[dst]; ok && !wi.send && wi.k == k {
+	if wi := &ev.m.waiting[dst]; !wi.send && wi.k == k {
 		ev.ready(dst)
 	}
 }
@@ -306,7 +338,7 @@ func (ev *evLoop) wakeLoss(dst, src int) {
 	if ev.state[dst] != evWaiting {
 		return
 	}
-	if wi, ok := ev.m.waiting[dst]; ok && !wi.send && wi.k.src == src {
+	if wi := &ev.m.waiting[dst]; !wi.send && wi.k.src == src {
 		ev.ready(dst)
 	}
 }
@@ -318,7 +350,7 @@ func (ev *evLoop) wakeCap(src, dst int) {
 		return
 	}
 	m := ev.m
-	if wi, ok := m.waiting[src]; ok && wi.send && wi.dst == dst &&
+	if wi := &m.waiting[src]; wi.send && wi.dst == dst &&
 		uint64(len(m.links[src][dst].freed)) > wi.idx {
 		ev.ready(src)
 	}
@@ -333,10 +365,7 @@ func (ev *evLoop) wakeCrashed(crashed int) {
 		if ev.state[pid] != evWaiting {
 			continue
 		}
-		wi, ok := m.waiting[pid]
-		if !ok {
-			continue
-		}
+		wi := &m.waiting[pid]
 		if (!wi.send && wi.k.src == crashed) || (wi.send && wi.dst == crashed) {
 			ev.ready(pid)
 		}
@@ -349,7 +378,6 @@ func (ev *evLoop) wait(p *Proc, why waitInfo) {
 	ev.m.waiting[p.id] = why
 	ev.state[p.id] = evWaiting
 	ev.park(p)
-	delete(ev.m.waiting, p.id)
 }
 
 // admit is the conservative admission rule of a multiplexed machine (mux.go):

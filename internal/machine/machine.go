@@ -173,6 +173,49 @@ type key struct {
 	tag int64
 }
 
+// fifo is one (dst, src, tag) message queue. Messages leave from q[head], and
+// a queue that drains keeps its buffer and starts over at the front, so a
+// steady exchange touches the allocator only while a queue is still growing.
+type fifo struct {
+	tag  int64
+	q    []message
+	head int
+}
+
+// len counts the messages waiting; a queue nobody has sent on yet (nil) has
+// none.
+func (f *fifo) len() int {
+	if f == nil {
+		return 0
+	}
+	return len(f.q) - f.head
+}
+
+func (f *fifo) push(msg message) {
+	if len(f.q) == cap(f.q) && f.head > len(f.q)/2 {
+		// Full, but mostly of messages already received (the receiver keeps
+		// up without ever catching up): slide the rest down instead of
+		// growing, so the buffer stays proportional to what is pending.
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, msg)
+}
+
+func (f *fifo) pop() message {
+	msg := f.q[f.head]
+	f.q[f.head] = message{} // the values are the receiver's now
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return msg
+}
+
+// arenaChunk is how many values the machine allocates at a time for the
+// copies Send keeps (keep).
+const arenaChunk = 1024
+
 // Breakdown partitions one process's virtual time: every cycle of its final
 // clock is compute, communication overhead (packing/unpacking and start-up),
 // or idle time spent blocked in a receive before the message arrived.
@@ -218,22 +261,29 @@ func (s Stats) MeanUtilization() float64 {
 }
 
 // Machine is one simulated multicomputer run. Create with New, execute with
-// Run, then inspect Stats. A Machine is not reusable after Run returns.
+// Run, then inspect Stats. A Machine is not reusable: a second Run is refused.
 //
-// Everything but mu, running and canceled is touched only by the holder of
-// the event loop's execution token (event.go) — the loop, or the one process
-// it resumed — and so needs no lock.
+// Everything but mu, ran, running and canceled is touched only by whichever
+// side of the event loop's coroutine switch is running (event.go) — the loop,
+// or the one process it resumed — and so needs no lock.
 type Machine struct {
 	cfg Config
 
-	// mu guards running, and nothing else: it is what lets Stats and
+	// mu guards ran and running, and nothing else: it is what lets Stats and
 	// NodeTimes, called from any goroutine, refuse a mid-run snapshot.
 	mu      sync.Mutex
+	ran     bool // Run was called
 	running bool // Run in progress
 
-	boxes   []map[key][]message // per-destination mailboxes
-	waiting map[int]waitInfo    // parked processes and what they wait for
-	failed  error               // first failure; aborts everything
+	// boxes[dst][src] holds the FIFOs of messages from src waiting at dst, one
+	// per tag in use on that pair (a handful: found by scanning). A row is
+	// made at the first send to dst.
+	boxes [][][]fifo
+	// waiting[pid] says what pid is parked on; meaningful only while the
+	// event loop has it in evWaiting.
+	waiting []waitInfo
+	arena   []Value // unused rest of the current chunk of message values (keep)
+	failed  error   // first failure; aborts everything
 
 	// Fault-injection and backpressure state (transport.go). links and lost
 	// are allocated only when Config.Faults or Config.MailboxCap is set.
@@ -296,6 +346,10 @@ func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
 // failed; Run reports the original failure.
 var errAborted = errors.New("machine: run aborted")
 
+// errReused is what a second Run on the same Machine returns: clocks,
+// counters, mailboxes and the first run's failure would all carry over.
+var errReused = errors.New("machine: Run called twice on one Machine; a Machine is one run — make another with New")
+
 // ErrRunInProgress is returned by Stats when called while Run is still in
 // progress: the per-process clocks and time partitions are written lock-free
 // by whichever process holds the execution token, and the only happens-before
@@ -311,13 +365,15 @@ func New(cfg Config) *Machine {
 	if cfg.ValueBytes <= 0 {
 		cfg.ValueBytes = 4
 	}
-	m := &Machine{cfg: cfg, waiting: map[int]waitInfo{}}
-	m.boxes = make([]map[key][]message, cfg.Procs)
+	m := &Machine{cfg: cfg}
+	m.boxes = make([][][]fifo, cfg.Procs)
+	m.waiting = make([]waitInfo, cfg.Procs)
 	m.procs = make([]*Proc, cfg.Procs)
 	m.crashed = make([]bool, cfg.Procs)
-	for i := range m.boxes {
-		m.boxes[i] = map[key][]message{}
-		m.procs[i] = &Proc{id: i, m: m}
+	procs := make([]Proc, cfg.Procs)
+	for i := range procs {
+		procs[i] = Proc{id: i, m: m}
+		m.procs[i] = &procs[i]
 	}
 	if m.faultive() {
 		m.links = make([][]linkState, cfg.Procs)
@@ -345,22 +401,28 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Run executes body once per processor and waits for all processes to
 // finish. A panic in any process (an I-structure error, for example) aborts
-// the run and is returned as an error, as is deadlock.
+// the run and is returned as an error, as is deadlock. A body that calls
+// runtime.Goexit ends the goroutine that called Run — Run does not return,
+// but its deferred calls leave nothing of the run behind.
 func (m *Machine) Run(body func(p *Proc)) error {
+	m.mu.Lock()
+	if m.ran {
+		m.mu.Unlock()
+		return errReused
+	}
+	m.ran, m.running = true, true
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		m.running = false
+		m.mu.Unlock()
+	}()
 	if m.cfg.Cancel != nil {
 		stop := make(chan struct{})
 		defer close(stop)
 		go m.watchCancel(stop)
 	}
-	m.mu.Lock()
-	m.running = true
-	m.mu.Unlock()
-
 	m.ev.run(body)
-
-	m.mu.Lock()
-	m.running = false
-	m.mu.Unlock()
 	return m.failed
 }
 
@@ -442,9 +504,9 @@ func (m *Machine) VerifyTrace() error {
 	return nil
 }
 
-// Proc is one simulated process, usable only from the goroutine Run gave it
+// Proc is one simulated process, usable only from the body call Run gave it
 // to. Neither its clocks nor the mailboxes it reaches need locking: a process
-// runs only while it holds the event loop's execution token.
+// runs only while the event loop has switched to it.
 type Proc struct {
 	id    int
 	m     *Machine
@@ -549,8 +611,7 @@ func (p *Proc) Send(dst int, tag int64, vals ...Value) {
 		return
 	}
 	k := key{src: p.id, tag: tag}
-	m.boxes[dst][k] = append(m.boxes[dst][k],
-		message{vals: append([]Value(nil), vals...), arrive: arrive, seq: p.msgSeq})
+	m.queueFor(dst, k).push(message{vals: m.keep(vals), arrive: arrive, seq: p.msgSeq})
 	if m.faultive() {
 		m.links[p.id][dst].sent++
 	}
@@ -560,11 +621,63 @@ func (p *Proc) Send(dst int, tag int64, vals ...Value) {
 	m.ev.wakeRecv(dst, k)
 }
 
+// queue returns the FIFO of messages from k.src with tag k.tag waiting at dst,
+// or nil if none was ever sent.
+func (m *Machine) queue(dst int, k key) *fifo {
+	if m.boxes[dst] == nil {
+		return nil
+	}
+	fs := m.boxes[dst][k.src]
+	for i := range fs {
+		if fs[i].tag == k.tag {
+			return &fs[i]
+		}
+	}
+	return nil
+}
+
+// queueFor is queue for a sender: it makes what is missing. The pointer is
+// good until the next queueFor on the same (dst, src) pair.
+func (m *Machine) queueFor(dst int, k key) *fifo {
+	if f := m.queue(dst, k); f != nil {
+		return f
+	}
+	if m.boxes[dst] == nil {
+		m.boxes[dst] = make([][]fifo, m.cfg.Procs)
+	}
+	fs := append(m.boxes[dst][k.src], fifo{tag: k.tag})
+	m.boxes[dst][k.src] = fs
+	return &fs[len(fs)-1]
+}
+
+// keep copies a message's values into memory the machine never writes again:
+// the next free stretch of the run's current chunk (a new chunk when it does
+// not fit, the message's own when it is larger than a chunk). The slice Recv
+// hands out is therefore the receiver's to keep and, its capacity clipped, to
+// append to; a chunk is collected when the last slice into it is.
+func (m *Machine) keep(vals []Value) []Value {
+	n := len(vals)
+	if n == 0 {
+		return nil
+	}
+	if n > len(m.arena) {
+		if n >= arenaChunk {
+			return append([]Value(nil), vals...)
+		}
+		m.arena = make([]Value, arenaChunk)
+	}
+	kept := m.arena[:n:n]
+	m.arena = m.arena[n:]
+	copy(kept, vals)
+	return kept
+}
+
 // Recv blocks until a message with the given tag from processor src is
 // available — the paper's crecv. The receiver's clock advances to the
 // message's arrival time if it was earlier (idle wait, which occupies no CPU:
 // under Placement co-residents run during it), then is charged start-up plus
-// per-value unpacking.
+// per-value unpacking. The returned slice belongs to the caller: no later
+// message overwrites it.
 func (p *Proc) Recv(src int, tag int64) []Value {
 	if src < 0 || src >= p.m.cfg.Procs {
 		panic(fmt.Sprintf("machine: recv from processor %d out of range [0,%d)", src, p.m.cfg.Procs))
@@ -574,9 +687,10 @@ func (p *Proc) Recv(src int, tag int64) []Value {
 	m := p.m
 	cfg := &m.cfg
 	k := key{src: src, tag: tag}
+	var q *fifo
 	for {
 		p.admit()
-		if len(m.boxes[p.id][k]) > 0 {
+		if q = m.queue(p.id, k); q.len() > 0 {
 			break
 		}
 		if m.failed != nil {
@@ -592,13 +706,7 @@ func (p *Proc) Recv(src int, tag int64) []Value {
 		}
 		m.ev.wait(p, waitInfo{k: k})
 	}
-	q := m.boxes[p.id][k]
-	msg := q[0]
-	if len(q) == 1 {
-		delete(m.boxes[p.id], k)
-	} else {
-		m.boxes[p.id][k] = q[1:]
-	}
+	msg := q.pop()
 	if msg.arrive > p.clock {
 		if t := cfg.Tracer; t != nil {
 			t.Emit(trace.Event{Proc: p.id, Kind: trace.KindIdle, Start: p.clock, End: msg.arrive,

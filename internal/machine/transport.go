@@ -367,34 +367,27 @@ func (e *DeadlockError) Is(target error) bool { return target == ErrDeadlock }
 // deadlockError builds the diagnostic for the current quiescent state,
 // deterministically ordered by process id.
 func (m *Machine) deadlockError() error {
-	pids := make([]int, 0, len(m.waiting))
-	for pid := range m.waiting {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
 	e := &DeadlockError{}
-	for _, pid := range pids {
-		wi := m.waiting[pid]
+	for pid, wi := range m.waiting {
+		if m.ev.state[pid] != evWaiting {
+			continue
+		}
 		bp := BlockedProc{Proc: pid, Send: wi.send, Clock: m.procs[pid].clock}
 		if wi.send {
 			bp.Peer = wi.dst
 		} else {
 			bp.Peer, bp.Tag = wi.k.src, wi.k.tag
 		}
-		ks := make([]key, 0, len(m.boxes[pid]))
-		for k, q := range m.boxes[pid] {
-			if len(q) > 0 {
-				ks = append(ks, k)
+		// The mailbox is already in src order; the tags of one src are in
+		// first-send order.
+		for src, fs := range m.boxes[pid] {
+			fs = append([]fifo(nil), fs...)
+			sort.Slice(fs, func(i, j int) bool { return fs[i].tag < fs[j].tag })
+			for _, f := range fs {
+				if f.len() > 0 {
+					bp.Pending = append(bp.Pending, fmt.Sprintf("(src %d, tag %d)x%d", src, f.tag, f.len()))
+				}
 			}
-		}
-		sort.Slice(ks, func(i, j int) bool {
-			if ks[i].src != ks[j].src {
-				return ks[i].src < ks[j].src
-			}
-			return ks[i].tag < ks[j].tag
-		})
-		for _, k := range ks {
-			bp.Pending = append(bp.Pending, fmt.Sprintf("(src %d, tag %d)x%d", k.src, k.tag, len(m.boxes[pid][k])))
 		}
 		e.Blocked = append(e.Blocked, bp)
 	}
