@@ -99,6 +99,38 @@ func TestSearchCtxCanceledBeforeStart(t *testing.T) {
 	}
 }
 
+// TestSearchCtxCanceledInTier1: tier 1 hands out no mapping after the
+// context is done. With one worker, a cancel from the first mapping's compile
+// lets that mapping finish and compiles no other; the search reports it
+// interrupted instead of compiling and walking the whole space first.
+func TestSearchCtxCanceledInTier1(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	compiles := 0
+	opts := Options{Workers: 1}
+	opts.evalHook = func(s string, c Candidate) {
+		if s == "compile" {
+			compiles++
+			cancel()
+		}
+	}
+	rep, err := SearchCtx(ctx, gsWorkload(16), machine.DefaultConfig(4), opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want one wrapping context.Canceled", err)
+	}
+	if compiles != 1 {
+		t.Errorf("%d mappings compiled, want 1", compiles)
+	}
+	if rep == nil || len(rep.Results) == 0 {
+		t.Fatal("no partial report of the mapping that ran")
+	}
+	for _, r := range rep.Results {
+		if r.Candidate.Mapping != rep.Results[0].Candidate.Mapping {
+			t.Errorf("partial report holds %s, which was never compiled", r.Candidate.Key())
+		}
+	}
+}
+
 // TestSearchCtxCanceledMidSearch: cancellation after the anchor (triggered
 // from inside the tier-1 pool) ends the search promptly with the partial
 // results accumulated so far.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -297,8 +298,9 @@ func DefaultHand(procs int) Candidate {
 }
 
 // forEach runs f(0..n-1) on a bounded worker pool. Callers write results by
-// index, so scheduling order never leaks into the output.
-func forEach(n, workers int, f func(i int)) {
+// index, so scheduling order never leaks into the output. Once ctx is done it
+// hands out no more indices; the calls already running finish.
+func forEach(ctx context.Context, n, workers int, f func(i int)) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -316,8 +318,11 @@ func forEach(n, workers int, f func(i int)) {
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		select {
+		case idx <- i:
+		case <-ctx.Done():
+		}
 	}
 	close(idx)
 	wg.Wait()
@@ -339,10 +344,11 @@ func interrupted(rep *Report, results []Result, err error) (*Report, error) {
 	return rep, fmt.Errorf("autotune: search interrupted: %w", err)
 }
 
-// SearchCtx is Search under a context. Cancellation is honored between tiers
-// and inside the measurement pool (it propagates into the simulated machine
-// via exec.RunSPMDCtx); an interrupted search returns the partial report
-// together with an error wrapping ctx.Err().
+// SearchCtx is Search under a context. Cancellation is honored between tiers,
+// by both worker pools (no further mapping is compiled and no further
+// candidate measured once ctx is done; those under way finish) and inside the
+// simulated machine (via exec.RunSPMDCtx); an interrupted search returns the
+// partial report together with an error wrapping ctx.Err().
 func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Options) (*Report, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("autotune: machine with %d processors", cfg.Procs)
@@ -435,7 +441,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	profiles := make([]*Profile, len(cands))
 	builds := make([]*built, len(cands))
 	groups := byMapping(cands)
-	forEach(len(groups), opts.Workers, func(g int) {
+	forEach(ctx, len(groups), opts.Workers, func(g int) {
 		idx := groups[g]
 		mapping := cands[idx[0]].Mapping
 		points := make([]xform.Point, len(idx))
@@ -480,7 +486,8 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		}
 	})
 	if err := ctx.Err(); err != nil {
-		return interrupted(rep, results, err)
+		// A mapping never handed out has no results to report.
+		return interrupted(rep, slices.DeleteFunc(results, func(r Result) bool { return r == Result{} }), err)
 	}
 
 	// Tier 2, with a sound prune. The static score is a lower bound on the
@@ -577,7 +584,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// Tier 3: confirm on the simulated machine, through the cache.
 	errs := make([]error, len(mIdx))
 	var measuredSoFar atomic.Int64
-	forEach(len(mIdx), opts.Workers, func(n int) {
+	forEach(ctx, len(mIdx), opts.Workers, func(n int) {
 		i := mIdx[n]
 		key := CacheKey(w, results[i].Candidate, cfg)
 		m, ok := opts.Cache.get(key)

@@ -13,9 +13,10 @@ import (
 // once, into the form it runs. Every name becomes a slot — variables
 // (temporaries, loop variables and me) index the stepper's frame; arrays,
 // buffers and scalar I-variables index the domain's stores — every expr.Expr
-// becomes an expr.Code over the variable slots, and every value expression's
+// becomes an expr.Code over the variable slots, every value expression's
 // operator count, the one charge that depends on the program text alone, is
-// taken here. Nothing is evaluated or checked: which statements run, what they
+// taken here, and every loop-invariant control code gets a memo slot
+// (memo.go). Nothing is evaluated or checked: which statements run, what they
 // charge and how they fail is decided when the stepper reaches them, exactly
 // as before, so a lowered program that is never run has reported nothing.
 
@@ -29,6 +30,9 @@ type Lowered struct {
 	// unknown holds the "unknown statement/value expression" messages of
 	// nodes the lowering did not recognise; they fail only if reached.
 	unknown []string
+	// memos counts the memo slots a stepper's frame holds past the
+	// variables (memo.go).
+	memos int32
 }
 
 // meSlot is the variable slot of spmd.Me, bound before the first step.
@@ -57,21 +61,28 @@ const (
 )
 
 // lstmt is one lowered statement. Fields are shared between opcodes by role.
+// It is packed to 120 bytes (TestLoweredStatementSize): the stepper walks
+// slices of them.
 type lstmt struct {
 	op opcode
-	// Coerce: the source is an array element (else a scalar I-variable); the
-	// owner / needer is every process.
-	fromArray, ownerAll, neederAll bool
+	// flags holds the coerce bits (fFromArray, fOwnerAll, fNeederAll) and
+	// which of lo, hi, x, y are memoized (mLo … mY, see memo.go).
+	flags uint8
 	// dst is the variable slot the statement defines: an assignment's name, a
 	// read's or receive's destination, a loop's induction variable.
 	dst int32
 	// obj is the array, buffer or scalar I-variable slot the statement
 	// touches (AssignIVar has both a dst and an obj: the name is a variable
-	// and an I-variable). For opUnknown it indexes Lowered.unknown.
+	// and an I-variable). For opUnknown it indexes Lowered.unknown. For a
+	// For, obj and rank are the frame range [obj, obj+rank) of the memo
+	// slots the loop owns.
 	obj  int32
 	rank int32 // Alloc: len(Shape)
 	tag  spmd.Tag
-	ops  int64 // vexprOps of val (or of the IfValue condition)
+	ops  int32 // vexprOps of val (or of the IfValue condition)
+	// memo is the frame slot of the first memoized code of lo, hi, x, y; the
+	// others follow it in that order.
+	memo int32
 	// lo, hi: loop bounds; a block transfer's range; the subscripts of an
 	// array element (hi nil for a vector); a buffer subscript or size (lo);
 	// an allocation's shape.
@@ -114,6 +125,7 @@ func Lower(prog *spmd.Program) *Lowered {
 		intern(&l.arrays, prm.Name)
 	}
 	l.body = lw.stmts(prog.Body)
+	l.memoize()
 	return l
 }
 
@@ -202,17 +214,22 @@ func (lw *lowerer) stmt(o *lstmt, s spmd.Stmt) {
 		o.lo, o.hi = lw.code(s.Lo), lw.code(s.Hi)
 	case *spmd.Coerce:
 		o.op, o.dst, o.tag = opCoerce, lw.varSlot(s.Dst), s.Tag
-		if o.fromArray = s.Array != ""; o.fromArray {
+		if s.Array != "" {
+			o.flags |= fFromArray
 			o.obj = intern(&lw.arrays, s.Array)
 			o.lo, o.hi = lw.codes(s.Idx)
 		} else {
 			o.obj = intern(&lw.scalars, s.Var)
 		}
 		// An "all" flag means the expression beside it is never read.
-		if o.ownerAll = s.OwnerAll; !o.ownerAll {
+		if s.OwnerAll {
+			o.flags |= fOwnerAll
+		} else {
 			o.x = lw.code(s.Owner)
 		}
-		if o.neederAll = s.NeederAll; !o.neederAll {
+		if s.NeederAll {
+			o.flags |= fNeederAll
+		} else {
 			o.y = lw.code(s.Needer)
 		}
 	case *spmd.For:
@@ -232,7 +249,7 @@ func (lw *lowerer) stmt(o *lstmt, s spmd.Stmt) {
 
 // value lowers v and counts its operator nodes, the cost accounting's charge
 // for evaluating it.
-func (lw *lowerer) value(v spmd.VExpr) (*lvexpr, int64) {
+func (lw *lowerer) value(v spmd.VExpr) (*lvexpr, int32) {
 	switch v := v.(type) {
 	case spmd.VConst:
 		return &lvexpr{kind: vConst, f: v.F}, 0

@@ -1,0 +1,373 @@
+package exec_test
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"procdecomp/internal/autotune"
+	"procdecomp/internal/bench"
+	"procdecomp/internal/exec"
+	"procdecomp/internal/expr"
+	"procdecomp/internal/istruct"
+	"procdecomp/internal/lang"
+	"procdecomp/internal/machine"
+	"procdecomp/internal/sem"
+	"procdecomp/internal/spmd"
+	"procdecomp/internal/xform"
+)
+
+// Loop-invariant control codes (memo.go). The memo must change how often the
+// host evaluates a code and nothing else: the edge cases pin the invariance
+// rule one row at a time, and the differential test holds every observable —
+// walked actions, Stats, gathered outputs, error texts — to the same program
+// with nothing memoized.
+
+// recorder is a Sink that keeps every action it is handed, and the
+// destinations of its sends apart.
+type recorder struct {
+	procs int
+	log   []int64
+	sends []int64
+}
+
+func (r *recorder) Procs() int  { return r.procs }
+func (r *recorder) Ops(n int64) { r.log = append(r.log, 1, n) }
+func (r *recorder) Mem(n int64) { r.log = append(r.log, 2, n) }
+func (r *recorder) LoopStep()   { r.log = append(r.log, 3) }
+func (r *recorder) Send(dst int, tag int64, values int) error {
+	r.log = append(r.log, 4, int64(dst), tag, int64(values))
+	r.sends = append(r.sends, int64(dst))
+	return nil
+}
+func (r *recorder) Recv(src int, tag int64, values int) error {
+	r.log = append(r.log, 5, int64(src), tag, int64(values))
+	return nil
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// memoOf returns the decision for the one code of op.field in l.
+func memoOf(t *testing.T, l *exec.Lowered, op, field string) exec.Memo {
+	t.Helper()
+	var found []exec.Memo
+	for _, m := range exec.Memos(l) {
+		if m.Op == op && m.Field == field {
+			found = append(found, m)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("%s.%s: %d codes, want 1 (%v)", op, field, len(found), exec.Memos(l))
+	}
+	return found[0]
+}
+
+// walkBoth walks process 0 of a one-statement-list program with and without
+// memos and returns the outcome both agree on.
+func walkBoth(t *testing.T, body ...spmd.Stmt) (*exec.Lowered, *recorder, string) {
+	t.Helper()
+	low := exec.Lower(&spmd.Program{Name: "t", Proc: -1, Body: body})
+	with, without := &recorder{procs: 2}, &recorder{procs: 2}
+	err, ctl := low.Walk(0, with), exec.WithoutMemos(low).Walk(0, without)
+	if errText(err) != errText(ctl) || !slices.Equal(with.log, without.log) {
+		t.Fatalf("memoized walk: error %q, %d actions; unmemoized: error %q, %d actions",
+			errText(err), len(with.log), errText(ctl), len(without.log))
+	}
+	return low, with, errText(err)
+}
+
+func loop(v string, lo, hi int64, body ...spmd.Stmt) *spmd.For {
+	return &spmd.For{Var: v, Lo: expr.C(lo), Hi: expr.C(hi), Step: expr.C(1), Body: body}
+}
+
+func sendTo(dst expr.Expr) *spmd.Send {
+	return &spmd.Send{Dst: dst, Tag: 1, Val: spmd.VConst{F: 1}}
+}
+
+func assign(name string, v int64) *spmd.AssignVar {
+	return &spmd.AssignVar{Name: name, Val: spmd.VConst{F: float64(v)}}
+}
+
+func TestMemoEdgeCases(t *testing.T) {
+	// Only codes with something to compute are memoized (a linear one costs
+	// what reading its memo would), so the codes under test take a mod.
+	nope := expr.Mod(expr.V("nope"), expr.C(4)) // never bound: evaluating it fails
+	bad := expr.Mod(expr.V("k"), expr.V("z"))
+	k := expr.Mod(expr.V("k"), expr.C(4))
+
+	t.Run("zero-trip loop never evaluates its invariant code", func(t *testing.T) {
+		low, _, err := walkBoth(t, loop("i", 1, 0, sendTo(nope)))
+		if m := memoOf(t, low, "send", "x"); !m.Memoized || err != "" {
+			t.Errorf("%v, error %q; want memoized and no error", m, err)
+		}
+	})
+	t.Run("false guard never evaluates its invariant code", func(t *testing.T) {
+		low, _, err := walkBoth(t, loop("i", 1, 3, &spmd.Guard{Proc: expr.C(1), Body: []spmd.Stmt{sendTo(nope)}}))
+		if m := memoOf(t, low, "send", "x"); !m.Memoized || err != "" {
+			t.Errorf("%v, error %q; want memoized and no error", m, err)
+		}
+	})
+	t.Run("failing invariant code reports the parent's text", func(t *testing.T) {
+		body := []spmd.Stmt{assign("k", 1), assign("z", 0),
+			loop("i", 1, 3, &spmd.Guard{Proc: expr.C(0), Body: []spmd.Stmt{sendTo(bad)}})}
+		low, _, err := walkBoth(t, body...)
+		if m := memoOf(t, low, "send", "x"); !m.Memoized || err != "expr: mod by non-positive 0" {
+			t.Errorf("walk: %v, error %q; want memoized and the mod error", m, err)
+		}
+		p := &spmd.Program{Name: "t", Proc: -1, Body: body}
+		_, rerr := exec.RunSPMD([]*spmd.Program{p}, machine.DefaultConfig(2), nil)
+		if want := "machine: process 0 failed: process 0: expr: mod by non-positive 0"; errText(rerr) != want {
+			t.Errorf("run: error %q, want %q", rerr, want)
+		}
+	})
+	t.Run("slot assigned after its use", func(t *testing.T) {
+		low, rec, err := walkBoth(t, assign("k", 0),
+			loop("i", 1, 3, sendTo(k), &spmd.AssignVar{Name: "k", Val: spmd.VInt{X: expr.V("i")}}))
+		if m := memoOf(t, low, "send", "x"); m.Memoized || err != "" {
+			t.Errorf("%v, error %q; want not memoized and no error", m, err)
+		}
+		if got := rec.sends; !slices.Equal(got, []int64{0, 1, 2}) {
+			t.Errorf("sends to %v, want [0 1 2]: k before each iteration's assignment", got)
+		}
+	})
+	// Each of these assigns k somewhere inside the loop, and only there.
+	for _, tc := range []struct {
+		name   string
+		assign spmd.Stmt
+	}{
+		{"only in a nested loop", loop("m", 1, 1, assign("k", 1))},
+		{"only in an IfValue else arm", &spmd.IfValue{Cond: spmd.VConst{F: 1}, Else: []spmd.Stmt{assign("k", 1)}}},
+		{"by a Coerce dst", &spmd.Coerce{Dst: "k", Var: "s", OwnerAll: true, NeederAll: true, Tag: 2}},
+		{"by a Recv", &spmd.Recv{Dst: "k", Src: expr.C(1), Tag: 2}},
+	} {
+		t.Run("slot assigned "+tc.name, func(t *testing.T) {
+			low := exec.Lower(&spmd.Program{Name: "t", Proc: -1, Body: []spmd.Stmt{
+				assign("k", 0), loop("i", 1, 3, sendTo(k), tc.assign)}})
+			if m := memoOf(t, low, "send", "x"); m.Memoized {
+				t.Errorf("%v, want not memoized", m)
+			}
+		})
+	}
+	t.Run("linear invariant code", func(t *testing.T) {
+		low, _, _ := walkBoth(t, assign("k", 1), loop("i", 1, 3, sendTo(expr.Add(expr.V("k"), expr.C(1)))))
+		if m := memoOf(t, low, "send", "x"); m.Memoized {
+			t.Errorf("%v, want not memoized", m)
+		}
+	})
+	t.Run("slot assigned only before the loop", func(t *testing.T) {
+		low, rec, _ := walkBoth(t, assign("k", 1), loop("i", 1, 3, sendTo(k)), assign("k", 0))
+		if m := memoOf(t, low, "send", "x"); !m.Memoized {
+			t.Errorf("%v, want memoized", m)
+		}
+		if got := rec.sends; !slices.Equal(got, []int64{1, 1, 1}) {
+			t.Errorf("sends to %v, want [1 1 1]", got)
+		}
+	})
+}
+
+// Under run-time resolution Gauss-Seidel's inner loop runs over rows: every
+// coerce's owner and needer, the owner-computes guard and every column
+// subscript depend on the column index only and are memoized; the row
+// subscripts change every iteration and are not.
+func TestMemoDecisionsGaussSeidelRTR(t *testing.T) {
+	progs, err := bench.CompileGS(bench.RunTime, 4, 16, bench.DefaultBlk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, m := range exec.Memos(exec.Lower(progs[0])) {
+		if m.Depth != 2 {
+			continue
+		}
+		key := m.Op + "." + m.Field
+		seen[key]++
+		if want := m.Field != "lo"; m.Memoized != want {
+			t.Errorf("inner loop %v, want memoized=%v", m, want)
+		}
+	}
+	want := map[string]int{"coerce.lo": 4, "coerce.hi": 4, "coerce.x": 4, "coerce.y": 4,
+		"guard.x": 1, "awrite.lo": 1, "awrite.hi": 1}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("inner-loop control codes %v, want %v", seen, want)
+	}
+}
+
+// Lowering allocates what it did before memo slots existed: the analysis
+// walks the tree it built and keeps its state on the stack. The counts were
+// measured on the parent commit (b14db00) before any edit: 155 for the RTR
+// program, 219 for process 0's opt3 program (blk 4), both at N=16, S=4.
+func TestLowerAllocsUnchangedByMemo(t *testing.T) {
+	for _, tc := range []struct {
+		v    bench.Variant
+		want float64
+	}{{bench.RunTime, 155}, {bench.OptimizedIII, 219}} {
+		progs, err := bench.CompileGS(tc.v, 4, 16, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(20, func() { exec.Lower(progs[0]) }); got != tc.want {
+			t.Errorf("Lower(%v): %.0f allocations, want %.0f", tc.v, got, tc.want)
+		}
+	}
+}
+
+// differ walks and runs progs with and without memos and fails on any
+// difference; it reports whether the run succeeded.
+func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map[string]*istruct.Matrix) bool {
+	t.Helper()
+	im, err := exec.LowerAll(progs, procs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	ctl := im.WithoutMemos()
+	for p := 0; p < procs; p++ {
+		a, b := &recorder{procs: procs}, &recorder{procs: procs}
+		ea, eb := im.Walk(p, a), ctl.Walk(p, b)
+		if errText(ea) != errText(eb) || !slices.Equal(a.log, b.log) {
+			t.Fatalf("%s: process %d walks differently: memoized %q, %d actions; unmemoized %q, %d actions",
+				name, p, errText(ea), len(a.log), errText(eb), len(b.log))
+		}
+	}
+	cfg := machine.DefaultConfig(procs)
+	oa, ea := im.Run(context.Background(), cfg, ins)
+	ob, eb := ctl.Run(context.Background(), cfg, ins)
+	if errText(ea) != errText(eb) {
+		t.Fatalf("%s: memoized run error %q, unmemoized %q", name, errText(ea), errText(eb))
+	}
+	if ea != nil {
+		return false
+	}
+	if !reflect.DeepEqual(oa.Stats, ob.Stats) || !reflect.DeepEqual(oa.Scalars, ob.Scalars) || len(oa.Arrays) != len(ob.Arrays) {
+		t.Fatalf("%s: memoized run %+v, unmemoized %+v", name, oa.Stats, ob.Stats)
+	}
+	for n, ma := range oa.Arrays {
+		va, da := ma.Snapshot()
+		vb, db := ob.Arrays[n].Snapshot()
+		if !reflect.DeepEqual(va, vb) || !reflect.DeepEqual(da, db) {
+			t.Fatalf("%s: output %s differs with and without memos", name, n)
+		}
+	}
+	return true
+}
+
+// compile checks src at procs processes (retargeted to m unless nil) and
+// compiles entry under mode.
+func compile(src, entry string, procs int, defines map[string]int64, m *autotune.Mapping, mode string, blk int64) (*sem.Info, []*spmd.Program, error) {
+	prog, err := lang.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if m != nil {
+		if err := m.Validate(int64(procs)); err != nil {
+			return nil, nil, err
+		}
+		name, err := autotune.PickDist(prog, "")
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := autotune.Retarget(prog, name, *m); err != nil {
+			return nil, nil, err
+		}
+	}
+	info, errs := sem.Check(prog, sem.Config{Procs: int64(procs), Defines: defines})
+	if len(errs) > 0 {
+		return nil, nil, errs[0]
+	}
+	progs, err := xform.Compile(info, entry, mode, blk)
+	return info, progs, err
+}
+
+// The memo is the only variable: the compiled variants of Fig. 6, Jacobi,
+// heat, reversed Gauss-Seidel and every candidate pdmap enumerates for
+// Gauss-Seidel at N=16, S=4 walk, run, fail and gather exactly alike with and
+// without it. No candidate is skipped for being unmodeled or infeasible; at
+// this size all 66 compile and walk (pdmap_gs_s4_n24.json has none of either
+// kind at N=24 too).
+func TestMemoIsInvisible(t *testing.T) {
+	type point struct {
+		name, src, entry string
+		procs            int
+		defines          map[string]int64
+		m                *autotune.Mapping
+		mode             string
+		blk              int64
+		rod              bool // heat's input, row 1 only, instead of the pattern
+	}
+	heatSize := map[string]int64{"T": 16, "W": 16}
+	var points []point
+	for _, spec := range bench.Variants() {
+		if spec.Handwritten { // the wavefront is not a stepped program
+			continue
+		}
+		for _, s := range []int{1, 2, 4, 8, 32} {
+			for _, n := range []int64{8, 16} {
+				points = append(points, point{fmt.Sprintf("gs/%s/S=%d/N=%d", spec.Name, s, n),
+					bench.GSSource, "gs_iteration", s, map[string]int64{"N": n}, nil, spec.Name, bench.DefaultBlk, false})
+			}
+		}
+	}
+	for _, mode := range xform.StandardModes() {
+		for _, s := range []int{2, 4} {
+			points = append(points,
+				point{fmt.Sprintf("jacobi/%s/S=%d", mode, s), jacobiSource, "jacobi", s, nil, nil, mode, 4, false},
+				point{fmt.Sprintf("heat/%s/S=%d", mode, s), heatSource, "heat", s, heatSize, nil, mode, 4, true},
+				point{fmt.Sprintf("gs-reversed/%s/S=%d", mode, s), bench.GSReversedSource, "gs_iteration", s, map[string]int64{"N": 16}, nil, mode, 4, false})
+		}
+	}
+	// A fully defined input makes heat's first boundary write a second one:
+	// the run fails, and must fail with the same words.
+	points = append(points, point{"heat/rtr/S=2/pattern-input", heatSource, "heat", 2, heatSize, nil, "rtr", 4, false})
+	cands := autotune.Space{}.Enumerate(4)
+	for _, c := range cands {
+		m := c.Mapping
+		points = append(points, point{"pdmap/" + c.Key(), bench.GSSource, "gs_iteration", 4, map[string]int64{"N": 16}, &m, c.Mode, c.Blk, false})
+	}
+	failedRun := 0
+	for _, p := range points {
+		info, progs, err := compile(p.src, p.entry, p.procs, p.defines, p.m, p.mode, p.blk)
+		if err != nil {
+			if p.m == nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			continue // an infeasible candidate that does not compile has nothing to step
+		}
+		ins, err := exec.PatternInputs(info, p.entry)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if p.rod {
+			ins = map[string]*istruct.Matrix{"U": rod(t, 16, 16)}
+		}
+		if !differ(t, p.name, progs, p.procs, ins) {
+			failedRun++
+		}
+	}
+	if failedRun != 1 {
+		t.Errorf("%d runs failed, want 1: the heat point with a defined input", failedRun)
+	}
+}
+
+// rod is heat's input: row 1 defined, a hot spot in the middle.
+func rod(t *testing.T, steps, width int64) *istruct.Matrix {
+	m, err := istruct.NewMatrix("U", steps, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := int64(1); x <= width; x++ {
+		v := 0.0
+		if x > width/3 && x < 2*width/3 {
+			v = 100.0
+		}
+		if err := m.Write(1, x, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}

@@ -337,9 +337,9 @@ func (d *concrete) alloc(st *stepper, s *lstmt) {
 	if s.rank != 1 && s.rank != 2 {
 		failf("alloc of rank %d", s.rank)
 	}
-	rows, cols := st.intOf(s.lo), int64(1)
+	rows, cols := st.ctl(s, mLo), int64(1)
 	if s.hi != nil {
-		cols = st.intOf(s.hi)
+		cols = st.ctl(s, mHi)
 	}
 	m, err := istruct.NewMatrix(st.low.arrays[s.obj], rows, cols)
 	if err != nil {
@@ -348,8 +348,18 @@ func (d *concrete) alloc(st *stepper, s *lstmt) {
 	d.arrays[s.obj] = m
 }
 
+// allocBuf gives buffer s.obj a fresh, all-zero body. The optimized programs
+// allocate their message buffers inside loops, once per iteration, so the
+// previous body is cleared and reused when it is large enough: nothing else
+// holds it (a send copies out of it, a receive into it).
 func (d *concrete) allocBuf(st *stepper, s *lstmt) {
-	d.bufs[s.obj] = make([]Value, st.intOf(s.lo)+1) // 1-based
+	n := st.ctl(s, mLo) + 1 // 1-based
+	if buf := d.bufs[s.obj]; n >= 0 && n <= int64(cap(buf)) {
+		d.bufs[s.obj] = buf[:n]
+		clear(d.bufs[s.obj])
+		return
+	}
+	d.bufs[s.obj] = make([]Value, n)
 }
 
 func (d *concrete) defineScalar(st *stepper, slot int32, v Value) {
@@ -381,9 +391,9 @@ func (d *concrete) elem(st *stepper, s *lstmt) (*istruct.Matrix, int64, int64) {
 	if arr == nil {
 		failf("undefined array %s", st.low.arrays[s.obj])
 	}
-	i, j := st.intOf(s.lo), int64(1)
+	i, j := st.ctl(s, mLo), int64(1)
 	if s.hi != nil {
-		j = st.intOf(s.hi)
+		j = st.ctl(s, mHi)
 	}
 	return arr, i, j
 }
@@ -419,12 +429,12 @@ func (d *concrete) span(st *stepper, slot int32, lo, hi int64) []Value {
 }
 
 func (d *concrete) bufRead(st *stepper, s *lstmt) (Value, bool) {
-	i := st.intOf(s.lo)
+	i := st.ctl(s, mLo)
 	return d.span(st, s.obj, i, i)[0], true
 }
 
 func (d *concrete) bufWrite(st *stepper, s *lstmt, v Value) {
-	i := st.intOf(s.lo)
+	i := st.ctl(s, mLo)
 	d.span(st, s.obj, i, i)[0] = v
 }
 

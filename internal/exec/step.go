@@ -59,23 +59,24 @@ type domain interface {
 }
 
 // stepper is one process's interpreter state: the program and its frame.
-// Variable slot s holds vals[s] when def[s]; f is the integer view of the
-// same slots that control expressions read. The two agree except on me, which
-// is an integer the program can compute with but not a variable it can read.
+// Variable slot s is bound when f.Known[s]; it then holds vals[s], and f.Vals
+// holds the integer view of it that control expressions read. Slot me is the
+// exception: an integer the program can compute with but not a variable it
+// can read, it has no value in vals. Past the variables, f holds the memo
+// slots of loop-invariant control codes (memo.go).
 type stepper struct {
 	d    domain
 	low  *Lowered
 	me   int64
 	f    expr.Frame
 	vals []Value
-	def  []bool
 }
 
 func newStepper(low *Lowered, me int, d domain) *stepper {
-	n := len(low.vars)
+	frame := len(low.vars) + int(low.memos)
 	st := &stepper{d: d, low: low, me: int64(me),
-		f:    expr.Frame{Vals: make([]int64, n), Known: make([]bool, n), Names: low.vars},
-		vals: make([]Value, n), def: make([]bool, n)}
+		f:    expr.Frame{Vals: make([]int64, frame), Known: make([]bool, frame), Names: low.vars},
+		vals: make([]Value, len(low.vars))}
 	st.f.Vals[meSlot], st.f.Known[meSlot] = st.me, true
 	return st
 }
@@ -108,16 +109,8 @@ func (st *stepper) run() (err error) {
 // set binds a variable; an unknown value unbinds it, so a later control
 // expression that mentions it fails to evaluate.
 func (st *stepper) set(slot int32, v Value, known bool) {
-	st.vals[slot], st.def[slot] = v, known
+	st.vals[slot] = v
 	st.f.Vals[slot], st.f.Known[slot] = int64(v), known
-}
-
-func (st *stepper) intOf(c *expr.Code) int64 {
-	v, err := c.Eval(&st.f)
-	if err != nil {
-		fail(err)
-	}
-	return v
 }
 
 // evalV evaluates a value expression; the second result is false when some
@@ -127,7 +120,7 @@ func (st *stepper) evalV(v *lvexpr) (Value, bool) {
 	case vConst:
 		return v.f, true
 	case vVar:
-		if st.def[v.slot] {
+		if st.f.Known[v.slot] && v.slot != meSlot {
 			return st.vals[v.slot], true
 		}
 		return st.d.undefined(st, v.slot)
@@ -184,11 +177,11 @@ func (st *stepper) stmt(s *lstmt) {
 	case opAllocBuf:
 		d.allocBuf(st, s)
 	case opAssignVar:
-		d.Ops(s.ops)
+		d.Ops(int64(s.ops))
 		v, known := st.evalV(s.val)
 		st.set(s.dst, v, known)
 	case opAssignIVar:
-		d.Ops(s.ops)
+		d.Ops(int64(s.ops))
 		v, known := st.evalV(s.val)
 		d.defineScalar(st, s.obj, v)
 		st.set(s.dst, v, known)
@@ -198,7 +191,7 @@ func (st *stepper) stmt(s *lstmt) {
 		v, known := d.aread(st, s)
 		st.set(s.dst, v, known)
 	case opAWrite:
-		d.Ops(indexCost + s.ops)
+		d.Ops(indexCost + int64(s.ops))
 		d.Mem(1)
 		d.awrite(st, s, d.stored(st, s.val))
 	case opBufRead:
@@ -207,41 +200,42 @@ func (st *stepper) stmt(s *lstmt) {
 		v, known := d.bufRead(st, s)
 		st.set(s.dst, v, known)
 	case opBufWrite:
-		d.Ops(indexCost + s.ops)
+		d.Ops(indexCost + int64(s.ops))
 		d.Mem(1)
 		d.bufWrite(st, s, d.stored(st, s.val))
 	case opSend:
-		d.Ops(s.ops)
-		d.send(int(st.intOf(s.x)), s.tag, d.stored(st, s.val))
+		d.Ops(int64(s.ops))
+		d.send(int(st.ctl(s, mX)), s.tag, d.stored(st, s.val))
 	case opRecv:
-		v, known := d.recv(int(st.intOf(s.x)), s.tag)
+		v, known := d.recv(int(st.ctl(s, mX)), s.tag)
 		st.set(s.dst, v, known)
 	case opSendBuf:
-		lo, hi := st.intOf(s.lo), st.intOf(s.hi)
-		d.sendBuf(st, s.obj, lo, hi, int(st.intOf(s.x)), s.tag)
+		lo, hi := st.ctl(s, mLo), st.ctl(s, mHi)
+		d.sendBuf(st, s.obj, lo, hi, int(st.ctl(s, mX)), s.tag)
 	case opRecvBuf:
-		lo, hi := st.intOf(s.lo), st.intOf(s.hi)
-		d.recvBuf(st, s.obj, lo, hi, int(st.intOf(s.x)), s.tag)
+		lo, hi := st.ctl(s, mLo), st.ctl(s, mHi)
+		d.recvBuf(st, s.obj, lo, hi, int(st.ctl(s, mX)), s.tag)
 	case opCoerce:
 		st.coerce(s)
 	case opFor:
-		lo, hi, step := st.intOf(s.lo), st.intOf(s.hi), st.intOf(s.x)
+		lo, hi, step := st.ctl(s, mLo), st.ctl(s, mHi), st.ctl(s, mX)
 		if step <= 0 {
 			failf("loop step %d", step)
 		}
+		clear(st.f.Known[s.obj : s.obj+s.rank]) // a new activation: forget the memos this loop owns
 		for x := lo; x <= hi; x += step {
 			d.LoopStep()
-			st.vals[s.dst], st.def[s.dst] = Value(x), true
+			st.vals[s.dst] = Value(x)
 			st.f.Vals[s.dst], st.f.Known[s.dst] = x, true // exact integer, not a float round-trip
 			st.exec(s.body)
 		}
 	case opGuard:
 		d.Ops(1) // the mynode() test of run-time resolution, charged on every process
-		if st.intOf(s.x) == st.me {
+		if st.ctl(s, mX) == st.me {
 			st.exec(s.body)
 		}
 	case opIfValue:
-		d.Ops(s.ops)
+		d.Ops(int64(s.ops))
 		c, known := st.evalV(s.val)
 		switch {
 		case !known:
@@ -259,7 +253,7 @@ func (st *stepper) stmt(s *lstmt) {
 // coerceSrc reads a coerce's source element or scalar, charging the access.
 func (st *stepper) coerceSrc(s *lstmt) (Value, bool) {
 	st.d.Mem(1)
-	if s.fromArray {
+	if s.flags&fFromArray != 0 {
 		st.d.Ops(indexCost)
 		return st.d.aread(st, s)
 	}
@@ -273,14 +267,14 @@ func (st *stepper) coerce(s *lstmt) {
 	d := st.d
 	d.Ops(2) // owner/needer membership tests
 	switch {
-	case s.ownerAll:
+	case s.flags&fOwnerAll != 0:
 		// Replicated source: everyone who needs it reads its own copy.
-		if s.neederAll || st.intOf(s.y) == st.me {
+		if s.flags&fNeederAll != 0 || st.ctl(s, mY) == st.me {
 			v, known := st.coerceSrc(s)
 			st.set(s.dst, v, known)
 		}
-	case s.neederAll:
-		owner := st.intOf(s.x)
+	case s.flags&fNeederAll != 0:
+		owner := st.ctl(s, mX)
 		if owner == st.me {
 			v, known := st.coerceSrc(s)
 			for q := 0; q < d.Procs(); q++ {
@@ -294,7 +288,7 @@ func (st *stepper) coerce(s *lstmt) {
 			st.set(s.dst, v, known)
 		}
 	default:
-		owner, needer := st.intOf(s.x), st.intOf(s.y)
+		owner, needer := st.ctl(s, mX), st.ctl(s, mY)
 		switch {
 		case owner == needer:
 			if owner == st.me {

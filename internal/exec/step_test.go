@@ -2,6 +2,7 @@ package exec
 
 import (
 	"testing"
+	"unsafe"
 
 	"procdecomp/internal/expr"
 	"procdecomp/internal/lang"
@@ -59,6 +60,15 @@ func TestConcreteFailureMessages(t *testing.T) {
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// The stepper walks slices of lstmt, and a lowering's bytes are part of every
+// search candidate's: the memo index and mask fit in what the three coerce
+// bools and a 64-bit operator count used to take.
+func TestLoweredStatementSize(t *testing.T) {
+	if n := unsafe.Sizeof(lstmt{}); n > 120 {
+		t.Errorf("lstmt is %d bytes, want at most 120", n)
 	}
 }
 

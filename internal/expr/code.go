@@ -1,6 +1,9 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Code is an Expr resolved against a slot numbering: every variable is an
 // index into a Frame instead of a name looked up in an Env, and every atom is
@@ -72,6 +75,34 @@ func Compile(e Expr, slot func(name string) int32) *Code {
 		ct.a, ct.b = Compile(a, slot), Compile(b, slot)
 	}
 	return c
+}
+
+// Slots appends to buf each slot c reads that buf does not already hold, in
+// the order Eval first reads them, and returns the extended buffer; it
+// allocates only to grow buf.
+func (c *Code) Slots(buf []int32) []int32 {
+	for i := range c.terms {
+		t := &c.terms[i]
+		if t.kind != cVar {
+			buf = t.b.Slots(t.a.Slots(buf))
+			continue
+		}
+		if !slices.Contains(buf, t.slot) {
+			buf = append(buf, t.slot)
+		}
+	}
+	return buf
+}
+
+// Linear reports whether c is a constant plus multiples of variables: no
+// mod, div, min, max or product to compute.
+func (c *Code) Linear() bool {
+	for i := range c.terms {
+		if c.terms[i].kind != cVar {
+			return false
+		}
+	}
+	return true
 }
 
 // Eval evaluates the code over f, with Expr.Eval's errors.

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -55,6 +56,16 @@ func checkCodeMatchesEval(t *testing.T, e Expr, bound uint, vals [4]int64) {
 		names = append(names, name)
 		return int32(len(names) - 1)
 	})
+	// The slots a code reads are the slots of e's free variables, each once.
+	slots := code.Slots(nil)
+	free := make([]int32, 0, len(slots))
+	for _, v := range e.Vars() {
+		free = append(free, int32(slices.Index(names, v)))
+	}
+	slices.Sort(slots)
+	if slices.Sort(free); !slices.Equal(slots, free) {
+		t.Fatalf("%s: Code.Slots = %v, want the slots of Vars() %v: %v", e, slots, e.Vars(), free)
+	}
 	env := Env{}
 	for i, name := range codeTestVars {
 		if bound&(1<<i) != 0 {
@@ -97,6 +108,21 @@ func TestCodeMatchesEval(t *testing.T) {
 	// The sweep is only worth its name if both outcomes are common.
 	if errs < 100 || errs > 1900 {
 		t.Errorf("%d of 2000 generated expressions fail to evaluate fully bound; want a mix", errs)
+	}
+}
+
+// Slots reuses the caller's buffer: enumerating into one with room to spare
+// allocates nothing, however deep the operands nest.
+func TestCodeSlotsDoesNotAllocate(t *testing.T) {
+	a, b, c := V("a"), V("b"), V("c")
+	e := Add(Mod(Add(a, Div(b, C(3))), Max(c, C(2))), Mul(C(4), a))
+	code := Compile(e, func(name string) int32 { return int32(slices.Index(codeTestVars, name)) })
+	buf := make([]int32, 0, 8)
+	if n := testing.AllocsPerRun(100, func() { buf = code.Slots(buf[:0]) }); n != 0 {
+		t.Errorf("Code.Slots: %.0f allocations into a buffer with room, want 0", n)
+	}
+	if slices.Sort(buf); !slices.Equal(buf, []int32{0, 1, 2}) {
+		t.Errorf("Code.Slots = %v, want [0 1 2]", buf)
 	}
 }
 
