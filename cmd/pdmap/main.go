@@ -70,7 +70,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		baseBlk  = fs.Int64("baseline-blk", 0, "strip size of the baseline when its mode is opt3")
 		warm     = fs.String("warm", "", "warm-start from a previous run: a pdmap JSON report whose winner seeds the branch-and-bound prune")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON instead of text")
-		htmlOut  = fs.String("html", "", "also write a self-contained HTML report to this file")
 		defines  cli.Defines
 	)
 	fs.Var(&defines, "D", "override a constant, e.g. -D N=64 (repeatable)")
@@ -141,19 +140,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if *htmlOut != "" {
-		f, err := os.Create(*htmlOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteHTML(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
 	if *jsonOut {
 		return rep.WriteJSON(stdout)
 	}

@@ -27,7 +27,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of text")
-	htmlOut := flag.String("html", "", "also write a self-contained HTML report to this file")
 	pathOut := flag.Bool("path", false, "include the full critical path in the report")
 	top := flag.Int("top", 10, "rows to keep in the hotspot rankings (0 = all)")
 	set := flag.String("set", "", "extra what-if scenario, e.g. \"SendStartup=0,Latency=25\"")
@@ -68,19 +67,6 @@ func main() {
 	r, err := analysis.Analyze(d, opt)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *htmlOut != "" {
-		f, err := os.Create(*htmlOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := r.WriteHTML(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
 	}
 
 	if *jsonOut {

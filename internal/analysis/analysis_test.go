@@ -243,15 +243,6 @@ func TestAnalyzeReportPing(t *testing.T) {
 			t.Errorf("text report lacks %q", want)
 		}
 	}
-	var html bytes.Buffer
-	if err := r.WriteHTML(&html); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"<!DOCTYPE html>", "Makespan attribution", "What-if"} {
-		if !strings.Contains(html.String(), want) {
-			t.Errorf("html report lacks %q", want)
-		}
-	}
 }
 
 // An empty run must analyze without errors (and without divisions by zero).

@@ -19,7 +19,9 @@
 //
 // The Dump is what pdrun/pdbench write with -trace: a Chrome trace-event
 // file whose top-level "pdtrace" key carries the events plus the machine
-// calibration, so one file serves both Perfetto and the pdtrace CLI.
+// calibration, so one file serves both Perfetto and the pdtrace CLI. Analyze's
+// Report has two forms, the text of Format and its JSON encoding (pdtrace
+// -json).
 package analysis
 
 import (

@@ -130,34 +130,6 @@ func TestSearchIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// Callers reuse workload names (pdserve calls every inline program "request"),
-// so the measurement cache must tell two programs apart by their text.
-func TestCacheKeyCoversSource(t *testing.T) {
-	cfg := machine.DefaultConfig(4)
-	a := &Workload{Name: "request", Source: bench.GSSource, Entry: "gs_iteration", Dist: "Column", Defines: map[string]int64{"N": 12}}
-	b := &Workload{Name: "request", Source: bench.GSReversedSource, Entry: "gs_iteration", Dist: "Column", Defines: map[string]int64{"N": 12}}
-	if c := DefaultHand(4); CacheKey(a, c, cfg) == CacheKey(b, c, cfg) {
-		t.Fatal("two programs under one name share a cache key")
-	}
-	cache := NewCache()
-	if _, err := Search(a, cfg, Options{Space: smallSpace(), Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	filled, hits := cache.Len(), cache.Hits()
-	if filled == 0 {
-		t.Fatal("search left the cache empty")
-	}
-	if _, err := Search(b, cfg, Options{Space: smallSpace(), Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Hits() != hits {
-		t.Errorf("a same-named workload with another source was served %d of the first one's measurements", cache.Hits()-hits)
-	}
-	if cache.Len() != 2*filled {
-		t.Errorf("cache holds %d measurements after two distinct searches of %d each", cache.Len(), filled)
-	}
-}
-
 // A profile is allocated at its size: walking three times the grid records
 // many times the actions, and may cost no more allocations than a slice per
 // process on top — the action lists, the send index and the channel table are

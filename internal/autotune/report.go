@@ -3,13 +3,12 @@ package autotune
 import (
 	"encoding/json"
 	"fmt"
-	"html/template"
 	"io"
 	"sort"
 	"strings"
 )
 
-// Rendering of search reports. All three forms — text, JSON, HTML — are
+// Rendering of search reports. Both forms — text and JSON — are
 // deterministic functions of the Report value: no timestamps, no map
 // iteration, so equal searches emit identical bytes.
 
@@ -117,96 +116,3 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
-
-// WriteHTML emits a self-contained HTML report.
-func (r *Report) WriteHTML(w io.Writer) error {
-	return reportTmpl.Execute(w, htmlReport{R: r})
-}
-
-type htmlReport struct {
-	R *Report
-}
-
-// Pct formats v as a percentage of the winner's attributed makespan.
-func (d htmlReport) Pct(v uint64) string {
-	total := d.R.Attr.Total()
-	if total == 0 {
-		return "0.0%"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(v)/float64(total))
-}
-
-// Mark flags the winner and the hand-chosen reference rows.
-func (d htmlReport) Mark(key string) string {
-	switch key {
-	case d.R.Winner:
-		return "winner"
-	case d.R.Hand:
-		return "hand"
-	}
-	return ""
-}
-
-// Defs renders the workload defines deterministically.
-func (d htmlReport) Defs() string {
-	keys := make([]string, 0, len(d.R.Defines))
-	for k := range d.R.Defines {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, d.R.Defines[k])
-	}
-	return strings.Join(parts, ", ")
-}
-
-var reportTmpl = template.Must(template.New("pdmap").Parse(`<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>pdmap report</title>
-<style>
-body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto; max-width: 60rem; color: #1a1a1a; }
-h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 2rem; }
-table { border-collapse: collapse; margin: 0.5rem 0; }
-th, td { border: 1px solid #ccc; padding: 0.25rem 0.75rem; text-align: right; }
-th, td.name { text-align: left; }
-tr.winner { background: #e6f4e6; }
-tr.hand { background: #eef2fa; }
-</style>
-</head>
-<body>
-<h1>pdmap: decomposition search for {{.R.Workload}}</h1>
-<p>{{.R.Procs}} processors{{with .Defs}} ({{.}}){{end}};
-searched {{.R.Enumerated}} candidate configurations.
-Baseline measured {{.R.Baseline.Measured}} cycles.</p>
-
-<h2>Candidates</h2>
-<table>
-<tr><th>candidate</th><th>status</th><th>predicted</th><th>measured</th><th>messages</th><th>values</th></tr>
-{{range .R.Results}}<tr{{with $.Mark .Candidate.Key}} class="{{.}}"{{end}}>
-<td class="name">{{.Candidate.Key}}</td><td class="name">{{.Status}}</td>
-<td>{{if .Predicted}}{{.Predicted}}{{else}}&ndash;{{end}}</td>
-<td>{{if .Measured}}{{.Measured}}{{else}}&ndash;{{end}}</td>
-<td>{{if .Messages}}{{.Messages}}{{else}}&ndash;{{end}}</td>
-<td>{{if .Values}}{{.Values}}{{else}}&ndash;{{end}}</td>
-</tr>
-{{end}}</table>
-
-<h2>Outcome</h2>
-<p>Winner: <strong>{{.R.Winner}}</strong>. Hand-chosen reference: {{.R.Hand}}.
-Regret of the hand choice: {{.R.Regret}} cycles.</p>
-
-<h2>Winner makespan attribution</h2>
-<table>
-<tr><th>cause</th><th>cycles</th><th>share</th></tr>
-<tr><td class="name">compute</td><td>{{.R.Attr.Compute}}</td><td>{{.Pct .R.Attr.Compute}}</td></tr>
-<tr><td class="name">send startup</td><td>{{.R.Attr.SendStartup}}</td><td>{{.Pct .R.Attr.SendStartup}}</td></tr>
-<tr><td class="name">recv startup</td><td>{{.R.Attr.RecvStartup}}</td><td>{{.Pct .R.Attr.RecvStartup}}</td></tr>
-<tr><td class="name">per-value copy</td><td>{{.R.Attr.PerValue}}</td><td>{{.Pct .R.Attr.PerValue}}</td></tr>
-<tr><td class="name">wire latency</td><td>{{.R.Attr.Wire}}</td><td>{{.Pct .R.Attr.Wire}}</td></tr>
-</table>
-</body>
-</html>
-`))

@@ -2,12 +2,10 @@ package autotune
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -105,9 +103,6 @@ type Options struct {
 	// Workers bounds the measurement pool (default 4). Results are written
 	// by index, so parallelism never changes the report.
 	Workers int
-	// Cache, if non-nil, memoizes measurements across searches by content
-	// key (workload, candidate, machine calibration).
-	Cache *Cache
 	// BaselineMode/BaselineBlk select the anchor compilation of the program
 	// as annotated (default ctr).
 	BaselineMode string
@@ -179,60 +174,6 @@ type Measurement struct {
 	Makespan uint64
 	Messages int64
 	Values   int64
-}
-
-// Cache memoizes measurements by content key. Safe for concurrent use.
-type Cache struct {
-	mu   sync.Mutex
-	m    map[string]Measurement
-	hits int
-}
-
-// NewCache returns an empty measurement cache.
-func NewCache() *Cache { return &Cache{m: map[string]Measurement{}} }
-
-func (c *Cache) get(key string) (Measurement, bool) {
-	if c == nil {
-		return Measurement{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.m[key]
-	if ok {
-		c.hits++
-	}
-	return m, ok
-}
-
-func (c *Cache) put(key string, m Measurement) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = m
-}
-
-// Len reports how many measurements are cached; Hits how many lookups were
-// served from the cache.
-func (c *Cache) Len() int  { c.mu.Lock(); defer c.mu.Unlock(); return len(c.m) }
-func (c *Cache) Hits() int { c.mu.Lock(); defer c.mu.Unlock(); return c.hits }
-
-// CacheKey is the content key of one measurement: the workload identity — its
-// names and a digest of the program text, since callers reuse names (pdserve
-// calls every inline program "request") — the candidate's generated-code key,
-// and the machine calibration. Equal keys mean the run is bit-identical, so
-// the cached result substitutes exactly.
-func CacheKey(w *Workload, c Candidate, cfg machine.Config) string {
-	defs := make([]string, 0, len(w.Defines))
-	for k, v := range w.Defines {
-		defs = append(defs, fmt.Sprintf("%s=%d", k, v))
-	}
-	sort.Strings(defs)
-	return fmt.Sprintf("%s/%s/%s#%x|%s|%s|p%d,op%d,mem%d,loop%d,ss%d,rs%d,pv%d,lat%d",
-		w.Name, w.Entry, w.Dist, sha256.Sum256([]byte(w.Source)), strings.Join(defs, ","), c.Key(),
-		cfg.Procs, cfg.OpCost, cfg.MemCost, cfg.LoopCost,
-		cfg.SendStartup, cfg.RecvStartup, cfg.PerValue, cfg.Latency)
 }
 
 // Measure compiles and runs one candidate on the simulated machine, validates
@@ -581,21 +522,15 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		return interrupted(rep, results, err)
 	}
 
-	// Tier 3: confirm on the simulated machine, through the cache.
+	// Tier 3: confirm on the simulated machine.
 	errs := make([]error, len(mIdx))
 	var measuredSoFar atomic.Int64
 	forEach(ctx, len(mIdx), opts.Workers, func(n int) {
 		i := mIdx[n]
-		key := CacheKey(w, results[i].Candidate, cfg)
-		m, ok := opts.Cache.get(key)
-		if !ok {
-			var err error
-			m, err = safeMeasure(ctx, w, results[i].Candidate, builds[i], ins, cfg, opts.evalHook)
-			if err != nil {
-				errs[n] = err
-				return
-			}
-			opts.Cache.put(key, m)
+		m, err := safeMeasure(ctx, w, results[i].Candidate, builds[i], ins, cfg, opts.evalHook)
+		if err != nil {
+			errs[n] = err
+			return
 		}
 		results[i].Status = StatusMeasured
 		results[i].Measured = m.Makespan
@@ -659,7 +594,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 
 	// Rerun the winner's image traced: the rerun must reproduce the
 	// measurement exactly, and its critical path attributes the makespan by
-	// cause. A winner served from the cache has an image all the same.
+	// cause.
 	m2, d, err := measure(ctx, w, results[winner].Candidate, builds[winner], ins, cfg, true)
 	if err != nil {
 		if ctx.Err() != nil {

@@ -108,7 +108,7 @@ type Candidate struct {
 }
 
 // Key is the candidate's canonical content key: equal keys mean identical
-// generated code, so the result cache and the deduplication both hash it.
+// generated code, so the deduplication compares it and the reports print it.
 func (c Candidate) Key() string {
 	if c.Blk > 0 {
 		return fmt.Sprintf("%s/%s/blk%d", c.Mapping, c.Mode, c.Blk)

@@ -73,7 +73,13 @@ func (s *series) add(delta float64) {
 
 func (s *series) set(v float64) { s.val.Store(math.Float64bits(v)) }
 
-func (s *series) get() float64 { return math.Float64frombits(s.val.Load()) }
+// get reads the value; a nil series (never written) reads 0.
+func (s *series) get() float64 {
+	if s == nil {
+		return 0
+	}
+	return math.Float64frombits(s.val.Load())
+}
 
 func (s *series) observe(v float64, buckets []float64) {
 	i := sort.SearchFloat64s(buckets, v) // first bucket with bound >= v
@@ -106,11 +112,25 @@ func (r *Registry) family(name, help, typ string, buckets []float64, labels []st
 	return f
 }
 
-func (f *family) with(vals ...string) *series {
+func (f *family) key(vals []string) string {
 	if len(vals) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(vals)))
 	}
-	key := strings.Join(vals, "\xff")
+	return strings.Join(vals, "\xff")
+}
+
+// lookup returns the addressed series, or nil if it was never written:
+// reading a metric must not add a sample to the exposition.
+func (f *family) lookup(vals ...string) *series {
+	key := f.key(vals)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.series[key]
+}
+
+// with returns the addressed series, creating it on first write.
+func (f *family) with(vals ...string) *series {
+	key := f.key(vals)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.series[key]; ok {
@@ -143,8 +163,8 @@ func (c Counter) Add(v float64, labelVals ...string) {
 	c.f.with(labelVals...).add(v)
 }
 
-// Value reads the addressed series (0 if never touched).
-func (c Counter) Value(labelVals ...string) float64 { return c.f.with(labelVals...).get() }
+// Value reads the addressed series (0 if never touched, which it stays).
+func (c Counter) Value(labelVals ...string) float64 { return c.f.lookup(labelVals...).get() }
 
 // Gauge is a value that can move both ways.
 type Gauge struct{ f *family }
@@ -160,8 +180,8 @@ func (g Gauge) Set(v float64, labelVals ...string) { g.f.with(labelVals...).set(
 // Add moves the addressed series by delta.
 func (g Gauge) Add(delta float64, labelVals ...string) { g.f.with(labelVals...).add(delta) }
 
-// Value reads the addressed series.
-func (g Gauge) Value(labelVals ...string) float64 { return g.f.with(labelVals...).get() }
+// Value reads the addressed series (0 if never touched, which it stays).
+func (g Gauge) Value(labelVals ...string) float64 { return g.f.lookup(labelVals...).get() }
 
 // Histogram is a bucketed distribution (cumulative buckets on exposition).
 type Histogram struct{ f *family }
@@ -189,9 +209,13 @@ func (h Histogram) Observe(v float64, labelVals ...string) {
 	h.f.with(labelVals...).observe(v, h.f.buckets)
 }
 
-// Count reads the addressed series' observation count.
+// Count reads the addressed series' observation count (0 if never touched,
+// which it stays).
 func (h Histogram) Count(labelVals ...string) float64 {
-	s := h.f.with(labelVals...)
+	s := h.f.lookup(labelVals...)
+	if s == nil {
+		return 0
+	}
 	var n uint64
 	for i := range s.counts {
 		n += s.counts[i].Load()
@@ -239,7 +263,9 @@ func labelPairs(names, vals []string, extra ...string) string {
 
 // WritePrometheus writes the registry in Prometheus text exposition format
 // (version 0.0.4). Output is deterministic: families sorted by name, series
-// sorted by label values, histogram buckets cumulative and ascending.
+// sorted by label values, histogram buckets cumulative and ascending. A
+// family nothing has written yet is its HELP and TYPE lines alone, so every
+// scrape names the whole catalog.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
@@ -265,9 +291,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			sers = append(sers, f.series[k])
 		}
 		f.mu.Unlock()
-		if len(sers) == 0 {
-			continue
-		}
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err
 		}

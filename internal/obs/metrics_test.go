@@ -83,6 +83,47 @@ func TestCounterConcurrencyLosesNothing(t *testing.T) {
 	}
 }
 
+// Reading a metric is not writing it: a read of a label set nothing touched
+// answers 0 and leaves the exposition byte for byte as it was, and a family
+// nothing has written still names itself with its HELP and TYPE lines.
+func TestReadsDoNotCreateSeries(t *testing.T) {
+	r := NewRegistry()
+	c := r.NewCounter("t_total", "by kind", "kind")
+	c.Inc("a")
+	g := r.NewGauge("t_level", "by kind", "kind")
+	g.Set(2, "a")
+	h := r.NewHistogram("t_seconds", "by kind", []float64{1}, "kind")
+	h.Observe(0.5, "a")
+	r.NewCounter("t_unwritten_total", "never written")
+	var before, after bytes.Buffer
+	if err := r.WritePrometheus(&before); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.Value("b"); v != 0 {
+		t.Errorf("untouched counter reads %v", v)
+	}
+	if v := g.Value("b"); v != 0 {
+		t.Errorf("untouched gauge reads %v", v)
+	}
+	if v := h.Count("b"); v != 0 {
+		t.Errorf("untouched histogram counts %v", v)
+	}
+	if err := r.WritePrometheus(&after); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Errorf("reads changed the exposition:\n%s\n---\n%s", before.String(), after.String())
+	}
+	sc, err := ParsePrometheus(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Types["t_unwritten_total"] != "counter" || len(sc.Series("t_unwritten_total")) != 0 {
+		t.Errorf("unwritten family: type %q, %d samples; want its TYPE line and no sample",
+			sc.Types["t_unwritten_total"], len(sc.Series("t_unwritten_total")))
+	}
+}
+
 func TestParserRejectsMalformedExposition(t *testing.T) {
 	cases := map[string]string{
 		"sample before TYPE":  "x_total 1\n",

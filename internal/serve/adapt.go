@@ -106,8 +106,8 @@ func (s *Server) adaptStats() adapt.Stats {
 	return s.adapt.Stats()
 }
 
-// adaptMetric mirrors the controller's counters into the metric catalog —
-// the Hooks.Metric side of the double-entry bookkeeping VerifyScrape checks.
+// adaptMetric mirrors the controller's counters into the metric catalog. The
+// controller keeps its own (adapt.Stats), and VerifyScrape checks the two.
 func (s *Server) adaptMetric(kind, label string) {
 	switch kind {
 	case "observation":
@@ -137,6 +137,7 @@ func (s *Server) persistDecision(d adapt.Decision) {
 	s.adaptMu.Unlock()
 	if s.adaptJournal != nil {
 		if err := s.adaptJournal.Append(line); err != nil {
+			s.m.journalErrors.Inc("decision")
 			s.log.LogAttrs(context.Background(), slog.LevelWarn, "adapt decision not durable",
 				slog.String("scenario", d.Scenario), slog.Uint64("seq", d.Seq), slog.String("err", err.Error()))
 		}

@@ -185,7 +185,6 @@ func (s *Server) bornDone(endpoint string, req Request, tenant, rid, mapping str
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.rejected.Add(1)
 		s.m.sheds.Inc("draining")
 		return nil, &JobError{Kind: KindDraining, Message: "server is draining",
 			RetryAfter: s.adm.retryAfter(s.seq.Add(1))}
@@ -208,9 +207,7 @@ func (s *Server) bornDone(endpoint string, req Request, tenant, rid, mapping str
 	s.jobsMu.Lock()
 	s.jobs[aj.id] = aj
 	s.jobsMu.Unlock()
-	s.jobsAccepted.Add(1)
 	s.m.jobs.Inc("accepted")
-	s.jobsDone.Add(1)
 	s.m.jobs.Inc("done")
 	s.publish(aj, Event{Type: "accepted"})
 	s.publish(aj, Event{Type: "done", Terminal: true})

@@ -17,17 +17,19 @@ import (
 // The serve-side measurement plane: the pdserve_* metric catalog, the HTTP
 // instrumentation that stamps every request with an ID, and the
 // reconciliation identities that make the numbers trustworthy. The catalog is
-// double-entry bookkeeping on purpose — most counters have an independent
-// counterpart (the Stats atomics, the DiskCache's own counters, the journal's
-// op stream), and VerifyMetrics fails loudly when the two ledgers disagree.
+// the server's one ledger: Stats reads its counts from it, so no code path
+// can bump a count on one side only. VerifyScrape checks what can still
+// disagree — the exposition against Stats through the writer → strict parser
+// round trip, and identities between counters bumped on different paths —
+// and every family is read by an identity, a test, a pdperf metric or a
+// DESIGN failure-mode row (TestEveryFamilyHasAReader).
 
 // serverMetrics is the server's metric catalog on one obs.Registry.
 type serverMetrics struct {
 	reg *obs.Registry
 
 	// HTTP edge, from the instrument middleware: every response, every route.
-	httpRequests obs.Counter   // route, code
-	httpLatency  obs.Histogram // route, code
+	httpRequests obs.Counter // route, code
 
 	// Typed responses, from writeResult/writeError/writeAccepted: every 4xx
 	// and 5xx carries the cause admission or evaluation assigned it.
@@ -43,11 +45,10 @@ type serverMetrics struct {
 	panics    obs.Counter
 	retries   obs.Counter
 
-	queueDepth   obs.Gauge
-	queueEstWait obs.Gauge // seconds, the admission controller's estimate
-	queueWait    obs.Histogram
-	workersBusy  obs.Gauge
-	busySeconds  obs.Counter
+	queueDepth  obs.Gauge
+	queueWait   obs.Histogram
+	workersBusy obs.Gauge
+	busySeconds obs.Counter
 
 	// Result cache: lookups are counted at the serve call sites, hits and
 	// misses inside the DiskCache — two independent paths that must add up.
@@ -57,7 +58,7 @@ type serverMetrics struct {
 
 	// Job and decision journals.
 	journalAppends     obs.Counter // op: accepted, running, done, failed
-	journalErrors      obs.Counter // site: accept, running, finalize, born_done
+	journalErrors      obs.Counter // site: accept, running, finalize, born_done, decision
 	journalFsync       obs.Histogram
 	journalCompactions obs.Counter // cause: open, threshold, adapt_open, adapt_threshold
 
@@ -78,8 +79,6 @@ func newServerMetrics() *serverMetrics {
 		reg: r,
 		httpRequests: r.NewCounter("pdserve_http_requests_total",
 			"HTTP responses by route and status code", "route", "code"),
-		httpLatency: r.NewHistogram("pdserve_http_request_seconds",
-			"wall-clock request latency by route and status code", nil, "route", "code"),
 		responses: r.NewCounter("pdserve_responses_total",
 			"typed responses by status code and cause", "code", "cause"),
 		admitted: r.NewCounter("pdserve_admitted_total",
@@ -100,8 +99,6 @@ func newServerMetrics() *serverMetrics {
 			"panic-retry attempts"),
 		queueDepth: r.NewGauge("pdserve_queue_depth",
 			"jobs reserved or queued right now"),
-		queueEstWait: r.NewGauge("pdserve_queue_est_wait_seconds",
-			"admission's live queue-wait estimate"),
 		queueWait: r.NewHistogram("pdserve_queue_wait_seconds",
 			"measured queue wait at dequeue", nil),
 		workersBusy: r.NewGauge("pdserve_workers_busy",
@@ -135,9 +132,8 @@ func newServerMetrics() *serverMetrics {
 		adaptSwitches: r.NewCounter("pdserve_adapt_switches_total",
 			"mapping-preference hot-swaps applied"),
 	}
-	// Pre-touch the fixed label spaces so every scrape exposes the whole
-	// catalog (an absent family parses as 0 but hides the schema) and so
-	// equal workloads produce identical sample sets.
+	// Pre-touch the fixed label spaces so equal workloads produce identical
+	// sample sets.
 	for _, c := range []obs.Counter{m.admitted, m.degraded, m.completed,
 		m.failed, m.panics, m.retries, m.busySeconds, m.cacheLookups,
 		m.adaptObs, m.adaptSwitches} {
@@ -166,7 +162,6 @@ func newServerMetrics() *serverMetrics {
 		m.events.Add(0, outcome)
 	}
 	m.queueDepth.Set(0)
-	m.queueEstWait.Set(0)
 	m.workersBusy.Set(0)
 	m.cacheBytes.Set(0)
 	return m
@@ -232,7 +227,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		elapsed := time.Since(start)
 		code := strconv.Itoa(sw.code())
 		s.m.httpRequests.Inc(route, code)
-		s.m.httpLatency.Observe(elapsed.Seconds(), route, code)
 		s.log.LogAttrs(ctx, slog.LevelInfo, "response",
 			slog.String("route", route), slog.String("code", code),
 			slog.Int64("ms", elapsed.Milliseconds()))
@@ -299,13 +293,12 @@ func (s *Server) cacheGet(key string) ([]byte, bool) {
 	return s.cache.Get(key)
 }
 
-// WriteMetrics refreshes the live gauges from the admission controller and
-// worker pool and writes the registry in Prometheus text exposition format.
+// WriteMetrics refreshes the gauges kept elsewhere — the admission
+// controller's occupancy and the cache's installed bytes — and writes the
+// registry in Prometheus text exposition format.
 func (s *Server) WriteMetrics(w io.Writer) error {
-	queued, _, waitMS := s.adm.snapshot()
+	queued, _, _ := s.adm.snapshot()
 	s.m.queueDepth.Set(float64(queued))
-	s.m.queueEstWait.Set(float64(waitMS) / 1000)
-	s.m.workersBusy.Set(float64(s.busyWorkers.Load()))
 	s.m.cacheBytes.Set(float64(s.cache.Stats().Bytes))
 	return s.m.reg.WritePrometheus(w)
 }
@@ -324,9 +317,10 @@ func (s *Server) handleLogz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(s.ring.Lines(r.URL.Query().Get("req")))
 }
 
-// VerifyMetrics scrapes the server's own registry and checks every
-// reconciliation identity against the live Stats. Meaningful after Shutdown:
-// the conservation identities only hold once every admitted job has settled.
+// VerifyMetrics writes the server's own registry, parses it back strictly and
+// checks every reconciliation identity against the live Stats. Meaningful
+// after Shutdown: the conservation identities only hold once every admitted
+// job has settled.
 func (s *Server) VerifyMetrics() error {
 	var buf bytes.Buffer
 	if err := s.WriteMetrics(&buf); err != nil {
@@ -355,10 +349,12 @@ var allowedCauses = map[string]map[string]bool{
 }
 
 // VerifyScrape checks a parsed /metrics scrape against the server's own
-// Stats snapshot and the catalog's conservation identities. The scrape and
-// the Stats are independent ledgers of the same history; a mismatch means a
-// code path updated one and not the other — a metric that lies. Valid after
-// drain (the gauges must be at rest and every admitted job settled).
+// Stats snapshot and the catalog's identities. Stats reads the registry the
+// scrape was written from, so a scrape-vs-Stats mismatch means the exposition
+// lost or changed a sample on its way through the writer and the parser; a
+// broken identity means a code path counted one side of a pair and not the
+// other — a metric that lies. Valid after drain (the gauges must be at rest
+// and every admitted job settled).
 func VerifyScrape(sc *obs.Scrape, st Stats) error {
 	var bad []string
 	flunk := func(format string, args ...any) {
@@ -371,7 +367,8 @@ func VerifyScrape(sc *obs.Scrape, st Stats) error {
 	}
 	cause := func(c string) map[string]string { return map[string]string{"cause": c} }
 
-	// Scrape vs Stats: every admission, pool, job, and cache counter.
+	// Scrape vs Stats: every admission, pool, job, cache and journal count,
+	// through the exposition round trip.
 	want("pdserve_admitted_total", nil, float64(st.Accepted))
 	want("pdserve_sheds_total", cause("queue_full"), float64(st.Shed-st.FairShed))
 	want("pdserve_sheds_total", cause("fair_share"), float64(st.FairShed))
@@ -424,7 +421,7 @@ func VerifyScrape(sc *obs.Scrape, st Stats) error {
 	requeued := sc.Sum("pdserve_jobs_total", state("requeued"))
 	settled := sc.Sum("pdserve_completed_total", nil) + sc.Sum("pdserve_failed_total", nil)
 	if admitted+requeued != settled {
-		flunk("admitted %v + requeued %v != completed+failed %v", admitted, requeued, settled)
+		flunk("conservation: admitted %v + requeued %v != completed+failed %v", admitted, requeued, settled)
 	}
 	// Every acknowledged job reached exactly one terminal state.
 	jAccepted := sc.Sum("pdserve_jobs_total", state("accepted"))

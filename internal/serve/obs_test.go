@@ -8,10 +8,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"procdecomp/internal/adapt"
+	"procdecomp/internal/durable/durabletest"
 	"procdecomp/internal/obs"
 )
 
@@ -47,7 +51,7 @@ func scrapeURL(t *testing.T, base string) *obs.Scrape {
 // TestMetricsReconcileAfterMixedWorkload drives every kind of traffic the
 // catalog counts — cache misses and hits, a typed failure, an async job, a
 // panic retry — then requires the wire scrape to reconcile exactly with the
-// server's ground-truth Stats.
+// server's Stats and the catalog's identities.
 func TestMetricsReconcileAfterMixedWorkload(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 2, PanicEvery: 3, CacheDir: t.TempDir()})
 
@@ -94,9 +98,11 @@ func TestMetricsReconcileAfterMixedWorkload(t *testing.T) {
 	drainAndVerify(t, s)
 }
 
-// TestVerifyScrapeDetectsDrift is the negative control: a counter nudged off
-// its ground truth must fail reconciliation, else the identities prove
-// nothing.
+// TestVerifyScrapeDetectsDrift is the negative control, identities that
+// cannot fail prove nothing. Stats reads the registry, so a count bumped on
+// one ledger only cannot happen; an admission that never settles must fail
+// the conservation identity instead, and one sample edited between the
+// writer and the parser must fail the scrape-vs-Stats row naming its family.
 func TestVerifyScrapeDetectsDrift(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir()})
 	post(t, hs.URL+"/run", gsRun)
@@ -106,13 +112,121 @@ func TestVerifyScrapeDetectsDrift(t *testing.T) {
 	if err := s.VerifyMetrics(); err != nil {
 		t.Fatalf("clean run must reconcile: %v", err)
 	}
-	s.m.admitted.Inc() // simulated drift: a path that bumped one ledger only
-	err := s.VerifyMetrics()
-	if err == nil {
-		t.Fatal("drifted counter passed reconciliation")
+
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "pdserve_admitted_total") {
-		t.Errorf("drift error does not name the counter: %v", err)
+	const line = "\npdserve_degraded_total 0\n"
+	if !strings.Contains(buf.String(), line) {
+		t.Fatalf("exposition lacks %q", line)
+	}
+	sc, err := obs.ParsePrometheus(strings.NewReader(strings.Replace(buf.String(), line, "\npdserve_degraded_total 1\n", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = VerifyScrape(sc, s.Stats())
+	if err == nil || !strings.Contains(err.Error(), "pdserve_degraded_total") {
+		t.Errorf("an edited sample must fail reconciliation naming its family: %v", err)
+	}
+
+	s.m.admitted.Inc() // simulated drift: an admission that never settles
+	err = s.VerifyMetrics()
+	if err == nil {
+		t.Fatal("an unsettled admission passed reconciliation")
+	}
+	if !strings.Contains(err.Error(), "conservation: admitted 2 + requeued 0 != completed+failed 1") {
+		t.Errorf("drift error does not name the conservation identity: %v", err)
+	}
+}
+
+// TestEveryFamilyHasAReader holds the catalog to DESIGN.md: the pdserve_*
+// families a fresh server exposes are exactly the ones DESIGN's tables name
+// (the reconciliation identities, the families read only as measurements,
+// and the failure-mode table's signal column). An unread family fails it,
+// and so does a row naming a family that is gone.
+func TestEveryFamilyHasAReader(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := obs.ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	family := regexp.MustCompile(`pdserve_[a-z_]+`)
+	for _, line := range strings.Split(string(design), "\n") {
+		if strings.HasPrefix(line, "|") {
+			for _, fam := range family.FindAllString(line, -1) {
+				named[fam] = true
+			}
+		}
+	}
+	exposed := map[string]bool{}
+	for fam := range sc.Types {
+		exposed[fam] = true
+	}
+	if len(exposed) == 0 {
+		t.Fatal("a fresh server exposes no family")
+	}
+	// missing lists, sorted, the names in a that b lacks.
+	missing := func(a, b map[string]bool) []string {
+		var out []string
+		for k := range a {
+			if !b[k] {
+				out = append(out, k)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	if unread := missing(exposed, named); len(unread) > 0 {
+		t.Errorf("exposed, but no DESIGN.md table names a reader: %v", unread)
+	}
+	if gone := missing(named, exposed); len(gone) > 0 {
+		t.Errorf("named in DESIGN.md, but the server does not expose: %v", gone)
+	}
+}
+
+// TestJournalErrorsNameTheSite pins the signal of DESIGN's "write or fsync
+// error on a journal" row: a refused job-journal write answers POST /jobs 500
+// and counts pdserve_journal_errors_total{site="accept"}; a refused
+// decision-journal write counts {site="decision"}. Neither breaks the other
+// identities.
+func TestJournalErrorsNameTheSite(t *testing.T) {
+	// Operations 1 and 2 open the two journals; 3 is the first write.
+	fs := durabletest.New(3, durabletest.Refuse)
+	s, err := newServer(Config{CacheDir: t.TempDir(), Workers: 1, Adapt: adapt.Config{Enabled: true}}, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	code, body := do(t, s.Handler(), "POST", "/jobs", JobSubmit{Endpoint: "/compile", Request: Request{GS: true, Procs: 2, Mode: "ctr", Defines: map[string]int64{"N": 8}}})
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), "job journal write failed") {
+		t.Fatalf("POST /jobs over a failed journal: %d %s", code, body)
+	}
+	if v := s.m.journalErrors.Value("accept"); v != 1 {
+		t.Errorf("journal_errors_total{site=accept} = %v, want 1", v)
+	}
+	s.persistDecision(adapt.Decision{Seq: 1, Scenario: "gs//p2", Outcome: "held"})
+	if v := s.m.journalErrors.Value("decision"); v != 1 {
+		t.Errorf("journal_errors_total{site=decision} = %v, want 1", v)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.VerifyMetrics(); err != nil {
+		t.Errorf("a refused job must still reconcile: %v", err)
 	}
 }
 

@@ -284,7 +284,9 @@ type QueueStats struct {
 	EstWaitMS       int64
 }
 
-// Stats is a point-in-time snapshot of the server's counters.
+// Stats is a point-in-time snapshot of the server's counters. Every count
+// is read from the metric catalog, the one place the server keeps it; the
+// cache's and the controller's are their own.
 type Stats struct {
 	Accepted  int64
 	Shed      int64 // queue-full and fair-share sheds (429)
@@ -303,8 +305,8 @@ type Stats struct {
 	Adapt     adapt.Stats
 }
 
-// JournalStats counts compaction rewrites per journal and trigger — the
-// independent ledger behind pdserve_journal_compactions_total.
+// JournalStats counts compaction rewrites per journal and trigger, as
+// pdserve_journal_compactions_total{cause} does.
 type JournalStats struct {
 	OpenCompactions           int64 // job journal folds at open
 	ThresholdCompactions      int64 // job journal folds at the append threshold
@@ -336,9 +338,8 @@ type Server struct {
 
 	// ridSalt/ridSeq mint request IDs unique across restarts of one process
 	// lineage (the salt is the start time).
-	ridSalt     uint64
-	ridSeq      atomic.Uint64
-	busyWorkers atomic.Int64
+	ridSalt uint64
+	ridSeq  atomic.Uint64
 
 	baseCtx context.Context
 	abort   context.CancelFunc
@@ -356,28 +357,7 @@ type Server struct {
 
 	ready atomic.Bool // journal recovery complete; flips off while draining
 
-	seq       atomic.Uint64
-	accepted  atomic.Int64
-	shed      atomic.Int64
-	fairShed  atomic.Int64
-	doomed    atomic.Int64
-	degraded  atomic.Int64
-	rejected  atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	panics    atomic.Int64
-	retries   atomic.Int64
-
-	jobsAccepted  atomic.Int64
-	jobsRecovered atomic.Int64
-	jobsRequeued  atomic.Int64
-	jobsDone      atomic.Int64
-	jobsFailed    atomic.Int64
-
-	compactOpen           atomic.Int64
-	compactThreshold      atomic.Int64
-	compactAdaptOpen      atomic.Int64
-	compactAdaptThreshold atomic.Int64
+	seq atomic.Uint64
 }
 
 // New starts a server: opens the cache and the job journal (if configured),
@@ -414,7 +394,7 @@ func newServer(cfg Config, fs durable.FS) (*Server, error) {
 		s.cache = c
 		j, jobs, maxSeq, err := openJournal(fs, cfg.CacheDir, durable.Options{
 			CompactEvery: cfg.JournalCompactEvery,
-			OnCompact:    s.compactionObserver(&s.compactOpen, &s.compactThreshold, ""),
+			OnCompact:    func(cause string) { s.m.journalCompactions.Inc(cause) },
 			OnFsync:      func(d time.Duration) { s.m.journalFsync.Observe(d.Seconds()) },
 			OnFail:       func(err error) { s.logStopped("job journal", err) },
 		})
@@ -427,7 +407,7 @@ func newServer(cfg Config, fs durable.FS) (*Server, error) {
 		if cfg.Adapt.Enabled {
 			dj, states, seq, err := openDecisionJournal(fs, cfg.CacheDir, durable.Options{
 				CompactEvery: cfg.JournalCompactEvery,
-				OnCompact:    s.compactionObserver(&s.compactAdaptOpen, &s.compactAdaptThreshold, "adapt_"),
+				OnCompact:    func(cause string) { s.m.journalCompactions.Inc("adapt_" + cause) },
 				OnFail:       func(err error) { s.logStopped("decision journal", err) },
 			})
 			if err != nil {
@@ -455,21 +435,6 @@ func newServer(cfg Config, fs durable.FS) (*Server, error) {
 	return s, nil
 }
 
-// compactionObserver is one log's OnCompact observer: the log's two Stats
-// counters and their metric mirror, whose pdserve_journal_compactions_total
-// label is prefix+cause. Whatever is not an open fold counts as a threshold
-// fold, so the ledger and the metric cannot drift apart.
-func (s *Server) compactionObserver(open, threshold *atomic.Int64, prefix string) func(cause string) {
-	return func(cause string) {
-		if cause == "open" {
-			open.Add(1)
-		} else {
-			threshold.Add(1)
-		}
-		s.m.journalCompactions.Inc(prefix + cause)
-	}
-}
-
 // logStopped is both logs' OnFail observer: the one line that names why a
 // journal fail-stopped. Every append after it is refused with the same error.
 func (s *Server) logStopped(which string, err error) {
@@ -483,7 +448,6 @@ func (s *Server) logStopped(which string, err error) {
 // re-enqueued and re-run. Acknowledged work is never silently lost.
 func (s *Server) recover(jobs []*recoveredJob) {
 	for _, rj := range jobs {
-		s.jobsRecovered.Add(1)
 		s.m.jobs.Inc("recovered")
 		aj := &asyncJob{id: rj.id, rid: rj.rid, endpoint: rj.endpoint, tenant: rj.tenant,
 			key: rj.key, budget: rj.budget, mapping: rj.mapping, req: rj.req, log: newEventLog()}
@@ -504,7 +468,6 @@ func (s *Server) recover(jobs []*recoveredJob) {
 				Kind: rj.jerr.Kind, Message: rj.jerr.Message, Attempts: rj.jerr.Attempts})
 			continue
 		}
-		s.jobsRequeued.Add(1)
 		s.m.jobs.Inc("requeued")
 		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.DefaultDeadline)
 		j := &job{
@@ -522,24 +485,26 @@ func (s *Server) recover(jobs []*recoveredJob) {
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
 	queued, rate, wait := s.adm.snapshot()
+	n := func(c obs.Counter, label ...string) int64 { return int64(c.Value(label...)) }
+	m := s.m
 	return Stats{
-		Accepted: s.accepted.Load(), Shed: s.shed.Load(),
-		FairShed: s.fairShed.Load(), Doomed: s.doomed.Load(), Degraded: s.degraded.Load(),
-		Rejected:  s.rejected.Load(),
-		Completed: s.completed.Load(), Failed: s.failed.Load(),
-		Panics: s.panics.Load(), Retries: s.retries.Load(),
+		Accepted: n(m.admitted), Shed: n(m.sheds, "queue_full") + n(m.sheds, "fair_share"),
+		FairShed: n(m.sheds, "fair_share"), Doomed: n(m.sheds, "doomed"), Degraded: n(m.degraded),
+		Rejected:  n(m.sheds, "draining"),
+		Completed: n(m.completed), Failed: n(m.failed),
+		Panics: n(m.panics), Retries: n(m.retries),
 		Jobs: JobStats{
-			Accepted: s.jobsAccepted.Load(), Recovered: s.jobsRecovered.Load(),
-			Requeued: s.jobsRequeued.Load(), Done: s.jobsDone.Load(), Failed: s.jobsFailed.Load(),
+			Accepted: n(m.jobs, "accepted"), Recovered: n(m.jobs, "recovered"),
+			Requeued: n(m.jobs, "requeued"), Done: n(m.jobs, "done"), Failed: n(m.jobs, "failed"),
 		},
 		Queue: QueueStats{Depth: s.cfg.QueueDepth, Queued: queued,
 			DrainRatePerSec: rate, EstWaitMS: wait},
 		Cache: s.cache.Stats(),
 		Journal: JournalStats{
-			OpenCompactions:           s.compactOpen.Load(),
-			ThresholdCompactions:      s.compactThreshold.Load(),
-			AdaptOpenCompactions:      s.compactAdaptOpen.Load(),
-			AdaptThresholdCompactions: s.compactAdaptThreshold.Load(),
+			OpenCompactions:           n(m.journalCompactions, "open"),
+			ThresholdCompactions:      n(m.journalCompactions, "threshold"),
+			AdaptOpenCompactions:      n(m.journalCompactions, "adapt_open"),
+			AdaptThresholdCompactions: n(m.journalCompactions, "adapt_threshold"),
 		},
 		Adapt: s.adaptStats(),
 	}
@@ -584,7 +549,6 @@ func (s *Server) submit(endpoint string, req Request, tenant string, opts submit
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.rejected.Add(1)
 		s.m.sheds.Inc("draining")
 		return nil, nil, &JobError{Kind: KindDraining, Message: "server is draining",
 			RetryAfter: s.adm.retryAfter(s.seq.Add(1))}
@@ -598,15 +562,11 @@ func (s *Server) submit(endpoint string, req Request, tenant string, opts submit
 		s.admissions.Done()
 		switch {
 		case dec.shed.Kind == KindDeadline:
-			s.doomed.Add(1)
 			s.m.sheds.Inc("doomed")
 		case dec.reason == "fair":
-			s.fairShed.Add(1)
-			s.shed.Add(1)
 			s.m.sheds.Inc("fair_share")
 			s.m.fairSheds.Inc(tenant)
 		default:
-			s.shed.Add(1)
 			s.m.sheds.Inc("queue_full")
 		}
 		s.log.LogAttrs(obs.WithRequestID(context.Background(), opts.rid), slog.LevelWarn,
@@ -627,7 +587,6 @@ func (s *Server) submit(endpoint string, req Request, tenant string, opts submit
 				return nil, body, nil
 			}
 		}
-		s.degraded.Add(1)
 		s.m.degraded.Inc()
 	}
 
@@ -653,7 +612,6 @@ func (s *Server) submit(endpoint string, req Request, tenant string, opts submit
 		s.jobsMu.Lock()
 		s.jobs[aj.id] = aj
 		s.jobsMu.Unlock()
-		s.jobsAccepted.Add(1)
 		s.m.jobs.Inc("accepted")
 		j.async = aj
 		s.publish(aj, Event{Type: "accepted"})
@@ -662,7 +620,6 @@ func (s *Server) submit(endpoint string, req Request, tenant string, opts submit
 	if dec.budget > 0 {
 		s.jemit(j, Event{Type: "degraded", Budget: dec.budget})
 	}
-	s.accepted.Add(1)
 	s.m.admitted.Inc()
 	// The reservation guarantees a slot: at most QueueDepth reservations are
 	// outstanding and the channel holds QueueDepth beyond the recovery jobs.
@@ -687,9 +644,9 @@ func (s *Server) worker() {
 			// recovery re-runs unfinished jobs with or without it.
 			s.journalAppend(j.ctx, "running", journalRec{Op: "running", ID: j.async.id})
 		}
-		s.busyWorkers.Add(1)
+		s.m.workersBusy.Add(1)
 		s.runJob(j)
-		s.busyWorkers.Add(-1)
+		s.m.workersBusy.Add(-1)
 		s.m.busySeconds.Add(time.Since(now).Seconds())
 		j.cancel()
 		s.admissions.Done()
@@ -719,7 +676,6 @@ func (s *Server) finalize(j *job) {
 		s.journalAppend(j.ctx, "finalize", journalRec{Op: "done", ID: aj.id, Key: j.key})
 		aj.setChrome(j.chrome)
 		aj.complete(j.result)
-		s.jobsDone.Add(1)
 		s.m.jobs.Inc("done")
 		s.publish(aj, Event{Type: "done", Terminal: true})
 		return
@@ -728,7 +684,6 @@ func (s *Server) finalize(j *job) {
 		Message: j.jerr.Message, Attempts: j.jerr.Attempts})
 	aj.setChrome(j.chrome)
 	aj.fail(j.jerr)
-	s.jobsFailed.Add(1)
 	s.m.jobs.Inc("failed")
 	s.publish(aj, Event{Type: terminalType(j.jerr), Terminal: true,
 		Kind: j.jerr.Kind, Message: j.jerr.Message, Attempts: j.jerr.Attempts})
@@ -749,7 +704,6 @@ func (s *Server) runJob(j *job) {
 		if err := j.ctx.Err(); err != nil {
 			j.jerr = s.ctxError(err)
 			j.jerr.Attempts = attempt - 1
-			s.failed.Add(1)
 			s.m.failed.Inc()
 			return
 		}
@@ -766,7 +720,6 @@ func (s *Server) runJob(j *job) {
 		}
 		if err == nil {
 			j.result = out
-			s.completed.Add(1)
 			s.m.completed.Inc()
 			if s.cache != nil {
 				s.cache.Put(j.key, out)
@@ -780,24 +733,20 @@ func (s *Server) runJob(j *job) {
 		}
 		var pe *panicError
 		if errors.As(err, &pe) {
-			s.panics.Add(1)
 			s.m.panics.Inc()
 			s.log.LogAttrs(j.ctx, slog.LevelError, "panic isolated",
 				slog.String("job", fmt.Sprintf("%d", j.seq)), slog.Int("attempt", attempt))
 			if attempt <= s.cfg.Retries {
-				s.retries.Add(1)
 				s.m.retries.Inc()
 				s.backoff(j.ctx, attempt)
 				continue
 			}
 			j.jerr = &JobError{Kind: KindPanic, Message: pe.Error(), Attempts: attempt}
-			s.failed.Add(1)
 			s.m.failed.Inc()
 			return
 		}
 		j.jerr = s.classify(j, err)
 		j.jerr.Attempts = attempt
-		s.failed.Add(1)
 		s.m.failed.Inc()
 		return
 	}
