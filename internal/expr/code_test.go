@@ -87,21 +87,38 @@ func checkCodeMatchesEval(t *testing.T, e Expr, bound uint, vals [4]int64) {
 	}
 }
 
-func TestCodeMatchesEval(t *testing.T) {
+// codeCase is one case of the seeded sweep: an expression, the variables it
+// binds (bit i for variable i) and their values.
+type codeCase struct {
+	e     Expr
+	bound uint
+	vals  [4]int64
+}
+
+// codeCorpus draws the seeded sweep's 2,000 cases. The compile witness
+// replays the same expressions (CodeCorpus in export_test.go).
+func codeCorpus() []codeCase {
 	rng := rand.New(rand.NewSource(17))
-	errs := 0
-	for n := 0; n < 2000; n++ {
-		e := genExpr(rng.Intn, 1+rng.Intn(4), 4)
-		var vals [4]int64
-		for i := range vals {
-			vals[i] = int64(rng.Intn(41)) - 20
+	cases := make([]codeCase, 2000)
+	for n := range cases {
+		c := &cases[n]
+		c.e = genExpr(rng.Intn, 1+rng.Intn(4), 4)
+		for i := range c.vals {
+			c.vals[i] = int64(rng.Intn(41)) - 20
 		}
-		bound := uint(rng.Intn(16))
+		c.bound = uint(rng.Intn(16))
 		if rng.Intn(2) == 0 {
-			bound = 15 // all bound: reach the mod and division errors, not just "unbound"
+			c.bound = 15 // all bound: reach the mod and division errors, not just "unbound"
 		}
-		checkCodeMatchesEval(t, e, bound, vals)
-		if _, err := e.Eval(Env{"a": vals[0], "b": vals[1], "c": vals[2], "d": vals[3]}); err != nil {
+	}
+	return cases
+}
+
+func TestCodeMatchesEval(t *testing.T) {
+	errs := 0
+	for _, c := range codeCorpus() {
+		checkCodeMatchesEval(t, c.e, c.bound, c.vals)
+		if _, err := c.e.Eval(Env{"a": c.vals[0], "b": c.vals[1], "c": c.vals[2], "d": c.vals[3]}); err != nil {
 			errs++
 		}
 	}
