@@ -135,6 +135,11 @@ func TestSearchIndependentOfWorkers(t *testing.T) {
 // process on top — the action lists, the send index and the channel table are
 // each built once, never grown by doubling.
 func TestBuildProfileAllocationsDoNotGrowWithActions(t *testing.T) {
+	if raceEnabled {
+		// The detector drops sync.Pool puts at random, and walkScratch is a
+		// pool: a dropped slice is regrown by doubling.
+		t.Skip("the race detector allocates on its own account")
+	}
 	const procs = 4
 	cfg := machine.DefaultConfig(procs)
 	allocs := func(n int64) (float64, int) {

@@ -76,9 +76,10 @@ type Dist interface {
 	// Owner returns the processor owning the element at idx, or All when the
 	// data is replicated. This is the paper's "map" function.
 	Owner(idx []int64) int64
-	// Local translates a global index to the owner's local index. This is the
-	// paper's "local" function.
-	Local(idx []int64) []int64
+	// Local translates a global index to the owner's local index, written
+	// into dst[:0]; it returns the result and allocates only when dst is too
+	// small. This is the paper's "local" function.
+	Local(dst, idx []int64) []int64
 	// LocalShape reports the per-processor allocation dimensions. This is the
 	// paper's "alloc" function.
 	LocalShape() []int64
@@ -128,9 +129,9 @@ func (d cyclicCols) Owner(idx []int64) int64 {
 	return expr.EucMod(idx[1], d.procs)
 }
 
-func (d cyclicCols) Local(idx []int64) []int64 {
+func (d cyclicCols) Local(dst, idx []int64) []int64 {
 	checkRank("cyclic_cols.Local", idx, 2)
-	return []int64{idx[0], (idx[1]-1)/d.procs + 1}
+	return append(dst[:0], idx[0], (idx[1]-1)/d.procs+1)
 }
 
 func (d cyclicCols) LocalShape() []int64 {
@@ -172,9 +173,9 @@ func (d cyclicRows) Owner(idx []int64) int64 {
 	return expr.EucMod(idx[0], d.procs)
 }
 
-func (d cyclicRows) Local(idx []int64) []int64 {
+func (d cyclicRows) Local(dst, idx []int64) []int64 {
 	checkRank("cyclic_rows.Local", idx, 2)
-	return []int64{(idx[0]-1)/d.procs + 1, idx[1]}
+	return append(dst[:0], (idx[0]-1)/d.procs+1, idx[1])
 }
 
 func (d cyclicRows) LocalShape() []int64 {
@@ -216,9 +217,9 @@ func (d blockCols) Owner(idx []int64) int64 {
 	return (idx[1] - 1) / d.width
 }
 
-func (d blockCols) Local(idx []int64) []int64 {
+func (d blockCols) Local(dst, idx []int64) []int64 {
 	checkRank("block_cols.Local", idx, 2)
-	return []int64{idx[0], expr.EucMod(idx[1]-1, d.width) + 1}
+	return append(dst[:0], idx[0], expr.EucMod(idx[1]-1, d.width)+1)
 }
 
 func (d blockCols) LocalShape() []int64 { return []int64{d.shape[0], d.width} }
@@ -258,9 +259,9 @@ func (d blockRows) Owner(idx []int64) int64 {
 	return (idx[0] - 1) / d.width
 }
 
-func (d blockRows) Local(idx []int64) []int64 {
+func (d blockRows) Local(dst, idx []int64) []int64 {
 	checkRank("block_rows.Local", idx, 2)
-	return []int64{expr.EucMod(idx[0]-1, d.width) + 1, idx[1]}
+	return append(dst[:0], expr.EucMod(idx[0]-1, d.width)+1, idx[1])
 }
 
 func (d blockRows) LocalShape() []int64 { return []int64{d.width, d.shape[1]} }
@@ -303,9 +304,9 @@ func (d block2D) Owner(idx []int64) int64 {
 	return ((idx[0]-1)/d.hr)*d.pc + (idx[1]-1)/d.wc
 }
 
-func (d block2D) Local(idx []int64) []int64 {
+func (d block2D) Local(dst, idx []int64) []int64 {
 	checkRank("block2d.Local", idx, 2)
-	return []int64{expr.EucMod(idx[0]-1, d.hr) + 1, expr.EucMod(idx[1]-1, d.wc) + 1}
+	return append(dst[:0], expr.EucMod(idx[0]-1, d.hr)+1, expr.EucMod(idx[1]-1, d.wc)+1)
 }
 
 func (d block2D) LocalShape() []int64 { return []int64{d.hr, d.wc} }
@@ -344,9 +345,9 @@ func (d replicated) Procs() int64         { return d.procs }
 func (d replicated) GlobalShape() []int64 { return append([]int64(nil), d.shape...) }
 func (d replicated) String() string       { return "all" }
 
-func (d replicated) Owner(idx []int64) int64   { return All }
-func (d replicated) Local(idx []int64) []int64 { return append([]int64(nil), idx...) }
-func (d replicated) LocalShape() []int64       { return append([]int64(nil), d.shape...) }
+func (d replicated) Owner(idx []int64) int64        { return All }
+func (d replicated) Local(dst, idx []int64) []int64 { return append(dst[:0], idx...) }
+func (d replicated) LocalShape() []int64            { return append([]int64(nil), d.shape...) }
 
 func (d replicated) SymbolicOwner(idx []expr.Expr) expr.Expr {
 	panic("dist: replicated data has no single owner; test Kind() first")
@@ -381,9 +382,9 @@ func (d single) Procs() int64         { return d.procs }
 func (d single) GlobalShape() []int64 { return append([]int64(nil), d.shape...) }
 func (d single) String() string       { return fmt.Sprintf("proc(%d)", d.p) }
 
-func (d single) Owner(idx []int64) int64   { return d.p }
-func (d single) Local(idx []int64) []int64 { return append([]int64(nil), idx...) }
-func (d single) LocalShape() []int64       { return append([]int64(nil), d.shape...) }
+func (d single) Owner(idx []int64) int64        { return d.p }
+func (d single) Local(dst, idx []int64) []int64 { return append(dst[:0], idx...) }
+func (d single) LocalShape() []int64            { return append([]int64(nil), d.shape...) }
 
 func (d single) SymbolicOwner(idx []expr.Expr) expr.Expr { return expr.C(d.p) }
 
@@ -434,9 +435,9 @@ func (d cyclicVec) Owner(idx []int64) int64 {
 	return expr.EucMod(idx[0], d.procs)
 }
 
-func (d cyclicVec) Local(idx []int64) []int64 {
+func (d cyclicVec) Local(dst, idx []int64) []int64 {
 	checkRank("cyclic.Local", idx, 1)
-	return []int64{(idx[0]-1)/d.procs + 1}
+	return append(dst[:0], (idx[0]-1)/d.procs+1)
 }
 
 func (d cyclicVec) LocalShape() []int64 { return []int64{ceilDiv(d.n, d.procs)} }
@@ -474,9 +475,9 @@ func (d blockVec) Owner(idx []int64) int64 {
 	return (idx[0] - 1) / d.width
 }
 
-func (d blockVec) Local(idx []int64) []int64 {
+func (d blockVec) Local(dst, idx []int64) []int64 {
 	checkRank("block.Local", idx, 1)
-	return []int64{expr.EucMod(idx[0]-1, d.width) + 1}
+	return append(dst[:0], expr.EucMod(idx[0]-1, d.width)+1)
 }
 
 func (d blockVec) LocalShape() []int64 { return []int64{d.width} }

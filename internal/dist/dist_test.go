@@ -38,6 +38,7 @@ func TestOwnershipPartition(t *testing.T) {
 		for _, d := range allDists(cfg.procs, cfg.rows, cfg.cols) {
 			seen := map[string]bool{}
 			ls := d.LocalShape()
+			var l []int64
 			for i := int64(1); i <= cfg.rows; i++ {
 				for j := int64(1); j <= cfg.cols; j++ {
 					idx := []int64{i, j}
@@ -45,7 +46,7 @@ func TestOwnershipPartition(t *testing.T) {
 					if p < 0 || p >= d.Procs() {
 						t.Fatalf("%v: owner(%v) = %d out of range", d, idx, p)
 					}
-					l := d.Local(idx)
+					l = d.Local(l, idx)
 					if len(l) != len(ls) {
 						t.Fatalf("%v: local rank %d != alloc rank %d", d, len(l), len(ls))
 					}
@@ -79,7 +80,7 @@ func TestSymbolicAgreesWithConcrete(t *testing.T) {
 				if got, want := so.MustEval(env), d.Owner([]int64{i, j}); got != want {
 					t.Fatalf("%v: symbolic owner(%d,%d) = %d, want %d", d, i, j, got, want)
 				}
-				loc := d.Local([]int64{i, j})
+				loc := d.Local(nil, []int64{i, j})
 				for k := range sl {
 					if got := sl[k].MustEval(env); got != loc[k] {
 						t.Fatalf("%v: symbolic local[%d](%d,%d) = %d, want %d", d, k, i, j, got, loc[k])
@@ -165,7 +166,7 @@ func TestReplicated(t *testing.T) {
 	if d.Kind() != KindReplicated {
 		t.Error("wrong kind")
 	}
-	l := d.Local([]int64{2, 3})
+	l := d.Local(nil, []int64{2, 3})
 	if l[0] != 2 || l[1] != 3 {
 		t.Errorf("replicated local should be identity, got %v", l)
 	}
@@ -240,7 +241,7 @@ func TestAllocTight(t *testing.T) {
 		maxSeen := make([]int64, len(ls))
 		for i := int64(1); i <= 9; i++ {
 			for j := int64(1); j <= 12; j++ {
-				l := d.Local([]int64{i, j})
+				l := d.Local(nil, []int64{i, j})
 				for k := range l {
 					if l[k] > maxSeen[k] {
 						maxSeen[k] = l[k]
@@ -265,7 +266,7 @@ func TestVectorDistributions(t *testing.T) {
 			if p < 0 || p >= d.Procs() {
 				t.Fatalf("%v: owner(%d) = %d out of range", d, i, p)
 			}
-			l := d.Local([]int64{i})
+			l := d.Local(nil, []int64{i})
 			if l[0] < 1 || l[0] > ls[0] {
 				t.Fatalf("%v: local(%d) = %v outside alloc %v", d, i, l, ls)
 			}
@@ -286,5 +287,26 @@ func TestVectorDistributions(t *testing.T) {
 	}
 	if NewCyclicVec(3, 10).Kind() != KindCyclicVec || NewBlockVec(3, 10).Kind() != KindBlockVec {
 		t.Error("kinds wrong")
+	}
+}
+
+// Local writes into the caller's buffer: with room for the index it
+// allocates nothing and returns that buffer, whatever it held before.
+func TestLocalFillsTheCallersBuffer(t *testing.T) {
+	ds := append(allDists(4, 9, 12), NewReplicated(4, 9, 12))
+	for _, d := range append(ds, NewCyclicVec(3, 10), NewBlockVec(3, 10)) {
+		idx := []int64{5, 7}[:len(d.GlobalShape())]
+		want := d.Local(nil, idx)
+		buf := []int64{-1, -1, -1}
+		got := d.Local(buf, idx)
+		if &got[0] != &buf[0] || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: Local(buf, %v) = %v in a new array, want %v in buf", d, idx, got, want)
+		}
+		if raceEnabled {
+			continue // the race detector allocates on its own account
+		}
+		if n := testing.AllocsPerRun(100, func() { buf = d.Local(buf, idx) }); n != 0 {
+			t.Errorf("%v: Local into a buffer with room: %.0f allocations, want 0", d, n)
+		}
 	}
 }

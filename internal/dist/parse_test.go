@@ -101,7 +101,7 @@ func checkMatrixPartition(t *testing.T, d Dist, procs, rows, cols int64) {
 			if p < 0 || p >= procs {
 				t.Fatalf("%v: owner(%v) = %d outside [0,%d)", d, idx, p, procs)
 			}
-			l := d.Local(idx)
+			l := d.Local(nil, idx)
 			if len(l) != len(ls) {
 				t.Fatalf("%v: local rank %d != alloc rank %d", d, len(l), len(ls))
 			}
@@ -131,7 +131,7 @@ func checkVecPartition(t *testing.T, d Dist, procs, n int64) {
 		if p < 0 || p >= procs {
 			t.Fatalf("%v: owner(%d) = %d outside [0,%d)", d, i, p, procs)
 		}
-		l := d.Local([]int64{i})
+		l := d.Local(nil, []int64{i})
 		if l[0] < 1 || l[0] > ls[0] {
 			t.Fatalf("%v: local(%d) = %v outside alloc %v", d, i, l, ls)
 		}

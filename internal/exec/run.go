@@ -212,7 +212,7 @@ func scatter(g *istruct.Matrix, d dist.Dist, procs int) ([]*istruct.Matrix, erro
 		locals[p] = local
 	}
 	rows, cols := g.Rows(), g.Cols()
-	idx := make([]int64, 2)
+	idx, l := make([]int64, 2), make([]int64, 0, 2)
 	for i := int64(1); i <= rows; i++ {
 		for j := int64(1); j <= cols; j++ {
 			if !g.Defined(i, j) {
@@ -227,7 +227,7 @@ func scatter(g *istruct.Matrix, d dist.Dist, procs int) ([]*istruct.Matrix, erro
 				continue
 			}
 			v, _ := g.Read(i, j)
-			l := d.Local(idx)
+			l = d.Local(l, idx)
 			for p := first; p <= last; p++ {
 				if err := locals[p].Write(l[0], l[1], v); err != nil {
 					return nil, fmt.Errorf("scatter %s[%d,%d] under %s to process %d at local [%d,%d]: %w",
@@ -266,7 +266,7 @@ func gather(states []*concrete, name string, info spmd.ArrayInfo) (*istruct.Matr
 		}
 	}
 	d := info.Dist
-	idx := make([]int64, len(shape))
+	idx, l := make([]int64, len(shape)), make([]int64, 0, len(shape))
 	for i := int64(1); i <= rows; i++ {
 		for j := int64(1); j <= cols; j++ {
 			idx[0] = i
@@ -281,7 +281,7 @@ func gather(states []*concrete, name string, info spmd.ArrayInfo) (*istruct.Matr
 			if local == nil {
 				return nil, fmt.Errorf("exec: process %d never allocated %s", owner, name)
 			}
-			l := d.Local(idx)
+			l = d.Local(l, idx)
 			li, lj := l[0], int64(1)
 			if len(l) == 2 {
 				lj = l[1]

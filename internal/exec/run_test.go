@@ -241,7 +241,7 @@ func TestScatterPartialInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := locals[1] // owner of column 1 is process 1
-	l := d.Local([]int64{1, 1})
+	l := d.Local(nil, []int64{1, 1})
 	v, err := local.Read(l[0], l[1])
 	if err != nil || v != 5 {
 		t.Errorf("scatter lost the defined element: %v %v", v, err)
@@ -266,7 +266,7 @@ func (badAllocDist) LocalShape() []int64 { return []int64{0, 0} }
 
 type badLocalDist struct{ dist.Dist }
 
-func (badLocalDist) Local(idx []int64) []int64 { return []int64{99, 99} }
+func (badLocalDist) Local(dst, idx []int64) []int64 { return append(dst[:0], 99, 99) }
 
 func scatterProg(d dist.Dist) *spmd.Program {
 	return &spmd.Program{
@@ -364,5 +364,46 @@ func TestScatterAllocationsDoNotGrowWithProcs(t *testing.T) {
 	// each) and nothing that scales with the n*n elements.
 	if grow := a8 - a2; grow > 6*3 {
 		t.Errorf("scatter allocates %.0f objects at S=2 and %.0f at S=8: %.0f more, want at most %d", a2, a8, grow, 6*3)
+	}
+}
+
+// scatter and gather allocate per array and per process, never per element:
+// the same count for a 64×64 array as for a 16×16 one.
+func TestScatterGatherAllocsDoNotGrowWithN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const procs = 4
+	allocs := func(d func(n int64) dist.Dist, n int64) float64 {
+		g, err := istruct.Pattern("Old", n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := spmd.ArrayInfo{Name: "Old", Dist: d(n), GlobalShape: []int64{n, n}}
+		locals, err := scatter(g, info.Dist, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states := make([]*concrete, procs)
+		for p := range states {
+			states[p] = &concrete{low: &Lowered{arrays: []string{"Old"}}, arrays: []*istruct.Matrix{locals[p]}}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := scatter(g, info.Dist, procs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := gather(states, "Old", info); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for name, d := range map[string]func(n int64) dist.Dist{
+		"cyclic_cols": func(n int64) dist.Dist { return dist.NewCyclicCols(procs, n, n) },
+		"block2d":     func(n int64) dist.Dist { return dist.NewBlock2D(2, 2, n, n) },
+		"all":         func(n int64) dist.Dist { return dist.NewReplicated(procs, n, n) },
+	} {
+		if small, large := allocs(d, 16), allocs(d, 64); small != large {
+			t.Errorf("%s: scatter+gather allocate %.0f times at N=16 and %.0f at N=64", name, small, large)
+		}
 	}
 }

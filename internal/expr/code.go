@@ -54,25 +54,25 @@ func Compile(e Expr, slot func(name string) int32) *Code {
 	for i, t := range e.terms {
 		ct := &c.terms[i]
 		ct.coef = t.coef
-		var a, b Expr
+		var p pair
 		switch at := t.atom.(type) {
 		case varAtom:
 			ct.kind, ct.slot = cVar, slot(string(at))
 			continue
 		case modAtom:
-			ct.kind, a, b = cMod, at.e, at.m
+			ct.kind, p = cMod, at.pair
 		case divAtom:
-			ct.kind, a, b = cDiv, at.e, at.m
+			ct.kind, p = cDiv, at.pair
 		case minAtom:
-			ct.kind, a, b = cMin, at.a, at.b
+			ct.kind, p = cMin, at.pair
 		case maxAtom:
-			ct.kind, a, b = cMax, at.a, at.b
+			ct.kind, p = cMax, at.pair
 		case prodAtom:
-			ct.kind, a, b = cProd, at.a, at.b
+			ct.kind, p = cProd, at.pair
 		default:
 			panic(fmt.Sprintf("expr: Compile: unknown atom %T", at))
 		}
-		ct.a, ct.b = Compile(a, slot), Compile(b, slot)
+		ct.a, ct.b = Compile(p.a, slot), Compile(p.b, slot)
 	}
 	return c
 }

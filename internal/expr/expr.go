@@ -16,7 +16,9 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -40,6 +42,7 @@ type atom interface {
 	eval(env Env) (int64, error)
 	subst(name string, r Expr) Expr // result of substituting into this atom
 	vars(set map[string]bool)
+	hasVar(name string) bool
 }
 
 // Env supplies values for free variables during evaluation.
@@ -81,9 +84,13 @@ func atomExpr(a atom) Expr {
 	return Expr{terms: []term{{coef: 1, atom: a}}}
 }
 
-// normalize sorts terms and removes zero coefficients, merging duplicates.
+// normalize sorts terms by atom key, merges duplicate atoms and drops zero
+// coefficients, in place: the result keeps ts, so every caller passes a slice
+// it built for the call.
 func normalize(ts []term, c int64) Expr {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].atom.key() < ts[j].atom.key() })
+	if !slices.IsSortedFunc(ts, byKey) {
+		slices.SortFunc(ts, byKey)
+	}
 	out := ts[:0]
 	for _, t := range ts {
 		if t.coef == 0 {
@@ -98,29 +105,47 @@ func normalize(ts []term, c int64) Expr {
 		}
 		out = append(out, t)
 	}
-	// Copy so callers cannot alias the input slice.
-	res := make([]term, len(out))
-	copy(res, out)
-	return Expr{terms: res, c: c}
+	if len(out) == 0 {
+		return C(c)
+	}
+	return Expr{terms: out, c: c}
 }
+
+func byKey(s, t term) int { return strings.Compare(s.atom.key(), t.atom.key()) }
 
 // Add returns a+b.
-func Add(a, b Expr) Expr {
-	ts := make([]term, 0, len(a.terms)+len(b.terms))
-	ts = append(ts, a.terms...)
-	ts = append(ts, b.terms...)
-	return normalize(ts, a.c+b.c)
-}
+func Add(a, b Expr) Expr { return plus(a, b, 1) }
 
 // Sub returns a-b.
-func Sub(a, b Expr) Expr { return Add(a, Neg(b)) }
+func Sub(a, b Expr) Expr { return plus(a, b, -1) }
+
+// plus returns a + k·b for k ≠ 0.
+func plus(a, b Expr, k int64) Expr {
+	switch {
+	case len(b.terms) == 0:
+		return Expr{terms: a.terms, c: a.c + k*b.c}
+	case len(a.terms) == 0:
+		kb := scale(b, k)
+		kb.c += a.c
+		return kb
+	}
+	ts := make([]term, 0, len(a.terms)+len(b.terms))
+	ts = append(ts, a.terms...)
+	for _, t := range b.terms {
+		ts = append(ts, term{coef: k * t.coef, atom: t.atom})
+	}
+	return normalize(ts, a.c+k*b.c)
+}
 
 // Neg returns -a.
 func Neg(a Expr) Expr { return scale(a, -1) }
 
 func scale(a Expr, k int64) Expr {
-	if k == 0 {
+	switch k {
+	case 0:
 		return Expr{}
+	case 1:
+		return a
 	}
 	ts := make([]term, len(a.terms))
 	for i, t := range a.terms {
@@ -139,10 +164,11 @@ func Mul(a, b Expr) Expr {
 		return scale(a, k)
 	}
 	// Canonical order for the operands of the opaque product.
-	if a.String() > b.String() {
-		a, b = b, a
+	sa, sb := a.String(), b.String()
+	if sa > sb {
+		a, b, sa, sb = b, a, sb, sa
 	}
-	return atomExpr(prodAtom{a: a, b: b})
+	return atomExpr(prodAtom{pair{a, b, "(" + sa + ")*(" + sb + ")"}})
 }
 
 // Div returns floor(a/b). Constant cases fold; division by 1 is the identity.
@@ -155,7 +181,7 @@ func Div(a, b Expr) Expr {
 			return C(floorDiv(av, k))
 		}
 	}
-	return atomExpr(divAtom{e: a, m: b})
+	return atomExpr(divAtom{pair{a, b, "((" + a.String() + ") div " + b.String() + ")"}})
 }
 
 // Mod returns a mod b (Euclidean for constant positive b). When b is a
@@ -163,28 +189,30 @@ func Div(a, b Expr) Expr {
 // dropped and the constant part is reduced, since (x + k·s) mod s = x mod s.
 func Mod(a, b Expr) Expr {
 	if s, ok := b.ConstVal(); ok && s > 0 {
-		ts := make([]term, 0, len(a.terms))
-		for _, t := range a.terms {
-			if t.coef%s == 0 {
-				continue
+		// Dropping terms keeps the rest in key order.
+		red := Expr{terms: a.terms, c: eucMod(a.c, s)}
+		if slices.ContainsFunc(a.terms, func(t term) bool { return t.coef%s == 0 }) {
+			red.terms = nil
+			for _, t := range a.terms {
+				if t.coef%s != 0 {
+					red.terms = append(red.terms, t)
+				}
 			}
-			ts = append(ts, t)
 		}
-		red := normalize(ts, eucMod(a.c, s))
 		if v, ok := red.ConstVal(); ok {
 			return C(eucMod(v, s))
 		}
 		// mod(mod(e, s), s) == mod(e, s)
 		if red.c == 0 && len(red.terms) == 1 && red.terms[0].coef == 1 {
 			if m, ok := red.terms[0].atom.(modAtom); ok {
-				if ms, ok2 := m.m.ConstVal(); ok2 && ms == s {
+				if ms, ok2 := m.b.ConstVal(); ok2 && ms == s {
 					return atomExpr(m)
 				}
 			}
 		}
-		return atomExpr(modAtom{e: red, m: b})
+		a = red
 	}
-	return atomExpr(modAtom{e: a, m: b})
+	return atomExpr(modAtom{pair{a, b, "((" + a.String() + ") mod " + b.String() + ")"}})
 }
 
 // Min returns min(a, b), folding constants and identical operands.
@@ -200,10 +228,11 @@ func Min(a, b Expr) Expr {
 	if a.Equal(b) {
 		return a
 	}
-	if a.String() > b.String() {
-		a, b = b, a
+	sa, sb := a.String(), b.String()
+	if sa > sb {
+		a, b, sa, sb = b, a, sb, sa
 	}
-	return atomExpr(minAtom{a: a, b: b})
+	return atomExpr(minAtom{pair{a, b, "min(" + sa + ", " + sb + ")"}})
 }
 
 // Max returns max(a, b), folding constants and identical operands.
@@ -219,10 +248,11 @@ func Max(a, b Expr) Expr {
 	if a.Equal(b) {
 		return a
 	}
-	if a.String() > b.String() {
-		a, b = b, a
+	sa, sb := a.String(), b.String()
+	if sa > sb {
+		a, b, sa, sb = b, a, sb, sa
 	}
-	return atomExpr(maxAtom{a: a, b: b})
+	return atomExpr(maxAtom{pair{a, b, "max(" + sa + ", " + sb + ")"}})
 }
 
 // ConstVal reports whether e is a constant, and its value.
@@ -311,9 +341,7 @@ func (e Expr) MustEval(env Env) int64 {
 // Vars returns the free variables of e in sorted order.
 func (e Expr) Vars() []string {
 	set := map[string]bool{}
-	for _, t := range e.terms {
-		t.atom.vars(set)
-	}
+	e.collect(set)
 	out := make([]string, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -322,23 +350,39 @@ func (e Expr) Vars() []string {
 	return out
 }
 
+func (e Expr) collect(set map[string]bool) {
+	for _, t := range e.terms {
+		t.atom.vars(set)
+	}
+}
+
 // HasVar reports whether name occurs free in e.
 func (e Expr) HasVar(name string) bool {
-	for _, v := range e.Vars() {
-		if v == name {
+	for _, t := range e.terms {
+		if t.atom.hasVar(name) {
 			return true
 		}
 	}
 	return false
 }
 
-// Subst returns e with every free occurrence of name replaced by r.
+// Subst returns e with every free occurrence of name replaced by r: e itself
+// when name does not occur, and otherwise e's untouched terms plus the
+// substituted ones.
 func (e Expr) Subst(name string, r Expr) Expr {
+	if !e.HasVar(name) {
+		return e
+	}
+	kept := make([]term, 0, len(e.terms))
 	out := C(e.c)
 	for _, t := range e.terms {
-		out = Add(out, scale(t.atom.subst(name, r), t.coef))
+		if !t.atom.hasVar(name) {
+			kept = append(kept, t)
+			continue
+		}
+		out = plus(out, t.atom.subst(name, r), t.coef)
 	}
-	return out
+	return Add(Expr{terms: kept}, out)
 }
 
 // SubstAll applies a set of substitutions simultaneously.
@@ -361,40 +405,58 @@ func (e Expr) SubstAll(sub map[string]Expr) Expr {
 
 // String renders e in canonical, re-parsable form.
 func (e Expr) String() string {
-	if len(e.terms) == 0 {
-		return fmt.Sprintf("%d", e.c)
+	switch {
+	case len(e.terms) == 0:
+		return strconv.FormatInt(e.c, 10)
+	case len(e.terms) == 1 && e.terms[0].coef == 1 && e.c == 0:
+		return e.terms[0].atom.key()
 	}
+	// Room for every key plus a separator and a coefficient each: one
+	// allocation for the whole rendering.
 	var b strings.Builder
+	n := 24
+	for _, t := range e.terms {
+		n += len(t.atom.key()) + 24
+	}
+	b.Grow(n)
 	for i, t := range e.terms {
-		s := t.atom.key()
 		switch {
 		case t.coef == 1:
 			if i > 0 {
 				b.WriteString(" + ")
 			}
-			b.WriteString(s)
 		case t.coef == -1:
 			if i > 0 {
 				b.WriteString(" - ")
-				b.WriteString(s)
 			} else {
-				b.WriteString("-" + s)
+				b.WriteByte('-')
 			}
 		case t.coef < 0 && i > 0:
-			fmt.Fprintf(&b, " - %d*%s", -t.coef, s)
+			b.WriteString(" - ")
+			writeInt(&b, -t.coef)
+			b.WriteByte('*')
 		default:
 			if i > 0 {
 				b.WriteString(" + ")
 			}
-			fmt.Fprintf(&b, "%d*%s", t.coef, s)
+			writeInt(&b, t.coef)
+			b.WriteByte('*')
 		}
+		b.WriteString(t.atom.key())
 	}
 	if e.c > 0 {
-		fmt.Fprintf(&b, " + %d", e.c)
+		b.WriteString(" + ")
+		writeInt(&b, e.c)
 	} else if e.c < 0 {
-		fmt.Fprintf(&b, " - %d", -e.c)
+		b.WriteString(" - ")
+		writeInt(&b, -e.c)
 	}
 	return b.String()
+}
+
+func writeInt(b *strings.Builder, v int64) {
+	var d [20]byte
+	b.Write(strconv.AppendInt(d[:0], v, 10))
 }
 
 // floorDiv returns floor(a/b) for b != 0.
@@ -441,16 +503,34 @@ func (v varAtom) subst(name string, r Expr) Expr {
 	return atomExpr(v)
 }
 func (v varAtom) vars(set map[string]bool) { set[string(v)] = true }
+func (v varAtom) hasVar(name string) bool  { return string(v) == name }
 
-type modAtom struct{ e, m Expr }
+// pair is an opaque atom's two operands and its canonical key. The
+// constructor (Mod, Div, Min, Max, Mul) renders the key once, from operands
+// that are canonical already, exactly as the operands' String() reads; key()
+// returns it, so sorting, merging and comparing terms renders nothing.
+type pair struct {
+	a, b Expr
+	k    string
+}
 
-func (a modAtom) key() string { return "((" + a.e.String() + ") mod " + a.m.String() + ")" }
-func (a modAtom) eval(env Env) (int64, error) {
-	ev, err := a.e.Eval(env)
-	if err != nil {
-		return 0, err
+func (p pair) key() string              { return p.k }
+func (p pair) vars(set map[string]bool) { p.a.collect(set); p.b.collect(set) }
+func (p pair) hasVar(name string) bool  { return p.a.HasVar(name) || p.b.HasVar(name) }
+
+// operands evaluates a, then b, stopping at the first error.
+func (p pair) operands(env Env) (av, bv int64, err error) {
+	if av, err = p.a.Eval(env); err != nil {
+		return 0, 0, err
 	}
-	mv, err := a.m.Eval(env)
+	bv, err = p.b.Eval(env)
+	return av, bv, err
+}
+
+type modAtom struct{ pair } // a mod b
+
+func (m modAtom) eval(env Env) (int64, error) {
+	ev, mv, err := m.operands(env)
 	if err != nil {
 		return 0, err
 	}
@@ -459,27 +539,14 @@ func (a modAtom) eval(env Env) (int64, error) {
 	}
 	return eucMod(ev, mv), nil
 }
-func (a modAtom) subst(name string, r Expr) Expr {
-	return Mod(a.e.Subst(name, r), a.m.Subst(name, r))
-}
-func (a modAtom) vars(set map[string]bool) {
-	for _, v := range a.e.Vars() {
-		set[v] = true
-	}
-	for _, v := range a.m.Vars() {
-		set[v] = true
-	}
+func (m modAtom) subst(name string, r Expr) Expr {
+	return Mod(m.a.Subst(name, r), m.b.Subst(name, r))
 }
 
-type divAtom struct{ e, m Expr }
+type divAtom struct{ pair } // a div b
 
-func (a divAtom) key() string { return "((" + a.e.String() + ") div " + a.m.String() + ")" }
-func (a divAtom) eval(env Env) (int64, error) {
-	ev, err := a.e.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	mv, err := a.m.Eval(env)
+func (d divAtom) eval(env Env) (int64, error) {
+	ev, mv, err := d.operands(env)
 	if err != nil {
 		return 0, err
 	}
@@ -488,98 +555,45 @@ func (a divAtom) eval(env Env) (int64, error) {
 	}
 	return floorDiv(ev, mv), nil
 }
-func (a divAtom) subst(name string, r Expr) Expr {
-	return Div(a.e.Subst(name, r), a.m.Subst(name, r))
-}
-func (a divAtom) vars(set map[string]bool) {
-	for _, v := range a.e.Vars() {
-		set[v] = true
-	}
-	for _, v := range a.m.Vars() {
-		set[v] = true
-	}
+func (d divAtom) subst(name string, r Expr) Expr {
+	return Div(d.a.Subst(name, r), d.b.Subst(name, r))
 }
 
-type minAtom struct{ a, b Expr }
+type minAtom struct{ pair }
 
-func (a minAtom) key() string { return "min(" + a.a.String() + ", " + a.b.String() + ")" }
-func (a minAtom) eval(env Env) (int64, error) {
-	av, err := a.a.Eval(env)
+func (m minAtom) eval(env Env) (int64, error) {
+	av, bv, err := m.operands(env)
 	if err != nil {
 		return 0, err
 	}
-	bv, err := a.b.Eval(env)
+	return min(av, bv), nil
+}
+func (m minAtom) subst(name string, r Expr) Expr {
+	return Min(m.a.Subst(name, r), m.b.Subst(name, r))
+}
+
+type maxAtom struct{ pair }
+
+func (m maxAtom) eval(env Env) (int64, error) {
+	av, bv, err := m.operands(env)
 	if err != nil {
 		return 0, err
 	}
-	if av < bv {
-		return av, nil
-	}
-	return bv, nil
+	return max(av, bv), nil
 }
-func (a minAtom) subst(name string, r Expr) Expr {
-	return Min(a.a.Subst(name, r), a.b.Subst(name, r))
-}
-func (a minAtom) vars(set map[string]bool) {
-	for _, v := range a.a.Vars() {
-		set[v] = true
-	}
-	for _, v := range a.b.Vars() {
-		set[v] = true
-	}
+func (m maxAtom) subst(name string, r Expr) Expr {
+	return Max(m.a.Subst(name, r), m.b.Subst(name, r))
 }
 
-type maxAtom struct{ a, b Expr }
+type prodAtom struct{ pair }
 
-func (a maxAtom) key() string { return "max(" + a.a.String() + ", " + a.b.String() + ")" }
-func (a maxAtom) eval(env Env) (int64, error) {
-	av, err := a.a.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	bv, err := a.b.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	if av > bv {
-		return av, nil
-	}
-	return bv, nil
-}
-func (a maxAtom) subst(name string, r Expr) Expr {
-	return Max(a.a.Subst(name, r), a.b.Subst(name, r))
-}
-func (a maxAtom) vars(set map[string]bool) {
-	for _, v := range a.a.Vars() {
-		set[v] = true
-	}
-	for _, v := range a.b.Vars() {
-		set[v] = true
-	}
-}
-
-type prodAtom struct{ a, b Expr }
-
-func (a prodAtom) key() string { return "(" + a.a.String() + ")*(" + a.b.String() + ")" }
-func (a prodAtom) eval(env Env) (int64, error) {
-	av, err := a.a.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	bv, err := a.b.Eval(env)
+func (p prodAtom) eval(env Env) (int64, error) {
+	av, bv, err := p.operands(env)
 	if err != nil {
 		return 0, err
 	}
 	return av * bv, nil
 }
-func (a prodAtom) subst(name string, r Expr) Expr {
-	return Mul(a.a.Subst(name, r), a.b.Subst(name, r))
-}
-func (a prodAtom) vars(set map[string]bool) {
-	for _, v := range a.a.Vars() {
-		set[v] = true
-	}
-	for _, v := range a.b.Vars() {
-		set[v] = true
-	}
+func (p prodAtom) subst(name string, r Expr) Expr {
+	return Mul(p.a.Subst(name, r), p.b.Subst(name, r))
 }

@@ -35,11 +35,11 @@ func AsMod(e Expr) (inner Expr, s int64, ok bool) {
 	if !isMod {
 		return Expr{}, 0, false
 	}
-	sv, isConst := m.m.ConstVal()
+	sv, isConst := m.b.ConstVal()
 	if !isConst || sv <= 0 {
 		return Expr{}, 0, false
 	}
-	return m.e, sv, true
+	return m.a, sv, true
 }
 
 // coefOf returns the coefficient of variable name in the affine part of e,
@@ -52,9 +52,7 @@ func coefOf(e Expr, name string) (coef int64, rest Expr, ok bool) {
 			coef += t.coef
 			continue
 		}
-		set := map[string]bool{}
-		t.atom.vars(set)
-		if set[name] {
+		if t.atom.hasVar(name) {
 			return 0, Expr{}, false
 		}
 		ts = append(ts, t)
@@ -66,7 +64,9 @@ func coefOf(e Expr, name string) (coef int64, rest Expr, ok bool) {
 // affine in v with a coefficient coprime to s, and target must not mention v.
 // It returns the solution progression and true, or false when the equation is
 // outside the decidable fragment (the compiler then falls back to run-time
-// resolution, exactly as §3.2 prescribes for the "inconclusive" outcome).
+// resolution, exactly as §3.2 prescribes for the "inconclusive" outcome):
+// s ≤ 0, v's coefficient is 0 or shares a factor with s, or v occurs in
+// target or inside an opaque atom of e.
 func SolveModEq(e Expr, s int64, target Expr, v string) (Solution, bool) {
 	if s <= 0 || target.HasVar(v) {
 		return Solution{}, false

@@ -67,11 +67,12 @@ func Run(cfg machine.Config, n, blksize int64, old *istruct.Matrix) (*Result, er
 	if err != nil {
 		return nil, err
 	}
+	idx, l := make([]int64, 2), make([]int64, 0, 2)
 	for i := int64(1); i <= n; i++ {
 		for j := int64(1); j <= n; j++ {
-			owner := d.Owner([]int64{i, j})
-			l := d.Local([]int64{i, j})
-			local := states[owner].new
+			idx[0], idx[1] = i, j
+			l = d.Local(l, idx)
+			local := states[d.Owner(idx)].new
 			if !local.Defined(l[0], l[1]) {
 				continue
 			}
@@ -112,11 +113,14 @@ func newNode(me, n, s, blksize int64, d dist.Dist, globalOld *istruct.Matrix) *n
 	// same assumption ownedCols makes), so scatter scans only the owned
 	// columns: O(n²) work across the whole machine instead of O(s·n²),
 	// which is what lets a 1024-processor 4096×4096 run set up in seconds.
+	idx, l := make([]int64, 2), make([]int64, 0, 2)
 	for j := int64(1); j <= n; j++ {
-		if d.Owner([]int64{1, j}) != me {
+		idx[0], idx[1] = 1, j
+		if d.Owner(idx) != me {
 			continue
 		}
-		lj := d.Local([]int64{1, j})[1]
+		l = d.Local(l, idx)
+		lj := l[1]
 		for i := int64(1); i <= n; i++ {
 			if !globalOld.Defined(i, j) {
 				continue
