@@ -84,7 +84,7 @@ func TestCompileAllMatchesCompile(t *testing.T) {
 	for _, procs := range []int{2, 4, 8} {
 		cands := Space{}.Enumerate(procs)
 		for _, w := range searchedWorkloads(12) {
-			for _, idx := range byMapping(cands) {
+			for _, idx := range groupBy(len(cands), func(i int) Mapping { return cands[i].Mapping }) {
 				mapping := cands[idx[0]].Mapping
 				points := make([]xform.Point, len(idx))
 				for k, i := range idx {

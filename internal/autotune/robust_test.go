@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"procdecomp/internal/dist"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/xform"
 )
 
 // smallSpace keeps the robustness tests fast: one family, four pipelines.
@@ -20,26 +22,42 @@ func smallSpace() Space {
 	}
 }
 
+// twinSpace holds a replicated mapping, where vectorize applies nowhere: its
+// opt1 candidate's stage is its ctr candidate's, so the two are twins that
+// share one walk, one replay and one run.
+func twinSpace() Space {
+	return Space{Kinds: []dist.Kind{dist.KindReplicated}, Modes: []string{"ctr", "opt1"}}
+}
+
+func replicated(mode string) func(Candidate) bool {
+	return func(c Candidate) bool { return c.Mapping.Kind == dist.KindReplicated && c.Mode == mode }
+}
+
 // TestSearchSurvivesPanickingCandidate: a candidate whose evaluation panics —
 // in the tier-1 lowering and walk or in the tier-3 measurement pool — must be
 // recorded as infeasible with the panic message, not crash the search or
 // poison the report, and must take no other candidate with it, not even one
-// of its own mapping. A panic in the front half a mapping's candidates share
-// marks each of them, under its own key, and no other mapping's. The winner
-// still emerges from the surviving candidates.
+// of its own mapping, nor its twin, whichever of the two comes first. A panic
+// in the front half a mapping's candidates share marks each of them, under
+// its own key, and no other mapping's. The winner still emerges from the
+// surviving candidates.
 func TestSearchSurvivesPanickingCandidate(t *testing.T) {
 	twoSpans := smallSpace()
 	twoSpans.Spans = []int64{2, 4}
 	for _, tc := range []struct {
-		stage string
-		space Space
-		hit   func(Candidate) bool
+		name, stage string
+		space       Space
+		hit         func(Candidate) bool
 	}{
-		{"static", smallSpace(), func(c Candidate) bool { return c.Mode == "opt1" }},
-		{"measure", smallSpace(), func(c Candidate) bool { return c.Mode == "opt1" }},
-		{"compile", twoSpans, func(c Candidate) bool { return c.Mapping.Span == 2 }},
+		{"static", "static", smallSpace(), func(c Candidate) bool { return c.Mode == "opt1" }},
+		{"measure", "measure", smallSpace(), func(c Candidate) bool { return c.Mode == "opt1" }},
+		{"compile", "compile", twoSpans, func(c Candidate) bool { return c.Mapping.Span == 2 }},
+		{"static-twin", "static", twinSpace(), replicated("opt1")},
+		{"measure-twin", "measure", twinSpace(), replicated("opt1")},
+		{"static-first-twin", "static", twinSpace(), replicated("ctr")},
+		{"measure-first-twin", "measure", twinSpace(), replicated("ctr")},
 	} {
-		t.Run(tc.stage, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Space: tc.space}
 			opts.evalHook = func(s string, c Candidate) {
 				if s == tc.stage && tc.hit(c) {
@@ -58,6 +76,9 @@ func TestSearchSurvivesPanickingCandidate(t *testing.T) {
 				if !tc.hit(r.Candidate) {
 					if r.Status == StatusInfeasible {
 						t.Errorf("%s: infeasible (%s) though nothing of its own panicked", r.Candidate.Key(), r.Note)
+					}
+					if tc.stage == "measure" && r.Candidate.Mapping.Kind == dist.KindReplicated && r.Status != StatusMeasured {
+						t.Errorf("%s: status %s, want its twin's panic to leave it %s", r.Candidate.Key(), r.Status, StatusMeasured)
 					}
 					continue
 				}
@@ -155,5 +176,78 @@ func TestSearchCtxCanceledMidSearch(t *testing.T) {
 	}
 	if len(rep.Results) == 0 {
 		t.Fatal("mid-search cancellation dropped the partial results")
+	}
+}
+
+// TestReplicatedOpt1IsCtrsTwin pins the premise of the twin cases: on Gauss-Seidel at
+// S=4, the replicated mapping's opt1 stage is its ctr stage.
+func TestReplicatedOpt1IsCtrsTwin(t *testing.T) {
+	m := Mapping{Kind: dist.KindReplicated}
+	_, stages, err := gsWorkload(16).compileAll(&m, []xform.Point{{Mode: "ctr"}, {Mode: "opt1"}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &stages[0].Progs[0] != &stages[1].Progs[0] {
+		t.Fatal("the replicated mapping's opt1 stage is a copy of its ctr stage, not the stage itself")
+	}
+}
+
+// TestMeasuredProgressNamesEachCandidateOnce: twins run one image, yet each
+// gets its own "measured" event. The events name every measured candidate
+// exactly once, and their Done counts run 1..Total, so Done reaches Total;
+// with one worker the last event is the one that does.
+func TestMeasuredProgressNamesEachCandidateOnce(t *testing.T) {
+	space := smallSpace()
+	space.Kinds = append(space.Kinds, dist.KindReplicated)
+	for _, workers := range []int{1, 4} {
+		var (
+			mu     sync.Mutex
+			events []Progress
+		)
+		opts := Options{Space: space, Workers: workers, TopK: 20, Progress: func(p Progress) {
+			if p.Stage == "measured" {
+				mu.Lock()
+				events = append(events, p)
+				mu.Unlock()
+			}
+		}}
+		rep, err := Search(gsWorkload(16), machine.DefaultConfig(4), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{}
+		for _, r := range rep.Results {
+			if r.Status == StatusMeasured {
+				want[r.Candidate.Key()] = true
+			}
+		}
+		seen := map[string]bool{}
+		done := make([]bool, len(events)+1)
+		for _, p := range events {
+			if seen[p.Candidate] || !want[p.Candidate] {
+				t.Errorf("workers=%d: a measured event for %s, which is a repeat or was not measured", workers, p.Candidate)
+			}
+			seen[p.Candidate] = true
+			if p.Total != len(want) || p.Done < 1 || p.Done > p.Total || done[p.Done] {
+				t.Errorf("workers=%d: event Done=%d Total=%d, want each of 1..%d once", workers, p.Done, p.Total, len(want))
+				continue
+			}
+			done[p.Done] = true
+		}
+		if len(seen) != len(want) {
+			t.Errorf("workers=%d: %d measured candidates, %d named by an event", workers, len(want), len(seen))
+		}
+		if workers == 1 && len(events) > 0 && events[len(events)-1].Done != len(want) {
+			t.Errorf("workers=1: the last event has Done=%d, want %d", events[len(events)-1].Done, len(want))
+		}
+		twins := 0
+		for _, r := range rep.Results {
+			if r.Candidate.Mapping.Kind == dist.KindReplicated && r.Candidate.Mode == "opt1" && r.Status == StatusMeasured {
+				twins++
+			}
+		}
+		if twins == 0 {
+			t.Errorf("workers=%d: the replicated opt1 twin was not measured", workers)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
+	"procdecomp/internal/spmd"
 	"procdecomp/internal/trace"
 	"procdecomp/internal/xform"
 )
@@ -76,9 +77,10 @@ type Report struct {
 	Enumerated int              // space size before forcing the reference in
 	Baseline   Baseline
 	Results    []Result
-	// Replayed counts the candidates actually scored by DAG replay in tier
-	// 2 — the work the branch-and-bound prune did not save. Warm-starting
-	// (Options.Seed) lowers it without changing the winner.
+	// Replayed counts the candidates scored in tier 2 — those the
+	// branch-and-bound prune did not skip. Twins (candidates whose stages
+	// are the same programs) share one replay but count once each.
+	// Warm-starting (Options.Seed) lowers it without changing the winner.
 	Replayed int
 	Winner   string // winning candidate's Key
 	Hand     string // reference candidate's Key
@@ -92,10 +94,10 @@ type Report struct {
 // Options tunes the search. The zero value is usable.
 type Options struct {
 	Space Space
-	// Keep is the minimum number of statically ranked candidates scored by
-	// DAG replay (default 12). Beyond it, candidates are still replayed
-	// until their static lower bound passes the best prediction — the prune
-	// is branch-and-bound, never a gamble.
+	// Keep is the minimum number of statically ranked candidates scored in
+	// tier 2 (default 12). Beyond it, candidates are still scored until
+	// their static lower bound passes the best prediction — the prune is
+	// branch-and-bound, never a gamble.
 	Keep int
 	// TopK is how many predicted candidates are confirmed on the simulated
 	// machine (default 6).
@@ -193,20 +195,33 @@ func Measure(w *Workload, c Candidate, cfg machine.Config) (Measurement, error) 
 	return m, err
 }
 
+// run is one image's tier-3 outcome, which every twin sharing the image
+// reads.
+type run struct {
+	done bool
+	m    Measurement
+	err  error
+}
+
 // safeMeasure is a tier-3 run of what tier 1 built, with the worker pool's
 // panic isolation: a panicking evaluation comes back as an
-// ErrEvalPanic-wrapped error instead of unwinding the pool.
-func safeMeasure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config, hook func(string, Candidate)) (m Measurement, err error) {
+// ErrEvalPanic-wrapped error instead of unwinding the pool. The image runs
+// once per twin set: the first twin to get past its hook fills r, and the
+// others copy it.
+func safeMeasure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config, hook func(string, Candidate), r *run) (m Measurement, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			m, err = Measurement{}, panicAsError(c, r)
+		if p := recover(); p != nil {
+			m, err = Measurement{}, panicAsError(c, p)
 		}
 	}()
 	if hook != nil {
 		hook("measure", c)
 	}
-	m, _, err = measure(ctx, w, c, b, ins, cfg, false)
-	return m, err
+	if !r.done {
+		r.m, _, r.err = measure(ctx, w, c, b, ins, cfg, false)
+		r.done = true
+	}
+	return r.m, r.err
 }
 
 // measure runs a built candidate and validates its result; it optionally
@@ -373,15 +388,17 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// Tier 1: compile and walk everything, one mapping per pool task — its
 	// candidates share one retarget, one check and one resolution of the
 	// entry, and differ only in the pass suffix xform.CompileAll applies.
-	// What each candidate lowers to is kept: tier 3 runs it. Every
-	// evaluation runs under a recover, so a candidate whose lowering or walk
-	// panics is recorded as infeasible (with the panic message) instead of
-	// crashing the pool; a panic in the shared front half marks each of the
-	// mapping's candidates so.
+	// What each candidate lowers to is kept: tier 3 runs it. Twins — the
+	// candidates of a mapping whose stages are the same programs, because a
+	// pass applied nowhere — share one lowering, one walk and so one
+	// profile. Every evaluation runs under a recover, so a candidate whose
+	// lowering or walk panics is recorded as infeasible (with the panic
+	// message) instead of crashing the pool; a panic in the shared front
+	// half marks each of the mapping's candidates so.
 	results := make([]Result, len(cands))
 	profiles := make([]*Profile, len(cands))
 	builds := make([]*built, len(cands))
-	groups := byMapping(cands)
+	groups := groupBy(len(cands), func(i int) Mapping { return cands[i].Mapping })
 	forEach(ctx, len(groups), opts.Workers, func(g int) {
 		idx := groups[g]
 		mapping := cands[idx[0]].Mapping
@@ -402,6 +419,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			}
 			info, stages, frontErr = w.compileAll(&mapping, points, cfg.Procs)
 		}()
+		twins := map[*spmd.Program]*walk{}
 		for k, i := range idx {
 			c := cands[i]
 			results[i] = Result{Candidate: c}
@@ -410,7 +428,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 				err = panicAsError(c, frontPanic)
 			}
 			if err == nil {
-				builds[i], profiles[i], err = model(info, stages[k], c, cfg, opts.evalHook)
+				builds[i], profiles[i], err = model(info, stages[k], c, cfg, opts.evalHook, twins)
 			}
 			var um *ErrUnmodeled
 			switch {
@@ -457,6 +475,11 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	})
 	best := uint64(0)
 	haveBest := false
+	type replay struct {
+		pred uint64
+		err  error
+	}
+	replays := map[*Profile]replay{} // twins share one profile, so one replay
 	for n, i := range modeled {
 		if err := ctx.Err(); err != nil {
 			return interrupted(rep, results, err)
@@ -467,7 +490,12 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			continue // provably not the winner
 		}
 		rep.Replayed++
-		pred, err := profiles[i].Predict(cfg)
+		pr, ok := replays[profiles[i]]
+		if !ok {
+			pr.pred, pr.err = profiles[i].Predict(cfg)
+			replays[profiles[i]] = pr
+		}
+		pred, err := pr.pred, pr.err
 		if err != nil {
 			results[i].Status = StatusInfeasible
 			results[i].Note = err.Error()
@@ -522,22 +550,27 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		return interrupted(rep, results, err)
 	}
 
-	// Tier 3: confirm on the simulated machine.
+	// Tier 3: confirm on the simulated machine, one pool task per image so
+	// that twins run it once and copy the outcome.
 	errs := make([]error, len(mIdx))
+	images := groupBy(len(mIdx), func(n int) *built { return builds[mIdx[n]] })
 	var measuredSoFar atomic.Int64
-	forEach(ctx, len(mIdx), opts.Workers, func(n int) {
-		i := mIdx[n]
-		m, err := safeMeasure(ctx, w, results[i].Candidate, builds[i], ins, cfg, opts.evalHook)
-		if err != nil {
-			errs[n] = err
-			return
+	forEach(ctx, len(images), opts.Workers, func(g int) {
+		var r run
+		for _, n := range images[g] {
+			i := mIdx[n]
+			m, err := safeMeasure(ctx, w, results[i].Candidate, builds[i], ins, cfg, opts.evalHook, &r)
+			if err != nil {
+				errs[n] = err
+				continue
+			}
+			results[i].Status = StatusMeasured
+			results[i].Measured = m.Makespan
+			results[i].Messages = m.Messages
+			results[i].Values = m.Values
+			emit(Progress{Stage: "measured", Candidate: results[i].Candidate.Key(),
+				Makespan: m.Makespan, Done: int(measuredSoFar.Add(1)), Total: len(mIdx)})
 		}
-		results[i].Status = StatusMeasured
-		results[i].Measured = m.Makespan
-		results[i].Messages = m.Messages
-		results[i].Values = m.Values
-		emit(Progress{Stage: "measured", Candidate: results[i].Candidate.Key(),
-			Makespan: m.Makespan, Done: int(measuredSoFar.Add(1)), Total: len(mIdx)})
 	})
 	if err := ctx.Err(); err != nil {
 		return interrupted(rep, results, err)
@@ -617,11 +650,20 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	return rep, nil
 }
 
+// walk is one stage's tier-1 outcome, which every twin sharing the stage
+// reads.
+type walk struct {
+	b   *built
+	pf  *Profile
+	err error
+}
+
 // model is tier 1 for one candidate of a compiled mapping: lower its stage
 // and walk the image, with the worker pool's panic isolation. A candidate the
 // walk cannot decide (*ErrUnmodeled) still returns its image: tier 3 measures
-// it.
-func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook func(string, Candidate)) (b *built, pf *Profile, err error) {
+// it. A stage is lowered and walked once: twins, keyed by the stage's first
+// program, read what the first of them to get past its hook left in twins.
+func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook func(string, Candidate), twins map[*spmd.Program]*walk) (b *built, pf *Profile, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			b, pf, err = nil, nil, panicAsError(c, r)
@@ -630,11 +672,19 @@ func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook
 	if hook != nil {
 		hook("static", c)
 	}
-	if b, err = lower(info, st, cfg.Procs); err != nil {
+	if st.Err != nil {
+		_, err = lower(info, st, cfg.Procs)
 		return nil, nil, err
 	}
-	pf, err = profileOf(b.img, cfg)
-	return b, pf, err
+	wk := twins[st.Progs[0]]
+	if wk == nil {
+		wk = &walk{}
+		if wk.b, wk.err = lower(info, st, cfg.Procs); wk.err == nil {
+			wk.pf, wk.err = profileOf(wk.b.img, cfg)
+		}
+		twins[st.Progs[0]] = wk
+	}
+	return wk.b, wk.pf, wk.err
 }
 
 // anchor measures the declared program traced and checks the model against
@@ -693,16 +743,16 @@ func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, 
 	return ins, nil
 }
 
-// byMapping groups candidate indices by mapping, groups and members both in
-// order of first appearance.
-func byMapping(cands []Candidate) [][]int {
+// groupBy partitions 0..n-1 by key, groups and members both in order of
+// first appearance.
+func groupBy[K comparable](n int, key func(int) K) [][]int {
 	var groups [][]int
-	at := map[Mapping]int{}
-	for i, c := range cands {
-		g, ok := at[c.Mapping]
+	at := map[K]int{}
+	for i := range n {
+		g, ok := at[key(i)]
 		if !ok {
 			g = len(groups)
-			at[c.Mapping] = g
+			at[key(i)] = g
 			groups = append(groups, nil)
 		}
 		groups[g] = append(groups[g], i)

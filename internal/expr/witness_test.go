@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"procdecomp/internal/autotune"
@@ -113,16 +114,24 @@ func digest(name, s string) compileRecord {
 	return compileRecord{Name: name, Len: len(s), SHA256: hex.EncodeToString(sum[:])}
 }
 
-// compileRecords compiles entry of src at every pipeline point, retargeted to
-// mapping unless it is empty, and records each emitted program.
-func compileRecords(t *testing.T, name, src, entry string, procs int, defines map[string]int64, mapping string) []compileRecord {
+// A compileCase is one program of the corpus at one machine size: entry of
+// src, retargeted to mapping unless it is empty.
+type compileCase struct {
+	name, src, entry string
+	procs            int
+	defines          map[string]int64
+	mapping          string
+}
+
+// check parses, retargets and checks the case.
+func (c compileCase) check(t *testing.T) *sem.Info {
 	t.Helper()
-	prog, err := lang.Parse(src)
+	prog, err := lang.Parse(c.src)
 	if err != nil {
-		t.Fatalf("%s: parse: %v", name, err)
+		t.Fatalf("%s: parse: %v", c.name, err)
 	}
-	if mapping != "" {
-		m, err := autotune.ParseMapping(mapping)
+	if c.mapping != "" {
+		m, err := autotune.ParseMapping(c.mapping)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,16 +140,23 @@ func compileRecords(t *testing.T, name, src, entry string, procs int, defines ma
 			t.Fatal(err)
 		}
 		if err := autotune.Retarget(prog, distName, m); err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 	}
-	info, errs := sem.Check(prog, sem.Config{Procs: int64(procs), Defines: defines})
+	info, errs := sem.Check(prog, sem.Config{Procs: int64(c.procs), Defines: c.defines})
 	if len(errs) > 0 {
-		t.Fatalf("%s: check: %v", name, errs)
+		t.Fatalf("%s: check: %v", c.name, errs)
 	}
+	return info
+}
+
+// compileRecords compiles the case at every pipeline point and records each
+// emitted program.
+func compileRecords(t *testing.T, c compileCase) []compileRecord {
+	t.Helper()
 	var recs []compileRecord
-	for i, st := range xform.CompileAll(info, entry, witnessPoints) {
-		at := name + "/" + pointName(witnessPoints[i])
+	for i, st := range xform.CompileAll(c.check(t), c.entry, witnessPoints) {
+		at := c.name + "/" + pointName(witnessPoints[i])
 		if st.Err != nil {
 			recs = append(recs, compileRecord{Name: at, Error: st.Err.Error()})
 			continue
@@ -189,8 +205,8 @@ func algebraRecords() []compileRecord {
 	return recs
 }
 
-// compileCorpus is the whole witness, in file order.
-func compileCorpus(t *testing.T) []compileRecord {
+// compileCases is the witness's programs, in file order.
+func compileCases() []compileCase {
 	programs := []struct {
 		name, src, entry string
 		defines          func(n int64) map[string]int64
@@ -200,12 +216,12 @@ func compileCorpus(t *testing.T) []compileRecord {
 		{"jacobi", jacobiSource, "jacobi", func(n int64) map[string]int64 { return map[string]int64{"N": n} }},
 		{"heat", heatSource, "heat", func(n int64) map[string]int64 { return map[string]int64{"T": n, "W": n} }},
 	}
-	var recs []compileRecord
+	var cases []compileCase
 	for _, p := range programs {
 		for _, s := range []int{1, 2, 3, 4, 8, 16, 32} {
 			for _, n := range []int64{8, 16} {
-				recs = append(recs, compileRecords(t, fmt.Sprintf("%s/N=%d/S=%d", p.name, n, s),
-					p.src, p.entry, s, p.defines(n), "")...)
+				cases = append(cases, compileCase{fmt.Sprintf("%s/N=%d/S=%d", p.name, n, s),
+					p.src, p.entry, s, p.defines(n), ""})
 			}
 		}
 	}
@@ -213,10 +229,19 @@ func compileCorpus(t *testing.T) []compileRecord {
 		grid := map[int]string{4: "2x2", 8: "2x4"}[s]
 		for _, m := range []string{fmt.Sprintf("block_cols(%d)", s), "block2d(" + grid + ")", "all"} {
 			for _, n := range []int64{8, 16} {
-				recs = append(recs, compileRecords(t, fmt.Sprintf("gs@%s/N=%d/S=%d", m, n, s),
-					bench.GSSource, "gs_iteration", s, map[string]int64{"N": n}, m)...)
+				cases = append(cases, compileCase{fmt.Sprintf("gs@%s/N=%d/S=%d", m, n, s),
+					bench.GSSource, "gs_iteration", s, map[string]int64{"N": n}, m})
 			}
 		}
+	}
+	return cases
+}
+
+// compileCorpus is the whole witness, in file order.
+func compileCorpus(t *testing.T) []compileRecord {
+	var recs []compileRecord
+	for _, c := range compileCases() {
+		recs = append(recs, compileRecords(t, c)...)
 	}
 	return append(recs, algebraRecords()...)
 }
@@ -271,5 +296,49 @@ func TestCompileWitness(t *testing.T) {
 	}
 	if len(wantRecs) > len(recs) {
 		t.Errorf("the witness records a program that is no longer emitted: %s", wantRecs[len(recs)].Name)
+	}
+}
+
+// TestPassesChangeWhatTheyReport is the pass half of a validator over the
+// witness's programs: along opt3's pipeline at both block sizes, a pass that
+// reports 0 applications leaves every program's spmd.Format as it was, and a
+// pass that reports more changes it. CompileAll's sharing rests on the first
+// half: a point whose pass applied nowhere takes its prefix's programs.
+func TestPassesChangeWhatTheyReport(t *testing.T) {
+	formatAll := func(progs []*spmd.Program) string {
+		var b strings.Builder
+		for _, p := range progs {
+			b.WriteString(spmd.Format(p))
+		}
+		return b.String()
+	}
+	applied := 0
+	for _, c := range compileCases() {
+		info := c.check(t)
+		for _, blk := range []int64{4, 8} {
+			progs, err := xform.Compile(info, c.entry, "ctr", 0)
+			if err != nil {
+				continue // the witness records the error
+			}
+			passes, _ := xform.StandardPipeline("opt3", blk)
+			for _, p := range passes {
+				before := formatAll(progs)
+				n, err := p.Apply(progs)
+				if err != nil {
+					break
+				}
+				switch changed := formatAll(progs) != before; {
+				case n == 0 && changed:
+					t.Errorf("%s: %s reports no application but changed the programs", c.name, p)
+				case n > 0 && !changed:
+					t.Errorf("%s: %s reports %d applications but changed nothing", c.name, p, n)
+				case n > 0:
+					applied++
+				}
+			}
+		}
+	}
+	if applied == 0 {
+		t.Fatal("no pass applied anywhere in the corpus")
 	}
 }

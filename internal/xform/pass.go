@@ -185,8 +185,10 @@ type Point struct {
 }
 
 // A Stage is what one Point compiled to: its programs, or why there are none.
-// Points with equal pipelines share one Stage's programs, and every stage
-// shares the generic program's declarations; treat them as read-only.
+// Points whose pipelines differ only by passes that applied nowhere share one
+// stage's programs (the same slice, so a caller can tell twins apart from
+// distinct stages by identity), and every stage shares the generic program's
+// declarations; treat them as read-only.
 type Stage struct {
 	Progs []*spmd.Program
 	Err   error
@@ -202,9 +204,11 @@ type Stage struct {
 // stage is copied before a pass rewrites it only if it is still needed as
 // itself: it is a requested point, or another requested point extends it by a
 // different pass. Otherwise the pass runs in place, so compiling one point
-// copies nothing. The result is indexed like points. A point fails alone with
-// what Compile would say of it; points that extend a failed pass share its
-// error.
+// copies nothing. A pass that applies nowhere leaves its point with its
+// prefix's stage, not a copy of it, and a stage inherited so is copied before
+// any later pass runs: it is never rewritten in place. The result is indexed
+// like points. A point fails alone with what Compile would say of it; points
+// that extend a failed pass share its error.
 func CompileAll(info *sem.Info, entry string, points []Point) []Stage {
 	out := make([]Stage, len(points))
 	resolve, specialize := false, false
@@ -232,7 +236,7 @@ func CompileAll(info *sem.Info, entry string, points []Point) []Stage {
 		}
 	}
 	if err == nil && specialize {
-		grow(out, core.SpecializeAll(generic, info.Cfg.Procs, true), nil)
+		grow(out, core.SpecializeAll(generic, info.Cfg.Procs, true), nil, false)
 	}
 	return out
 }
@@ -245,14 +249,17 @@ func (st *Stage) pending(prefix []Pass) bool {
 }
 
 // grow settles every pending stage whose pipeline starts with prefix, given
-// progs, the programs prefix produces: the stages that stop here take progs,
-// and each distinct next pass runs once, on a copy if progs is still needed.
-func grow(out []Stage, progs []*spmd.Program, prefix []Pass) {
+// progs, the programs prefix produces; shared says an earlier point already
+// holds progs. The stages that stop here take progs, and each distinct next
+// pass runs once: on a copy if progs is held or another branch still needs
+// it, in place otherwise. A pass that applies nowhere hands progs on as its
+// stage and drops its copy; progs then stays shared with the earlier point,
+// so every later pass copies it before rewriting anything.
+func grow(out []Stage, progs []*spmd.Program, prefix []Pass, shared bool) {
 	d := len(prefix)
-	needed := false
 	for i := range out {
 		if out[i].pending(prefix) && len(out[i].passes) == d {
-			out[i].Progs, needed = progs, true
+			out[i].Progs, shared = progs, true
 		}
 	}
 	for i := range out {
@@ -260,23 +267,27 @@ func grow(out []Stage, progs []*spmd.Program, prefix []Pass) {
 			continue
 		}
 		next := out[i].passes[:d+1]
-		stage := progs
-		if needed || otherBranch(out[i+1:], prefix, next[d]) {
+		stage, copied := progs, shared || otherBranch(out[i+1:], prefix, next[d])
+		if copied {
 			stage = make([]*spmd.Program, len(progs))
 			for p, prog := range progs {
 				stage[p] = prog.CloneProgram()
 			}
 		}
-		if _, err := next[d].Apply(stage); err != nil {
+		n, err := next[d].Apply(stage)
+		switch {
+		case err != nil:
 			err = passError(d, next[d], err)
 			for j := range out {
 				if out[j].pending(next) {
 					out[j].Err = err
 				}
 			}
-			continue
+		case n == 0:
+			grow(out, progs, next, copied)
+		default:
+			grow(out, stage, next, false)
 		}
-		grow(out, stage, next)
 	}
 }
 
