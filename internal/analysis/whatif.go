@@ -92,20 +92,58 @@ type Action struct {
 	Seq    uint64 // message edge ID: the sender's 1-based send counter
 }
 
-type msgKey struct {
-	src int
-	seq uint64
+// msgIndex numbers a run's messages densely: message (src, seq) is slot
+// off[src]+seq-1, for seq from 1 to src's count of sends. A (src, seq) pair
+// outside those ranges names no message.
+type msgIndex []int
+
+// newMsgIndex lays out the slots of procs senders, sends(p) messages each.
+func newMsgIndex(procs int, sends func(p int) int) msgIndex {
+	off := make(msgIndex, procs+1)
+	for p := range procs {
+		off[p+1] = off[p] + sends(p)
+	}
+	return off
+}
+
+// slots is the number of messages the index numbers.
+func (ix msgIndex) slots() int { return ix[len(ix)-1] }
+
+// slot returns message (src, seq)'s slot, and false if it names no message.
+func (ix msgIndex) slot(src int, seq uint64) (int, bool) {
+	if src < 0 || src >= len(ix)-1 || seq < 1 || seq > uint64(ix[src+1]-ix[src]) {
+		return 0, false
+	}
+	return ix[src] + int(seq) - 1, true
+}
+
+// stamp is one message's clock stamp, once it is known.
+type stamp struct {
+	at  uint64
+	set bool
 }
 
 // Predict replays the dump under the scenario and returns the predicted
 // makespan.
 func (d *Dump) Predict(sc Scenario) (uint64, error) {
 	// Recorded release stamps, for per-message transport excess.
-	arrive := map[msgKey]uint64{}
+	ix := newMsgIndex(len(d.Events), func(p int) int {
+		n := 0
+		for _, e := range d.Events[p] {
+			if e.Kind == trace.KindSend {
+				n++
+			}
+		}
+		return n
+	})
+	arrive := make([]stamp, ix.slots())
 	for p := range d.Events {
 		for _, e := range d.Events[p] {
-			if e.Kind == trace.KindRecv {
-				arrive[msgKey{src: e.Peer, seq: e.Seq}] = e.Arrive
+			if e.Kind != trace.KindRecv {
+				continue
+			}
+			if s, ok := ix.slot(e.Peer, e.Seq); ok {
+				arrive[s] = stamp{at: e.Arrive, set: true}
 			}
 		}
 	}
@@ -114,15 +152,16 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 	// recomputed); blocked spans become fixed delays.
 	acts := make([][]Action, d.Procs)
 	for p := range d.Events {
+		acts[p] = make([]Action, 0, len(d.Events[p]))
 		for _, e := range d.Events[p] {
 			switch e.Kind {
 			case trace.KindCompute, trace.KindBlocked:
 				acts[p] = append(acts[p], Action{Kind: trace.KindCompute, Dur: e.Dur()})
 			case trace.KindSend:
 				a := Action{Kind: trace.KindSend, Peer: e.Peer, Tag: e.Tag, Seq: e.Seq, Values: e.Values}
-				if rel, ok := arrive[msgKey{src: p, seq: e.Seq}]; ok {
+				if s, ok := ix.slot(p, e.Seq); ok && arrive[s].set {
 					nominal := e.End + d.Costs.Latency
-					if rel > nominal {
+					if rel := arrive[s].at; rel > nominal {
 						a.Dur = rel - nominal
 					}
 				}
@@ -147,27 +186,43 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 // process until it blocks on a message whose send has not executed yet, and
 // repeat until quiescent. An acyclic dependence structure — any run that
 // completed — makes progress every round until all processes finish.
+//
+// A counting pass sizes one stamp per message, numbered 1..n per sender as
+// traced runs and walked profiles both number them. A receive naming a pair
+// outside that numbering waits for a message that never comes, so it
+// deadlocks the replay exactly as one whose sender never reaches the send.
 func Replay(acts [][]Action, costs Costs) (uint64, error) {
+	ix := newMsgIndex(len(acts), func(p int) int {
+		n := 0
+		for _, a := range acts[p] {
+			if a.Kind == trace.KindSend {
+				n++
+			}
+		}
+		return n
+	})
+	released := make([]stamp, ix.slots())
 	clocks := make([]uint64, len(acts))
 	idx := make([]int, len(acts))
-	released := map[msgKey]uint64{}
 	for {
 		progressed, done := false, true
 		for p := range acts {
 			for idx[p] < len(acts[p]) {
 				a := acts[p][idx[p]]
 				if a.Kind == trace.KindRecv {
-					rel, ok := released[msgKey{src: a.Peer, seq: a.Seq}]
-					if !ok {
-						break // sender has not reached this message yet
+					s, ok := ix.slot(a.Peer, a.Seq)
+					if !ok || !released[s].set {
+						break // the sender has not reached this message, or never will
 					}
-					if rel > clocks[p] {
+					if rel := released[s].at; rel > clocks[p] {
 						clocks[p] = rel
 					}
 					clocks[p] += costs.RecvStartup + uint64(a.Values)*costs.PerValue
 				} else if a.Kind == trace.KindSend {
 					clocks[p] += costs.SendStartup + uint64(a.Values)*costs.PerValue
-					released[msgKey{src: p, seq: a.Seq}] = clocks[p] + costs.Latency + a.Dur
+					if s, ok := ix.slot(p, a.Seq); ok {
+						released[s] = stamp{at: clocks[p] + costs.Latency + a.Dur, set: true}
+					}
 				} else {
 					clocks[p] += a.Dur
 				}

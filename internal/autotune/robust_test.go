@@ -3,11 +3,14 @@ package autotune
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"procdecomp/internal/dist"
+	"procdecomp/internal/exec"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/xform"
 )
@@ -176,6 +179,194 @@ func TestSearchCtxCanceledMidSearch(t *testing.T) {
 	}
 	if len(rep.Results) == 0 {
 		t.Fatal("mid-search cancellation dropped the partial results")
+	}
+}
+
+// TestSearchAnchorPanicReachesCaller: the anchor runs in tier 1's pool, yet a
+// panic in it reaches SearchCtx's caller as a panic — the one serve's attempt
+// and adapt's runTrigger recover — and only once every mapping has been
+// handed out and the pool has drained.
+func TestSearchAnchorPanicReachesCaller(t *testing.T) {
+	cands := Space{}.Enumerate(4)
+	mappings := len(groupBy(len(cands), func(i int) Mapping { return cands[i].Mapping }))
+	for _, workers := range []int{1, 4} {
+		var compiles atomic.Int64
+		opts := Options{Workers: workers}
+		opts.evalHook = func(s string, c Candidate) {
+			switch s {
+			case "anchor":
+				panic("injected anchor fault")
+			case "compile":
+				compiles.Add(1)
+			}
+		}
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			_, _ = SearchCtx(context.Background(), gsWorkload(16), machine.DefaultConfig(4), opts)
+			return nil
+		}()
+		if got != "injected anchor fault" {
+			t.Errorf("workers=%d: the caller recovered %v, want the anchor's panic", workers, got)
+		}
+		if n, want := compiles.Load(), int64(mappings); n != want {
+			t.Errorf("workers=%d: %d of %d mappings compiled before the panic reached the caller", workers, n, want)
+		}
+	}
+}
+
+// TestSearchAnchorFailureDiscardsTier1: a baseline that does not compile fails
+// the search with the error it always did and no report, although tier 1 ran
+// beside it.
+func TestSearchAnchorFailureDiscardsTier1(t *testing.T) {
+	var compiles atomic.Int64
+	opts := Options{BaselineMode: "bogus"}
+	opts.evalHook = func(s string, c Candidate) {
+		if s == "compile" {
+			compiles.Add(1)
+		}
+	}
+	rep, err := SearchCtx(context.Background(), gsWorkload(16), machine.DefaultConfig(4), opts)
+	const want = `autotune: baseline does not compile: autotune: unknown mode "bogus"`
+	if err == nil || err.Error() != want || !errors.Is(err, xform.ErrUnknownMode) {
+		t.Errorf("error %v, want %s", err, want)
+	}
+	if rep != nil {
+		t.Errorf("a failed anchor returned a report with %d results", len(rep.Results))
+	}
+	if compiles.Load() == 0 {
+		t.Error("no mapping compiled beside the anchor: the case proves nothing")
+	}
+}
+
+// TestSearchCtxCanceledInAnchor: a cancel from inside the anchor returns an
+// error wrapping context.Canceled and a partial report with no winner. With
+// one worker the anchor is the first task, so no mapping is compiled after it.
+func TestSearchCtxCanceledInAnchor(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var compiles atomic.Int64
+		opts := Options{Workers: workers}
+		opts.evalHook = func(s string, c Candidate) {
+			switch s {
+			case "anchor":
+				cancel()
+			case "compile":
+				compiles.Add(1)
+			}
+		}
+		rep, err := SearchCtx(ctx, gsWorkload(16), machine.DefaultConfig(4), opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: error %v, want one wrapping context.Canceled", workers, err)
+		}
+		if rep == nil {
+			t.Fatalf("workers=%d: no partial report", workers)
+		}
+		if rep.Winner != "" {
+			t.Errorf("workers=%d: a search canceled in its anchor crowned %s", workers, rep.Winner)
+		}
+		if workers == 1 && (compiles.Load() != 0 || len(rep.Results) != 0) {
+			t.Errorf("workers=1: %d mappings compiled and %d results after the anchor canceled", compiles.Load(), len(rep.Results))
+		}
+	}
+}
+
+// TestSearchSurvivesPanickingWinner: the winner's traced rerun runs beside
+// tier 3 on the strength of the best prediction. When that candidate (and
+// every twin of its makespan) panics in its measurement, the search crowns
+// the next measured candidate instead, and its attribution is that of its own
+// image's traced run, as a direct measure and CriticalPath give it.
+func TestSearchSurvivesPanickingWinner(t *testing.T) {
+	cfg := machine.DefaultConfig(4)
+	base, err := Search(gsWorkload(16), cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var best uint64
+	var next *Result
+	for i, r := range base.Results {
+		if r.Unmodeled {
+			t.Fatalf("%s is unmodeled: the winner is not known before tier 3", r.Candidate.Key())
+		}
+		switch {
+		case r.Candidate.Key() == base.Winner:
+			best = r.Measured
+		case next == nil && r.Status == StatusMeasured && best != 0 && r.Measured > best:
+			next = &base.Results[i]
+		}
+	}
+	if next == nil {
+		t.Fatal("no measured candidate is slower than the winner")
+	}
+	opts := Options{}
+	opts.evalHook = func(s string, c Candidate) {
+		if s == "measure" && base.measuredOf(c.Key()) == best {
+			panic("injected winner fault")
+		}
+	}
+	rep, err := Search(gsWorkload(16), cfg, opts)
+	if err != nil {
+		t.Fatalf("search did not survive its predicted winner panicking: %v", err)
+	}
+	if rep.Winner != next.Candidate.Key() {
+		t.Fatalf("winner %s, want the next candidate %s", rep.Winner, next.Candidate.Key())
+	}
+	for _, r := range rep.Results {
+		if r.Candidate.Key() == base.Winner && r.Status != StatusInfeasible {
+			t.Errorf("the panicking winner %s: status %s, want %s", base.Winner, r.Status, StatusInfeasible)
+		}
+	}
+	w, c := gsWorkload(16), next.Candidate
+	b, err := w.build(&c.Mapping, c.Mode, c.Blk, cfg.Procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := exec.PatternInputs(b.info, w.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, d, err := measure(context.Background(), w, c, b, ins, cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := d.CriticalPath()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Attr != cp.Attr || rep.Attr.Total() != next.Measured {
+		t.Errorf("winner attribution %+v (total %d), a direct traced run of %s gives %+v (makespan %d)",
+			rep.Attr, rep.Attr.Total(), c.Key(), cp.Attr, next.Measured)
+	}
+}
+
+// TestSearchProgressOrder: whatever runs beside what, Progress delivers
+// baseline, enumerated, static and predicted once each and in that order,
+// then one measured per measured candidate, then the winner.
+func TestSearchProgressOrder(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var (
+			mu     sync.Mutex
+			stages []string
+		)
+		opts := Options{Workers: workers, Progress: func(p Progress) {
+			mu.Lock()
+			stages = append(stages, p.Stage)
+			mu.Unlock()
+		}}
+		rep, err := Search(gsWorkload(16), machine.DefaultConfig(4), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"baseline", "enumerated", "static", "predicted"}
+		for _, r := range rep.Results {
+			if r.Status == StatusMeasured {
+				want = append(want, "measured")
+			}
+		}
+		want = append(want, "winner")
+		if !slices.Equal(stages, want) {
+			t.Errorf("workers=%d: stages %v, want %v", workers, stages, want)
+		}
 	}
 }
 

@@ -102,8 +102,12 @@ type Options struct {
 	// TopK is how many predicted candidates are confirmed on the simulated
 	// machine (default 6).
 	TopK int
-	// Workers bounds the measurement pool (default 4). Results are written
-	// by index, so parallelism never changes the report.
+	// Workers bounds both of the search's pools (default 4): tier 1's, which
+	// also runs the anchor, and tier 3's, which also runs the winner's
+	// traced rerun when the winner is known in advance. No search work runs
+	// outside them but the serial tier 2 and a winner rerun that could not
+	// run early. Results are written by index, so parallelism never changes
+	// the report.
 	Workers int
 	// BaselineMode/BaselineBlk select the anchor compilation of the program
 	// as annotated (default ctr).
@@ -126,24 +130,27 @@ type Options struct {
 	// Progress, when non-nil, receives coarse search progress: the anchored
 	// baseline, each tier transition with done/total counts, a partial
 	// ranking after the prediction tier, every confirmed measurement, and
-	// the winner. Calls from the measurement tier arrive concurrently from
-	// the worker pool; the callback must be safe for concurrent use and
+	// the winner. "baseline" and "enumerated" come from the tier-1 pool
+	// goroutine that ran the anchor, and "measured" calls concurrently from
+	// the tier-3 pool; the callback must be safe for concurrent use and
 	// must return promptly. It is observational only — the search's report
 	// is bit-identical with or without it.
 	Progress func(Progress)
 	// evalHook, when non-nil, is called before each evaluation (stage
-	// "compile" for a mapping's shared front half, with a candidate that
-	// carries only the mapping; "static" for a candidate's tier-1 walk;
-	// "measure" for a tier-3 run) — a test seam for injecting panics into
-	// the worker pool.
+	// "anchor" for the baseline run, with a candidate that carries only the
+	// baseline's mode and block size; "compile" for a mapping's shared front
+	// half, with a candidate that carries only the mapping; "static" for a
+	// candidate's tier-1 walk; "measure" for a tier-3 run) — a test seam for
+	// injecting panics and cancellations into the worker pools.
 	evalHook func(stage string, c Candidate)
 }
 
 // Progress is one coarse progress report from a running search — which
 // tier just finished (or which candidate was just measured), how much of
 // the tier is done, and a partial ranking where one exists. Stages arrive
-// in order baseline, enumerated, static, predicted, then one measured per
-// confirmed candidate (concurrently), then winner.
+// in order baseline, enumerated (both once the anchor has run, while tier 1
+// may still be walking), static, predicted, then one measured per confirmed
+// candidate (concurrently), then winner.
 type Progress struct {
 	// Stage is "baseline", "enumerated", "static", "predicted",
 	// "measured", or "winner".
@@ -304,7 +311,10 @@ func interrupted(rep *Report, results []Result, err error) (*Report, error) {
 // by both worker pools (no further mapping is compiled and no further
 // candidate measured once ctx is done; those under way finish) and inside the
 // simulated machine (via exec.RunSPMDCtx); an interrupted search returns the
-// partial report together with an error wrapping ctx.Err().
+// partial report together with an error wrapping ctx.Err(). A panic in a
+// candidate's evaluation marks that candidate infeasible; a panic in the
+// anchor run is raised again on the caller's goroutine once tier 1's pool has
+// drained.
 func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Options) (*Report, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("autotune: machine with %d processors", cfg.Procs)
@@ -334,34 +344,26 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	if opts.Hand != nil {
 		hand = *opts.Hand
 	}
+	handKey := hand.Key()
 
-	rep := &Report{Workload: w.Name, Procs: cfg.Procs, Defines: w.Defines, Hand: hand.Key()}
+	rep := &Report{Workload: w.Name, Procs: cfg.Procs, Defines: w.Defines, Hand: handKey}
 	emit := func(p Progress) {
 		if opts.Progress != nil {
 			opts.Progress(p)
 		}
 	}
 
-	// Anchor: run the program as annotated, traced, and demand that both the
-	// dump's identity replay and the walked profile's replay reproduce the
-	// measured makespan before trusting the model anywhere else.
-	ins, err := anchor(ctx, w, cfg, opts, rep)
-	if err != nil {
-		if ctx.Err() != nil {
-			return interrupted(rep, nil, ctx.Err())
-		}
-		return nil, err
-	}
-	emit(Progress{Stage: "baseline", Makespan: rep.Baseline.Measured})
-
 	// Enumerate, forcing the hand-chosen reference in so the winner is never
-	// worse than it.
-	cands := opts.Space.Enumerate(cfg.Procs)
+	// worse than it. cands stays sorted by key, and keys[i] is cands[i]'s key,
+	// rendered once: every later test and sort of a candidate reads it.
+	cands, keys := opts.Space.enumerate(cfg.Procs)
 	rep.Enumerated = len(cands)
-	if !hasKey(cands, hand.Key()) {
-		cands = append(cands, hand)
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Key() < cands[j].Key() })
+	force := func(c Candidate, key string) {
+		if at, found := slices.BinarySearch(keys, key); !found {
+			cands, keys = slices.Insert(cands, at, c), slices.Insert(keys, at, key)
+		}
 	}
+	force(hand, handKey)
 	// Warm start: force each seeded mapping in, expanded across the space's
 	// pipeline points, and remember its rank so tier 2 replays it first.
 	seedRank := map[string]int{}
@@ -371,19 +373,21 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		}
 		for _, pp := range opts.Space.pipelinePoints() {
 			c := Candidate{Mapping: m, Mode: pp.mode, Blk: pp.blk}
-			if _, ok := seedRank[c.Key()]; ok {
+			key := c.Key()
+			if _, ok := seedRank[key]; ok {
 				continue
 			}
-			seedRank[c.Key()] = len(seedRank)
-			if !hasKey(cands, c.Key()) {
-				cands = append(cands, c)
-			}
+			seedRank[key] = len(seedRank)
+			force(c, key)
 		}
 	}
-	if len(seedRank) > 0 {
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Key() < cands[j].Key() })
+	seed := make([]int, len(cands)) // each candidate's seed rank, or -1
+	for i, key := range keys {
+		seed[i] = -1
+		if r, ok := seedRank[key]; ok {
+			seed[i] = r
+		}
 	}
-	emit(Progress{Stage: "enumerated", Total: len(cands)})
 
 	// Tier 1: compile and walk everything, one mapping per pool task — its
 	// candidates share one retarget, one check and one resolution of the
@@ -395,12 +399,40 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// lowering or walk panics is recorded as infeasible (with the panic
 	// message) instead of crashing the pool; a panic in the shared front
 	// half marks each of the mapping's candidates so.
+	//
+	// The anchor is the pool's task 0, beside the mappings: tier 1 only
+	// compiles and walks, and trusts nothing the anchor decides, while tiers
+	// 2 and 3 start only once the pool has drained. It runs the program as
+	// annotated, traced, and demands that both the dump's identity replay and
+	// the walked profile's replay reproduce the measured makespan before the
+	// model is trusted anywhere else. If it fails, the mappings' work is
+	// discarded; a panic in it is held until the pool drains and then raised
+	// on the caller's goroutine.
 	results := make([]Result, len(cands))
 	profiles := make([]*Profile, len(cands))
 	builds := make([]*built, len(cands))
 	groups := groupBy(len(cands), func(i int) Mapping { return cands[i].Mapping })
-	forEach(ctx, len(groups), opts.Workers, func(g int) {
-		idx := groups[g]
+	var (
+		ins         map[string]*istruct.Matrix
+		anchorErr   error
+		anchorPanic any
+	)
+	runAnchor := func() {
+		defer func() { anchorPanic = recover() }()
+		if opts.evalHook != nil {
+			opts.evalHook("anchor", Candidate{Mode: opts.BaselineMode, Blk: opts.BaselineBlk})
+		}
+		if ins, anchorErr = anchor(ctx, w, cfg, opts, rep); anchorErr == nil {
+			emit(Progress{Stage: "baseline", Makespan: rep.Baseline.Measured})
+			emit(Progress{Stage: "enumerated", Total: len(cands)})
+		}
+	}
+	forEach(ctx, 1+len(groups), opts.Workers, func(task int) {
+		if task == 0 {
+			runAnchor()
+			return
+		}
+		idx := groups[task-1]
 		mapping := cands[idx[0]].Mapping
 		points := make([]xform.Point, len(idx))
 		for k, i := range idx {
@@ -444,9 +476,15 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			}
 		}
 	})
+	if anchorPanic != nil {
+		panic(anchorPanic)
+	}
 	if err := ctx.Err(); err != nil {
 		// A mapping never handed out has no results to report.
 		return interrupted(rep, slices.DeleteFunc(results, func(r Result) bool { return r == Result{} }), err)
+	}
+	if anchorErr != nil {
+		return nil, anchorErr
 	}
 
 	// Tier 2, with a sound prune. The static score is a lower bound on the
@@ -457,21 +495,19 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	modeled := indicesWhere(results, func(r Result) bool { return r.Status == StatusPruned })
 	emit(Progress{Stage: "static", Done: len(modeled), Total: len(cands)})
 	sort.SliceStable(modeled, func(a, b int) bool {
-		ra, rb := results[modeled[a]], results[modeled[b]]
-		sa, aok := seedRank[ra.Candidate.Key()]
-		sb, bok := seedRank[rb.Candidate.Key()]
-		if aok != bok {
+		i, j := modeled[a], modeled[b]
+		if (seed[i] >= 0) != (seed[j] >= 0) {
 			// Seeded candidates replay first: the incumbent's bound is in
 			// place before anything else can be pruned against it.
-			return aok
+			return seed[i] >= 0
 		}
-		if aok && sa != sb {
-			return sa < sb
+		if seed[i] != seed[j] {
+			return seed[i] < seed[j]
 		}
-		if ra.Static != rb.Static {
-			return ra.Static < rb.Static
+		if results[i].Static != results[j].Static {
+			return results[i].Static < results[j].Static
 		}
-		return ra.Candidate.Key() < rb.Candidate.Key()
+		return keys[i] < keys[j]
 	})
 	best := uint64(0)
 	haveBest := false
@@ -484,8 +520,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		if err := ctx.Err(); err != nil {
 			return interrupted(rep, results, err)
 		}
-		_, seeded := seedRank[results[i].Candidate.Key()]
-		forced := seeded || results[i].Candidate.Key() == hand.Key()
+		forced := seed[i] >= 0 || keys[i] == handKey
 		if n >= opts.Keep && haveBest && results[i].Static >= best && !forced {
 			continue // provably not the winner
 		}
@@ -514,11 +549,11 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// unmodeled candidate (the model cannot rank what it cannot walk).
 	predicted := indicesWhere(results, func(r Result) bool { return r.Status == StatusPredicted })
 	sort.SliceStable(predicted, func(a, b int) bool {
-		ra, rb := results[predicted[a]], results[predicted[b]]
-		if ra.Predicted != rb.Predicted {
-			return ra.Predicted < rb.Predicted
+		i, j := predicted[a], predicted[b]
+		if results[i].Predicted != results[j].Predicted {
+			return results[i].Predicted < results[j].Predicted
 		}
-		return ra.Candidate.Key() < rb.Candidate.Key()
+		return keys[i] < keys[j]
 	})
 	if opts.Progress != nil {
 		top := make([]string, 0, 5)
@@ -526,19 +561,21 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			if len(top) == 5 {
 				break
 			}
-			top = append(top, results[i].Candidate.Key())
+			top = append(top, keys[i])
 		}
 		emit(Progress{Stage: "predicted", Done: len(predicted), Total: len(modeled), Top: top})
 	}
 	toMeasure := map[int]bool{}
 	for n, i := range predicted {
-		if n < opts.TopK || results[i].Candidate.Key() == hand.Key() {
+		if n < opts.TopK || keys[i] == handKey {
 			toMeasure[i] = true
 		}
 	}
+	unmodeled := false
 	for i, r := range results {
 		if r.Unmodeled {
 			toMeasure[i] = true
+			unmodeled = true
 		}
 	}
 	var mIdx []int
@@ -552,14 +589,35 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 
 	// Tier 3: confirm on the simulated machine, one pool task per image so
 	// that twins run it once and copy the outcome.
+	//
+	// When every candidate measured is modeled, Predicted == Measured (checked
+	// below) makes the winner the best prediction, so its traced rerun joins
+	// the pool as one more task, the first handed out. After the pool the
+	// rerun is still compared with the winner's measurement. Should the
+	// winner turn out to be another candidate (the predicted one failed to
+	// run), or that task fail or panic, the winner is rerun after the pool
+	// instead.
+	guess := -1
+	if len(predicted) > 0 && !unmodeled {
+		guess = predicted[0]
+	}
+	var early traced
+	first := 0
+	if guess >= 0 {
+		first = 1
+	}
 	errs := make([]error, len(mIdx))
 	images := groupBy(len(mIdx), func(n int) *built { return builds[mIdx[n]] })
 	var measuredSoFar atomic.Int64
-	forEach(ctx, len(images), opts.Workers, func(g int) {
+	forEach(ctx, first+len(images), opts.Workers, func(task int) {
+		if task < first {
+			early = safeRerun(ctx, w, cands[guess], builds[guess], ins, cfg)
+			return
+		}
 		var r run
-		for _, n := range images[g] {
+		for _, n := range images[task-first] {
 			i := mIdx[n]
-			m, err := safeMeasure(ctx, w, results[i].Candidate, builds[i], ins, cfg, opts.evalHook, &r)
+			m, err := safeMeasure(ctx, w, cands[i], builds[i], ins, cfg, opts.evalHook, &r)
 			if err != nil {
 				errs[n] = err
 				continue
@@ -568,7 +626,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			results[i].Measured = m.Makespan
 			results[i].Messages = m.Messages
 			results[i].Values = m.Values
-			emit(Progress{Stage: "measured", Candidate: results[i].Candidate.Key(),
+			emit(Progress{Stage: "measured", Candidate: keys[i],
 				Makespan: m.Makespan, Done: int(measuredSoFar.Add(1)), Total: len(mIdx)})
 		}
 	})
@@ -584,7 +642,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			// recorded and the search carries on.
 			i := mIdx[n]
 			if !results[i].Unmodeled && !errors.Is(err, ErrEvalPanic) {
-				return nil, fmt.Errorf("autotune: modeled candidate %s failed to run: %w", results[i].Candidate.Key(), err)
+				return nil, fmt.Errorf("autotune: modeled candidate %s failed to run: %w", keys[i], err)
 			}
 			results[i].Status = StatusInfeasible
 			results[i].Note = err.Error()
@@ -597,7 +655,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		r := results[i]
 		if r.Status == StatusMeasured && !r.Unmodeled && r.Predicted != r.Measured {
 			return nil, fmt.Errorf("autotune: %s predicted %d but measured %d — the cost model is wrong",
-				r.Candidate.Key(), r.Predicted, r.Measured)
+				keys[i], r.Predicted, r.Measured)
 		}
 	}
 
@@ -608,11 +666,11 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		if r.Status != StatusMeasured {
 			continue
 		}
-		if r.Candidate.Key() == hand.Key() {
+		if keys[i] == handKey {
 			handIdx = i
 		}
 		if winner < 0 || r.Measured < results[winner].Measured ||
-			(r.Measured == results[winner].Measured && r.Candidate.Key() < results[winner].Candidate.Key()) {
+			(r.Measured == results[winner].Measured && keys[i] < keys[winner]) {
 			winner = i
 		}
 	}
@@ -620,34 +678,72 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		return nil, errors.New("autotune: no candidate survived to measurement")
 	}
 	if handIdx < 0 {
-		return nil, fmt.Errorf("autotune: reference candidate %s was not measurable", hand.Key())
+		return nil, fmt.Errorf("autotune: reference candidate %s was not measurable", handKey)
 	}
-	rep.Winner = results[winner].Candidate.Key()
+	rep.Winner = keys[winner]
 	rep.Regret = results[handIdx].Measured - results[winner].Measured
 
-	// Rerun the winner's image traced: the rerun must reproduce the
+	// The winner's image rerun traced: the rerun must reproduce the
 	// measurement exactly, and its critical path attributes the makespan by
 	// cause.
-	m2, d, err := measure(ctx, w, results[winner].Candidate, builds[winner], ins, cfg, true)
-	if err != nil {
+	tr := early
+	if winner != guess || tr.runErr != nil || tr.cpErr != nil {
+		tr = rerun(ctx, w, cands[winner], builds[winner], ins, cfg)
+	}
+	if tr.runErr != nil {
 		if ctx.Err() != nil {
 			return interrupted(rep, results, ctx.Err())
 		}
-		return nil, fmt.Errorf("autotune: winner rerun: %w", err)
+		return nil, fmt.Errorf("autotune: winner rerun: %w", tr.runErr)
 	}
-	if m2.Makespan != results[winner].Measured {
+	if tr.m.Makespan != results[winner].Measured {
 		return nil, fmt.Errorf("autotune: winner %s measured %d but rerun gave %d — the machine is not deterministic",
-			rep.Winner, results[winner].Measured, m2.Makespan)
+			rep.Winner, results[winner].Measured, tr.m.Makespan)
 	}
-	cp, err := d.CriticalPath()
-	if err != nil {
-		return nil, fmt.Errorf("autotune: winner attribution: %w", err)
+	if tr.cpErr != nil {
+		return nil, fmt.Errorf("autotune: winner attribution: %w", tr.cpErr)
 	}
-	rep.Attr = cp.Attr
-	emit(Progress{Stage: "winner", Candidate: rep.Winner, Makespan: m2.Makespan})
+	rep.Attr = tr.attr
+	emit(Progress{Stage: "winner", Candidate: rep.Winner, Makespan: tr.m.Makespan})
 
 	rep.Results = orderResults(results)
 	return rep, nil
+}
+
+// traced is a traced rerun of a measured image: its measurement, and the
+// attribution of its critical path.
+type traced struct {
+	m      Measurement
+	attr   analysis.Attribution
+	runErr error // the rerun failed
+	cpErr  error // the rerun's trace has no critical path
+}
+
+// rerun runs an image traced and extracts the critical path of its trace.
+func rerun(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config) (t traced) {
+	var d *analysis.Dump
+	if t.m, d, t.runErr = measure(ctx, w, c, b, ins, cfg, true); t.runErr != nil {
+		return t
+	}
+	cp, err := d.CriticalPath()
+	if err != nil {
+		t.cpErr = err
+		return t
+	}
+	t.attr = cp.Attr
+	return t
+}
+
+// safeRerun is rerun as a tier-3 pool task: a panic comes back as an
+// ErrEvalPanic-wrapped runErr, which sends the winner to the rerun after the
+// pool on the caller's goroutine.
+func safeRerun(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config) (t traced) {
+	defer func() {
+		if p := recover(); p != nil {
+			t = traced{runErr: panicAsError(c, p)}
+		}
+	}()
+	return rerun(ctx, w, c, b, ins, cfg)
 }
 
 // walk is one stage's tier-1 outcome, which every twin sharing the stage
@@ -760,15 +856,6 @@ func groupBy[K comparable](n int, key func(int) K) [][]int {
 	return groups
 }
 
-func hasKey(cands []Candidate, key string) bool {
-	for _, c := range cands {
-		if c.Key() == key {
-			return true
-		}
-	}
-	return false
-}
-
 func indicesWhere(rs []Result, pred func(Result) bool) []int {
 	var out []int
 	for i, r := range rs {
@@ -780,9 +867,10 @@ func indicesWhere(rs []Result, pred func(Result) bool) []int {
 }
 
 // orderResults sorts for presentation: measured by makespan, then predicted
-// by prediction, then pruned by static score, then infeasible by key.
+// by prediction, then pruned by static score, then infeasible by key. Each
+// key is rendered once.
 func orderResults(rs []Result) []Result {
-	rank := func(r Result) int {
+	rank := func(r *Result) int {
 		switch r.Status {
 		case StatusMeasured:
 			return 0
@@ -794,9 +882,14 @@ func orderResults(rs []Result) []Result {
 			return 3
 		}
 	}
-	out := append([]Result(nil), rs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	keys := make([]string, len(rs))
+	order := make([]int, len(rs))
+	for i := range rs {
+		keys[i], order[i] = rs[i].Candidate.Key(), i
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		i, j := order[x], order[y]
+		a, b := &rs[i], &rs[j]
 		if rank(a) != rank(b) {
 			return rank(a) < rank(b)
 		}
@@ -814,7 +907,14 @@ func orderResults(rs []Result) []Result {
 				return a.Static < b.Static
 			}
 		}
-		return a.Candidate.Key() < b.Candidate.Key()
+		return keys[i] < keys[j]
 	})
+	if len(rs) == 0 {
+		return nil
+	}
+	out := make([]Result, len(rs))
+	for n, i := range order {
+		out[n] = rs[i]
+	}
 	return out
 }

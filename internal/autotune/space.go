@@ -31,7 +31,8 @@ package autotune
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"procdecomp/internal/dist"
 	"procdecomp/internal/xform"
@@ -144,6 +145,13 @@ func DefaultKinds() []dist.Kind {
 // Enumerate lists the space's candidates for a machine of the given size, in
 // a deterministic order, deduplicated by Key.
 func (sp Space) Enumerate(procs int) []Candidate {
+	cands, _ := sp.enumerate(procs)
+	return cands
+}
+
+// enumerate is Enumerate with each candidate's key, rendered once: keys[i] is
+// cands[i].Key(), and both lists are sorted by it.
+func (sp Space) enumerate(procs int) (cands []Candidate, keys []string) {
 	p := int64(procs)
 	kinds := sp.Kinds
 	if len(kinds) == 0 {
@@ -180,20 +188,28 @@ func (sp Space) Enumerate(procs int) []Candidate {
 		}
 	}
 
-	var out []Candidate
+	type keyed struct {
+		key string
+		c   Candidate
+	}
+	var all []keyed
 	seen := map[string]bool{}
 	points := sp.pipelinePoints()
 	for _, m := range mappings {
 		for _, pp := range points {
 			c := Candidate{Mapping: m, Mode: pp.mode, Blk: pp.blk}
-			if !seen[c.Key()] {
-				seen[c.Key()] = true
-				out = append(out, c)
+			if k := c.Key(); !seen[k] {
+				seen[k] = true
+				all = append(all, keyed{k, c})
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+	slices.SortFunc(all, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	cands, keys = make([]Candidate, len(all)), make([]string, len(all))
+	for i, kc := range all {
+		cands[i], keys[i] = kc.c, kc.key
+	}
+	return cands, keys
 }
 
 // A pipelinePoint is one configuration of the space's non-mapping dimension:
