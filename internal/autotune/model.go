@@ -117,6 +117,10 @@ func (r *recorder) Ops(n int64) { r.acc += uint64(n) * r.cfg.OpCost }
 func (r *recorder) Mem(n int64) { r.acc += uint64(n) * r.cfg.MemCost }
 func (r *recorder) LoopStep()   { r.acc += r.cfg.LoopCost }
 
+func (r *recorder) LoopSteps(n, ops int64) {
+	r.acc += uint64(n) * (uint64(ops)*r.cfg.OpCost + r.cfg.LoopCost)
+}
+
 func (r *recorder) flush() {
 	if r.acc > 0 {
 		r.acts = append(r.acts, analysis.Action{Kind: trace.KindCompute, Dur: r.acc})

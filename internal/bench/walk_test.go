@@ -32,6 +32,10 @@ func (s *countingSink) Ops(n int64) { s.cycles += uint64(n) * s.cfg.OpCost }
 func (s *countingSink) Mem(n int64) { s.cycles += uint64(n) * s.cfg.MemCost }
 func (s *countingSink) LoopStep()   { s.cycles += s.cfg.LoopCost }
 
+func (s *countingSink) LoopSteps(n, ops int64) {
+	s.cycles += uint64(n) * (uint64(ops)*s.cfg.OpCost + s.cfg.LoopCost)
+}
+
 func (s *countingSink) Send(dst int, tag int64, values int) error {
 	s.msgs = append(s.msgs, endpoint{trace.KindSend, dst, tag, values})
 	return nil

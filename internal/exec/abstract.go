@@ -1,14 +1,17 @@
 package exec
 
 // Sink receives what an abstract run of one process charges and
-// communicates. Procs, Ops, Mem and LoopStep have machine.Proc's meaning;
-// Send and Recv carry the message's endpoint, tag and value count, and an
-// error from either stops the walk.
+// communicates. Procs, Ops, Mem, LoopStep and LoopSteps have machine.Proc's
+// meaning; LoopSteps(n, ops) stands for n iterations of LoopStep and
+// Ops(ops), which a walk makes in one call where no iteration does anything
+// else. Send and Recv carry the message's endpoint, tag and value count, and
+// an error from either stops the walk.
 type Sink interface {
 	Procs() int
 	Ops(n int64)
 	Mem(n int64)
 	LoopStep()
+	LoopSteps(n, ops int64)
 	Send(dst int, tag int64, values int) error
 	Recv(src int, tag int64, values int) error
 }
@@ -30,13 +33,19 @@ func (abstract) undefined(*stepper, int32) (Value, bool) { return 0, false }
 func (abstract) absent(error) (Value, bool)              { return 0, false }
 func (abstract) stored(*stepper, *lvexpr) Value          { return 0 }
 func (abstract) alloc(*stepper, *lstmt)                  {}
-func (abstract) allocBuf(*stepper, *lstmt)               {}
+func (abstract) allocBuf(*stepper, int32, int64)         {}
 func (abstract) defineScalar(*stepper, int32, Value)     {}
 func (abstract) scalar(*stepper, int32) (Value, bool)    { return 0, false }
 func (abstract) awrite(*stepper, *lstmt, Value)          {}
 func (abstract) bufWrite(*stepper, *lstmt, Value)        {}
 func (abstract) aread(*stepper, *lstmt) (Value, bool)    { return 0, false }
 func (abstract) bufRead(*stepper, *lstmt) (Value, bool)  { return 0, false }
+
+// loopSteps never declines: a Sink has no per-charge state.
+func (a abstract) loopSteps(n, ops int64) bool {
+	a.Sink.LoopSteps(n, ops)
+	return true
+}
 
 func (a abstract) send(dst int, tag int64, _ Value) {
 	if err := a.Send(dst, tag, 1); err != nil {
@@ -51,19 +60,13 @@ func (a abstract) recv(src int, tag int64) (Value, bool) {
 	return 0, false
 }
 
-func (a abstract) sendBuf(st *stepper, buf int32, lo, hi int64, dst int, tag int64) {
-	if hi < lo {
-		failf("block send of %s[%d..%d]", st.low.bufs[buf], lo, hi)
-	}
+func (a abstract) sendBuf(_ *stepper, _ int32, lo, hi int64, dst int, tag int64) {
 	if err := a.Send(dst, tag, int(hi-lo+1)); err != nil {
 		fail(err)
 	}
 }
 
-func (a abstract) recvBuf(st *stepper, buf int32, lo, hi int64, src int, tag int64) {
-	if hi < lo {
-		failf("block receive into %s[%d..%d]", st.low.bufs[buf], lo, hi)
-	}
+func (a abstract) recvBuf(_ *stepper, _ int32, lo, hi int64, src int, tag int64) {
 	if err := a.Recv(src, tag, int(hi-lo+1)); err != nil {
 		fail(err)
 	}

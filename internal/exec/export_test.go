@@ -10,36 +10,69 @@ import (
 // control the memo differential tests compare against, not a second path.
 func WithoutMemos(l *Lowered) *Lowered {
 	c := *l
-	c.body, c.memos = unmemo(l.body), 0
+	c.body, c.memos = rewrite(l.body, func(s *lstmt) {
+		s.flags &^= memoBits
+		s.memo = 0
+		if s.op == opFor {
+			s.obj, s.rank = 0, 0
+		}
+	}), 0
 	return &c
 }
 
-func unmemo(body []lstmt) []lstmt {
+// WithoutSkips returns a copy of l with no loop inert-capable. The same
+// stepper runs it, stepping every iteration; it is the control the skip
+// differential tests compare against.
+func WithoutSkips(l *Lowered) *Lowered {
+	c := *l
+	c.body = rewrite(l.body, func(s *lstmt) { s.flags &^= fInert })
+	return &c
+}
+
+// rewrite returns a deep copy of body with f applied to every statement.
+func rewrite(body []lstmt, f func(*lstmt)) []lstmt {
 	if body == nil {
 		return nil
 	}
 	out := slices.Clone(body)
 	for i := range out {
 		s := &out[i]
-		s.flags &^= memoBits
-		s.memo = 0
-		if s.op == opFor {
-			s.obj, s.rank = 0, 0
-		}
-		s.body, s.els = unmemo(s.body), unmemo(s.els)
+		f(s)
+		s.body, s.els = rewrite(s.body, f), rewrite(s.els, f)
 	}
 	return out
 }
 
 // WithoutMemos is the image whose every process runs WithoutMemos of its
 // program.
-func (im *Image) WithoutMemos() *Image {
+func (im *Image) WithoutMemos() *Image { return im.each(WithoutMemos) }
+
+// WithoutSkips is the image whose every process runs WithoutSkips of its
+// program.
+func (im *Image) WithoutSkips() *Image { return im.each(WithoutSkips) }
+
+func (im *Image) each(f func(*Lowered) *Lowered) *Image {
 	c := *im
 	c.low = make([]*Lowered, len(im.low))
 	for p, l := range im.low {
-		c.low[p] = WithoutMemos(l)
+		c.low[p] = f(l)
 	}
 	return &c
+}
+
+// Inert lists, for every For of l in pre-order, whether the lowering made it
+// inert-capable.
+func Inert(l *Lowered) []bool { return inert(nil, l.body) }
+
+func inert(out []bool, body []lstmt) []bool {
+	for i := range body {
+		s := &body[i]
+		if s.op == opFor {
+			out = append(out, s.flags&fInert != 0)
+		}
+		out = inert(inert(out, s.body), s.els)
+	}
+	return out
 }
 
 // Memo is one control code of a lowered program and what the lowering

@@ -15,8 +15,8 @@ import (
 // buffers and scalar I-variables index the domain's stores — every expr.Expr
 // becomes an expr.Code over the variable slots, every value expression's
 // operator count, the one charge that depends on the program text alone, is
-// taken here, and every loop-invariant control code gets a memo slot
-// (memo.go). Nothing is evaluated or checked: which statements run, what they
+// taken here, and every loop-invariant control code gets a memo slot and
+// every inert-capable loop its mark (memo.go). Nothing is evaluated or checked: which statements run, what they
 // charge and how they fail is decided when the stepper reaches them, exactly
 // as before, so a lowered program that is never run has reported nothing.
 
@@ -65,8 +65,9 @@ const (
 // slices of them.
 type lstmt struct {
 	op opcode
-	// flags holds the coerce bits (fFromArray, fOwnerAll, fNeederAll) and
-	// which of lo, hi, x, y are memoized (mLo … mY, see memo.go).
+	// flags holds the coerce bits (fFromArray, fOwnerAll, fNeederAll), a
+	// For's fInert, and which of lo, hi, x, y are memoized (mLo … mY, see
+	// memo.go).
 	flags uint8
 	// dst is the variable slot the statement defines: an assignment's name, a
 	// read's or receive's destination, a loop's induction variable.
@@ -79,7 +80,7 @@ type lstmt struct {
 	obj  int32
 	rank int32 // Alloc: len(Shape)
 	tag  spmd.Tag
-	ops  int32 // vexprOps of val (or of the IfValue condition)
+	ops  int32 // vexprOps of val (or of the IfValue condition); an inert-capable For's per-iteration operations
 	// memo is the frame slot of the first memoized code of lo, hi, x, y; the
 	// others follow it in that order.
 	memo int32

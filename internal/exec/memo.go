@@ -29,14 +29,22 @@ import (
 // step, on the process and with the words it always did. The memo values live
 // in the stepper's frame past the variable slots, per run like the variables,
 // so a Lowered stays immutable and holds no cache.
+//
+// The same rule marks inert-capable loops. A For is one when its body holds
+// only guards and coerces, no coerce's needer is every process, and no owner,
+// needer or guard-process code in the body reads a slot the loop assigns. Then
+// every iteration decides this process's roles alike: if the first plays none,
+// neither does any other, and each charges a loop step and the same operations
+// (2 a coerce, 1 a guard; the For's ops) and does nothing else. The stepper
+// charges those iterations in one call (step.go's loop).
 
 // The bits of lstmt.flags.
 const (
 	fFromArray uint8 = 1 << iota // Coerce: the source is an array element, else a scalar I-variable
 	fOwnerAll                    // Coerce: the owner is every process
 	fNeederAll                   // Coerce: the needer is every process
-	_
-	mLo // lo is memoized
+	fInert                       // For: inert-capable; ops is one roleless iteration's operations
+	mLo                          // lo is memoized
 	mHi
 	mX
 	mY
@@ -119,7 +127,12 @@ func own(body []lstmt, loops []scope) {
 			loops[owner].loop.rank += int32(bits.OnesCount8(s.flags & memoBits))
 		}
 		if s.op == opFor {
-			own(s.body, append(loops, scope{s, bit(s.dst) | assigned(s.body)}))
+			sc := scope{s, bit(s.dst) | assigned(s.body)}
+			if ops := inertOps(s.body, sc.assigned); ops >= 0 {
+				s.flags |= fInert
+				s.ops = ops
+			}
+			own(s.body, append(loops, sc))
 		} else {
 			own(s.body, loops)
 			own(s.els, loops)
@@ -131,17 +144,47 @@ func own(body []lstmt, loops []scope) {
 // c reads, or -1. Inner loops assign subsets of what outer ones do, so every
 // deeper loop qualifies too.
 func invariantIn(c *expr.Code, loops []scope) int {
-	var buf [8]int32
-	var reads uint64
-	for _, slot := range c.Slots(buf[:0]) {
-		reads |= bit(slot)
-	}
+	r := reads(c)
 	for k := range loops {
-		if loops[k].assigned&reads == 0 {
+		if loops[k].assigned&r == 0 {
 			return k
 		}
 	}
 	return -1
+}
+
+// reads is the set of slots c reads; a nil code reads none.
+func reads(c *expr.Code) (set uint64) {
+	if c == nil {
+		return 0
+	}
+	var buf [8]int32
+	for _, slot := range c.Slots(buf[:0]) {
+		set |= bit(slot)
+	}
+	return set
+}
+
+// inertOps returns the operations one roleless iteration of a loop body
+// charges, or -1 when a loop with that body, assigning the slots in assigned,
+// is not inert-capable.
+func inertOps(body []lstmt, assigned uint64) int32 {
+	ops := int32(0)
+	for i := range body {
+		s := &body[i]
+		switch {
+		case s.op == opGuard:
+			ops++
+		case s.op == opCoerce && s.flags&fNeederAll == 0:
+			ops += 2
+		default:
+			return -1
+		}
+		if (reads(s.x)|reads(s.y))&assigned != 0 {
+			return -1
+		}
+	}
+	return ops
 }
 
 // assigned is the set of slots that body, nested statements included,

@@ -16,6 +16,7 @@ import (
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
+	"procdecomp/internal/trace"
 	"procdecomp/internal/xform"
 )
 
@@ -31,12 +32,17 @@ type recorder struct {
 	procs int
 	log   []int64
 	sends []int64
+	bulk  int // LoopSteps calls
 }
 
 func (r *recorder) Procs() int  { return r.procs }
 func (r *recorder) Ops(n int64) { r.log = append(r.log, 1, n) }
 func (r *recorder) Mem(n int64) { r.log = append(r.log, 2, n) }
 func (r *recorder) LoopStep()   { r.log = append(r.log, 3) }
+func (r *recorder) LoopSteps(n, ops int64) {
+	r.log = append(r.log, 6, n, ops)
+	r.bulk++
+}
 func (r *recorder) Send(dst int, tag int64, values int) error {
 	r.log = append(r.log, 4, int64(dst), tag, int64(values))
 	r.sends = append(r.sends, int64(dst))
@@ -218,43 +224,118 @@ func TestLowerAllocsUnchangedByMemo(t *testing.T) {
 	}
 }
 
-// differ walks and runs progs with and without memos and fails on any
-// difference; it reports whether the run succeeded.
-func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map[string]*istruct.Matrix) bool {
+// spans is a walk as autotune's recorder sees it: each message, and the
+// operations, accesses and loop steps charged between two messages summed
+// into one compute span. The span keeps the three counts apart, so no cost
+// table can hide a charge moved from one kind to another.
+func (r *recorder) spans() []int64 {
+	var out []int64
+	var ops, mem, steps int64
+	flush := func() {
+		if ops|mem|steps != 0 {
+			out = append(out, 0, ops, mem, steps)
+			ops, mem, steps = 0, 0, 0
+		}
+	}
+	for i := 0; i < len(r.log); {
+		switch r.log[i] {
+		case 1:
+			ops += r.log[i+1]
+			i += 2
+		case 2:
+			mem += r.log[i+1]
+			i += 2
+		case 3:
+			steps++
+			i++
+		case 6:
+			steps += r.log[i+1]
+			ops += r.log[i+1] * r.log[i+2]
+			i += 3
+		default: // a message: kind, peer, tag, values
+			flush()
+			out = append(out, r.log[i:i+4]...)
+			i += 4
+		}
+	}
+	flush()
+	return out
+}
+
+// A control is what a differential test holds a lowered image to: the same
+// image with one lowering decision undone, run by the same stepper, and the
+// view of a walk on which the two must agree.
+type control struct {
+	undone string
+	undo   func(*exec.Image) *exec.Image
+	walked func(*recorder) []int64
+}
+
+var (
+	// Memos change how often a code is evaluated, never a charge: the walks
+	// agree call by call.
+	noMemos = control{"memos", (*exec.Image).WithoutMemos, func(r *recorder) []int64 { return r.log }}
+	// Skips make one charge of many: the walks agree span by span.
+	noSkips = control{"skips", (*exec.Image).WithoutSkips, (*recorder).spans}
+)
+
+// differ walks and runs (traced) progs as lowered and with c's decision
+// undone, and fails on any difference. It reports whether the run succeeded
+// and how many bulk loop charges the lowered image's walks made.
+func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map[string]*istruct.Matrix, c control) (ran bool, bulk int) {
 	t.Helper()
 	im, err := exec.LowerAll(progs, procs)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	ctl := im.WithoutMemos()
+	ctl := c.undo(im)
 	for p := 0; p < procs; p++ {
 		a, b := &recorder{procs: procs}, &recorder{procs: procs}
 		ea, eb := im.Walk(p, a), ctl.Walk(p, b)
-		if errText(ea) != errText(eb) || !slices.Equal(a.log, b.log) {
-			t.Fatalf("%s: process %d walks differently: memoized %q, %d actions; unmemoized %q, %d actions",
-				name, p, errText(ea), len(a.log), errText(eb), len(b.log))
+		if errText(ea) != errText(eb) || !slices.Equal(c.walked(a), c.walked(b)) {
+			t.Fatalf("%s: process %d walks differently: with %s %q, %d actions; without %q, %d actions",
+				name, p, c.undone, errText(ea), len(c.walked(a)), errText(eb), len(c.walked(b)))
 		}
+		bulk += a.bulk
 	}
-	cfg := machine.DefaultConfig(procs)
-	oa, ea := im.Run(context.Background(), cfg, ins)
-	ob, eb := ctl.Run(context.Background(), cfg, ins)
+	oa, ta, ea := tracedRun(im, machine.DefaultConfig(procs), ins)
+	ob, tb, eb := tracedRun(ctl, machine.DefaultConfig(procs), ins)
 	if errText(ea) != errText(eb) {
-		t.Fatalf("%s: memoized run error %q, unmemoized %q", name, errText(ea), errText(eb))
+		t.Fatalf("%s: run error with %s %q, without %q", name, c.undone, errText(ea), errText(eb))
 	}
 	if ea != nil {
-		return false
+		return false, bulk
 	}
+	sameOutcome(t, name+" without "+c.undone, oa, ob)
+	for p := 0; p < procs; p++ {
+		if !slices.Equal(ta.Events(p), tb.Events(p)) {
+			t.Fatalf("%s: process %d traces differently with and without %s", name, p, c.undone)
+		}
+	}
+	return true, bulk
+}
+
+// tracedRun runs im under cfg with a fresh tracer.
+func tracedRun(im *exec.Image, cfg machine.Config, ins map[string]*istruct.Matrix) (*exec.SPMDOutcome, *trace.Log, error) {
+	cfg.Tracer = trace.New()
+	out, err := im.Run(context.Background(), cfg, ins)
+	return out, cfg.Tracer, err
+}
+
+// sameOutcome fails unless two runs' Stats, scalars and gathered arrays are
+// identical.
+func sameOutcome(t *testing.T, name string, oa, ob *exec.SPMDOutcome) {
+	t.Helper()
 	if !reflect.DeepEqual(oa.Stats, ob.Stats) || !reflect.DeepEqual(oa.Scalars, ob.Scalars) || len(oa.Arrays) != len(ob.Arrays) {
-		t.Fatalf("%s: memoized run %+v, unmemoized %+v", name, oa.Stats, ob.Stats)
+		t.Fatalf("%s: run %+v, control %+v", name, oa.Stats, ob.Stats)
 	}
 	for n, ma := range oa.Arrays {
 		va, da := ma.Snapshot()
 		vb, db := ob.Arrays[n].Snapshot()
 		if !reflect.DeepEqual(va, vb) || !reflect.DeepEqual(da, db) {
-			t.Fatalf("%s: output %s differs with and without memos", name, n)
+			t.Fatalf("%s: output %s differs from the control's", name, n)
 		}
 	}
-	return true
 }
 
 // compile checks src at procs processes (retargeted to m unless nil) and
@@ -286,11 +367,16 @@ func compile(src, entry string, procs int, defines map[string]int64, m *autotune
 
 // The memo is the only variable: the compiled variants of Fig. 6, Jacobi,
 // heat, reversed Gauss-Seidel and every candidate pdmap enumerates for
-// Gauss-Seidel at N=16, S=4 walk, run, fail and gather exactly alike with and
-// without it. No candidate is skipped for being unmodeled or infeasible; at
-// this size all 66 compile and walk (pdmap_gs_s4_n24.json has none of either
-// kind at N=24 too).
-func TestMemoIsInvisible(t *testing.T) {
+// Gauss-Seidel at N=16, S=4 walk, run, trace, fail and gather exactly alike
+// with and without it.
+func TestMemoIsInvisible(t *testing.T) { differAll(t, noMemos) }
+
+// differAll runs differ over the corpus of the differential tests and returns
+// the bulk loop charges its walks made. No candidate is skipped for being
+// unmodeled or infeasible; at this size all 66 compile and walk
+// (pdmap_gs_s4_n24.json has none of either kind at N=24 too).
+func differAll(t *testing.T, c control) (bulk int) {
+	t.Helper()
 	type point struct {
 		name, src, entry string
 		procs            int
@@ -345,13 +431,16 @@ func TestMemoIsInvisible(t *testing.T) {
 		if p.rod {
 			ins = map[string]*istruct.Matrix{"U": rod(t, 16, 16)}
 		}
-		if !differ(t, p.name, progs, p.procs, ins) {
+		ran, n := differ(t, p.name, progs, p.procs, ins, c)
+		if !ran {
 			failedRun++
 		}
+		bulk += n
 	}
 	if failedRun != 1 {
 		t.Errorf("%d runs failed, want 1: the heat point with a defined input", failedRun)
 	}
+	return bulk
 }
 
 // rod is heat's input: row 1 defined, a hot spot in the middle.

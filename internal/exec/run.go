@@ -348,19 +348,23 @@ func (d *concrete) alloc(st *stepper, s *lstmt) {
 	d.arrays[s.obj] = m
 }
 
-// allocBuf gives buffer s.obj a fresh, all-zero body. The optimized programs
-// allocate their message buffers inside loops, once per iteration, so the
-// previous body is cleared and reused when it is large enough: nothing else
-// holds it (a send copies out of it, a receive into it).
-func (d *concrete) allocBuf(st *stepper, s *lstmt) {
-	n := st.ctl(s, mLo) + 1 // 1-based
-	if buf := d.bufs[s.obj]; n >= 0 && n <= int64(cap(buf)) {
-		d.bufs[s.obj] = buf[:n]
-		clear(d.bufs[s.obj])
+// allocBuf gives buffer slot a fresh, all-zero body of size elements. The
+// optimized programs allocate their message buffers inside loops, once per
+// iteration, so the previous body is cleared and reused when it is large
+// enough: nothing else holds it (a send copies out of it, a receive into it).
+func (d *concrete) allocBuf(_ *stepper, slot int32, size int64) {
+	n := size + 1 // 1-based
+	if buf := d.bufs[slot]; n <= int64(cap(buf)) {
+		d.bufs[slot] = buf[:n]
+		clear(d.bufs[slot])
 		return
 	}
-	d.bufs[s.obj] = make([]Value, n)
+	d.bufs[slot] = make([]Value, n)
 }
+
+// loopSteps is the machine's bulk loop charge, which it declines under faults
+// and placement.
+func (d *concrete) loopSteps(n, ops int64) bool { return d.Proc.LoopSteps(n, ops) }
 
 func (d *concrete) defineScalar(st *stepper, slot int32, v Value) {
 	iv := d.ivars[slot]

@@ -29,6 +29,10 @@ type domain interface {
 	Ops(n int64)
 	Mem(n int64)
 	LoopStep()
+	// loopSteps charges n iterations of a loop that each make a loop step
+	// and ops operations and nothing else, in one call, or declines (false,
+	// nothing charged) when the charges must be made one at a time.
+	loopSteps(n, ops int64) bool
 
 	// undefined answers a read of a variable the frame does not hold, and
 	// absent a value expression that failed to evaluate (err says why).
@@ -42,7 +46,7 @@ type domain interface {
 	stored(st *stepper, v *lvexpr) Value
 
 	alloc(st *stepper, s *lstmt)
-	allocBuf(st *stepper, s *lstmt)
+	allocBuf(st *stepper, buf int32, size int64)
 	defineScalar(st *stepper, slot int32, v Value)
 	scalar(st *stepper, slot int32) (Value, bool)
 	// aread, awrite, bufRead and bufWrite access element s.lo (, s.hi) of
@@ -54,6 +58,7 @@ type domain interface {
 
 	send(dst int, tag int64, v Value)
 	recv(src int, tag int64) (Value, bool)
+	// sendBuf and recvBuf move buf[lo..hi], lo <= hi.
 	sendBuf(st *stepper, buf int32, lo, hi int64, dst int, tag int64)
 	recvBuf(st *stepper, buf int32, lo, hi int64, src int, tag int64)
 }
@@ -175,7 +180,11 @@ func (st *stepper) stmt(s *lstmt) {
 	case opAlloc:
 		d.alloc(st, s)
 	case opAllocBuf:
-		d.allocBuf(st, s)
+		size := st.ctl(s, mLo)
+		if size < 0 {
+			failf("buffer %s of size %d", st.low.bufs[s.obj], size)
+		}
+		d.allocBuf(st, s.obj, size)
 	case opAssignVar:
 		d.Ops(int64(s.ops))
 		v, known := st.evalV(s.val)
@@ -210,30 +219,17 @@ func (st *stepper) stmt(s *lstmt) {
 		v, known := d.recv(int(st.ctl(s, mX)), s.tag)
 		st.set(s.dst, v, known)
 	case opSendBuf:
-		lo, hi := st.ctl(s, mLo), st.ctl(s, mHi)
-		d.sendBuf(st, s.obj, lo, hi, int(st.ctl(s, mX)), s.tag)
+		lo, hi, dst := st.block(s, "send of")
+		d.sendBuf(st, s.obj, lo, hi, dst, s.tag)
 	case opRecvBuf:
-		lo, hi := st.ctl(s, mLo), st.ctl(s, mHi)
-		d.recvBuf(st, s.obj, lo, hi, int(st.ctl(s, mX)), s.tag)
+		lo, hi, src := st.block(s, "receive into")
+		d.recvBuf(st, s.obj, lo, hi, src, s.tag)
 	case opCoerce:
 		st.coerce(s)
 	case opFor:
-		lo, hi, step := st.ctl(s, mLo), st.ctl(s, mHi), st.ctl(s, mX)
-		if step <= 0 {
-			failf("loop step %d", step)
-		}
-		clear(st.f.Known[s.obj : s.obj+s.rank]) // a new activation: forget the memos this loop owns
-		for x := lo; x <= hi; x += step {
-			d.LoopStep()
-			st.vals[s.dst] = Value(x)
-			st.f.Vals[s.dst], st.f.Known[s.dst] = x, true // exact integer, not a float round-trip
-			st.exec(s.body)
-		}
+		st.loop(s)
 	case opGuard:
-		d.Ops(1) // the mynode() test of run-time resolution, charged on every process
-		if st.ctl(s, mX) == st.me {
-			st.exec(s.body)
-		}
+		st.guard(s)
 	case opIfValue:
 		d.Ops(int64(s.ops))
 		c, known := st.evalV(s.val)
@@ -250,6 +246,78 @@ func (st *stepper) stmt(s *lstmt) {
 	}
 }
 
+// block evaluates a block transfer's range and peer, refusing an empty range.
+func (st *stepper) block(s *lstmt, what string) (lo, hi int64, peer int) {
+	lo, hi, peer = st.ctl(s, mLo), st.ctl(s, mHi), int(st.ctl(s, mX))
+	if hi < lo {
+		failf("block %s %s[%d..%d]", what, st.low.bufs[s.obj], lo, hi)
+	}
+	return lo, hi, peer
+}
+
+// loop runs a For. An inert-capable loop (fInert, memo.go) watches its first
+// iteration: when this process plays no role in it, no later iteration can
+// play one either, because every owner, needer and guard process reads only
+// slots the loop does not assign. Each later iteration would charge a loop
+// step and s.ops operations and do nothing else, so the domain charges them
+// in one call and the induction variable takes its last value. A domain that
+// must see every charge by itself declines, and the loop steps on.
+func (st *stepper) loop(s *lstmt) {
+	lo, hi, step := st.ctl(s, mLo), st.ctl(s, mHi), st.ctl(s, mX)
+	if step <= 0 {
+		failf("loop step %d", step)
+	}
+	clear(st.f.Known[s.obj : s.obj+s.rank]) // a new activation: forget the memos this loop owns
+	x := lo
+	if s.flags&fInert != 0 && x <= hi {
+		st.d.LoopStep()
+		st.induct(s.dst, x)
+		if st.roleless(s.body) {
+			// The iterations left; unsigned, so hi-x cannot overflow.
+			if n := int64(uint64(hi-x) / uint64(step)); n > 0 && st.d.loopSteps(n, int64(s.ops)) {
+				st.induct(s.dst, x+n*step)
+				return
+			}
+		}
+		x += step
+	}
+	for ; x <= hi; x += step {
+		st.d.LoopStep()
+		st.induct(s.dst, x)
+		st.exec(s.body)
+	}
+}
+
+// induct sets a loop's induction variable to x.
+func (st *stepper) induct(slot int32, x int64) {
+	st.vals[slot] = Value(x)
+	st.f.Vals[slot], st.f.Known[slot] = x, true // exact integer, not a float round-trip
+}
+
+// roleless runs one iteration of an inert-capable loop's body, coerces and
+// guards only, and reports whether this process played no role in it.
+func (st *stepper) roleless(body []lstmt) bool {
+	acted := false
+	for i := range body {
+		if s := &body[i]; s.op == opGuard {
+			acted = st.guard(s) || acted
+		} else {
+			acted = st.coerce(s) || acted
+		}
+	}
+	return !acted
+}
+
+// guard runs a Guard and reports whether this process is the one it names.
+func (st *stepper) guard(s *lstmt) bool {
+	st.d.Ops(1) // the mynode() test of run-time resolution, charged on every process
+	if st.ctl(s, mX) != st.me {
+		return false
+	}
+	st.exec(s.body)
+	return true
+}
+
 // coerceSrc reads a coerce's source element or scalar, charging the access.
 func (st *stepper) coerceSrc(s *lstmt) (Value, bool) {
 	st.d.Mem(1)
@@ -262,17 +330,19 @@ func (st *stepper) coerceSrc(s *lstmt) (Value, bool) {
 
 // coerce implements run-time resolution's value movement (§3.1). Every
 // process executes the statement and plays its role; the ownership tests are
-// charged as compute. s.x is the owner and s.y the needer.
-func (st *stepper) coerce(s *lstmt) {
+// charged as compute. s.x is the owner and s.y the needer. It reports whether
+// this process had a role: read, sent or received.
+func (st *stepper) coerce(s *lstmt) bool {
 	d := st.d
 	d.Ops(2) // owner/needer membership tests
 	switch {
 	case s.flags&fOwnerAll != 0:
 		// Replicated source: everyone who needs it reads its own copy.
-		if s.flags&fNeederAll != 0 || st.ctl(s, mY) == st.me {
-			v, known := st.coerceSrc(s)
-			st.set(s.dst, v, known)
+		if s.flags&fNeederAll == 0 && st.ctl(s, mY) != st.me {
+			return false
 		}
+		v, known := st.coerceSrc(s)
+		st.set(s.dst, v, known)
 	case s.flags&fNeederAll != 0:
 		owner := st.ctl(s, mX)
 		if owner == st.me {
@@ -290,17 +360,20 @@ func (st *stepper) coerce(s *lstmt) {
 	default:
 		owner, needer := st.ctl(s, mX), st.ctl(s, mY)
 		switch {
+		case owner == needer && owner == st.me:
+			v, known := st.coerceSrc(s)
+			st.set(s.dst, v, known)
 		case owner == needer:
-			if owner == st.me {
-				v, known := st.coerceSrc(s)
-				st.set(s.dst, v, known)
-			}
+			return false
 		case owner == st.me:
 			v, _ := st.coerceSrc(s)
 			d.send(int(needer), s.tag, v)
 		case needer == st.me:
 			v, known := d.recv(int(owner), s.tag)
 			st.set(s.dst, v, known)
+		default:
+			return false
 		}
 	}
+	return true
 }

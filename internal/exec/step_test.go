@@ -63,6 +63,38 @@ func TestConcreteFailureMessages(t *testing.T) {
 	}
 }
 
+// A malformed block transfer or buffer size is refused by the stepper, so a
+// walk and a run fail at the same step with the same words; a run used to die
+// on a Go runtime error instead (a slice bound, makeslice).
+func TestMalformedBuffersFailAlikeOnBothDomains(t *testing.T) {
+	c := expr.C
+	alloc := &spmd.AllocBuf{Buf: "B", Size: c(6)}
+	for _, tc := range []struct {
+		name string
+		body []spmd.Stmt
+		want string
+	}{
+		{"block send of an empty range",
+			[]spmd.Stmt{alloc, &spmd.SendBuf{Dst: c(1), Tag: 1, Buf: "B", Lo: c(5), Hi: c(3)}},
+			"block send of B[5..3]"},
+		{"block receive into an empty range",
+			[]spmd.Stmt{alloc, &spmd.RecvBuf{Src: c(1), Tag: 1, Buf: "B", Lo: c(5), Hi: c(3)}},
+			"block receive into B[5..3]"},
+		{"buffer of negative size",
+			[]spmd.Stmt{&spmd.AllocBuf{Buf: "B", Size: c(-3)}, &spmd.BufWrite{Buf: "B", Idx: c(1), Val: spmd.VConst{F: 1}}},
+			"buffer B of size -3"},
+	} {
+		p := &spmd.Program{Name: "t", Proc: -1, Body: []spmd.Stmt{&spmd.Guard{Proc: c(0), Body: tc.body}}}
+		if err := Lower(p).Walk(0, nullSink{procs: 2}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: walk error %v, want %q", tc.name, err, tc.want)
+		}
+		_, err := RunSPMD([]*spmd.Program{p}, machine.DefaultConfig(2), nil)
+		if want := "machine: process 0 failed: process 0: " + tc.want; err == nil || err.Error() != want {
+			t.Errorf("%s: run error %v, want %q", tc.name, err, want)
+		}
+	}
+}
+
 // The stepper walks slices of lstmt, and a lowering's bytes are part of every
 // search candidate's: the memo index and mask fit in what the three coerce
 // bools and a 64-bit operator count used to take.
@@ -79,6 +111,7 @@ func (s nullSink) Procs() int               { return s.procs }
 func (nullSink) Ops(int64)                  {}
 func (nullSink) Mem(int64)                  {}
 func (nullSink) LoopStep()                  {}
+func (nullSink) LoopSteps(int64, int64)     {}
 func (nullSink) Send(int, int64, int) error { return nil }
 func (nullSink) Recv(int, int64, int) error { return nil }
 

@@ -561,6 +561,22 @@ func (p *Proc) Mem(n int64) { p.Compute(Cost(n) * p.m.cfg.MemCost) }
 // LoopStep charges one loop-iteration bookkeeping step.
 func (p *Proc) LoopStep() { p.Compute(p.m.cfg.LoopCost) }
 
+// LoopSteps charges n loop iterations that each make a bookkeeping step and
+// ops scalar operations, as one Compute: n·ops·OpCost + n·LoopCost, the sum
+// the separate charges would make, traced as the one compute span the tracer
+// would have coalesced them into. It declines, charging nothing and returning
+// false, under Config.Faults or Config.Placement: there each charge is scaled
+// with its own rounding, checked against a crash point, or scheduled on a
+// shared CPU by itself, so the caller must make them one at a time.
+func (p *Proc) LoopSteps(n, ops int64) bool {
+	cfg := &p.m.cfg
+	if cfg.Faults != nil || p.m.sched != nil {
+		return false
+	}
+	p.Compute(Cost(n) * (Cost(ops)*cfg.OpCost + cfg.LoopCost))
+	return true
+}
+
 // Send transmits vals to processor dst with the given tag: the paper's
 // csend. The sender is charged start-up plus per-value packing; the message
 // arrives on the wire Latency cycles later. Sends are buffered and, unless
