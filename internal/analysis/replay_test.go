@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"procdecomp/internal/trace"
@@ -204,5 +205,73 @@ func TestReplayAllocationsDoNotGrowWithMessages(t *testing.T) {
 	small, large := allocs(10), allocs(1000)
 	if small != large {
 		t.Errorf("Replay allocates %.0f times at 10 messages, %.0f at 1,000", small, large)
+	}
+}
+
+// TestReplayDumpPing: the ping of machine's TestTraceDirectPing, replayed
+// under that test's calibration, lays down the spans the machine traced —
+// the sender's compute [0,50) and send [50,152), the receiver's idle
+// [0,157) and recv [157,169) — field for field.
+func TestReplayDumpPing(t *testing.T) {
+	costs := Costs{OpCost: 1, MemCost: 1, LoopCost: 1, SendStartup: 100, RecvStartup: 10, PerValue: 2, Latency: 5, ValueBytes: 4}
+	acts := [][]Action{
+		{{Kind: trace.KindCompute, Dur: 50}, {Kind: trace.KindSend, Peer: 1, Tag: 7, Values: 1, Seq: 1}},
+		{{Kind: trace.KindRecv, Peer: 0, Tag: 7, Values: 1, Seq: 1}},
+	}
+	d, err := ReplayDump(acts, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]trace.Event{
+		{
+			{Proc: 0, Kind: trace.KindCompute, Start: 0, End: 50, Peer: -1},
+			{Proc: 0, Kind: trace.KindSend, Start: 50, End: 152, Peer: 1, Tag: 7, Values: 1, Seq: 1},
+		},
+		{
+			{Proc: 1, Kind: trace.KindIdle, Start: 0, End: 157, Peer: 0, Tag: 7, Seq: 1, Arrive: 157},
+			{Proc: 1, Kind: trace.KindRecv, Start: 157, End: 169, Peer: 0, Tag: 7, Values: 1, Seq: 1, Arrive: 157},
+		},
+	}
+	if d.Version != Version || d.Procs != 2 || d.Costs != costs || len(d.Events) != len(want) {
+		t.Fatalf("dump header %d/%d/%+v with %d streams", d.Version, d.Procs, d.Costs, len(d.Events))
+	}
+	for p := range want {
+		if !slices.Equal(d.Events[p], want[p]) {
+			t.Errorf("proc %d: replayed %+v, want %+v", p, d.Events[p], want[p])
+		}
+	}
+	if d.Makespan() != 169 {
+		t.Errorf("makespan %d, want 169", d.Makespan())
+	}
+}
+
+// TestReplayDumpAllocationsDoNotGrowWithMessages: ReplayDump sizes every
+// process's events once, from its actions, so its allocations are the same
+// at 10 messages as at 1,000.
+func TestReplayDumpAllocationsDoNotGrowWithMessages(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const procs = 4
+	allocs := func(messages int) float64 {
+		acts := make([][]Action, procs)
+		seq := make([]uint64, procs)
+		for m := range messages {
+			src := m % procs
+			dst := (src + 1) % procs
+			seq[src]++
+			acts[src] = append(acts[src], Action{Kind: trace.KindCompute, Dur: 3},
+				Action{Kind: trace.KindSend, Peer: dst, Values: 2, Seq: seq[src]})
+			acts[dst] = append(acts[dst], Action{Kind: trace.KindRecv, Peer: src, Values: 2, Seq: seq[src]})
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ReplayDump(acts, testCosts()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(1000)
+	if small != large {
+		t.Errorf("ReplayDump allocates %.0f times at 10 messages, %.0f at 1,000", small, large)
 	}
 }

@@ -90,11 +90,12 @@ func walkedProfiles(t *testing.T, src, entry, distName string, defines map[strin
 	return out
 }
 
-// TestReplayMatchesMapOracleOnWalkedProfiles: on every profile the search
-// witness's workloads walk (GS at N=16 and 24, reversed GS and Jacobi at
-// N=24, S ∈ {2, 4, 8}), Replay returns exactly what the map-keyed oracle
-// does, under the calibration the search replays with.
-func TestReplayMatchesMapOracleOnWalkedProfiles(t *testing.T) {
+// eachWalkedProfile calls f on every profile the search witness's workloads
+// walk (GS at N=16 and 24, reversed GS and Jacobi at N=24, S ∈ {2, 4, 8}),
+// with the calibration the search replays it under, and fails the test if
+// there are suspiciously few.
+func eachWalkedProfile(t *testing.T, f func(name string, pf *autotune.Profile, costs analysis.Costs)) {
+	t.Helper()
 	n16, n24 := map[string]int64{"N": 16}, map[string]int64{"N": 24}
 	workloads := []struct {
 		name, src, entry, dist string
@@ -111,12 +112,7 @@ func TestReplayMatchesMapOracleOnWalkedProfiles(t *testing.T) {
 		for _, w := range workloads {
 			for name, pf := range walkedProfiles(t, w.src, w.entry, w.dist, w.defines, procs) {
 				profiles++
-				got, gotErr := analysis.Replay(pf.Acts, costs)
-				want, wantErr := analysis.ReplayByMap(pf.Acts, costs)
-				if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Errorf("%s S=%d %s: Replay = %d, %v; the map oracle says %d, %v",
-						w.name, procs, name, got, gotErr, want, wantErr)
-				}
+				f(fmt.Sprintf("%s S=%d %s", w.name, procs, name), pf, costs)
 			}
 		}
 	}
@@ -124,4 +120,44 @@ func TestReplayMatchesMapOracleOnWalkedProfiles(t *testing.T) {
 	if profiles < 300 {
 		t.Errorf("only %d walked profiles compared", profiles)
 	}
+}
+
+// TestReplayMatchesMapOracleOnWalkedProfiles: on every walked profile,
+// Replay returns exactly what the map-keyed oracle does.
+func TestReplayMatchesMapOracleOnWalkedProfiles(t *testing.T) {
+	eachWalkedProfile(t, func(name string, pf *autotune.Profile, costs analysis.Costs) {
+		got, gotErr := analysis.Replay(pf.Acts, costs)
+		want, wantErr := analysis.ReplayByMap(pf.Acts, costs)
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: Replay = %d, %v; the map oracle says %d, %v", name, got, gotErr, want, wantErr)
+		}
+	})
+}
+
+// TestReplayDumpMatchesReplayOnWalkedProfiles: on every walked profile, the
+// replayed timeline ends where Replay says (or fails with its error), and
+// its critical path tiles that makespan.
+func TestReplayDumpMatchesReplayOnWalkedProfiles(t *testing.T) {
+	eachWalkedProfile(t, func(name string, pf *autotune.Profile, costs analysis.Costs) {
+		want, wantErr := analysis.Replay(pf.Acts, costs)
+		d, err := analysis.ReplayDump(pf.Acts, costs)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: ReplayDump fails with %v, Replay with %v", name, err, wantErr)
+			return
+		}
+		if err != nil {
+			return
+		}
+		if got := d.Makespan(); got != want {
+			t.Errorf("%s: replayed timeline ends at %d, Replay says %d", name, got, want)
+		}
+		cp, err := d.CriticalPath()
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			return
+		}
+		if cp.Len() != want || cp.Attr.Total() != want {
+			t.Errorf("%s: path %d cycles, attribution %d, makespan %d", name, cp.Len(), cp.Attr.Total(), want)
+		}
+	})
 }

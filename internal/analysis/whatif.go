@@ -87,7 +87,7 @@ type Action struct {
 	// delay of its message beyond the nominal latency (retries, jitter).
 	Dur    uint64
 	Peer   int   // send: destination; recv: source
-	Tag    int64 // message tag (Replay does not read it)
+	Tag    int64 // message tag: ReplayDump's spans carry it; the clocks do not read it
 	Values int
 	Seq    uint64 // message edge ID: the sender's 1-based send counter
 }
@@ -192,6 +192,38 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 // outside that numbering waits for a message that never comes, so it
 // deadlocks the replay exactly as one whose sender never reaches the send.
 func Replay(acts [][]Action, costs Costs) (uint64, error) {
+	return replay(acts, costs, nil)
+}
+
+// ReplayDump is Replay that also lays down the timeline: the dump holds each
+// process's spans exactly as a direct-mode traced run of the same DAG
+// records them, so (*Dump).CriticalPath attributes a replayed run as it
+// attributes a traced one. Each process's events are sized once, from its
+// actions.
+func ReplayDump(acts [][]Action, costs Costs) (*Dump, error) {
+	d := &Dump{Version: Version, Procs: len(acts), Costs: costs, Events: make([][]trace.Event, len(acts))}
+	for p, as := range acts {
+		n := len(as)
+		for _, a := range as {
+			if a.Kind == trace.KindRecv {
+				n++ // its idle span, if it waits
+			}
+		}
+		d.Events[p] = make([]trace.Event, 0, n)
+	}
+	if _, err := replay(acts, costs, d.Events); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// replay is Replay's recurrence. With evs non-nil it appends each action's
+// spans to evs[p] as machine.Proc emits them: a compute span with Peer -1
+// (none for zero cycles, which trace.Log drops), a send span, and for a
+// receive an idle span only when the message arrives after the clock, then
+// the recv span; idle and recv carry the arrival stamp.
+func replay(acts [][]Action, costs Costs, evs [][]trace.Event) (uint64, error) {
+	rec := evs != nil
 	ix := newMsgIndex(len(acts), func(p int) int {
 		n := 0
 		for _, a := range acts[p] {
@@ -214,16 +246,34 @@ func Replay(acts [][]Action, costs Costs) (uint64, error) {
 					if !ok || !released[s].set {
 						break // the sender has not reached this message, or never will
 					}
-					if rel := released[s].at; rel > clocks[p] {
+					rel := released[s].at
+					if rel > clocks[p] {
+						if rec {
+							evs[p] = append(evs[p], trace.Event{Proc: p, Kind: trace.KindIdle, Start: clocks[p], End: rel,
+								Peer: a.Peer, Tag: a.Tag, Seq: a.Seq, Arrive: rel})
+						}
 						clocks[p] = rel
 					}
-					clocks[p] += costs.RecvStartup + uint64(a.Values)*costs.PerValue
+					over := costs.RecvStartup + uint64(a.Values)*costs.PerValue
+					clocks[p] += over
+					if rec {
+						evs[p] = append(evs[p], trace.Event{Proc: p, Kind: trace.KindRecv, Start: clocks[p] - over, End: clocks[p],
+							Peer: a.Peer, Tag: a.Tag, Values: a.Values, Seq: a.Seq, Arrive: rel})
+					}
 				} else if a.Kind == trace.KindSend {
-					clocks[p] += costs.SendStartup + uint64(a.Values)*costs.PerValue
+					over := costs.SendStartup + uint64(a.Values)*costs.PerValue
+					clocks[p] += over
+					if rec {
+						evs[p] = append(evs[p], trace.Event{Proc: p, Kind: trace.KindSend, Start: clocks[p] - over, End: clocks[p],
+							Peer: a.Peer, Tag: a.Tag, Values: a.Values, Seq: a.Seq})
+					}
 					if s, ok := ix.slot(p, a.Seq); ok {
 						released[s] = stamp{at: clocks[p] + costs.Latency + a.Dur, set: true}
 					}
 				} else {
+					if rec && a.Dur > 0 {
+						evs[p] = append(evs[p], trace.Event{Proc: p, Kind: trace.KindCompute, Start: clocks[p], End: clocks[p] + a.Dur, Peer: -1})
+					}
 					clocks[p] += a.Dur
 				}
 				idx[p]++

@@ -2,11 +2,13 @@ package autotune
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
 	"procdecomp/internal/bench"
 	"procdecomp/internal/dist"
+	"procdecomp/internal/exec"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 )
@@ -110,6 +112,29 @@ func TestSearchGaussSeidel(t *testing.T) {
 			}
 			if winner.Predicted != winner.Measured {
 				t.Errorf("winner predicted %d != measured %d", winner.Predicted, winner.Measured)
+			}
+
+			// The winner's attribution, which the search replays, is what a
+			// direct traced run of the winner attributes.
+			w, c := gsWorkload(tc.n), winner.Candidate
+			b, err := w.build(&c.Mapping, c.Mode, c.Blk, cfg.Procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins, err := exec.PatternInputs(b.info, w.Entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, d, err := measure(context.Background(), w, c, b, ins, cfg, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := d.CriticalPath()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Attr != cp.Attr {
+				t.Errorf("winner attribution %+v, a direct traced run of %s gives %+v", rep.Attr, c.Key(), cp.Attr)
 			}
 
 			// The reference is the paper's hand choice, and it measures exactly

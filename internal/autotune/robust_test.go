@@ -271,11 +271,11 @@ func TestSearchCtxCanceledInAnchor(t *testing.T) {
 	}
 }
 
-// TestSearchSurvivesPanickingWinner: the winner's traced rerun runs beside
-// tier 3 on the strength of the best prediction. When that candidate (and
+// TestSearchSurvivesPanickingWinner: when the best-predicted candidate (and
 // every twin of its makespan) panics in its measurement, the search crowns
-// the next measured candidate instead, and its attribution is that of its own
-// image's traced run, as a direct measure and CriticalPath give it.
+// the next measured candidate instead, and attributes that one — not the
+// best prediction — exactly as a direct traced measure and CriticalPath of
+// its own image do.
 func TestSearchSurvivesPanickingWinner(t *testing.T) {
 	cfg := machine.DefaultConfig(4)
 	base, err := Search(gsWorkload(16), cfg, Options{})

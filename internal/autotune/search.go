@@ -59,10 +59,13 @@ type Result struct {
 // Baseline is the traced run of the program as annotated, which anchors the
 // cost model before any candidate is trusted.
 type Baseline struct {
-	Mode      string
-	Blk       int64 `json:",omitempty"`
-	Measured  uint64
-	Predicted uint64 // the walked profile's replay; search fails unless equal
+	Mode     string
+	Blk      int64 `json:",omitempty"`
+	Measured uint64
+	// Predicted is the makespan of the walked profile's replayed timeline;
+	// the search fails unless that timeline is the traced run's, event for
+	// event, so it equals Measured.
+	Predicted uint64
 	Messages  int64
 	Values    int64
 }
@@ -87,7 +90,9 @@ type Report struct {
 	// Regret is the reference mapping's measured makespan minus the winner's:
 	// how many cycles the hand-chosen decomposition leaves on the table.
 	Regret uint64
-	// Attr partitions the winner's measured makespan by cause.
+	// Attr partitions the winner's measured makespan by cause: the critical
+	// path of its profile's replayed timeline, or of its traced run if the
+	// walk could not model it.
 	Attr analysis.Attribution
 }
 
@@ -103,10 +108,9 @@ type Options struct {
 	// machine (default 6).
 	TopK int
 	// Workers bounds both of the search's pools (default 4): tier 1's, which
-	// also runs the anchor, and tier 3's, which also runs the winner's
-	// traced rerun when the winner is known in advance. No search work runs
-	// outside them but the serial tier 2 and a winner rerun that could not
-	// run early. Results are written by index, so parallelism never changes
+	// also runs the anchor, and tier 3's. No search work runs outside them
+	// but the serial tier 2 and the winner's attribution, one replay of its
+	// profile. Results are written by index, so parallelism never changes
 	// the report.
 	Workers int
 	// BaselineMode/BaselineBlk select the anchor compilation of the program
@@ -207,6 +211,7 @@ func Measure(w *Workload, c Candidate, cfg machine.Config) (Measurement, error) 
 type run struct {
 	done bool
 	m    Measurement
+	d    *analysis.Dump // the trace of an image tier 1 could not model
 	err  error
 }
 
@@ -214,8 +219,9 @@ type run struct {
 // panic isolation: a panicking evaluation comes back as an
 // ErrEvalPanic-wrapped error instead of unwinding the pool. The image runs
 // once per twin set: the first twin to get past its hook fills r, and the
-// others copy it.
-func safeMeasure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config, hook func(string, Candidate), r *run) (m Measurement, err error) {
+// others copy it. An unmodeled image runs traced: it has no profile to
+// replay, so its trace is what attributes it should it win.
+func safeMeasure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config, hook func(string, Candidate), r *run, traced bool) (m Measurement, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			m, err = Measurement{}, panicAsError(c, p)
@@ -225,11 +231,21 @@ func safeMeasure(ctx context.Context, w *Workload, c Candidate, b *built, ins ma
 		hook("measure", c)
 	}
 	if !r.done {
-		r.m, _, r.err = measure(ctx, w, c, b, ins, cfg, false)
+		r.m, r.d, r.err = measure(ctx, w, c, b, ins, cfg, traced)
 		r.done = true
 	}
 	return r.m, r.err
 }
+
+// wrongAnswer is a run that completed with a result the sequential reference
+// rejects.
+type wrongAnswer struct {
+	key string
+	err error
+}
+
+func (e *wrongAnswer) Error() string { return e.key + " computes the wrong answer: " + e.err.Error() }
+func (e *wrongAnswer) Unwrap() error { return e.err }
 
 // measure runs a built candidate and validates its result; it optionally
 // traces the run and captures it for the analyzer.
@@ -245,7 +261,7 @@ func measure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[st
 		return Measurement{}, nil, err
 	}
 	if err := w.validate(out, b); err != nil {
-		return Measurement{}, nil, fmt.Errorf("%s computes the wrong answer: %w", c.Key(), err)
+		return Measurement{}, nil, &wrongAnswer{key: c.Key(), err: err}
 	}
 	m := Measurement{Makespan: uint64(out.Stats.Makespan), Messages: out.Stats.Messages, Values: out.Stats.Values}
 	if traced {
@@ -403,9 +419,9 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// The anchor is the pool's task 0, beside the mappings: tier 1 only
 	// compiles and walks, and trusts nothing the anchor decides, while tiers
 	// 2 and 3 start only once the pool has drained. It runs the program as
-	// annotated, traced, and demands that both the dump's identity replay and
-	// the walked profile's replay reproduce the measured makespan before the
-	// model is trusted anywhere else. If it fails, the mappings' work is
+	// annotated, traced, and demands that the walked profile's replayed
+	// timeline be that trace, event for event, before the model is trusted
+	// anywhere else. If it fails, the mappings' work is
 	// discarded; a panic in it is held until the pool drains and then raised
 	// on the caller's goroutine.
 	results := make([]Result, len(cands))
@@ -571,11 +587,9 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			toMeasure[i] = true
 		}
 	}
-	unmodeled := false
 	for i, r := range results {
 		if r.Unmodeled {
 			toMeasure[i] = true
-			unmodeled = true
 		}
 	}
 	var mIdx []int
@@ -589,39 +603,20 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 
 	// Tier 3: confirm on the simulated machine, one pool task per image so
 	// that twins run it once and copy the outcome.
-	//
-	// When every candidate measured is modeled, Predicted == Measured (checked
-	// below) makes the winner the best prediction, so its traced rerun joins
-	// the pool as one more task, the first handed out. After the pool the
-	// rerun is still compared with the winner's measurement. Should the
-	// winner turn out to be another candidate (the predicted one failed to
-	// run), or that task fail or panic, the winner is rerun after the pool
-	// instead.
-	guess := -1
-	if len(predicted) > 0 && !unmodeled {
-		guess = predicted[0]
-	}
-	var early traced
-	first := 0
-	if guess >= 0 {
-		first = 1
-	}
 	errs := make([]error, len(mIdx))
+	dumps := make([]*analysis.Dump, len(cands))
 	images := groupBy(len(mIdx), func(n int) *built { return builds[mIdx[n]] })
 	var measuredSoFar atomic.Int64
-	forEach(ctx, first+len(images), opts.Workers, func(task int) {
-		if task < first {
-			early = safeRerun(ctx, w, cands[guess], builds[guess], ins, cfg)
-			return
-		}
+	forEach(ctx, len(images), opts.Workers, func(task int) {
 		var r run
-		for _, n := range images[task-first] {
+		for _, n := range images[task] {
 			i := mIdx[n]
-			m, err := safeMeasure(ctx, w, cands[i], builds[i], ins, cfg, opts.evalHook, &r)
+			m, err := safeMeasure(ctx, w, cands[i], builds[i], ins, cfg, opts.evalHook, &r, results[i].Unmodeled)
 			if err != nil {
 				errs[n] = err
 				continue
 			}
+			dumps[i] = r.d
 			results[i].Status = StatusMeasured
 			results[i].Measured = m.Makespan
 			results[i].Messages = m.Messages
@@ -683,67 +678,26 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	rep.Winner = keys[winner]
 	rep.Regret = results[handIdx].Measured - results[winner].Measured
 
-	// The winner's image rerun traced: the rerun must reproduce the
-	// measurement exactly, and its critical path attributes the makespan by
-	// cause.
-	tr := early
-	if winner != guess || tr.runErr != nil || tr.cpErr != nil {
-		tr = rerun(ctx, w, cands[winner], builds[winner], ins, cfg)
-	}
-	if tr.runErr != nil {
-		if ctx.Err() != nil {
-			return interrupted(rep, results, ctx.Err())
+	// The winner's critical path attributes its makespan by cause. A modeled
+	// winner's replayed timeline is its run's trace event for event — the
+	// anchor demands exactly that of the one run the search traces — so
+	// replaying its profile attributes it without running it again.
+	d := dumps[winner]
+	if d == nil {
+		var err error
+		if d, err = analysis.ReplayDump(profiles[winner].Acts, analysis.CostsOf(cfg)); err != nil {
+			return nil, fmt.Errorf("autotune: winner replay: %w", err)
 		}
-		return nil, fmt.Errorf("autotune: winner rerun: %w", tr.runErr)
-	}
-	if tr.m.Makespan != results[winner].Measured {
-		return nil, fmt.Errorf("autotune: winner %s measured %d but rerun gave %d — the machine is not deterministic",
-			rep.Winner, results[winner].Measured, tr.m.Makespan)
-	}
-	if tr.cpErr != nil {
-		return nil, fmt.Errorf("autotune: winner attribution: %w", tr.cpErr)
-	}
-	rep.Attr = tr.attr
-	emit(Progress{Stage: "winner", Candidate: rep.Winner, Makespan: tr.m.Makespan})
-
-	rep.Results = orderResults(results)
-	return rep, nil
-}
-
-// traced is a traced rerun of a measured image: its measurement, and the
-// attribution of its critical path.
-type traced struct {
-	m      Measurement
-	attr   analysis.Attribution
-	runErr error // the rerun failed
-	cpErr  error // the rerun's trace has no critical path
-}
-
-// rerun runs an image traced and extracts the critical path of its trace.
-func rerun(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config) (t traced) {
-	var d *analysis.Dump
-	if t.m, d, t.runErr = measure(ctx, w, c, b, ins, cfg, true); t.runErr != nil {
-		return t
 	}
 	cp, err := d.CriticalPath()
 	if err != nil {
-		t.cpErr = err
-		return t
+		return nil, fmt.Errorf("autotune: winner attribution: %w", err)
 	}
-	t.attr = cp.Attr
-	return t
-}
+	rep.Attr = cp.Attr
+	emit(Progress{Stage: "winner", Candidate: rep.Winner, Makespan: results[winner].Measured})
 
-// safeRerun is rerun as a tier-3 pool task: a panic comes back as an
-// ErrEvalPanic-wrapped runErr, which sends the winner to the rerun after the
-// pool on the caller's goroutine.
-func safeRerun(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config) (t traced) {
-	defer func() {
-		if p := recover(); p != nil {
-			t = traced{runErr: panicAsError(c, p)}
-		}
-	}()
-	return rerun(ctx, w, c, b, ins, cfg)
+	rep.Results = orderResults(results)
+	return rep, nil
 }
 
 // walk is one stage's tier-1 outcome, which every twin sharing the stage
@@ -784,9 +738,10 @@ func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook
 }
 
 // anchor measures the declared program traced and checks the model against
-// it: dump identity replay, walked-profile replay, and message totals must all
-// agree with the machine. It returns the run inputs it built, which every
-// later run of the search shares.
+// it: the walked profile's replayed timeline must be the trace, event for
+// event — every compute span, message and wait of every process, so the
+// makespan and the message totals too. It returns the run inputs it built,
+// which every later run of the search shares.
 func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, rep *Report) (map[string]*istruct.Matrix, error) {
 	b, err := w.build(nil, opts.BaselineMode, opts.BaselineBlk, cfg.Procs)
 	if err != nil {
@@ -796,45 +751,31 @@ func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, 
 	if err != nil {
 		return nil, err
 	}
-	bcfg := cfg
-	tr := trace.New()
-	bcfg.Tracer = tr
-	out, err := b.img.Run(ctx, bcfg, ins)
+	m, traced, err := measure(ctx, w, Candidate{Mode: opts.BaselineMode, Blk: opts.BaselineBlk}, b, ins, cfg, true)
+	var wrong *wrongAnswer
+	if errors.As(err, &wrong) {
+		return nil, fmt.Errorf("autotune: baseline computes the wrong answer: %w", wrong.err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("autotune: baseline run: %w", err)
-	}
-	if err := w.validate(out, b); err != nil {
-		return nil, fmt.Errorf("autotune: baseline computes the wrong answer: %w", err)
-	}
-	measured := uint64(out.Stats.Makespan)
-
-	d := analysis.NewDump(bcfg, tr)
-	identity, err := d.Predict(analysis.Scenario{})
-	if err != nil {
-		return nil, fmt.Errorf("autotune: baseline identity replay: %w", err)
-	}
-	if identity != measured {
-		return nil, fmt.Errorf("autotune: baseline identity replay %d != measured %d", identity, measured)
 	}
 	pf, err := profileOf(b.img, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("autotune: baseline is not statically modelable: %w", err)
 	}
-	pred, err := pf.Predict(cfg)
+	replayed, err := analysis.ReplayDump(pf.Acts, analysis.CostsOf(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("autotune: baseline DAG replay: %w", err)
 	}
-	if pred != measured {
-		return nil, fmt.Errorf("autotune: baseline predicted %d != measured %d — the DAG replay disagrees with the machine", pred, measured)
-	}
-	if pf.Messages != out.Stats.Messages || pf.Values != out.Stats.Values {
-		return nil, fmt.Errorf("autotune: baseline modeled %d messages/%d values, machine reports %d/%d",
-			pf.Messages, pf.Values, out.Stats.Messages, out.Stats.Values)
+	for p := range traced.Events {
+		if !slices.Equal(replayed.Events[p], traced.Events[p]) {
+			return nil, fmt.Errorf("autotune: baseline process %d: the DAG replay's timeline disagrees with the machine's trace", p)
+		}
 	}
 	rep.Baseline = Baseline{
 		Mode: opts.BaselineMode, Blk: opts.BaselineBlk,
-		Measured: measured, Predicted: pred,
-		Messages: out.Stats.Messages, Values: out.Stats.Values,
+		Measured: m.Makespan, Predicted: replayed.Makespan(),
+		Messages: m.Messages, Values: m.Values,
 	}
 	return ins, nil
 }

@@ -25,8 +25,9 @@
 //     prediction is an error, never a report.
 //
 // A traced baseline run of the program's declared mapping anchors the model:
-// the dump's identity replay and the walked profile's replay must both equal
-// the measured makespan before any candidate is trusted.
+// the walked profile's replayed timeline must equal the trace, event for
+// event, before any candidate is trusted. The winner is attributed from its
+// own replayed timeline, which the anchor vouches for, without rerunning it.
 package autotune
 
 import (

@@ -2,8 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"procdecomp/internal/analysis"
+	"procdecomp/internal/autotune"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
@@ -12,47 +15,14 @@ import (
 	"procdecomp/internal/xform"
 )
 
-// endpoint is one message action as both a Sink and a trace see it.
-type endpoint struct {
-	kind   trace.Kind
-	peer   int
-	tag    int64
-	values int
-}
-
-// countingSink totals a walk's compute cycles and lists its message actions.
-type countingSink struct {
-	cfg    machine.Config
-	cycles uint64
-	msgs   []endpoint
-}
-
-func (s *countingSink) Procs() int  { return s.cfg.Procs }
-func (s *countingSink) Ops(n int64) { s.cycles += uint64(n) * s.cfg.OpCost }
-func (s *countingSink) Mem(n int64) { s.cycles += uint64(n) * s.cfg.MemCost }
-func (s *countingSink) LoopStep()   { s.cycles += s.cfg.LoopCost }
-
-func (s *countingSink) LoopSteps(n, ops int64) {
-	s.cycles += uint64(n) * (uint64(ops)*s.cfg.OpCost + s.cfg.LoopCost)
-}
-
-func (s *countingSink) Send(dst int, tag int64, values int) error {
-	s.msgs = append(s.msgs, endpoint{trace.KindSend, dst, tag, values})
-	return nil
-}
-
-func (s *countingSink) Recv(src int, tag int64, values int) error {
-	s.msgs = append(s.msgs, endpoint{trace.KindRecv, src, tag, values})
-	return nil
-}
-
-// The abstract run and the real run are one stepper over two domains, so they
-// must agree charge site by charge site, on every process — not only on the
-// makespan, where errors off the critical path (or compensating ones on it)
-// would hide. For every compiled variant, and the reversed-loop program under
-// every mode, × S∈{1,4,8}: process p's walked compute cycles equal its
-// measured Breakdown.Compute, and its walked send/recv sequence equals the
-// traced one, endpoint, tag and value count.
+// The abstract run and the real run are one stepper over two domains, and
+// the replay is the machine's clock recurrence, so the walked profile's
+// replayed timeline must be the traced run's, span for span, on every
+// process — not only the makespan, where errors off the critical path (or
+// compensating ones on it) would hide. Equal events cover each process's
+// compute cycles, its send/recv sequence (endpoint, tag, value count and
+// message number), and every wait. For every compiled variant, and the
+// reversed-loop program under every mode, × S∈{1,4,8}.
 func TestWalkMatchesRunPerProcess(t *testing.T) {
 	const n, blk = 16, 4
 	for _, procs := range []int{1, 4, 8} {
@@ -81,40 +51,39 @@ func TestWalkMatchesRunPerProcess(t *testing.T) {
 		for name, progs := range compiled {
 			t.Run(fmt.Sprintf("%s/S=%d", name, procs), func(t *testing.T) {
 				cfg := machine.DefaultConfig(procs)
+				pf, err := autotune.BuildProfile(progs, cfg)
+				if err != nil {
+					t.Fatalf("walk: %v", err)
+				}
+				replayed, err := analysis.ReplayDump(pf.Acts, analysis.CostsOf(cfg))
+				if err != nil {
+					t.Fatalf("replay: %v", err)
+				}
 				tr := trace.New()
 				cfg.Tracer = tr
-				out, err := exec.RunSPMD(progs, cfg, map[string]*istruct.Matrix{"Old": Input(n)})
-				if err != nil {
+				if _, err := exec.RunSPMD(progs, cfg, map[string]*istruct.Matrix{"Old": Input(n)}); err != nil {
 					t.Fatal(err)
 				}
-				pick, err := exec.PerProcess(progs, procs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for p := 0; p < procs; p++ {
-					sink := &countingSink{cfg: cfg}
-					if err := exec.Lower(pick(p)).Walk(p, sink); err != nil {
-						t.Fatalf("process %d: walk: %v", p, err)
-					}
-					if got, want := sink.cycles, uint64(out.Stats.Breakdown[p].Compute); got != want {
-						t.Errorf("process %d: walked %d compute cycles, the run charged %d", p, got, want)
-					}
-					var traced []endpoint
-					for _, e := range tr.Events(p) {
-						if e.Kind == trace.KindSend || e.Kind == trace.KindRecv {
-							traced = append(traced, endpoint{e.Kind, e.Peer, e.Tag, e.Values})
-						}
-					}
-					if len(traced) != len(sink.msgs) {
-						t.Fatalf("process %d: walked %d message actions, the run traced %d", p, len(sink.msgs), len(traced))
-					}
-					for i := range traced {
-						if traced[i] != sink.msgs[i] {
-							t.Fatalf("process %d: message action %d walked as %+v, traced as %+v", p, i, sink.msgs[i], traced[i])
-						}
+				traced := analysis.NewDump(cfg, tr)
+				for p := range procs {
+					// slices.Equal: a process with no events is nil in the
+					// log and empty in the replay.
+					if !slices.Equal(replayed.Events[p], traced.Events[p]) {
+						t.Errorf("process %d: replayed %d events, traced %d; first difference at %d",
+							p, len(replayed.Events[p]), len(traced.Events[p]), firstDiff(replayed.Events[p], traced.Events[p]))
 					}
 				}
 			})
 		}
 	}
+}
+
+// firstDiff is the index of the first event at which a and b differ.
+func firstDiff(a, b []trace.Event) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
