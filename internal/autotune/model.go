@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"procdecomp/internal/analysis"
@@ -67,37 +68,49 @@ func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
 	return profileOf(img, cfg)
 }
 
-// walkScratch recycles the slice the recorder appends into, so that growing
-// it by doubling is paid once per worker rather than once per profile.
-var walkScratch = sync.Pool{New: func() any { return new([]analysis.Action) }}
+// walkScratch recycles what a profile is built in, so that growing it by
+// doubling is paid once per worker rather than once per profile: the recorder
+// and the list it appends into, each process's end in that list, and match's
+// channel of each message.
+var walkScratch = sync.Pool{New: func() any { return new(scratch) }}
+
+type scratch struct {
+	cfg   machine.Config
+	rec   recorder
+	ends  []int
+	chans []int32
+}
 
 // profileOf walks every process of the image into one scratch list, then
 // copies the finished lists out at their exact size into one backing array:
 // a profile's garbage is nothing, not the doubled slices it grew through.
 func profileOf(img *exec.Image, cfg machine.Config) (*Profile, error) {
-	scratch := walkScratch.Get().(*[]analysis.Action)
-	r := recorder{cfg: &cfg, acts: (*scratch)[:0]}
+	sc := walkScratch.Get().(*scratch)
 	defer func() {
-		*scratch = r.acts
-		walkScratch.Put(scratch)
+		sc.cfg = machine.Config{} // keep nothing of the caller's
+		walkScratch.Put(sc)
 	}()
-	ends := make([]int, cfg.Procs)
-	for p := range ends {
-		if err := img.Walk(p, &r); err != nil {
+	sc.cfg = cfg
+	r := &sc.rec
+	r.cfg, r.acts, r.acc = &sc.cfg, r.acts[:0], 0
+	sc.ends = sc.ends[:0]
+	for p := range cfg.Procs {
+		if err := img.Walk(p, r); err != nil {
 			return nil, &ErrUnmodeled{Proc: p, Reason: err.Error()}
 		}
 		r.flush()
-		ends[p] = len(r.acts)
+		sc.ends = append(sc.ends, len(r.acts))
 	}
 	pf := &Profile{Procs: cfg.Procs, Acts: make([][]analysis.Action, cfg.Procs)}
-	all := make([]analysis.Action, len(r.acts))
-	copy(all, r.acts)
+	all := slices.Clone(r.acts) // not zeroed first, as make and copy would
 	start := 0
-	for p, end := range ends {
+	for p, end := range sc.ends {
 		pf.Acts[p] = all[start:end:end]
 		start = end
 	}
-	if err := pf.match(); err != nil {
+	// At most one entry per action: grown at once, never by doubling.
+	sc.chans = slices.Grow(sc.chans[:0], len(all))
+	if err := pf.match(&sc.chans); err != nil {
 		return nil, err
 	}
 	return pf, nil
@@ -153,8 +166,9 @@ func (r *recorder) Recv(src int, tag int64, values int) error {
 // message by (sender, number) exactly as a traced run's would. A receive
 // with no matching send means the candidate would deadlock. Both ends of
 // every channel are counted before any list is built, so the lists are
-// allocated once, at their size.
-func (pf *Profile) match() error {
+// allocated once, at their size. The first pass looks each message's channel
+// up once and keeps it in *chanOf, in message order, for the other two.
+func (pf *Profile) match(chanOf *[]int32) error {
 	// One entry per channel, in order of first appearance: its sends occupy
 	// sent[off : off+sends], filled up to fill; recvd counts the receives
 	// matched so far.
@@ -163,14 +177,17 @@ func (pf *Profile) match() error {
 		sends, recvs, off, fill, recvd int
 	}
 	var chans []channel
-	at := map[chanKey]int{}
+	at := map[chanKey]int32{}
+	of := (*chanOf)[:0]
+	defer func() { *chanOf = of }()
 	lookup := func(k chanKey) *channel {
 		i, ok := at[k]
 		if !ok {
-			i = len(chans)
+			i = int32(len(chans))
 			at[k] = i
 			chans = append(chans, channel{key: k})
 		}
+		of = append(of, i)
 		return &chans[i]
 	}
 	for p := range pf.Acts {
@@ -200,19 +217,29 @@ func (pf *Profile) match() error {
 		}
 	}
 	sent := make([]*analysis.Action, pf.Messages)
+	k := 0 // the message's index in of
 	for p := range pf.Acts {
 		for i := range pf.Acts[p] {
-			if a := &pf.Acts[p][i]; a.Kind == trace.KindSend {
-				c := &chans[at[chanKey{src: p, dst: a.Peer, tag: a.Tag}]]
+			switch a := &pf.Acts[p][i]; a.Kind {
+			case trace.KindSend:
+				c := &chans[of[k]]
 				sent[c.off+c.fill] = a
 				c.fill++
+				k++
+			case trace.KindRecv:
+				k++
 			}
 		}
 	}
+	k = 0
 	for p := range pf.Acts {
 		for i := range pf.Acts[p] {
-			if r := &pf.Acts[p][i]; r.Kind == trace.KindRecv {
-				c := &chans[at[chanKey{src: r.Peer, dst: p, tag: r.Tag}]]
+			switch r := &pf.Acts[p][i]; r.Kind {
+			case trace.KindSend:
+				k++
+			case trace.KindRecv:
+				c := &chans[of[k]]
+				k++
 				s := sent[c.off+c.recvd]
 				c.recvd++
 				if r.Values != s.Values {

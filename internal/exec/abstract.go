@@ -3,9 +3,10 @@ package exec
 // Sink receives what an abstract run of one process charges and
 // communicates. Procs, Ops, Mem, LoopStep and LoopSteps have machine.Proc's
 // meaning; LoopSteps(n, ops) stands for n iterations of LoopStep and
-// Ops(ops), which a walk makes in one call where no iteration does anything
-// else. Send and Recv carry the message's endpoint, tag and value count, and
-// an error from either stops the walk.
+// Ops(ops). Charges are additive: between two messages a walk may deliver a
+// run of them in any grouping, as one call per kind or as LoopSteps, so a
+// Sink must depend only on their sums. Send and Recv carry the message's
+// endpoint, tag and value count, and an error from either stops the walk.
 type Sink interface {
 	Procs() int
 	Ops(n int64)
@@ -22,12 +23,20 @@ type Sink interface {
 // depends on a data value (or would fail at run time for a reason visible
 // without data); such a program's cost is only known by running it.
 func (l *Lowered) Walk(me int, sink Sink) error {
-	return newStepper(l, me, abstract{sink}).run()
+	ts := tapePool.Get().(*tapes)
+	err := newStepper(l, me, abstract{sink, ts}).run()
+	tapePool.Put(ts)
+	return err
 }
 
 // abstract is the domain of Walk: it stores nothing, so every read is
 // unknown and every write is dropped; only message shapes reach the Sink.
-type abstract struct{ Sink }
+// It steps a uniform loop's first iteration into one of tapes and plays the
+// rest (uniform.go).
+type abstract struct {
+	Sink
+	tapes *tapes
+}
 
 func (abstract) undefined(*stepper, int32) (Value, bool) { return 0, false }
 func (abstract) absent(error) (Value, bool)              { return 0, false }

@@ -29,6 +29,15 @@ func WithoutSkips(l *Lowered) *Lowered {
 	return &c
 }
 
+// WithoutTapes returns a copy of l with no loop uniform. The same stepper
+// runs it, a walk stepping every iteration; it is the control the tape
+// differential tests compare against.
+func WithoutTapes(l *Lowered) *Lowered {
+	c := *l
+	c.body = rewrite(l.body, func(s *lstmt) { s.flags &^= fUniform })
+	return &c
+}
+
 // rewrite returns a deep copy of body with f applied to every statement.
 func rewrite(body []lstmt, f func(*lstmt)) []lstmt {
 	if body == nil {
@@ -51,6 +60,10 @@ func (im *Image) WithoutMemos() *Image { return im.each(WithoutMemos) }
 // program.
 func (im *Image) WithoutSkips() *Image { return im.each(WithoutSkips) }
 
+// WithoutTapes is the image whose every process runs WithoutTapes of its
+// program.
+func (im *Image) WithoutTapes() *Image { return im.each(WithoutTapes) }
+
 func (im *Image) each(f func(*Lowered) *Lowered) *Image {
 	c := *im
 	c.low = make([]*Lowered, len(im.low))
@@ -62,15 +75,19 @@ func (im *Image) each(f func(*Lowered) *Lowered) *Image {
 
 // Inert lists, for every For of l in pre-order, whether the lowering made it
 // inert-capable.
-func Inert(l *Lowered) []bool { return inert(nil, l.body) }
+func Inert(l *Lowered) []bool { return loops(nil, l.body, fInert) }
 
-func inert(out []bool, body []lstmt) []bool {
+// Uniform lists, for every For of l in pre-order, whether the lowering made it
+// uniform.
+func Uniform(l *Lowered) []bool { return loops(nil, l.body, fUniform) }
+
+func loops(out []bool, body []lstmt, f uint16) []bool {
 	for i := range body {
 		s := &body[i]
 		if s.op == opFor {
-			out = append(out, s.flags&fInert != 0)
+			out = append(out, s.flags&f != 0)
 		}
-		out = inert(inert(out, s.body), s.els)
+		out = loops(loops(out, s.body, f), s.els, f)
 	}
 	return out
 }
@@ -102,7 +119,7 @@ func Memos(l *Lowered) []Memo { return memos(nil, l.body, 0) }
 func memos(out []Memo, body []lstmt, depth int) []Memo {
 	for i := range body {
 		s := &body[i]
-		for k, f := range [...]uint8{mLo, mHi, mX, mY} {
+		for k, f := range [...]uint16{mLo, mHi, mX, mY} {
 			if s.code(f) != nil {
 				out = append(out, Memo{Op: opNames[s.op], Field: [...]string{"lo", "hi", "x", "y"}[k],
 					Depth: depth, Memoized: s.flags&f != 0})

@@ -34,10 +34,11 @@ func TestInertLoopsAreInvisible(t *testing.T) {
 }
 
 // skipBoth walks process me of a one-statement-list program on two processes
-// with and without skips and returns what both agree on.
+// with and without skips and returns what both agree on. Neither side tapes,
+// so the walks take the path a run does.
 func skipBoth(t *testing.T, me int, body ...spmd.Stmt) (*exec.Lowered, *recorder, string) {
 	t.Helper()
-	low := exec.Lower(&spmd.Program{Name: "t", Proc: -1, Body: body})
+	low := exec.WithoutTapes(exec.Lower(&spmd.Program{Name: "t", Proc: -1, Body: body}))
 	with, without := &recorder{procs: 2}, &recorder{procs: 2}
 	err, ctl := low.Walk(me, with), exec.WithoutSkips(low).Walk(me, without)
 	if errText(err) != errText(ctl) || !slices.Equal(with.spans(), without.spans()) || !slices.Equal(with.sends, without.sends) {
@@ -109,22 +110,24 @@ func TestInertLoopEdgeCases(t *testing.T) {
 	}
 }
 
-// callCounter is a Sink that counts the calls reaching it.
-type callCounter struct{ procs, calls int }
+// callCounter is a Sink that counts the calls reaching it, and the messages
+// among them.
+type callCounter struct{ procs, calls, msgs int }
 
 func (c *callCounter) Procs() int                 { return c.procs }
 func (c *callCounter) Ops(int64)                  { c.calls++ }
 func (c *callCounter) Mem(int64)                  { c.calls++ }
 func (c *callCounter) LoopStep()                  { c.calls++ }
 func (c *callCounter) LoopSteps(int64, int64)     { c.calls++ }
-func (c *callCounter) Send(int, int64, int) error { c.calls++; return nil }
-func (c *callCounter) Recv(int, int64, int) error { c.calls++; return nil }
+func (c *callCounter) Send(int, int64, int) error { c.calls++; c.msgs++; return nil }
+func (c *callCounter) Recv(int, int64, int) error { c.calls++; c.msgs++; return nil }
 
 // The host work of a process with no role is linear in N. Gauss-Seidel under
 // run-time resolution on 32 processes, its columns wrapped around the first
 // 16 of them, leaves process 31 owning and needing nothing at every N: each
 // column costs it one step of the outer loop and one watched iteration of the
-// inner one. Stepped, the inner loop's N-2 iterations make it quadratic.
+// inner one. Stepped, the inner loop's N-2 iterations make it quadratic. The
+// inner loop is uniform too, so the walks go without tapes, as a run does.
 func TestInertLoopsChargeInLinearHostWork(t *testing.T) {
 	const procs, idle = 32, 31
 	m := autotune.Mapping{Kind: dist.KindCyclicCols, Span: 16}
@@ -133,7 +136,7 @@ func TestInertLoopsChargeInLinearHostWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		low := exec.Lower(progs[0])
+		low := exec.WithoutTapes(exec.Lower(progs[0]))
 		if undo {
 			low = exec.WithoutSkips(low)
 		}

@@ -16,9 +16,10 @@ import (
 // becomes an expr.Code over the variable slots, every value expression's
 // operator count, the one charge that depends on the program text alone, is
 // taken here, and every loop-invariant control code gets a memo slot and
-// every inert-capable loop its mark (memo.go). Nothing is evaluated or checked: which statements run, what they
-// charge and how they fail is decided when the stepper reaches them, exactly
-// as before, so a lowered program that is never run has reported nothing.
+// every inert-capable or uniform loop its mark (memo.go, uniform.go).
+// Nothing is evaluated or checked: which statements run, what they charge
+// and how they fail is decided when the stepper reaches them, exactly as
+// before, so a lowered program that is never run has reported nothing.
 
 // Lowered is an spmd.Program ready to step. It is immutable, so the processes
 // of a run-time-resolution run share one.
@@ -66,9 +67,9 @@ const (
 type lstmt struct {
 	op opcode
 	// flags holds the coerce bits (fFromArray, fOwnerAll, fNeederAll), a
-	// For's fInert, and which of lo, hi, x, y are memoized (mLo … mY, see
-	// memo.go).
-	flags uint8
+	// For's fInert and fUniform, and which of lo, hi, x, y are memoized
+	// (mLo … mY, see memo.go). It sits in the padding after op.
+	flags uint16
 	// dst is the variable slot the statement defines: an assignment's name, a
 	// read's or receive's destination, a loop's induction variable.
 	dst int32

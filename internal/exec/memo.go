@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/bits"
+	"slices"
 
 	"procdecomp/internal/expr"
 )
@@ -36,23 +37,25 @@ import (
 // every iteration decides this process's roles alike: if the first plays none,
 // neither does any other, and each charges a loop step and the same operations
 // (2 a coerce, 1 a guard; the For's ops) and does nothing else. The stepper
-// charges those iterations in one call (step.go's loop).
+// charges those iterations in one call (step.go's loop). A walk takes the
+// broader uniform loops (uniform.go) first; the inert path serves the machine.
 
 // The bits of lstmt.flags.
 const (
-	fFromArray uint8 = 1 << iota // Coerce: the source is an array element, else a scalar I-variable
-	fOwnerAll                    // Coerce: the owner is every process
-	fNeederAll                   // Coerce: the needer is every process
-	fInert                       // For: inert-capable; ops is one roleless iteration's operations
-	mLo                          // lo is memoized
+	fFromArray uint16 = 1 << iota // Coerce: the source is an array element, else a scalar I-variable
+	fOwnerAll                     // Coerce: the owner is every process
+	fNeederAll                    // Coerce: the needer is every process
+	fInert                        // For: inert-capable; ops is one roleless iteration's operations
+	mLo                           // lo is memoized
 	mHi
 	mX
 	mY
+	fUniform // For: a walk cannot tell its iterations apart (uniform.go)
 	memoBits = mLo | mHi | mX | mY
 )
 
 // code returns the control code of s that memo bit f names.
-func (s *lstmt) code(f uint8) *expr.Code {
+func (s *lstmt) code(f uint16) *expr.Code {
 	switch f {
 	case mLo:
 		return s.lo
@@ -66,10 +69,10 @@ func (s *lstmt) code(f uint8) *expr.Code {
 
 // ctl evaluates the control code of s that memo bit f names. It is the one
 // place a statement's lo, hi, x or y is evaluated (CI keeps it so).
-func (st *stepper) ctl(s *lstmt, f uint8) int64 {
+func (st *stepper) ctl(s *lstmt, f uint16) int64 {
 	m := int32(-1)
 	if s.flags&f != 0 {
-		m = s.memo + int32(bits.OnesCount8(s.flags&memoBits&(f-1)))
+		m = s.memo + int32(bits.OnesCount16(s.flags&memoBits&(f-1)))
 		if st.f.Known[m] {
 			return st.f.Vals[m]
 		}
@@ -114,7 +117,7 @@ func own(body []lstmt, loops []scope) {
 	for i := range body {
 		s := &body[i]
 		owner := -1
-		for f := mLo; f != 0; f <<= 1 { // mLo … mY, the top four bits
+		for f := mLo; f <= mY; f <<= 1 {
 			if c := s.code(f); c != nil && !c.Linear() {
 				if k := invariantIn(c, loops); k >= 0 {
 					s.flags |= f
@@ -124,13 +127,16 @@ func own(body []lstmt, loops []scope) {
 		}
 		if owner >= 0 {
 			s.memo = int32(owner) // the owner's depth, until number replaces it
-			loops[owner].loop.rank += int32(bits.OnesCount8(s.flags & memoBits))
+			loops[owner].loop.rank += int32(bits.OnesCount16(s.flags & memoBits))
 		}
 		if s.op == opFor {
 			sc := scope{s, bit(s.dst) | assigned(s.body)}
 			if ops := inertOps(s.body, sc.assigned); ops >= 0 {
 				s.flags |= fInert
 				s.ops = ops
+			}
+			if uniform(s, sc.assigned) {
+				s.flags |= fUniform
 			}
 			own(s.body, append(loops, sc))
 		} else {
@@ -144,7 +150,7 @@ func own(body []lstmt, loops []scope) {
 // c reads, or -1. Inner loops assign subsets of what outer ones do, so every
 // deeper loop qualifies too.
 func invariantIn(c *expr.Code, loops []scope) int {
-	r := reads(c)
+	r := reads(c, nil)
 	for k := range loops {
 		if loops[k].assigned&r == 0 {
 			return k
@@ -153,14 +159,17 @@ func invariantIn(c *expr.Code, loops []scope) int {
 	return -1
 }
 
-// reads is the set of slots c reads; a nil code reads none.
-func reads(c *expr.Code) (set uint64) {
+// reads is the set of slots c reads, apart from the slots in but; a nil code
+// reads none.
+func reads(c *expr.Code, but []int32) (set uint64) {
 	if c == nil {
 		return 0
 	}
 	var buf [8]int32
 	for _, slot := range c.Slots(buf[:0]) {
-		set |= bit(slot)
+		if !slices.Contains(but, slot) {
+			set |= bit(slot)
+		}
 	}
 	return set
 }
@@ -180,7 +189,7 @@ func inertOps(body []lstmt, assigned uint64) int32 {
 		default:
 			return -1
 		}
-		if (reads(s.x)|reads(s.y))&assigned != 0 {
+		if (reads(s.x, nil)|reads(s.y, nil))&assigned != 0 {
 			return -1
 		}
 	}
@@ -192,13 +201,21 @@ func inertOps(body []lstmt, assigned uint64) int32 {
 func assigned(body []lstmt) (set uint64) {
 	for i := range body {
 		s := &body[i]
-		switch s.op {
-		case opAssignVar, opAssignIVar, opARead, opBufRead, opRecv, opCoerce, opFor:
+		if s.defines() {
 			set |= bit(s.dst)
 		}
 		set |= assigned(s.body) | assigned(s.els)
 	}
 	return set
+}
+
+// defines reports whether s assigns its dst.
+func (s *lstmt) defines() bool {
+	switch s.op {
+	case opAssignVar, opAssignIVar, opARead, opBufRead, opRecv, opCoerce, opFor:
+		return true
+	}
+	return false
 }
 
 func number(body []lstmt, loops []*lstmt, next *int32) {
@@ -207,7 +224,7 @@ func number(body []lstmt, loops []*lstmt, next *int32) {
 		if s.flags&memoBits != 0 {
 			o := loops[s.memo]
 			s.memo = o.obj + o.rank
-			o.rank += int32(bits.OnesCount8(s.flags & memoBits))
+			o.rank += int32(bits.OnesCount16(s.flags & memoBits))
 		}
 		if s.op == opFor {
 			s.obj, *next = *next, *next+s.rank

@@ -27,12 +27,13 @@ import (
 // with nothing memoized.
 
 // recorder is a Sink that keeps every action it is handed, and the
-// destinations of its sends apart.
+// destinations of its sends apart. It refuses its refuse-th send, if any.
 type recorder struct {
-	procs int
-	log   []int64
-	sends []int64
-	bulk  int // LoopSteps calls
+	procs  int
+	log    []int64
+	sends  []int64
+	bulk   int // LoopSteps calls
+	refuse int
 }
 
 func (r *recorder) Procs() int  { return r.procs }
@@ -44,6 +45,9 @@ func (r *recorder) LoopSteps(n, ops int64) {
 	r.bulk++
 }
 func (r *recorder) Send(dst int, tag int64, values int) error {
+	if len(r.sends)+1 == r.refuse {
+		return fmt.Errorf("send %d refused", r.refuse)
+	}
 	r.log = append(r.log, 4, int64(dst), tag, int64(values))
 	r.sends = append(r.sends, int64(dst))
 	return nil
@@ -264,19 +268,27 @@ func (r *recorder) spans() []int64 {
 
 // A control is what a differential test holds a lowered image to: the same
 // image with one lowering decision undone, run by the same stepper, and the
-// view of a walk on which the two must agree.
+// view of a walk on which the two must agree. When base is set, both sides
+// are base of the lowered image.
 type control struct {
 	undone string
 	undo   func(*exec.Image) *exec.Image
 	walked func(*recorder) []int64
+	base   func(*exec.Image) *exec.Image
 }
 
 var (
 	// Memos change how often a code is evaluated, never a charge: the walks
 	// agree call by call.
-	noMemos = control{"memos", (*exec.Image).WithoutMemos, func(r *recorder) []int64 { return r.log }}
-	// Skips make one charge of many: the walks agree span by span.
-	noSkips = control{"skips", (*exec.Image).WithoutSkips, (*recorder).spans}
+	noMemos = control{undone: "memos", undo: (*exec.Image).WithoutMemos, walked: func(r *recorder) []int64 { return r.log }}
+	// Skips make one charge of many: the walks agree span by span. A walk
+	// takes a uniform loop's tape before its skip, so both sides go without
+	// tapes, and the walks step what a run does.
+	noSkips = control{undone: "skips", undo: (*exec.Image).WithoutSkips, walked: (*recorder).spans,
+		base: (*exec.Image).WithoutTapes}
+	// Tapes make one charge of many, and play messages back: the walks agree
+	// span by span, so on every charge's sum too.
+	noTapes = control{undone: "tapes", undo: (*exec.Image).WithoutTapes, walked: (*recorder).spans}
 )
 
 // differ walks and runs (traced) progs as lowered and with c's decision
@@ -288,16 +300,11 @@ func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	ctl := c.undo(im)
-	for p := 0; p < procs; p++ {
-		a, b := &recorder{procs: procs}, &recorder{procs: procs}
-		ea, eb := im.Walk(p, a), ctl.Walk(p, b)
-		if errText(ea) != errText(eb) || !slices.Equal(c.walked(a), c.walked(b)) {
-			t.Fatalf("%s: process %d walks differently: with %s %q, %d actions; without %q, %d actions",
-				name, p, c.undone, errText(ea), len(c.walked(a)), errText(eb), len(c.walked(b)))
-		}
-		bulk += a.bulk
+	if c.base != nil {
+		im = c.base(im)
 	}
+	ctl := c.undo(im)
+	bulk, _ = walksAlike(t, name, im, ctl, procs, c)
 	oa, ta, ea := tracedRun(im, machine.DefaultConfig(procs), ins)
 	ob, tb, eb := tracedRun(ctl, machine.DefaultConfig(procs), ins)
 	if errText(ea) != errText(eb) {
@@ -313,6 +320,34 @@ func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map
 		}
 	}
 	return true, bulk
+}
+
+// walksAlike walks every process of im and of its control ctl and fails
+// unless c's view of the walks and their errors agree. It returns the bulk
+// loop charges im's walks made and the Sink calls of both sides' walks.
+func walksAlike(t *testing.T, name string, im, ctl *exec.Image, procs int, c control) (bulk int, calls [2]int) {
+	t.Helper()
+	for p := 0; p < procs; p++ {
+		a, b := &recorder{procs: procs}, &recorder{procs: procs}
+		ea, eb := im.Walk(p, a), ctl.Walk(p, b)
+		if errText(ea) != errText(eb) || !slices.Equal(c.walked(a), c.walked(b)) {
+			t.Fatalf("%s: process %d walks differently: with %s %q, %d actions; without %q, %d actions",
+				name, p, c.undone, errText(ea), len(c.walked(a)), errText(eb), len(c.walked(b)))
+		}
+		bulk += a.bulk
+		calls[0] += a.calls()
+		calls[1] += b.calls()
+	}
+	return bulk, calls
+}
+
+// calls counts the Sink calls r was handed: its log holds each call as its
+// kind (1 Ops, 2 Mem, 3 LoopStep, 4 Send, 5 Recv, 6 LoopSteps) and arguments.
+func (r *recorder) calls() (n int) {
+	for i := 0; i < len(r.log); i += [...]int{1: 2, 2: 2, 3: 1, 4: 4, 5: 4, 6: 3}[r.log[i]] {
+		n++
+	}
+	return n
 }
 
 // tracedRun runs im under cfg with a fresh tracer.

@@ -366,6 +366,9 @@ func (d *concrete) allocBuf(_ *stepper, slot int32, size int64) {
 // and placement.
 func (d *concrete) loopSteps(n, ops int64) bool { return d.Proc.LoopSteps(n, ops) }
 
+// tape declines: a real run's iterations differ in their data.
+func (*concrete) tape(*stepper, *lstmt, int64, int64, int64) bool { return false }
+
 func (d *concrete) defineScalar(st *stepper, slot int32, v Value) {
 	iv := d.ivars[slot]
 	if iv == nil {

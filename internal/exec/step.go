@@ -33,6 +33,10 @@ type domain interface {
 	// and ops operations and nothing else, in one call, or declines (false,
 	// nothing charged) when the charges must be made one at a time.
 	loopSteps(n, ops int64) bool
+	// tape runs uniform loop s from lo to hi by step, stepping only its
+	// first iteration and charging every later one like it, or declines
+	// (false, nothing stepped).
+	tape(st *stepper, s *lstmt, lo, hi, step int64) bool
 
 	// undefined answers a read of a variable the frame does not hold, and
 	// absent a value expression that failed to evaluate (err says why).
@@ -255,13 +259,15 @@ func (st *stepper) block(s *lstmt, what string) (lo, hi int64, peer int) {
 	return lo, hi, peer
 }
 
-// loop runs a For. An inert-capable loop (fInert, memo.go) watches its first
-// iteration: when this process plays no role in it, no later iteration can
-// play one either, because every owner, needer and guard process reads only
-// slots the loop does not assign. Each later iteration would charge a loop
-// step and s.ops operations and do nothing else, so the domain charges them
-// in one call and the induction variable takes its last value. A domain that
-// must see every charge by itself declines, and the loop steps on.
+// loop runs a For. A walk steps a uniform loop's (fUniform, uniform.go) first
+// iteration once and charges every later one like it; the machine declines.
+// An inert-capable loop (fInert, memo.go) watches its first iteration: when
+// this process plays no role in it, no later iteration can play one either,
+// because every owner, needer and guard process reads only slots the loop
+// does not assign. Each later iteration would charge a loop step and s.ops
+// operations and do nothing else, so the domain charges them in one call. A
+// domain that must see every charge by itself declines, and the loop steps
+// on. Either way the induction variable takes its last value.
 func (st *stepper) loop(s *lstmt) {
 	lo, hi, step := st.ctl(s, mLo), st.ctl(s, mHi), st.ctl(s, mX)
 	if step <= 0 {
@@ -269,12 +275,14 @@ func (st *stepper) loop(s *lstmt) {
 	}
 	clear(st.f.Known[s.obj : s.obj+s.rank]) // a new activation: forget the memos this loop owns
 	x := lo
+	if s.flags&fUniform != 0 && x < hi && st.d.tape(st, s, lo, hi, step) {
+		return
+	}
 	if s.flags&fInert != 0 && x <= hi {
 		st.d.LoopStep()
 		st.induct(s.dst, x)
 		if st.roleless(s.body) {
-			// The iterations left; unsigned, so hi-x cannot overflow.
-			if n := int64(uint64(hi-x) / uint64(step)); n > 0 && st.d.loopSteps(n, int64(s.ops)) {
+			if n := iterations(x, hi, step); n > 0 && st.d.loopSteps(n, int64(s.ops)) {
 				st.induct(s.dst, x+n*step)
 				return
 			}
@@ -287,6 +295,10 @@ func (st *stepper) loop(s *lstmt) {
 		st.exec(s.body)
 	}
 }
+
+// iterations is how many iterations of a loop from x to hi by step follow
+// the one at x; unsigned, so hi-x cannot overflow.
+func iterations(x, hi, step int64) int64 { return int64(uint64(hi-x) / uint64(step)) }
 
 // induct sets a loop's induction variable to x.
 func (st *stepper) induct(slot int32, x int64) {

@@ -175,7 +175,9 @@ func stepLoop(trips int64) *spmd.Program {
 // Stepping allocates nothing: a run's allocations are its set-up (lowering,
 // the frame, the machine), so a loop of 1,000 trips allocates exactly what a
 // loop of 10 does — in the abstract domain, where every t1 is unknown, and
-// in the concrete one on a one-process machine.
+// in the concrete one on a one-process machine. The walk's half does not run
+// under the race detector, which drops sync.Pool puts at random: a walk's
+// tapes come from a pool.
 func TestSteppingDoesNotAllocate(t *testing.T) {
 	walk := func(trips int64) float64 {
 		low := Lower(stepLoop(trips))
@@ -185,7 +187,7 @@ func TestSteppingDoesNotAllocate(t *testing.T) {
 			}
 		})
 	}
-	if a, b := walk(10), walk(1000); a != b {
+	if a, b := walk(10), walk(1000); a != b && !raceEnabled {
 		t.Errorf("abstract walk: %.0f allocations at 10 trips, %.0f at 1,000", a, b)
 	}
 	run := func(trips int64) float64 {
