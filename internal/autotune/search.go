@@ -109,9 +109,9 @@ type Options struct {
 	TopK int
 	// Workers bounds both of the search's pools (default 4): tier 1's, which
 	// also runs the anchor, and tier 3's. No search work runs outside them
-	// but the serial tier 2 and the winner's attribution, one replay of its
-	// profile. Results are written by index, so parallelism never changes
-	// the report.
+	// but the serial tier 2, which walks again each image it replays, and
+	// the winner's attribution, one replay of its profile. Results are
+	// written by index, so parallelism never changes the report.
 	Workers int
 	// BaselineMode/BaselineBlk select the anchor compilation of the program
 	// as annotated (default ctr).
@@ -408,10 +408,12 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// Tier 1: compile and walk everything, one mapping per pool task — its
 	// candidates share one retarget, one check and one resolution of the
 	// entry, and differ only in the pass suffix xform.CompileAll applies.
-	// What each candidate lowers to is kept: tier 3 runs it. Twins — the
-	// candidates of a mapping whose stages are the same programs, because a
-	// pass applied nowhere — share one lowering, one walk and so one
-	// profile. Every evaluation runs under a recover, so a candidate whose
+	// What each candidate lowers to is kept: tiers 2 and 3 read it. What it
+	// walks to is not: the walk is matched in a pooled scratch, so a deadlock
+	// or a mismatched value count shows here, and only its static score is
+	// kept. Twins — the candidates of a mapping whose stages are the same
+	// programs, because a pass applied nowhere — share one lowering and one
+	// walk. Every evaluation runs under a recover, so a candidate whose
 	// lowering or walk panics is recorded as infeasible (with the panic
 	// message) instead of crashing the pool; a panic in the shared front
 	// half marks each of the mapping's candidates so.
@@ -425,7 +427,6 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// discarded; a panic in it is held until the pool drains and then raised
 	// on the caller's goroutine.
 	results := make([]Result, len(cands))
-	profiles := make([]*Profile, len(cands))
 	builds := make([]*built, len(cands))
 	groups := groupBy(len(cands), func(i int) Mapping { return cands[i].Mapping })
 	var (
@@ -475,14 +476,15 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			if frontPanic != nil {
 				err = panicAsError(c, frontPanic)
 			}
+			var static uint64
 			if err == nil {
-				builds[i], profiles[i], err = model(info, stages[k], c, cfg, opts.evalHook, twins)
+				builds[i], static, err = model(info, stages[k], c, cfg, opts.evalHook, twins)
 			}
 			var um *ErrUnmodeled
 			switch {
 			case err == nil:
 				results[i].Status = StatusPruned
-				results[i].Static = profiles[i].Static(cfg)
+				results[i].Static = static
 			case errors.As(err, &um):
 				results[i].Unmodeled = true
 				results[i].Note = um.Reason
@@ -508,6 +510,8 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	// static order and stopping once the bound passes the best prediction is
 	// branch-and-bound, not a heuristic: a pruned candidate provably cannot
 	// win. Keep forces at least that many replays regardless of the bound.
+	// Only a replayed image is walked again, into the profile the replay
+	// reads, once for all its twins.
 	modeled := indicesWhere(results, func(r Result) bool { return r.Status == StatusPruned })
 	emit(Progress{Stage: "static", Done: len(modeled), Total: len(cands)})
 	sort.SliceStable(modeled, func(a, b int) bool {
@@ -528,10 +532,11 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	best := uint64(0)
 	haveBest := false
 	type replay struct {
+		pf   *Profile
 		pred uint64
 		err  error
 	}
-	replays := map[*Profile]replay{} // twins share one profile, so one replay
+	replays := map[*built]*replay{} // twins share one image, so one walk and one replay
 	for n, i := range modeled {
 		if err := ctx.Err(); err != nil {
 			return interrupted(rep, results, err)
@@ -541,10 +546,13 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			continue // provably not the winner
 		}
 		rep.Replayed++
-		pr, ok := replays[profiles[i]]
-		if !ok {
-			pr.pred, pr.err = profiles[i].Predict(cfg)
-			replays[profiles[i]] = pr
+		pr := replays[builds[i]]
+		if pr == nil {
+			pr = &replay{}
+			if pr.pf, pr.err = profileOf(builds[i].img, cfg); pr.err == nil {
+				pr.pred, pr.err = pr.pf.Predict(cfg)
+			}
+			replays[builds[i]] = pr
 		}
 		pred, err := pr.pred, pr.err
 		if err != nil {
@@ -554,8 +562,8 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 		}
 		results[i].Status = StatusPredicted
 		results[i].Predicted = pred
-		results[i].Messages = profiles[i].Messages
-		results[i].Values = profiles[i].Values
+		results[i].Messages = pr.pf.Messages
+		results[i].Values = pr.pf.Values
 		if !haveBest || pred < best {
 			best, haveBest = pred, true
 		}
@@ -685,7 +693,7 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	d := dumps[winner]
 	if d == nil {
 		var err error
-		if d, err = analysis.ReplayDump(profiles[winner].Acts, analysis.CostsOf(cfg)); err != nil {
+		if d, err = analysis.ReplayDump(replays[builds[winner]].pf.Acts, analysis.CostsOf(cfg)); err != nil {
 			return nil, fmt.Errorf("autotune: winner replay: %w", err)
 		}
 	}
@@ -703,20 +711,21 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 // walk is one stage's tier-1 outcome, which every twin sharing the stage
 // reads.
 type walk struct {
-	b   *built
-	pf  *Profile
-	err error
+	b      *built
+	static uint64
+	err    error
 }
 
 // model is tier 1 for one candidate of a compiled mapping: lower its stage
-// and walk the image, with the worker pool's panic isolation. A candidate the
-// walk cannot decide (*ErrUnmodeled) still returns its image: tier 3 measures
-// it. A stage is lowered and walked once: twins, keyed by the stage's first
-// program, read what the first of them to get past its hook left in twins.
-func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook func(string, Candidate), twins map[*spmd.Program]*walk) (b *built, pf *Profile, err error) {
+// and score the image, with the worker pool's panic isolation. A candidate
+// the walk cannot decide (*ErrUnmodeled) still returns its image: tier 3
+// measures it. A stage is lowered and walked once: twins, keyed by the
+// stage's first program, read what the first of them to get past its hook
+// left in twins.
+func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook func(string, Candidate), twins map[*spmd.Program]*walk) (b *built, static uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			b, pf, err = nil, nil, panicAsError(c, r)
+			b, static, err = nil, 0, panicAsError(c, r)
 		}
 	}()
 	if hook != nil {
@@ -724,17 +733,17 @@ func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook
 	}
 	if st.Err != nil {
 		_, err = lower(info, st, cfg.Procs)
-		return nil, nil, err
+		return nil, 0, err
 	}
 	wk := twins[st.Progs[0]]
 	if wk == nil {
 		wk = &walk{}
 		if wk.b, wk.err = lower(info, st, cfg.Procs); wk.err == nil {
-			wk.pf, wk.err = profileOf(wk.b.img, cfg)
+			wk.static, wk.err = score(wk.b.img, cfg)
 		}
 		twins[st.Progs[0]] = wk
 	}
-	return wk.b, wk.pf, wk.err
+	return wk.b, wk.static, wk.err
 }
 
 // anchor measures the declared program traced and checks the model against
@@ -759,11 +768,12 @@ func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, 
 	if err != nil {
 		return nil, fmt.Errorf("autotune: baseline run: %w", err)
 	}
-	pf, err := profileOf(b.img, cfg)
-	if err != nil {
+	sc := getScratch() // the walk is replayed where it was matched
+	defer sc.release()
+	if _, _, err := sc.walk(b.img, cfg); err != nil {
 		return nil, fmt.Errorf("autotune: baseline is not statically modelable: %w", err)
 	}
-	replayed, err := analysis.ReplayDump(pf.Acts, analysis.CostsOf(cfg))
+	replayed, err := analysis.ReplayDump(sc.acts, analysis.CostsOf(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("autotune: baseline DAG replay: %w", err)
 	}

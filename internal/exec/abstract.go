@@ -31,8 +31,8 @@ func (l *Lowered) Walk(me int, sink Sink) error {
 
 // abstract is the domain of Walk: it stores nothing, so every read is
 // unknown and every write is dropped; only message shapes reach the Sink.
-// It steps a uniform loop's first iteration into one of tapes and plays the
-// rest (uniform.go).
+// It steps a keyed loop's first iteration of each key vector into one of
+// tapes and plays the rest (keyed.go).
 type abstract struct {
 	Sink
 	tapes *tapes

@@ -29,12 +29,12 @@ func WithoutSkips(l *Lowered) *Lowered {
 	return &c
 }
 
-// WithoutTapes returns a copy of l with no loop uniform. The same stepper
-// runs it, a walk stepping every iteration; it is the control the tape
+// WithoutKeys returns a copy of l with no loop keyed. The same stepper runs
+// it, a walk stepping every iteration; it is the control the tape
 // differential tests compare against.
-func WithoutTapes(l *Lowered) *Lowered {
+func WithoutKeys(l *Lowered) *Lowered {
 	c := *l
-	c.body = rewrite(l.body, func(s *lstmt) { s.flags &^= fUniform })
+	c.body = rewrite(l.body, func(s *lstmt) { s.flags &^= fKeyed })
 	return &c
 }
 
@@ -60,9 +60,9 @@ func (im *Image) WithoutMemos() *Image { return im.each(WithoutMemos) }
 // program.
 func (im *Image) WithoutSkips() *Image { return im.each(WithoutSkips) }
 
-// WithoutTapes is the image whose every process runs WithoutTapes of its
+// WithoutKeys is the image whose every process runs WithoutKeys of its
 // program.
-func (im *Image) WithoutTapes() *Image { return im.each(WithoutTapes) }
+func (im *Image) WithoutKeys() *Image { return im.each(WithoutKeys) }
 
 func (im *Image) each(f func(*Lowered) *Lowered) *Image {
 	c := *im
@@ -75,19 +75,49 @@ func (im *Image) each(f func(*Lowered) *Lowered) *Image {
 
 // Inert lists, for every For of l in pre-order, whether the lowering made it
 // inert-capable.
-func Inert(l *Lowered) []bool { return loops(nil, l.body, fInert) }
+func Inert(l *Lowered) []bool {
+	var out []bool
+	for _, s := range fors(nil, l.body) {
+		out = append(out, s.flags&fInert != 0)
+	}
+	return out
+}
 
 // Uniform lists, for every For of l in pre-order, whether the lowering made it
-// uniform.
-func Uniform(l *Lowered) []bool { return loops(nil, l.body, fUniform) }
+// keyed with no keys.
+func Uniform(l *Lowered) []bool {
+	var out []bool
+	for _, n := range Keyed(l) {
+		out = append(out, n == 0)
+	}
+	return out
+}
 
-func loops(out []bool, body []lstmt, f uint16) []bool {
+// Keyed lists, for every For of l in pre-order, how many keys the lowering
+// gave it, or -1 when it is not keyed.
+func Keyed(l *Lowered) []int {
+	var out []int
+	for _, s := range fors(nil, l.body) {
+		switch {
+		case s.flags&fKeyed == 0:
+			out = append(out, -1)
+		case s.y == nil:
+			out = append(out, 0)
+		default:
+			out = append(out, s.y.Terms())
+		}
+	}
+	return out
+}
+
+// fors appends every For of body, in pre-order, to out.
+func fors(out []*lstmt, body []lstmt) []*lstmt {
 	for i := range body {
 		s := &body[i]
 		if s.op == opFor {
-			out = append(out, s.flags&f != 0)
+			out = append(out, s)
 		}
-		out = loops(loops(out, s.body, f), s.els, f)
+		out = fors(fors(out, s.body), s.els)
 	}
 	return out
 }
@@ -120,7 +150,7 @@ func memos(out []Memo, body []lstmt, depth int) []Memo {
 	for i := range body {
 		s := &body[i]
 		for k, f := range [...]uint16{mLo, mHi, mX, mY} {
-			if s.code(f) != nil {
+			if s.code(f) != nil && (s.op != opFor || f != mY) { // a For's y holds its keys
 				out = append(out, Memo{Op: opNames[s.op], Field: [...]string{"lo", "hi", "x", "y"}[k],
 					Depth: depth, Memoized: s.flags&f != 0})
 			}

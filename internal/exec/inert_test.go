@@ -34,11 +34,11 @@ func TestInertLoopsAreInvisible(t *testing.T) {
 }
 
 // skipBoth walks process me of a one-statement-list program on two processes
-// with and without skips and returns what both agree on. Neither side tapes,
-// so the walks take the path a run does.
+// with and without skips and returns what both agree on. Neither side has
+// keyed loops, so the walks take the path a run does.
 func skipBoth(t *testing.T, me int, body ...spmd.Stmt) (*exec.Lowered, *recorder, string) {
 	t.Helper()
-	low := exec.WithoutTapes(exec.Lower(&spmd.Program{Name: "t", Proc: -1, Body: body}))
+	low := exec.WithoutKeys(exec.Lower(&spmd.Program{Name: "t", Proc: -1, Body: body}))
 	with, without := &recorder{procs: 2}, &recorder{procs: 2}
 	err, ctl := low.Walk(me, with), exec.WithoutSkips(low).Walk(me, without)
 	if errText(err) != errText(ctl) || !slices.Equal(with.spans(), without.spans()) || !slices.Equal(with.sends, without.sends) {
@@ -127,7 +127,8 @@ func (c *callCounter) Recv(int, int64, int) error { c.calls++; c.msgs++; return 
 // 16 of them, leaves process 31 owning and needing nothing at every N: each
 // column costs it one step of the outer loop and one watched iteration of the
 // inner one. Stepped, the inner loop's N-2 iterations make it quadratic. The
-// inner loop is uniform too, so the walks go without tapes, as a run does.
+// loops are keyed too, and a tape per key vector would make the walk linear
+// even without skips, so the walks go without keys, as a run does.
 func TestInertLoopsChargeInLinearHostWork(t *testing.T) {
 	const procs, idle = 32, 31
 	m := autotune.Mapping{Kind: dist.KindCyclicCols, Span: 16}
@@ -136,7 +137,7 @@ func TestInertLoopsChargeInLinearHostWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		low := exec.WithoutTapes(exec.Lower(progs[0]))
+		low := exec.WithoutKeys(exec.Lower(progs[0]))
 		if undo {
 			low = exec.WithoutSkips(low)
 		}

@@ -16,7 +16,7 @@ import (
 // becomes an expr.Code over the variable slots, every value expression's
 // operator count, the one charge that depends on the program text alone, is
 // taken here, and every loop-invariant control code gets a memo slot and
-// every inert-capable or uniform loop its mark (memo.go, uniform.go).
+// every inert-capable or keyed loop its mark (memo.go, keyed.go).
 // Nothing is evaluated or checked: which statements run, what they charge
 // and how they fail is decided when the stepper reaches them, exactly as
 // before, so a lowered program that is never run has reported nothing.
@@ -67,7 +67,7 @@ const (
 type lstmt struct {
 	op opcode
 	// flags holds the coerce bits (fFromArray, fOwnerAll, fNeederAll), a
-	// For's fInert and fUniform, and which of lo, hi, x, y are memoized
+	// For's fInert and fKeyed, and which of lo, hi, x, y are memoized
 	// (mLo … mY, see memo.go). It sits in the padding after op.
 	flags uint16
 	// dst is the variable slot the statement defines: an assignment's name, a
@@ -90,7 +90,7 @@ type lstmt struct {
 	// an allocation's shape.
 	lo, hi *expr.Code
 	// x: the loop step; a message's peer; a guard's process; a coerce's owner.
-	// y: a coerce's needer.
+	// y: a coerce's needer; a keyed For's keys (keyed.go), never memoized.
 	x, y *expr.Code
 	val  *lvexpr // the value assigned, stored or sent; the IfValue condition
 	body []lstmt // For, Guard; IfValue's Then

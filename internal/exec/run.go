@@ -367,7 +367,7 @@ func (d *concrete) allocBuf(_ *stepper, slot int32, size int64) {
 func (d *concrete) loopSteps(n, ops int64) bool { return d.Proc.LoopSteps(n, ops) }
 
 // tape declines: a real run's iterations differ in their data.
-func (*concrete) tape(*stepper, *lstmt, int64, int64, int64) bool { return false }
+func (*concrete) tape(*stepper, *lstmt, int64, int64, int64) int64 { return 0 }
 
 func (d *concrete) defineScalar(st *stepper, slot int32, v Value) {
 	iv := d.ivars[slot]

@@ -33,10 +33,11 @@ type domain interface {
 	// and ops operations and nothing else, in one call, or declines (false,
 	// nothing charged) when the charges must be made one at a time.
 	loopSteps(n, ops int64) bool
-	// tape runs uniform loop s from lo to hi by step, stepping only its
-	// first iteration and charging every later one like it, or declines
-	// (false, nothing stepped).
-	tape(st *stepper, s *lstmt, lo, hi, step int64) bool
+	// tape runs keyed loop s from lo to hi by step, stepping one iteration
+	// per value of its keys and charging every other like the one with its
+	// keys, and returns how many iterations it ran: 0 when it declines, and
+	// the stepper steps the rest.
+	tape(st *stepper, s *lstmt, lo, hi, step int64) int64
 
 	// undefined answers a read of a variable the frame does not hold, and
 	// absent a value expression that failed to evaluate (err says why).
@@ -259,15 +260,16 @@ func (st *stepper) block(s *lstmt, what string) (lo, hi int64, peer int) {
 	return lo, hi, peer
 }
 
-// loop runs a For. A walk steps a uniform loop's (fUniform, uniform.go) first
-// iteration once and charges every later one like it; the machine declines.
-// An inert-capable loop (fInert, memo.go) watches its first iteration: when
-// this process plays no role in it, no later iteration can play one either,
-// because every owner, needer and guard process reads only slots the loop
-// does not assign. Each later iteration would charge a loop step and s.ops
-// operations and do nothing else, so the domain charges them in one call. A
-// domain that must see every charge by itself declines, and the loop steps
-// on. Either way the induction variable takes its last value.
+// loop runs a For. A walk steps a keyed loop's (fKeyed, keyed.go) first
+// iteration of each key vector once and charges every later one like it; the
+// machine declines, and what a walk leaves steps on. An inert-capable loop
+// (fInert, memo.go) watches its first iteration: when this process plays no
+// role in it, no later iteration can play one either, because every owner,
+// needer and guard process reads only slots the loop does not assign. Each
+// later iteration would charge a loop step and s.ops operations and do
+// nothing else, so the domain charges them in one call. A domain that must
+// see every charge by itself declines, and the loop steps on. Either way the
+// induction variable takes its last value.
 func (st *stepper) loop(s *lstmt) {
 	lo, hi, step := st.ctl(s, mLo), st.ctl(s, mHi), st.ctl(s, mX)
 	if step <= 0 {
@@ -275,8 +277,12 @@ func (st *stepper) loop(s *lstmt) {
 	}
 	clear(st.f.Known[s.obj : s.obj+s.rank]) // a new activation: forget the memos this loop owns
 	x := lo
-	if s.flags&fUniform != 0 && x < hi && st.d.tape(st, s, lo, hi, step) {
-		return
+	if s.flags&fKeyed != 0 && x < hi {
+		k := st.d.tape(st, s, lo, hi, step)
+		if k > iterations(lo, hi, step) {
+			return
+		}
+		x += k * step
 	}
 	if s.flags&fInert != 0 && x <= hi {
 		st.d.LoopStep()

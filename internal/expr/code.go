@@ -94,6 +94,85 @@ func (c *Code) Slots(buf []int32) []int32 {
 	return buf
 }
 
+// Terms is how many terms c has: multiples of a variable or of an atom (a
+// mod, div, min, max or product), in the order Eval adds them.
+func (c *Code) Terms() int { return len(c.terms) }
+
+// Term appends to buf each slot term i of c reads that buf does not already
+// hold, as Slots does, and reports whether the term is an atom rather than a
+// variable.
+func (c *Code) Term(i int, buf []int32) ([]int32, bool) {
+	t := &c.terms[i]
+	if t.kind != cVar {
+		return t.b.Slots(t.a.Slots(buf)), true
+	}
+	if !slices.Contains(buf, t.slot) {
+		buf = append(buf, t.slot)
+	}
+	return buf, false
+}
+
+// TermOf names term I of code C.
+type TermOf struct {
+	C *Code
+	I int
+}
+
+// Atoms returns a code whose terms are the atoms of the named terms, each
+// once and with coefficient 1, for EvalAtoms; nil if ts names none. Every
+// named term must be an atom.
+func Atoms(ts []TermOf) *Code {
+	if len(ts) == 0 {
+		return nil
+	}
+	k := &Code{terms: make([]cterm, 0, len(ts))}
+next:
+	for _, t := range ts {
+		a := t.C.terms[t.I]
+		a.coef = 1
+		for i := range k.terms {
+			if k.terms[i].same(&a) {
+				continue next
+			}
+		}
+		k.terms = append(k.terms, a)
+	}
+	return k
+}
+
+func (t *cterm) same(u *cterm) bool {
+	return t.coef == u.coef && t.kind == u.kind && t.slot == u.slot && t.a.same(u.a) && t.b.same(u.b)
+}
+
+func (c *Code) same(d *Code) bool {
+	if c == nil || d == nil {
+		return c == d
+	}
+	if c.c != d.c || len(c.terms) != len(d.terms) {
+		return false
+	}
+	for i := range c.terms {
+		if !c.terms[i].same(&d.terms[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// EvalAtoms appends to out the value of each term of c, coefficient aside,
+// with Eval's errors; it stops at the first. It is for a code built by Atoms.
+func (c *Code) EvalAtoms(f *Frame, out []int64) ([]int64, error) {
+	for i := range c.terms {
+		one := Code{terms: c.terms[i : i+1 : i+1]} // 1·atom: the atom's value
+		v, err := one.Eval(f)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
 // Linear reports whether c is a constant plus multiples of variables: no
 // mod, div, min, max or product to compute.
 func (c *Code) Linear() bool {
