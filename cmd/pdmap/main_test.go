@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
+
+	"procdecomp/internal/golden"
 )
 
 // The CLI's report must be deterministic down to the byte, in both text and
@@ -57,23 +58,15 @@ func TestSearchMatchesGolden(t *testing.T) {
 		{"4", "24", "pdmap_gs_s4_n24.json"},
 		{"8", "32", "pdmap_gs_s8_n32.json"},
 	} {
-		golden := "../../testdata/golden/" + tc.golden
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var got bytes.Buffer
 		if err := run(context.Background(), []string{"-gs", "-procs", tc.procs, "-D", "N=" + tc.n, "-json"}, &got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("pdmap -gs -procs %s -D N=%s -json differs from %s.\n"+
-				"If the cost model or the compiler was meant to change, regenerate the goldens from the repository root and review the diff:\n"+
+		golden.Hold(t, "../../testdata/golden/"+tc.golden, got.Bytes(),
+			"If the cost model or the compiler was meant to change, regenerate the goldens from the repository root and review the diff:\n"+
 				"  go run ./cmd/pdmap -gs -procs 4 -D N=24 -json > testdata/golden/pdmap_gs_s4_n24.json\n"+
 				"  go run ./cmd/pdmap -gs -procs 8 -D N=32 -json > testdata/golden/pdmap_gs_s8_n32.json\n"+
-				"  go run ./cmd/pdbench -fig none -n 64 -procs 1,2,4,8 -json testdata/golden/fig6_n64.json\n"+
-				"got:\n%s", tc.procs, tc.n, golden, got.Bytes())
-		}
+				"  go run ./cmd/pdbench -fig none -n 64 -procs 1,2,4,8 -json testdata/golden/fig6_n64.json")
 	}
 }
 

@@ -163,7 +163,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		if err := ref.Check(progs[0].Outputs, out); err != nil {
 			return fmt.Errorf("check failed: %w", err)
 		}
-		if ref.HasRet && ref.Ret.Matrix != nil {
+		if ref.Returned() != nil {
 			fmt.Fprintln(stdout, "  check: distributed result matches the sequential interpreter")
 		}
 	}

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"procdecomp/internal/bench"
 	"procdecomp/internal/exec"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/istruct"
 )
 
@@ -69,18 +69,7 @@ func TestMatchesCLIGoldens(t *testing.T) {
 		if (err == nil) != wantOK {
 			t.Errorf("%s: run returned %v (stderr %q), recorded exit status %s", name, err, stderr.String(), f[1])
 		}
-		want, rerr := os.ReadFile(dir + name + ".stdout")
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if !bytes.Equal(stdout.Bytes(), want) {
-			observed := filepath.Join(os.TempDir(), name+".observed.stdout")
-			if werr := os.WriteFile(observed, stdout.Bytes(), 0o644); werr != nil {
-				t.Log(werr)
-			}
-			t.Errorf("%s: pdrun %s prints different bytes than %s%s.stdout; observed output written to %s",
-				name, strings.Join(args, " "), dir, name, observed)
-		}
+		golden.Hold(t, dir+name+".stdout", stdout.Bytes(), "It is what pdrun "+strings.Join(args, " ")+" printed.")
 	}
 	if ran == 0 {
 		t.Fatal("cases.txt lists no pdrun invocation")

@@ -19,11 +19,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"procdecomp/internal/bench"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/machine"
 )
 
@@ -97,33 +96,6 @@ func encodeRecords(recs []searchRecord) []byte {
 // TestSearchWitness holds every report to the file: each record, none
 // missing or left over, byte for byte.
 func TestSearchWitness(t *testing.T) {
-	recs := searchRecords()
-	got := encodeRecords(recs)
-	want, err := os.ReadFile(searchWitnessPath)
-	if err == nil && bytes.Equal(got, want) {
-		return
-	}
-	observed := filepath.Join(os.TempDir(), "search_witness.observed.json")
-	if err := os.WriteFile(observed, got, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Errorf("the search no longer reports what %s records (read error: %v); what it reported is in %s — diff the two. "+
-		"Only a change that means to alter the reports copies it over the golden, and says why.",
-		searchWitnessPath, err, observed)
-	var wantRecs []searchRecord
-	if err := json.Unmarshal(want, &wantRecs); err != nil {
-		return
-	}
-	for i, rec := range recs {
-		if i >= len(wantRecs) || rec != wantRecs[i] {
-			t.Errorf("first differing record: %s\n  observed %+v", rec.Name, rec)
-			if i < len(wantRecs) {
-				t.Errorf("  witness  %+v", wantRecs[i])
-			}
-			return
-		}
-	}
-	if len(wantRecs) > len(recs) {
-		t.Errorf("the witness records a search that is no longer run: %s", wantRecs[len(recs)].Name)
-	}
+	golden.Hold(t, searchWitnessPath, encodeRecords(searchRecords()),
+		"Only a change that means to alter the reports copies it over the golden, and says why.")
 }

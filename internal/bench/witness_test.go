@@ -27,19 +27,18 @@ package bench
 // explains the diff.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/faults"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/trace"
 )
@@ -117,8 +116,8 @@ func marshalWitness(recs []witnessRecord) []byte {
 	return append(b, '\n')
 }
 
-// readWitness returns the file's bytes and its records by case name.
-func readWitness(t *testing.T) ([]byte, map[string]witnessRecord) {
+// readWitness returns the file's records by case name.
+func readWitness(t *testing.T) map[string]witnessRecord {
 	t.Helper()
 	b, err := os.ReadFile(witnessPath)
 	if err != nil {
@@ -132,7 +131,7 @@ func readWitness(t *testing.T) ([]byte, map[string]witnessRecord) {
 	for _, r := range recs {
 		byName[r.Name] = r
 	}
-	return b, byName
+	return byName
 }
 
 func gsCase(name string, cfg machine.Config, v Variant, n int64) witnessCase {
@@ -267,7 +266,6 @@ func witnessCases() []witnessCase { return append(fig6Cases(), machineCases()...
 // TestEngineMatchesWitness holds the engine to the whole file: every case,
 // no record missing or left over, byte for byte.
 func TestEngineMatchesWitness(t *testing.T) {
-	want, byName := readWitness(t)
 	var recs []witnessRecord
 	for _, c := range witnessCases() {
 		rec, err := observe(c, c.cfg)
@@ -276,35 +274,14 @@ func TestEngineMatchesWitness(t *testing.T) {
 		}
 		recs = append(recs, rec)
 	}
-	got := marshalWitness(recs)
-	if bytes.Equal(got, want) {
-		return
-	}
-	observed := filepath.Join(os.TempDir(), "engine_witness.observed.json")
-	if err := os.WriteFile(observed, got, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Errorf("the engine no longer behaves as %s records; what it did is in %s — diff the two. "+
-		"Only a change that means to move simulated numbers copies it over the golden, and says why.",
-		witnessPath, observed)
-	for _, rec := range recs {
-		w, ok := byName[rec.Name]
-		delete(byName, rec.Name)
-		if !ok {
-			t.Errorf("%s: no record in the witness", rec.Name)
-		} else if err := diffRecord(w, rec); err != nil {
-			t.Error(err)
-		}
-	}
-	for name := range byName {
-		t.Errorf("%s: the witness records a case that no longer runs", name)
-	}
+	golden.Hold(t, witnessPath, marshalWitness(recs),
+		"Only a change that means to move simulated numbers copies it over the golden, and says why.")
 }
 
 // checkCases compares each case with its record as a parallel subtest, so
 // one case can be run, and read, by name.
 func checkCases(t *testing.T, cases []witnessCase) {
-	_, want := readWitness(t)
+	want := readWitness(t)
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -359,7 +336,7 @@ func TestEnginesAgreeOnWatchdogClass(t *testing.T) {
 // the makespan.
 func TestEngineDiffDetectsOneCycleDivergence(t *testing.T) {
 	c := pingCase()
-	_, byName := readWitness(t)
+	byName := readWitness(t)
 	want := byName[c.name]
 	got, err := observe(c, c.cfg)
 	if err != nil {
@@ -401,7 +378,7 @@ func TestEngineDiffDetectsPerturbedCostTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want := readWitness(t)
+		want := readWitness(t)
 		if diffRecord(want[name], got) == nil {
 			t.Fatal("perturbed cost table went undetected")
 		}

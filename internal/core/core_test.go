@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -164,72 +163,37 @@ proc gs_iteration(Old: matrix[N, N] on Column): matrix[N, N] on Column {
 }
 `
 
-func gsInput(t *testing.T, n int64) *istruct.Matrix {
+// run runs progs on their entry's pattern inputs and holds the gathered
+// result to the sequential one: exec's one checked run.
+func run(t *testing.T, info *sem.Info, progs []*spmd.Program) *exec.SPMDOutcome {
 	t.Helper()
-	m, err := istruct.NewMatrix("Old", n, n)
+	entry := progs[0].Name
+	ins, err := exec.PatternInputs(info, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(1); i <= n; i++ {
-		for j := int64(1); j <= n; j++ {
-			if err := m.Write(i, j, float64((i*37+j*11)%23)+0.5); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return m
-}
-
-// matricesEqual compares two matrices element-wise including definedness.
-func matricesEqual(t *testing.T, a, b *istruct.Matrix, label string) {
-	t.Helper()
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		t.Fatalf("%s: shape mismatch", label)
-	}
-	for i := int64(1); i <= a.Rows(); i++ {
-		for j := int64(1); j <= a.Cols(); j++ {
-			da, db := a.Defined(i, j), b.Defined(i, j)
-			if da != db {
-				t.Fatalf("%s: definedness mismatch at (%d,%d): %v vs %v", label, i, j, da, db)
-			}
-			if !da {
-				continue
-			}
-			va, _ := a.Read(i, j)
-			vb, _ := b.Read(i, j)
-			if math.Abs(va-vb) > 1e-9 {
-				t.Fatalf("%s: value mismatch at (%d,%d): %g vs %g", label, i, j, va, vb)
-			}
-		}
-	}
-}
-
-// runSeqGS runs the reference interpreter.
-func runSeqGS(t *testing.T, info *sem.Info, old *istruct.Matrix) *istruct.Matrix {
-	t.Helper()
-	out, err := exec.RunSequential(info, "gs_iteration", []exec.ArgVal{{Matrix: old}})
+	res, err := exec.RunSPMD(progs, testMachine(int(info.Cfg.Procs)), ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Ret.Matrix
+	ref, err := exec.Reference(info, entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Check(progs[0].Outputs, res); err != nil {
+		t.Fatalf("S=%d: %v", info.Cfg.Procs, err)
+	}
+	return res
 }
 
 func TestGaussSeidelRTRMatchesSequential(t *testing.T) {
 	for _, procs := range []int64{1, 2, 3, 4, 8} {
 		info := checked(t, gsSource, procs, nil)
-		old := gsInput(t, 16)
-		want := runSeqGS(t, info, old)
-
 		rtr, err := New(info).CompileRTR("gs_iteration")
 		if err != nil {
 			t.Fatalf("S=%d: %v", procs, err)
 		}
-		res, err := exec.RunSPMD([]*spmd.Program{rtr}, testMachine(int(procs)),
-			map[string]*istruct.Matrix{"Old": gsInput(t, 16)})
-		if err != nil {
-			t.Fatalf("S=%d: %v", procs, err)
-		}
-		matricesEqual(t, want, res.Arrays["New"], "RTR S="+string(rune('0'+procs)))
+		run(t, info, []*spmd.Program{rtr})
 	}
 }
 
@@ -237,19 +201,11 @@ func TestGaussSeidelCTRMatchesSequential(t *testing.T) {
 	for _, procs := range []int64{1, 2, 3, 4, 8} {
 		for _, restrict := range []bool{false, true} {
 			info := checked(t, gsSource, procs, nil)
-			old := gsInput(t, 16)
-			want := runSeqGS(t, info, old)
-
 			ctr, err := New(info).CompileCTR("gs_iteration", restrict)
 			if err != nil {
 				t.Fatalf("S=%d restrict=%v: %v", procs, restrict, err)
 			}
-			res, err := exec.RunSPMD(ctr, testMachine(int(procs)),
-				map[string]*istruct.Matrix{"Old": gsInput(t, 16)})
-			if err != nil {
-				t.Fatalf("S=%d restrict=%v: %v", procs, restrict, err)
-			}
-			matricesEqual(t, want, res.Arrays["New"], "CTR")
+			run(t, info, ctr)
 		}
 	}
 }
@@ -266,11 +222,7 @@ func TestGaussSeidelMessageCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := exec.RunSPMD([]*spmd.Program{rtr}, testMachine(int(procs)),
-			map[string]*istruct.Matrix{"Old": gsInput(t, n)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, info, []*spmd.Program{rtr})
 		want := int64(2 * (n - 2) * (n - 2))
 		if res.Stats.Messages != want {
 			t.Errorf("S=%d: RTR messages = %d, want %d", procs, res.Stats.Messages, want)
@@ -282,11 +234,7 @@ func TestGaussSeidelMessageCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res2, err := exec.RunSPMD(ctr, testMachine(int(procs)),
-			map[string]*istruct.Matrix{"Old": gsInput(t, n)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res2 := run(t, info, ctr)
 		if res2.Stats.Messages != want {
 			t.Errorf("S=%d: CTR messages = %d, want %d", procs, res2.Stats.Messages, want)
 		}
@@ -306,16 +254,7 @@ func TestCTRFasterThanRTR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resR, err := exec.RunSPMD([]*spmd.Program{rtr}, testMachine(procs),
-		map[string]*istruct.Matrix{"Old": gsInput(t, 16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resC, err := exec.RunSPMD(ctr, testMachine(procs),
-		map[string]*istruct.Matrix{"Old": gsInput(t, 16)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resR, resC := run(t, info, []*spmd.Program{rtr}), run(t, info, ctr)
 	if resC.Stats.Makespan >= resR.Stats.Makespan {
 		t.Errorf("CTR makespan %d should beat RTR %d", resC.Stats.Makespan, resR.Stats.Makespan)
 	}
@@ -479,36 +418,12 @@ proc recur(B: matrix[N, 1] on all): vector[N] on D {
 `
 		for _, procs := range []int64{1, 2, 3, 4} {
 			info := checked(t, src, procs, nil)
-			input := func() *istruct.Matrix {
-				b, _ := istruct.NewMatrix("B", 24, 1)
-				for i := int64(1); i <= 24; i++ {
-					b.Write(i, 1, float64((i*7)%11)+0.5)
-				}
-				return b
-			}
-			seq, err := exec.RunSequential(info, "recur", []exec.ArgVal{{Matrix: input()}})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, restrict := range []bool{false, true} {
 				progs, err := New(info).CompileCTR("recur", restrict)
 				if err != nil {
 					t.Fatalf("%s S=%d: %v", distName, procs, err)
 				}
-				res, err := exec.RunSPMD(progs, testMachine(int(procs)),
-					map[string]*istruct.Matrix{"B": input()})
-				if err != nil {
-					t.Fatalf("%s S=%d restrict=%v: %v", distName, procs, restrict, err)
-				}
-				got := res.Arrays["v"]
-				for i := int64(1); i <= 24; i++ {
-					wv, err1 := seq.Ret.Vector.Read(i)
-					gv, err2 := got.Read(i, 1)
-					if err1 != nil || err2 != nil || math.Abs(wv-gv) > 1e-9 {
-						t.Fatalf("%s S=%d restrict=%v: v[%d] = %v (%v), want %v (%v)",
-							distName, procs, restrict, i, gv, err2, wv, err1)
-					}
-				}
+				res := run(t, info, progs)
 				// The cyclic ring must actually communicate when S > 1.
 				if distName == "cyclic" && procs > 1 && res.Stats.Messages == 0 {
 					t.Errorf("%s S=%d: expected ring messages", distName, procs)

@@ -63,13 +63,14 @@ func Reference(info *sem.Info, entry string) (*Outcome, error) {
 }
 
 // Check compares a distributed run with the reference outcome. The returned
-// array is identified among the program's outputs by the name of the matrix
+// array is identified among the program's outputs by the name of the array
 // the sequential interpreter returned, falling back to the last array output
 // (the return value is emitted last): matching by shape alone could silently
 // compare against a different, same-shaped output. An entry that returns no
-// matrix has nothing to compare.
+// array has nothing to compare.
 func (ref *Outcome) Check(outputs []spmd.OutVar, out *SPMDOutcome) error {
-	if !ref.HasRet || ref.Ret.Matrix == nil {
+	want := ref.Returned()
+	if want == nil {
 		return nil
 	}
 	name := ""
@@ -78,7 +79,7 @@ func (ref *Outcome) Check(outputs []spmd.OutVar, out *SPMDOutcome) error {
 			continue
 		}
 		name = o.Name
-		if o.Name == ref.Ret.Matrix.Name() {
+		if o.Name == want.Name() {
 			break
 		}
 	}
@@ -91,15 +92,15 @@ func (ref *Outcome) Check(outputs []spmd.OutVar, out *SPMDOutcome) error {
 	return nil
 }
 
-// CheckMatrix compares one gathered matrix with the matrix the reference
+// CheckMatrix compares one gathered matrix with the array the reference
 // returned: same shape, the same elements defined, and every defined value
 // within tolerance. It is Check for a result that does not come with a
 // program's output list (the hand-written wavefront).
 func (ref *Outcome) CheckMatrix(got *istruct.Matrix) error {
-	if !ref.HasRet || ref.Ret.Matrix == nil {
+	want := ref.Returned()
+	if want == nil {
 		return nil
 	}
-	want := ref.Ret.Matrix
 	if got == nil {
 		return fmt.Errorf("missing from the distributed result")
 	}
@@ -126,6 +127,24 @@ func (ref *Outcome) CheckMatrix(got *istruct.Matrix) error {
 		}
 	}
 	return nil
+}
+
+// Returned is the array the reference returned as a distributed run gathers
+// it (a vector is an N×1 matrix), or nil: what Check compares.
+func (ref *Outcome) Returned() *istruct.Matrix {
+	v := ref.Ret.Vector
+	if !ref.HasRet || v == nil {
+		return ref.Ret.Matrix
+	}
+	// A vector's length is positive and each cell is written once, so
+	// neither call below can fail.
+	m, _ := istruct.NewMatrix(v.Name(), v.Len(), 1)
+	for i := int64(1); i <= v.Len(); i++ {
+		if x, err := v.Read(i); err == nil {
+			_ = m.Write(i, 1, x)
+		}
+	}
+	return m
 }
 
 // ArraySummary describes one output array of a run; ScalarSummary one scalar.

@@ -108,6 +108,27 @@ func TestCheckFailureClasses(t *testing.T) {
 	}
 }
 
+// A returned vector is compared as the N×1 column a run gathers it to, found
+// by its name, under the same rules: a perturbed element fails.
+func TestCheckVectorReturn(t *testing.T) {
+	v, _ := istruct.NewVector("v", 4)
+	for i := int64(1); i <= 4; i++ {
+		v.Write(i, float64(10*i+1))
+	}
+	ref := &Outcome{HasRet: true, Ret: ArgVal{Vector: v}}
+	outputs := []spmd.OutVar{{Name: "v", IsArray: true}, {Name: "B", IsArray: true}}
+	right := checkMatrix(t, "v", 4, 1, func(i, j int64) bool { return true })
+	if err := ref.Check(outputs, &SPMDOutcome{Arrays: map[string]*istruct.Matrix{"v": right}}); err != nil {
+		t.Errorf("right answer: %v", err)
+	}
+	wrong := checkMatrix(t, "v", 4, 1, func(i, j int64) bool { return i != 3 })
+	wrong.Write(3, 1, 32)
+	err := ref.Check(outputs, &SPMDOutcome{Arrays: map[string]*istruct.Matrix{"v": wrong}})
+	if want := "output array v: element (3,1) is 32, sequential result is 31"; err == nil || err.Error() != want {
+		t.Errorf("one perturbed element: %v, want %q", err, want)
+	}
+}
+
 // Reference and PatternInputs agree on what an entry is fed, reject what they
 // cannot feed in one wording, and the reference of Gauss-Seidel checks a real
 // distributed run's gathered result.

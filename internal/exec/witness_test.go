@@ -22,19 +22,17 @@ package exec_test
 // semantics copies that file over the golden, and says why.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"procdecomp/internal/bench"
 	"procdecomp/internal/exec"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/sem"
@@ -770,34 +768,8 @@ func TestSeqWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-	want, err := os.ReadFile(seqWitnessPath)
-	if err == nil && bytes.Equal(got, want) {
-		return
-	}
-	observed := filepath.Join(os.TempDir(), "seq_witness.observed.json")
-	if err := os.WriteFile(observed, got, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Errorf("the sequential interpreter no longer behaves as %s records (read error: %v); what it did is in %s — diff the two. "+
-		"Only a change that means to alter the sequential semantics copies it over the golden, and says why.",
-		seqWitnessPath, err, observed)
-	var wantRecs []seqRecord
-	if err := json.Unmarshal(want, &wantRecs); err != nil {
-		return
-	}
-	for i, rec := range recs {
-		if i >= len(wantRecs) || fmt.Sprint(rec) != fmt.Sprint(wantRecs[i]) {
-			t.Errorf("first differing case: %s\n  observed %+v", rec.Name, rec)
-			if i < len(wantRecs) {
-				t.Errorf("  witness  %+v", wantRecs[i])
-			}
-			return
-		}
-	}
-	if len(wantRecs) > len(recs) {
-		t.Errorf("the witness records a case that no longer runs: %s", wantRecs[len(recs)].Name)
-	}
+	golden.Hold(t, seqWitnessPath, append(got, '\n'),
+		"Only a change that means to alter the sequential semantics copies it over the golden, and says why.")
 }
 
 // TestSeqHandComputed checks the cases whose answer was worked out by hand —

@@ -23,14 +23,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"procdecomp/internal/autotune"
 	"procdecomp/internal/bench"
 	"procdecomp/internal/expr"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
@@ -268,35 +267,8 @@ func encode(recs []compileRecord) []byte {
 // TestCompileWitness holds the compiler and the algebra to the whole file:
 // every record, none missing or left over, byte for byte.
 func TestCompileWitness(t *testing.T) {
-	recs := compileCorpus(t)
-	got := encode(recs)
-	want, err := os.ReadFile(compileWitnessPath)
-	if err == nil && bytes.Equal(got, want) {
-		return
-	}
-	observed := filepath.Join(os.TempDir(), "compile_witness.observed.json")
-	if err := os.WriteFile(observed, got, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Errorf("the compiler no longer emits what %s records (read error: %v); what it emitted is in %s — diff the two. "+
-		"Only a change that means to alter the emitted programs copies it over the golden, and says why.",
-		compileWitnessPath, err, observed)
-	var wantRecs []compileRecord
-	if err := json.Unmarshal(want, &wantRecs); err != nil {
-		return
-	}
-	for i, rec := range recs {
-		if i >= len(wantRecs) || rec != wantRecs[i] {
-			t.Errorf("first differing record: %s\n  observed %+v", rec.Name, rec)
-			if i < len(wantRecs) {
-				t.Errorf("  witness  %+v", wantRecs[i])
-			}
-			return
-		}
-	}
-	if len(wantRecs) > len(recs) {
-		t.Errorf("the witness records a program that is no longer emitted: %s", wantRecs[len(recs)].Name)
-	}
+	golden.Hold(t, compileWitnessPath, encode(compileCorpus(t)),
+		"Only a change that means to alter the emitted programs copies it over the golden, and says why.")
 }
 
 // TestPassesChangeWhatTheyReport is the pass half of a validator over the

@@ -1,0 +1,41 @@
+package gen
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+
+	"procdecomp/internal/exec"
+	"procdecomp/internal/istruct"
+	"procdecomp/internal/machine"
+)
+
+// A generated program passes at all five points, and one gathered element
+// moved at any one point fails the run with that point's name.
+func TestCheckNamesThePointThatDiffers(t *testing.T) {
+	src, _ := Program(rand.New(rand.NewSource(1)))
+	cfg := machine.DefaultConfig(3)
+	if outs, err := Check(src, "step", cfg, 2); err != nil || len(outs) != 5 {
+		t.Fatalf("%d outcomes, %v\n%s", len(outs), err, src)
+	}
+	for _, mode := range []string{"rtr", "ctr", "opt3/blk=2"} {
+		_, err := check(src, "step", cfg, 2, func(m string, out *exec.SPMDOutcome) {
+			if strings.HasPrefix(mode, m) {
+				vals, defined := out.Arrays["New"].Snapshot()
+				vals[2][3]++
+				moved, _ := istruct.NewMatrix("New", int64(len(vals)), int64(len(vals[0])))
+				for i := range vals {
+					for j := range vals[i] {
+						if defined[i][j] {
+							moved.Write(int64(i+1), int64(j+1), vals[i][j])
+						}
+					}
+				}
+				out.Arrays["New"] = moved
+			}
+		})
+		if want := mode + ": output array New: element (3,4) is "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s perturbed: %v, want %q…", mode, err, want)
+		}
+	}
+}

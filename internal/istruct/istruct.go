@@ -198,6 +198,9 @@ func NewVector(name string, n int64) (*Vector, error) {
 // Len returns the vector length.
 func (v *Vector) Len() int64 { return v.n }
 
+// Name returns the vector's name as used in error messages.
+func (v *Vector) Name() string { return v.name }
+
 // Write stores x into element i.
 func (v *Vector) Write(i int64, x Value) error {
 	if i < 1 || i > v.n {

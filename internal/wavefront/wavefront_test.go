@@ -1,7 +1,6 @@
 package wavefront
 
 import (
-	"math"
 	"testing"
 
 	"procdecomp/internal/exec"
@@ -54,7 +53,7 @@ func input(t *testing.T, n int64) *istruct.Matrix {
 	return m
 }
 
-func sequentialGS(t *testing.T, procs, n int64) *istruct.Matrix {
+func sequentialGS(t *testing.T, procs, n int64) *exec.Outcome {
 	t.Helper()
 	prog, err := lang.Parse(gsSource)
 	if err != nil {
@@ -68,7 +67,7 @@ func sequentialGS(t *testing.T, procs, n int64) *istruct.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Ret.Matrix
+	return out
 }
 
 func TestHandwrittenMatchesSequential(t *testing.T) {
@@ -80,21 +79,8 @@ func TestHandwrittenMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("procs=%d blk=%d: %v", procs, blk, err)
 			}
-			for i := int64(1); i <= n; i++ {
-				for j := int64(1); j <= n; j++ {
-					dw, dg := want.Defined(i, j), res.New.Defined(i, j)
-					if dw != dg {
-						t.Fatalf("procs=%d blk=%d: definedness mismatch at (%d,%d)", procs, blk, i, j)
-					}
-					if !dw {
-						continue
-					}
-					vw, _ := want.Read(i, j)
-					vg, _ := res.New.Read(i, j)
-					if math.Abs(vw-vg) > 1e-9 {
-						t.Fatalf("procs=%d blk=%d: (%d,%d) = %g, want %g", procs, blk, i, j, vg, vw)
-					}
-				}
+			if err := want.CheckMatrix(res.New); err != nil {
+				t.Fatalf("procs=%d blk=%d: %v", procs, blk, err)
 			}
 		}
 	}

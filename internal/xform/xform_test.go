@@ -1,14 +1,12 @@
 package xform
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"procdecomp/internal/core"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/expr"
-	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
@@ -57,20 +55,6 @@ func checked(t *testing.T, procs int64, n int64) *sem.Info {
 	return info
 }
 
-func gsInput(t *testing.T, n int64) *istruct.Matrix {
-	t.Helper()
-	m, err := istruct.NewMatrix("Old", n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= n; i++ {
-		for j := int64(1); j <= n; j++ {
-			m.Write(i, j, float64((i*13+j*7)%19)+0.25)
-		}
-	}
-	return m
-}
-
 func compileCTR(t *testing.T, info *sem.Info) []*spmd.Program {
 	t.Helper()
 	progs, err := core.New(info).CompileCTR("gs_iteration", true)
@@ -80,42 +64,27 @@ func compileCTR(t *testing.T, info *sem.Info) []*spmd.Program {
 	return progs
 }
 
-func run(t *testing.T, progs []*spmd.Program, procs int, n int64) *exec.SPMDOutcome {
+// run runs progs on their entry's pattern inputs and holds the gathered
+// result to the sequential one: exec's one checked run.
+func run(t *testing.T, info *sem.Info, progs []*spmd.Program) *exec.SPMDOutcome {
 	t.Helper()
-	res, err := exec.RunSPMD(progs, machine.DefaultConfig(procs), map[string]*istruct.Matrix{"Old": gsInput(t, n)})
+	entry := progs[0].Name
+	ins, err := exec.PatternInputs(info, entry)
 	if err != nil {
 		t.Fatal(err)
+	}
+	res, err := exec.RunSPMD(progs, machine.DefaultConfig(int(info.Cfg.Procs)), ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := exec.Reference(info, entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Check(progs[0].Outputs, res); err != nil {
+		t.Fatalf("S=%d: %v", info.Cfg.Procs, err)
 	}
 	return res
-}
-
-func reference(t *testing.T, info *sem.Info, n int64) *istruct.Matrix {
-	t.Helper()
-	out, err := exec.RunSequential(info, "gs_iteration", []exec.ArgVal{{Matrix: gsInput(t, n)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out.Ret.Matrix
-}
-
-func assertEqual(t *testing.T, want, got *istruct.Matrix, label string) {
-	t.Helper()
-	for i := int64(1); i <= want.Rows(); i++ {
-		for j := int64(1); j <= want.Cols(); j++ {
-			dw, dg := want.Defined(i, j), got.Defined(i, j)
-			if dw != dg {
-				t.Fatalf("%s: definedness mismatch at (%d,%d)", label, i, j)
-			}
-			if !dw {
-				continue
-			}
-			vw, _ := want.Read(i, j)
-			vg, _ := got.Read(i, j)
-			if math.Abs(vw-vg) > 1e-9 {
-				t.Fatalf("%s: (%d,%d) = %g, want %g", label, i, j, vg, vw)
-			}
-		}
-	}
 }
 
 // Message-count formulas for the N×N wavefront, interior (N-2)².
@@ -129,14 +98,12 @@ func TestVectorizePreservesSemantics(t *testing.T) {
 	for _, procs := range []int64{2, 3, 4, 8} {
 		const n = 16
 		info := checked(t, procs, n)
-		want := reference(t, info, n)
 		progs := compileCTR(t, info)
 		changed := Vectorize(progs)
 		if changed == 0 {
 			t.Fatalf("S=%d: vectorize transformed nothing", procs)
 		}
-		res := run(t, progs, int(procs), n)
-		assertEqual(t, want, res.Arrays["New"], "vectorized")
+		res := run(t, info, progs)
 		if res.Stats.Messages != optIMsgs(n) {
 			t.Errorf("S=%d: messages = %d, want %d", procs, res.Stats.Messages, optIMsgs(n))
 		}
@@ -155,14 +122,12 @@ func TestJamPreservesSemantics(t *testing.T) {
 	for _, procs := range []int64{2, 3, 4, 8} {
 		const n = 16
 		info := checked(t, procs, n)
-		want := reference(t, info, n)
 		progs := compileCTR(t, info)
 		Vectorize(progs)
 		if changed := Jam(progs); changed == 0 {
 			t.Fatalf("S=%d: jam transformed nothing", procs)
 		}
-		res := run(t, progs, int(procs), n)
-		assertEqual(t, want, res.Arrays["New"], "jammed")
+		res := run(t, info, progs)
 		// Jam relocates sends; it does not change the message count.
 		if res.Stats.Messages != optIMsgs(n) {
 			t.Errorf("S=%d: messages = %d, want %d", procs, res.Stats.Messages, optIMsgs(n))
@@ -181,7 +146,7 @@ func TestJamExposesParallelism(t *testing.T) {
 		if jam {
 			Jam(progs)
 		}
-		return run(t, progs, int(procs), n).Stats.Makespan
+		return run(t, info, progs).Stats.Makespan
 	}
 	preJam2, preJam8 := makespan(2, false), makespan(8, false)
 	postJam2, postJam8 := makespan(2, true), makespan(8, true)
@@ -202,15 +167,13 @@ func TestStripMinePreservesSemantics(t *testing.T) {
 		for _, blk := range []int64{1, 2, 4, 7, 14, 20} {
 			const n = 16
 			info := checked(t, procs, n)
-			want := reference(t, info, n)
 			progs := compileCTR(t, info)
 			Vectorize(progs)
 			Jam(progs)
 			if changed := StripMine(progs, blk); changed == 0 {
 				t.Fatalf("S=%d blk=%d: strip mine transformed nothing", procs, blk)
 			}
-			res := run(t, progs, int(procs), n)
-			assertEqual(t, want, res.Arrays["New"], "strip-mined")
+			res := run(t, info, progs)
 			if res.Stats.Messages != optIIIMsgs(n, blk) {
 				t.Errorf("S=%d blk=%d: messages = %d, want %d",
 					procs, blk, res.Stats.Messages, optIIIMsgs(n, blk))
@@ -226,14 +189,14 @@ func TestStripMineReducesMessagesAndBeatsJamAtScale(t *testing.T) {
 	base := compileCTR(t, info)
 	Vectorize(base)
 	Jam(base)
-	jammed := run(t, base, procs, n)
+	jammed := run(t, info, base)
 
 	info2 := checked(t, procs, n)
 	mined := compileCTR(t, info2)
 	Vectorize(mined)
 	Jam(mined)
 	StripMine(mined, 5)
-	blocked := run(t, mined, procs, n)
+	blocked := run(t, info2, mined)
 
 	if blocked.Stats.Messages >= jammed.Stats.Messages {
 		t.Errorf("blocking did not reduce messages: %d vs %d",
@@ -256,25 +219,25 @@ func TestFullPipelineOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkRTR := run(t, []*spmd.Program{rtr}, procs, n).Stats.Makespan
+	mkRTR := run(t, info, []*spmd.Program{rtr}).Stats.Makespan
 
 	ctr := compileCTR(t, info)
-	mkCTR := run(t, ctr, procs, n).Stats.Makespan
+	mkCTR := run(t, info, ctr).Stats.Makespan
 
 	v := compileCTR(t, info)
 	Vectorize(v)
-	mkI := run(t, v, procs, n).Stats.Makespan
+	mkI := run(t, info, v).Stats.Makespan
 
 	j := compileCTR(t, info)
 	Vectorize(j)
 	Jam(j)
-	mkII := run(t, j, procs, n).Stats.Makespan
+	mkII := run(t, info, j).Stats.Makespan
 
 	sm := compileCTR(t, info)
 	Vectorize(sm)
 	Jam(sm)
 	StripMine(sm, 5)
-	mkIII := run(t, sm, procs, n).Stats.Makespan
+	mkIII := run(t, info, sm).Stats.Makespan
 
 	if !(mkRTR > mkCTR && mkCTR > mkI && mkI > mkII && mkII > mkIII) {
 		t.Errorf("expected RTR > CTR > OptI > OptII > OptIII, got %d > %d > %d > %d > %d",
@@ -317,10 +280,6 @@ proc gs_rev(Old: matrix[N, N] on Column): matrix[N, N] on Column {
 	if len(errs) > 0 {
 		t.Fatal(errs)
 	}
-	want, err := exec.RunSequential(info, "gs_rev", []exec.ArgVal{{Matrix: gsInput(t, 12)}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	generic, err := core.New(info).CompileRTR("gs_rev")
 	if err != nil {
 		t.Fatal(err)
@@ -328,12 +287,7 @@ proc gs_rev(Old: matrix[N, N] on Column): matrix[N, N] on Column {
 	if !Interchange(generic, "i") {
 		t.Fatal("interchange did not fire")
 	}
-	progs := core.SpecializeAll(generic, 4, true)
-	res, err := exec.RunSPMD(progs, machine.DefaultConfig(4), map[string]*istruct.Matrix{"Old": gsInput(t, 12)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqual(t, want.Ret.Matrix, res.Arrays["New"], "interchanged")
+	run(t, info, core.SpecializeAll(generic, 4, true))
 }
 
 func TestInterchangeRefusesDependentBounds(t *testing.T) {
@@ -376,9 +330,7 @@ func TestPassesIdempotent(t *testing.T) {
 		t.Errorf("second strip mine transformed %d channels", n)
 	}
 	// The result must still be correct.
-	want := reference(t, info, 16)
-	res := run(t, progs, 4, 16)
-	assertEqual(t, want, res.Arrays["New"], "idempotence")
+	run(t, info, progs)
 }
 
 // StripMine with a nonsensical block size must refuse rather than corrupt.
