@@ -148,18 +148,12 @@ func contentKey(endpoint string, req Request, budget int, mapping string) string
 
 // evalHooks carries the per-job observation channels into an evaluation:
 // emit streams progress events (heartbeats, search tiers) to the job's
-// event log; budget, when positive, caps the /search candidate set — the
-// degraded admission mode; wantTrace asks the machine run to record its
-// virtual-time trace and hand the Chrome bytes to chrome. A nil hooks runs
-// full fidelity, silently.
+// event log; wantTrace asks the machine run to record its virtual-time
+// trace and hand the Chrome bytes to chrome. A nil hooks runs silently.
 type evalHooks struct {
-	budget    int
 	emit      func(Event)
 	wantTrace bool
 	chrome    func([]byte)
-	// mapping, when set, retargets the program's dist declaration to the
-	// adaptation controller's preferred decomposition before compiling.
-	mapping string
 }
 
 func (h *evalHooks) publish(ev Event) {
@@ -168,31 +162,27 @@ func (h *evalHooks) publish(ev Event) {
 	}
 }
 
-func (h *evalHooks) mappingKey() string {
-	if h == nil {
-		return ""
-	}
-	return h.mapping
-}
-
 // evaluate dispatches one admitted job to its endpoint's evaluator and
-// marshals the response deterministically.
-func evaluate(ctx context.Context, endpoint string, req Request, hooks *evalHooks) ([]byte, error) {
+// marshals the response deterministically. The payload's Budget, when
+// positive, caps the /search candidate set — the degraded admission mode;
+// its Mapping, when set, retargets the program's dist declaration to the
+// adaptation controller's preferred decomposition before compiling.
+func evaluate(ctx context.Context, p payload, hooks *evalHooks) ([]byte, error) {
 	var (
 		out any
 		err error
 	)
-	switch endpoint {
+	switch req := *p.Req; p.Endpoint {
 	case "/compile":
 		out, err = doCompile(req)
 	case "/run":
-		out, err = doRun(ctx, req, hooks)
+		out, err = doRun(ctx, req, p.Mapping, hooks)
 	case "/search":
-		out, err = doSearch(ctx, req, hooks)
+		out, err = doSearch(ctx, req, p.Budget, hooks)
 	case "/trace":
-		out, err = doTrace(ctx, req, hooks)
+		out, err = doTrace(ctx, req, p.Mapping, hooks)
 	default:
-		return nil, invalidf("no endpoint %s", endpoint)
+		return nil, invalidf("no endpoint %s", p.Endpoint)
 	}
 	if err != nil {
 		return nil, err
@@ -285,8 +275,8 @@ type RunResponse struct {
 	Scalars []exec.ScalarSummary `json:",omitempty"`
 }
 
-func doRun(ctx context.Context, req Request, hooks *evalHooks) (*RunResponse, error) {
-	out, _, err := runOnce(ctx, req, nil, hooks)
+func doRun(ctx context.Context, req Request, mapping string, hooks *evalHooks) (*RunResponse, error) {
+	out, _, err := runOnce(ctx, req, mapping, nil, hooks)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +284,7 @@ func doRun(ctx context.Context, req Request, hooks *evalHooks) (*RunResponse, er
 		Entry: req.Entry, Procs: req.Procs, Mode: req.Mode,
 		Makespan: uint64(out.Stats.Makespan),
 		Messages: out.Stats.Messages, Values: out.Stats.Values, Bytes: out.Stats.Bytes,
-		Mapping: hooks.mappingKey(),
+		Mapping: mapping,
 	}
 	if req.Mode == "opt3" {
 		resp.Blk = req.Blk
@@ -311,8 +301,8 @@ const heartbeatEvery = 256
 // runOnce compiles and executes the request's program, optionally traced.
 // With hooks, the simulated machine streams virtual-time heartbeats to the
 // job's event log as it runs.
-func runOnce(ctx context.Context, req Request, tr *trace.Log, hooks *evalHooks) (*exec.SPMDOutcome, machine.Config, error) {
-	progs, info, err := compile(req, hooks.mappingKey())
+func runOnce(ctx context.Context, req Request, mapping string, tr *trace.Log, hooks *evalHooks) (*exec.SPMDOutcome, machine.Config, error) {
+	progs, info, err := compile(req, mapping)
 	if err != nil {
 		return nil, machine.Config{}, err
 	}
@@ -344,9 +334,9 @@ func runOnce(ctx context.Context, req Request, tr *trace.Log, hooks *evalHooks) 
 	return out, cfg, err
 }
 
-func doTrace(ctx context.Context, req Request, hooks *evalHooks) (*analysis.Report, error) {
+func doTrace(ctx context.Context, req Request, mapping string, hooks *evalHooks) (*analysis.Report, error) {
 	tr := trace.New()
-	_, cfg, err := runOnce(ctx, req, tr, hooks)
+	_, cfg, err := runOnce(ctx, req, mapping, tr, hooks)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +352,7 @@ type SearchResponse struct {
 	DegradedBudget int `json:",omitempty"`
 }
 
-func doSearch(ctx context.Context, req Request, hooks *evalHooks) (*SearchResponse, error) {
+func doSearch(ctx context.Context, req Request, budget int, hooks *evalHooks) (*SearchResponse, error) {
 	dn, err := pickDist(req)
 	if err != nil {
 		return nil, invalidf("%v", err)
@@ -373,12 +363,10 @@ func doSearch(ctx context.Context, req Request, hooks *evalHooks) (*SearchRespon
 	}
 	w := &autotune.Workload{Name: name, Source: source(req), Entry: req.Entry, Dist: dn, Defines: req.Defines}
 	opts := autotune.Options{Keep: req.Keep, TopK: req.TopK}
-	budget := 0
-	if hooks != nil && hooks.budget > 0 {
+	if budget > 0 {
 		// Degraded admission: replay only `budget` statically ranked
 		// candidates and confirm a single winner on the machine. Same
 		// tiers, bounded work.
-		budget = hooks.budget
 		opts.Keep = budget
 		opts.TopK = 1
 	}

@@ -72,7 +72,7 @@ func TestServerCrashPointSweep(t *testing.T) {
 			}
 			ids[i] = acc.ID
 			aj := s.lookupJob(acc.ID)
-			waitFor(t, "job to settle", func() bool { terminal, _, _ := aj.state(); return terminal })
+			waitFor(t, "job to settle", func() bool { return aj.terminal() })
 			_, bodies[i] = do(t, h, "GET", "/jobs/"+acc.ID, nil)
 		}
 		return dir, ids, bodies
@@ -117,7 +117,7 @@ func TestServerCrashPointSweep(t *testing.T) {
 					t.Errorf("%s: acknowledged job %d (%s) lost", at, i, id)
 					continue
 				}
-				waitFor(t, "recovered job to settle", func() bool { terminal, _, _ := aj.state(); return terminal })
+				waitFor(t, "recovered job to settle", func() bool { return aj.terminal() })
 				if code, body := do(t, h, "GET", "/jobs/"+id, nil); code != http.StatusOK || !bytes.Equal(body, golden[i]) {
 					t.Errorf("%s: job %d after restart: status %d, bytes identical to the un-faulted run: %v",
 						at, i, code, bytes.Equal(body, golden[i]))

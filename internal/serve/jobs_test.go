@@ -291,7 +291,7 @@ func TestCrashRestartRecoversAcknowledgedJobs(t *testing.T) {
 	cfg := Config{CacheDir: dir, Workers: 1, QueueDepth: 16}
 	cfg.gate = func(j *job) {
 		if hold.Load() {
-			entered <- j.key
+			entered <- j.Key
 			select {
 			case <-release:
 			case <-j.ctx.Done():
@@ -520,5 +520,112 @@ func TestDegradedSearchReportsBudget(t *testing.T) {
 	}
 	if key := contentKey("/search", norm, 0, ""); key == contentKey("/search", norm, 3, "") {
 		t.Error("degraded and full content keys collide")
+	}
+}
+
+// A client that read a job's event stream to its terminal event finds the
+// job terminal: GET /jobs/<id> never answers 202 once the stream has sealed.
+// Every kind of job is held to it — done, failed, born done at full fidelity
+// and degraded, and, after a restart, recovered done and recovered failed.
+func TestSealedStreamMeansTerminalJob(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{CacheDir: dir, DegradeAt: -1, DegradeKeep: 3} // every /search degrades
+	run := Request{GS: true, Procs: 2, Mode: "ctr", Defines: map[string]int64{"N": 8}}
+	search := Request{GS: true, Procs: 2}
+	bad := Request{Source: "proc main() { x := nope(); }", Entry: "main"}
+	sealedThenGet := func(base, id, kind, wantLast string) {
+		t.Helper()
+		if last := checkStream(t, readEvents(t, base, id)); last.Type != wantLast {
+			t.Errorf("%s job %s: terminal event %q, want %q", kind, id, last.Type, wantLast)
+		}
+		resp, err := http.Get(base + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readAll(t, resp); resp.StatusCode == http.StatusAccepted {
+			t.Errorf("%s job %s: GET after the sealed stream answered 202: %s", kind, id, body)
+		}
+	}
+
+	a, hsA := newTestServer(t, cfg)
+	var ids []string
+	var lasts []string
+	for _, tc := range []struct {
+		kind       string
+		sub        JobSubmit
+		wantStatus string
+		wantLast   string
+	}{
+		{"done", JobSubmit{Endpoint: "/run", Request: run}, "accepted", "done"},
+		{"failed", JobSubmit{Endpoint: "/run", Request: bad}, "accepted", "failed"},
+		{"born done (full)", JobSubmit{Endpoint: "/run", Request: run}, "done", "done"},
+		{"degraded", JobSubmit{Endpoint: "/search", Request: search}, "accepted", "done"},
+		{"born done (degraded)", JobSubmit{Endpoint: "/search", Request: search}, "done", "done"},
+	} {
+		resp, ack := postJSON(t, hsA.URL+"/jobs", tc.sub)
+		var acc JobAccepted
+		if err := json.Unmarshal(ack, &acc); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: POST /jobs = %d: %s", tc.kind, resp.StatusCode, ack)
+		}
+		if acc.Status != tc.wantStatus {
+			t.Fatalf("%s: acknowledged %q, want %q", tc.kind, acc.Status, tc.wantStatus)
+		}
+		sealedThenGet(hsA.URL, acc.ID, tc.kind, tc.wantLast)
+		ids, lasts = append(ids, acc.ID), append(lasts, tc.wantLast)
+	}
+	hsA.Close()
+	if err := a.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	b, hsB := newTestServer(t, cfg)
+	if st := b.Stats(); st.Jobs.Recovered != int64(len(ids)) || st.Jobs.Requeued != 0 {
+		t.Fatalf("restart recovered %d / requeued %d, want %d / 0", st.Jobs.Recovered, st.Jobs.Requeued, len(ids))
+	}
+	for i, id := range ids {
+		sealedThenGet(hsB.URL, id, "recovered "+lasts[i], lasts[i])
+	}
+}
+
+// A job recovered from the journal re-runs under the deadline its request
+// asked for, not the server's default: a /run acknowledged with a 90 s
+// budget still has more than the 30 s default left when a restarted worker
+// picks it up.
+func TestRecoveredJobKeepsItsDeadline(t *testing.T) {
+	cfg := Config{CacheDir: t.TempDir(), Workers: 1, DefaultDeadline: 30 * time.Second}
+	cfg.gate = func(j *job) { <-j.ctx.Done() } // nothing settles before the crash
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, ack := do(t, a.Handler(), "POST", "/jobs", JobSubmit{Endpoint: "/run",
+		Request: Request{GS: true, Procs: 2, Mode: "ctr", Defines: map[string]int64{"N": 8}, TimeoutMS: 90000}})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /jobs = %d: %s", code, ack)
+	}
+	a.crash()
+	a.Close()
+
+	left := make(chan time.Duration, 1)
+	cfg.gate = func(j *job) {
+		d, ok := j.ctx.Deadline()
+		if !ok {
+			left <- 0
+			return
+		}
+		left <- time.Until(d)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	select {
+	case d := <-left:
+		if d <= cfg.DefaultDeadline || d > 90*time.Second {
+			t.Errorf("recovered job has %v left, want the 90s it asked for", d.Round(time.Second))
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the recovered job never reached a worker")
 	}
 }

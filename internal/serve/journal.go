@@ -23,20 +23,24 @@ import (
 
 const journalName = "jobs.journal"
 
-// journalRec is one NDJSON journal line.
+// journalRec is one NDJSON journal line. An accepted record carries the
+// job's whole payload; a "done" record its content key alone.
 type journalRec struct {
-	Op       string   // "accepted", "running", "done", "failed"
-	ID       string   // job ID
-	RID      string   `json:",omitempty"` // accepted: originating request ID
-	Endpoint string   `json:",omitempty"` // accepted: target pipeline
-	Tenant   string   `json:",omitempty"` // accepted: fair-share account
-	Key      string   `json:",omitempty"` // accepted/done: content key
-	Budget   int      `json:",omitempty"` // accepted: degraded /search budget
-	Mapping  string   `json:",omitempty"` // accepted: adaptive mapping preference
-	Req      *Request `json:",omitempty"` // accepted: normalized request
-	Kind     ErrKind  `json:",omitempty"` // failed: error kind
-	Message  string   `json:",omitempty"` // failed: error message
-	Attempts int      `json:",omitempty"` // failed: evaluation attempts
+	Op string // "accepted", "running", "done", "failed"
+	ID string // job ID
+	payload
+	Kind     ErrKind `json:",omitempty"` // failed: error kind
+	Message  string  `json:",omitempty"` // failed: error message
+	Attempts int     `json:",omitempty"` // failed: evaluation attempts
+}
+
+// terminalRec is a job's terminal record: "done" with its content key, or
+// "failed" with its typed error.
+func terminalRec(id, key string, jerr *JobError) journalRec {
+	if jerr == nil {
+		return journalRec{Op: "done", ID: id, payload: payload{Key: key}}
+	}
+	return journalRec{Op: "failed", ID: id, Kind: jerr.Kind, Message: jerr.Message, Attempts: jerr.Attempts}
 }
 
 // appendJob journals one record durably: it returns once the record (and any
@@ -50,27 +54,20 @@ func appendJob(l *durable.Log, rec journalRec) error {
 	return l.Append(line)
 }
 
-// recoveredJob is one job reconstructed from the journal on open.
-type recoveredJob struct {
-	id       string
-	rid      string // originating request ID, carried for log correlation
-	endpoint string
-	tenant   string
-	key      string
-	budget   int
-	mapping  string
-	req      Request
-	// terminal state, if the job reached one before the crash:
-	done bool
-	jerr *JobError // non-nil iff the job failed
-	// unfinished == !done && jerr == nil: re-run it.
+// foldedJob is one job as the journal folds it: its accepted payload plus
+// the terminal state it reached before the crash, if any.
+type foldedJob struct {
+	id string
+	payload
+	done bool      // a "done" record was folded
+	jerr *JobError // the job failed (and no "done" record overrides it)
 }
 
-func (r *recoveredJob) unfinished() bool { return !r.done && r.jerr == nil }
+func (f *foldedJob) unfinished() bool { return !f.done && f.jerr == nil }
 
 // openJournal recovers and opens the job journal under dir, returning every
 // known job in acceptance order plus the highest job sequence number seen.
-func openJournal(fs durable.FS, dir string, opt durable.Options) (*durable.Log, []*recoveredJob, uint64, error) {
+func openJournal(fs durable.FS, dir string, opt durable.Options) (*durable.Log, []*foldedJob, uint64, error) {
 	l, f, err := durable.Open(fs, dir, journalName, opt, newJobFold)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: job journal: %w", err)
@@ -81,12 +78,12 @@ func openJournal(fs durable.FS, dir string, opt durable.Options) (*durable.Log, 
 // jobFold is the job journal's folder: its records folded into per-job
 // state, in acceptance order.
 type jobFold struct {
-	jobs   []*recoveredJob
-	byID   map[string]*recoveredJob
+	jobs   []*foldedJob
+	byID   map[string]*foldedJob
 	maxSeq uint64 // highest job sequence parsed from the IDs
 }
 
-func newJobFold() *jobFold { return &jobFold{byID: map[string]*recoveredJob{}} }
+func newJobFold() *jobFold { return &jobFold{byID: map[string]*foldedJob{}} }
 
 // Accept folds one journal line into its job's state. A line that is not a
 // record, or an accept that lost its request, starts the torn tail.
@@ -100,22 +97,21 @@ func (f *jobFold) Accept(line []byte) bool {
 		if rec.Req == nil {
 			return false // a request-less accept is corrupt
 		}
-		rj := &recoveredJob{id: rec.ID, rid: rec.RID, endpoint: rec.Endpoint,
-			tenant: rec.Tenant, key: rec.Key, budget: rec.Budget, mapping: rec.Mapping, req: *rec.Req}
 		if _, dup := f.byID[rec.ID]; !dup {
-			f.byID[rec.ID] = rj
-			f.jobs = append(f.jobs, rj)
+			fj := &foldedJob{id: rec.ID, payload: rec.payload}
+			f.byID[rec.ID] = fj
+			f.jobs = append(f.jobs, fj)
 		}
 		if seq, ok := parseJobID(rec.ID); ok && seq > f.maxSeq {
 			f.maxSeq = seq
 		}
 	case "done":
-		if rj := f.byID[rec.ID]; rj != nil {
-			rj.done, rj.jerr = true, nil
+		if fj := f.byID[rec.ID]; fj != nil {
+			fj.done, fj.jerr = true, nil
 		}
 	case "failed":
-		if rj := f.byID[rec.ID]; rj != nil && !rj.done {
-			rj.jerr = &JobError{Kind: rec.Kind, Message: rec.Message, Attempts: rec.Attempts}
+		if fj := f.byID[rec.ID]; fj != nil && !fj.done {
+			fj.jerr = &JobError{Kind: rec.Kind, Message: rec.Message, Attempts: rec.Attempts}
 		}
 	case "running":
 		// informational only; an unfinished job re-runs either way
@@ -128,23 +124,13 @@ func (f *jobFold) Accept(line []byte) bool {
 // terminals fold away.
 func (f *jobFold) Image() ([]byte, error) {
 	var buf bytes.Buffer
-	for _, rj := range f.jobs {
-		acc := journalRec{Op: "accepted", ID: rj.id, RID: rj.rid, Endpoint: rj.endpoint,
-			Tenant: rj.tenant, Key: rj.key, Budget: rj.budget, Mapping: rj.mapping, Req: &rj.req}
-		b, err := json.Marshal(acc)
-		if err != nil {
-			return nil, err
+	for _, fj := range f.jobs {
+		recs := []journalRec{{Op: "accepted", ID: fj.id, payload: fj.payload}}
+		if !fj.unfinished() {
+			recs = append(recs, terminalRec(fj.id, fj.Key, fj.jerr))
 		}
-		buf.Write(append(b, '\n'))
-		var term *journalRec
-		if rj.done {
-			term = &journalRec{Op: "done", ID: rj.id, Key: rj.key}
-		} else if rj.jerr != nil {
-			term = &journalRec{Op: "failed", ID: rj.id, Kind: rj.jerr.Kind,
-				Message: rj.jerr.Message, Attempts: rj.jerr.Attempts}
-		}
-		if term != nil {
-			b, err := json.Marshal(*term)
+		for _, rec := range recs {
+			b, err := json.Marshal(rec)
 			if err != nil {
 				return nil, err
 			}

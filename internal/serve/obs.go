@@ -235,29 +235,26 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 
 // publish is the one way events reach a job's stream: it stamps the job ID,
 // the originating request ID, and the wall-clock time, then counts what the
-// log did with the event. An event published after its stream's terminal
-// event is a protocol violation — counted and logged, and the reconciliation
-// check fails the run on it.
-func (s *Server) publish(aj *asyncJob, ev Event) {
-	ev.Job = aj.id
-	ev.Req = aj.rid
+// log did with the event. A synchronous job has no stream, and publishing to
+// it does nothing. An event published after its stream's terminal event is a
+// protocol violation — counted and logged, and the reconciliation check
+// fails the run on it.
+func (s *Server) publish(j *job, ev Event) {
+	if j.log == nil {
+		return
+	}
+	ev.Job = j.id
+	ev.Req = j.RID
 	ev.WallMS = time.Now().UnixMilli()
-	switch aj.log.publish(ev) {
+	switch j.log.publish(ev) {
 	case published:
 		s.m.events.Inc("published")
 	case droppedTerminal:
 		s.m.events.Inc("dropped_after_terminal")
-		s.log.LogAttrs(obs.WithRequestID(context.Background(), aj.rid), slog.LevelWarn,
-			"event after terminal", slog.String("job", aj.id), slog.String("type", ev.Type))
+		s.log.LogAttrs(obs.WithRequestID(context.Background(), j.RID), slog.LevelWarn,
+			"event after terminal", slog.String("job", j.id), slog.String("type", ev.Type))
 	case droppedOverflow:
 		s.m.events.Inc("dropped_overflow")
-	}
-}
-
-// jemit publishes a progress event on the job's stream, if it has one.
-func (s *Server) jemit(j *job, ev Event) {
-	if j.async != nil {
-		s.publish(j.async, ev)
 	}
 }
 

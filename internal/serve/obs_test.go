@@ -77,7 +77,7 @@ func TestMetricsReconcileAfterMixedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "async job to settle", func() bool {
-		terminal, _, _ := s.lookupJob(acc.ID).state()
+		terminal := s.lookupJob(acc.ID).terminal()
 		return terminal
 	})
 
@@ -244,7 +244,7 @@ func TestNoEventAfterTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	aj := s.lookupJob(acc.ID)
-	waitFor(t, "job to settle", func() bool { terminal, _, _ := aj.state(); return terminal })
+	waitFor(t, "job to settle", func() bool { return aj.terminal() })
 
 	before, sealed := aj.log.snapshot()
 	if !sealed {
@@ -295,7 +295,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 
 	aj := s.lookupJob(acc.ID)
-	waitFor(t, "job to settle", func() bool { terminal, _, _ := aj.state(); return terminal })
+	waitFor(t, "job to settle", func() bool { return aj.terminal() })
 	evs, _, _ := aj.log.since(0)
 	if len(evs) == 0 {
 		t.Fatal("no events on the job stream")
@@ -326,8 +326,8 @@ func TestRequestIDPropagation(t *testing.T) {
 	for _, rj := range fold.jobs {
 		if rj.id == acc.ID {
 			found = true
-			if rj.rid != rid {
-				t.Errorf("journal records request ID %q, want %q", rj.rid, rid)
+			if rj.RID != rid {
+				t.Errorf("journal records request ID %q, want %q", rj.RID, rid)
 			}
 		}
 	}
@@ -378,7 +378,7 @@ func TestJobTraceStitchesBothClockDomains(t *testing.T) {
 	}
 	resp.Body.Close()
 	aj := s.lookupJob(acc.ID)
-	waitFor(t, "traced job to settle", func() bool { terminal, _, _ := aj.state(); return terminal })
+	waitFor(t, "traced job to settle", func() bool { return aj.terminal() })
 
 	tresp, err := http.Get(hs.URL + "/jobs/" + acc.ID + "/trace")
 	if err != nil {

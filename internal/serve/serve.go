@@ -226,36 +226,48 @@ func (e *JobError) HTTPStatus() int {
 	}
 }
 
-// job is one admitted request moving through the queue and pool.
-type job struct {
-	seq      uint64
-	endpoint string
-	req      Request
-	key      string
-	tenant   string
-	// budget, when positive, is the degraded /search candidate budget
+// payload is what admission decided about one request: everything a worker
+// needs to run it and a restarted server needs to run it again. The job
+// embeds it, and the journal's records embed it field for field, so an
+// accepted record is the payload's bytes.
+type payload struct {
+	RID      string `json:",omitempty"` // originating request ID, the log/trace join key
+	Endpoint string `json:",omitempty"` // target pipeline
+	Tenant   string `json:",omitempty"` // fair-share account
+	Key      string `json:",omitempty"` // content key
+	// Budget, when positive, is the degraded /search candidate budget
 	// admission assigned under saturation.
-	budget int
-	// async links the queue job to its durable /jobs record (nil for the
-	// synchronous endpoints).
-	async *asyncJob
-	// mapping, when set, is the adaptation controller's preferred
+	Budget int `json:",omitempty"`
+	// Mapping, when set, is the adaptation controller's preferred
 	// decomposition at admission time: the evaluation retargets the
 	// program's dist declaration to it, and the content key is qualified by
 	// it so results under different preferences never collide.
-	mapping string
+	Mapping string   `json:",omitempty"`
+	Req     *Request `json:",omitempty"` // the normalized request
+}
+
+// job is the one record of one admitted request. It is either queued, to be
+// settled by a worker, or born done: settled at birth from a cached result or
+// from the outcome a previous process journaled. A /jobs job also has an ID
+// and an event log, lives in Server.jobs for the life of the process, and is
+// journaled across processes.
+type job struct {
+	payload
+	seq uint64
+	// id and log make a /jobs job ("" and nil on the synchronous endpoints).
+	id  string
+	log *eventLog
 	// recovered marks a job re-enqueued from the journal on restart; it
 	// bypasses admission accounting (it was admitted in a previous life).
 	recovered  bool
-	enqueuedAt time.Time
+	enqueuedAt time.Time // zero for a job born done
 	ctx        context.Context
-	cancel     context.CancelFunc
-	done       chan struct{} // closed exactly once, when result/jerr are set
-	result     []byte
-	jerr       *JobError
-	// rid is the originating request's ID, stamped on every event and log
-	// line the job produces.
-	rid string
+	cancel     context.CancelFunc // nil for a job born done
+	// done closes exactly once, when the job turns terminal: result, jerr and
+	// chrome are written before it closes and read only after.
+	done   chan struct{}
+	result []byte // nil for a recovered done job: the cache holds the bytes
+	jerr   *JobError
 	// spans, when non-nil, records the job's wall-time service spans for
 	// trace stitching; wantTrace additionally captures the machine's
 	// virtual-time Chrome trace into chrome during evaluation.
@@ -265,6 +277,19 @@ type job struct {
 	// panicked marks that the chaos knob already fired for this job, so a
 	// retried attempt succeeds instead of panicking forever.
 	panicked bool
+}
+
+// born reports whether the job was settled at birth and never queued.
+func (j *job) born() bool { return j.enqueuedAt.IsZero() }
+
+// terminal reports whether the job has settled: whether done is closed.
+func (j *job) terminal() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // JobStats counts the async-job lifecycle.
@@ -353,7 +378,7 @@ type Server struct {
 	shutdown sync.Once
 
 	jobsMu sync.Mutex
-	jobs   map[string]*asyncJob
+	jobs   map[string]*job
 
 	ready atomic.Bool // journal recovery complete; flips off while draining
 
@@ -370,13 +395,13 @@ func New(cfg Config) (*Server, error) { return newServer(cfg, durable.OS{}) }
 // substitutes a failing one through.
 func newServer(cfg Config, fs durable.FS) (*Server, error) {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, adm: newAdmission(cfg), jobs: map[string]*asyncJob{}}
+	s := &Server{cfg: cfg, adm: newAdmission(cfg), jobs: map[string]*job{}}
 	s.m = newServerMetrics()
 	s.ring = obs.NewRing(cfg.LogLines, cfg.LogHandler)
 	s.log = slog.New(s.ring)
 	s.ridSalt = uint64(time.Now().UnixNano())
 	s.baseCtx, s.abort = context.WithCancel(context.Background())
-	var recovered []*recoveredJob
+	var recovered []*foldedJob
 	var restoredStates []adapt.State
 	var restoredSeq uint64
 	if cfg.CacheDir != "" {
@@ -442,41 +467,30 @@ func (s *Server) logStopped(which string, err error) {
 		slog.String("error", err.Error()))
 }
 
-// recover materializes journal jobs: terminal ones become served records
-// (their results re-read from the cache), and accepted-but-unfinished ones
-// — including "done" jobs whose cache entry did not survive — are
-// re-enqueued and re-run. Acknowledged work is never silently lost.
-func (s *Server) recover(jobs []*recoveredJob) {
-	for _, rj := range jobs {
+// recover materializes journal jobs: terminal ones are born done (a done
+// job's result is re-read from the cache when served), and
+// accepted-but-unfinished ones — including "done" jobs whose cache entry did
+// not survive — are re-enqueued and re-run under the deadline their request
+// asked for. Acknowledged work is never silently lost.
+func (s *Server) recover(jobs []*foldedJob) {
+	for _, fj := range jobs {
 		s.m.jobs.Inc("recovered")
-		aj := &asyncJob{id: rj.id, rid: rj.rid, endpoint: rj.endpoint, tenant: rj.tenant,
-			key: rj.key, budget: rj.budget, mapping: rj.mapping, req: rj.req, log: newEventLog()}
-		s.publish(aj, Event{Type: "accepted"})
-		s.jobs[aj.id] = aj
-		switch {
-		case rj.done:
-			if _, ok := s.cacheGet(rj.key); ok {
-				aj.complete(nil) // the result lives in the cache
-				s.publish(aj, Event{Type: "done", Terminal: true})
-				continue
-			}
-			// The journal says done but the result is gone (torn entry
+		done := fj.done
+		if done {
+			// The journal says done but the result may be gone (torn entry
 			// quarantined, cache wiped): re-run rather than serve nothing.
-		case rj.jerr != nil:
-			aj.fail(rj.jerr)
-			s.publish(aj, Event{Type: terminalType(rj.jerr), Terminal: true,
-				Kind: rj.jerr.Kind, Message: rj.jerr.Message, Attempts: rj.jerr.Attempts})
+			_, done = s.cacheGet(fj.Key)
+		}
+		if done || fj.jerr != nil {
+			j, _ := s.newJob(fj.payload, 0, fj.id, "", false)
+			j.jerr = fj.jerr
+			s.settle(j, "")
 			continue
 		}
 		s.m.jobs.Inc("requeued")
-		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.DefaultDeadline)
-		j := &job{
-			seq: s.seq.Add(1), endpoint: rj.endpoint, req: rj.req, key: rj.key,
-			tenant: rj.tenant, budget: rj.budget, mapping: rj.mapping, async: aj, recovered: true, rid: rj.rid,
-			enqueuedAt: time.Now(), ctx: obs.WithRequestID(ctx, rj.rid), cancel: cancel,
-			done: make(chan struct{}),
-		}
-		s.publish(aj, Event{Type: "requeued"})
+		j, _ := s.newJob(fj.payload, s.seq.Add(1), fj.id, "", true)
+		j.recovered = true
+		s.publish(j, Event{Type: "requeued"})
 		s.admissions.Add(1)
 		s.queue <- j
 	}
@@ -523,9 +537,9 @@ func (s *Server) deadlineFor(req Request) time.Duration {
 }
 
 // submitOpts carries the per-submission observability context: the request
-// ID minted at ingress, whether to create the durable job record, and
-// whether the caller wants a stitched trace (which forces evaluation — a
-// cached answer has no machine timeline to stitch).
+// ID minted at ingress, whether the job is a /jobs job, and whether the
+// caller wants a stitched trace (which forces evaluation — a cached answer
+// has no machine timeline to stitch).
 type submitOpts struct {
 	rid   string
 	async bool
@@ -537,27 +551,35 @@ type submitOpts struct {
 // while draining; sheds on a full queue, on a tenant over its fair share
 // under contention, or when the request's deadline is already doomed by the
 // measured queue wait; under sustained saturation it admits /search with a
-// degraded candidate budget instead of shedding. opts.async additionally
-// creates the durable job record (journaled before the queue, so an
-// acknowledged job survives a crash).
+// degraded candidate budget instead of shedding. A request whose answer is
+// already cached needs no pool time and is born done: a /jobs request on a
+// full-fidelity hit (before admission, as the synchronous endpoints' own
+// fast path), any request on a degraded-key hit. opts.async makes it a /jobs
+// job, journaled before it is queued so an acknowledged job survives a crash.
 //
-// Exactly one of the three returns is non-nil: a queued job, a cached body
-// (a degraded-key cache hit needing no pool time), or the typed refusal.
-func (s *Server) submit(endpoint string, req Request, tenant string, opts submitOpts) (*job, []byte, *JobError) {
-	deadline := s.deadlineFor(req)
-
+// Exactly one of the two returns is non-nil: the job, or the typed refusal.
+func (s *Server) submit(endpoint string, req Request, tenant string, opts submitOpts) (*job, *JobError) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		s.m.sheds.Inc("draining")
-		return nil, nil, &JobError{Kind: KindDraining, Message: "server is draining",
+		return nil, &JobError{Kind: KindDraining, Message: "server is draining",
 			RetryAfter: s.adm.retryAfter(s.seq.Add(1))}
 	}
 	s.admissions.Add(1)
 	s.mu.Unlock()
 
+	p := payload{RID: opts.rid, Endpoint: endpoint, Tenant: tenant,
+		Mapping: s.preferredMapping(endpoint, req), Req: &req}
+	if opts.async {
+		p.Key = contentKey(endpoint, req, 0, p.Mapping)
+		if body, ok := s.cacheGet(p.Key); ok {
+			defer s.admissions.Done()
+			return s.bornDone(p, s.seq.Add(1), opts.async, body)
+		}
+	}
 	seq := s.seq.Add(1)
-	dec := s.adm.admit(endpoint, tenant, deadline, seq, time.Now())
+	dec := s.adm.admit(endpoint, tenant, s.deadlineFor(req), seq, time.Now())
 	if dec.shed != nil {
 		s.admissions.Done()
 		switch {
@@ -571,60 +593,102 @@ func (s *Server) submit(endpoint string, req Request, tenant string, opts submit
 		}
 		s.log.LogAttrs(obs.WithRequestID(context.Background(), opts.rid), slog.LevelWarn,
 			"shed", slog.String("reason", dec.shed.causeLabel()), slog.String("tenant", tenant))
-		return nil, nil, dec.shed
+		return nil, dec.shed
 	}
 
-	mapping := s.preferredMapping(endpoint, req)
-	key := contentKey(endpoint, req, dec.budget, mapping)
+	p.Budget, p.Key = dec.budget, contentKey(endpoint, req, dec.budget, p.Mapping)
 	if dec.budget > 0 {
 		// A saturated server may already hold the degraded answer; serving
 		// it costs no pool time, so give the slot back. A traced request
 		// skips the shortcut: the trace needs a live evaluation.
 		if !opts.trace {
-			if body, ok := s.cacheGet(key); ok {
+			if body, ok := s.cacheGet(p.Key); ok {
 				s.adm.release(tenant)
-				s.admissions.Done()
-				return nil, body, nil
+				defer s.admissions.Done()
+				return s.bornDone(p, seq, opts.async, body)
 			}
 		}
 		s.m.degraded.Inc()
 	}
 
-	ctx, cancel := context.WithTimeout(s.baseCtx, deadline)
-	j := &job{
-		seq: seq, endpoint: endpoint, req: req, key: key, tenant: tenant,
-		budget: dec.budget, mapping: mapping, enqueuedAt: time.Now(), rid: opts.rid, spans: opts.spans,
-		wantTrace: opts.trace,
-		ctx:       obs.WithRequestID(ctx, opts.rid), cancel: cancel, done: make(chan struct{}),
+	j, jerr := s.newJob(p, seq, jobIDIf(opts.async, seq), "accept", true)
+	if jerr != nil {
+		s.adm.release(tenant)
+		s.admissions.Done()
+		return nil, jerr
 	}
-	if opts.async {
-		aj := &asyncJob{id: jobID(seq), rid: opts.rid, endpoint: endpoint, tenant: tenant,
-			key: key, budget: dec.budget, mapping: mapping, req: req, spans: opts.spans, log: newEventLog()}
-		if err := s.journalAppend(j.ctx, "accept", journalRec{Op: "accepted", ID: aj.id,
-			RID: opts.rid, Endpoint: endpoint, Tenant: tenant, Key: key,
-			Budget: dec.budget, Mapping: mapping, Req: &req}); err != nil {
-			cancel()
-			s.adm.release(tenant)
-			s.admissions.Done()
-			return nil, nil, &JobError{Kind: KindInternal,
-				Message: "job journal write failed: " + err.Error()}
-		}
-		s.jobsMu.Lock()
-		s.jobs[aj.id] = aj
-		s.jobsMu.Unlock()
-		s.m.jobs.Inc("accepted")
-		j.async = aj
-		s.publish(aj, Event{Type: "accepted"})
-	}
-	s.jemit(j, Event{Type: "queued", QueuePos: dec.pos})
+	j.spans, j.wantTrace = opts.spans, opts.trace
+	s.publish(j, Event{Type: "queued", QueuePos: dec.pos})
 	if dec.budget > 0 {
-		s.jemit(j, Event{Type: "degraded", Budget: dec.budget})
+		s.publish(j, Event{Type: "degraded", Budget: dec.budget})
 	}
 	s.m.admitted.Inc()
 	// The reservation guarantees a slot: at most QueueDepth reservations are
 	// outstanding and the channel holds QueueDepth beyond the recovery jobs.
 	s.queue <- j
-	return j, nil, nil
+	return j, nil
+}
+
+// jobIDIf is a /jobs job's ID, or "" for a synchronous request.
+func jobIDIf(async bool, seq uint64) string {
+	if !async {
+		return ""
+	}
+	return jobID(seq)
+}
+
+// bornDone settles a job whose result p.Key already holds in the cache. A
+// /jobs job is still journaled accepted+done, so a restart re-serves it
+// identically; p.Budget is the degraded budget the bytes were cached under (0
+// = full fidelity), part of the key a restart looks them up by, and GET
+// /jobs/<id> reports it as X-Degraded exactly as a job that ran degraded would.
+func (s *Server) bornDone(p payload, seq uint64, async bool, body []byte) (*job, *JobError) {
+	j, jerr := s.newJob(p, seq, jobIDIf(async, seq), "born_done", false)
+	if jerr != nil {
+		return nil, jerr
+	}
+	j.result = body
+	// A cache-hit-born job is still one observed request.
+	s.adaptObserve(p.Endpoint, *p.Req, body)
+	// Best-effort: without the done record a restart re-runs the job, which
+	// re-derives the same cached result.
+	s.settle(j, "born_done")
+	return j, nil
+}
+
+// newJob is the one way a job comes to exist, for submit and recovery alike:
+// queued, under the deadline its request asked for, or born done, for its
+// caller to settle. A /jobs job (id != "") also gets an event log and is
+// registered in s.jobs, its stream opened by "accepted". A new one is
+// journaled first, at the call site named by site: its accepted record is
+// what a 202 promises, so a failed append refuses the job. A recovered one
+// (site "") is in the journal already.
+func (s *Server) newJob(p payload, seq uint64, id, site string, queued bool) (*job, *JobError) {
+	j := &job{payload: p, seq: seq, id: id, done: make(chan struct{})}
+	if queued {
+		ctx, cancel := context.WithTimeout(s.baseCtx, s.deadlineFor(*p.Req))
+		j.ctx, j.cancel, j.enqueuedAt = obs.WithRequestID(ctx, p.RID), cancel, time.Now()
+	} else {
+		j.ctx = obs.WithRequestID(context.Background(), p.RID)
+	}
+	if id == "" {
+		return j, nil
+	}
+	if site != "" {
+		if err := s.journalAppend(j.ctx, site, journalRec{Op: "accepted", ID: id, payload: p}); err != nil {
+			if j.cancel != nil {
+				j.cancel()
+			}
+			return nil, &JobError{Kind: KindInternal, Message: "job journal write failed: " + err.Error()}
+		}
+		s.m.jobs.Inc("accepted")
+	}
+	j.log = newEventLog()
+	s.jobsMu.Lock()
+	s.jobs[id] = j
+	s.jobsMu.Unlock()
+	s.publish(j, Event{Type: "accepted"})
+	return j, nil
 }
 
 func (s *Server) worker() {
@@ -633,16 +697,16 @@ func (s *Server) worker() {
 		now := time.Now()
 		if !j.recovered {
 			waited := now.Sub(j.enqueuedAt)
-			s.adm.dequeued(j.tenant, waited, now)
+			s.adm.dequeued(j.Tenant, waited, now)
 			s.m.queueWait.Observe(waited.Seconds())
 		}
 		if j.spans != nil {
 			j.spans.Add("queued", "service", j.enqueuedAt, now, nil)
 		}
-		if j.async != nil {
+		if j.id != "" {
 			// A failed running marker costs nothing durable — the journal's
 			// recovery re-runs unfinished jobs with or without it.
-			s.journalAppend(j.ctx, "running", journalRec{Op: "running", ID: j.async.id})
+			s.journalAppend(j.ctx, "running", journalRec{Op: "running", ID: j.id})
 		}
 		s.m.workersBusy.Add(1)
 		s.runJob(j)
@@ -653,50 +717,47 @@ func (s *Server) worker() {
 	}
 }
 
-// terminalType maps a failure to its stream event type: shutdown-flavored
-// failures stream as "canceled", everything else as "failed".
-func terminalType(jerr *JobError) string {
-	if jerr.Kind == KindCanceled || jerr.Kind == KindDraining {
-		return "canceled"
+// terminalEvent is the stream's terminal event for an outcome:
+// shutdown-flavored failures stream as "canceled", every other failure as
+// "failed".
+func terminalEvent(jerr *JobError) Event {
+	if jerr == nil {
+		return Event{Type: "done", Terminal: true}
 	}
-	return "failed"
+	typ := "failed"
+	if jerr.Kind == KindCanceled || jerr.Kind == KindDraining {
+		typ = "canceled"
+	}
+	return Event{Type: typ, Terminal: true, Kind: jerr.Kind, Message: jerr.Message, Attempts: jerr.Attempts}
 }
 
-// finalize settles a finished job's durable record and stream: the terminal
-// journal record, the async result/error, and the guaranteed terminal
-// event. It runs before j.done closes, on every exit path of runJob.
-func (s *Server) finalize(j *job) {
-	aj := j.async
-	if aj == nil {
-		return
-	}
-	if j.jerr == nil {
+// settle makes a job terminal, in the one order every path keeps: the
+// terminal journal record, then done closes, then the terminal event. A
+// reader who finds the stream sealed therefore finds the job terminal, and
+// one who finds it terminal finds its terminal record already appended. site
+// names the call site of the journal append; "" settles an outcome a
+// previous process journaled.
+func (s *Server) settle(j *job, site string) {
+	if j.id != "" && site != "" {
 		// A dropped terminal record is re-resolved on restart by re-running
 		// the job; logging it beats silently losing the signal.
-		s.journalAppend(j.ctx, "finalize", journalRec{Op: "done", ID: aj.id, Key: j.key})
-		aj.setChrome(j.chrome)
-		aj.complete(j.result)
-		s.m.jobs.Inc("done")
-		s.publish(aj, Event{Type: "done", Terminal: true})
-		return
+		s.journalAppend(j.ctx, site, terminalRec(j.id, j.Key, j.jerr))
+		if j.jerr == nil {
+			s.m.jobs.Inc("done")
+		} else {
+			s.m.jobs.Inc("failed")
+		}
 	}
-	s.journalAppend(j.ctx, "finalize", journalRec{Op: "failed", ID: aj.id, Kind: j.jerr.Kind,
-		Message: j.jerr.Message, Attempts: j.jerr.Attempts})
-	aj.setChrome(j.chrome)
-	aj.fail(j.jerr)
-	s.m.jobs.Inc("failed")
-	s.publish(aj, Event{Type: terminalType(j.jerr), Terminal: true,
-		Kind: j.jerr.Kind, Message: j.jerr.Message, Attempts: j.jerr.Attempts})
+	close(j.done)
+	s.publish(j, terminalEvent(j.jerr))
 }
 
 // runJob evaluates one job with panic isolation: a panicking attempt is
 // recorded, backed off, and retried up to cfg.Retries times; every exit path
-// closes j.done exactly once — after finalize has journaled the outcome and
-// published the terminal event — so no caller is ever left waiting, no
-// queue slot is ever wedged, and no event stream is left unterminated.
+// settles the job exactly once, so no caller is ever left waiting, no queue
+// slot is ever wedged, and no event stream is left unterminated.
 func (s *Server) runJob(j *job) {
-	defer close(j.done)
-	defer s.finalize(j)
+	defer s.settle(j, "finalize")
 	if s.cfg.gate != nil {
 		s.cfg.gate(j)
 	}
@@ -707,12 +768,12 @@ func (s *Server) runJob(j *job) {
 			s.m.failed.Inc()
 			return
 		}
-		s.jemit(j, Event{Type: "running", Attempt: attempt})
+		s.publish(j, Event{Type: "running", Attempt: attempt})
 		t0 := time.Now()
 		out, err := s.attempt(j)
 		if j.spans != nil {
 			name := fmt.Sprintf("attempt %d", attempt)
-			args := map[string]string{"endpoint": j.endpoint}
+			args := map[string]string{"endpoint": j.Endpoint}
 			if err != nil {
 				args["error"] = err.Error()
 			}
@@ -722,12 +783,12 @@ func (s *Server) runJob(j *job) {
 			j.result = out
 			s.m.completed.Inc()
 			if s.cache != nil {
-				s.cache.Put(j.key, out)
+				s.cache.Put(j.Key, out)
 			}
 			if !j.recovered {
 				// Recovered jobs were observed in a previous life; feeding
 				// them again would double-count the workload profile.
-				s.adaptObserve(j.endpoint, j.req, out)
+				s.adaptObserve(j.Endpoint, *j.Req, out)
 			}
 			return
 		}
@@ -765,17 +826,17 @@ func (s *Server) attempt(j *job) (out []byte, err error) {
 		panic(fmt.Sprintf("chaos: injected panic on job %d", j.seq))
 	}
 	var hooks *evalHooks
-	if j.async != nil || j.budget > 0 || j.wantTrace || j.mapping != "" {
-		hooks = &evalHooks{budget: j.budget, mapping: j.mapping}
-		if j.async != nil {
-			hooks.emit = func(ev Event) { s.jemit(j, ev) }
+	if j.log != nil || j.wantTrace {
+		hooks = &evalHooks{}
+		if j.log != nil {
+			hooks.emit = func(ev Event) { s.publish(j, ev) }
 		}
 		if j.wantTrace {
 			hooks.wantTrace = true
 			hooks.chrome = func(b []byte) { j.chrome = b }
 		}
 	}
-	return evaluate(j.ctx, j.endpoint, j.req, hooks)
+	return evaluate(j.ctx, j.payload, hooks)
 }
 
 type panicError struct {
@@ -988,13 +1049,9 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string)
 		}
 	}
 
-	j, cached, jerr := s.submit(endpoint, req, tenantOf(r), submitOpts{rid: rid, trace: wantTrace, spans: spans})
+	j, jerr := s.submit(endpoint, req, tenantOf(r), submitOpts{rid: rid, trace: wantTrace, spans: spans})
 	if jerr != nil {
 		s.writeError(w, jerr)
-		return
-	}
-	if cached != nil {
-		s.writeResult(w, cached, "hit", s.cfg.DegradeKeep)
 		return
 	}
 	select {
@@ -1008,17 +1065,21 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string)
 		s.writeError(w, j.jerr)
 		return
 	}
-	setMappingHeader(w, j.mapping)
+	setMappingHeader(w, j.Mapping)
 	if wantTrace {
 		doc, err := obs.StitchChrome(rid, spans.Epoch(), spans.Spans(), j.chrome)
 		if err != nil {
 			s.writeError(w, &JobError{Kind: KindInternal, Message: "trace stitch failed: " + err.Error()})
 			return
 		}
-		s.writeResult(w, doc, "miss", j.budget)
+		s.writeResult(w, doc, "miss", j.Budget)
 		return
 	}
-	s.writeResult(w, j.result, "miss", j.budget)
+	cache := "miss"
+	if j.born() {
+		cache = "hit"
+	}
+	s.writeResult(w, j.result, cache, j.Budget)
 }
 
 func (s *Server) writeResult(w http.ResponseWriter, body []byte, cache string, budget int) {
