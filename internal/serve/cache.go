@@ -28,6 +28,10 @@ import (
 // installed entry, and each Put sweeps least-recently-used entries until the
 // footprint fits the budget. Recency is a logical access clock, not the
 // filesystem's atime — mount options must not change eviction order.
+//
+// A response can also be staged (Stage): held in memory under its key from
+// before its reply is sent until its install returns, so Get answers it as
+// an ordinary hit while the install's fsyncs run after the reply.
 type DiskCache struct {
 	fs         durable.FS // every mutation of the directory goes through it
 	dir        string
@@ -44,6 +48,9 @@ type DiskCache struct {
 	bytes int64
 	clock uint64
 	meta  map[string]*entryMeta // by entry file base name
+	// stage holds the staged responses by key, each from its Stage until its
+	// Put returns; at most one per worker.
+	stage map[string][]byte
 	// onOp, when set, observes every counted operation ("hit", "miss",
 	// "write", "quarantined", "evict") — the server's metrics mirror. Set
 	// before the cache sees traffic; never mutated after.
@@ -83,7 +90,8 @@ func openDiskCache(fs durable.FS, dir string, maxBytes int64) (*DiskCache, error
 	if err != nil {
 		return nil, fmt.Errorf("serve: open cache: %w", err)
 	}
-	c := &DiskCache{fs: fs, dir: dir, maxBytes: maxBytes, meta: map[string]*entryMeta{}}
+	c := &DiskCache{fs: fs, dir: dir, maxBytes: maxBytes,
+		meta: map[string]*entryMeta{}, stage: map[string][]byte{}}
 	for _, e := range names { // ReadDir sorts by name
 		if !strings.HasSuffix(e.Name(), cacheExt) {
 			continue
@@ -112,12 +120,22 @@ func (c *DiskCache) path(key string) string {
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+cacheExt)
 }
 
-// Get returns the entry's payload, or false on a miss. A corrupt entry —
-// bad magic, checksum mismatch, or a key collision — is quarantined and
-// reported as a miss.
+// Get returns the entry's payload, or false on a miss. A staged payload is
+// a hit like an installed one. A corrupt entry — bad magic, checksum
+// mismatch, or a key collision — is quarantined and reported as a miss.
 func (c *DiskCache) Get(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
+	}
+	// The stage is read before the file: a key that has left the stage has
+	// had its install return, so a lookup never falls between the two.
+	c.lmu.Lock()
+	staged, ok := c.stage[key]
+	c.lmu.Unlock()
+	if ok {
+		c.hits.Add(1)
+		c.observe("hit")
+		return staged, true
 	}
 	path := c.path(key)
 	raw, err := os.ReadFile(path)
@@ -161,7 +179,18 @@ func (c *DiskCache) forget(name string) {
 	c.lmu.Unlock()
 }
 
-// Put installs the payload under key atomically. A concurrent Put of the same
+// Stage holds payload under key in memory until the key's Put returns, so
+// Get answers it before its install lands. The caller must not modify
+// payload afterwards. A staged payload is never durable: if the process dies
+// first, the key is a miss and its request recomputes the same bytes.
+func (c *DiskCache) Stage(key string, payload []byte) {
+	c.lmu.Lock()
+	c.stage[key] = payload
+	c.lmu.Unlock()
+}
+
+// Put installs the payload under key atomically and then drops key from the
+// stage, whether the install succeeded or not. A concurrent Put of the same
 // key is harmless: both writers produce identical bytes (responses are
 // deterministic in the key), so whichever rename lands last installs the same
 // entry.
@@ -169,6 +198,7 @@ func (c *DiskCache) Put(key string, payload []byte) error {
 	if c == nil {
 		return nil
 	}
+	defer c.unstage(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	path := c.path(key)
@@ -189,6 +219,13 @@ func (c *DiskCache) Put(key string, payload []byte) error {
 	c.observe("write")
 	c.sweep(name)
 	return nil
+}
+
+// unstage drops key from the stage, once its install has returned.
+func (c *DiskCache) unstage(key string) {
+	c.lmu.Lock()
+	delete(c.stage, key)
+	c.lmu.Unlock()
 }
 
 // sweep evicts least-recently-used entries until the ledger fits maxBytes.

@@ -220,6 +220,46 @@ func TestDiskCacheConcurrentSameKeyWriters(t *testing.T) {
 	}
 }
 
+// A staged key is a hit from its Stage on, and stays one across its Put:
+// the stage is read before the file, and a key leaves the stage only once
+// its install has returned, so no lookup falls between the two. Writers
+// share keys, as two workers finishing the same request do: one writer's
+// Put may unstage a key another has staged, whose entry is then installed.
+func TestDiskCacheStagedKeysNeverMiss(t *testing.T) {
+	c, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				key := fmt.Sprintf("k%d", i%8)
+				payload := []byte("payload for " + key)
+				c.Stage(key, payload)
+				if got, ok := c.Get(key); !ok || !bytes.Equal(got, payload) {
+					t.Errorf("Get(%s) after Stage = %q, %v", key, got, ok)
+				}
+				if err := c.Put(key, payload); err != nil {
+					t.Errorf("Put(%s): %v", key, err)
+				}
+				if got, ok := c.Get(key); !ok || !bytes.Equal(got, payload) {
+					t.Errorf("Get(%s) after Put = %q, %v", key, got, ok)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(c.stage); n != 0 {
+		t.Errorf("%d keys staged at rest, want 0", n)
+	}
+	if st := c.Stats(); st.Misses != 0 || st.Hits != 4*40*2 {
+		t.Errorf("stats %+v, want %d hits and no miss", st, 4*40*2)
+	}
+}
+
 // The tmp-sweep vs in-flight-write race: a second pdserve booting on the same
 // directory sweeps *.tmp files (durable.SweepTemps, then the cache open) while
 // the first is mid-Put. The sweep may steal the temp file out from under an

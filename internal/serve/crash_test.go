@@ -148,6 +148,121 @@ func TestServerCrashPointSweep(t *testing.T) {
 	t.Logf("%d crash points enumerated over %d operations", points, len(kinds))
 }
 
+// The synchronous sweep, beside the durable one: two distinct /run requests
+// and a repeat of the first, over a file system that dies at every operation
+// in turn (the job journal's open and both cache installs), in every way a
+// kill can cut it. A synchronous reply goes out before its install, so the
+// dead server may have sent bytes it never made durable. After crash() and a
+// restart on the real file system, every reply it sent must be re-served
+// byte-identically: as a hit where the install landed, as a recompute where
+// it did not. No torn entry is ever served, at most one file is quarantined,
+// and the restarted server's ledgers reconcile.
+func TestServerSyncCrashPointSweep(t *testing.T) {
+	reqA := Request{GS: true, Procs: 2, Mode: "ctr", Defines: map[string]int64{"N": 8}}
+	reqB := Request{GS: true, Procs: 2, Mode: "opt3", Blk: 4, Defines: map[string]int64{"N": 8}}
+	reqs := []Request{reqA, reqB, reqA}
+	bodyOf := func(req Request) string {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	config := func(dir string) Config { return Config{CacheDir: dir, Workers: 1, QueueDepth: 8} }
+	// workload sends the requests one at a time and lets each install return
+	// (or die) before the next, so the operation sequence is the same on every
+	// run up to the fault. It returns what the server replied to each.
+	workload := func(fs durable.FS) (dir string, codes []int, bodies [][]byte) {
+		dir = t.TempDir()
+		codes, bodies = make([]int, len(reqs)), make([][]byte, len(reqs))
+		s, err := newServer(config(dir), fs)
+		if err != nil {
+			return dir, codes, bodies // killed while booting
+		}
+		defer s.Close()
+		defer s.crash()
+		h := s.Handler()
+		for i, req := range reqs {
+			w := within(t, serveAsync(h, "POST", "/run", bodyOf(req)), "a synchronous reply")
+			codes[i], bodies[i] = w.Code, w.Body.Bytes()
+			waitFor(t, "the install to return", func() bool { return staged(s.cache) == 0 })
+		}
+		return dir, codes, bodies
+	}
+
+	clean := durabletest.New(0, durabletest.Refuse)
+	_, codes, golden := workload(clean)
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("un-faulted run answered request %d with %d", i, code)
+		}
+	}
+	if !bytes.Equal(golden[0], golden[2]) {
+		t.Fatal("un-faulted run served the repeated request different bytes")
+	}
+	kinds := clean.Kinds()
+	if n := strings.Count(strings.Join(kinds, " "), "rename"); n != 2 {
+		t.Fatalf("un-faulted run renamed %d times, want 2 (two cache installs): %v", n, kinds)
+	}
+
+	points, hits, recomputes := 0, 0, 0
+	for k, kind := range kinds {
+		for _, mode := range durabletest.Modes {
+			if mode == durabletest.Half && kind != "write" {
+				continue
+			}
+			points++
+			at := fmt.Sprintf("%s %s at op %d", mode, kind, k+1)
+			dir, codes, bodies := workload(durabletest.New(k+1, mode))
+
+			b, err := New(config(dir))
+			if err != nil {
+				t.Fatalf("%s: restart: %v", at, err)
+			}
+			h := b.Handler()
+			for i, code := range codes {
+				if code == 0 {
+					continue // never asked: the server died booting
+				}
+				if code != http.StatusOK || !bytes.Equal(bodies[i], golden[i]) {
+					t.Errorf("%s: dead server answered request %d with %d, bytes identical to the un-faulted run: %v",
+						at, i, code, bytes.Equal(bodies[i], golden[i]))
+					continue
+				}
+				w := within(t, serveAsync(h, "POST", "/run", bodyOf(reqs[i])), "a reply after restart")
+				switch cache := w.Header().Get("X-Cache"); {
+				case w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), golden[i]):
+					t.Errorf("%s: request %d after restart: status %d, X-Cache %q, bytes identical: %v",
+						at, i, w.Code, cache, bytes.Equal(w.Body.Bytes(), golden[i]))
+				case cache == "hit":
+					hits++
+				default:
+					recomputes++
+				}
+			}
+			if err := b.Shutdown(context.Background()); err != nil {
+				t.Fatalf("%s: shutdown: %v", at, err)
+			}
+			quarantined, err := os.ReadDir(filepath.Join(dir, quarantineDir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := b.Stats(); len(quarantined) > 1 || int64(len(quarantined)) != st.Cache.Quarantined {
+				t.Errorf("%s: quarantine holds %d files, Stats counts %d; want at most one",
+					at, len(quarantined), st.Cache.Quarantined)
+			}
+			if err := b.VerifyMetrics(); err != nil {
+				t.Errorf("%s: restarted server does not reconcile: %v", at, err)
+			}
+		}
+	}
+	if hits == 0 || recomputes == 0 {
+		t.Errorf("re-served %d replies as hits and %d as recomputes; the sweep must reach both", hits, recomputes)
+	}
+	t.Logf("%d crash points enumerated over %d operations: %d replies re-served as hits, %d recomputed",
+		points, len(kinds), hits, recomputes)
+}
+
 // openFS counts the files a file system has handed out and not yet seen
 // closed.
 type openFS struct {

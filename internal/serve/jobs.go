@@ -141,10 +141,10 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace serves the job's stitched Chrome trace: its wall-time
-// service spans (queued, attempts, settle) plus, when the job was submitted
-// with ?trace=1, the machine's virtual-time trace — both tagged with the
-// originating request ID. 202 while the job still runs; 404 for recovered
-// jobs, whose wall-time history did not survive the restart.
+// service spans (queued, attempts, cache install) plus, when the job was
+// submitted with ?trace=1, the machine's virtual-time trace — both tagged
+// with the originating request ID. 202 while the job still runs; 404 for
+// recovered jobs, whose wall-time history did not survive the restart.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.lookupJob(r.PathValue("id"))
 	if j == nil {

@@ -357,6 +357,8 @@ func TestRequestIDPropagation(t *testing.T) {
 // TestJobTraceStitchesBothClockDomains submits a traced job and requires
 // /jobs/{id}/trace to return one Chrome document holding wall-time service
 // spans and virtual-time machine events, both tagged with the request ID.
+// The wall spans name the job's queue wait, its attempt and its cache
+// install, in that order.
 func TestJobTraceStitchesBothClockDomains(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir()})
 	const rid = "r-test-trace"
@@ -390,6 +392,7 @@ func TestJobTraceStitchesBothClockDomains(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
+			Name string         `json:"name"`
 			Ph   string         `json:"ph"`
 			Pid  int            `json:"pid"`
 			Args map[string]any `json:"args"`
@@ -411,17 +414,22 @@ func TestJobTraceStitchesBothClockDomains(t *testing.T) {
 			doc.PDObs.WallSpans, doc.PDObs.MachineEvents)
 	}
 	wallLinked, machine := 0, 0
+	var wall []string
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "X" {
 			continue
 		}
 		if ev.Pid == 1<<21 {
+			wall = append(wall, ev.Name)
 			if ev.Args["request_id"] == rid {
 				wallLinked++
 			}
 		} else {
 			machine++
 		}
+	}
+	if got := strings.Join(wall, ", "); got != "queued, attempt 1, cache install" {
+		t.Errorf("wall spans %q, want queued, attempt 1, cache install", got)
 	}
 	if wallLinked != doc.PDObs.WallSpans {
 		t.Errorf("%d of %d wall spans carry the request ID", wallLinked, doc.PDObs.WallSpans)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -752,12 +753,44 @@ func (s *Server) settle(j *job, site string) {
 	s.publish(j, terminalEvent(j.jerr))
 }
 
-// runJob evaluates one job with panic isolation: a panicking attempt is
-// recorded, backed off, and retried up to cfg.Retries times; every exit path
-// settles the job exactly once, so no caller is ever left waiting, no queue
-// slot is ever wedged, and no event stream is left unterminated.
+// runJob evaluates one job, settles it exactly once, and installs a result
+// in the cache, so no caller is ever left waiting, no queue slot is ever
+// wedged, and no event stream is left unterminated. The install and the
+// settle come in one of two orders. A /jobs job installs first: recovery
+// reads a done job's bytes from the cache, so its done record must not
+// precede them. A synchronous job promises bytes, not durability: its result
+// is staged, so a repeat request hits while the install runs, the reply goes
+// out, and the install follows. A kill before the install lands costs a miss
+// that recomputes the same bytes. The worker's admission slot is held until
+// runJob returns, so Shutdown's drain waits for every install either way.
 func (s *Server) runJob(j *job) {
-	defer s.settle(j, "finalize")
+	if !s.evaluateJob(j) || s.cache == nil {
+		s.settle(j, "finalize")
+		return
+	}
+	if j.id != "" {
+		t0 := time.Now()
+		s.cache.Put(j.Key, j.result)
+		if j.spans != nil {
+			j.spans.Add("cache install", "service", t0, time.Now(), nil)
+		}
+		s.settle(j, "finalize")
+		return
+	}
+	s.cache.Stage(j.Key, j.result)
+	s.settle(j, "finalize")
+	// settle readied the waiting handler on this worker's P, and the
+	// install's file syscalls would keep holding that P: yield, so the reply
+	// is written first. Without the yield a reply on a 2-vCPU box waited
+	// ≈ 1.2 ms, most of an install (EXPERIMENTS, "Reply before install").
+	runtime.Gosched()
+	s.cache.Put(j.Key, j.result)
+}
+
+// evaluateJob runs one job's attempts with panic isolation: a panicking
+// attempt is recorded, backed off, and retried up to cfg.Retries times. It
+// leaves either j.result or j.jerr set and reports whether the job succeeded.
+func (s *Server) evaluateJob(j *job) bool {
 	if s.cfg.gate != nil {
 		s.cfg.gate(j)
 	}
@@ -766,7 +799,7 @@ func (s *Server) runJob(j *job) {
 			j.jerr = s.ctxError(err)
 			j.jerr.Attempts = attempt - 1
 			s.m.failed.Inc()
-			return
+			return false
 		}
 		s.publish(j, Event{Type: "running", Attempt: attempt})
 		t0 := time.Now()
@@ -782,15 +815,12 @@ func (s *Server) runJob(j *job) {
 		if err == nil {
 			j.result = out
 			s.m.completed.Inc()
-			if s.cache != nil {
-				s.cache.Put(j.Key, out)
-			}
 			if !j.recovered {
 				// Recovered jobs were observed in a previous life; feeding
 				// them again would double-count the workload profile.
 				s.adaptObserve(j.Endpoint, *j.Req, out)
 			}
-			return
+			return true
 		}
 		var pe *panicError
 		if errors.As(err, &pe) {
@@ -804,12 +834,12 @@ func (s *Server) runJob(j *job) {
 			}
 			j.jerr = &JobError{Kind: KindPanic, Message: pe.Error(), Attempts: attempt}
 			s.m.failed.Inc()
-			return
+			return false
 		}
 		j.jerr = s.classify(j, err)
 		j.jerr.Attempts = attempt
 		s.m.failed.Inc()
-		return
+		return false
 	}
 }
 
