@@ -139,7 +139,7 @@ func main() {
 // control's steady state, journals byte-identical decisions under a fixed
 // seed, and stays silent when the workload never shifts.
 func runPhase(seed uint64, jsonOut string) {
-	rep, err := load.RunPhase(load.PhaseConfig{Seed: seed})
+	rep, err := load.RunPhase(seed)
 	if err != nil {
 		fatal(err)
 	}

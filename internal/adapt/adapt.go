@@ -28,12 +28,6 @@ type Config struct {
 	// Enabled gates the whole subsystem; a disabled controller is never
 	// constructed by the server.
 	Enabled bool
-	// Alpha is the EWMA weight a new observation moves the shape-share
-	// profile by (default 0.2).
-	Alpha float64
-	// ShiftAt is the share a non-incumbent shape must sustain to count as a
-	// shift (default 0.6).
-	ShiftAt float64
 	// MinObs is the minimum observations a scenario needs before it may
 	// trigger at all (default 16) — a cold scenario is still learning.
 	MinObs int
@@ -49,25 +43,27 @@ type Config struct {
 	// deliver over the incumbent before the mapping actually switches
 	// (default 0.05). Below it the decision is journaled as "held".
 	MinGain float64
-	// SearchKeep/SearchTopK/SearchWorkers bound the background search
-	// (defaults 6/2/2): Keep statically ranked candidates replayed, TopK
-	// machine confirmations, Workers measurement goroutines.
-	SearchKeep    int
-	SearchTopK    int
-	SearchWorkers int
-	// QueueDepth bounds pending triggers across scenarios (default 8). A
-	// trigger that finds the queue full is dropped and the scenario re-arms
-	// after its cooldown.
-	QueueDepth int
+	// SearchKeep is how many statically ranked candidates the background
+	// search replays (default 6).
+	SearchKeep int
 }
 
+// The controller's fixed tuning. alpha is the EWMA weight a new observation
+// moves the shape-share profile by; shiftAt is the share a non-incumbent
+// shape must sustain to count as a shift. The background search confirms
+// searchTopK candidates on the machine with searchWorkers measurement
+// goroutines. queueDepth bounds pending triggers across scenarios: a
+// trigger that finds the queue full is dropped and the scenario re-arms
+// after its cooldown.
+const (
+	alpha         = 0.2
+	shiftAt       = 0.6
+	searchTopK    = 2
+	searchWorkers = 2
+	queueDepth    = 8
+)
+
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.2
-	}
-	if c.ShiftAt <= 0 || c.ShiftAt > 1 {
-		c.ShiftAt = 0.6
-	}
 	if c.MinObs <= 0 {
 		c.MinObs = 16
 	}
@@ -82,15 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SearchKeep <= 0 {
 		c.SearchKeep = 6
-	}
-	if c.SearchTopK <= 0 {
-		c.SearchTopK = 2
-	}
-	if c.SearchWorkers <= 0 {
-		c.SearchWorkers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
 	}
 	return c
 }
@@ -269,7 +256,7 @@ func New(cfg Config, restored []State, startSeq uint64, hooks Hooks) *Controller
 		sc.decisions = st.Decisions
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-	c.triggers = make(chan *trigger, c.cfg.QueueDepth)
+	c.triggers = make(chan *trigger, queueDepth)
 	c.wg.Add(1)
 	go c.worker()
 	return c
@@ -305,12 +292,12 @@ func (c *Controller) Observe(o Observation) {
 	sc := c.ensureLocked(o.Scenario)
 	sc.obs++
 	for _, k := range sc.shapeOrder {
-		sc.shares[k] *= 1 - c.cfg.Alpha
+		sc.shares[k] *= 1 - alpha
 	}
 	if _, seen := sc.shares[o.Shape]; !seen {
 		sc.shapeOrder = append(sc.shapeOrder, o.Shape)
 	}
-	sc.shares[o.Shape] += c.cfg.Alpha
+	sc.shares[o.Shape] += alpha
 	sc.specs[o.Shape] = o.Spec
 	if sc.tunedFor == "" {
 		sc.tunedFor = o.Shape
@@ -322,7 +309,7 @@ func (c *Controller) Observe(o Observation) {
 		// still converging, or a search for this scenario is in flight
 	default:
 		dom, share := dominantLocked(sc)
-		if dom != sc.tunedFor && share >= c.cfg.ShiftAt {
+		if dom != sc.tunedFor && share >= shiftAt {
 			sc.dwell++
 			if sc.dwell >= c.cfg.Dwell {
 				sc.dwell = 0

@@ -11,10 +11,12 @@ import (
 )
 
 // testController builds a controller whose search is the given stub, with
-// thresholds small enough for unit-length observation streams.
+// thresholds small enough for unit-length observation streams. After six
+// observations of one shape, a new shape's share first reaches shiftAt on its
+// fifth observation, and Dwell confirms the shift on its seventh.
 func testController(t *testing.T, fn func(ctx context.Context, tr *trigger) (searchResult, error), restored []State, startSeq uint64, hooks Hooks) *Controller {
 	t.Helper()
-	cfg := Config{Alpha: 0.5, ShiftAt: 0.6, MinObs: 4, Dwell: 3, Cooldown: 16, MinGain: 0.05}
+	cfg := Config{MinObs: 4, Dwell: 3, Cooldown: 16, MinGain: 0.05}
 	c := New(cfg, restored, startSeq, hooks)
 	c.searchFn = fn
 	return c
@@ -108,8 +110,8 @@ func TestDwellFiltersTransients(t *testing.T) {
 	}, nil, 0, Hooks{})
 	feed(c, "s1", "N=16", 6)
 	for i := 0; i < 10; i++ {
-		feed(c, "s1", "N=24", 2) // dominant for <Dwell observations...
-		feed(c, "s1", "N=16", 4) // ...then the old shape recovers
+		feed(c, "s1", "N=24", 5) // dominant for <Dwell observations...
+		feed(c, "s1", "N=16", 6) // ...then the old shape recovers
 	}
 	c.Close()
 	if st := c.Stats(); st.Triggers != 0 {
@@ -174,24 +176,33 @@ func TestDecisionsAreDeterministic(t *testing.T) {
 }
 
 // A panicking search is isolated: the decision records the panic, the
-// incumbent survives, and the controller keeps serving.
+// incumbent survives, and the controller keeps serving. A panic leaves the
+// tuning anchor where it was, so the shift, still dominant, triggers again
+// once the cooldown has passed and Dwell more observations confirm it.
 func TestSearchPanicIsolated(t *testing.T) {
 	var decisions []Decision
 	c := testController(t, func(ctx context.Context, tr *trigger) (searchResult, error) {
 		panic("modeled candidate exploded")
 	}, nil, 0, Hooks{Persist: func(d Decision) { decisions = append(decisions, d) }})
 	feed(c, "s1", "N=16", 6)
-	feed(c, "s1", "N=24", 30)
+	feed(c, "s1", "N=24", 7) // the seventh triggers
+	waitIdle(t, c)
+	feed(c, "s1", "N=24", 16+2) // the cooldown, then one short of Dwell
+	if st := c.Stats(); st.Triggers != 1 || st.Panicked != 1 {
+		t.Fatalf("stats = %+v, want one panicked search before the re-trigger", st)
+	}
+	feed(c, "s1", "N=24", 1)
 	waitIdle(t, c)
 	c.Close()
-	if st := c.Stats(); st.Panicked != 1 || st.Switched != 0 {
-		t.Errorf("stats = %+v, want one panicked search", st)
+	if st := c.Stats(); st.Triggers != 2 || st.Panicked != 2 || st.Switched != 0 {
+		t.Errorf("stats = %+v, want two panicked searches", st)
 	}
 	if got := c.Preferred("s1"); got != "" {
 		t.Errorf("Preferred = %q after panic, want incumbent kept", got)
 	}
-	if len(decisions) != 1 || decisions[0].Outcome != "panicked" {
-		t.Fatalf("decisions = %+v, want one panicked", decisions)
+	if len(decisions) != 2 || decisions[0].Outcome != "panicked" || decisions[1].Outcome != "panicked" ||
+		decisions[0].Obs != 13 || decisions[1].Obs != 32 {
+		t.Fatalf("decisions = %+v, want panicked at observations 13 and 32", decisions)
 	}
 }
 

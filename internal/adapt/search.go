@@ -30,8 +30,8 @@ func (c *Controller) runSearch(ctx context.Context, t *trigger) (searchResult, e
 		space.Blks = []int64{spec.Blk}
 	}
 	opts := autotune.Options{
-		Space: space, Keep: c.cfg.SearchKeep, TopK: c.cfg.SearchTopK,
-		Workers: c.cfg.SearchWorkers,
+		Space: space, Keep: c.cfg.SearchKeep, TopK: searchTopK,
+		Workers: searchWorkers,
 		// Anchor the model with the program as declared, compiled the way the
 		// service compiles it.
 		BaselineMode: spec.Mode, BaselineBlk: spec.Blk,

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"procdecomp/internal/xform"
-)
+import "fmt"
 
 // A VariantSpec is one entry of the exported variant registry: the single
 // place that ties a curve of Figs. 6/7 to its flag-friendly name and its
@@ -17,16 +13,6 @@ type VariantSpec struct {
 	Name        string // short flag/mode name: rtr, ctr, opt1, opt2, opt3, hand
 	Legend      string // the figure legend, Variant.String()
 	Handwritten bool   // runs the wavefront package, not compiled code
-}
-
-// Pipeline reports the transformation passes the variant applies after
-// compile-time resolution (nil for rtr/ctr/hand).
-func (s VariantSpec) Pipeline(blk int64) []xform.Pass {
-	if s.Handwritten {
-		return nil
-	}
-	passes, _ := xform.StandardPipeline(s.Name, blk)
-	return passes
 }
 
 // Variants lists the registry in presentation order (the order of
@@ -50,17 +36,6 @@ func SpecOf(v Variant) (VariantSpec, bool) {
 		return VariantSpec{}, false
 	}
 	return VariantSpec{Variant: v, Name: name, Legend: v.String(), Handwritten: v == Handwritten}, true
-}
-
-// LookupVariant resolves a registry entry by its short name ("opt3") or its
-// figure legend ("optimized III (blocked)").
-func LookupVariant(name string) (VariantSpec, bool) {
-	for _, v := range AllVariants {
-		if variantNames[v] == name || v.String() == name {
-			return SpecOf(v)
-		}
-	}
-	return VariantSpec{}, false
 }
 
 // variantNames pins each variant to its mode name. For the compiled variants

@@ -32,17 +32,6 @@ func TestRegistryCoversAllVariants(t *testing.T) {
 		if spec.Handwritten != (spec.Variant == Handwritten) {
 			t.Errorf("entry %v Handwritten flag wrong", spec.Variant)
 		}
-		byName, ok := LookupVariant(spec.Name)
-		if !ok || byName.Variant != spec.Variant {
-			t.Errorf("LookupVariant(%q) = %v, %v", spec.Name, byName.Variant, ok)
-		}
-		byLegend, ok := LookupVariant(spec.Legend)
-		if !ok || byLegend.Variant != spec.Variant {
-			t.Errorf("LookupVariant(%q) = %v, %v", spec.Legend, byLegend.Variant, ok)
-		}
-	}
-	if _, ok := LookupVariant("opt9"); ok {
-		t.Error("LookupVariant accepted an unknown name")
 	}
 }
 
@@ -85,7 +74,7 @@ func TestRegistryCompileMatchesCompileGS(t *testing.T) {
 // A variant looked up in the registry runs as the enum value does: RunGS on
 // the default machine measures exactly what RunGSWith measures.
 func TestRegistryRunMatchesRunGS(t *testing.T) {
-	spec, ok := LookupVariant("opt3")
+	spec, ok := SpecOf(OptimizedIII)
 	if !ok {
 		t.Fatal("opt3 missing")
 	}

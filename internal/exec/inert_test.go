@@ -171,7 +171,7 @@ func TestInertStretchHonoursCancel(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	cfg := machine.DefaultConfig(32)
-	cfg.Heartbeat, cfg.HeartbeatEvery = func(machine.Cost) { once.Do(cancel) }, 64
+	cfg.Heartbeat = func(machine.Cost) { once.Do(cancel) }
 	_, err = im.Run(ctx, cfg, map[string]*istruct.Matrix{"Old": bench.Input(256)})
 	if !errors.Is(err, machine.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want one wrapping machine.ErrCanceled and context.Canceled", err)

@@ -69,9 +69,10 @@ type Config struct {
 	// operation still unresolved past it counts as hung, which fails the
 	// harness's gate.
 	ClientTimeout time.Duration
-	// JobPoll is the async-job poll interval (default 5ms).
-	JobPoll time.Duration
 }
+
+// jobPoll is the interval between polls of an async job not yet terminal.
+const jobPoll = 5 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Requests <= 0 {
@@ -82,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ClientTimeout <= 0 {
 		c.ClientTimeout = 60 * time.Second
-	}
-	if c.JobPoll <= 0 {
-		c.JobPoll = 5 * time.Millisecond
 	}
 	if c.Mix == "" {
 		c.Mix = "chaos"
@@ -595,7 +593,7 @@ func (h *harness) doJob(t template, p plan, stream bool) {
 		}
 		if resp.StatusCode == http.StatusAccepted {
 			select {
-			case <-time.After(h.cfg.JobPoll):
+			case <-time.After(jobPoll):
 				continue
 			case <-ctx.Done():
 				h.bump(&h.hung)

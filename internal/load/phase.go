@@ -26,60 +26,28 @@ import (
 //   - adaptive + unshifted: the null control — steady traffic must never
 //     trigger.
 
-// PhaseConfig shapes one phase-shift experiment. The zero value takes the
-// defaults below.
-type PhaseConfig struct {
-	// Seed feeds the server's deterministic jitter; the request schedule
-	// itself is fixed (concurrency 1, fixed op counts).
-	Seed uint64
-	// PhaseOps is the request count per phase (default 30) — enough for the
-	// EWMA profile to cross the shift threshold and dwell out.
-	PhaseOps int
-	// SteadyOps is the measured steady-state request count after the
-	// controller settles (default 8).
-	SteadyOps int
-	// Procs/BaseN/ShiftN shape the workload: Gauss-Seidel at Procs, problem
-	// size BaseN in phase one and ShiftN in phase two (defaults 4, 16, 24).
-	Procs  int
-	BaseN  int64
-	ShiftN int64
-	// GainFrac is the steady-state margin the adaptive run must beat the
-	// no-adapt control by (default 0.05): adaptive <= (1-GainFrac)*control.
-	GainFrac float64
-}
-
-func (c PhaseConfig) withDefaults() PhaseConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.PhaseOps <= 0 {
-		c.PhaseOps = 30
-	}
-	if c.SteadyOps <= 0 {
-		c.SteadyOps = 8
-	}
-	if c.Procs <= 0 {
-		c.Procs = 4
-	}
-	if c.BaseN <= 0 {
-		c.BaseN = 16
-	}
-	if c.ShiftN <= 0 {
-		c.ShiftN = 24
-	}
-	if c.GainFrac <= 0 {
-		c.GainFrac = 0.05
-	}
-	return c
-}
+// The experiment's fixed shape: Gauss-Seidel at phaseProcs, problem size
+// phaseBaseN in phase one and phaseShiftN in phase two, phaseOps requests a
+// phase (enough for the EWMA profile to cross the shift threshold and dwell
+// out), then phaseSteadyOps measured requests once the controller settles.
+// The adaptive run's steady state must beat the no-adapt control by
+// phaseGainFrac: adaptive <= (1-phaseGainFrac)*control.
+const (
+	phaseOps       = 30
+	phaseSteadyOps = 8
+	phaseProcs     = 4
+	phaseBaseN     = 16
+	phaseShiftN    = 24
+	phaseGainFrac  = 0.05
+)
 
 // phaseAdaptConfig is the controller tuning every adaptive run uses: the
 // profile needs ten observations and six dwells to trigger, and the long
 // cooldown bounds each run to at most one switch per phase.
 func phaseAdaptConfig(enabled bool) adapt.Config {
 	return adapt.Config{
-		Enabled: enabled, Alpha: 0.2, ShiftAt: 0.6, MinObs: 10, Dwell: 6,
-		Cooldown: 1000, MinGain: 0.02, SearchKeep: 8, SearchTopK: 2,
+		Enabled: enabled, MinObs: 10, Dwell: 6,
+		Cooldown: 1000, MinGain: 0.02, SearchKeep: 8,
 	}
 }
 
@@ -118,32 +86,36 @@ type PhaseReport struct {
 	Unshifted PhaseRun // adapt on, workload never shifts
 }
 
-// RunPhase executes the four-server experiment and returns the report.
-func RunPhase(cfg PhaseConfig) (*PhaseReport, error) {
-	cfg = cfg.withDefaults()
-	rep := &PhaseReport{Seed: cfg.Seed, Procs: cfg.Procs,
-		BaseN: cfg.BaseN, ShiftN: cfg.ShiftN, GainFrac: cfg.GainFrac}
+// RunPhase executes the four-server experiment and returns the report. The
+// seed feeds the servers' deterministic jitter (0 means 1); the request
+// schedule itself is fixed (concurrency 1, fixed op counts).
+func RunPhase(seed uint64) (*PhaseReport, error) {
+	if seed == 0 {
+		seed = 1
+	}
+	rep := &PhaseReport{Seed: seed, Procs: phaseProcs,
+		BaseN: phaseBaseN, ShiftN: phaseShiftN, GainFrac: phaseGainFrac}
 	var err error
-	if rep.Adaptive, err = phaseRun("adaptive", cfg, true, true); err != nil {
+	if rep.Adaptive, err = phaseRun("adaptive", seed, true, true); err != nil {
 		return nil, err
 	}
-	if rep.Repeat, err = phaseRun("repeat", cfg, true, true); err != nil {
+	if rep.Repeat, err = phaseRun("repeat", seed, true, true); err != nil {
 		return nil, err
 	}
-	if rep.Control, err = phaseRun("control", cfg, false, true); err != nil {
+	if rep.Control, err = phaseRun("control", seed, false, true); err != nil {
 		return nil, err
 	}
-	if rep.Unshifted, err = phaseRun("unshifted", cfg, true, false); err != nil {
+	if rep.Unshifted, err = phaseRun("unshifted", seed, true, false); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
 // phaseRun drives one server through the phase schedule at concurrency 1.
-func phaseRun(label string, cfg PhaseConfig, adaptOn, shifted bool) (PhaseRun, error) {
+func phaseRun(label string, seed uint64, adaptOn, shifted bool) (PhaseRun, error) {
 	run := PhaseRun{Label: label}
 	t, err := Boot(serve.Config{
-		Workers: 1, QueueDepth: 16, AdmitSeed: cfg.Seed,
+		Workers: 1, QueueDepth: 16, AdmitSeed: seed,
 		Adapt: phaseAdaptConfig(adaptOn),
 	}, 1)
 	if err != nil {
@@ -153,7 +125,7 @@ func phaseRun(label string, cfg PhaseConfig, adaptOn, shifted bool) (PhaseRun, e
 
 	post := func(n int64) (string, uint64, error) {
 		resp, payload, err := slurp(t.Post(context.Background(), "/run", "", "", serve.Request{
-			GS: true, Procs: cfg.Procs, Mode: "ctr", Defines: map[string]int64{"N": n}}))
+			GS: true, Procs: phaseProcs, Mode: "ctr", Defines: map[string]int64{"N": n}}))
 		if err != nil {
 			return "", 0, err
 		}
@@ -168,17 +140,18 @@ func phaseRun(label string, cfg PhaseConfig, adaptOn, shifted bool) (PhaseRun, e
 		return resp.Header.Get("X-Adapt-Mapping"), rr.Makespan, nil
 	}
 
-	// Phase one: BaseN traffic. Phase two (shifted runs): ShiftN traffic.
-	for i := 0; i < cfg.PhaseOps; i++ {
-		if _, _, err := post(cfg.BaseN); err != nil {
+	// Phase one: phaseBaseN traffic. Phase two (shifted runs): phaseShiftN
+	// traffic.
+	for i := 0; i < phaseOps; i++ {
+		if _, _, err := post(phaseBaseN); err != nil {
 			return run, err
 		}
 	}
-	steadyN := cfg.BaseN
+	steadyN := int64(phaseBaseN)
 	if shifted {
-		steadyN = cfg.ShiftN
-		for i := 0; i < cfg.PhaseOps; i++ {
-			if _, _, err := post(cfg.ShiftN); err != nil {
+		steadyN = phaseShiftN
+		for i := 0; i < phaseOps; i++ {
+			if _, _, err := post(phaseShiftN); err != nil {
 				return run, err
 			}
 		}
@@ -190,7 +163,7 @@ func phaseRun(label string, cfg PhaseConfig, adaptOn, shifted bool) (PhaseRun, e
 			return run, err
 		}
 	}
-	for i := 0; i < cfg.SteadyOps; i++ {
+	for i := 0; i < phaseSteadyOps; i++ {
 		mapping, makespan, err := post(steadyN)
 		if err != nil {
 			return run, err

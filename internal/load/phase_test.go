@@ -13,7 +13,7 @@ func TestPhaseExperimentGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("phase experiment boots four servers")
 	}
-	rep, err := RunPhase(PhaseConfig{Seed: 1})
+	rep, err := RunPhase(1)
 	if err != nil {
 		t.Fatal(err)
 	}

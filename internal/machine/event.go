@@ -211,10 +211,6 @@ func (ev *evLoop) run(body func(p *Proc)) {
 		ev.next[p.id], ev.stop[p.id] = iter.Pull(seq)
 	}
 	defer ev.stopAll()
-	beatEvery := m.cfg.HeartbeatEvery
-	if beatEvery <= 0 {
-		beatEvery = 4096
-	}
 	dispatches := 0
 	for ev.live > 0 {
 		if len(ev.heap) == 0 {
@@ -230,7 +226,7 @@ func (ev *evLoop) run(body func(p *Proc)) {
 		// The popped process's clock is the minimum over runnable work, so
 		// it is the loop's current virtual time; report it periodically.
 		if beat := m.cfg.Heartbeat; beat != nil {
-			if dispatches++; dispatches >= beatEvery {
+			if dispatches++; dispatches >= heartbeatEvery {
 				dispatches = 0
 				beat(m.procs[pid].clock)
 			}

@@ -25,10 +25,9 @@ func pingPong(rounds int) func(p *Proc) {
 // heartbeats runs the workload and returns the beat clocks in call order
 // plus the run's stats. Heartbeat runs on the loop's own goroutine, and Run
 // joins it, so the slice is safe to read after.
-func heartbeats(t *testing.T, every, rounds int) ([]Cost, Stats) {
+func heartbeats(t *testing.T, rounds int) ([]Cost, Stats) {
 	t.Helper()
 	cfg := testConfig(2)
-	cfg.HeartbeatEvery = every
 	var beats []Cost
 	cfg.Heartbeat = func(c Cost) { beats = append(beats, c) }
 	m := New(cfg)
@@ -39,20 +38,17 @@ func heartbeats(t *testing.T, every, rounds int) ([]Cost, Stats) {
 }
 
 // TestHeartbeatCadence pins the contract: Heartbeat fires exactly every
-// HeartbeatEvery dispatches — halving the interval over the same workload
-// yields floor(D/k) beats for the same dispatch count D.
+// heartbeatEvery dispatches, so D dispatches yield floor(D/heartbeatEvery)
+// beats. The ping-pong dispatches each process once to start and once per
+// message that wakes it, except that process 1 starts after process 0's
+// first send, so its first receive does not block: D = 2·rounds + 1. The
+// round counts straddle the first and the fourth beat.
 func TestHeartbeatCadence(t *testing.T) {
-	const rounds = 200
-	// every=1 counts every dispatch, giving us the workload's exact D.
-	all, _ := heartbeats(t, 1, rounds)
-	d := len(all)
-	if d < 2*rounds {
-		t.Fatalf("ping-pong of %d rounds produced only %d dispatches", rounds, d)
-	}
-	for _, every := range []int{4, 8, 16, 64} {
-		beats, _ := heartbeats(t, every, rounds)
-		if want := d / every; len(beats) != want {
-			t.Errorf("every=%d: %d beats over %d dispatches, want %d", every, len(beats), d, want)
+	for _, rounds := range []int{10, 127, 128, 511, 512} {
+		beats, _ := heartbeats(t, rounds)
+		d := 2*rounds + 1
+		if want := d / heartbeatEvery; len(beats) != want {
+			t.Errorf("%d rounds: %d beats over %d dispatches, want %d", rounds, len(beats), d, want)
 		}
 	}
 }
@@ -61,7 +57,7 @@ func TestHeartbeatCadence(t *testing.T) {
 // loop's current virtual time, so the sequence is non-decreasing and never
 // exceeds the run's makespan.
 func TestHeartbeatOrdering(t *testing.T) {
-	beats, st := heartbeats(t, 8, 200)
+	beats, st := heartbeats(t, 3000)
 	if len(beats) == 0 {
 		t.Fatal("no beats")
 	}
@@ -77,19 +73,18 @@ func TestHeartbeatOrdering(t *testing.T) {
 
 // TestHeartbeatDeterministic: equal runs beat at equal virtual clocks.
 func TestHeartbeatDeterministic(t *testing.T) {
-	a, _ := heartbeats(t, 8, 200)
-	b, _ := heartbeats(t, 8, 200)
+	a, _ := heartbeats(t, 3000)
+	b, _ := heartbeats(t, 3000)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("beat sequences differ between identical runs:\n%v\n%v", a, b)
 	}
 }
 
 // TestHeartbeatObservationalOnly: the hook must not perturb the simulation —
-// stats are bit-identical with and without it — and the default interval
-// only applies when the hook is set at all.
+// stats are bit-identical with and without it.
 func TestHeartbeatObservationalOnly(t *testing.T) {
-	const rounds = 200
-	_, withBeats := heartbeats(t, 3, rounds)
+	const rounds = 3000
+	_, withBeats := heartbeats(t, rounds)
 	cfg := testConfig(2)
 	m := New(cfg)
 	if err := m.Run(pingPong(rounds)); err != nil {
@@ -100,18 +95,17 @@ func TestHeartbeatObservationalOnly(t *testing.T) {
 	}
 }
 
-// TestHeartbeatDefaultInterval: HeartbeatEvery <= 0 means the documented
-// default of 4096 dispatches, verified against the workload's exact
-// dispatch count.
+// TestHeartbeatDefaultInterval: a config that sets only the hook beats at
+// the documented interval of 256 dispatches, checked against the workload's
+// exact dispatch count (2·rounds + 1, see TestHeartbeatCadence).
 func TestHeartbeatDefaultInterval(t *testing.T) {
-	const rounds = 3000 // enough dispatches to cross 4096 at least once
-	all, _ := heartbeats(t, 1, rounds)
-	d := len(all)
-	if d <= 4096 {
-		t.Fatalf("workload produced only %d dispatches, cannot observe the default interval", d)
+	if heartbeatEvery != 256 {
+		t.Fatalf("heartbeat interval is %d dispatches, documented as 256", heartbeatEvery)
 	}
-	beats, _ := heartbeats(t, 0, rounds)
-	if want := d / 4096; len(beats) != want {
+	const rounds = 3000 // enough dispatches to cross 256 many times
+	d := 2*rounds + 1
+	beats, _ := heartbeats(t, rounds)
+	if want := d / 256; len(beats) != want {
 		t.Errorf("default interval: %d beats over %d dispatches, want %d", len(beats), d, want)
 	}
 }

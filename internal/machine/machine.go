@@ -105,18 +105,18 @@ type Config struct {
 	// or a channel that never closes, is bit-identical to earlier versions).
 	// Typically wired to a context's Done channel by exec.RunSPMDCtx.
 	Cancel <-chan struct{}
-	// Heartbeat, when non-nil, is called by the event loop roughly
-	// every HeartbeatEvery process dispatches with the current virtual
-	// clock. It is a purely observational progress hook (pdserve streams it
-	// to clients of long runs): it runs on the loop's own goroutine between
+	// Heartbeat, when non-nil, is called by the event loop every
+	// heartbeatEvery process dispatches with the current virtual clock. It
+	// is a purely observational progress hook (pdserve streams it to
+	// clients of long runs): it runs on the loop's own goroutine between
 	// dispatches, must return promptly, and must not call back into the
 	// machine. It has no effect on the simulation — clocks, traces, and
 	// Stats are bit-identical with or without it.
 	Heartbeat func(clock Cost)
-	// HeartbeatEvery is the dispatch interval between Heartbeat calls
-	// (default 4096 when Heartbeat is set).
-	HeartbeatEvery int
 }
+
+// heartbeatEvery is the dispatch interval between Heartbeat calls.
+const heartbeatEvery = 256
 
 // DefaultConfig returns the iPSC/2-flavoured calibration used by the paper
 // reproduction benchmarks: with OpCost 1, a minimal message costs 350× a

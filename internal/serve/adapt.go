@@ -142,9 +142,6 @@ func (s *Server) persistDecision(d adapt.Decision) {
 				slog.String("scenario", d.Scenario), slog.Uint64("seq", d.Seq), slog.String("err", err.Error()))
 		}
 	}
-	s.log.LogAttrs(context.Background(), slog.LevelInfo, "adapt decision",
-		slog.String("scenario", d.Scenario), slog.String("shape", d.Shape),
-		slog.String("outcome", d.Outcome), slog.String("mapping", d.Mapping))
 }
 
 // AdaptResponse is GET /adapt's body: the controller's live view plus every

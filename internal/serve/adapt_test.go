@@ -33,8 +33,8 @@ func adaptTestConfig(dir string) Config {
 		CacheDir: dir,
 		Workers:  1,
 		Adapt: adapt.Config{
-			Enabled: true, Alpha: 0.5, ShiftAt: 0.6, MinObs: 4, Dwell: 2,
-			Cooldown: 1000, MinGain: 0.01, SearchKeep: 6, SearchTopK: 2,
+			Enabled: true, MinObs: 4, Dwell: 2,
+			Cooldown: 1000, MinGain: 0.01, SearchKeep: 6,
 		},
 	}
 }
@@ -90,11 +90,12 @@ func TestServeAdaptsToWorkloadShift(t *testing.T) {
 		}
 	}
 
-	// Phase 2: sustained N=12 traffic. With Alpha 0.5 the new shape crosses
-	// ShiftAt on its second observation and Dwell confirms on the third, so
-	// six requests are ample — and the cooldown forbids a second trigger.
+	// Phase 2: sustained N=12 traffic. After four N=8 observations the new
+	// shape's share first reaches the shift threshold on its fifth
+	// observation and Dwell confirms on the sixth, so eight requests leave
+	// two to spare — and the cooldown forbids a second trigger.
 	var preMakespan uint64
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 8; i++ {
 		resp, body := post(t, hs.URL+"/run", adaptShiftRun)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("shift run %d: status %d: %s", i, resp.StatusCode, body)

@@ -293,11 +293,6 @@ func doRun(ctx context.Context, req Request, mapping string, hooks *evalHooks) (
 	return resp, nil
 }
 
-// heartbeatEvery is the event-dispatch stride between streamed virtual-time
-// heartbeats. Observation only: the machine's schedule is identical with
-// the hook on or off.
-const heartbeatEvery = 256
-
 // runOnce compiles and executes the request's program, optionally traced.
 // With hooks, the simulated machine streams virtual-time heartbeats to the
 // job's event log as it runs.
@@ -319,7 +314,6 @@ func runOnce(ctx context.Context, req Request, mapping string, tr *trace.Log, ho
 		cfg.Tracer = tr
 	}
 	if hooks != nil && hooks.emit != nil {
-		cfg.HeartbeatEvery = heartbeatEvery
 		cfg.Heartbeat = func(clock machine.Cost) {
 			hooks.publish(Event{Type: "heartbeat", Clock: uint64(clock)})
 		}

@@ -24,7 +24,7 @@ import (
 // Keys are hex content hashes (contentKey); the entry's filename is a hash
 // of the key, so hostile or oversized keys cannot escape the directory.
 //
-// The cache can be bounded (OpenDiskCacheLimit): a byte ledger tracks every
+// The cache can be bounded (Config.CacheMaxBytes): a byte ledger tracks every
 // installed entry, and each Put sweeps least-recently-used entries until the
 // footprint fits the budget. Recency is a logical access clock, not the
 // filesystem's atime — mount options must not change eviction order.
@@ -69,19 +69,11 @@ const (
 	cacheExt      = ".entry"
 )
 
-// OpenDiskCache opens (creating if needed) an unbounded cache rooted at dir.
-func OpenDiskCache(dir string) (*DiskCache, error) {
-	return OpenDiskCacheLimit(dir, 0)
-}
-
-// OpenDiskCacheLimit opens a cache whose installed entries may occupy at most
-// maxBytes on disk (0 = unbounded). Existing entries are charged to the
-// ledger in file-name order — a deterministic recency seed — and an
-// over-budget directory is swept immediately, coldest first.
-func OpenDiskCacheLimit(dir string, maxBytes int64) (*DiskCache, error) {
-	return openDiskCache(durable.OS{}, dir, maxBytes)
-}
-
+// openDiskCache opens (creating if needed) a cache rooted at dir whose
+// installed entries may occupy at most maxBytes on disk (0 = unbounded).
+// Existing entries are charged to the ledger in file-name order — a
+// deterministic recency seed — and an over-budget directory is swept
+// immediately, coldest first.
 func openDiskCache(fs durable.FS, dir string, maxBytes int64) (*DiskCache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open cache: %w", err)

@@ -13,7 +13,7 @@ import (
 )
 
 func TestDiskCacheRoundTrip(t *testing.T) {
-	c, err := OpenDiskCache(t.TempDir())
+	c, err := openDiskCache(durable.OS{}, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 	for name, f := range damage {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := OpenDiskCache(dir)
+			c, err := openDiskCache(durable.OS{}, dir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 // must not serve the wrong payload.
 func TestDiskCacheRejectsWrongKey(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
+	c, err := openDiskCache(durable.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDiskCacheSweepsTempFiles(t *testing.T) {
 // entries check depends on decodeEntry rejecting anything inconsistent.
 func TestDiskCacheEntriesSelfDescribe(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
+	c, err := openDiskCache(durable.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDiskCacheEntriesSelfDescribe(t *testing.T) {
 // miss, the old payload, or the new payload — always intact, never torn.
 func TestDiskCacheConcurrentSameKeyWriters(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
+	c, err := openDiskCache(durable.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestDiskCacheConcurrentSameKeyWriters(t *testing.T) {
 // share keys, as two workers finishing the same request do: one writer's
 // Put may unstage a key another has staged, whose entry is then installed.
 func TestDiskCacheStagedKeysNeverMiss(t *testing.T) {
-	c, err := OpenDiskCache(t.TempDir())
+	c, err := openDiskCache(durable.OS{}, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestDiskCacheStagedKeysNeverMiss(t *testing.T) {
 // installed entry or make a reader see torn bytes.
 func TestDiskCacheSweepRaceWithInflightWrites(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
+	c, err := openDiskCache(durable.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestDiskCacheSweepRaceWithInflightWrites(t *testing.T) {
 			// A concurrent boot, as newServer does it: remove every .tmp in
 			// sight, then open the cache over what is left.
 			durable.SweepTemps(durable.OS{}, dir)
-			if _, err := OpenDiskCache(dir); err != nil {
+			if _, err := openDiskCache(durable.OS{}, dir, 0); err != nil {
 				t.Errorf("concurrent open: %v", err)
 			}
 		}
@@ -330,7 +330,7 @@ func TestDiskCacheEviction(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 100)
 	entrySize := int64(len(encodeEntry("k0", payload))) // equal-length keys → equal sizes
-	c, err := OpenDiskCacheLimit(dir, 3*entrySize)
+	c, err := openDiskCache(durable.OS{}, dir, 3*entrySize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestDiskCacheEviction(t *testing.T) {
 func TestDiskCacheOversizeEntrySurvivesOwnSweep(t *testing.T) {
 	dir := t.TempDir()
 	big := bytes.Repeat([]byte("y"), 4096)
-	c, err := OpenDiskCacheLimit(dir, 256)
+	c, err := openDiskCache(durable.OS{}, dir, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestDiskCacheOversizeEntrySurvivesOwnSweep(t *testing.T) {
 // (recency seeded in file-name order) before serving anything.
 func TestDiskCacheOpenSweepsOverBudgetDir(t *testing.T) {
 	dir := t.TempDir()
-	unbounded, err := OpenDiskCache(dir)
+	unbounded, err := openDiskCache(durable.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestDiskCacheOpenSweepsOverBudgetDir(t *testing.T) {
 		}
 	}
 	entrySize := int64(len(encodeEntry("a", payload)))
-	c, err := OpenDiskCacheLimit(dir, 2*entrySize)
+	c, err := openDiskCache(durable.OS{}, dir, 2*entrySize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestDiskCacheOpenSweepsOverBudgetDir(t *testing.T) {
 		t.Errorf("%d survivors, want 2", survivors)
 	}
 	// A second open of the same bytes picks the same survivors.
-	c2, err := OpenDiskCacheLimit(dir, 2*entrySize)
+	c2, err := openDiskCache(durable.OS{}, dir, 2*entrySize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,6 @@ type Config struct {
 	// request fails with 500 (default 2). Only panics retry — a compile or
 	// run error is deterministic and retrying it would waste the pool.
 	Retries int
-	// RetryBase/RetryMax shape the capped exponential backoff between panic
-	// retries (defaults 10ms, 250ms).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// CacheDir, when set, enables the persistent result cache and the
 	// durable async-job journal (jobs.journal in the same directory). With
 	// no CacheDir, /jobs still works but jobs do not survive a restart.
@@ -86,8 +82,6 @@ type Config struct {
 	// to the in-memory ring behind /logz (nil = ring only, no external
 	// output — the right default for tests).
 	LogHandler slog.Handler
-	// LogLines caps the in-memory structured-log ring (default 4096).
-	LogLines int
 	// gate, when non-nil, is called by a worker after dequeuing a job and
 	// before evaluating it — a test seam: the soak holds workers here to
 	// fill the queue deterministically. Set before New; never mutated after.
@@ -115,12 +109,6 @@ func (c Config) withDefaults() Config {
 	} else if c.Retries == 0 {
 		c.Retries = 2
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 10 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 250 * time.Millisecond
-	}
 	if c.FairShareAt == 0 {
 		c.FairShareAt = 0.5
 	}
@@ -138,9 +126,6 @@ func (c Config) withDefaults() Config {
 		c.JournalCompactEvery = 4096
 	case c.JournalCompactEvery < 0:
 		c.JournalCompactEvery = 0
-	}
-	if c.LogLines <= 0 {
-		c.LogLines = 4096
 	}
 	return c
 }
@@ -386,6 +371,9 @@ type Server struct {
 	seq atomic.Uint64
 }
 
+// logLines caps the in-memory structured-log ring behind /logz.
+const logLines = 4096
+
 // New starts a server: opens the cache and the job journal (if configured),
 // recovers and re-enqueues journal jobs a previous process left unfinished,
 // and launches the worker pool. The server reports ready (/readyz) only
@@ -398,7 +386,7 @@ func newServer(cfg Config, fs durable.FS) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, adm: newAdmission(cfg), jobs: map[string]*job{}}
 	s.m = newServerMetrics()
-	s.ring = obs.NewRing(cfg.LogLines, cfg.LogHandler)
+	s.ring = obs.NewRing(logLines, cfg.LogHandler)
 	s.log = slog.New(s.ring)
 	s.ridSalt = uint64(time.Now().UnixNano())
 	s.baseCtx, s.abort = context.WithCancel(context.Background())
@@ -876,12 +864,19 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("evaluation panicked: %v", e.val) }
 
+// The backoff between panic retries starts at retryBase and doubles up to
+// retryMax.
+const (
+	retryBase = 10 * time.Millisecond
+	retryMax  = 250 * time.Millisecond
+)
+
 // backoff sleeps the capped exponential delay for the given attempt, waking
 // early if the job's deadline fires.
 func (s *Server) backoff(ctx context.Context, attempt int) {
-	d := s.cfg.RetryBase << (attempt - 1)
-	if d > s.cfg.RetryMax {
-		d = s.cfg.RetryMax
+	d := retryBase << (attempt - 1)
+	if d > retryMax {
+		d = retryMax
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
