@@ -102,8 +102,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 // pickEntry resolves the procedure to compile: the named one, else main, else
 // the only procedure nothing else calls (sem rejects recursion, so a program's
-// sole procedure is that). Several uncalled procedures are an error, not a
-// coin toss over map iteration order.
+// sole procedure is that), read from sem's call graph, Proc.Callees. Several
+// uncalled procedures are an error, not a coin toss over map iteration order.
 func pickEntry(info *sem.Info, entry string) (string, error) {
 	if entry != "" {
 		return entry, nil
@@ -113,9 +113,7 @@ func pickEntry(info *sem.Info, entry string) (string, error) {
 	}
 	called := map[string]bool{}
 	for _, p := range info.Procs {
-		var names []string
-		collectCalled(p, &names)
-		for _, n := range names {
+		for _, n := range p.Callees {
 			called[n] = true
 		}
 	}
@@ -134,57 +132,4 @@ func pickEntry(info *sem.Info, entry string) (string, error) {
 	default:
 		return "", fmt.Errorf("cannot determine entry procedure (candidates: %s); use -entry", strings.Join(roots, ", "))
 	}
-}
-
-func collectCalled(p *sem.Proc, out *[]string) {
-	var walk func(b *lang.Block)
-	var walkExpr func(e lang.Expr)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.CallExpr:
-			*out = append(*out, e.Name)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.BinExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *lang.UnExpr:
-			walkExpr(e.X)
-		case *lang.IndexExpr:
-			for _, ix := range e.Indices {
-				walkExpr(ix)
-			}
-		}
-	}
-	walk = func(b *lang.Block) {
-		if b == nil {
-			return
-		}
-		for _, st := range b.Stmts {
-			switch st := st.(type) {
-			case *lang.CallStmt:
-				*out = append(*out, st.Name)
-				for _, a := range st.Args {
-					walkExpr(a)
-				}
-			case *lang.LetStmt:
-				walkExpr(st.Init)
-			case *lang.AssignStmt:
-				walkExpr(st.Value)
-			case *lang.StoreStmt:
-				walkExpr(st.Value)
-			case *lang.ForStmt:
-				walk(st.Body)
-			case *lang.IfStmt:
-				walk(st.Then)
-				walk(st.Else)
-			case *lang.ReturnStmt:
-				if st.Value != nil {
-					walkExpr(st.Value)
-				}
-			}
-		}
-	}
-	walk(p.Decl.Body)
 }

@@ -78,6 +78,20 @@ proc gamma() { let y = helper(3); }
 		t.Errorf("explicit entry not honoured when ambiguous: %q, %v", got, err)
 	}
 
+	// A helper called only from a loop bound or an if condition is still
+	// called: the entry is the procedure that calls it.
+	for _, src := range []string{`
+proc helper(x: int): int { return x; }
+proc top() { for i = 1 to helper(3) { } }
+`, `
+proc helper(x: int): int { return x; }
+proc top() { if helper(3) > 2 { } }
+`} {
+		if got, err := pickEntry(check(t, src), ""); err != nil || got != "top" {
+			t.Errorf("pickEntry = %q, %v, want top for%s", got, err, src)
+		}
+	}
+
 	info = check(t, `proc only() { }`)
 	if got, err := pickEntry(info, ""); err != nil || got != "only" {
 		t.Errorf("pickEntry = %q, %v, want the sole procedure", got, err)

@@ -202,98 +202,17 @@ func rewriteDecl(prog *lang.Program, distName, builtin string, args []lang.Expr)
 }
 
 // rewriteUses replaces every `on distName` mapping annotation in the program
-// with repl, returning how many sites changed.
+// with repl, in place, returning how many sites changed.
 func rewriteUses(prog *lang.Program, distName string, repl *lang.MapExpr) int {
 	n := 0
-	swap := func(m **lang.MapExpr) {
-		if *m != nil && (*m).Kind == lang.MapNamed && (*m).Name == distName {
-			c := *repl
-			c.Pos = (*m).Pos
-			*m = &c
+	lang.Inspect(prog, func(node any) bool {
+		if m, ok := node.(*lang.MapExpr); ok && m.Kind == lang.MapNamed && m.Name == distName {
+			pos := m.Pos
+			*m = *repl
+			m.Pos = pos
 			n++
 		}
-	}
-	swapSlice := func(ms []lang.MapExpr) {
-		for i := range ms {
-			if ms[i].Kind == lang.MapNamed && ms[i].Name == distName {
-				c := *repl
-				c.Pos = ms[i].Pos
-				ms[i] = c
-				n++
-			}
-		}
-	}
-	var walkExpr func(e lang.Expr)
-	var walkBlock func(b *lang.Block)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.BinExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *lang.UnExpr:
-			walkExpr(e.X)
-		case *lang.IndexExpr:
-			for _, ix := range e.Indices {
-				walkExpr(ix)
-			}
-		case *lang.CallExpr:
-			swapSlice(e.DistArgs)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		}
-	}
-	walkBlock = func(b *lang.Block) {
-		if b == nil {
-			return
-		}
-		for _, st := range b.Stmts {
-			switch st := st.(type) {
-			case *lang.LetStmt:
-				swap(&st.Map)
-				if st.Init != nil {
-					walkExpr(st.Init)
-				}
-			case *lang.AssignStmt:
-				walkExpr(st.Value)
-			case *lang.StoreStmt:
-				for _, ix := range st.Indices {
-					walkExpr(ix)
-				}
-				walkExpr(st.Value)
-			case *lang.ForStmt:
-				walkExpr(st.Lo)
-				walkExpr(st.Hi)
-				if st.Step != nil {
-					walkExpr(st.Step)
-				}
-				walkBlock(st.Body)
-			case *lang.IfStmt:
-				walkExpr(st.Cond)
-				walkBlock(st.Then)
-				walkBlock(st.Else)
-			case *lang.CallStmt:
-				swapSlice(st.DistArgs)
-				for _, a := range st.Args {
-					walkExpr(a)
-				}
-			case *lang.ReturnStmt:
-				if st.Value != nil {
-					walkExpr(st.Value)
-				}
-			}
-		}
-	}
-	for _, d := range prog.Decls {
-		pd, ok := d.(*lang.ProcDecl)
-		if !ok {
-			continue
-		}
-		for i := range pd.Params {
-			swap(&pd.Params[i].Map)
-		}
-		swap(&pd.RetMap)
-		walkBlock(pd.Body)
-	}
+		return true
+	})
 	return n
 }

@@ -320,11 +320,16 @@ func (c *checker) resolveType(t *lang.TypeExpr) (Type, bool) {
 
 func (c *checker) checkRecursion() {
 	// Build the call graph over monomorphic procedures.
-	graph := map[string][]string{}
-	for name, p := range c.info.Procs {
-		var callees []string
-		collectCalls(p.Decl.Body, &callees)
-		graph[name] = callees
+	for _, p := range c.info.Procs {
+		lang.Inspect(p.Decl.Body, func(n any) bool {
+			switch n := n.(type) {
+			case *lang.CallStmt:
+				p.Callees = append(p.Callees, n.Name)
+			case *lang.CallExpr:
+				p.Callees = append(p.Callees, n.Name)
+			}
+			return true
+		})
 	}
 	// Iterative DFS cycle detection, visiting procedures in sorted order for
 	// deterministic error messages.
@@ -337,7 +342,7 @@ func (c *checker) checkRecursion() {
 	var visit func(name string) bool
 	visit = func(name string) bool {
 		color[name] = gray
-		for _, callee := range graph[name] {
+		for _, callee := range c.info.Procs[name].Callees {
 			if _, ok := c.info.Procs[callee]; !ok {
 				continue // undefined callee reported during body checking
 			}
@@ -355,73 +360,14 @@ func (c *checker) checkRecursion() {
 		color[name] = black
 		return true
 	}
-	names := make([]string, 0, len(graph))
-	for n := range graph {
+	names := make([]string, 0, len(c.info.Procs))
+	for n := range c.info.Procs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
 		if color[n] == white && !visit(n) {
 			return
-		}
-	}
-}
-
-func collectCalls(b *lang.Block, out *[]string) {
-	if b == nil {
-		return
-	}
-	for _, st := range b.Stmts {
-		switch st := st.(type) {
-		case *lang.CallStmt:
-			*out = append(*out, st.Name)
-		case *lang.LetStmt:
-			collectCallsExpr(st.Init, out)
-		case *lang.AssignStmt:
-			collectCallsExpr(st.Value, out)
-		case *lang.StoreStmt:
-			collectCallsExpr(st.Value, out)
-			for _, ix := range st.Indices {
-				collectCallsExpr(ix, out)
-			}
-		case *lang.ForStmt:
-			collectCallsExpr(st.Lo, out)
-			collectCallsExpr(st.Hi, out)
-			if st.Step != nil {
-				collectCallsExpr(st.Step, out)
-			}
-			collectCalls(st.Body, out)
-		case *lang.IfStmt:
-			collectCallsExpr(st.Cond, out)
-			collectCalls(st.Then, out)
-			collectCalls(st.Else, out)
-		case *lang.ReturnStmt:
-			if st.Value != nil {
-				collectCallsExpr(st.Value, out)
-			}
-		}
-	}
-}
-
-func collectCallsExpr(e lang.Expr, out *[]string) {
-	switch e := e.(type) {
-	case *lang.CallExpr:
-		*out = append(*out, e.Name)
-		for _, a := range e.Args {
-			collectCallsExpr(a, out)
-		}
-	case *lang.BinExpr:
-		collectCallsExpr(e.L, out)
-		collectCallsExpr(e.R, out)
-	case *lang.UnExpr:
-		collectCallsExpr(e.X, out)
-	case *lang.IndexExpr:
-		for _, ix := range e.Indices {
-			collectCallsExpr(ix, out)
-		}
-	case *lang.AllocExpr:
-		for _, d := range e.Dims {
-			collectCallsExpr(d, out)
 		}
 	}
 }

@@ -32,7 +32,15 @@ func (c *checker) monomorphize() {
 	for len(work) > 0 {
 		d := work[0]
 		work = work[1:]
-		c.monoBlock(d.Body, &work, inst)
+		lang.Inspect(d.Body, func(n any) bool {
+			switch n := n.(type) {
+			case *lang.CallStmt:
+				n.Name, n.DistArgs = c.monoCall(n.Pos, n.Name, n.DistArgs, &work, inst)
+			case *lang.CallExpr:
+				n.Name, n.DistArgs = c.monoCall(n.Pos, n.Name, n.DistArgs, &work, inst)
+			}
+			return true
+		})
 	}
 	// Drop templates from the program so downstream passes see only
 	// monomorphic procedures.
@@ -44,68 +52,6 @@ func (c *checker) monomorphize() {
 		decls = append(decls, d)
 	}
 	c.info.Prog.Decls = decls
-}
-
-func (c *checker) monoBlock(b *lang.Block, work *[]*lang.ProcDecl, inst map[string]string) {
-	if b == nil {
-		return
-	}
-	for _, st := range b.Stmts {
-		switch st := st.(type) {
-		case *lang.CallStmt:
-			st.Name, st.DistArgs = c.monoCall(st.Pos, st.Name, st.DistArgs, work, inst)
-			for _, a := range st.Args {
-				c.monoExpr(a, work, inst)
-			}
-		case *lang.LetStmt:
-			c.monoExpr(st.Init, work, inst)
-		case *lang.AssignStmt:
-			c.monoExpr(st.Value, work, inst)
-		case *lang.StoreStmt:
-			c.monoExpr(st.Value, work, inst)
-			for _, ix := range st.Indices {
-				c.monoExpr(ix, work, inst)
-			}
-		case *lang.ForStmt:
-			c.monoExpr(st.Lo, work, inst)
-			c.monoExpr(st.Hi, work, inst)
-			if st.Step != nil {
-				c.monoExpr(st.Step, work, inst)
-			}
-			c.monoBlock(st.Body, work, inst)
-		case *lang.IfStmt:
-			c.monoExpr(st.Cond, work, inst)
-			c.monoBlock(st.Then, work, inst)
-			c.monoBlock(st.Else, work, inst)
-		case *lang.ReturnStmt:
-			if st.Value != nil {
-				c.monoExpr(st.Value, work, inst)
-			}
-		}
-	}
-}
-
-func (c *checker) monoExpr(e lang.Expr, work *[]*lang.ProcDecl, inst map[string]string) {
-	switch e := e.(type) {
-	case *lang.CallExpr:
-		e.Name, e.DistArgs = c.monoCall(e.Pos, e.Name, e.DistArgs, work, inst)
-		for _, a := range e.Args {
-			c.monoExpr(a, work, inst)
-		}
-	case *lang.BinExpr:
-		c.monoExpr(e.L, work, inst)
-		c.monoExpr(e.R, work, inst)
-	case *lang.UnExpr:
-		c.monoExpr(e.X, work, inst)
-	case *lang.IndexExpr:
-		for _, ix := range e.Indices {
-			c.monoExpr(ix, work, inst)
-		}
-	case *lang.AllocExpr:
-		for _, d := range e.Dims {
-			c.monoExpr(d, work, inst)
-		}
-	}
 }
 
 // monoCall resolves one call site: instantiating a template if needed, it

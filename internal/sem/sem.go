@@ -118,6 +118,9 @@ type Proc struct {
 	Params  []*Symbol
 	RetType *Type     // nil for void
 	RetDist dist.Dist // nil for void
+	// Callees names every procedure the body calls, in source order and
+	// with repeats: the call graph the recursion check walks.
+	Callees []string
 }
 
 // Info is the result of semantic analysis.

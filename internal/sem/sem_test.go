@@ -217,6 +217,7 @@ func TestErrors(t *testing.T) {
 		{`proc f() {} proc main() { let x = f(); }`, "returns no value"},
 		{`proc f() { call g(); } proc g() { call f(); }`, "recursion"},
 		{`proc f() { call f(); }`, "recursion"},
+		{`proc g(x: int) {} proc f(x: int): int { call g(f(x)); return x; }`, "recursion"},
 		{`proc main() { let A = matrix(0, 4) on all; }`, "must be positive"},
 		{`proc main() { let n = 4; let A = matrix(n, 4) on all; }`, "not a constant"},
 		{`proc main(a: int on proc(9)) {}`, "out of range"},

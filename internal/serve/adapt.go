@@ -139,7 +139,8 @@ func (s *Server) persistDecision(d adapt.Decision) {
 		if err := s.adaptJournal.Append(line); err != nil {
 			s.m.journalErrors.Inc("decision")
 			s.log.LogAttrs(context.Background(), slog.LevelWarn, "adapt decision not durable",
-				slog.String("scenario", d.Scenario), slog.Uint64("seq", d.Seq), slog.String("err", err.Error()))
+				slog.String("site", "decision"), slog.String("scenario", d.Scenario),
+				slog.Uint64("seq", d.Seq), slog.String("error", err.Error()))
 		}
 	}
 }

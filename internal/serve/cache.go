@@ -9,9 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"procdecomp/internal/durable"
+	"procdecomp/internal/obs"
 )
 
 // DiskCache is the service's persistent result store: content key -> exact
@@ -29,19 +29,20 @@ import (
 // footprint fits the budget. Recency is a logical access clock, not the
 // filesystem's atime — mount options must not change eviction order.
 //
+// Every counted operation is one increment of ops, the server's
+// pdserve_cache_ops_total ("hit", "miss", "write", "quarantined", "evict"),
+// from the open-time sweep on; Stats reads it back, so the cache keeps no
+// count of its own.
+//
 // A response can also be staged (Stage): held in memory under its key from
 // before its reply is sent until its install returns, so Get answers it as
 // an ordinary hit while the install's fsyncs run after the reply.
 type DiskCache struct {
-	fs         durable.FS // every mutation of the directory goes through it
-	dir        string
-	maxBytes   int64      // 0 = unbounded
-	mu         sync.Mutex // serializes writers per cache, not readers
-	hits       atomic.Int64
-	misses     atomic.Int64
-	writes     atomic.Int64
-	quarantine atomic.Int64
-	evictions  atomic.Int64
+	fs       durable.FS // every mutation of the directory goes through it
+	dir      string
+	maxBytes int64       // 0 = unbounded
+	ops      obs.Counter // op: hit, miss, write, quarantined, evict
+	mu       sync.Mutex  // serializes writers per cache, not readers
 	// lmu guards the byte ledger and the logical-clock recency index the
 	// eviction sweep orders victims by.
 	lmu   sync.Mutex
@@ -51,10 +52,6 @@ type DiskCache struct {
 	// stage holds the staged responses by key, each from its Stage until its
 	// Put returns; at most one per worker.
 	stage map[string][]byte
-	// onOp, when set, observes every counted operation ("hit", "miss",
-	// "write", "quarantined", "evict") — the server's metrics mirror. Set
-	// before the cache sees traffic; never mutated after.
-	onOp func(op string)
 }
 
 // entryMeta is one installed entry's ledger line.
@@ -70,11 +67,11 @@ const (
 )
 
 // openDiskCache opens (creating if needed) a cache rooted at dir whose
-// installed entries may occupy at most maxBytes on disk (0 = unbounded).
-// Existing entries are charged to the ledger in file-name order — a
-// deterministic recency seed — and an over-budget directory is swept
-// immediately, coldest first.
-func openDiskCache(fs durable.FS, dir string, maxBytes int64) (*DiskCache, error) {
+// installed entries may occupy at most maxBytes on disk (0 = unbounded) and
+// which counts its operations on ops. Existing entries are charged to the
+// ledger in file-name order — a deterministic recency seed — and an
+// over-budget directory is swept immediately, coldest first.
+func openDiskCache(fs durable.FS, dir string, maxBytes int64, ops obs.Counter) (*DiskCache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open cache: %w", err)
 	}
@@ -82,7 +79,7 @@ func openDiskCache(fs durable.FS, dir string, maxBytes int64) (*DiskCache, error
 	if err != nil {
 		return nil, fmt.Errorf("serve: open cache: %w", err)
 	}
-	c := &DiskCache{fs: fs, dir: dir, maxBytes: maxBytes,
+	c := &DiskCache{fs: fs, dir: dir, maxBytes: maxBytes, ops: ops,
 		meta: map[string]*entryMeta{}, stage: map[string][]byte{}}
 	for _, e := range names { // ReadDir sorts by name
 		if !strings.HasSuffix(e.Name(), cacheExt) {
@@ -98,13 +95,6 @@ func openDiskCache(fs durable.FS, dir string, maxBytes int64) (*DiskCache, error
 	}
 	c.sweep("")
 	return c, nil
-}
-
-// observe reports one counted operation to the metrics mirror, if attached.
-func (c *DiskCache) observe(op string) {
-	if c.onOp != nil {
-		c.onOp(op)
-	}
 }
 
 func (c *DiskCache) path(key string) string {
@@ -125,27 +115,23 @@ func (c *DiskCache) Get(key string) ([]byte, bool) {
 	staged, ok := c.stage[key]
 	c.lmu.Unlock()
 	if ok {
-		c.hits.Add(1)
-		c.observe("hit")
+		c.ops.Inc("hit")
 		return staged, true
 	}
 	path := c.path(key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		c.misses.Add(1)
-		c.observe("miss")
+		c.ops.Inc("miss")
 		return nil, false
 	}
 	payload, err := decodeEntry(raw, key)
 	if err != nil {
 		c.quarantineEntry(path)
-		c.misses.Add(1)
-		c.observe("miss")
+		c.ops.Inc("miss")
 		return nil, false
 	}
 	c.touch(filepath.Base(path))
-	c.hits.Add(1)
-	c.observe("hit")
+	c.ops.Inc("hit")
 	return payload, true
 }
 
@@ -207,8 +193,7 @@ func (c *DiskCache) Put(key string, payload []byte) error {
 	c.meta[name] = &entryMeta{size: int64(len(enc)), atime: c.clock}
 	c.bytes += int64(len(enc))
 	c.lmu.Unlock()
-	c.writes.Add(1)
-	c.observe("write")
+	c.ops.Inc("write")
 	c.sweep(name)
 	return nil
 }
@@ -253,8 +238,7 @@ func (c *DiskCache) sweep(protect string) {
 		delete(c.meta, victim)
 		c.lmu.Unlock()
 		c.fs.Remove(filepath.Join(c.dir, victim))
-		c.evictions.Add(1)
-		c.observe("evict")
+		c.ops.Inc("evict")
 	}
 }
 
@@ -267,11 +251,11 @@ func (c *DiskCache) quarantineEntry(path string) {
 		c.fs.Remove(path) // last resort: a corrupt entry must not be re-served
 	}
 	c.forget(filepath.Base(path))
-	c.quarantine.Add(1)
-	c.observe("quarantined")
+	c.ops.Inc("quarantined")
 }
 
-// CacheStats is a point-in-time counter snapshot.
+// CacheStats is a point-in-time snapshot of the cache's operation counts and
+// footprint.
 type CacheStats struct {
 	Hits, Misses, Writes, Quarantined, Evictions int64
 	// Bytes is the installed entries' current on-disk footprint — what the
@@ -286,10 +270,10 @@ func (c *DiskCache) Stats() CacheStats {
 	c.lmu.Lock()
 	bytes := c.bytes
 	c.lmu.Unlock()
+	n := func(op string) int64 { return int64(c.ops.Value(op)) }
 	return CacheStats{
-		Hits: c.hits.Load(), Misses: c.misses.Load(),
-		Writes: c.writes.Load(), Quarantined: c.quarantine.Load(),
-		Evictions: c.evictions.Load(), Bytes: bytes,
+		Hits: n("hit"), Misses: n("miss"), Writes: n("write"),
+		Quarantined: n("quarantined"), Evictions: n("evict"), Bytes: bytes,
 	}
 }
 

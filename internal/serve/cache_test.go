@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,10 +11,15 @@ import (
 	"testing"
 
 	"procdecomp/internal/durable"
+	"procdecomp/internal/obs"
 )
 
+// newCacheOps is a fresh registry's pdserve_cache_ops_total, the counter a
+// DiskCache counts on.
+func newCacheOps() obs.Counter { return newServerMetrics().cacheOps }
+
 func TestDiskCacheRoundTrip(t *testing.T) {
-	c, err := openDiskCache(durable.OS{}, t.TempDir(), 0)
+	c, err := openDiskCache(durable.OS{}, t.TempDir(), 0, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +58,7 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 	for name, f := range damage {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := openDiskCache(durable.OS{}, dir, 0)
+			c, err := openDiskCache(durable.OS{}, dir, 0, newCacheOps())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +101,7 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 // must not serve the wrong payload.
 func TestDiskCacheRejectsWrongKey(t *testing.T) {
 	dir := t.TempDir()
-	c, err := openDiskCache(durable.OS{}, dir, 0)
+	c, err := openDiskCache(durable.OS{}, dir, 0, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +141,7 @@ func TestDiskCacheSweepsTempFiles(t *testing.T) {
 // entries check depends on decodeEntry rejecting anything inconsistent.
 func TestDiskCacheEntriesSelfDescribe(t *testing.T) {
 	dir := t.TempDir()
-	c, err := openDiskCache(durable.OS{}, dir, 0)
+	c, err := openDiskCache(durable.OS{}, dir, 0, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestDiskCacheEntriesSelfDescribe(t *testing.T) {
 // miss, the old payload, or the new payload — always intact, never torn.
 func TestDiskCacheConcurrentSameKeyWriters(t *testing.T) {
 	dir := t.TempDir()
-	c, err := openDiskCache(durable.OS{}, dir, 0)
+	c, err := openDiskCache(durable.OS{}, dir, 0, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +232,7 @@ func TestDiskCacheConcurrentSameKeyWriters(t *testing.T) {
 // share keys, as two workers finishing the same request do: one writer's
 // Put may unstage a key another has staged, whose entry is then installed.
 func TestDiskCacheStagedKeysNeverMiss(t *testing.T) {
-	c, err := openDiskCache(durable.OS{}, t.TempDir(), 0)
+	c, err := openDiskCache(durable.OS{}, t.TempDir(), 0, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +273,7 @@ func TestDiskCacheStagedKeysNeverMiss(t *testing.T) {
 // installed entry or make a reader see torn bytes.
 func TestDiskCacheSweepRaceWithInflightWrites(t *testing.T) {
 	dir := t.TempDir()
-	c, err := openDiskCache(durable.OS{}, dir, 0)
+	c, err := openDiskCache(durable.OS{}, dir, 0, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +290,7 @@ func TestDiskCacheSweepRaceWithInflightWrites(t *testing.T) {
 			// A concurrent boot, as newServer does it: remove every .tmp in
 			// sight, then open the cache over what is left.
 			durable.SweepTemps(durable.OS{}, dir)
-			if _, err := openDiskCache(durable.OS{}, dir, 0); err != nil {
+			if _, err := openDiskCache(durable.OS{}, dir, 0, newCacheOps()); err != nil {
 				t.Errorf("concurrent open: %v", err)
 			}
 		}
@@ -330,7 +336,7 @@ func TestDiskCacheEviction(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 100)
 	entrySize := int64(len(encodeEntry("k0", payload))) // equal-length keys → equal sizes
-	c, err := openDiskCache(durable.OS{}, dir, 3*entrySize)
+	c, err := openDiskCache(durable.OS{}, dir, 3*entrySize, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +389,7 @@ func TestDiskCacheEviction(t *testing.T) {
 func TestDiskCacheOversizeEntrySurvivesOwnSweep(t *testing.T) {
 	dir := t.TempDir()
 	big := bytes.Repeat([]byte("y"), 4096)
-	c, err := openDiskCache(durable.OS{}, dir, 256)
+	c, err := openDiskCache(durable.OS{}, dir, 256, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +414,7 @@ func TestDiskCacheOversizeEntrySurvivesOwnSweep(t *testing.T) {
 // (recency seeded in file-name order) before serving anything.
 func TestDiskCacheOpenSweepsOverBudgetDir(t *testing.T) {
 	dir := t.TempDir()
-	unbounded, err := openDiskCache(durable.OS{}, dir, 0)
+	unbounded, err := openDiskCache(durable.OS{}, dir, 0, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +426,7 @@ func TestDiskCacheOpenSweepsOverBudgetDir(t *testing.T) {
 		}
 	}
 	entrySize := int64(len(encodeEntry("a", payload)))
-	c, err := openDiskCache(durable.OS{}, dir, 2*entrySize)
+	c, err := openDiskCache(durable.OS{}, dir, 2*entrySize, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +444,7 @@ func TestDiskCacheOpenSweepsOverBudgetDir(t *testing.T) {
 		t.Errorf("%d survivors, want 2", survivors)
 	}
 	// A second open of the same bytes picks the same survivors.
-	c2, err := openDiskCache(durable.OS{}, dir, 2*entrySize)
+	c2, err := openDiskCache(durable.OS{}, dir, 2*entrySize, newCacheOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,6 +454,36 @@ func TestDiskCacheOpenSweepsOverBudgetDir(t *testing.T) {
 		if was != is {
 			t.Errorf("survivor set differs across reopens at %s", k)
 		}
+	}
+}
+
+// A server reopened over a directory bigger than its budget counts the
+// open-time evictions where it counts every other cache operation, so its
+// scrape reconciles with Stats.
+func TestReopenedCacheOverSmallerBudgetReconciles(t *testing.T) {
+	dir := t.TempDir()
+	fill, err := openDiskCache(durable.OS{}, dir, 0, newCacheOps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := fill.Put(k, []byte("payload "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{CacheDir: dir, CacheMaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats().Cache; st.Evictions != 3 || st.Bytes != 0 {
+		t.Errorf("cache stats %+v, want 3 evictions and 0 bytes", st)
+	}
+	if err := s.VerifyMetrics(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -237,8 +237,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // the originating request ID, and the wall-clock time, then counts what the
 // log did with the event. A synchronous job has no stream, and publishing to
 // it does nothing. An event published after its stream's terminal event is a
-// protocol violation — counted and logged, and the reconciliation check
-// fails the run on it.
+// protocol violation — counted, and the reconciliation check fails the run
+// on it.
 func (s *Server) publish(j *job, ev Event) {
 	if j.log == nil {
 		return
@@ -251,8 +251,6 @@ func (s *Server) publish(j *job, ev Event) {
 		s.m.events.Inc("published")
 	case droppedTerminal:
 		s.m.events.Inc("dropped_after_terminal")
-		s.log.LogAttrs(obs.WithRequestID(context.Background(), j.RID), slog.LevelWarn,
-			"event after terminal", slog.String("job", j.id), slog.String("type", ev.Type))
 	case droppedOverflow:
 		s.m.events.Inc("dropped_overflow")
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -201,8 +202,8 @@ func TestEveryFamilyHasAReader(t *testing.T) {
 // TestJournalErrorsNameTheSite pins the signal of DESIGN's "write or fsync
 // error on a journal" row: a refused job-journal write answers POST /jobs 500
 // and counts pdserve_journal_errors_total{site="accept"}; a refused
-// decision-journal write counts {site="decision"}. Neither breaks the other
-// identities.
+// decision-journal write counts {site="decision"}. Each writes one warn line
+// with its site and error text. Neither breaks the other identities.
 func TestJournalErrorsNameTheSite(t *testing.T) {
 	// Operations 1 and 2 open the two journals; 3 is the first write.
 	fs := durabletest.New(3, durabletest.Refuse)
@@ -221,6 +222,24 @@ func TestJournalErrorsNameTheSite(t *testing.T) {
 	s.persistDecision(adapt.Decision{Seq: 1, Scenario: "gs//p2", Outcome: "held"})
 	if v := s.m.journalErrors.Value("decision"); v != 1 {
 		t.Errorf("journal_errors_total{site=decision} = %v, want 1", v)
+	}
+	// Each refusal also leaves one warn line naming its site and the error,
+	// the only place the error's text is kept.
+	for _, want := range []struct{ msg, site string }{
+		{"journal append failed", "accept"},
+		{"adapt decision not durable", "decision"},
+	} {
+		found := 0
+		for _, ln := range s.ring.Lines("") {
+			if strings.HasPrefix(ln.Text, want.msg+" ") && ln.Level == slog.LevelWarn &&
+				strings.Contains(ln.Text, " site="+want.site) && strings.Contains(ln.Text, " error=") {
+				found++
+			}
+		}
+		if found != 1 {
+			t.Errorf("%d %q lines with site=%s and an error field, want 1; ring: %v",
+				found, want.msg, want.site, s.ring.Lines(""))
+		}
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

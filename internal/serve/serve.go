@@ -397,14 +397,10 @@ func newServer(cfg Config, fs durable.FS) (*Server, error) {
 		// One sweep, before anything opens: a temp file stranded by a kill
 		// mid-install belongs to no one, while a running log's fold owns one.
 		durable.SweepTemps(fs, cfg.CacheDir)
-		c, err := openDiskCache(fs, cfg.CacheDir, cfg.CacheMaxBytes)
+		c, err := openDiskCache(fs, cfg.CacheDir, cfg.CacheMaxBytes, s.m.cacheOps)
 		if err != nil {
 			return nil, err
 		}
-		// Observers attach before any traffic: the cache sees its first Get
-		// during recovery below, the journal its first Append (and fsync)
-		// once a handler runs, both after New returns.
-		c.onOp = func(op string) { s.m.cacheOps.Inc(op) }
 		s.cache = c
 		j, jobs, maxSeq, err := openJournal(fs, cfg.CacheDir, durable.Options{
 			CompactEvery: cfg.JournalCompactEvery,
@@ -580,8 +576,6 @@ func (s *Server) submit(endpoint string, req Request, tenant string, opts submit
 		default:
 			s.m.sheds.Inc("queue_full")
 		}
-		s.log.LogAttrs(obs.WithRequestID(context.Background(), opts.rid), slog.LevelWarn,
-			"shed", slog.String("reason", dec.shed.causeLabel()), slog.String("tenant", tenant))
 		return nil, dec.shed
 	}
 
@@ -813,8 +807,6 @@ func (s *Server) evaluateJob(j *job) bool {
 		var pe *panicError
 		if errors.As(err, &pe) {
 			s.m.panics.Inc()
-			s.log.LogAttrs(j.ctx, slog.LevelError, "panic isolated",
-				slog.String("job", fmt.Sprintf("%d", j.seq)), slog.Int("attempt", attempt))
 			if attempt <= s.cfg.Retries {
 				s.m.retries.Inc()
 				s.backoff(j.ctx, attempt)

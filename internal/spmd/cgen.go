@@ -86,39 +86,30 @@ func (g *cgen) mark(set *[]string, name string) {
 // istructure allocations, and message buffers (declared as double arrays).
 func (g *cgen) scan(body []Stmt) cdecls {
 	var d cdecls
-	var walk func(body []Stmt)
-	walk = func(body []Stmt) {
-		for _, st := range body {
-			switch st := st.(type) {
-			case *Alloc:
-				g.mark(&d.arrays, cIdent(st.Array))
-			case *AllocBuf:
-				// emitted inline as a calloc, declared as a pointer
-				g.mark(&d.scalars, "*"+cIdent(st.Buf))
-			case *AssignVar:
-				g.mark(&d.scalars, cIdent(st.Name))
-			case *AssignIVar:
-				g.mark(&d.scalars, cIdent(st.Name))
-			case *ARead:
-				g.mark(&d.scalars, cIdent(st.Dst))
-			case *BufRead:
-				g.mark(&d.scalars, cIdent(st.Dst))
-			case *Recv:
-				g.mark(&d.scalars, cIdent(st.Dst))
-			case *Coerce:
-				g.mark(&d.scalars, cIdent(st.Dst))
-			case *For:
-				g.mark(&d.ints, cIdent(st.Var))
-				walk(st.Body)
-			case *Guard:
-				walk(st.Body)
-			case *IfValue:
-				walk(st.Then)
-				walk(st.Else)
-			}
+	Inspect(body, func(st Stmt) bool {
+		switch st := st.(type) {
+		case *Alloc:
+			g.mark(&d.arrays, cIdent(st.Array))
+		case *AllocBuf:
+			// emitted inline as a calloc, declared as a pointer
+			g.mark(&d.scalars, "*"+cIdent(st.Buf))
+		case *AssignVar:
+			g.mark(&d.scalars, cIdent(st.Name))
+		case *AssignIVar:
+			g.mark(&d.scalars, cIdent(st.Name))
+		case *ARead:
+			g.mark(&d.scalars, cIdent(st.Dst))
+		case *BufRead:
+			g.mark(&d.scalars, cIdent(st.Dst))
+		case *Recv:
+			g.mark(&d.scalars, cIdent(st.Dst))
+		case *Coerce:
+			g.mark(&d.scalars, cIdent(st.Dst))
+		case *For:
+			g.mark(&d.ints, cIdent(st.Var))
 		}
-	}
-	walk(body)
+		return true
+	})
 	return d
 }
 

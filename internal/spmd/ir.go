@@ -331,13 +331,36 @@ func (p *Program) CloneProgram() *Program {
 	return &c
 }
 
+// Inspect calls f on each statement of body in order and, when f returns
+// true, inspects the statements nested in it the same way: a For's or a
+// Guard's body, an IfValue's Then and then its Else. It is the IR's one child
+// rule: code that only visits statements does so through Inspect, and code
+// that rebuilds a body or carries context down it keeps its own switch.
+func Inspect(body []Stmt, f func(Stmt) bool) {
+	for _, st := range body {
+		if !f(st) {
+			continue
+		}
+		switch st := st.(type) {
+		case *For:
+			Inspect(st.Body, f)
+		case *Guard:
+			Inspect(st.Body, f)
+		case *IfValue:
+			Inspect(st.Then, f)
+			Inspect(st.Else, f)
+		}
+	}
+}
+
 // SubstBody substitutes a symbolic variable (typically Me) by a constant in
 // every integer expression of the body, in place. Used when specializing the
 // generic program for one process.
 func SubstBody(body []Stmt, name string, val expr.Expr) {
-	for _, s := range body {
+	Inspect(body, func(s Stmt) bool {
 		substStmt(s, name, val)
-	}
+		return true
+	})
 }
 
 func substIdx(idx []expr.Expr, name string, val expr.Expr) {
@@ -404,13 +427,9 @@ func substStmt(s Stmt, name string, val expr.Expr) {
 		s.Lo = s.Lo.Subst(name, val)
 		s.Hi = s.Hi.Subst(name, val)
 		s.Step = s.Step.Subst(name, val)
-		SubstBody(s.Body, name, val)
 	case *Guard:
 		s.Proc = s.Proc.Subst(name, val)
-		SubstBody(s.Body, name, val)
 	case *IfValue:
 		s.Cond = substV(s.Cond, name, val)
-		SubstBody(s.Then, name, val)
-		SubstBody(s.Else, name, val)
 	}
 }

@@ -174,3 +174,45 @@ func TestCloneProgram(t *testing.T) {
 		t.Error("metadata not carried over")
 	}
 }
+
+// TestInspect pins the IR's child rule: statements in order, a For's and a
+// Guard's body, an IfValue's Then before its Else, and a false return skips
+// the nested statements of that one statement and nothing else.
+func TestInspect(t *testing.T) {
+	send := &Send{Dst: expr.C(1), Tag: 1, Val: VConst{F: 1}}
+	recv := &Recv{Src: expr.C(0), Tag: 2, Dst: "r"}
+	iff := &IfValue{Cond: VVar{Name: "c"}, Then: []Stmt{send}, Else: []Stmt{recv}}
+	guard := &Guard{Proc: expr.C(0), Body: []Stmt{iff}}
+	assign := &AssignVar{Name: "t", Val: VConst{F: 2}}
+	inner := &For{Var: "j", Lo: expr.C(1), Hi: expr.C(2), Step: expr.C(1), Body: []Stmt{assign}}
+	loop := &For{Var: "i", Lo: expr.C(1), Hi: expr.C(4), Step: expr.C(1), Body: []Stmt{guard, inner}}
+	alloc := &Alloc{Array: "A", Shape: []expr.Expr{expr.C(4)}}
+	coerce := &Coerce{Dst: "v", Var: "x", OwnerAll: true, NeederAll: true, Tag: 3}
+	body := []Stmt{alloc, loop, coerce}
+	name := map[Stmt]string{send: "send", recv: "recv", iff: "if", guard: "guard",
+		assign: "assign", inner: "inner", loop: "loop", alloc: "alloc", coerce: "coerce"}
+
+	walk := func(prune Stmt) string {
+		var got []string
+		Inspect(body, func(st Stmt) bool {
+			got = append(got, name[st])
+			return st != prune
+		})
+		return strings.Join(got, " ")
+	}
+	for _, c := range []struct {
+		prune Stmt
+		want  string
+	}{
+		{nil, "alloc loop guard if send recv inner assign coerce"},
+		{loop, "alloc loop coerce"},
+		{guard, "alloc loop guard inner assign coerce"},
+		{iff, "alloc loop guard if inner assign coerce"},
+		{inner, "alloc loop guard if send recv inner coerce"},
+		{send, "alloc loop guard if send recv inner assign coerce"},
+	} {
+		if got := walk(c.prune); got != c.want {
+			t.Errorf("pruning at %s: visited %q, want %q", name[c.prune], got, c.want)
+		}
+	}
+}

@@ -237,26 +237,16 @@ func (s *suite) nextStripminable() (spmd.Tag, bool) {
 // bare Sends, so s.sends does not cover them).
 func (s *suite) allChannelTags() map[spmd.Tag]bool {
 	out := map[spmd.Tag]bool{}
-	var walk func(body []spmd.Stmt)
-	walk = func(body []spmd.Stmt) {
-		for _, st := range body {
+	for _, p := range s.progs {
+		spmd.Inspect(p.Body, func(st spmd.Stmt) bool {
 			switch st := st.(type) {
 			case *spmd.Send:
 				out[st.Tag] = true
 			case *spmd.Recv:
 				out[st.Tag] = true
-			case *spmd.For:
-				walk(st.Body)
-			case *spmd.IfValue:
-				walk(st.Then)
-				walk(st.Else)
-			case *spmd.Guard:
-				walk(st.Body)
 			}
-		}
-	}
-	for _, p := range s.progs {
-		walk(p.Body)
+			return true
+		})
 	}
 	return out
 }
@@ -334,23 +324,13 @@ func (s *suite) stripMineChannel(tag spmd.Tag, blksize int64) {
 // containsComm reports whether a statement list contains any communication,
 // at any depth.
 func containsComm(body []spmd.Stmt) bool {
-	for _, st := range body {
-		switch st := st.(type) {
+	found := false
+	spmd.Inspect(body, func(st spmd.Stmt) bool {
+		switch st.(type) {
 		case *spmd.Send, *spmd.Recv, *spmd.SendBuf, *spmd.RecvBuf, *spmd.Coerce:
-			return true
-		case *spmd.For:
-			if containsComm(st.Body) {
-				return true
-			}
-		case *spmd.IfValue:
-			if containsComm(st.Then) || containsComm(st.Else) {
-				return true
-			}
-		case *spmd.Guard:
-			if containsComm(st.Body) {
-				return true
-			}
+			found = true
 		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
