@@ -28,31 +28,25 @@ func ParseMapping(s string) (Mapping, error) {
 	if err != nil {
 		return Mapping{}, err
 	}
-	switch k {
-	case dist.KindReplicated, dist.KindSingle:
-		if arg != "" {
-			return Mapping{}, fmt.Errorf("autotune: mapping %s takes no argument", k)
+	var args []int64
+	if arg != "" {
+		for _, a := range strings.Split(arg, "x") {
+			v, err := strconv.ParseInt(strings.TrimSpace(a), 10, 64)
+			if err != nil || v < 1 {
+				return Mapping{}, fmt.Errorf("autotune: mapping %q: bad parameter %q", s, a)
+			}
+			args = append(args, v)
 		}
-		return Mapping{Kind: k}, nil
-	case dist.KindBlock2D:
-		pr, pc, ok := strings.Cut(arg, "x")
-		if !ok {
-			return Mapping{}, fmt.Errorf("autotune: mapping %q: want block2d(PRxPC)", s)
-		}
-		r, err1 := strconv.ParseInt(strings.TrimSpace(pr), 10, 64)
-		c, err2 := strconv.ParseInt(strings.TrimSpace(pc), 10, 64)
-		if err1 != nil || err2 != nil || r < 1 || c < 1 {
-			return Mapping{}, fmt.Errorf("autotune: mapping %q: bad processor grid", s)
-		}
-		return Mapping{Kind: k, PR: r, PC: c}, nil
-	default:
-		if arg == "" {
-			return Mapping{Kind: k}, nil
-		}
-		span, err := strconv.ParseInt(strings.TrimSpace(arg), 10, 64)
-		if err != nil || span < 1 {
-			return Mapping{}, fmt.Errorf("autotune: mapping %q: bad span", s)
-		}
-		return Mapping{Kind: k, Span: span}, nil
 	}
+	m := Mapping{Kind: k}
+	switch {
+	case len(args) == 0 && k.Arity() == 1: // no span given: Span stays 0
+	case len(args) != k.Arity():
+		return Mapping{}, fmt.Errorf("autotune: mapping %q: %s takes %d parameter(s)", s, k, k.Arity())
+	case len(args) == 1:
+		m.Span = args[0]
+	case len(args) == 2:
+		m.PR, m.PC = args[0], args[1]
+	}
+	return m, nil
 }

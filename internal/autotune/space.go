@@ -52,51 +52,40 @@ type Mapping struct {
 }
 
 func (m Mapping) String() string {
-	switch m.Kind {
-	case dist.KindBlock2D:
-		return fmt.Sprintf("block2d(%dx%d)", m.PR, m.PC)
-	case dist.KindReplicated:
-		return "all"
-	case dist.KindSingle:
-		return "single"
-	default:
-		return fmt.Sprintf("%s(%d)", m.Kind, m.Span)
+	switch m.Kind.Arity() {
+	case 0:
+		return m.Kind.String()
+	case 2:
+		return fmt.Sprintf("%s(%dx%d)", m.Kind, m.PR, m.PC)
 	}
+	return fmt.Sprintf("%s(%d)", m.Kind, m.Span)
+}
+
+// args lists the mapping's parameters as its family's declaration takes
+// them: the span, the grid, or none.
+func (m Mapping) args() []int64 {
+	switch m.Kind.Arity() {
+	case 0:
+		return nil
+	case 2:
+		return []int64{m.PR, m.PC}
+	}
+	return []int64{m.Span}
 }
 
 // Validate checks that the mapping is executable on a machine of the given
-// size: every owner the decomposition can produce must name a real processor.
-// A mapping that fails validation would crash the run it is compiled into —
-// the dist constructors panic on degenerate parameters, and out-of-machine
-// owners address nonexistent processes — so the search validates every
-// candidate before retargeting and skips offenders with a logged note
-// instead of dying mid-search.
+// size by the family's own parameter rule (dist.Kind.Check): every owner the
+// decomposition can produce must name a real processor. A mapping that fails
+// validation would crash the run it is compiled into — the dist constructors
+// panic on degenerate parameters, and out-of-machine owners address
+// nonexistent processes — so the search validates every candidate before
+// retargeting and skips offenders with a logged note instead of dying
+// mid-search.
 func (m Mapping) Validate(procs int64) error {
-	if procs < 1 {
-		return fmt.Errorf("autotune: machine with %d processors", procs)
+	if err := m.Kind.Check(m.args(), procs); err != nil {
+		return fmt.Errorf("autotune: mapping %s: %w", m, err)
 	}
-	switch m.Kind {
-	case dist.KindReplicated, dist.KindSingle:
-		return nil
-	case dist.KindBlock2D:
-		if m.PR < 1 || m.PC < 1 {
-			return fmt.Errorf("autotune: mapping %s: grid %dx%d is degenerate", m, m.PR, m.PC)
-		}
-		if m.PR*m.PC > procs {
-			return fmt.Errorf("autotune: mapping %s: grid spans %d processors, machine has %d", m, m.PR*m.PC, procs)
-		}
-		return nil
-	case dist.KindCyclicCols, dist.KindCyclicRows, dist.KindBlockCols,
-		dist.KindBlockRows, dist.KindCyclicVec, dist.KindBlockVec:
-		if m.Span < 1 {
-			return fmt.Errorf("autotune: mapping %s: span %d is not positive", m, m.Span)
-		}
-		if m.Span > procs {
-			return fmt.Errorf("autotune: mapping %s: span %d exceeds the machine's %d processors", m, m.Span, procs)
-		}
-		return nil
-	}
-	return fmt.Errorf("autotune: mapping kind %v is not retargetable", m.Kind)
+	return nil
 }
 
 // A Candidate is one point of the search space: a mapping plus the
@@ -167,12 +156,10 @@ func (sp Space) enumerate(procs int) (cands []Candidate, keys []string) {
 	}
 	var mappings []Mapping
 	for _, k := range kinds {
-		switch k {
-		case dist.KindReplicated:
+		switch k.Arity() {
+		case 0:
 			mappings = append(mappings, Mapping{Kind: k})
-		case dist.KindSingle:
-			mappings = append(mappings, Mapping{Kind: k})
-		case dist.KindBlock2D:
+		case 2:
 			// Proper 2-D factorizations of the machine; the degenerate 1×S
 			// and S×1 grids duplicate the block_cols/block_rows owners.
 			for pr := int64(2); pr <= p/2; pr++ {

@@ -3,6 +3,7 @@ package autotune
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -159,33 +160,31 @@ func PickDist(prog *lang.Program, name string) (string, error) {
 }
 
 // Retarget rewrites the program's named distribution to the candidate
-// mapping. Named families mutate the dist declaration in place; all/single
-// have no declaration form, so every `on <name>` annotation is rewritten to
-// `on all` / `on proc(0)` instead.
+// mapping. A family that takes parameters has its dist declaration rewritten
+// in place; all and single have no declaration form, so every `on <name>`
+// annotation is rewritten to `on all` / `on proc(0)` instead. The family's
+// rule is checked here for everything but the machine's size, which sem
+// checks when it binds the rewritten program.
 func Retarget(prog *lang.Program, distName string, m Mapping) error {
-	switch m.Kind {
-	case dist.KindReplicated, dist.KindSingle:
-		repl := &lang.MapExpr{Kind: lang.MapAll}
-		if m.Kind == dist.KindSingle {
-			repl = &lang.MapExpr{Kind: lang.MapProc, Proc: &lang.NumLit{Val: 0, IsInt: true}}
-		}
-		if n := rewriteUses(prog, distName, repl); n == 0 {
-			return fmt.Errorf("autotune: program has no uses of dist %s", distName)
-		}
-		return nil
-	case dist.KindBlock2D:
-		if m.PR < 1 || m.PC < 1 {
-			return fmt.Errorf("autotune: block2d grid %dx%d invalid", m.PR, m.PC)
-		}
-		return rewriteDecl(prog, distName, "block2d", []lang.Expr{intLit(m.PR), intLit(m.PC)})
-	case dist.KindCyclicCols, dist.KindCyclicRows, dist.KindBlockCols,
-		dist.KindBlockRows, dist.KindCyclicVec, dist.KindBlockVec:
-		if m.Span < 1 {
-			return fmt.Errorf("autotune: %s span %d invalid", m.Kind, m.Span)
-		}
-		return rewriteDecl(prog, distName, m.Kind.String(), []lang.Expr{intLit(m.Span)})
+	args := m.args()
+	if err := m.Kind.Check(args, math.MaxInt64); err != nil {
+		return fmt.Errorf("autotune: %w", err)
 	}
-	return fmt.Errorf("autotune: cannot retarget to %v", m.Kind)
+	if len(args) > 0 {
+		lits := make([]lang.Expr, len(args))
+		for i, a := range args {
+			lits[i] = intLit(a)
+		}
+		return rewriteDecl(prog, distName, m.Kind.String(), lits)
+	}
+	repl := &lang.MapExpr{Kind: lang.MapAll}
+	if m.Kind == dist.KindSingle {
+		repl = &lang.MapExpr{Kind: lang.MapProc, Proc: intLit(0)}
+	}
+	if n := rewriteUses(prog, distName, repl); n == 0 {
+		return fmt.Errorf("autotune: program has no uses of dist %s", distName)
+	}
+	return nil
 }
 
 func intLit(v int64) lang.Expr { return &lang.NumLit{Val: float64(v), IsInt: true} }

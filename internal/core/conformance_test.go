@@ -80,3 +80,30 @@ func TestConformanceMultiplexed(t *testing.T) {
 		}
 	}
 }
+
+// Conformance on shapes the generator does not draw, each checked at every
+// pipeline point against the sequential interpreter.
+func TestConformanceRows(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		// Idn's mod is Euclidean for a negative modulus too: 7 mod -3 = 1.
+		{"negative modulus", `
+const N = 8;
+
+dist D = cyclic_cols(NPROCS);
+
+proc step(Old: matrix[N, N] on D): matrix[N, N] on D {
+  let New = matrix(N, N) on D;
+  for j = 1 to N {
+    for i = 1 to N {
+      New[i, j] = Old[i, (j mod (0 - N)) + 1] + Old[(i div (0 - 2)) + N, j];
+    }
+  }
+  return New;
+}
+`},
+	} {
+		if _, err := gen.Check(tc.src, "step", machine.DefaultConfig(4), 4); err != nil {
+			t.Errorf("%s: %v\n%s", tc.name, err, tc.src)
+		}
+	}
+}

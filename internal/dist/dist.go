@@ -23,47 +23,6 @@ import (
 // processor owns a copy (the paper's "a:ALL" mapping).
 const All int64 = -1
 
-// Kind identifies the decomposition family.
-type Kind int
-
-// Decomposition families.
-const (
-	KindCyclicCols Kind = iota // column j on processor j mod S ("wrapped" columns)
-	KindCyclicRows             // row i on processor i mod S
-	KindBlockCols              // contiguous column blocks
-	KindBlockRows              // contiguous row blocks
-	KindBlock2D                // 2-D processor grid, 2-D blocks
-	KindReplicated             // a copy on every processor (ALL)
-	KindSingle                 // everything on one processor (a:P1)
-	KindCyclicVec              // vector element i on processor i mod S
-	KindBlockVec               // contiguous vector blocks
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindCyclicCols:
-		return "cyclic_cols"
-	case KindCyclicRows:
-		return "cyclic_rows"
-	case KindBlockCols:
-		return "block_cols"
-	case KindBlockRows:
-		return "block_rows"
-	case KindBlock2D:
-		return "block2d"
-	case KindReplicated:
-		return "all"
-	case KindSingle:
-		return "single"
-	case KindCyclicVec:
-		return "cyclic"
-	case KindBlockVec:
-		return "block"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // A Dist is a bound domain decomposition: a mapping family instantiated with
 // a machine size and a global array shape.
 type Dist interface {
@@ -93,185 +52,164 @@ type Dist interface {
 	String() string
 }
 
-func checkRank(what string, idx []int64, want int) {
-	if len(idx) != want {
-		panic(fmt.Sprintf("dist: %s applied to index of rank %d, want %d", what, len(idx), want))
+func checkRank(k Kind, what string, n, want int) {
+	if n != want {
+		panic(fmt.Sprintf("dist: %v.%s applied to index of rank %d, want %d", k, what, n, want))
 	}
 }
 
 // ceilDiv returns ceil(a/b) for positive a, b.
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-// --- cyclic (wrapped) columns: the paper's running decomposition ---
+// --- one axis: the cyclic and block families ---
 
-type cyclicCols struct {
-	procs int64
-	shape []int64 // rows, cols
-}
-
-// NewCyclicCols wraps the columns of a rows×cols matrix around a ring of
-// procs processors "like a dealer deals cards": column j lives on processor
-// j mod procs (§2.3).
-func NewCyclicCols(procs int64, rows, cols int64) Dist {
-	mustPositive(procs, rows, cols)
-	return cyclicCols{procs: procs, shape: []int64{rows, cols}}
-}
-
-func (d cyclicCols) Kind() Kind           { return KindCyclicCols }
-func (d cyclicCols) Procs() int64         { return d.procs }
-func (d cyclicCols) GlobalShape() []int64 { return []int64{d.shape[0], d.shape[1]} }
-func (d cyclicCols) String() string {
-	return fmt.Sprintf("cyclic_cols(S=%d, %dx%d)", d.procs, d.shape[0], d.shape[1])
-}
-
-func (d cyclicCols) Owner(idx []int64) int64 {
-	checkRank("cyclic_cols.Owner", idx, 2)
-	return expr.EucMod(idx[1], d.procs)
-}
-
-func (d cyclicCols) Local(dst, idx []int64) []int64 {
-	checkRank("cyclic_cols.Local", idx, 2)
-	return append(dst[:0], idx[0], (idx[1]-1)/d.procs+1)
-}
-
-func (d cyclicCols) LocalShape() []int64 {
-	return []int64{d.shape[0], ceilDiv(d.shape[1], d.procs)}
-}
-
-func (d cyclicCols) SymbolicOwner(idx []expr.Expr) expr.Expr {
-	checkRank("cyclic_cols.SymbolicOwner", make([]int64, len(idx)), 2)
-	return expr.Mod(idx[1], expr.C(d.procs))
-}
-
-func (d cyclicCols) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return []expr.Expr{idx[0], expr.Add(expr.Div(expr.Sub(idx[1], expr.C(1)), expr.C(d.procs)), expr.C(1))}
-}
-
-// --- cyclic (wrapped) rows ---
-
-type cyclicRows struct {
+// axisDist is what the cyclic and block families share: the family, the
+// dimension of the data it distributes (the table's axis: columns are 1,
+// rows and vector elements 0), the processors it spans and the global shape.
+// Each processor holds ceil(extent/procs) indices of that dimension and every
+// index of the others. The two families are used by pointer: Owner and Local
+// run once per element, and a call on a value copies the struct.
+type axisDist struct {
+	kind  Kind
+	dim   int
 	procs int64
 	shape []int64
+}
+
+func newAxis(k Kind, procs int64, shape []int64) axisDist {
+	mustPositive(procs)
+	mustPositive(shape...)
+	return axisDist{kind: k, dim: families[k].axis, procs: procs, shape: append([]int64(nil), shape...)}
+}
+
+func (d *axisDist) Kind() Kind           { return d.kind }
+func (d *axisDist) Procs() int64         { return d.procs }
+func (d *axisDist) GlobalShape() []int64 { return append([]int64(nil), d.shape...) }
+func (d *axisDist) String() string {
+	if len(d.shape) == 1 {
+		return fmt.Sprintf("%v(S=%d, len %d)", d.kind, d.procs, d.shape[0])
+	}
+	return fmt.Sprintf("%v(S=%d, %dx%d)", d.kind, d.procs, d.shape[0], d.shape[1])
+}
+
+func (d *axisDist) LocalShape() []int64 {
+	s := append([]int64(nil), d.shape...)
+	s[d.dim] = ceilDiv(s[d.dim], d.procs)
+	return s
+}
+
+// local writes idx into dst[:0] with the distributed dimension replaced by
+// its local index l.
+func (d *axisDist) local(dst, idx []int64, l int64) []int64 {
+	checkRank(d.kind, "Local", len(idx), len(d.shape))
+	dst = append(dst[:0], idx...)
+	dst[d.dim] = l
+	return dst
+}
+
+// symLocal is local over symbolic indices.
+func (d *axisDist) symLocal(idx []expr.Expr, l expr.Expr) []expr.Expr {
+	out := append([]expr.Expr(nil), idx...)
+	out[d.dim] = l
+	return out
+}
+
+// cyclic wraps the distributed dimension around the processors "like a
+// dealer deals cards": index i lives on processor i mod procs (§2.3), at
+// local index (i-1) div procs + 1.
+type cyclic struct{ axisDist }
+
+// NewCyclicCols wraps the columns of a rows×cols matrix around a ring of
+// procs processors: column j lives on processor j mod procs (§2.3).
+func NewCyclicCols(procs int64, rows, cols int64) Dist {
+	return &cyclic{newAxis(KindCyclicCols, procs, []int64{rows, cols})}
 }
 
 // NewCyclicRows wraps the rows of a rows×cols matrix around a ring: row i
 // lives on processor i mod procs.
 func NewCyclicRows(procs int64, rows, cols int64) Dist {
-	mustPositive(procs, rows, cols)
-	return cyclicRows{procs: procs, shape: []int64{rows, cols}}
+	return &cyclic{newAxis(KindCyclicRows, procs, []int64{rows, cols})}
 }
 
-func (d cyclicRows) Kind() Kind           { return KindCyclicRows }
-func (d cyclicRows) Procs() int64         { return d.procs }
-func (d cyclicRows) GlobalShape() []int64 { return []int64{d.shape[0], d.shape[1]} }
-func (d cyclicRows) String() string {
-	return fmt.Sprintf("cyclic_rows(S=%d, %dx%d)", d.procs, d.shape[0], d.shape[1])
+// NewCyclicVec wraps the elements of a length-n vector around the ring:
+// element i lives on processor i mod procs.
+func NewCyclicVec(procs, n int64) Dist {
+	return &cyclic{newAxis(KindCyclicVec, procs, []int64{n})}
 }
 
-func (d cyclicRows) Owner(idx []int64) int64 {
-	checkRank("cyclic_rows.Owner", idx, 2)
-	return expr.EucMod(idx[0], d.procs)
+func (d *cyclic) Owner(idx []int64) int64 {
+	checkRank(d.kind, "Owner", len(idx), len(d.shape))
+	return expr.EucMod(idx[d.dim], d.procs)
 }
 
-func (d cyclicRows) Local(dst, idx []int64) []int64 {
-	checkRank("cyclic_rows.Local", idx, 2)
-	return append(dst[:0], (idx[0]-1)/d.procs+1, idx[1])
+func (d *cyclic) Local(dst, idx []int64) []int64 {
+	return d.local(dst, idx, (idx[d.dim]-1)/d.procs+1)
 }
 
-func (d cyclicRows) LocalShape() []int64 {
-	return []int64{ceilDiv(d.shape[0], d.procs), d.shape[1]}
+func (d *cyclic) SymbolicOwner(idx []expr.Expr) expr.Expr {
+	checkRank(d.kind, "SymbolicOwner", len(idx), len(d.shape))
+	return expr.Mod(idx[d.dim], expr.C(d.procs))
 }
 
-func (d cyclicRows) SymbolicOwner(idx []expr.Expr) expr.Expr {
-	return expr.Mod(idx[0], expr.C(d.procs))
+func (d *cyclic) SymbolicLocal(idx []expr.Expr) []expr.Expr {
+	return d.symLocal(idx, expr.Add(expr.Div(expr.Sub(idx[d.dim], expr.C(1)), expr.C(d.procs)), expr.C(1)))
 }
 
-func (d cyclicRows) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return []expr.Expr{expr.Add(expr.Div(expr.Sub(idx[0], expr.C(1)), expr.C(d.procs)), expr.C(1)), idx[1]}
-}
-
-// --- block columns ---
-
-type blockCols struct {
-	procs int64
-	shape []int64
+// block assigns contiguous blocks of width = ceil(extent/procs) indices of
+// the distributed dimension to each processor in order.
+type block struct {
+	axisDist
 	width int64
+}
+
+func newBlock(k Kind, procs int64, shape []int64) Dist {
+	d := newAxis(k, procs, shape)
+	return &block{d, ceilDiv(shape[d.dim], procs)}
 }
 
 // NewBlockCols assigns contiguous blocks of ceil(cols/procs) columns to each
 // processor in order.
 func NewBlockCols(procs int64, rows, cols int64) Dist {
-	mustPositive(procs, rows, cols)
-	return blockCols{procs: procs, shape: []int64{rows, cols}, width: ceilDiv(cols, procs)}
-}
-
-func (d blockCols) Kind() Kind           { return KindBlockCols }
-func (d blockCols) Procs() int64         { return d.procs }
-func (d blockCols) GlobalShape() []int64 { return []int64{d.shape[0], d.shape[1]} }
-func (d blockCols) String() string {
-	return fmt.Sprintf("block_cols(S=%d, %dx%d)", d.procs, d.shape[0], d.shape[1])
-}
-
-func (d blockCols) Owner(idx []int64) int64 {
-	checkRank("block_cols.Owner", idx, 2)
-	return (idx[1] - 1) / d.width
-}
-
-func (d blockCols) Local(dst, idx []int64) []int64 {
-	checkRank("block_cols.Local", idx, 2)
-	return append(dst[:0], idx[0], expr.EucMod(idx[1]-1, d.width)+1)
-}
-
-func (d blockCols) LocalShape() []int64 { return []int64{d.shape[0], d.width} }
-
-func (d blockCols) SymbolicOwner(idx []expr.Expr) expr.Expr {
-	return expr.Div(expr.Sub(idx[1], expr.C(1)), expr.C(d.width))
-}
-
-func (d blockCols) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return []expr.Expr{idx[0], expr.Add(expr.Mod(expr.Sub(idx[1], expr.C(1)), expr.C(d.width)), expr.C(1))}
-}
-
-// --- block rows ---
-
-type blockRows struct {
-	procs int64
-	shape []int64
-	width int64
+	return newBlock(KindBlockCols, procs, []int64{rows, cols})
 }
 
 // NewBlockRows assigns contiguous blocks of ceil(rows/procs) rows to each
 // processor in order.
 func NewBlockRows(procs int64, rows, cols int64) Dist {
-	mustPositive(procs, rows, cols)
-	return blockRows{procs: procs, shape: []int64{rows, cols}, width: ceilDiv(rows, procs)}
+	return newBlock(KindBlockRows, procs, []int64{rows, cols})
 }
 
-func (d blockRows) Kind() Kind           { return KindBlockRows }
-func (d blockRows) Procs() int64         { return d.procs }
-func (d blockRows) GlobalShape() []int64 { return []int64{d.shape[0], d.shape[1]} }
-func (d blockRows) String() string {
-	return fmt.Sprintf("block_rows(S=%d, %dx%d)", d.procs, d.shape[0], d.shape[1])
+// NewBlockVec assigns contiguous blocks of ceil(n/procs) vector elements to
+// each processor in order.
+func NewBlockVec(procs, n int64) Dist { return newBlock(KindBlockVec, procs, []int64{n}) }
+
+func (d *block) Owner(idx []int64) int64 {
+	checkRank(d.kind, "Owner", len(idx), len(d.shape))
+	return blockOf(idx[d.dim], d.width)
 }
 
-func (d blockRows) Owner(idx []int64) int64 {
-	checkRank("block_rows.Owner", idx, 2)
-	return (idx[0] - 1) / d.width
+func (d *block) Local(dst, idx []int64) []int64 {
+	return d.local(dst, idx, inBlock(idx[d.dim], d.width))
 }
 
-func (d blockRows) Local(dst, idx []int64) []int64 {
-	checkRank("block_rows.Local", idx, 2)
-	return append(dst[:0], expr.EucMod(idx[0]-1, d.width)+1, idx[1])
+func (d *block) SymbolicOwner(idx []expr.Expr) expr.Expr {
+	checkRank(d.kind, "SymbolicOwner", len(idx), len(d.shape))
+	return symBlockOf(idx[d.dim], d.width)
 }
 
-func (d blockRows) LocalShape() []int64 { return []int64{d.width, d.shape[1]} }
-
-func (d blockRows) SymbolicOwner(idx []expr.Expr) expr.Expr {
-	return expr.Div(expr.Sub(idx[0], expr.C(1)), expr.C(d.width))
+func (d *block) SymbolicLocal(idx []expr.Expr) []expr.Expr {
+	return d.symLocal(idx, symInBlock(idx[d.dim], d.width))
 }
 
-func (d blockRows) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return []expr.Expr{expr.Add(expr.Mod(expr.Sub(idx[0], expr.C(1)), expr.C(d.width)), expr.C(1)), idx[1]}
+// The block rule along one dimension, concretely and symbolically: index i
+// lies in block (i-1) div w, at position (i-1) mod w + 1.
+func blockOf(i, w int64) int64 { return (i - 1) / w }
+func inBlock(i, w int64) int64 { return expr.EucMod(i-1, w) + 1 }
+func symBlockOf(i expr.Expr, w int64) expr.Expr {
+	return expr.Div(expr.Sub(i, expr.C(1)), expr.C(w))
+}
+func symInBlock(i expr.Expr, w int64) expr.Expr {
+	return expr.Add(expr.Mod(expr.Sub(i, expr.C(1)), expr.C(w)), expr.C(1))
 }
 
 // --- 2-D blocks over a processor grid ---
@@ -286,8 +224,7 @@ type block2D struct {
 // processor grid; element (i,j) lives on processor
 // ((i-1) div blockRows)·pc + ((j-1) div blockCols).
 func NewBlock2D(pr, pc int64, rows, cols int64) Dist {
-	mustPositive(pr, rows, cols)
-	mustPositive(pc, rows, cols)
+	mustPositive(pr, pc, rows, cols)
 	return block2D{pr: pr, pc: pc, shape: []int64{rows, cols},
 		hr: ceilDiv(rows, pr), wc: ceilDiv(cols, pc)}
 }
@@ -300,97 +237,84 @@ func (d block2D) String() string {
 }
 
 func (d block2D) Owner(idx []int64) int64 {
-	checkRank("block2d.Owner", idx, 2)
-	return ((idx[0]-1)/d.hr)*d.pc + (idx[1]-1)/d.wc
+	checkRank(KindBlock2D, "Owner", len(idx), 2)
+	return blockOf(idx[0], d.hr)*d.pc + blockOf(idx[1], d.wc)
 }
 
 func (d block2D) Local(dst, idx []int64) []int64 {
-	checkRank("block2d.Local", idx, 2)
-	return append(dst[:0], expr.EucMod(idx[0]-1, d.hr)+1, expr.EucMod(idx[1]-1, d.wc)+1)
+	checkRank(KindBlock2D, "Local", len(idx), 2)
+	return append(dst[:0], inBlock(idx[0], d.hr), inBlock(idx[1], d.wc))
 }
 
 func (d block2D) LocalShape() []int64 { return []int64{d.hr, d.wc} }
 
 func (d block2D) SymbolicOwner(idx []expr.Expr) expr.Expr {
-	r := expr.Div(expr.Sub(idx[0], expr.C(1)), expr.C(d.hr))
-	c := expr.Div(expr.Sub(idx[1], expr.C(1)), expr.C(d.wc))
-	return expr.Add(expr.Mul(r, expr.C(d.pc)), c)
+	return expr.Add(expr.Mul(symBlockOf(idx[0], d.hr), expr.C(d.pc)), symBlockOf(idx[1], d.wc))
 }
 
 func (d block2D) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return []expr.Expr{
-		expr.Add(expr.Mod(expr.Sub(idx[0], expr.C(1)), expr.C(d.hr)), expr.C(1)),
-		expr.Add(expr.Mod(expr.Sub(idx[1], expr.C(1)), expr.C(d.wc)), expr.C(1)),
-	}
+	return []expr.Expr{symInBlock(idx[0], d.hr), symInBlock(idx[1], d.wc)}
 }
 
-// --- replicated (ALL) ---
+// --- whole data: replicated and single ---
 
-type replicated struct {
+// whole is what the replicated and single-processor families share: the data
+// stays whole, so a local index is the global one and the allocation is the
+// global shape.
+type whole struct {
 	procs int64
 	shape []int64
 }
 
+func newWhole(procs int64, shape []int64) whole {
+	mustPositive(procs)
+	return whole{procs: procs, shape: append([]int64(nil), shape...)}
+}
+
+func (d whole) Procs() int64                   { return d.procs }
+func (d whole) GlobalShape() []int64           { return append([]int64(nil), d.shape...) }
+func (d whole) Local(dst, idx []int64) []int64 { return append(dst[:0], idx...) }
+func (d whole) LocalShape() []int64            { return append([]int64(nil), d.shape...) }
+
+func (d whole) SymbolicLocal(idx []expr.Expr) []expr.Expr {
+	return append([]expr.Expr(nil), idx...)
+}
+
+type replicated struct{ whole }
+
 // NewReplicated places a full copy of the data on every processor; shape may
 // be empty for a scalar (the paper's "a:ALL").
 func NewReplicated(procs int64, shape ...int64) Dist {
-	mustPositive(procs)
-	s := make([]int64, len(shape))
-	copy(s, shape)
-	return replicated{procs: procs, shape: s}
+	return replicated{newWhole(procs, shape)}
 }
 
-func (d replicated) Kind() Kind           { return KindReplicated }
-func (d replicated) Procs() int64         { return d.procs }
-func (d replicated) GlobalShape() []int64 { return append([]int64(nil), d.shape...) }
-func (d replicated) String() string       { return "all" }
-
-func (d replicated) Owner(idx []int64) int64        { return All }
-func (d replicated) Local(dst, idx []int64) []int64 { return append(dst[:0], idx...) }
-func (d replicated) LocalShape() []int64            { return append([]int64(nil), d.shape...) }
+func (d replicated) Kind() Kind              { return KindReplicated }
+func (d replicated) String() string          { return KindReplicated.String() }
+func (d replicated) Owner(idx []int64) int64 { return All }
 
 func (d replicated) SymbolicOwner(idx []expr.Expr) expr.Expr {
 	panic("dist: replicated data has no single owner; test Kind() first")
 }
 
-func (d replicated) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return append([]expr.Expr(nil), idx...)
-}
-
-// --- single processor ---
-
 type single struct {
-	procs int64
-	p     int64
-	shape []int64
+	whole
+	p int64
 }
 
 // NewSingle places the data (a scalar when shape is empty, or a whole array)
 // on the given processor: the paper's "a:P1" mapping.
 func NewSingle(procs, p int64, shape ...int64) Dist {
-	mustPositive(procs)
+	w := newWhole(procs, shape)
 	if p < 0 || p >= procs {
 		panic(fmt.Sprintf("dist: processor %d out of range [0,%d)", p, procs))
 	}
-	s := make([]int64, len(shape))
-	copy(s, shape)
-	return single{procs: procs, p: p, shape: s}
+	return single{w, p}
 }
 
-func (d single) Kind() Kind           { return KindSingle }
-func (d single) Procs() int64         { return d.procs }
-func (d single) GlobalShape() []int64 { return append([]int64(nil), d.shape...) }
-func (d single) String() string       { return fmt.Sprintf("proc(%d)", d.p) }
-
-func (d single) Owner(idx []int64) int64        { return d.p }
-func (d single) Local(dst, idx []int64) []int64 { return append(dst[:0], idx...) }
-func (d single) LocalShape() []int64            { return append([]int64(nil), d.shape...) }
-
+func (d single) Kind() Kind                              { return KindSingle }
+func (d single) String() string                          { return fmt.Sprintf("proc(%d)", d.p) }
+func (d single) Owner(idx []int64) int64                 { return d.p }
 func (d single) SymbolicOwner(idx []expr.Expr) expr.Expr { return expr.C(d.p) }
-
-func (d single) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return append([]expr.Expr(nil), idx...)
-}
 
 // ProcOf exposes the fixed processor of a single-processor decomposition.
 func ProcOf(d Dist) (int64, bool) {
@@ -407,85 +331,4 @@ func mustPositive(vs ...int64) {
 			panic(fmt.Sprintf("dist: parameter must be positive, got %d", v))
 		}
 	}
-}
-
-// --- 1-D distributions for vectors ---
-
-type cyclicVec struct {
-	procs int64
-	n     int64
-}
-
-// NewCyclicVec wraps the elements of a length-n vector around the ring:
-// element i lives on processor i mod procs.
-func NewCyclicVec(procs, n int64) Dist {
-	mustPositive(procs, n)
-	return cyclicVec{procs: procs, n: n}
-}
-
-func (d cyclicVec) Kind() Kind           { return KindCyclicVec }
-func (d cyclicVec) Procs() int64         { return d.procs }
-func (d cyclicVec) GlobalShape() []int64 { return []int64{d.n} }
-func (d cyclicVec) String() string {
-	return fmt.Sprintf("cyclic(S=%d, len %d)", d.procs, d.n)
-}
-
-func (d cyclicVec) Owner(idx []int64) int64 {
-	checkRank("cyclic.Owner", idx, 1)
-	return expr.EucMod(idx[0], d.procs)
-}
-
-func (d cyclicVec) Local(dst, idx []int64) []int64 {
-	checkRank("cyclic.Local", idx, 1)
-	return append(dst[:0], (idx[0]-1)/d.procs+1)
-}
-
-func (d cyclicVec) LocalShape() []int64 { return []int64{ceilDiv(d.n, d.procs)} }
-
-func (d cyclicVec) SymbolicOwner(idx []expr.Expr) expr.Expr {
-	return expr.Mod(idx[0], expr.C(d.procs))
-}
-
-func (d cyclicVec) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return []expr.Expr{expr.Add(expr.Div(expr.Sub(idx[0], expr.C(1)), expr.C(d.procs)), expr.C(1))}
-}
-
-type blockVec struct {
-	procs int64
-	n     int64
-	width int64
-}
-
-// NewBlockVec assigns contiguous blocks of ceil(n/procs) vector elements to
-// each processor in order.
-func NewBlockVec(procs, n int64) Dist {
-	mustPositive(procs, n)
-	return blockVec{procs: procs, n: n, width: ceilDiv(n, procs)}
-}
-
-func (d blockVec) Kind() Kind           { return KindBlockVec }
-func (d blockVec) Procs() int64         { return d.procs }
-func (d blockVec) GlobalShape() []int64 { return []int64{d.n} }
-func (d blockVec) String() string {
-	return fmt.Sprintf("block(S=%d, len %d)", d.procs, d.n)
-}
-
-func (d blockVec) Owner(idx []int64) int64 {
-	checkRank("block.Owner", idx, 1)
-	return (idx[0] - 1) / d.width
-}
-
-func (d blockVec) Local(dst, idx []int64) []int64 {
-	checkRank("block.Local", idx, 1)
-	return append(dst[:0], expr.EucMod(idx[0]-1, d.width)+1)
-}
-
-func (d blockVec) LocalShape() []int64 { return []int64{d.width} }
-
-func (d blockVec) SymbolicOwner(idx []expr.Expr) expr.Expr {
-	return expr.Div(expr.Sub(idx[0], expr.C(1)), expr.C(d.width))
-}
-
-func (d blockVec) SymbolicLocal(idx []expr.Expr) []expr.Expr {
-	return []expr.Expr{expr.Add(expr.Mod(expr.Sub(idx[0], expr.C(1)), expr.C(d.width)), expr.C(1))}
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -143,5 +144,77 @@ func checkVecPartition(t *testing.T, d Dist, procs, n int64) {
 	}
 	if int64(len(slots)) != n {
 		t.Fatalf("%v: %d slots for %d elements", d, len(slots), n)
+	}
+}
+
+// A dist declaration names exactly a family that takes parameters, spelled
+// as the table spells it; all and single are annotations.
+func TestDeclared(t *testing.T) {
+	for _, k := range Kinds() {
+		got, ok := Declared(k.String())
+		if want := k.Arity() > 0; ok != want || (ok && got != k) {
+			t.Errorf("Declared(%q) = %v, %v; want %v, %v", k, got, ok, k, want)
+		}
+		if _, ok := Declared(strings.ToUpper(k.String())); ok {
+			t.Errorf("Declared(%q) accepted a name in the wrong case", strings.ToUpper(k.String()))
+		}
+	}
+}
+
+// The parameter rule every family shares, one row per way to break it.
+func TestCheck(t *testing.T) {
+	for _, tc := range []struct {
+		k     Kind
+		args  []int64
+		procs int64
+		want  string // "" for no error
+	}{
+		{KindCyclicCols, []int64{4}, 4, ""},
+		{KindBlockVec, []int64{1}, 4, ""},
+		{KindBlock2D, []int64{2, 2}, 4, ""},
+		{KindReplicated, nil, 4, ""},
+		{KindCyclicCols, []int64{5}, 4, "decomposition cyclic_cols(5) exceeds machine size 4"},
+		{KindBlock2D, []int64{3, 2}, 4, "decomposition block2d(3, 2) exceeds machine size 4"},
+		{KindBlock2D, []int64{1 << 40, 1 << 40}, 1<<63 - 1, "exceeds machine size"},
+		{KindSingle, nil, 0, "decomposition single exceeds machine size 0"},
+		{KindCyclicRows, []int64{0}, 4, "decomposition cyclic_rows: arguments must be positive"},
+		{KindBlock2D, []int64{2, -1}, 4, "arguments must be positive"},
+		{KindCyclicCols, []int64{2, 3}, 4, "decomposition cyclic_cols expects 1 argument(s), got 2"},
+		{KindReplicated, []int64{2}, 4, "decomposition all expects 0 argument(s), got 1"},
+		{Kind(99), nil, 4, "unknown decomposition Kind(99)"},
+	} {
+		err := tc.k.Check(tc.args, tc.procs)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%v.Check(%v, %d) = %v, want %q", tc.k, tc.args, tc.procs, err, tc.want)
+		}
+	}
+}
+
+// Bind builds what the family's constructor builds, and CheckRank admits the
+// data the family distributes.
+func TestBindMatchesConstructors(t *testing.T) {
+	for _, tc := range []struct {
+		k     Kind
+		args  []int64
+		shape []int64
+		want  Dist
+	}{
+		{KindCyclicCols, []int64{3}, []int64{5, 7}, NewCyclicCols(3, 5, 7)},
+		{KindCyclicRows, []int64{3}, []int64{5, 7}, NewCyclicRows(3, 5, 7)},
+		{KindBlockCols, []int64{3}, []int64{5, 7}, NewBlockCols(3, 5, 7)},
+		{KindBlockRows, []int64{3}, []int64{5, 7}, NewBlockRows(3, 5, 7)},
+		{KindBlock2D, []int64{2, 3}, []int64{5, 7}, NewBlock2D(2, 3, 5, 7)},
+		{KindCyclicVec, []int64{3}, []int64{11}, NewCyclicVec(3, 11)},
+		{KindBlockVec, []int64{3}, []int64{11}, NewBlockVec(3, 11)},
+	} {
+		if err := tc.k.CheckRank(len(tc.shape)); err != nil {
+			t.Errorf("%v.CheckRank(%d) = %v", tc.k, len(tc.shape), err)
+		}
+		if err := tc.k.CheckRank(3 - len(tc.shape)); err == nil {
+			t.Errorf("%v.CheckRank(%d) admitted the other rank", tc.k, 3-len(tc.shape))
+		}
+		if got := tc.k.Bind(tc.args, tc.shape); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v.Bind(%v, %v) = %#v, want %#v", tc.k, tc.args, tc.shape, got, tc.want)
+		}
 	}
 }

@@ -27,12 +27,12 @@
 // pre-pass over the Idn AST gives each sem.Symbol a slot in its procedure's
 // frame and turns each statement and expression into a closure, so a run
 // touches no map and no name. It resolves through sem.Info, not through
-// Lower, so that the two sides share one definition only: EvalBin.
+// Lower, so that the two sides share one definition only: EvalBin, whose div
+// and mod are expr.FloorDiv and expr.EucMod.
 package exec
 
 import (
 	"fmt"
-	"math"
 
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
@@ -406,85 +406,4 @@ func (r *resolver) expr(e lang.Expr) evalFn {
 		}
 	}
 	panic(fmt.Sprintf("exec: sem accepted an expression the interpreter does not know: %T", e))
-}
-
-// EvalBin applies a binary operator to runtime values with Idn semantics:
-// div is floor division, mod is Euclidean, comparisons yield 1/0. The fail
-// callback reports division by zero.
-func EvalBin(op lang.Op, l, r Value, fail func(string)) Value {
-	switch op {
-	case lang.OpAdd:
-		return l + r
-	case lang.OpSub:
-		return l - r
-	case lang.OpMul:
-		return l * r
-	case lang.OpDivReal:
-		if r == 0 {
-			fail("division by zero")
-			return 0
-		}
-		return l / r
-	case lang.OpDivInt:
-		if r == 0 {
-			fail("division by zero")
-			return 0
-		}
-		return Value(floorDivI(int64(l), int64(r)))
-	case lang.OpMod:
-		if r == 0 {
-			fail("mod by zero")
-			return 0
-		}
-		return Value(eucModI(int64(l), int64(r)))
-	case lang.OpEq:
-		return boolToV(l == r)
-	case lang.OpNe:
-		return boolToV(l != r)
-	case lang.OpLt:
-		return boolToV(l < r)
-	case lang.OpLe:
-		return boolToV(l <= r)
-	case lang.OpGt:
-		return boolToV(l > r)
-	case lang.OpGe:
-		return boolToV(l >= r)
-	case lang.OpAnd:
-		return boolToV(l != 0 && r != 0)
-	case lang.OpOr:
-		return boolToV(l != 0 || r != 0)
-	case lang.OpMin:
-		return math.Min(l, r)
-	case lang.OpMax:
-		return math.Max(l, r)
-	default:
-		fail(fmt.Sprintf("unsupported operator %v", op))
-		return 0
-	}
-}
-
-func boolToV(b bool) Value {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func floorDivI(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
-}
-
-func eucModI(a, m int64) int64 {
-	if m < 0 {
-		m = -m
-	}
-	r := a % m
-	if r < 0 {
-		r += m
-	}
-	return r
 }

@@ -206,15 +206,15 @@ func (c *Code) Eval(f *Frame) (int64, error) {
 		}
 		switch t.kind {
 		case cMod:
-			if b <= 0 {
+			if b == 0 {
 				return 0, fmt.Errorf("expr: mod by non-positive %d", b)
 			}
-			a = eucMod(a, b)
+			a = EucMod(a, b)
 		case cDiv:
 			if b == 0 {
 				return 0, fmt.Errorf("expr: division by zero")
 			}
-			a = floorDiv(a, b)
+			a = FloorDiv(a, b)
 		case cMin:
 			if b < a {
 				a = b

@@ -178,7 +178,7 @@ func Div(a, b Expr) Expr {
 			return a
 		}
 		if av, ok2 := a.ConstVal(); ok2 && k != 0 {
-			return C(floorDiv(av, k))
+			return C(FloorDiv(av, k))
 		}
 	}
 	return atomExpr(divAtom{pair{a, b, "((" + a.String() + ") div " + b.String() + ")"}})
@@ -190,7 +190,7 @@ func Div(a, b Expr) Expr {
 func Mod(a, b Expr) Expr {
 	if s, ok := b.ConstVal(); ok && s > 0 {
 		// Dropping terms keeps the rest in key order.
-		red := Expr{terms: a.terms, c: eucMod(a.c, s)}
+		red := Expr{terms: a.terms, c: EucMod(a.c, s)}
 		if slices.ContainsFunc(a.terms, func(t term) bool { return t.coef%s == 0 }) {
 			red.terms = nil
 			for _, t := range a.terms {
@@ -200,7 +200,7 @@ func Mod(a, b Expr) Expr {
 			}
 		}
 		if v, ok := red.ConstVal(); ok {
-			return C(eucMod(v, s))
+			return C(EucMod(v, s))
 		}
 		// mod(mod(e, s), s) == mod(e, s)
 		if red.c == 0 && len(red.terms) == 1 && red.terms[0].coef == 1 {
@@ -296,7 +296,7 @@ func EqualTri(e, f Expr) Tri {
 	if ae, se, eok := AsMod(e); eok {
 		if af, sf, fok := AsMod(f); fok && se == sf {
 			if dv, ok := Sub(ae, af).ConstVal(); ok {
-				if eucMod(dv, se) == 0 {
+				if EucMod(dv, se) == 0 {
 					return Yes
 				}
 				return No
@@ -314,7 +314,7 @@ func EqualTri(e, f Expr) Tri {
 	return Maybe
 }
 
-// Eval evaluates e under env. Unbound variables, non-positive moduli and zero
+// Eval evaluates e under env. Unbound variables, zero moduli and zero
 // divisors are errors.
 func (e Expr) Eval(env Env) (int64, error) {
 	v := e.c
@@ -459,8 +459,9 @@ func writeInt(b *strings.Builder, v int64) {
 	b.Write(strconv.AppendInt(d[:0], v, 10))
 }
 
-// floorDiv returns floor(a/b) for b != 0.
-func floorDiv(a, b int64) int64 {
+// FloorDiv returns floor(a/b) for b != 0: Idn's div, the one definition the
+// compiler, the interpreters and sem's constant folding share.
+func FloorDiv(a, b int64) int64 {
 	q := a / b
 	if (a%b != 0) && ((a < 0) != (b < 0)) {
 		q--
@@ -468,21 +469,18 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// eucMod returns a mod m in [0, m) for m > 0.
-func eucMod(a, m int64) int64 {
-	r := a % m
+// EucMod returns a mod m in [0, |m|) for m != 0: Idn's Euclidean mod, the one
+// definition the compiler, the interpreters and sem's constant folding share.
+func EucMod(a, m int64) int64 {
+	r := a % m // in (-|m|, |m|), with the sign of a
 	if r < 0 {
+		if m < 0 {
+			return r - m
+		}
 		r += m
 	}
 	return r
 }
-
-// FloorDiv and EucMod expose the integer helpers used throughout the
-// compiler and interpreters so all components agree on div/mod semantics.
-func FloorDiv(a, b int64) int64 { return floorDiv(a, b) }
-
-// EucMod returns a mod m in [0, m); m must be positive.
-func EucMod(a, m int64) int64 { return eucMod(a, m) }
 
 // --- atoms ---
 
@@ -534,10 +532,10 @@ func (m modAtom) eval(env Env) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if mv <= 0 {
+	if mv == 0 {
 		return 0, fmt.Errorf("expr: mod by non-positive %d", mv)
 	}
-	return eucMod(ev, mv), nil
+	return EucMod(ev, mv), nil
 }
 func (m modAtom) subst(name string, r Expr) Expr {
 	return Mod(m.a.Subst(name, r), m.b.Subst(name, r))
@@ -553,7 +551,7 @@ func (d divAtom) eval(env Env) (int64, error) {
 	if mv == 0 {
 		return 0, fmt.Errorf("expr: division by zero")
 	}
-	return floorDiv(ev, mv), nil
+	return FloorDiv(ev, mv), nil
 }
 func (d divAtom) subst(name string, r Expr) Expr {
 	return Div(d.a.Subst(name, r), d.b.Subst(name, r))

@@ -79,8 +79,10 @@ func TestEvalErrors(t *testing.T) {
 	if _, err := Mod(V("x"), V("m")).Eval(Env{"x": 1, "m": 0}); err == nil {
 		t.Error("mod by zero should be an error")
 	}
-	if _, err := Mod(V("x"), V("m")).Eval(Env{"x": 1, "m": -3}); err == nil {
-		t.Error("mod by negative should be an error")
+	// A negative modulus is Idn's Euclidean mod, as the sequential
+	// interpreter computes it: 7 mod -3 = 1.
+	if v, err := Mod(V("x"), V("m")).Eval(Env{"x": 7, "m": -3}); err != nil || v != 1 {
+		t.Errorf("7 mod -3 = %d, %v; want 1", v, err)
 	}
 	if _, err := Div(V("x"), V("m")).Eval(Env{"x": 1, "m": 0}); err == nil {
 		t.Error("div by zero should be an error")
@@ -367,8 +369,11 @@ func TestFloorDivEucModAgree(t *testing.T) {
 			return q*bb+r == int64(a) && r >= 0 && r < bb
 		}
 		// floor property for negative divisor: q <= a/b < q+1 with b < 0
-		// multiplies through as q*b >= a > (q+1)*b.
-		return q*bb >= int64(a) && (q+1)*bb < int64(a)
+		// multiplies through as q*b >= a > (q+1)*b. The Euclidean mod is
+		// a's residue in [0, |b|).
+		r = EucMod(int64(a), bb)
+		return q*bb >= int64(a) && (q+1)*bb < int64(a) &&
+			r >= 0 && r < -bb && (int64(a)-r)%bb == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

@@ -75,7 +75,7 @@ func SolveModEq(e Expr, s int64, target Expr, v string) (Solution, bool) {
 	if !ok || coef == 0 {
 		return Solution{}, false
 	}
-	c := eucMod(coef, s)
+	c := EucMod(coef, s)
 	inv, ok := modInverse(c, s)
 	if !ok {
 		return Solution{}, false
@@ -92,12 +92,12 @@ func modInverse(a, m int64) (int64, bool) {
 	if m <= 0 {
 		return 0, false
 	}
-	a = eucMod(a, m)
+	a = EucMod(a, m)
 	g, x, _ := extGCD(a, m)
 	if g != 1 {
 		return 0, false
 	}
-	return eucMod(x, m), true
+	return EucMod(x, m), true
 }
 
 // extGCD returns g = gcd(a, b) along with x, y such that a·x + b·y = g.

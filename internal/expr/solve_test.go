@@ -21,7 +21,7 @@ func TestSolveModEqExhaustive(t *testing.T) {
 	solved := 0
 	for s := int64(1); s <= 9; s++ {
 		for coef := int64(-4); coef <= 4; coef++ {
-			g, _, _ := extGCD(eucMod(coef, s), s)
+			g, _, _ := extGCD(EucMod(coef, s), s)
 			inconclusive := coef == 0 || g != 1
 			for off := int64(-8); off <= 8; off++ {
 				e := Add(Mul(C(coef), V("j")), C(off))
@@ -46,7 +46,7 @@ func TestSolveModEqExhaustive(t *testing.T) {
 							// The loop visits start, start+Stride, ... up to hi.
 							next := start
 							for j := lo; j <= hi; j++ {
-								want := eucMod(coef*j+off, s) == p
+								want := EucMod(coef*j+off, s) == p
 								if got := next == j; got != want {
 									t.Fatalf("(%v) mod %d == %d over [%d, %d]: j=%d visited=%v, solution=%v",
 										e, s, p, lo, hi, j, got, want)
@@ -82,7 +82,7 @@ func TestEqualTriModsExhaustive(t *testing.T) {
 						// Both sides have period S in j.
 						equal, differ := 0, 0
 						for j := int64(0); j < s; j++ {
-							if eucMod(c1*j+d1, s) == eucMod(c2*j+d2, s) {
+							if EucMod(c1*j+d1, s) == EucMod(c2*j+d2, s) {
 								equal++
 							} else {
 								differ++

@@ -229,6 +229,13 @@ func (ev *evLoop) run(body func(p *Proc)) {
 			if dispatches++; dispatches >= heartbeatEvery {
 				dispatches = 0
 				beat(m.procs[pid].clock)
+				// A Heartbeat may close Cancel itself; see it now rather
+				// than whenever the watcher goroutine is next scheduled.
+				select {
+				case <-m.cfg.Cancel:
+					m.canceled.Store(true)
+				default:
+				}
 			}
 		}
 		ev.state[pid] = evRunning

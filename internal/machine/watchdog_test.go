@@ -3,6 +3,8 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -114,6 +116,22 @@ func TestCancelAbortsRun(t *testing.T) {
 			t.Fatalf("error is %T, want *CanceledError", err)
 		}
 	})
+}
+
+// TestCancelFromHeartbeat: a Heartbeat that closes Cancel stops the run at
+// the next action, with no help from the watcher goroutine. On one OS thread
+// the watcher may not be scheduled before a short run ends, so the loop
+// polls Cancel itself after each beat.
+func TestCancelFromHeartbeat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cancel := make(chan struct{})
+	var once sync.Once
+	cfg := DefaultConfig(4)
+	cfg.Cancel = cancel
+	cfg.Heartbeat = func(Cost) { once.Do(func() { close(cancel) }) }
+	if err := New(cfg).Run(sendRecvRing(2000)); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("run whose Heartbeat canceled it returned %v, want ErrCanceled", err)
+	}
 }
 
 // TestCancelUnblocksParkedReceiver: cancellation must also reach a process

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"procdecomp/internal/dist"
+	"procdecomp/internal/expr"
 	"procdecomp/internal/lang"
 )
 
@@ -159,9 +160,9 @@ func (c *checker) constEval(e lang.Expr) (float64, bool, error) {
 				return 0, false, fmt.Errorf("division by zero in constant")
 			}
 			if e.Op == lang.OpDivInt {
-				return float64(floorDiv(int64(l), int64(r))), true, nil
+				return float64(expr.FloorDiv(int64(l), int64(r))), true, nil
 			}
-			return float64(eucMod(int64(l), int64(r))), true, nil
+			return float64(expr.EucMod(int64(l), int64(r))), true, nil
 		case lang.OpMin:
 			if l < r {
 				return l, bothInt, nil
@@ -180,121 +181,69 @@ func (c *checker) constEval(e lang.Expr) (float64, bool, error) {
 	}
 }
 
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
-}
-
-func eucMod(a, m int64) int64 {
-	if m < 0 {
-		m = -m
-	}
-	r := a % m
-	if r < 0 {
-		r += m
-	}
-	return r
-}
-
 // bindDist resolves a mapping annotation into a bound decomposition for data
-// of the given shape. A nil annotation defaults to replicated.
+// of the given shape. A nil annotation defaults to replicated, and so does one
+// bind rejects, once it has reported why.
 func (c *checker) bindDist(m *lang.MapExpr, shape []int64, pos lang.Pos) dist.Dist {
-	procs := c.info.Cfg.Procs
-	if m == nil {
-		return dist.NewReplicated(procs, shape...)
+	if d := c.bind(m, shape, pos); d != nil {
+		return d
 	}
-	switch m.Kind {
-	case lang.MapAll:
-		return dist.NewReplicated(procs, shape...)
-	case lang.MapProc:
+	return dist.NewReplicated(c.info.Cfg.Procs, shape...)
+}
+
+// bind is bindDist for the annotations that name a processor or a
+// declaration; it returns nil for the rest and for errors. A declaration's
+// builtin, parameters and the rank it applies to are dist's family table's
+// to judge: errors about the declaration are reported at it, the rank at the
+// annotation.
+func (c *checker) bind(m *lang.MapExpr, shape []int64, pos lang.Pos) dist.Dist {
+	procs := c.info.Cfg.Procs
+	switch {
+	case m == nil || m.Kind == lang.MapAll:
+		return nil
+	case m.Kind == lang.MapProc:
 		p, err := c.constEvalInt(m.Proc)
 		if err != nil {
 			c.errorf(m.Pos, "proc(...) mapping: %v", err)
-			return dist.NewReplicated(procs, shape...)
+			return nil
 		}
 		if p < 0 || p >= procs {
 			c.errorf(m.Pos, "proc(%d) out of range [0, %d)", p, procs)
-			return dist.NewReplicated(procs, shape...)
+			return nil
 		}
 		return dist.NewSingle(procs, p, shape...)
-	case lang.MapNamed:
-		dd, ok := c.distDecls[m.Name]
-		if !ok {
-			c.errorf(m.Pos, "undefined decomposition %s", m.Name)
-			return dist.NewReplicated(procs, shape...)
-		}
-		wantRank := 2
-		if dd.Builtin == "cyclic" || dd.Builtin == "block" {
-			wantRank = 1
-		}
-		if len(shape) != wantRank {
-			if wantRank == 2 {
-				c.errorf(m.Pos, "decomposition %s applies to matrices, not %d-dimensional data", m.Name, len(shape))
-			} else {
-				c.errorf(m.Pos, "decomposition %s applies to vectors, not %d-dimensional data", m.Name, len(shape))
-			}
-			return dist.NewReplicated(procs, shape...)
-		}
-		args := make([]int64, len(dd.Args))
-		for i, a := range dd.Args {
-			v, err := c.constEvalInt(a)
-			if err != nil {
-				c.errorf(dd.Pos, "decomposition %s argument %d: %v", dd.Name, i+1, err)
-				return dist.NewReplicated(procs, shape...)
-			}
-			args[i] = v
-		}
-		need := 1
-		if dd.Builtin == "block2d" {
-			need = 2
-		}
-		if len(args) != need {
-			c.errorf(dd.Pos, "decomposition %s expects %d argument(s), got %d", dd.Builtin, need, len(args))
-			return dist.NewReplicated(procs, shape...)
-		}
-		for _, a := range args {
-			if a <= 0 {
-				c.errorf(dd.Pos, "decomposition %s: arguments must be positive", dd.Builtin)
-				return dist.NewReplicated(procs, shape...)
-			}
-		}
-		switch dd.Builtin {
-		case "cyclic_cols", "cyclic_rows", "block_cols", "block_rows", "cyclic", "block":
-			if args[0] > procs {
-				c.errorf(dd.Pos, "decomposition %s(%d) exceeds machine size %d", dd.Builtin, args[0], procs)
-				return dist.NewReplicated(procs, shape...)
-			}
-		case "block2d":
-			if args[0]*args[1] > procs {
-				c.errorf(dd.Pos, "decomposition block2d(%d, %d) exceeds machine size %d", args[0], args[1], procs)
-				return dist.NewReplicated(procs, shape...)
-			}
-		}
-		switch dd.Builtin {
-		case "cyclic_cols":
-			return dist.NewCyclicCols(args[0], shape[0], shape[1])
-		case "cyclic_rows":
-			return dist.NewCyclicRows(args[0], shape[0], shape[1])
-		case "block_cols":
-			return dist.NewBlockCols(args[0], shape[0], shape[1])
-		case "block_rows":
-			return dist.NewBlockRows(args[0], shape[0], shape[1])
-		case "block2d":
-			return dist.NewBlock2D(args[0], args[1], shape[0], shape[1])
-		case "cyclic":
-			return dist.NewCyclicVec(args[0], shape[0])
-		case "block":
-			return dist.NewBlockVec(args[0], shape[0])
-		default:
-			c.errorf(dd.Pos, "unknown decomposition builtin %s", dd.Builtin)
-			return dist.NewReplicated(procs, shape...)
-		}
+	case m.Kind != lang.MapNamed:
+		c.errorf(pos, "unsupported mapping")
+		return nil
 	}
-	c.errorf(pos, "unsupported mapping")
-	return dist.NewReplicated(procs, shape...)
+	dd, ok := c.distDecls[m.Name]
+	if !ok {
+		c.errorf(m.Pos, "undefined decomposition %s", m.Name)
+		return nil
+	}
+	k, ok := dist.Declared(dd.Builtin)
+	if !ok {
+		c.errorf(dd.Pos, "unknown decomposition builtin %s", dd.Builtin)
+		return nil
+	}
+	if err := k.CheckRank(len(shape)); err != nil {
+		c.errorf(m.Pos, "decomposition %s %v", m.Name, err)
+		return nil
+	}
+	args := make([]int64, len(dd.Args))
+	for i, a := range dd.Args {
+		v, err := c.constEvalInt(a)
+		if err != nil {
+			c.errorf(dd.Pos, "decomposition %s argument %d: %v", dd.Name, i+1, err)
+			return nil
+		}
+		args[i] = v
+	}
+	if err := k.Check(args, procs); err != nil {
+		c.errorf(dd.Pos, "%v", err)
+		return nil
+	}
+	return k.Bind(args, shape)
 }
 
 // resolveType turns a syntactic type into a resolved one (dimensions

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"procdecomp/internal/dist"
 	"procdecomp/internal/lang"
 )
 
@@ -102,7 +103,7 @@ func (c *checker) monoCall(pos lang.Pos, name string, distArgs []lang.MapExpr,
 func (c *checker) mapKey(m *lang.MapExpr) (string, bool) {
 	switch m.Kind {
 	case lang.MapAll:
-		return "all", true
+		return dist.KindReplicated.String(), true
 	case lang.MapProc:
 		p, err := c.constEvalInt(m.Proc)
 		if err != nil {

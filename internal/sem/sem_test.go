@@ -225,6 +225,11 @@ func TestErrors(t *testing.T) {
 		{`dist D = nosuch(2); proc main(A: matrix[4, 4] on D) {}`, "unknown decomposition"},
 		{`dist D = cyclic_cols(2, 3); proc main(A: matrix[4, 4] on D) {}`, "expects 1 argument"},
 		{`dist D = cyclic_cols(2); proc main(a: int on D) {}`, "applies to matrices"},
+		{`dist D = cyclic(2); proc main(A: matrix[4, 4] on D) {}`, "applies to vectors"},
+		{`dist D = block2d(3, 2); proc main(A: matrix[4, 4] on D) {}`, "block2d(3, 2) exceeds machine size 4"},
+		{`dist D = block2d(2, 0); proc main(A: matrix[4, 4] on D) {}`, "arguments must be positive"},
+		{`dist D = single(2); proc main(A: matrix[4, 4] on D) {}`, "unknown decomposition builtin single"},
+		{`dist D = Cyclic_Cols(2); proc main(A: matrix[4, 4] on D) {}`, "unknown decomposition builtin Cyclic_Cols"},
 		{`proc main(A: matrix[4, 4] on all) { let x = undef_dist_call[all](A); }`, "undefined procedure"},
 		{`proc f(x: int) {} proc main() { call f[all](1); }`, "not mapping-polymorphic"},
 		{`proc f[D: dist](x: int on D) {} proc main() { call f(1); }`, "requires instantiation"},
