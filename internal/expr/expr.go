@@ -293,8 +293,8 @@ func EqualTri(e, f Expr) Tri {
 		}
 		return No
 	}
-	if ae, se, eok := AsMod(e); eok {
-		if af, sf, fok := AsMod(f); fok && se == sf {
+	if ae, se, eok := asMod(e); eok {
+		if af, sf, fok := asMod(f); fok && se == sf {
 			if dv, ok := Sub(ae, af).ConstVal(); ok {
 				if EucMod(dv, se) == 0 {
 					return Yes
@@ -306,7 +306,7 @@ func EqualTri(e, f Expr) Tri {
 			return No
 		}
 	}
-	if _, sf, fok := AsMod(f); fok {
+	if _, sf, fok := asMod(f); fok {
 		if ev, ok := e.ConstVal(); ok && (ev < 0 || ev >= sf) {
 			return No
 		}
