@@ -314,7 +314,7 @@ func (g *gen) compileBody(b *block, env *scope, p *sem.Proc) *result {
 			}
 			name := g.fresh(p.Name + ".ret")
 			v := g.compileValue(b, env, ret.Value, to)
-			g.guarded(b, to, []spmd.Stmt{&spmd.AssignIVar{Name: name, Val: v}})
+			g.guarded(b, to, []spmd.Stmt{&spmd.AssignIVar{Name: name, Val: v, Def: true}})
 			return &result{name: name, dist: p.RetDist}
 		}
 		g.compileStmt(b, env, st)
@@ -354,7 +354,7 @@ func (g *gen) compileStmt(b *block, env *scope, st lang.Stmt) {
 		to := ownerOfScalar(sym)
 		name := g.fresh(st.Name)
 		v := g.compileValue(b, env, st.Init, to)
-		g.guarded(b, to, []spmd.Stmt{&spmd.AssignIVar{Name: name, Val: v}})
+		g.guarded(b, to, []spmd.Stmt{&spmd.AssignIVar{Name: name, Val: v, Def: true}})
 		env.bind(sym, &irBinding{name: name, sym: sym})
 
 	case *lang.AssignStmt:
@@ -444,7 +444,7 @@ func (g *gen) integrateCall(b *block, env *scope, pos lang.Pos, name string, arg
 		to := ownerOfScalar(prm)
 		v := g.compileValue(b, env, a, to)
 		fname := g.fresh(name + "." + prm.Name)
-		g.guarded(b, to, []spmd.Stmt{&spmd.AssignIVar{Name: fname, Val: v}})
+		g.guarded(b, to, []spmd.Stmt{&spmd.AssignIVar{Name: fname, Val: v, Def: true}})
 		inner.bind(prm, &irBinding{name: fname, sym: prm})
 	}
 	return g.compileBody(b, inner, callee)

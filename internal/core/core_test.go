@@ -432,3 +432,48 @@ proc recur(B: matrix[N, 1] on all): vector[N] on D {
 		}
 	}
 }
+
+// Re-assigning a scalar in a loop is a second write of one I-variable, in
+// the SPMD run as in the sequential one: only a definition (a let, a formal,
+// a scalar return) starts a fresh variable.
+func TestReassignedScalarFailsInALoop(t *testing.T) {
+	const src = `
+const N = 8;
+
+dist D = cyclic_cols(NPROCS);
+
+proc step(Old: matrix[N, N] on D): matrix[N, N] on D {
+  let New = matrix(N, N) on D;
+  let t = 0.0;
+  for j = 1 to N {
+    for i = 1 to N {
+      t = Old[i, j];
+      New[i, j] = t;
+    }
+  }
+  return New;
+}
+`
+	info := checked(t, src, 4, nil)
+	ins, err := exec.PatternInputs(info, "step")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.Reference(info, "step"); err == nil || !strings.Contains(err.Error(), "write of t: element already written") {
+		t.Errorf("sequential run: got %v, want a second write of t", err)
+	}
+	rtr, err := New(info).CompileRTR("step")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr, err := New(info).CompileCTR("step", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, progs := range map[string][]*spmd.Program{"rtr": {rtr}, "ctr": ctr} {
+		_, err := exec.RunSPMD(progs, testMachine(4), ins)
+		if err == nil || !strings.Contains(err.Error(), "write of t: element already written") {
+			t.Errorf("%s: got %v, want a second write of t", name, err)
+		}
+	}
+}

@@ -38,17 +38,17 @@ type abstract struct {
 	tapes *tapes
 }
 
-func (abstract) undefined(*stepper, int32) (Value, bool) { return 0, false }
-func (abstract) absent(error) (Value, bool)              { return 0, false }
-func (abstract) stored(*stepper, *lvexpr) Value          { return 0 }
-func (abstract) alloc(*stepper, *lstmt)                  {}
-func (abstract) allocBuf(*stepper, int32, int64)         {}
-func (abstract) defineScalar(*stepper, int32, Value)     {}
-func (abstract) scalar(*stepper, int32) (Value, bool)    { return 0, false }
-func (abstract) awrite(*stepper, *lstmt, Value)          {}
-func (abstract) bufWrite(*stepper, *lstmt, Value)        {}
-func (abstract) aread(*stepper, *lstmt) (Value, bool)    { return 0, false }
-func (abstract) bufRead(*stepper, *lstmt) (Value, bool)  { return 0, false }
+func (abstract) undefined(*stepper, int32) (Value, bool)   { return 0, false }
+func (abstract) absent(error) (Value, bool)                { return 0, false }
+func (abstract) stored(*stepper, *lvexpr) Value            { return 0 }
+func (abstract) alloc(*stepper, *lstmt)                    {}
+func (abstract) allocBuf(*stepper, int32, int64)           {}
+func (abstract) defineScalar(*stepper, int32, Value, bool) {}
+func (abstract) scalar(*stepper, int32) (Value, bool)      { return 0, false }
+func (abstract) awrite(*stepper, *lstmt, Value)            {}
+func (abstract) bufWrite(*stepper, *lstmt, Value)          {}
+func (abstract) aread(*stepper, *lstmt) (Value, bool)      { return 0, false }
+func (abstract) bufRead(*stepper, *lstmt) (Value, bool)    { return 0, false }
 
 // loopSteps never declines: a Sink has no per-charge state.
 func (a abstract) loopSteps(n, ops int64) bool {

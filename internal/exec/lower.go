@@ -191,6 +191,9 @@ func (lw *lowerer) stmt(o *lstmt, s spmd.Stmt) {
 	case *spmd.AssignIVar:
 		o.op, o.dst, o.obj = opAssignIVar, lw.varSlot(s.Name), intern(&lw.scalars, s.Name)
 		o.val, o.ops = lw.value(s.Val)
+		if s.Def {
+			o.flags |= fDef
+		}
 	case *spmd.ARead:
 		o.op, o.dst, o.obj = opARead, lw.varSlot(s.Dst), intern(&lw.arrays, s.Array)
 		o.lo, o.hi = lw.codes(s.Idx)

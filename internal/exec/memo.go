@@ -51,6 +51,7 @@ const (
 	mX
 	mY
 	fKeyed   // For: a walk tapes one iteration per value of its keys, s.y (keyed.go)
+	fDef     // AssignIVar: a definition, which starts a fresh I-variable
 	memoBits = mLo | mHi | mX | mY
 )
 

@@ -369,9 +369,11 @@ func (d *concrete) loopSteps(n, ops int64) bool { return d.Proc.LoopSteps(n, ops
 // tape declines: a real run's iterations differ in their data.
 func (*concrete) tape(*stepper, *lstmt, int64, int64, int64) int64 { return 0 }
 
-func (d *concrete) defineScalar(st *stepper, slot int32, v Value) {
+// defineScalar writes v to the scalar's I-variable; a definition (def)
+// writes a fresh one.
+func (d *concrete) defineScalar(st *stepper, slot int32, v Value, def bool) {
 	iv := d.ivars[slot]
-	if iv == nil {
+	if iv == nil || def {
 		iv = istruct.NewIVar(st.low.scalars[slot])
 		d.ivars[slot] = iv
 	}

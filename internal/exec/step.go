@@ -52,7 +52,7 @@ type domain interface {
 
 	alloc(st *stepper, s *lstmt)
 	allocBuf(st *stepper, buf int32, size int64)
-	defineScalar(st *stepper, slot int32, v Value)
+	defineScalar(st *stepper, slot int32, v Value, def bool)
 	scalar(st *stepper, slot int32) (Value, bool)
 	// aread, awrite, bufRead and bufWrite access element s.lo (, s.hi) of
 	// array or buffer s.obj.
@@ -197,7 +197,7 @@ func (st *stepper) stmt(s *lstmt) {
 	case opAssignIVar:
 		d.Ops(int64(s.ops))
 		v, known := st.evalV(s.val)
-		d.defineScalar(st, s.obj, v)
+		d.defineScalar(st, s.obj, v, s.flags&fDef != 0)
 		st.set(s.dst, v, known)
 	case opARead:
 		d.Ops(indexCost)

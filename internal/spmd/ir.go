@@ -89,10 +89,14 @@ type AssignVar struct {
 	Val  VExpr
 }
 
-// AssignIVar writes a program-level scalar I-variable (write-once).
+// AssignIVar writes a program-level scalar I-variable (write-once). A
+// definition (Def: a let, a formal, a scalar return) starts a fresh
+// I-variable each time it runs, as the sequential program binds a fresh one
+// per execution; an assignment writes the current one.
 type AssignIVar struct {
 	Name string
 	Val  VExpr
+	Def  bool
 }
 
 // ARead loads a local I-structure element into a temporary. Idx is the LOCAL
