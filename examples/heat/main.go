@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log"
 
-	"procdecomp/internal/core"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
@@ -88,15 +87,14 @@ func main() {
 			}
 		}
 
-		progs, err := core.New(info).CompileCTR("heat", true)
+		// Optimized II's pipeline: vectorize and jam decline here (the
+		// stencil offsets are in the message dimension), so this compiles
+		// to the compile-time-resolved programs — the passes are safe
+		// no-ops outside their fragment.
+		progs, err := xform.Compile(info, "heat", "opt2", 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Vectorize/Jam decline here (the stencil offsets are in the
-		// message dimension); the calls document that the passes are safe
-		// no-ops outside their fragment.
-		xform.Vectorize(progs)
-		xform.Jam(progs)
 
 		out, err := exec.RunSPMD(progs, machine.DefaultConfig(procs),
 			map[string]*istruct.Matrix{"U": initialRod(tSteps, width)})

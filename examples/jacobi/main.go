@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"procdecomp/internal/core"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
@@ -69,11 +68,10 @@ func run(distName string, procs int) {
 		return m
 	}
 
-	progs, err := core.New(info).CompileCTR("jacobi", true)
+	progs, err := xform.Compile(info, "jacobi", "opt1", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	xform.Vectorize(progs)
 
 	out, err := exec.RunSPMD(progs, machine.DefaultConfig(procs),
 		map[string]*istruct.Matrix{"Old": input()})

@@ -198,9 +198,10 @@ func InterchangeAblation(n int64, procs int, blk int64) (*Series, error) {
 			}
 		}
 		progs := core.SpecializeAll(generic, int64(procs), true)
-		xform.Vectorize(progs)
-		xform.Jam(progs)
-		xform.StripMine(progs, blk)
+		passes, _ := xform.StandardPipeline("opt3", blk)
+		if _, err := xform.Apply(progs, passes); err != nil {
+			return err
+		}
 		out, err := exec.RunSPMD(progs, machine.DefaultConfig(procs),
 			map[string]*istruct.Matrix{"Old": Input(n)})
 		if err != nil {
@@ -410,11 +411,10 @@ func LoadBalanceTable(procs int) (*Series, error) {
 			return nil, errs[0]
 		}
 		n := int64(info.Consts["N"].Const)
-		progs, err := core.New(info).CompileCTR("tri", true)
+		progs, err := xform.Compile(info, "tri", "opt1", 0)
 		if err != nil {
 			return nil, err
 		}
-		xform.Vectorize(progs)
 		out, err := exec.RunSPMD(progs, machine.DefaultConfig(procs),
 			map[string]*istruct.Matrix{"Old": Input(n)})
 		if err != nil {

@@ -1,11 +1,19 @@
 package core_test
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
+	"procdecomp/internal/bench"
+	"procdecomp/internal/exec"
 	"procdecomp/internal/gen"
+	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/sem"
+	"procdecomp/internal/spmd"
+	"procdecomp/internal/xform"
 )
 
 // Conformance property: for randomly generated stencil programs under
@@ -31,32 +39,109 @@ func TestConformanceRandomStencils(t *testing.T) {
 	}
 }
 
-// Conformance on the message-count invariant: whatever the optimizations do
-// to packaging, the total number of VALUES moved must be identical to
-// run-time resolution's (locality decides what moves; optimizations only
-// re-batch it). Sends to nobody (the unconsumed last column) are the one
-// allowed difference, so the optimized value count may be at most the RTR
-// count.
+// Conformance on what each message pass moves, checked from outside at each
+// step of the pipeline, ctr → opt1 → opt2 → opt3: whatever a pass does to
+// packaging, every process sends exactly as many values to every other
+// process as before it, and receives exactly as many from it (locality
+// decides what moves; the passes only re-batch it), and no more messages are
+// sent. Both sides of a step are walked, not run: (*exec.Image).Walk hands a
+// Sink exactly a run's message shapes. A walk never matches a send with a
+// receive, so both ends are counted.
 func TestConformanceValuesInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		src, _ := gen.Program(rng)
-		procs := 2 + rng.Intn(3)
-		rng.Int63() // once the input's seed
-		outs, err := gen.Check(src, "step", machine.DefaultConfig(procs), 4)
+	steps, applied := 0, 0
+	check := func(at, src, entry string, procs int, blk int64, defines map[string]int64) {
+		prog, err := lang.Parse(src)
 		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, src)
+			t.Fatal(err)
 		}
-		base, after := outs["rtr"].Stats, outs["opt3"].Stats
-		if after.Values > base.Values {
-			t.Errorf("trial %d: optimization increased moved values: %d > %d\n%s",
-				trial, after.Values, base.Values, src)
+		info, errs := sem.Check(prog, sem.Config{Procs: int64(procs), Defines: defines})
+		if len(errs) > 0 {
+			t.Fatal(errs)
 		}
-		if after.Messages > base.Messages {
-			t.Errorf("trial %d: optimization increased messages: %d > %d",
-				trial, after.Messages, base.Messages)
+		points := []xform.Point{{Mode: "ctr"}, {Mode: "opt1"}, {Mode: "opt2"}, {Mode: "opt3", Blk: blk}}
+		var before *traffic
+		for i, st := range xform.CompileAll(info, entry, points) {
+			at := fmt.Sprintf("%s S=%d %s/blk=%d", at, procs, points[i].Mode, blk)
+			if st.Err != nil {
+				t.Fatalf("%s: %v\n%s", at, st.Err, src)
+			}
+			after := walkTraffic(t, at, st.Progs, procs)
+			if before != nil {
+				steps++
+				if &st.Progs[0] != &before.progs[0] {
+					applied++
+				}
+				if !maps.Equal(after.received, before.received) {
+					t.Errorf("%s: values received per (src, dst) moved: %v, before the pass %v\n%s", at, after.received, before.received, src)
+				}
+				if !maps.Equal(after.sent, before.sent) {
+					t.Errorf("%s: values sent per (src, dst) moved: %v, before the pass %v\n%s", at, after.sent, before.sent, src)
+				}
+				if after.messages > before.messages {
+					t.Errorf("%s: the pass raised the messages sent: %d > %d\n%s", at, after.messages, before.messages, src)
+				}
+			}
+			before = after
 		}
 	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		src, distName := gen.Program(rng)
+		check(fmt.Sprintf("trial %d (dist=%s)", trial, distName), src, "step", 2+rng.Intn(3), int64(1+rng.Intn(6)), nil)
+	}
+	for _, procs := range []int{2, 3, 4, 8} {
+		for _, blk := range []int64{1, 4} {
+			check("Gauss-Seidel", bench.GSSource, "gs_iteration", procs, blk, map[string]int64{"N": 16})
+			check("reversed Gauss-Seidel", bench.GSReversedSource, "gs_iteration", procs, blk, map[string]int64{"N": 16})
+		}
+	}
+	t.Logf("%d pass steps checked, %d of them on programs the pass changed", steps, applied)
+}
+
+// traffic is what the walks of every process of an image send and receive.
+type traffic struct {
+	progs    []*spmd.Program
+	received map[[2]int]int64 // values received, by (src, dst)
+	sent     map[[2]int]int64 // values sent, by (src, dst)
+	messages int64            // messages sent
+}
+
+// walkTraffic walks every process of progs and counts its traffic.
+func walkTraffic(t *testing.T, at string, progs []*spmd.Program, procs int) *traffic {
+	t.Helper()
+	img, err := exec.LowerAll(progs, procs)
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	tr := &traffic{progs: progs, received: map[[2]int]int64{}, sent: map[[2]int]int64{}}
+	for p := 0; p < procs; p++ {
+		if err := img.Walk(p, &counter{tr: tr, me: p, procs: procs}); err != nil {
+			t.Fatalf("%s: walking process %d: %v", at, p, err)
+		}
+	}
+	return tr
+}
+
+// counter is the Sink of one process's walk: it adds the process's messages
+// to tr.
+type counter struct {
+	tr        *traffic
+	me, procs int
+}
+
+func (c *counter) Procs() int           { return c.procs }
+func (c *counter) Ops(int64)            {}
+func (c *counter) Mem(int64)            {}
+func (c *counter) LoopStep()            {}
+func (c *counter) LoopSteps(_, _ int64) {}
+func (c *counter) Send(dst int, _ int64, values int) error {
+	c.tr.messages++
+	c.tr.sent[[2]int{c.me, dst}] += int64(values)
+	return nil
+}
+func (c *counter) Recv(src int, _ int64, values int) error {
+	c.tr.received[[2]int{src, c.me}] += int64(values)
+	return nil
 }
 
 // Conformance under multiplexing: the same random programs, with the

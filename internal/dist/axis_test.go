@@ -14,21 +14,17 @@ import (
 // checked, the concrete one on every element and the symbolic one as
 // expressions.
 func TestAxisFamiliesAreOneRule(t *testing.T) {
-	type axisPair struct {
-		rows, cols func(s, r, c int64) Dist
-		vec        func(s, n int64) Dist
-	}
-	pairs := []axisPair{
-		{NewCyclicRows, NewCyclicCols, NewCyclicVec},
-		{NewBlockRows, NewBlockCols, NewBlockVec},
+	pairs := []struct{ rows, cols, vec Kind }{
+		{KindCyclicRows, KindCyclicCols, KindCyclicVec},
+		{KindBlockRows, KindBlockCols, KindBlockVec},
 	}
 	iv, jv := expr.V("i"), expr.V("j")
 	for _, pr := range pairs {
 		for _, s := range []int64{1, 2, 3, 4, 8} {
 			for _, sh := range [][2]int64{{1, 1}, {5, 9}, {8, 8}, {13, 4}, {16, 33}} {
 				r, c := sh[0], sh[1]
-				rows, cols := pr.rows(s, r, c), pr.cols(s, c, r)
-				vec, line := pr.vec(s, r), pr.rows(s, r, 1)
+				rows, cols := span(pr.rows, s, r, c), span(pr.cols, s, c, r)
+				vec, line := span(pr.vec, s, r), span(pr.rows, s, r, 1)
 				if got, want := rows.LocalShape(), swap(cols.LocalShape()); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("%v: alloc %v, transposed %v alloc %v", rows, got, cols, want)
 				}

@@ -125,18 +125,6 @@ func NewCyclicCols(procs int64, rows, cols int64) Dist {
 	return &cyclic{newAxis(KindCyclicCols, procs, []int64{rows, cols})}
 }
 
-// NewCyclicRows wraps the rows of a rows×cols matrix around a ring: row i
-// lives on processor i mod procs.
-func NewCyclicRows(procs int64, rows, cols int64) Dist {
-	return &cyclic{newAxis(KindCyclicRows, procs, []int64{rows, cols})}
-}
-
-// NewCyclicVec wraps the elements of a length-n vector around the ring:
-// element i lives on processor i mod procs.
-func NewCyclicVec(procs, n int64) Dist {
-	return &cyclic{newAxis(KindCyclicVec, procs, []int64{n})}
-}
-
 func (d *cyclic) Owner(idx []int64) int64 {
 	checkRank(d.kind, "Owner", len(idx), len(d.shape))
 	return expr.EucMod(idx[d.dim], d.procs)
@@ -166,22 +154,6 @@ func newBlock(k Kind, procs int64, shape []int64) Dist {
 	d := newAxis(k, procs, shape)
 	return &block{d, ceilDiv(shape[d.dim], procs)}
 }
-
-// NewBlockCols assigns contiguous blocks of ceil(cols/procs) columns to each
-// processor in order.
-func NewBlockCols(procs int64, rows, cols int64) Dist {
-	return newBlock(KindBlockCols, procs, []int64{rows, cols})
-}
-
-// NewBlockRows assigns contiguous blocks of ceil(rows/procs) rows to each
-// processor in order.
-func NewBlockRows(procs int64, rows, cols int64) Dist {
-	return newBlock(KindBlockRows, procs, []int64{rows, cols})
-}
-
-// NewBlockVec assigns contiguous blocks of ceil(n/procs) vector elements to
-// each processor in order.
-func NewBlockVec(procs, n int64) Dist { return newBlock(KindBlockVec, procs, []int64{n}) }
 
 func (d *block) Owner(idx []int64) int64 {
 	checkRank(d.kind, "Owner", len(idx), len(d.shape))

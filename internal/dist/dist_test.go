@@ -8,14 +8,18 @@ import (
 	"procdecomp/internal/expr"
 )
 
+// span binds the family k over a span of s processors to data of the given
+// shape, as the declaration `dist D = k(s)` does.
+func span(k Kind, s int64, shape ...int64) Dist { return k.Bind([]int64{s}, shape) }
+
 // allDists builds one instance of every non-scalar decomposition family for a
 // given machine and matrix size.
 func allDists(procs, rows, cols int64) []Dist {
 	ds := []Dist{
 		NewCyclicCols(procs, rows, cols),
-		NewCyclicRows(procs, rows, cols),
-		NewBlockCols(procs, rows, cols),
-		NewBlockRows(procs, rows, cols),
+		span(KindCyclicRows, procs, rows, cols),
+		span(KindBlockCols, procs, rows, cols),
+		span(KindBlockRows, procs, rows, cols),
 		NewSingle(procs, procs-1, rows, cols),
 	}
 	// A near-square processor grid for block2d.
@@ -128,7 +132,7 @@ func TestCyclicColsSymbolicOwnerShape(t *testing.T) {
 }
 
 func TestBlockColsContiguity(t *testing.T) {
-	d := NewBlockCols(4, 8, 16)
+	d := span(KindBlockCols, 4, 8, 16)
 	// Owners must be non-decreasing in j, with equal-width blocks of 4.
 	prev := int64(0)
 	for j := int64(1); j <= 16; j++ {
@@ -259,7 +263,7 @@ func TestAllocTight(t *testing.T) {
 }
 
 func TestVectorDistributions(t *testing.T) {
-	for _, d := range []Dist{NewCyclicVec(3, 10), NewBlockVec(3, 10)} {
+	for _, d := range []Dist{span(KindCyclicVec, 3, 10), span(KindBlockVec, 3, 10)} {
 		seen := map[string]bool{}
 		ls := d.LocalShape()
 		for i := int64(1); i <= 10; i++ {
@@ -286,7 +290,7 @@ func TestVectorDistributions(t *testing.T) {
 			}
 		}
 	}
-	if NewCyclicVec(3, 10).Kind() != KindCyclicVec || NewBlockVec(3, 10).Kind() != KindBlockVec {
+	if span(KindCyclicVec, 3, 10).Kind() != KindCyclicVec || span(KindBlockVec, 3, 10).Kind() != KindBlockVec {
 		t.Error("kinds wrong")
 	}
 }
@@ -295,7 +299,7 @@ func TestVectorDistributions(t *testing.T) {
 // allocates nothing and returns that buffer, whatever it held before.
 func TestLocalFillsTheCallersBuffer(t *testing.T) {
 	ds := append(allDists(4, 9, 12), NewReplicated(4, 9, 12))
-	for _, d := range append(ds, NewCyclicVec(3, 10), NewBlockVec(3, 10)) {
+	for _, d := range append(ds, span(KindCyclicVec, 3, 10), span(KindBlockVec, 3, 10)) {
 		idx := []int64{5, 7}[:len(d.GlobalShape())]
 		want := d.Local(nil, idx)
 		buf := []int64{-1, -1, -1}

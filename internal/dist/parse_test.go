@@ -62,9 +62,9 @@ func TestPartitionPropertyAcrossSizes(t *testing.T) {
 			rows, cols := sh[0], sh[1]
 			ds := []Dist{
 				NewCyclicCols(s, rows, cols),
-				NewCyclicRows(s, rows, cols),
-				NewBlockCols(s, rows, cols),
-				NewBlockRows(s, rows, cols),
+				span(KindCyclicRows, s, rows, cols),
+				span(KindBlockCols, s, rows, cols),
+				span(KindBlockRows, s, rows, cols),
 				NewSingle(s, s-1, rows, cols),
 				NewReplicated(s, rows, cols),
 			}
@@ -78,7 +78,7 @@ func TestPartitionPropertyAcrossSizes(t *testing.T) {
 			}
 			// Vector families, on a deliberately non-divisible length.
 			n := rows*cols - 1
-			for _, d := range []Dist{NewCyclicVec(s, n), NewBlockVec(s, n)} {
+			for _, d := range []Dist{span(KindCyclicVec, s, n), span(KindBlockVec, s, n)} {
 				checkVecPartition(t, d, s, n)
 			}
 		}
@@ -190,22 +190,23 @@ func TestCheck(t *testing.T) {
 	}
 }
 
-// Bind builds what the family's constructor builds, and CheckRank admits the
-// data the family distributes.
+// Bind builds what the family's constructor builds where one is exported,
+// and otherwise a decomposition of the family over the requested span and
+// shape; CheckRank admits the data the family distributes.
 func TestBindMatchesConstructors(t *testing.T) {
 	for _, tc := range []struct {
 		k     Kind
 		args  []int64
 		shape []int64
-		want  Dist
+		want  Dist // nil: no constructor besides Bind
 	}{
 		{KindCyclicCols, []int64{3}, []int64{5, 7}, NewCyclicCols(3, 5, 7)},
-		{KindCyclicRows, []int64{3}, []int64{5, 7}, NewCyclicRows(3, 5, 7)},
-		{KindBlockCols, []int64{3}, []int64{5, 7}, NewBlockCols(3, 5, 7)},
-		{KindBlockRows, []int64{3}, []int64{5, 7}, NewBlockRows(3, 5, 7)},
+		{KindCyclicRows, []int64{3}, []int64{5, 7}, nil},
+		{KindBlockCols, []int64{3}, []int64{5, 7}, nil},
+		{KindBlockRows, []int64{3}, []int64{5, 7}, nil},
 		{KindBlock2D, []int64{2, 3}, []int64{5, 7}, NewBlock2D(2, 3, 5, 7)},
-		{KindCyclicVec, []int64{3}, []int64{11}, NewCyclicVec(3, 11)},
-		{KindBlockVec, []int64{3}, []int64{11}, NewBlockVec(3, 11)},
+		{KindCyclicVec, []int64{3}, []int64{11}, nil},
+		{KindBlockVec, []int64{3}, []int64{11}, nil},
 	} {
 		if err := tc.k.CheckRank(len(tc.shape)); err != nil {
 			t.Errorf("%v.CheckRank(%d) = %v", tc.k, len(tc.shape), err)
@@ -213,8 +214,16 @@ func TestBindMatchesConstructors(t *testing.T) {
 		if err := tc.k.CheckRank(3 - len(tc.shape)); err == nil {
 			t.Errorf("%v.CheckRank(%d) admitted the other rank", tc.k, 3-len(tc.shape))
 		}
-		if got := tc.k.Bind(tc.args, tc.shape); !reflect.DeepEqual(got, tc.want) {
+		got := tc.k.Bind(tc.args, tc.shape)
+		if tc.want != nil && !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%v.Bind(%v, %v) = %#v, want %#v", tc.k, tc.args, tc.shape, got, tc.want)
+		}
+		procs := int64(1)
+		for _, a := range tc.args {
+			procs *= a
+		}
+		if got.Kind() != tc.k || got.Procs() != procs || !reflect.DeepEqual(got.GlobalShape(), tc.shape) {
+			t.Errorf("%v.Bind(%v, %v) = %v over %d processors, shape %v", tc.k, tc.args, tc.shape, got, got.Procs(), got.GlobalShape())
 		}
 	}
 }

@@ -148,7 +148,7 @@ func TestSPMDIfValueBranches(t *testing.T) {
 	// gather reads process 0 (then-branch).
 	p := prog([]spmd.Stmt{
 		&spmd.IfValue{
-			Cond: spmd.VBin{Op: lang.OpLt, L: spmd.VInt{X: spmd.MeExpr()}, R: spmd.VConst{F: 2}},
+			Cond: spmd.VBin{Op: lang.OpLt, L: spmd.VInt{X: expr.V(spmd.Me)}, R: spmd.VConst{F: 2}},
 			Then: []spmd.Stmt{&spmd.AWrite{Array: "A", Idx: []expr.Expr{expr.C(1), expr.C(1)}, Val: spmd.VConst{F: 1}}},
 			Else: []spmd.Stmt{&spmd.AWrite{Array: "A", Idx: []expr.Expr{expr.C(1), expr.C(1)}, Val: spmd.VConst{F: 2}}},
 		},
@@ -212,7 +212,7 @@ func TestSPMDGatherCyclic(t *testing.T) {
 			&spmd.Alloc{Array: "A", Shape: []expr.Expr{expr.C(4), expr.C(1)}},
 			// Every process owns exactly one column; write row 2 of it.
 			&spmd.AWrite{Array: "A", Idx: []expr.Expr{expr.C(2), expr.C(1)},
-				Val: spmd.VInt{X: spmd.MeExpr()}},
+				Val: spmd.VInt{X: expr.V(spmd.Me)}},
 		},
 		Outputs: []spmd.OutVar{{Name: "A", IsArray: true}},
 	}

@@ -26,9 +26,6 @@ import (
 // Me is the reserved variable bound to the executing process's number.
 const Me = "me"
 
-// MeExpr returns the symbolic reference to the executing process.
-func MeExpr() expr.Expr { return expr.V(Me) }
-
 // Tag identifies a communication site; all messages of one syntactic
 // send/recv/coerce site share a tag, and FIFO ordering per (source,
 // destination, tag) does the rest.

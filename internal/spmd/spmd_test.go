@@ -12,7 +12,7 @@ import (
 // sample builds a small program exercising every statement kind.
 func sample() *Program {
 	j := expr.V("j")
-	me := MeExpr()
+	me := expr.V(Me)
 	d := dist.NewCyclicCols(4, 8, 8)
 	return &Program{
 		Name:   "sample",

@@ -8,10 +8,10 @@ import (
 	"procdecomp/internal/spmd"
 )
 
-// Jam applies Optimized II (Appendix A.3): for every channel that carries a
-// produced (written) array, the element-send loop is fused into the loop
-// that computes the values — each new value is sent as soon as it is written,
-// pipelining computation with communication.
+// jamPlan is Optimized II's plan (Appendix A.3): for a channel that carries
+// a produced (written) array, the element-send loop is fused into the loop
+// that computes the values — each new value is sent as soon as it is
+// written, pipelining computation with communication.
 //
 // The specialized programs place the send role and the compute role of one
 // column in different congruence classes of the round structure, so fusion
@@ -23,60 +23,24 @@ import (
 // Gauss-Seidel, exactly the boundary column filled by init_boundary.
 //
 // Applicability per channel: every send site matches the element-send-loop
-// pattern; the array is written; each sender program has exactly one loop
-// writing the array (unit stride, same row range as the send loop, row index
-// equal to the loop variable) and the shift δ ∈ {0,1,2} aligns the column
+// pattern; the array is written; each sender program has exactly one
+// producer loop (unit stride, same range as the send loop, the same
+// subscript varying with it) whose shift δ ∈ {0,1,2} aligns the column
 // expressions. Receive sites are untouched — moving sends earlier cannot
-// starve them. Returns the number of channels transformed.
-func Jam(progs []*spmd.Program) int {
-	transformed := 0
-	for {
-		s := collect(progs)
-		tag, ok := s.nextJammable()
-		if !ok {
-			return transformed
-		}
-		s.jamChannel(tag)
-		transformed++
-	}
-}
-
-// producer describes the loop computing the channel's array in one program.
-type producer struct {
-	loop     *spmd.For
-	write    *spmd.AWrite
-	writePos int
-	cond     spmd.VExpr
-	roundVar string
-	dim      int // which subscript of the write varies with the loop
-}
-
-func (s *suite) nextJammable() (spmd.Tag, bool) {
-	for _, tag := range s.tags() {
-		if _, ok := s.jamPlan(tag); ok {
-			return tag, true
-		}
-	}
-	return 0, false
-}
-
-type jamStep struct {
-	site  *site
-	prod  *producer
-	delta int64
-}
-
-// jamPlan checks applicability and computes the per-program fusion steps.
+// starve them. The plan is one fusion step per send site.
 func (s *suite) jamPlan(tag spmd.Tag) ([]jamStep, bool) {
-	sends := s.sends[tag]
-	if len(sends) == 0 {
+	if !s.pairsOnly(tag) {
 		return nil, false
 	}
 	var steps []jamStep
-	for _, st := range sends {
+	for i := range s.sites {
+		st := &s.sites[i]
 		sl := st.send
+		if st.tag != tag || sl == nil {
+			continue
+		}
 		if !s.written[sl.array] {
-			return nil, false // read-only channels belong to Vectorize
+			return nil, false // read-only channels belong to vectorize
 		}
 		// Among the loops producing this array, exactly one must align with
 		// the sent slice: e_send(round+δ) == e_compute(round) for a small
@@ -86,8 +50,12 @@ func (s *suite) jamPlan(tag spmd.Tag) ([]jamStep, bool) {
 		eSend := sl.read.Idx[1-sl.dim]
 		rv := st.roundVar
 		var chosen *jamStep
-		for _, prod := range findProducers(st.prog, sl.array) {
-			if prod.dim != sl.dim {
+		for k := range s.writes {
+			prod := &s.writes[k]
+			if prod.prog != st.prog || prod.write.Array != sl.array {
+				continue
+			}
+			if dim, ok := varyingDim(prod.write.Idx, prod.loop.Var); !ok || dim != sl.dim {
 				continue
 			}
 			if !prod.loop.Lo.Equal(sl.loop.Lo) || !prod.loop.Hi.Equal(sl.loop.Hi) {
@@ -99,7 +67,7 @@ func (s *suite) jamPlan(tag spmd.Tag) ([]jamStep, bool) {
 			if prod.roundVar != rv {
 				continue
 			}
-			eComp := prod.write.Idx[1-prod.dim]
+			eComp := prod.write.Idx[1-sl.dim]
 			for d := int64(0); d <= 2; d++ {
 				cand := eSend
 				if rv != "" {
@@ -109,8 +77,7 @@ func (s *suite) jamPlan(tag spmd.Tag) ([]jamStep, bool) {
 					if chosen != nil {
 						return nil, false // ambiguous producers
 					}
-					prodCopy := prod
-					chosen = &jamStep{site: st, prod: prodCopy, delta: d}
+					chosen = &jamStep{site: st, prod: prod, delta: d}
 					break
 				}
 			}
@@ -120,49 +87,16 @@ func (s *suite) jamPlan(tag spmd.Tag) ([]jamStep, bool) {
 		}
 		steps = append(steps, *chosen)
 	}
-	return steps, true
+	return steps, len(steps) > 0
 }
 
-// findProducers locates every element-producing loop of the array in a
-// program: loops whose body directly contains an AWrite whose row index is
-// the loop variable. The caller disambiguates by column alignment.
-func findProducers(p *spmd.Program, array string) []*producer {
-	var found []*producer
-	var search func(body []spmd.Stmt, cond spmd.VExpr, roundVar string)
-	search = func(body []spmd.Stmt, cond spmd.VExpr, roundVar string) {
-		for _, st := range body {
-			switch st := st.(type) {
-			case *spmd.For:
-				rv := roundVar
-				if isRoundLoop(st) {
-					rv = st.Var
-				}
-				for i, inner := range st.Body {
-					w, ok := inner.(*spmd.AWrite)
-					if !ok || w.Array != array {
-						continue
-					}
-					dim, ok := varyingDim(w.Idx, st.Var)
-					if !ok {
-						continue
-					}
-					found = append(found, &producer{loop: st, write: w, writePos: i, cond: cond, roundVar: rv, dim: dim})
-				}
-				search(st.Body, cond, rv)
-			case *spmd.IfValue:
-				search(st.Then, st.Cond, roundVar)
-				search(st.Else, cond, roundVar)
-			case *spmd.Guard:
-				search(st.Body, cond, roundVar)
-			}
-		}
-	}
-	search(p.Body, nil, "")
-	return found
+type jamStep struct {
+	site  *site
+	prod  *loopWrite // the producer loop's write
+	delta int64
 }
 
-func (s *suite) jamChannel(tag spmd.Tag) {
-	steps, _ := s.jamPlan(tag)
+func jamChannel(tag spmd.Tag, steps []jamStep) {
 	for _, step := range steps {
 		sl := step.site.send
 		prod := step.prod

@@ -4,22 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"procdecomp/internal/core"
 	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
 )
 
-// A PassKind names one of the Appendix-A transformations.
+// A PassKind names one of the Appendix-A message passes.
 type PassKind int
 
-// The transformation passes, in the order the paper's optimization levels
-// stack them.
+// The message passes, in the order the paper's optimization levels stack
+// them.
 const (
-	PassVectorize   PassKind = iota // A.2: merge per-element sends into vectors
-	PassJam                         // A.3: jam cross-iteration send/recv pairs
-	PassStripMine                   // A.4: exchange blocks of the pipelined loop
-	PassInterchange                 // §4: swap a loop nest to expose the wavefront
+	PassVectorize PassKind = iota // A.2: merge per-element sends into vectors
+	PassJam                       // A.3: jam cross-iteration send/recv pairs
+	PassStripMine                 // A.4: exchange blocks of the pipelined loop
 )
 
 func (k PassKind) String() string {
@@ -30,56 +30,38 @@ func (k PassKind) String() string {
 		return "jam"
 	case PassStripMine:
 		return "stripmine"
-	case PassInterchange:
-		return "interchange"
 	default:
 		return fmt.Sprintf("PassKind(%d)", int(k))
 	}
 }
 
-// A Pass is one validated, parameterized transformation. Unlike the bare
-// Vectorize/Jam/StripMine/Interchange functions, a Pass rejects bad
-// parameters with an error instead of panicking or silently doing nothing —
-// the contract the auto-mapper's enumerated pipelines need.
+// A Pass is one validated, parameterized message pass, and Pass.Apply is the
+// only way one runs: StandardPipeline lists the passes of each optimization
+// level, and Apply and CompileAll run them. Bad parameters are an error, not
+// a panic or a silent no-op.
 type Pass struct {
 	Kind PassKind
-	Blk  int64  // strip-mine block size (PassStripMine only)
-	Var  string // outer loop variable (PassInterchange only)
+	Blk  int64 // strip-mine block size (PassStripMine only)
 }
 
 func (p Pass) String() string {
-	switch p.Kind {
-	case PassStripMine:
+	if p.Kind == PassStripMine {
 		return fmt.Sprintf("stripmine(%d)", p.Blk)
-	case PassInterchange:
-		return fmt.Sprintf("interchange(%s)", p.Var)
-	default:
-		return p.Kind.String()
 	}
+	return p.Kind.String()
 }
 
 // Validate checks the pass parameters without touching any program: the
-// strip-mine block size must be at least 1, interchange needs the outer loop
-// variable, and parameters that do not belong to the kind must be unset.
+// strip-mine block size must be at least 1, and the other passes take none.
 func (p Pass) Validate() error {
 	switch p.Kind {
 	case PassVectorize, PassJam:
-		if p.Blk != 0 || p.Var != "" {
-			return fmt.Errorf("xform: %s takes no parameters (Blk=%d, Var=%q)", p.Kind, p.Blk, p.Var)
+		if p.Blk != 0 {
+			return fmt.Errorf("xform: %s takes no parameters (Blk=%d)", p.Kind, p.Blk)
 		}
 	case PassStripMine:
 		if p.Blk < 1 {
 			return fmt.Errorf("xform: stripmine block size must be >= 1, got %d", p.Blk)
-		}
-		if p.Var != "" {
-			return fmt.Errorf("xform: stripmine takes no loop variable, got %q", p.Var)
-		}
-	case PassInterchange:
-		if p.Var == "" {
-			return fmt.Errorf("xform: interchange needs the outer loop variable")
-		}
-		if p.Blk != 0 {
-			return fmt.Errorf("xform: interchange takes no block size, got %d", p.Blk)
 		}
 	default:
 		return fmt.Errorf("xform: unknown pass kind %v", p.Kind)
@@ -87,11 +69,13 @@ func (p Pass) Validate() error {
 	return nil
 }
 
-// Apply runs the pass over the compiled programs, returning how many sites it
-// transformed. Invalid parameters and inapplicable interchanges are errors; a
-// vectorize/jam/stripmine that finds nothing to transform returns 0 without
-// error, because the opportunistic passes are allowed to be no-ops on
-// programs that have no matching communication pattern.
+// Apply runs the pass over the compiled programs, returning how many
+// channels it transformed. Invalid parameters are errors; a pass that finds
+// nothing to transform returns 0 without error, because the passes are
+// allowed to be no-ops on programs that have no matching communication
+// pattern. It is the one driver of every message pass: take a census,
+// rewrite the lowest-numbered channel the pass's plan accepts, and take a
+// fresh census, until none qualifies.
 func (p Pass) Apply(progs []*spmd.Program) (int, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
@@ -99,26 +83,45 @@ func (p Pass) Apply(progs []*spmd.Program) (int, error) {
 	if len(progs) == 0 {
 		return 0, fmt.Errorf("xform: %s applied to no programs", p)
 	}
-	switch p.Kind {
-	case PassVectorize:
-		return Vectorize(progs), nil
-	case PassJam:
-		return Jam(progs), nil
-	case PassStripMine:
-		return StripMine(progs, p.Blk), nil
-	case PassInterchange:
-		n := 0
-		for _, prog := range progs {
-			if Interchange(prog, p.Var) {
-				n++
+	s := censuses.Get().(*suite)
+	defer censuses.Put(s)
+	n := 0
+	for p.rewrite(s.collect(progs)) {
+		n++
+	}
+	return n, nil
+}
+
+// censuses recycles the census's storage: every pass of every compile takes
+// at least one census, and one more per channel it rewrites.
+var censuses = sync.Pool{New: func() any {
+	return &suite{loops: map[*spmd.For]loopSite{}, blocked: map[spmd.Tag]bool{}, written: map[string]bool{}}
+}}
+
+// rewrite rewrites the lowest-numbered channel of the census whose plan
+// holds for the pass, and reports whether there was one. The census is stale
+// afterwards.
+func (p Pass) rewrite(s *suite) bool {
+	for _, tag := range s.tags {
+		switch p.Kind {
+		case PassVectorize:
+			if s.vectorizable(tag) {
+				s.vectorizeChannel(tag)
+				return true
+			}
+		case PassJam:
+			if steps, ok := s.jamPlan(tag); ok {
+				jamChannel(tag, steps)
+				return true
+			}
+		case PassStripMine:
+			if loops, ok := s.stripPlan(tag); ok {
+				stripMineChannel(tag, loops, p.Blk)
+				return true
 			}
 		}
-		if n == 0 {
-			return 0, fmt.Errorf("xform: interchange(%s) not applicable: no perfect loop nest with outer variable %q", p.Var, p.Var)
-		}
-		return n, nil
 	}
-	return 0, fmt.Errorf("xform: unknown pass kind %v", p.Kind)
+	return false
 }
 
 // Apply runs a pipeline of passes in order, stopping at the first error.

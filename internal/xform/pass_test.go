@@ -14,8 +14,8 @@ import (
 )
 
 // Every malformed pass must be rejected with an error, never a panic or a
-// silent no-op: bad strip sizes, misplaced parameters, missing interchange
-// variables, unknown kinds, and empty program lists.
+// silent no-op: bad strip sizes, misplaced parameters, unknown kinds, and
+// empty program lists.
 func TestPassValidateRejections(t *testing.T) {
 	cases := []struct {
 		pass Pass
@@ -23,11 +23,8 @@ func TestPassValidateRejections(t *testing.T) {
 	}{
 		{Pass{Kind: PassStripMine, Blk: 0}, "block size must be >= 1"},
 		{Pass{Kind: PassStripMine, Blk: -4}, "block size must be >= 1"},
-		{Pass{Kind: PassStripMine, Blk: 2, Var: "i"}, "no loop variable"},
-		{Pass{Kind: PassInterchange}, "needs the outer loop variable"},
-		{Pass{Kind: PassInterchange, Var: "i", Blk: 3}, "no block size"},
 		{Pass{Kind: PassVectorize, Blk: 8}, "takes no parameters"},
-		{Pass{Kind: PassJam, Var: "j"}, "takes no parameters"},
+		{Pass{Kind: PassJam, Blk: 1}, "takes no parameters"},
 		{Pass{Kind: PassKind(99)}, "unknown pass kind"},
 	}
 	for _, c := range cases {
@@ -49,58 +46,57 @@ func TestPassValidateRejections(t *testing.T) {
 	}
 }
 
-// An interchange whose outer variable matches no perfect loop nest is an
-// applicability error, not a silent no-op. Interchange runs on the generic
-// program before specialization (the CTR-specialized bodies are no longer
-// perfect nests), so that is what the pass is validated against.
+// An interchange whose outer variable matches no perfect loop nest applies
+// nowhere. Interchange runs on the generic program before specialization (the
+// CTR-specialized bodies are no longer perfect nests), so that is what it is
+// checked against.
 func TestInterchangeApplicability(t *testing.T) {
 	generic, err := core.New(checked(t, 4, 16)).CompileRTR("gs_iteration")
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs := []*spmd.Program{generic}
-	if _, err := (Pass{Kind: PassInterchange, Var: "nosuchvar"}).Apply(progs); err == nil {
-		t.Fatal("interchange on a missing loop variable accepted")
+	before := spmd.Format(generic)
+	if Interchange(generic, "nosuchvar") {
+		t.Fatal("interchange on a missing loop variable applied")
+	}
+	if spmd.Format(generic) != before {
+		t.Fatal("an interchange that applied nowhere rewrote the program")
 	}
 	// The GS nest is j-outer; interchanging on j must swap it to i-outer.
-	n, err := (Pass{Kind: PassInterchange, Var: "j"}).Apply(progs)
-	if err != nil {
-		t.Fatalf("interchange(j): %v", err)
+	if !Interchange(generic, "j") {
+		t.Fatal("interchange(j) did not apply")
 	}
-	if n != 1 {
-		t.Fatalf("interchange(j) swapped %d programs, want 1", n)
-	}
-	// The nest is now i-outer: a second interchange on j has nothing to swap.
-	if _, err := (Pass{Kind: PassInterchange, Var: "j"}).Apply(progs); err == nil {
+	// The nest is now i-outer: a second interchange on j has nothing to swap,
+	// and one on i swaps it back.
+	if Interchange(generic, "j") {
 		t.Fatal("interchange applied twice on the same outer variable")
+	}
+	if !Interchange(generic, "i") || spmd.Format(generic) != before {
+		t.Fatal("interchange(i) did not undo interchange(j)")
 	}
 }
 
-// The validated passes must produce exactly the same code as the bare
-// functions they wrap — Pass is a contract change, not a behavior change.
-func TestPassesMatchBareFunctions(t *testing.T) {
-	compile := func() []*spmd.Program { return compileCTR(t, checked(t, 4, 16)) }
-	bare := compile()
-	Vectorize(bare)
-	Jam(bare)
-	StripMine(bare, 4)
-
-	viaPasses := compile()
+// Every pass of the opt3 pipeline transforms something on Gauss-Seidel, and
+// the passes applied one at a time through Pass.Apply give exactly the
+// programs Compile gives for the point.
+func TestPassesMatchCompile(t *testing.T) {
+	info := checked(t, 4, 16)
+	byHand := compileCTR(t, info)
 	passes, ok := StandardPipeline("opt3", 4)
 	if !ok {
 		t.Fatal("opt3 is not a standard mode")
 	}
-	counts, err := Apply(viaPasses, passes)
+	for _, p := range passes {
+		if apply(t, byHand, p) == 0 {
+			t.Errorf("pass %v transformed nothing on the GS program", p)
+		}
+	}
+	compiled, err := Compile(info, "gs_iteration", "opt3", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, n := range counts {
-		if n == 0 {
-			t.Errorf("pass %v transformed nothing on the GS program", passes[i])
-		}
-	}
-	if formatAll(bare) != formatAll(viaPasses) {
-		t.Fatal("pass pipeline and bare functions produced different code")
+	if formatAll(byHand) != formatAll(compiled) {
+		t.Fatal("the passes applied one at a time and Compile produced different code")
 	}
 }
 
@@ -136,9 +132,8 @@ func TestStandardPipelineModes(t *testing.T) {
 	if _, ok := StandardPipeline("warp", 8); ok {
 		t.Error("unknown mode accepted")
 	}
-	// A strip size of 0 in opt3 yields an invalid pass that Apply rejects —
-	// the silent StripMine(progs, 0) no-op is no longer reachable through the
-	// validated path.
+	// A strip size of 0 in opt3 yields an invalid pass that Apply rejects,
+	// not a silent no-op.
 	passes, _ := StandardPipeline("opt3", 0)
 	if _, err := Apply(compileCTR(t, checked(t, 4, 16)), passes); err == nil {
 		t.Error("opt3 with block size 0 accepted")
@@ -276,7 +271,7 @@ func TestCompileAllNeverRewritesAnInheritedStage(t *testing.T) {
 	points := []Point{{Mode: "ctr"}, {Mode: "opt1"}, {Mode: "opt2"}, {Mode: "opt3", Blk: 4}, {Mode: "opt3", Blk: 8}}
 	vectorized := func() []*spmd.Program {
 		progs := compileCTR(t, checked(t, 4, 16))
-		if Vectorize(progs) == 0 {
+		if apply(t, progs, vectorize) == 0 {
 			t.Fatal("vectorize found nothing to transform in Gauss-Seidel")
 		}
 		return progs

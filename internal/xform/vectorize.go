@@ -7,7 +7,7 @@ import (
 	"procdecomp/internal/spmd"
 )
 
-// Vectorize applies Optimized I (Appendix A.2): for every channel whose
+// vectorizable is Optimized I's plan (Appendix A.2): for a channel whose
 // source array is read-only ("the Old values are not changed during the
 // execution of the loop"), the element-send loop becomes a pack-and-send of
 // one column message, and every matching element receive becomes one block
@@ -15,59 +15,41 @@ import (
 //
 // Applicability per channel: every send site matches the element-send-loop
 // pattern over a read-only array; every receive site is a bare receive
-// directly inside a unit-stride loop whose bounds equal the send loop's; no
-// opaque sites. Channels failing any condition are left untouched. Returns
-// the number of channels transformed.
-func Vectorize(progs []*spmd.Program) int {
-	transformed := 0
-	for {
-		s := collect(progs)
-		tag, ok := s.nextVectorizable()
-		if !ok {
-			return transformed
-		}
-		s.vectorizeChannel(tag)
-		transformed++
-	}
-}
-
-// nextVectorizable finds the lowest-numbered channel the pass can transform.
-func (s *suite) nextVectorizable() (spmd.Tag, bool) {
-	for _, tag := range s.tags() {
-		if s.vectorizable(tag) {
-			return tag, true
-		}
-	}
-	return 0, false
-}
-
+// directly inside a unit-stride loop whose bounds equal the send loop's; the
+// channel has no other send, block operation or coerce.
 func (s *suite) vectorizable(tag spmd.Tag) bool {
-	sends := s.sends[tag]
-	if len(sends) == 0 {
+	if !s.pairsOnly(tag) {
 		return false
 	}
-	var lo, hi expr.Expr
-	for i, st := range sends {
+	var first *spmd.For // the first send loop; every loop shares its bounds
+	for _, st := range s.sites {
+		if st.tag != tag || st.send == nil {
+			continue
+		}
 		if s.written[st.send.array] {
 			return false // only read-only data may be hoisted into one message
 		}
-		if i == 0 {
-			lo, hi = st.send.loop.Lo, st.send.loop.Hi
-			continue
-		}
-		if !st.send.loop.Lo.Equal(lo) || !st.send.loop.Hi.Equal(hi) {
+		if first == nil {
+			first = st.send.loop
+		} else if !st.send.loop.Lo.Equal(first.Lo) || !st.send.loop.Hi.Equal(first.Hi) {
 			return false
 		}
 	}
-	for _, rt := range s.recvs[tag] {
-		f := rt.loop
+	if first == nil {
+		return false
+	}
+	for _, rt := range s.sites {
+		if rt.tag != tag || rt.recv == nil {
+			continue
+		}
+		f := rt.home
 		if f == nil {
 			return false
 		}
 		if v, ok := f.Step.ConstVal(); !ok || v != 1 {
 			return false
 		}
-		if !f.Lo.Equal(lo) || !f.Hi.Equal(hi) {
+		if !f.Lo.Equal(first.Lo) || !f.Hi.Equal(first.Hi) {
 			return false
 		}
 		if rt.recv.Src.HasVar(f.Var) {
@@ -83,8 +65,11 @@ func (s *suite) vectorizable(tag spmd.Tag) bool {
 }
 
 func (s *suite) vectorizeChannel(tag spmd.Tag) {
-	for _, st := range s.sends[tag] {
+	for _, st := range s.sites {
 		sl := st.send
+		if st.tag != tag || sl == nil {
+			continue
+		}
 		buf := fmt.Sprintf("oldvalues%d", tag)
 		count := expr.Add(expr.Sub(sl.loop.Hi, sl.loop.Lo), expr.C(1))
 		pos := expr.Add(expr.Sub(expr.V(sl.loop.Var), sl.loop.Lo), expr.C(1))
@@ -98,15 +83,19 @@ func (s *suite) vectorizeChannel(tag spmd.Tag) {
 			&spmd.SendBuf{Dst: sl.send.Dst, Tag: tag, Buf: buf, Lo: expr.C(1), Hi: count},
 		)
 	}
-	for _, rt := range s.recvs[tag] {
-		f := rt.loop
+	for _, rt := range s.sites {
+		if rt.tag != tag || rt.recv == nil {
+			continue
+		}
+		f := rt.home
+		home := s.loops[f]
 		buf := fmt.Sprintf("rvalues%d", tag)
 		count := expr.Add(expr.Sub(f.Hi, f.Lo), expr.C(1))
 		pos := expr.Add(expr.Sub(expr.V(f.Var), f.Lo), expr.C(1))
 		// Replace the element receive with a buffer read.
 		(*rt.holder)[rt.pos] = &spmd.BufRead{Dst: rt.recv.Dst, Buf: buf, Idx: pos}
 		// Hoist one block receive before the loop.
-		splice(rt.loopHolder, rt.loopPos,
+		splice(home.holder, home.pos,
 			&spmd.AllocBuf{Buf: buf, Size: count},
 			&spmd.RecvBuf{Src: rt.recv.Src, Tag: tag, Buf: buf, Lo: expr.C(1), Hi: count},
 			f,

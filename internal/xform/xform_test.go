@@ -87,6 +87,25 @@ func run(t *testing.T, info *sem.Info, progs []*spmd.Program) *exec.SPMDOutcome 
 	return res
 }
 
+// The message passes, as StandardPipeline spells them.
+var (
+	vectorize = Pass{Kind: PassVectorize}
+	jam       = Pass{Kind: PassJam}
+)
+
+func stripMine(blk int64) Pass { return Pass{Kind: PassStripMine, Blk: blk} }
+
+// apply runs one pass over progs and returns how many channels it
+// transformed.
+func apply(t *testing.T, progs []*spmd.Program, p Pass) int {
+	t.Helper()
+	n, err := p.Apply(progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // Message-count formulas for the N×N wavefront, interior (N-2)².
 func optIMsgs(n int64) int64 { return (n-2)*(n-2) + (n - 2) }
 func optIIIMsgs(n, b int64) int64 {
@@ -99,7 +118,7 @@ func TestVectorizePreservesSemantics(t *testing.T) {
 		const n = 16
 		info := checked(t, procs, n)
 		progs := compileCTR(t, info)
-		changed := Vectorize(progs)
+		changed := apply(t, progs, vectorize)
 		if changed == 0 {
 			t.Fatalf("S=%d: vectorize transformed nothing", procs)
 		}
@@ -113,7 +132,7 @@ func TestVectorizePreservesSemantics(t *testing.T) {
 func TestVectorizeOnlyReadOnlyChannels(t *testing.T) {
 	info := checked(t, 4, 16)
 	progs := compileCTR(t, info)
-	if changed := Vectorize(progs); changed != 1 {
+	if changed := apply(t, progs, vectorize); changed != 1 {
 		t.Errorf("vectorize transformed %d channels, want 1 (only the Old column)", changed)
 	}
 }
@@ -123,8 +142,8 @@ func TestJamPreservesSemantics(t *testing.T) {
 		const n = 16
 		info := checked(t, procs, n)
 		progs := compileCTR(t, info)
-		Vectorize(progs)
-		if changed := Jam(progs); changed == 0 {
+		apply(t, progs, vectorize)
+		if changed := apply(t, progs, jam); changed == 0 {
 			t.Fatalf("S=%d: jam transformed nothing", procs)
 		}
 		res := run(t, info, progs)
@@ -139,12 +158,12 @@ func TestJamExposesParallelism(t *testing.T) {
 	// Optimized II's defining property (Fig. 7): with pipelining, makespan
 	// drops as processors are added; before it, the curve is flat.
 	const n = 32
-	makespan := func(procs int64, jam bool) machine.Cost {
+	makespan := func(procs int64, jammed bool) machine.Cost {
 		info := checked(t, procs, n)
 		progs := compileCTR(t, info)
-		Vectorize(progs)
-		if jam {
-			Jam(progs)
+		apply(t, progs, vectorize)
+		if jammed {
+			apply(t, progs, jam)
 		}
 		return run(t, info, progs).Stats.Makespan
 	}
@@ -168,9 +187,9 @@ func TestStripMinePreservesSemantics(t *testing.T) {
 			const n = 16
 			info := checked(t, procs, n)
 			progs := compileCTR(t, info)
-			Vectorize(progs)
-			Jam(progs)
-			if changed := StripMine(progs, blk); changed == 0 {
+			apply(t, progs, vectorize)
+			apply(t, progs, jam)
+			if changed := apply(t, progs, stripMine(blk)); changed == 0 {
 				t.Fatalf("S=%d blk=%d: strip mine transformed nothing", procs, blk)
 			}
 			res := run(t, info, progs)
@@ -187,15 +206,15 @@ func TestStripMineReducesMessagesAndBeatsJamAtScale(t *testing.T) {
 	const procs = 8
 	info := checked(t, procs, n)
 	base := compileCTR(t, info)
-	Vectorize(base)
-	Jam(base)
+	apply(t, base, vectorize)
+	apply(t, base, jam)
 	jammed := run(t, info, base)
 
 	info2 := checked(t, procs, n)
 	mined := compileCTR(t, info2)
-	Vectorize(mined)
-	Jam(mined)
-	StripMine(mined, 5)
+	apply(t, mined, vectorize)
+	apply(t, mined, jam)
+	apply(t, mined, stripMine(5))
 	blocked := run(t, info2, mined)
 
 	if blocked.Stats.Messages >= jammed.Stats.Messages {
@@ -225,18 +244,18 @@ func TestFullPipelineOrdering(t *testing.T) {
 	mkCTR := run(t, info, ctr).Stats.Makespan
 
 	v := compileCTR(t, info)
-	Vectorize(v)
+	apply(t, v, vectorize)
 	mkI := run(t, info, v).Stats.Makespan
 
 	j := compileCTR(t, info)
-	Vectorize(j)
-	Jam(j)
+	apply(t, j, vectorize)
+	apply(t, j, jam)
 	mkII := run(t, info, j).Stats.Makespan
 
 	sm := compileCTR(t, info)
-	Vectorize(sm)
-	Jam(sm)
-	StripMine(sm, 5)
+	apply(t, sm, vectorize)
+	apply(t, sm, jam)
+	apply(t, sm, stripMine(5))
 	mkIII := run(t, info, sm).Stats.Makespan
 
 	if !(mkRTR > mkCTR && mkCTR > mkI && mkI > mkII && mkII > mkIII) {
@@ -311,39 +330,43 @@ func vOf(n string) expr.Expr { return expr.V(n) }
 func TestPassesIdempotent(t *testing.T) {
 	info := checked(t, 4, 16)
 	progs := compileCTR(t, info)
-	if Vectorize(progs) == 0 {
+	if apply(t, progs, vectorize) == 0 {
 		t.Fatal("first vectorize did nothing")
 	}
-	if n := Vectorize(progs); n != 0 {
+	if n := apply(t, progs, vectorize); n != 0 {
 		t.Errorf("second vectorize transformed %d channels", n)
 	}
-	if Jam(progs) == 0 {
+	if apply(t, progs, jam) == 0 {
 		t.Fatal("first jam did nothing")
 	}
-	if n := Jam(progs); n != 0 {
+	if n := apply(t, progs, jam); n != 0 {
 		t.Errorf("second jam transformed %d channels", n)
 	}
-	if StripMine(progs, 4) == 0 {
+	if apply(t, progs, stripMine(4)) == 0 {
 		t.Fatal("first strip mine did nothing")
 	}
-	if n := StripMine(progs, 4); n != 0 {
+	if n := apply(t, progs, stripMine(4)); n != 0 {
 		t.Errorf("second strip mine transformed %d channels", n)
 	}
 	// The result must still be correct.
 	run(t, info, progs)
 }
 
-// StripMine with a nonsensical block size must refuse rather than corrupt.
+// Strip mining with a nonsensical block size must refuse rather than
+// corrupt: the pass is rejected and the programs are left as they were.
 func TestStripMineRejectsBadBlock(t *testing.T) {
 	info := checked(t, 4, 16)
 	progs := compileCTR(t, info)
-	Vectorize(progs)
-	Jam(progs)
-	if n := StripMine(progs, 0); n != 0 {
-		t.Errorf("blk=0 transformed %d channels", n)
-	}
-	if n := StripMine(progs, -3); n != 0 {
-		t.Errorf("blk=-3 transformed %d channels", n)
+	apply(t, progs, vectorize)
+	apply(t, progs, jam)
+	before := formatAll(progs)
+	for _, blk := range []int64{0, -3} {
+		if n, err := stripMine(blk).Apply(progs); err == nil {
+			t.Errorf("blk=%d accepted, transformed %d channels", blk, n)
+		}
+		if formatAll(progs) != before {
+			t.Errorf("blk=%d rewrote the programs", blk)
+		}
 	}
 }
 
@@ -351,13 +374,13 @@ func TestStripMineRejectsBadBlock(t *testing.T) {
 func TestPassesOnSingleProcessor(t *testing.T) {
 	info := checked(t, 1, 16)
 	progs := compileCTR(t, info)
-	if n := Vectorize(progs); n != 0 {
+	if n := apply(t, progs, vectorize); n != 0 {
 		t.Errorf("vectorize on S=1 transformed %d channels", n)
 	}
-	if n := Jam(progs); n != 0 {
+	if n := apply(t, progs, jam); n != 0 {
 		t.Errorf("jam on S=1 transformed %d channels", n)
 	}
-	if n := StripMine(progs, 4); n != 0 {
+	if n := apply(t, progs, stripMine(4)); n != 0 {
 		t.Errorf("strip mine on S=1 transformed %d channels", n)
 	}
 }
@@ -369,7 +392,7 @@ func TestAppendixAShapes(t *testing.T) {
 
 	// A.2 (vectorized): the old column leaves as one buffered message.
 	v := compileCTR(t, info)
-	Vectorize(v)
+	apply(t, v, vectorize)
 	p1 := spmd.Format(v[1])
 	for _, want := range []string{
 		"oldvalues4 := vector[6]",        // calloc'd oldvalues vector
@@ -387,8 +410,8 @@ func TestAppendixAShapes(t *testing.T) {
 
 	// A.3 (jammed): the new value is sent as soon as it is written.
 	j := compileCTR(t, info)
-	Vectorize(j)
-	Jam(j)
+	apply(t, j, vectorize)
+	apply(t, j, jam)
 	p1 = spmd.Format(j[1])
 	iw := strings.Index(p1, "is_write(New[i#2,")
 	snd := strings.Index(p1[iw:], "send(jam2, to 2)")
@@ -398,9 +421,9 @@ func TestAppendixAShapes(t *testing.T) {
 
 	// A.4 (strip-mined): snewvalues/rnewvalues blocks around the inner loop.
 	sm := compileCTR(t, info)
-	Vectorize(sm)
-	Jam(sm)
-	StripMine(sm, 2)
+	apply(t, sm, vectorize)
+	apply(t, sm, jam)
+	apply(t, sm, stripMine(2))
 	p1 = spmd.Format(sm[1])
 	for _, want := range []string{
 		"rnewvalues2 := vector[2]",
