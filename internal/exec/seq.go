@@ -27,8 +27,9 @@
 // pre-pass over the Idn AST gives each sem.Symbol a slot in its procedure's
 // frame and turns each statement and expression into a closure, so a run
 // touches no map and no name. It resolves through sem.Info, not through
-// Lower, so that the two sides share one definition only: EvalBin, whose div
-// and mod are expr.FloorDiv and expr.EucMod.
+// Lower, so that the two sides share one definition only: lang's operator
+// table, whose evaluator (lang.EvalBin, lang.EvalUn) computes div and mod as
+// expr.FloorDiv and expr.EucMod.
 package exec
 
 import (
@@ -366,7 +367,10 @@ func (r *resolver) expr(e lang.Expr) evalFn {
 	case *lang.NumLit:
 		return func(*frame) Value { return e.Val }
 	case *lang.BoolLit:
-		v := boolToV(e.Val)
+		v := Value(0)
+		if e.Val {
+			v = 1
+		}
 		return func(*frame) Value { return v }
 	case *lang.VarRef:
 		sym := r.info.SymbolOf(e)
@@ -386,15 +390,12 @@ func (r *resolver) expr(e lang.Expr) evalFn {
 		}
 		return func(f *frame) Value { return seqValue(f.slots[i].matrix.Read(int64(row(f)), int64(col(f)))) }
 	case *lang.UnExpr:
-		x := r.expr(e.X)
-		if e.Op == lang.OpNeg {
-			return func(f *frame) Value { return -x(f) }
-		}
-		return func(f *frame) Value { return boolToV(x(f) == 0) }
+		op, x := e.Op, r.expr(e.X)
+		return func(f *frame) Value { return lang.EvalUn(op, x(f)) }
 	case *lang.BinExpr:
 		op, l, rhs, pos := e.Op, r.expr(e.L), r.expr(e.R), e.Pos
 		fail := func(msg string) { seqFail(pos, "%s", msg) }
-		return func(f *frame) Value { return EvalBin(op, l(f), rhs(f), fail) }
+		return func(f *frame) Value { return lang.EvalBin(op, l(f), rhs(f), fail) }
 	case *lang.CallExpr:
 		call, pos := r.call(e.Pos, e.Name, e.Args, true), e.Pos
 		return func(f *frame) Value {

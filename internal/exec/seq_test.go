@@ -417,37 +417,3 @@ func TestReferenceAllocsIndependentOfN(t *testing.T) {
 		t.Errorf("Reference(gs) allocates %.0f times at N=16 and %.0f at N=64; want equal (±2) and ≤ 130", small, large)
 	}
 }
-
-// EvalBin is the one definition the oracle and the stepper share, so it is
-// pinned directly, against expectations written by hand: floor division and
-// Euclidean mod over every sign combination, 1/0 truth values, and the
-// division-by-zero reports.
-func TestEvalBinTable(t *testing.T) {
-	for _, tc := range []struct {
-		op      lang.Op
-		l, r    Value
-		want    Value
-		failure string
-	}{
-		{lang.OpAdd, 2.5, -4, -1.5, ""}, {lang.OpSub, 2.5, -4, 6.5, ""}, {lang.OpMul, 2.5, -4, -10, ""},
-		{lang.OpDivReal, 7, 2, 3.5, ""}, {lang.OpDivReal, -7, 2, -3.5, ""},
-		{lang.OpDivInt, 7, 3, 2, ""}, {lang.OpDivInt, -7, 3, -3, ""}, {lang.OpDivInt, 7, -3, -3, ""}, {lang.OpDivInt, -7, -3, 2, ""},
-		{lang.OpDivInt, -6, 3, -2, ""}, {lang.OpDivInt, 6, -3, -2, ""}, {lang.OpDivInt, 0, -3, 0, ""},
-		{lang.OpMod, 7, 3, 1, ""}, {lang.OpMod, -7, 3, 2, ""}, {lang.OpMod, 7, -3, 1, ""}, {lang.OpMod, -7, -3, 2, ""},
-		{lang.OpMod, -6, 3, 0, ""}, {lang.OpMod, 6, -3, 0, ""},
-		{lang.OpMin, 2, -3, -3, ""}, {lang.OpMin, -3, 2, -3, ""}, {lang.OpMax, 2, -3, 2, ""}, {lang.OpMax, -3, 2, 2, ""},
-		{lang.OpEq, 2, 2, 1, ""}, {lang.OpEq, 2, 3, 0, ""}, {lang.OpNe, 2, 2, 0, ""}, {lang.OpNe, 2, 3, 1, ""},
-		{lang.OpLt, 2, 3, 1, ""}, {lang.OpLt, 3, 3, 0, ""}, {lang.OpLe, 3, 3, 1, ""}, {lang.OpLe, 4, 3, 0, ""},
-		{lang.OpGt, 3, 2, 1, ""}, {lang.OpGt, 3, 3, 0, ""}, {lang.OpGe, 3, 3, 1, ""}, {lang.OpGe, 2, 3, 0, ""},
-		{lang.OpAnd, 1, 1, 1, ""}, {lang.OpAnd, 1, 0, 0, ""}, {lang.OpAnd, 0, 1, 0, ""}, {lang.OpAnd, 2, -1, 1, ""},
-		{lang.OpOr, 0, 0, 0, ""}, {lang.OpOr, 1, 0, 1, ""}, {lang.OpOr, 0, 1, 1, ""}, {lang.OpOr, 0, -3, 1, ""},
-		{lang.OpDivReal, 1, 0, 0, "division by zero"}, {lang.OpDivInt, 1, 0, 0, "division by zero"}, {lang.OpMod, 1, 0, 0, "mod by zero"},
-		{lang.OpNot, 1, 0, 0, "unsupported operator not"},
-	} {
-		failure := ""
-		got := EvalBin(tc.op, tc.l, tc.r, func(msg string) { failure += msg })
-		if got != tc.want || failure != tc.failure {
-			t.Errorf("%g %v %g = %g (failure %q), want %g (failure %q)", tc.l, tc.op, tc.r, got, failure, tc.want, tc.failure)
-		}
-	}
-}

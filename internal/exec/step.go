@@ -147,22 +147,17 @@ func (st *stepper) evalV(v *lvexpr) (Value, bool) {
 			return 0, false
 		}
 		bad := ""
-		res := EvalBin(v.op, l, r, func(msg string) { bad = msg })
+		res := lang.EvalBin(v.op, l, r, func(msg string) { bad = msg })
 		if bad != "" {
 			return st.d.absent(errors.New(bad))
 		}
 		return res, true
 	case vUn:
 		x, ok := st.evalV(v.l)
-		switch {
-		case !ok:
+		if !ok {
 			return 0, false
-		case v.op == lang.OpNeg:
-			return -x, true
-		case x != 0:
-			return 0, true
 		}
-		return 1, true
+		return lang.EvalUn(v.op, x), true
 	default:
 		fail(errors.New(st.low.unknown[v.slot]))
 		return 0, false

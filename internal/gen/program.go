@@ -8,76 +8,114 @@ package gen
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+
+	"procdecomp/internal/lang"
 )
 
-// stencilTerm is one operand of a generated stencil expression.
-type stencilTerm struct {
-	array  string // "New" or "Old"
-	di, dj int64
-	coef   float64
+// The operators Program draws, read from lang's operator table: the
+// comparisons, the boolean operators (and, or, not), the integer operators
+// (div, mod) and the numeric operators that keep ints ints (+, -, *, min,
+// max).
+var comparisons, booleans, integers, numerics = func() (cmp, boolean, integer, numeric []lang.Op) {
+	for _, op := range lang.Ops() {
+		switch in := op.Operands(); {
+		case op.Comparison():
+			cmp = append(cmp, op)
+		case in == lang.Boolean:
+			boolean = append(boolean, op)
+		case in == lang.Integer:
+			integer = append(integer, op)
+		case !op.Unary() && op.Result(lang.TInt, lang.TInt) == lang.TInt:
+			numeric = append(numeric, op)
+		}
+	}
+	return
+}()
+
+// num is an int literal, negated when v < 0.
+func num(v int64) lang.Expr {
+	if v < 0 {
+		return &lang.UnExpr{Op: lang.OpNeg, X: &lang.NumLit{Val: float64(-v), IsInt: true}}
+	}
+	return &lang.NumLit{Val: float64(v), IsInt: true}
 }
 
-// Program builds a random wavefront-style Idn program. Reads of New are
+// offset is v + d.
+func offset(v string, d int64) lang.Expr {
+	x := lang.Expr(&lang.VarRef{Name: v})
+	switch {
+	case d > 0:
+		return &lang.BinExpr{Op: lang.OpAdd, L: x, R: num(d)}
+	case d < 0:
+		return &lang.BinExpr{Op: lang.OpSub, L: x, R: num(-d)}
+	}
+	return x
+}
+
+// condition draws an if condition on i: a comparison of i div m or i mod m,
+// with m one of ±2 and ±3, to a small constant, or a boolean operator over
+// smaller conditions.
+func condition(rng *rand.Rand, depth int) lang.Expr {
+	if depth == 0 || rng.Intn(2) == 0 {
+		m := int64(2 + rng.Intn(2))
+		if rng.Intn(2) == 0 {
+			m = -m
+		}
+		x := &lang.BinExpr{Op: integers[rng.Intn(len(integers))], L: &lang.VarRef{Name: "i"}, R: num(m)}
+		return &lang.BinExpr{Op: comparisons[rng.Intn(len(comparisons))], L: x, R: num(int64(rng.Intn(5) - 2))}
+	}
+	op := booleans[rng.Intn(len(booleans))]
+	if op.Unary() {
+		return &lang.UnExpr{Op: op, X: condition(rng, depth-1)}
+	}
+	return &lang.BinExpr{Op: op, L: condition(rng, depth-1), R: condition(rng, depth-1)}
+}
+
+// stencil draws one to three terms, each a coefficient times an element of
+// Old or New near (i, j), combined by numeric operators. Reads of New are
 // constrained to lexicographically earlier iterations (j column-major order)
 // so the sequential program is well-defined.
+func stencil(rng *rand.Rand) lang.Expr {
+	var e lang.Expr
+	for k, n := 0, 1+rng.Intn(3); k < n; k++ {
+		array, di, dj := "Old", int64(rng.Intn(3)-1), int64(rng.Intn(3)-1)
+		if rng.Intn(2) == 0 {
+			array, dj = "New", 0
+			// Lexicographically earlier in (j, i) order.
+			if di = -1; rng.Intn(2) == 0 {
+				di, dj = int64(rng.Intn(3)-1), -1
+			}
+		}
+		term := &lang.BinExpr{Op: lang.OpMul,
+			L: &lang.NumLit{Val: float64(rng.Intn(5)+1) / 8},
+			R: &lang.IndexExpr{Array: array, Indices: []lang.Expr{offset("i", di), offset("j", dj)}}}
+		if e == nil {
+			e = term
+			continue
+		}
+		e = &lang.BinExpr{Op: numerics[rng.Intn(len(numerics))], L: e, R: term}
+	}
+	return e
+}
+
+// Program builds a random wavefront-style Idn program.
 func Program(rng *rand.Rand) (src string, distName string) {
 	dists := []string{"cyclic_cols", "cyclic_rows", "block_cols", "block_rows"}
 	distName = dists[rng.Intn(len(dists))]
-
-	terms := func(allowNew bool) []stencilTerm {
-		var ts []stencilTerm
-		n := 1 + rng.Intn(3)
-		for k := 0; k < n; k++ {
-			t := stencilTerm{coef: float64(rng.Intn(5)+1) / 8}
-			if allowNew && rng.Intn(2) == 0 {
-				t.array = "New"
-				// Lexicographically earlier in (j, i) order.
-				if rng.Intn(2) == 0 {
-					t.dj = -1
-					t.di = int64(rng.Intn(3) - 1)
-				} else {
-					t.dj = 0
-					t.di = -1
-				}
-			} else {
-				t.array = "Old"
-				t.di = int64(rng.Intn(3) - 1)
-				t.dj = int64(rng.Intn(3) - 1)
-			}
-			ts = append(ts, t)
-		}
-		return ts
-	}
-
-	expr := func(ts []stencilTerm) string {
-		parts := make([]string, len(ts))
-		for i, t := range ts {
-			idx := func(v string, d int64) string {
-				switch {
-				case d > 0:
-					return fmt.Sprintf("%s + %d", v, d)
-				case d < 0:
-					return fmt.Sprintf("%s - %d", v, -d)
-				default:
-					return v
-				}
-			}
-			parts[i] = fmt.Sprintf("%g * %s[%s, %s]", t.coef, t.array, idx("i", t.di), idx("j", t.dj))
-		}
-		return strings.Join(parts, " + ")
+	biased := func(e lang.Expr) string {
+		return lang.FormatExpr(&lang.BinExpr{Op: lang.OpAdd, L: e, R: &lang.VarRef{Name: "bias"}})
 	}
 
 	var body string
 	if rng.Intn(3) == 0 {
 		// Data-dependent control flow between two stencils.
-		body = fmt.Sprintf(`      if i mod 2 == 0 {
+		body = fmt.Sprintf(`      if %s {
         New[i, j] = %s;
       } else {
-        New[i, j] = %s + bias;
-      }`, expr(terms(true)), expr(terms(true)))
+        New[i, j] = %s;
+      }`, lang.FormatExpr(condition(rng, 2)), lang.FormatExpr(stencil(rng)), biased(stencil(rng)))
 	} else {
-		body = fmt.Sprintf("      New[i, j] = %s + bias;", expr(terms(true)))
+		body = fmt.Sprintf("      New[i, j] = %s;", biased(stencil(rng)))
 	}
 
 	// The bias scalar lives on a random processor (or replicated),

@@ -256,73 +256,6 @@ type IndexExpr struct {
 	Indices []Expr
 }
 
-// Op enumerates operators.
-type Op int
-
-// Operators.
-const (
-	OpAdd Op = iota
-	OpSub
-	OpMul
-	OpDivReal // "/"
-	OpDivInt  // "div"
-	OpMod     // "mod"
-	OpEq
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-	OpAnd
-	OpOr
-	OpNot
-	OpNeg
-	OpMin
-	OpMax
-)
-
-func (o Op) String() string {
-	switch o {
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpMul:
-		return "*"
-	case OpDivReal:
-		return "/"
-	case OpDivInt:
-		return "div"
-	case OpMod:
-		return "mod"
-	case OpEq:
-		return "=="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	case OpAnd:
-		return "and"
-	case OpOr:
-		return "or"
-	case OpNot:
-		return "not"
-	case OpNeg:
-		return "-"
-	case OpMin:
-		return "min"
-	case OpMax:
-		return "max"
-	}
-	return "?"
-}
-
 // BinExpr is a binary operation.
 type BinExpr struct {
 	Pos  Pos

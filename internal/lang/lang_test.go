@@ -228,6 +228,27 @@ func TestPrecedence(t *testing.T) {
 	if r := e.R.(*BinExpr); r.Op != OpMod || r.L.(*BinExpr).Op != OpDivInt {
 		t.Error("right subtree wrong")
 	}
+	// and binds tighter than or, and not than both: (not a) or (b and c).
+	prog, err = Parse(`proc main() { let z = not a or b and c; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := prog.Decls[0].(*ProcDecl).Body.Stmts[0].(*LetStmt).Init.(*BinExpr)
+	if z.Op != OpOr || z.L.(*UnExpr).Op != OpNot || z.R.(*BinExpr).Op != OpAnd {
+		t.Errorf("not a or b and c parsed as %s", FormatExpr(z))
+	}
+	// The printer keeps a comparison's comparison operand parenthesized on
+	// either side, since the parser would not chain them.
+	a, b := &VarRef{Name: "a"}, &VarRef{Name: "b"}
+	lt := &BinExpr{Op: OpLt, L: a, R: b}
+	for e, want := range map[Expr]string{
+		&BinExpr{Op: OpEq, L: lt, R: b}: "(a < b) == b",
+		&BinExpr{Op: OpEq, L: a, R: lt}: "a == (a < b)",
+	} {
+		if got := FormatExpr(e); got != want {
+			t.Errorf("formatted %q, want %q", got, want)
+		}
+	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -248,6 +269,18 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", src)
 		} else if _, ok := err.(*SyntaxError); !ok {
 			t.Errorf("Parse(%q) returned %T, want *SyntaxError", src, err)
+		}
+	}
+	// Comparisons do not chain: the expression ends after the first one,
+	// wherever it stands, and its caller reports the second.
+	for src, want := range map[string]string{
+		"proc main() { let x = a < b < c; }":       "1:29: expected ;, found <",
+		"proc main() { if a < b < c { } }":         "1:24: expected {, found <",
+		"proc main() { let x = a and b < c < d; }": "1:35: expected ;, found <",
+		"proc main() { let x = a + b == c != d; }": "1:34: expected ;, found !=",
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %s", src, err, want)
 		}
 	}
 }
@@ -342,16 +375,17 @@ func randomExpr(rng *rand.Rand, depth int) Expr {
 			return &VarRef{Name: []string{"i", "j", "x", "N"}[rng.Intn(4)]}
 		}
 	}
-	switch rng.Intn(6) {
-	case 0:
-		return &BinExpr{Op: []Op{OpAdd, OpSub, OpMul, OpDivInt, OpMod}[rng.Intn(5)],
-			L: randomExpr(rng, depth-1), R: randomExpr(rng, depth-1)}
-	case 1:
-		return &UnExpr{Op: OpNeg, X: randomExpr(rng, depth-1)}
+	switch rng.Intn(4) {
+	case 0, 1:
+		// Any operator of the table, so each binding power and form meets
+		// every other as an operand.
+		op := Op(rng.Intn(int(numOps)))
+		if op.Unary() {
+			return &UnExpr{Op: op, X: randomExpr(rng, depth-1)}
+		}
+		return &BinExpr{Op: op, L: randomExpr(rng, depth-1), R: randomExpr(rng, depth-1)}
 	case 2:
 		return &IndexExpr{Array: "A", Indices: []Expr{randomExpr(rng, depth-1), randomExpr(rng, depth-1)}}
-	case 3:
-		return &BinExpr{Op: OpMin, L: randomExpr(rng, depth-1), R: randomExpr(rng, depth-1)}
 	default:
 		return randomExpr(rng, depth-1)
 	}

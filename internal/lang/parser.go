@@ -340,85 +340,49 @@ func (p *Parser) parseOptDistArgs() []MapExpr {
 
 // --- expressions (precedence climbing) ---
 
-func (p *Parser) parseExpr() Expr { return p.parseOr() }
+func (p *Parser) parseExpr() Expr { return p.parseBinary(precOr) }
 
-func (p *Parser) parseOr() Expr {
-	e := p.parseAnd()
-	for p.at(KwOr) {
-		t := p.next()
-		e = &BinExpr{Pos: t.Pos, Op: OpOr, L: e, R: p.parseAnd()}
-	}
-	return e
-}
-
-func (p *Parser) parseAnd() Expr {
-	e := p.parseCmp()
-	for p.at(KwAnd) {
-		t := p.next()
-		e = &BinExpr{Pos: t.Pos, Op: OpAnd, L: e, R: p.parseCmp()}
-	}
-	return e
-}
-
-var cmpOps = map[Kind]Op{Eq: OpEq, Ne: OpNe, Lt: OpLt, Le: OpLe, Gt: OpGt, Ge: OpGe}
-
-func (p *Parser) parseCmp() Expr {
-	e := p.parseAdd()
-	if op, ok := cmpOps[p.peek().Kind]; ok {
-		t := p.next()
-		e = &BinExpr{Pos: t.Pos, Op: op, L: e, R: p.parseAdd()}
-	}
-	return e
-}
-
-func (p *Parser) parseAdd() Expr {
-	e := p.parseMul()
-	for p.at(Plus) || p.at(Minus) {
-		t := p.next()
-		op := OpAdd
-		if t.Kind == Minus {
-			op = OpSub
-		}
-		e = &BinExpr{Pos: t.Pos, Op: op, L: e, R: p.parseMul()}
-	}
-	return e
-}
-
-func (p *Parser) parseMul() Expr {
-	e := p.parseUnary()
+// parseBinary parses operands joined by infix operators that bind at least
+// as tightly as least, climbing the operator table's binding powers.
+// Operators of one power group to the left. Comparisons do not chain: after
+// one, a loop takes only looser operators, and as a nested loop may have
+// stopped at a second comparison, no loop takes an operator tighter than
+// the last it took. So "a < b < c" ends before the second "<".
+func (p *Parser) parseBinary(least int) Expr {
+	e, limit := p.parseUnary(), precUnary
 	for {
-		var op Op
-		switch p.peek().Kind {
-		case Star:
-			op = OpMul
-		case Slash:
-			op = OpDivReal
-		case KwDiv:
-			op = OpDivInt
-		case KwMod:
-			op = OpMod
-		default:
+		op, ok := spelled[infix][p.peek().Kind]
+		prec := ops[op].prec
+		if !ok || prec < least || prec > limit {
 			return e
 		}
 		t := p.next()
-		e = &BinExpr{Pos: t.Pos, Op: op, L: e, R: p.parseUnary()}
+		e = &BinExpr{Pos: t.Pos, Op: op, L: e, R: p.parseBinary(prec + 1)}
+		if limit = prec; op.Comparison() {
+			limit--
+		}
 	}
 }
 
 func (p *Parser) parseUnary() Expr {
-	switch p.peek().Kind {
-	case Minus:
+	if op, ok := spelled[prefix][p.peek().Kind]; ok {
 		t := p.next()
-		return &UnExpr{Pos: t.Pos, Op: OpNeg, X: p.parseUnary()}
-	case KwNot:
-		t := p.next()
-		return &UnExpr{Pos: t.Pos, Op: OpNot, X: p.parseUnary()}
+		return &UnExpr{Pos: t.Pos, Op: op, X: p.parseUnary()}
 	}
 	return p.parsePrimary()
 }
 
 func (p *Parser) parsePrimary() Expr {
 	t := p.peek()
+	if op, ok := spelled[call][t.Kind]; ok {
+		p.next()
+		p.expect(LParen)
+		a := p.parseExpr()
+		p.expect(Comma)
+		b := p.parseExpr()
+		p.expect(RParen)
+		return &BinExpr{Pos: t.Pos, Op: op, L: a, R: b}
+	}
 	switch t.Kind {
 	case INT:
 		p.next()
@@ -459,18 +423,6 @@ func (p *Parser) parsePrimary() Expr {
 		}
 		p.expect(RParen)
 		return &AllocExpr{Pos: t.Pos, Base: base, Dims: dims}
-	case KwMin, KwMax:
-		p.next()
-		op := OpMin
-		if t.Kind == KwMax {
-			op = OpMax
-		}
-		p.expect(LParen)
-		a := p.parseExpr()
-		p.expect(Comma)
-		b := p.parseExpr()
-		p.expect(RParen)
-		return &BinExpr{Pos: t.Pos, Op: op, L: a, R: b}
 	case IDENT:
 		p.next()
 		switch p.peek().Kind {

@@ -161,24 +161,6 @@ func formatExprList(es []Expr) string {
 	return strings.Join(parts, ", ")
 }
 
-// precedence levels mirroring the parser, higher binds tighter.
-func prec(op Op) int {
-	switch op {
-	case OpOr:
-		return 1
-	case OpAnd:
-		return 2
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		return 3
-	case OpAdd, OpSub:
-		return 4
-	case OpMul, OpDivReal, OpDivInt, OpMod:
-		return 5
-	default:
-		return 6
-	}
-}
-
 // FormatExpr renders an expression with minimal parentheses.
 func FormatExpr(e Expr) string { return formatExprPrec(e, 0) }
 
@@ -203,17 +185,21 @@ func formatExprPrec(e Expr, outer int) string {
 	case *IndexExpr:
 		return fmt.Sprintf("%s[%s]", e.Array, formatExprList(e.Indices))
 	case *BinExpr:
-		if e.Op == OpMin || e.Op == OpMax {
+		d := &ops[e.Op]
+		if d.form == call {
 			return fmt.Sprintf("%s(%s, %s)", e.Op, FormatExpr(e.L), FormatExpr(e.R))
 		}
-		p := prec(e.Op)
-		s := fmt.Sprintf("%s %s %s", formatExprPrec(e.L, p), e.Op, formatExprPrec(e.R, p+1))
+		p, lp := d.prec, d.prec
+		if e.Op.Comparison() {
+			lp++ // comparisons do not chain, on either side
+		}
+		s := fmt.Sprintf("%s %s %s", formatExprPrec(e.L, lp), e.Op, formatExprPrec(e.R, p+1))
 		if p < outer {
 			return "(" + s + ")"
 		}
 		return s
 	case *UnExpr:
-		x := formatExprPrec(e.X, 6)
+		x := formatExprPrec(e.X, precUnary)
 		if e.Op == OpNot {
 			return "not " + x
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"procdecomp/internal/dist"
-	"procdecomp/internal/expr"
 	"procdecomp/internal/lang"
 )
 
@@ -126,10 +125,10 @@ func (c *checker) constEval(e lang.Expr) (float64, bool, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		if e.Op != lang.OpNeg {
-			return 0, false, fmt.Errorf("operator %s not allowed in constants", e.Op)
+		if isInt, err = constResult(e.Op, isInt, isInt); err != nil {
+			return 0, false, err
 		}
-		return -v, isInt, nil
+		return lang.EvalUn(e.Op, v), isInt, nil
 	case *lang.BinExpr:
 		l, li, err := c.constEval(e.L)
 		if err != nil {
@@ -139,45 +138,34 @@ func (c *checker) constEval(e lang.Expr) (float64, bool, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		bothInt := li && ri
-		switch e.Op {
-		case lang.OpAdd:
-			return l + r, bothInt, nil
-		case lang.OpSub:
-			return l - r, bothInt, nil
-		case lang.OpMul:
-			return l * r, bothInt, nil
-		case lang.OpDivReal:
-			if r == 0 {
-				return 0, false, fmt.Errorf("division by zero in constant")
-			}
-			return l / r, false, nil
-		case lang.OpDivInt, lang.OpMod:
-			if !bothInt {
-				return 0, false, fmt.Errorf("%s requires integer operands", e.Op)
-			}
-			if r == 0 {
-				return 0, false, fmt.Errorf("division by zero in constant")
-			}
-			if e.Op == lang.OpDivInt {
-				return float64(expr.FloorDiv(int64(l), int64(r))), true, nil
-			}
-			return float64(expr.EucMod(int64(l), int64(r))), true, nil
-		case lang.OpMin:
-			if l < r {
-				return l, bothInt, nil
-			}
-			return r, bothInt, nil
-		case lang.OpMax:
-			if l > r {
-				return l, bothInt, nil
-			}
-			return r, bothInt, nil
-		default:
-			return 0, false, fmt.Errorf("operator %s not allowed in constants", e.Op)
+		isInt, err := constResult(e.Op, li, ri)
+		if err != nil {
+			return 0, false, err
 		}
+		v := lang.EvalBin(e.Op, l, r, func(string) { err = fmt.Errorf("division by zero in constant") })
+		return v, isInt, err
 	default:
 		return 0, false, fmt.Errorf("expression is not a compile-time constant")
+	}
+}
+
+// constResult types op over constant operands, int or real as li and ri say,
+// by the operator table's rule. Constants are numbers, so an operator that
+// yields a bool is not allowed in one.
+func constResult(op lang.Op, li, ri bool) (isInt bool, err error) {
+	base := func(isInt bool) lang.BaseType {
+		if isInt {
+			return lang.TInt
+		}
+		return lang.TReal
+	}
+	switch t := op.Result(base(li), base(ri)); {
+	case t == lang.TBool:
+		return false, fmt.Errorf("operator %s not allowed in constants", op)
+	case !op.Operands().Admits(base(li)) || !op.Operands().Admits(base(ri)):
+		return false, fmt.Errorf("%s requires integer operands", op)
+	default:
+		return t == lang.TInt, nil
 	}
 }
 
@@ -471,7 +459,7 @@ func (c *checker) checkStmt(st lang.Stmt) {
 				c.errorf(ix.Position(), "array subscript must be int, got %s", t)
 			}
 		}
-		if vt, ok := c.checkExpr(st.Value); ok && !vt.IsNumeric() {
+		if vt, ok := c.checkExpr(st.Value); ok && !lang.Numeric.Admits(vt.Base) {
 			c.errorf(st.Pos, "array element must be numeric, got %s", vt)
 		}
 		c.info.Refs[st] = sym
@@ -732,65 +720,26 @@ func (c *checker) checkExprInner(e lang.Expr) (Type, bool) {
 		if !ok {
 			return Type{}, false
 		}
-		switch e.Op {
-		case lang.OpNeg:
-			if !xt.IsNumeric() {
-				c.errorf(e.Pos, "operator - requires a numeric operand, got %s", xt)
-				return Type{}, false
-			}
-			return xt, true
-		case lang.OpNot:
-			if xt.Base != lang.TBool {
-				c.errorf(e.Pos, "operator not requires a bool operand, got %s", xt)
-				return Type{}, false
-			}
-			return xt, true
+		if in := e.Op.Operands(); !in.Admits(xt.Base) {
+			c.errorf(e.Pos, "operator %s requires a %s operand, got %s", e.Op, in, xt)
+			return Type{}, false
 		}
-		c.errorf(e.Pos, "unsupported unary operator")
-		return Type{}, false
+		return Type{Base: e.Op.Result(xt.Base, xt.Base)}, true
 	case *lang.BinExpr:
 		lt, lok := c.checkExpr(e.L)
 		rt, rok := c.checkExpr(e.R)
 		if !lok || !rok {
 			return Type{}, false
 		}
-		switch e.Op {
-		case lang.OpAdd, lang.OpSub, lang.OpMul, lang.OpMin, lang.OpMax:
-			if !lt.IsNumeric() || !rt.IsNumeric() {
-				c.errorf(e.Pos, "operator %s requires numeric operands, got %s and %s", e.Op, lt, rt)
-				return Type{}, false
+		if in := e.Op.Operands(); !in.Admits(lt.Base) || !in.Admits(rt.Base) {
+			what := "operator " + e.Op.String()
+			if e.Op.Comparison() {
+				what = "comparison"
 			}
-			if lt.Base == lang.TReal || rt.Base == lang.TReal {
-				return Type{Base: lang.TReal}, true
-			}
-			return Type{Base: lang.TInt}, true
-		case lang.OpDivReal:
-			if !lt.IsNumeric() || !rt.IsNumeric() {
-				c.errorf(e.Pos, "operator / requires numeric operands, got %s and %s", lt, rt)
-				return Type{}, false
-			}
-			return Type{Base: lang.TReal}, true
-		case lang.OpDivInt, lang.OpMod:
-			if lt.Base != lang.TInt || rt.Base != lang.TInt {
-				c.errorf(e.Pos, "operator %s requires int operands, got %s and %s", e.Op, lt, rt)
-				return Type{}, false
-			}
-			return Type{Base: lang.TInt}, true
-		case lang.OpEq, lang.OpNe, lang.OpLt, lang.OpLe, lang.OpGt, lang.OpGe:
-			if !lt.IsNumeric() || !rt.IsNumeric() {
-				c.errorf(e.Pos, "comparison requires numeric operands, got %s and %s", lt, rt)
-				return Type{}, false
-			}
-			return Type{Base: lang.TBool}, true
-		case lang.OpAnd, lang.OpOr:
-			if lt.Base != lang.TBool || rt.Base != lang.TBool {
-				c.errorf(e.Pos, "operator %s requires bool operands, got %s and %s", e.Op, lt, rt)
-				return Type{}, false
-			}
-			return Type{Base: lang.TBool}, true
+			c.errorf(e.Pos, "%s requires %s operands, got %s and %s", what, in, lt, rt)
+			return Type{}, false
 		}
-		c.errorf(e.Pos, "unsupported binary operator")
-		return Type{}, false
+		return Type{Base: e.Op.Result(lt.Base, rt.Base)}, true
 	case *lang.CallExpr:
 		callee := c.checkCall(e.Pos, e.Name, e.DistArgs, e.Args)
 		if callee == nil {

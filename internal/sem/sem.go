@@ -44,9 +44,6 @@ type Type struct {
 // IsArray reports whether the type is a matrix or vector.
 func (t Type) IsArray() bool { return t.Base == lang.TMatrix || t.Base == lang.TVector }
 
-// IsNumeric reports whether the type is int or real.
-func (t Type) IsNumeric() bool { return t.Base == lang.TInt || t.Base == lang.TReal }
-
 func (t Type) String() string {
 	switch t.Base {
 	case lang.TMatrix:

@@ -1,6 +1,8 @@
 package sem
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -372,4 +374,120 @@ proc main(R: matrix[N, N] on Rows) {
 }
 `
 	checkErr(t, src, "mapping")
+}
+
+// Constant folding computes what the run time does: every operator a
+// constant may use folds, over ints and reals of either sign, to the value
+// lang's evaluator gives, and to an int exactly when the same expression in
+// a procedure body is typed int.
+func TestConstFoldMatchesEvaluator(t *testing.T) {
+	num := func(v float64) lang.Expr {
+		lit := &lang.NumLit{Val: math.Abs(v), IsInt: v == math.Trunc(v)}
+		if v < 0 {
+			return &lang.UnExpr{Op: lang.OpNeg, X: lit}
+		}
+		return lit
+	}
+	operands := []float64{7, -7, 2, -3, 2.5, -0.5, 0}
+	folds := map[lang.Op]bool{}
+	// run gives the run time's value; it is only asked for once the constant
+	// folds, since div and mod may not be applied to reals.
+	check := func(e lang.Expr, run func() (v float64, failed bool)) {
+		t.Helper()
+		src := fmt.Sprintf("const C = %s;\nproc main() { let x = %s; }", lang.FormatExpr(e), lang.FormatExpr(e))
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, errs := Check(prog, Config{Procs: 4})
+		if len(errs) > 0 {
+			if !strings.HasPrefix(errs[0].Error(), "1:1: constant C: ") {
+				t.Errorf("%s: %v", src, errs)
+			}
+			return
+		}
+		c := info.Consts["C"]
+		var op lang.Op
+		switch e := e.(type) {
+		case *lang.UnExpr:
+			op = e.Op
+		case *lang.BinExpr:
+			op = e.Op
+		}
+		folds[op] = true
+		let := prog.Decls[1].(*lang.ProcDecl).Body.Stmts[0].(*lang.LetStmt).Init
+		want, failed := run()
+		if failed || c.Const != want || c.ConstIsInt != (info.TypeOf(let).Base == lang.TInt) {
+			t.Errorf("const C = %s folds to %g (int %v), the run time gives %g (failed %v, typed %s)",
+				lang.FormatExpr(e), c.Const, c.ConstIsInt, want, failed, info.TypeOf(let))
+		}
+	}
+	for _, op := range lang.Ops() {
+		for _, l := range operands {
+			if op.Unary() {
+				check(&lang.UnExpr{Op: op, X: num(l)}, func() (float64, bool) { return lang.EvalUn(op, l), false })
+				continue
+			}
+			for _, r := range operands {
+				check(&lang.BinExpr{Op: op, L: num(l), R: num(r)}, func() (float64, bool) {
+					failed := false
+					v := lang.EvalBin(op, l, r, func(string) { failed = true })
+					return v, failed
+				})
+			}
+		}
+	}
+	want := []lang.Op{lang.OpAdd, lang.OpSub, lang.OpMul, lang.OpDivReal, lang.OpDivInt, lang.OpMod, lang.OpNeg, lang.OpMin, lang.OpMax}
+	if len(folds) != len(want) {
+		t.Errorf("operators folded: %v, want %v", folds, want)
+	}
+	for _, op := range want {
+		if !folds[op] {
+			t.Errorf("operator %s never folded", op)
+		}
+	}
+	for src, want := range map[string]float64{"-7 div 2": -4, "7 mod -3": 1, "-7 mod 3": 2, "7 div -3": -3} {
+		prog, _ := lang.Parse("const C = " + src + ";")
+		if info, errs := Check(prog, Config{Procs: 4}); len(errs) > 0 || info.Consts["C"].Const != want {
+			t.Errorf("const C = %s: %v %v, want %g", src, info.Consts["C"], errs, want)
+		}
+	}
+}
+
+// The operator table's typing reports each rejected operand with the text
+// sem has always used, in procedure bodies and in constants.
+func TestOperatorErrorTexts(t *testing.T) {
+	for src, want := range map[string]string{
+		`proc main() { let x = 1 mod 2.5; }`:     "1:25: operator mod requires int operands, got int and real",
+		`proc main() { let x = 1.5 div 2; }`:     "1:27: operator div requires int operands, got real and int",
+		`proc main() { let x = -true; }`:         "1:23: operator - requires a numeric operand, got bool",
+		`proc main() { let x = not 1; }`:         "1:23: operator not requires a bool operand, got int",
+		`proc main() { let x = true + 1; }`:      "1:28: operator + requires numeric operands, got bool and int",
+		`proc main() { let x = 1 - true; }`:      "1:25: operator - requires numeric operands, got int and bool",
+		`proc main() { let x = true * 1; }`:      "1:28: operator * requires numeric operands, got bool and int",
+		`proc main() { let x = 1 / true; }`:      "1:25: operator / requires numeric operands, got int and bool",
+		`proc main() { let x = min(true, 1); }`:  "1:23: operator min requires numeric operands, got bool and int",
+		`proc main() { let x = max(1, false); }`: "1:23: operator max requires numeric operands, got int and bool",
+		`proc main() { let x = 1 < true; }`:      "1:25: comparison requires numeric operands, got int and bool",
+		`proc main() { let x = true == 1; }`:     "1:28: comparison requires numeric operands, got bool and int",
+		`proc main() { let x = 1 and true; }`:    "1:25: operator and requires bool operands, got int and bool",
+		`proc main() { let x = true or 2.5; }`:   "1:28: operator or requires bool operands, got bool and real",
+		`const C = 7.5 div 2;`:                   "1:1: constant C: div requires integer operands",
+		`const C = 7 mod 2.0;`:                   "1:1: constant C: mod requires integer operands",
+		`const C = 1 < 2;`:                       "1:1: constant C: operator < not allowed in constants",
+		`const C = 1 and 2;`:                     "1:1: constant C: operator and not allowed in constants",
+		`const C = not 1;`:                       "1:1: constant C: operator not not allowed in constants",
+		`const C = 1 / 0;`:                       "1:1: constant C: division by zero in constant",
+		`const C = 1 div 0;`:                     "1:1: constant C: division by zero in constant",
+		`const C = 1 mod 0;`:                     "1:1: constant C: division by zero in constant",
+		`const C = true;`:                        "1:1: constant C: expression is not a compile-time constant",
+	} {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, errs := Check(prog, Config{Procs: 4}); len(errs) != 1 || errs[0].Error() != want {
+			t.Errorf("%s: %v, want [%s]", src, errs, want)
+		}
+	}
 }

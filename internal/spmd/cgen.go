@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"procdecomp/internal/expr"
+	"procdecomp/internal/lang"
 )
 
 // FormatC renders a specialized program as C for the iPSC/2, in the style of
@@ -294,6 +295,21 @@ func rewriteBinword(s, word, macro string) string {
 	}
 }
 
+// C spells an Idn operator as Idn does, except for these: cSpelled lists
+// C's own operators, and cMacros the preamble's macros, which C calls on the
+// operands.
+var (
+	cSpelled = map[lang.Op]string{lang.OpAnd: "&&", lang.OpOr: "||", lang.OpNot: "!"}
+	cMacros  = map[lang.Op]string{lang.OpMin: "MIN", lang.OpMax: "MAX", lang.OpDivInt: "FLOORDIV", lang.OpMod: "EUCMOD"}
+)
+
+func cOp(op lang.Op) string {
+	if s, ok := cSpelled[op]; ok {
+		return s
+	}
+	return op.String()
+}
+
 // cVExpr renders a data-value expression in C.
 func cVExpr(v VExpr) string {
 	switch v := v.(type) {
@@ -304,27 +320,12 @@ func cVExpr(v VExpr) string {
 	case VInt:
 		return cExpr(v.X)
 	case VBin:
-		op := v.Op.String()
-		switch op {
-		case "and":
-			op = "&&"
-		case "or":
-			op = "||"
-		case "min":
-			return fmt.Sprintf("MIN(%s, %s)", cVExpr(v.L), cVExpr(v.R))
-		case "max":
-			return fmt.Sprintf("MAX(%s, %s)", cVExpr(v.L), cVExpr(v.R))
-		case "div":
-			return fmt.Sprintf("FLOORDIV(%s, %s)", cVExpr(v.L), cVExpr(v.R))
-		case "mod":
-			return fmt.Sprintf("EUCMOD(%s, %s)", cVExpr(v.L), cVExpr(v.R))
+		if macro, ok := cMacros[v.Op]; ok {
+			return fmt.Sprintf("%s(%s, %s)", macro, cVExpr(v.L), cVExpr(v.R))
 		}
-		return fmt.Sprintf("(%s %s %s)", cVExpr(v.L), op, cVExpr(v.R))
+		return fmt.Sprintf("(%s %s %s)", cVExpr(v.L), cOp(v.Op), cVExpr(v.R))
 	case VUn:
-		if v.Op.String() == "not" {
-			return fmt.Sprintf("!(%s)", cVExpr(v.X))
-		}
-		return fmt.Sprintf("-(%s)", cVExpr(v.X))
+		return fmt.Sprintf("%s(%s)", cOp(v.Op), cVExpr(v.X))
 	default:
 		return "/* ? */0"
 	}
