@@ -97,20 +97,10 @@ const (
 	Handwritten                 // the Fig. 3 program
 )
 
+// String is the variant's figure legend.
 func (v Variant) String() string {
-	switch v {
-	case RunTime:
-		return "run-time resolution"
-	case CompileTime:
-		return "compile-time resolution"
-	case OptimizedI:
-		return "optimized I (vectorized)"
-	case OptimizedII:
-		return "optimized II (pipelined)"
-	case OptimizedIII:
-		return "optimized III (blocked)"
-	case Handwritten:
-		return "handwritten"
+	if spec, ok := SpecOf(v); ok {
+		return spec.Legend
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
@@ -168,11 +158,11 @@ func CompileGS(v Variant, procs int, n, blk int64) ([]*spmd.Program, error) {
 }
 
 func compileGS(info *sem.Info, v Variant, blk int64) ([]*spmd.Program, error) {
-	mode, ok := variantNames[v]
+	spec, ok := SpecOf(v)
 	if !ok {
 		return nil, fmt.Errorf("bench: variant %v has no registry entry", v)
 	}
-	return xform.Compile(info, "gs_iteration", mode, blk)
+	return xform.Compile(info, "gs_iteration", spec.Name, blk)
 }
 
 // RunGS measures one configuration on the default (iPSC/2-like) machine.

@@ -1,7 +1,5 @@
 package bench
 
-import "fmt"
-
 // A VariantSpec is one entry of the exported variant registry: the single
 // place that ties a curve of Figs. 6/7 to its flag-friendly name and its
 // transformation pipeline. CompileGS and RunGSWith take the Variant. The
@@ -18,33 +16,30 @@ type VariantSpec struct {
 // Variants lists the registry in presentation order (the order of
 // AllVariants).
 func Variants() []VariantSpec {
-	specs := make([]VariantSpec, 0, len(AllVariants))
-	for _, v := range AllVariants {
-		spec, ok := SpecOf(v)
-		if !ok {
-			panic(fmt.Sprintf("bench: variant %v missing from the registry", v))
-		}
-		specs = append(specs, spec)
+	specs := make([]VariantSpec, len(AllVariants))
+	for i, v := range AllVariants {
+		specs[i], _ = SpecOf(v)
 	}
 	return specs
 }
 
 // SpecOf looks a variant's registry entry up by enum value.
 func SpecOf(v Variant) (VariantSpec, bool) {
-	name, ok := variantNames[v]
-	if !ok {
+	if v < 0 || int(v) >= len(variants) {
 		return VariantSpec{}, false
 	}
-	return VariantSpec{Variant: v, Name: name, Legend: v.String(), Handwritten: v == Handwritten}, true
+	e := variants[v]
+	return VariantSpec{Variant: v, Name: e.name, Legend: e.legend, Handwritten: v == Handwritten}, true
 }
 
-// variantNames pins each variant to its mode name. For the compiled variants
-// the name doubles as the xform.StandardPipeline mode.
-var variantNames = map[Variant]string{
-	RunTime:      "rtr",
-	CompileTime:  "ctr",
-	OptimizedI:   "opt1",
-	OptimizedII:  "opt2",
-	OptimizedIII: "opt3",
-	Handwritten:  "hand",
+// variants is the registry, indexed by Variant: each variant's mode name
+// (for the compiled variants, its xform.StandardPipeline mode) and its
+// figure legend.
+var variants = [...]struct{ name, legend string }{
+	RunTime:      {"rtr", "run-time resolution"},
+	CompileTime:  {"ctr", "compile-time resolution"},
+	OptimizedI:   {"opt1", "optimized I (vectorized)"},
+	OptimizedII:  {"opt2", "optimized II (pipelined)"},
+	OptimizedIII: {"opt3", "optimized III (blocked)"},
+	Handwritten:  {"hand", "handwritten"},
 }

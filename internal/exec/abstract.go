@@ -50,12 +50,6 @@ func (abstract) bufWrite(*stepper, *lstmt, Value)          {}
 func (abstract) aread(*stepper, *lstmt) (Value, bool)      { return 0, false }
 func (abstract) bufRead(*stepper, *lstmt) (Value, bool)    { return 0, false }
 
-// loopSteps never declines: a Sink has no per-charge state.
-func (a abstract) loopSteps(n, ops int64) bool {
-	a.Sink.LoopSteps(n, ops)
-	return true
-}
-
 func (a abstract) send(dst int, tag int64, _ Value) {
 	if err := a.Send(dst, tag, 1); err != nil {
 		fail(err)

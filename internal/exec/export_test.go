@@ -3,6 +3,9 @@ package exec
 import (
 	"fmt"
 	"slices"
+
+	"procdecomp/internal/istruct"
+	"procdecomp/internal/machine"
 )
 
 // WithoutMemos returns a copy of l with nothing memoized: every memo bit,
@@ -20,18 +23,9 @@ func WithoutMemos(l *Lowered) *Lowered {
 	return &c
 }
 
-// WithoutSkips returns a copy of l with no loop inert-capable. The same
-// stepper runs it, stepping every iteration; it is the control the skip
-// differential tests compare against.
-func WithoutSkips(l *Lowered) *Lowered {
-	c := *l
-	c.body = rewrite(l.body, func(s *lstmt) { s.flags &^= fInert })
-	return &c
-}
-
 // WithoutKeys returns a copy of l with no loop keyed. The same stepper runs
-// it, a walk stepping every iteration; it is the control the tape
-// differential tests compare against.
+// it, stepping every iteration, on a walk and on the machine; it is the
+// control the tape differential tests compare against.
 func WithoutKeys(l *Lowered) *Lowered {
 	c := *l
 	c.body = rewrite(l.body, func(s *lstmt) { s.flags &^= fKeyed })
@@ -56,10 +50,6 @@ func rewrite(body []lstmt, f func(*lstmt)) []lstmt {
 // program.
 func (im *Image) WithoutMemos() *Image { return im.each(WithoutMemos) }
 
-// WithoutSkips is the image whose every process runs WithoutSkips of its
-// program.
-func (im *Image) WithoutSkips() *Image { return im.each(WithoutSkips) }
-
 // WithoutKeys is the image whose every process runs WithoutKeys of its
 // program.
 func (im *Image) WithoutKeys() *Image { return im.each(WithoutKeys) }
@@ -73,14 +63,43 @@ func (im *Image) each(f func(*Lowered) *Lowered) *Image {
 	return &c
 }
 
-// Inert lists, for every For of l in pre-order, whether the lowering made it
-// inert-capable.
-func Inert(l *Lowered) []bool {
-	var out []bool
-	for _, s := range fors(nil, l.body) {
-		out = append(out, s.flags&fInert != 0)
+// Charges is what a run's stepper charged one machine process: its Ops, Mem
+// and LoopStep calls, and the loops its tape charged in bulk.
+type Charges struct{ Calls, Bulk int64 }
+
+// RunCharges runs im under cfg on inputs as Run does, but neither gathers
+// nor checks a trace, and counts each process's charges.
+func (im *Image) RunCharges(cfg machine.Config, inputs map[string]*istruct.Matrix) ([]Charges, error) {
+	states, err := im.states(inputs)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	charges := make([]Charges, cfg.Procs)
+	return charges, machine.New(cfg).Run(func(p *machine.Proc) {
+		d := states[p.ID()]
+		d.Proc = p
+		if err := newStepper(d.low, p.ID(), counting{d, &charges[p.ID()]}).run(); err != nil {
+			panic(fmt.Errorf("process %d: %w", p.ID(), err))
+		}
+	})
+}
+
+// counting is a concrete domain that counts its charges into c.
+type counting struct {
+	*concrete
+	c *Charges
+}
+
+func (d counting) Ops(n int64) { d.c.Calls++; d.concrete.Ops(n) }
+func (d counting) Mem(n int64) { d.c.Calls++; d.concrete.Mem(n) }
+func (d counting) LoopStep()   { d.c.Calls++; d.concrete.LoopStep() }
+
+func (d counting) tape(st *stepper, s *lstmt, lo, hi, step int64) int64 {
+	k := d.concrete.tape(st, s, lo, hi, step)
+	if k > 1 {
+		d.c.Bulk++
+	}
+	return k
 }
 
 // Uniform lists, for every For of l in pre-order, whether the lowering made it

@@ -14,38 +14,56 @@ import (
 	"procdecomp/internal/expr"
 	"procdecomp/internal/faults"
 	"procdecomp/internal/istruct"
+	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
 )
 
-// Inert-capable loops (memo.go, step.go's loop). A loop whose first iteration
-// gives this process no role is charged in one call for the rest. That must
-// change how often the host steps and nothing else: the differential tests
-// hold every observable to the same images stepped iteration by iteration,
-// the edge cases pin the rule one row at a time, and the host-work pin holds
-// what the skip buys.
+// Uniform loops on the machine (run.go's tape). A uniform keyed loop whose
+// first iteration gives this process no role is charged in one call for the
+// rest. That must change how often the host steps and nothing else:
+// TestInertLoopsAreInvisible holds every observable of the memo corpus to the
+// same images without keys, the edge cases pin the rule one row at a time,
+// and the host-work pin holds what the bulk charge buys.
 
-// Every point of the memo corpus walks, runs, traces, fails and gathers alike
-// with and without skips, and some of its loops are skipped.
+// The memo corpus, generated programs included, walks, runs, traces, fails
+// and gathers alike with and without keys, and its runs charge loops in bulk.
 func TestInertLoopsAreInvisible(t *testing.T) {
-	if bulk := differAll(t, noSkips); bulk == 0 {
-		t.Error("no walk charged a loop in bulk")
+	if bulk := differAll(t, noKeys); bulk == 0 {
+		t.Error("no run charged a loop in bulk")
 	}
 }
 
-// skipBoth walks process me of a one-statement-list program on two processes
-// with and without skips and returns what both agree on. Neither side has
-// keyed loops, so the walks take the path a run does.
-func skipBoth(t *testing.T, me int, body ...spmd.Stmt) (*exec.Lowered, *recorder, string) {
+// runBoth runs a one-statement-list program on two processes, traced, with
+// and without keys, and fails unless their Stats, traces and error texts
+// agree. It returns the program's keys per loop (exec.Keyed), each process's
+// bulk loop charges and the run's error text.
+func runBoth(t *testing.T, body ...spmd.Stmt) ([]int, [2]int64, string) {
 	t.Helper()
-	low := exec.WithoutKeys(exec.Lower(&spmd.Program{Name: "t", Proc: -1, Body: body}))
-	with, without := &recorder{procs: 2}, &recorder{procs: 2}
-	err, ctl := low.Walk(me, with), exec.WithoutSkips(low).Walk(me, without)
-	if errText(err) != errText(ctl) || !slices.Equal(with.spans(), without.spans()) || !slices.Equal(with.sends, without.sends) {
-		t.Fatalf("walk with skips: error %q, spans %v; without: error %q, spans %v",
-			errText(err), with.spans(), errText(ctl), without.spans())
+	p := &spmd.Program{Name: "t", Proc: -1, Body: body}
+	im, err := exec.LowerAll([]*spmd.Program{p}, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return low, with, errText(err)
+	cfg := machine.DefaultConfig(2)
+	oa, ta, ea := tracedRun(im, cfg, nil)
+	ob, tb, eb := tracedRun(im.WithoutKeys(), cfg, nil)
+	if errText(ea) != errText(eb) {
+		t.Fatalf("run error with keys %q, without %q", errText(ea), errText(eb))
+	}
+	for q := range 2 {
+		if !slices.Equal(ta.Events(q), tb.Events(q)) {
+			t.Fatalf("process %d traces differently with and without keys", q)
+		}
+	}
+	if ea == nil {
+		sameOutcome(t, "without keys", oa, ob)
+	}
+	charges, err := im.RunCharges(cfg, nil)
+	if errText(err) != errText(ea) {
+		t.Fatalf("counted run error %q, want %q", errText(err), errText(ea))
+	}
+	return exec.Keyed(exec.Lower(p)), [2]int64{charges[0].Bulk, charges[1].Bulk}, errText(ea)
 }
 
 // coerce is a scalar coerce of s into t from owner to needer.
@@ -57,101 +75,116 @@ func on(p int64, body ...spmd.Stmt) *spmd.Guard { return &spmd.Guard{Proc: expr.
 
 func TestInertLoopEdgeCases(t *testing.T) {
 	c, k := expr.C, expr.Mod(expr.V("k"), expr.C(4))
+	defS := &spmd.AssignIVar{Name: "s", Val: spmd.VConst{F: 1}, Def: true} // what coerce reads
+	sum := &spmd.AssignVar{Name: "u", Val: spmd.VBin{Op: lang.OpAdd, L: spmd.VConst{F: 1}, R: spmd.VConst{F: 2}}}
 	for _, tc := range []struct {
-		name  string
-		me    int
-		body  []spmd.Stmt
-		inert bool
-		bulk  int
-		sends []int64
-		err   string
+		name string
+		body []spmd.Stmt
+		keys []int    // every For, in pre-order: its keys, -1 if not keyed
+		bulk [2]int64 // each process's bulk loop charges
+		err  string
 	}{
-		{name: "zero-trip loop", body: []spmd.Stmt{loop("i", 1, 0, coerce(c(1), c(1)), on(1))},
-			inert: true},
-		{name: "one-trip loop", body: []spmd.Stmt{loop("i", 1, 1, coerce(c(1), c(1)), on(1))},
-			inert: true},
-		// The induction variable ends at its last value, 7, as if stepped.
+		{name: "zero-trip loop", body: []spmd.Stmt{defS, loop("i", 1, 0, coerce(c(1), c(1)), on(1))},
+			keys: []int{0}},
+		{name: "one-trip loop", body: []spmd.Stmt{defS, loop("i", 1, 1, coerce(c(1), c(1)), on(1))},
+			keys: []int{0}},
+		// The induction variable ends at its last value, 7, as if stepped:
+		// process 0 sends to 1 after the loop.
 		{name: "roleless loop charged in bulk",
-			body: []spmd.Stmt{assign("k", 1),
+			body: []spmd.Stmt{defS, assign("k", 1),
 				&spmd.For{Var: "i", Lo: c(1), Hi: c(8), Step: c(3), Body: []spmd.Stmt{coerce(k, k), on(1, sendTo(c(0)))}},
-				sendTo(expr.Sub(expr.V("i"), c(6)))},
-			inert: true, bulk: 1, sends: []int64{1}},
-		{name: "loop with a role steps", me: 1,
-			body:  []spmd.Stmt{assign("k", 1), loop("i", 1, 3, coerce(k, k), on(1, sendTo(c(0))))},
-			inert: true, sends: []int64{0, 0, 0}},
+				on(0, sendTo(expr.Sub(expr.V("i"), c(6))))},
+			keys: []int{0}, bulk: [2]int64{1, 0}},
+		// Process 1 reads s and sends in every iteration.
+		{name: "loop with a role steps",
+			body: []spmd.Stmt{defS, assign("k", 1), loop("i", 1, 3, coerce(k, k), on(1, sendTo(c(0))))},
+			keys: []int{0}, bulk: [2]int64{1, 0}},
+		{name: "body that only assigns a temporary",
+			body: []spmd.Stmt{loop("i", 1, 4, sum)},
+			keys: []int{0}, bulk: [2]int64{1, 1}},
+		{name: "scalar I-variable definition",
+			body: []spmd.Stmt{loop("i", 1, 3, &spmd.AssignIVar{Name: "v", Val: spmd.VConst{F: 1}, Def: true})},
+			keys: []int{0}},
+		{name: "buffer allocation",
+			body: []spmd.Stmt{loop("i", 1, 3, &spmd.AllocBuf{Buf: "b", Size: c(2)})},
+			keys: []int{0}},
+		{name: "element read",
+			body: []spmd.Stmt{&spmd.Alloc{Array: "A", Shape: []expr.Expr{c(2), c(2)}},
+				&spmd.AWrite{Array: "A", Idx: []expr.Expr{c(1), c(1)}, Val: spmd.VConst{F: 1}},
+				loop("i", 1, 3, &spmd.ARead{Dst: "t", Array: "A", Idx: []expr.Expr{c(1), c(1)}})},
+			keys: []int{0}},
+		// The nested loop's steps are a role, so the outer loop steps; each
+		// activation of the nested one is charged in bulk. Charging the outer
+		// loop's repeats one loop step each would drop the nested steps.
+		{name: "nested loop in the first iteration",
+			body: []spmd.Stmt{loop("i", 1, 3, loop("j", 1, 2, sum))},
+			keys: []int{0, 0}, bulk: [2]int64{3, 3}},
 		{name: "guard process read from a slot its own body assigns",
-			body:  []spmd.Stmt{assign("k", 1), loop("i", 1, 3, &spmd.Guard{Proc: expr.V("k"), Body: []spmd.Stmt{assign("k", 0)}})},
-			inert: false},
+			body: []spmd.Stmt{assign("k", 1), loop("i", 1, 3, &spmd.Guard{Proc: expr.V("k"), Body: []spmd.Stmt{assign("k", 0)}})},
+			keys: []int{-1}},
+		// A loop with keys: no process plays a role, and the machine
+		// declines it anyway.
+		{name: "roleless loop with keys",
+			body: []spmd.Stmt{loop("i", 1, 3, on(2, sendTo(expr.Mod(expr.V("i"), c(2)))))},
+			keys: []int{1}},
 		// Every process needs the value, so every process plays a role.
 		{name: "coerce every process needs",
-			body:  []spmd.Stmt{loop("i", 1, 3, &spmd.Coerce{Dst: "t", Var: "s", Owner: c(1), NeederAll: true, Tag: 2})},
-			inert: false},
+			body: []spmd.Stmt{defS, loop("i", 1, 3, &spmd.Coerce{Dst: "t", Var: "s", Owner: c(1), NeederAll: true, Tag: 2})},
+			keys: []int{0}},
+		// A failing code fails in the first iteration, before any bulk
+		// charge, with the words it always had.
 		{name: "failing invariant owner code",
-			body:  []spmd.Stmt{assign("k", 1), assign("z", 0), loop("i", 1, 3, coerce(expr.Mod(expr.V("k"), expr.V("z")), c(1)))},
-			inert: true, err: "expr: mod by non-positive 0"},
+			body: []spmd.Stmt{defS, assign("k", 1), assign("z", 0), loop("i", 1, 3, coerce(expr.Mod(expr.V("k"), expr.V("z")), c(1)))},
+			keys: []int{0}, err: "machine: process 0 failed: process 0: expr: mod by non-positive 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			low, rec, err := skipBoth(t, tc.me, tc.body...)
-			if got := exec.Inert(low); len(got) != 1 || got[0] != tc.inert {
-				t.Errorf("inert-capable loops %v, want [%v]", got, tc.inert)
-			}
-			if rec.bulk != tc.bulk || !slices.Equal(rec.sends, tc.sends) || err != tc.err {
-				t.Errorf("%d bulk charges, sends to %v, error %q; want %d, %v, %q", rec.bulk, rec.sends, err, tc.bulk, tc.sends, tc.err)
+			keys, bulk, err := runBoth(t, tc.body...)
+			if !slices.Equal(keys, tc.keys) || bulk != tc.bulk || err != tc.err {
+				t.Errorf("keys %v, bulk charges %v, error %q; want %v, %v, %q", keys, bulk, err, tc.keys, tc.bulk, tc.err)
 			}
 		})
 	}
-	// A failing code fails in the first iteration, before any skip, on the
-	// concrete side too and with the words it always had.
-	p := &spmd.Program{Name: "t", Proc: -1, Body: []spmd.Stmt{assign("k", 1), assign("z", 0),
-		loop("i", 1, 3, coerce(expr.Mod(expr.V("k"), expr.V("z")), c(1)))}}
-	_, err := exec.RunSPMD([]*spmd.Program{p}, machine.DefaultConfig(2), nil)
-	if want := "machine: process 0 failed: process 0: expr: mod by non-positive 0"; errText(err) != want {
-		t.Errorf("run: error %q, want %q", err, want)
-	}
 }
-
-// callCounter is a Sink that counts the calls reaching it, and the messages
-// among them.
-type callCounter struct{ procs, calls, msgs int }
-
-func (c *callCounter) Procs() int                 { return c.procs }
-func (c *callCounter) Ops(int64)                  { c.calls++ }
-func (c *callCounter) Mem(int64)                  { c.calls++ }
-func (c *callCounter) LoopStep()                  { c.calls++ }
-func (c *callCounter) LoopSteps(int64, int64)     { c.calls++ }
-func (c *callCounter) Send(int, int64, int) error { c.calls++; c.msgs++; return nil }
-func (c *callCounter) Recv(int, int64, int) error { c.calls++; c.msgs++; return nil }
 
 // The host work of a process with no role is linear in N. Gauss-Seidel under
 // run-time resolution on 32 processes, its columns wrapped around the first
-// 16 of them, leaves process 31 owning and needing nothing at every N: each
-// column costs it one step of the outer loop and one watched iteration of the
-// inner one. Stepped, the inner loop's N-2 iterations make it quadratic. The
-// loops are keyed too, and a tape per key vector would make the walk linear
-// even without skips, so the walks go without keys, as a run does.
+// 16 of them, leaves process 31 owning and needing nothing at every N: on the
+// machine each column costs it one step of the outer loop and one stepped
+// iteration of the inner, uniform one. Without keys the inner loop's N-2
+// iterations each step, and the charges grow quadratically.
 func TestInertLoopsChargeInLinearHostWork(t *testing.T) {
 	const procs, idle = 32, 31
 	m := autotune.Mapping{Kind: dist.KindCyclicCols, Span: 16}
-	calls := func(n int64, undo bool) int {
-		_, progs, err := compile(bench.GSSource, "gs_iteration", procs, map[string]int64{"N": n}, &m, "rtr", 0)
+	calls := func(n int64, undo bool) int64 {
+		info, progs, err := compile(bench.GSSource, "gs_iteration", procs, map[string]int64{"N": n}, &m, "rtr", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		low := exec.WithoutKeys(exec.Lower(progs[0]))
-		if undo {
-			low = exec.WithoutSkips(low)
-		}
-		c := &callCounter{procs: procs}
-		if err := low.Walk(idle, c); err != nil {
+		ins, err := exec.PatternInputs(info, "gs_iteration")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return c.calls
+		im, err := exec.LowerAll(progs, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if undo {
+			im = im.WithoutKeys()
+		}
+		charges, err := im.RunCharges(machine.DefaultConfig(procs), ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bulk := charges[idle].Bulk; (bulk == 0) != undo {
+			t.Errorf("keys undone %v: %d bulk loop charges at N = %d", undo, bulk, n)
+		}
+		return charges[idle].Calls
 	}
 	for _, undo := range []bool{false, true} {
 		c16, c32, c64 := calls(16, undo), calls(32, undo), calls(64, undo)
 		linear := c64-c32 == 2*(c32-c16)
 		if linear == undo {
-			t.Errorf("skips undone %v: %d, %d, %d calls at N = 16, 32, 64; want linear growth only with skips", undo, c16, c32, c64)
+			t.Errorf("keys undone %v: %d, %d, %d calls at N = 16, 32, 64; want linear growth only with keys", undo, c16, c32, c64)
 		}
 	}
 }
@@ -183,7 +216,7 @@ func TestInertStretchHonoursCancel(t *testing.T) {
 // bulk charge and the stepper steps on: Slow factors that round each charge
 // on its own, a crash-stop and a multiplexed placement leave every
 // observable — Stats, traces, wire events, outputs, error texts — equal to
-// stepping.
+// stepping without keys, and no loop is charged in bulk.
 func TestInertLoopsUnderFaults(t *testing.T) {
 	const procs = 8
 	chaos := func() *faults.Schedule {
@@ -239,23 +272,32 @@ func TestInertLoopsUnderFaults(t *testing.T) {
 	failed := 0
 	for name, cfg := range cfgs {
 		oa, ta, ea := tracedRun(im, cfg, ins)
-		ob, tb, eb := tracedRun(im.WithoutSkips(), cfg, ins)
+		ob, tb, eb := tracedRun(im.WithoutKeys(), cfg, ins)
 		if errText(ea) != errText(eb) {
-			t.Fatalf("%s: run error with skips %q, without %q", name, errText(ea), errText(eb))
+			t.Fatalf("%s: run error with keys %q, without %q", name, errText(ea), errText(eb))
 		}
 		if !slices.Equal(ta.WireEvents(), tb.WireEvents()) {
-			t.Errorf("%s: wire events differ with and without skips", name)
+			t.Errorf("%s: wire events differ with and without keys", name)
 		}
 		for p := 0; p < procs; p++ {
 			if !slices.Equal(ta.Events(p), tb.Events(p)) {
-				t.Errorf("%s: process %d traces differently with and without skips", name, p)
+				t.Errorf("%s: process %d traces differently with and without keys", name, p)
+			}
+		}
+		charges, _ := im.RunCharges(cfg, ins)
+		for p, c := range charges {
+			if c.Bulk != 0 {
+				t.Errorf("%s: process %d charged %d loops in bulk, want none", name, p, c.Bulk)
 			}
 		}
 		if ea != nil {
 			failed++
 			continue
 		}
-		sameOutcome(t, name+" without skips", oa, ob)
+		sameOutcome(t, name+" without keys", oa, ob)
+	}
+	if charges, err := im.RunCharges(machine.DefaultConfig(procs), ins); err != nil || charges[procs-1].Bulk == 0 {
+		t.Errorf("plain: charges %v, error %v; want process %d to charge some loops in bulk", charges, err, procs-1)
 	}
 	if failed != 2 {
 		t.Errorf("%d runs failed, want 2: the crash-stops", failed)

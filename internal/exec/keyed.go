@@ -49,8 +49,10 @@ import (
 // write nothing to the frame: every key vector's writes were made when it was
 // recorded, which settles the slots that are unknown after the loop, and the
 // last iteration is stepped unless its keys are the latest recorded, which
-// settles the rest. The machine declines: a real run's iterations differ in
-// their data. The rule is syntactic and conservative, over slot sets modulo
+// settles the rest. The machine declines a loop with keys: a real run's
+// iterations differ in their data, and it charges a uniform loop's iterations
+// in one call only when the first gives this process no role (run.go's
+// tape). The rule is syntactic and conservative, over slot sets modulo
 // 64 like the memo's (memo.go): an exemption is made for the one slot itself,
 // never for its bit, and a key must read the induction variable's own slot.
 

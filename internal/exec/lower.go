@@ -16,7 +16,7 @@ import (
 // becomes an expr.Code over the variable slots, every value expression's
 // operator count, the one charge that depends on the program text alone, is
 // taken here, and every loop-invariant control code gets a memo slot and
-// every inert-capable or keyed loop its mark (memo.go, keyed.go).
+// every keyed loop its mark and its keys (memo.go, keyed.go).
 // Nothing is evaluated or checked: which statements run, what they charge
 // and how they fail is decided when the stepper reaches them, exactly as
 // before, so a lowered program that is never run has reported nothing.
@@ -67,8 +67,8 @@ const (
 type lstmt struct {
 	op opcode
 	// flags holds the coerce bits (fFromArray, fOwnerAll, fNeederAll), a
-	// For's fInert and fKeyed, and which of lo, hi, x, y are memoized
-	// (mLo … mY, see memo.go). It sits in the padding after op.
+	// For's fKeyed, an AssignIVar's fDef, and which of lo, hi, x, y are
+	// memoized (mLo … mY, see memo.go). It sits in the padding after op.
 	flags uint16
 	// dst is the variable slot the statement defines: an assignment's name, a
 	// read's or receive's destination, a loop's induction variable.
@@ -81,7 +81,7 @@ type lstmt struct {
 	obj  int32
 	rank int32 // Alloc: len(Shape)
 	tag  spmd.Tag
-	ops  int32 // vexprOps of val (or of the IfValue condition); an inert-capable For's per-iteration operations
+	ops  int32 // vexprOps of val (or of the IfValue condition)
 	// memo is the frame slot of the first memoized code of lo, hi, x, y; the
 	// others follow it in that order.
 	memo int32

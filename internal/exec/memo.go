@@ -31,26 +31,21 @@ import (
 // in the stepper's frame past the variable slots, per run like the variables,
 // so a Lowered stays immutable and holds no cache.
 //
-// The same rule marks inert-capable loops. A For is one when its body holds
-// only guards and coerces, no coerce's needer is every process, and no owner,
-// needer or guard-process code in the body reads a slot the loop assigns. Then
-// every iteration decides this process's roles alike: if the first plays none,
-// neither does any other, and each charges a loop step and the same operations
-// (2 a coerce, 1 a guard; the For's ops) and does nothing else. The stepper
-// charges those iterations in one call (step.go's loop). A walk tapes the
-// keyed ones (keyed.go) first; the inert path serves the machine.
+// The same rule's assigned sets decide which loops are keyed (keyed.go). A
+// uniform keyed loop, one with no keys, also serves the machine: when its
+// first iteration gives this process no role, neither does any other, and
+// the concrete domain charges the rest in one call (run.go's tape).
 
 // The bits of lstmt.flags.
 const (
 	fFromArray uint16 = 1 << iota // Coerce: the source is an array element, else a scalar I-variable
 	fOwnerAll                     // Coerce: the owner is every process
 	fNeederAll                    // Coerce: the needer is every process
-	fInert                        // For: inert-capable; ops is one roleless iteration's operations
 	mLo                           // lo is memoized
 	mHi
 	mX
 	mY
-	fKeyed   // For: a walk tapes one iteration per value of its keys, s.y (keyed.go)
+	fKeyed   // For: keyed, its keys s.y, none when uniform (keyed.go)
 	fDef     // AssignIVar: a definition, which starts a fresh I-variable
 	memoBits = mLo | mHi | mX | mY
 )
@@ -143,10 +138,6 @@ func own(body []lstmt, loops []scope) {
 		}
 		if s.op == opFor {
 			sc := scope{s, bit(s.dst) | assigned(s.body)}
-			if ops := inertOps(s.body, sc.assigned); ops >= 0 {
-				s.flags |= fInert
-				s.ops = ops
-			}
 			if keys, ok := keyed(s, sc.assigned); ok {
 				s.flags |= fKeyed
 				s.y = keys
@@ -190,28 +181,6 @@ func set(slots, but []int32) (bits uint64) {
 		}
 	}
 	return bits
-}
-
-// inertOps returns the operations one roleless iteration of a loop body
-// charges, or -1 when a loop with that body, assigning the slots in assigned,
-// is not inert-capable.
-func inertOps(body []lstmt, assigned uint64) int32 {
-	ops := int32(0)
-	for i := range body {
-		s := &body[i]
-		switch {
-		case s.op == opGuard:
-			ops++
-		case s.op == opCoerce && s.flags&fNeederAll == 0:
-			ops += 2
-		default:
-			return -1
-		}
-		if (reads(s.x, nil)|reads(s.y, nil))&assigned != 0 {
-			return -1
-		}
-	}
-	return ops
 }
 
 // assigned is the set of slots that body, nested statements included,

@@ -3,6 +3,7 @@ package exec_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"procdecomp/internal/bench"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/expr"
+	"procdecomp/internal/gen"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
@@ -32,18 +34,14 @@ type recorder struct {
 	procs  int
 	log    []int64
 	sends  []int64
-	bulk   int // LoopSteps calls
 	refuse int
 }
 
-func (r *recorder) Procs() int  { return r.procs }
-func (r *recorder) Ops(n int64) { r.log = append(r.log, 1, n) }
-func (r *recorder) Mem(n int64) { r.log = append(r.log, 2, n) }
-func (r *recorder) LoopStep()   { r.log = append(r.log, 3) }
-func (r *recorder) LoopSteps(n, ops int64) {
-	r.log = append(r.log, 6, n, ops)
-	r.bulk++
-}
+func (r *recorder) Procs() int             { return r.procs }
+func (r *recorder) Ops(n int64)            { r.log = append(r.log, 1, n) }
+func (r *recorder) Mem(n int64)            { r.log = append(r.log, 2, n) }
+func (r *recorder) LoopStep()              { r.log = append(r.log, 3) }
+func (r *recorder) LoopSteps(n, ops int64) { r.log = append(r.log, 6, n, ops) }
 func (r *recorder) Send(dst int, tag int64, values int) error {
 	if len(r.sends)+1 == r.refuse {
 		return fmt.Errorf("send %d refused", r.refuse)
@@ -277,50 +275,41 @@ func (r *recorder) spans() []int64 {
 
 // A control is what a differential test holds a lowered image to: the same
 // image with one lowering decision undone, run by the same stepper, and the
-// view of a walk on which the two must agree. When base is set, both sides
-// are base of the lowered image.
+// view of a walk on which the two must agree.
 type control struct {
 	undone string
 	undo   func(*exec.Image) *exec.Image
 	walked func(*recorder) []int64
-	base   func(*exec.Image) *exec.Image
 }
 
 var (
 	// Memos change how often a code is evaluated, never a charge: the walks
 	// agree call by call.
 	noMemos = control{undone: "memos", undo: (*exec.Image).WithoutMemos, walked: func(r *recorder) []int64 { return r.log }}
-	// Skips make one charge of many: the walks agree span by span. A walk
-	// takes a uniform loop's tape before its skip, so both sides go without
-	// keys, and the walks step what a run does.
-	noSkips = control{undone: "skips", undo: (*exec.Image).WithoutSkips, walked: (*recorder).spans,
-		base: (*exec.Image).WithoutKeys}
 	// Keys make one charge of many, and play messages back: the walks agree
-	// span by span, so on every charge's sum too.
+	// span by span, so on every charge's sum too. Undone, they undo the
+	// machine's bulk charge of a uniform loop as well.
 	noKeys = control{undone: "keys", undo: (*exec.Image).WithoutKeys, walked: (*recorder).spans}
 )
 
 // differ walks and runs (traced) progs as lowered and with c's decision
 // undone, and fails on any difference. It reports whether the run succeeded
-// and how many bulk loop charges the lowered image's walks made.
-func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map[string]*istruct.Matrix, c control) (ran bool, bulk int) {
+// and how many loops the lowered image's run charged in bulk.
+func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map[string]*istruct.Matrix, c control) (ran bool, bulk int64) {
 	t.Helper()
 	im, err := exec.LowerAll(progs, procs)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if c.base != nil {
-		im = c.base(im)
-	}
 	ctl := c.undo(im)
-	bulk, _ = walksAlike(t, name, im, ctl, procs, c)
+	walksAlike(t, name, im, ctl, procs, c)
 	oa, ta, ea := tracedRun(im, machine.DefaultConfig(procs), ins)
 	ob, tb, eb := tracedRun(ctl, machine.DefaultConfig(procs), ins)
 	if errText(ea) != errText(eb) {
 		t.Fatalf("%s: run error with %s %q, without %q", name, c.undone, errText(ea), errText(eb))
 	}
 	if ea != nil {
-		return false, bulk
+		return false, 0
 	}
 	sameOutcome(t, name+" without "+c.undone, oa, ob)
 	for p := 0; p < procs; p++ {
@@ -328,13 +317,20 @@ func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map
 			t.Fatalf("%s: process %d traces differently with and without %s", name, p, c.undone)
 		}
 	}
+	charges, err := im.RunCharges(machine.DefaultConfig(procs), ins)
+	if err != nil {
+		t.Fatalf("%s: counted run: %v", name, err)
+	}
+	for _, ch := range charges {
+		bulk += ch.Bulk
+	}
 	return true, bulk
 }
 
 // walksAlike walks every process of im and of its control ctl and fails
-// unless c's view of the walks and their errors agree. It returns the bulk
-// loop charges im's walks made and the Sink calls of both sides' walks.
-func walksAlike(t *testing.T, name string, im, ctl *exec.Image, procs int, c control) (bulk int, calls [2]int) {
+// unless c's view of the walks and their errors agree. It returns the Sink
+// calls of both sides' walks.
+func walksAlike(t *testing.T, name string, im, ctl *exec.Image, procs int, c control) (calls [2]int) {
 	t.Helper()
 	for p := 0; p < procs; p++ {
 		a, b := &recorder{procs: procs}, &recorder{procs: procs}
@@ -343,11 +339,10 @@ func walksAlike(t *testing.T, name string, im, ctl *exec.Image, procs int, c con
 			t.Fatalf("%s: process %d walks differently: with %s %q, %d actions; without %q, %d actions",
 				name, p, c.undone, errText(ea), len(c.walked(a)), errText(eb), len(c.walked(b)))
 		}
-		bulk += a.bulk
 		calls[0] += a.calls()
 		calls[1] += b.calls()
 	}
-	return bulk, calls
+	return calls
 }
 
 // calls counts the Sink calls r was handed: its log holds each call as its
@@ -410,16 +405,19 @@ func compile(src, entry string, procs int, defines map[string]int64, m *autotune
 }
 
 // The memo is the only variable: the compiled variants of Fig. 6, Jacobi,
-// heat, reversed Gauss-Seidel and every candidate pdmap enumerates for
-// Gauss-Seidel at N=16, S=4 walk, run, trace, fail and gather exactly alike
-// with and without it.
+// heat, reversed Gauss-Seidel, every candidate pdmap enumerates for
+// Gauss-Seidel at N=16, S=4 and generated programs at every pipeline point
+// walk, run, trace, fail and gather exactly alike with and without it.
 func TestMemoIsInvisible(t *testing.T) { differAll(t, noMemos) }
 
-// differAll runs differ over the corpus of the differential tests and returns
-// the bulk loop charges its walks made. No candidate is skipped for being
-// unmodeled or infeasible; at this size all 66 compile and walk
-// (pdmap_gs_s4_n24.json has none of either kind at N=24 too).
-func differAll(t *testing.T, c control) (bulk int) {
+// differAll runs differ over the corpus of the differential tests. No
+// candidate is skipped for being unmodeled or infeasible; at this size all 66
+// compile and walk (pdmap_gs_s4_n24.json has none of either kind at N=24
+// too). The generated programs are gen.Program's, 24 seeds at S = 1 … 5; a
+// walk stops at the data-dependent if some of them draw, and the two sides
+// must stop alike. It returns the loops the lowered images' runs charged in
+// bulk.
+func differAll(t *testing.T, c control) (bulk int64) {
 	t.Helper()
 	type point struct {
 		name, src, entry string
@@ -458,6 +456,14 @@ func differAll(t *testing.T, c control) (bulk int) {
 	for _, c := range cands {
 		m := c.Mapping
 		points = append(points, point{"pdmap/" + c.Key(), bench.GSSource, "gs_iteration", 4, map[string]int64{"N": 16}, &m, c.Mode, c.Blk, false})
+	}
+	rng := rand.New(rand.NewSource(44))
+	for seed := range 24 {
+		src, distName := gen.Program(rng)
+		procs, blk := 1+seed%5, int64(1+rng.Intn(6))
+		for _, mode := range xform.StandardModes() {
+			points = append(points, point{fmt.Sprintf("gen/%d/%s/%s/S=%d", seed, distName, mode, procs), src, "step", procs, nil, nil, mode, blk, false})
+		}
 	}
 	failedRun := 0
 	for _, p := range points {

@@ -119,31 +119,12 @@ func (im *Image) Run(ctx context.Context, cfg machine.Config, inputs map[string]
 }
 
 func (im *Image) run(cfg machine.Config, inputs map[string]*istruct.Matrix) (*SPMDOutcome, error) {
+	states, err := im.states(inputs)
+	if err != nil {
+		return nil, err
+	}
 	m := machine.New(cfg)
-	states := make([]*concrete, cfg.Procs)
-	for p := range states {
-		states[p] = newConcrete(im.low[p])
-	}
-	// Scatter input arrays (setup, not timed).
-	for _, prm := range im.params {
-		g, ok := inputs[prm.Name]
-		if !ok {
-			return nil, fmt.Errorf("exec: no input supplied for parameter %s", prm.Name)
-		}
-		locals, serr := scatter(g, prm.Dist, cfg.Procs)
-		if serr != nil {
-			return nil, fmt.Errorf("exec: parameter %s: %w", prm.Name, serr)
-		}
-		for p, st := range states {
-			// A program that does not declare the parameter has no slot for
-			// it, and no use for its piece.
-			if slot := index(st.low.arrays, prm.Name); slot >= 0 {
-				st.arrays[slot] = locals[p]
-			}
-		}
-	}
-
-	err := m.Run(func(p *machine.Proc) {
+	err = m.Run(func(p *machine.Proc) {
 		d := states[p.ID()]
 		d.Proc = p
 		if err := newStepper(d.low, p.ID(), d).run(); err != nil {
@@ -191,6 +172,33 @@ func (im *Image) run(cfg machine.Config, inputs map[string]*istruct.Matrix) (*SP
 		}
 	}
 	return out, nil
+}
+
+// states makes every process's concrete domain, holding its pieces of the
+// input arrays (setup, not timed).
+func (im *Image) states(inputs map[string]*istruct.Matrix) ([]*concrete, error) {
+	states := make([]*concrete, len(im.low))
+	for p := range states {
+		states[p] = newConcrete(im.low[p])
+	}
+	for _, prm := range im.params {
+		g, ok := inputs[prm.Name]
+		if !ok {
+			return nil, fmt.Errorf("exec: no input supplied for parameter %s", prm.Name)
+		}
+		locals, err := scatter(g, prm.Dist, len(states))
+		if err != nil {
+			return nil, fmt.Errorf("exec: parameter %s: %w", prm.Name, err)
+		}
+		for p, st := range states {
+			// A program that does not declare the parameter has no slot for
+			// it, and no use for its piece.
+			if slot := index(st.low.arrays, prm.Name); slot >= 0 {
+				st.arrays[slot] = locals[p]
+			}
+		}
+	}
+	return states, nil
 }
 
 // scatter builds every process's local piece of a global input array in one
@@ -307,6 +315,10 @@ type concrete struct {
 	arrays []*istruct.Matrix
 	ivars  []*istruct.IVar
 	bufs   [][]Value
+	// What the process has done, for tape: the operations charged, and the
+	// roles played, each a data or message call, a scalar definition, an
+	// allocation or a loop step.
+	ops, roles int64
 }
 
 func newConcrete(low *Lowered) *concrete {
@@ -334,6 +346,7 @@ func (d *concrete) stored(st *stepper, v *lvexpr) Value {
 }
 
 func (d *concrete) alloc(st *stepper, s *lstmt) {
+	d.roles++
 	if s.rank != 1 && s.rank != 2 {
 		failf("alloc of rank %d", s.rank)
 	}
@@ -353,6 +366,7 @@ func (d *concrete) alloc(st *stepper, s *lstmt) {
 // iteration, so the previous body is cleared and reused when it is large
 // enough: nothing else holds it (a send copies out of it, a receive into it).
 func (d *concrete) allocBuf(_ *stepper, slot int32, size int64) {
+	d.roles++
 	n := size + 1 // 1-based
 	if buf := d.bufs[slot]; n <= int64(cap(buf)) {
 		d.bufs[slot] = buf[:n]
@@ -362,16 +376,51 @@ func (d *concrete) allocBuf(_ *stepper, slot int32, size int64) {
 	d.bufs[slot] = make([]Value, n)
 }
 
-// loopSteps is the machine's bulk loop charge, which it declines under faults
-// and placement.
-func (d *concrete) loopSteps(n, ops int64) bool { return d.Proc.LoopSteps(n, ops) }
+func (d *concrete) Ops(n int64) {
+	d.ops += n
+	d.Proc.Ops(n)
+}
 
-// tape declines: a real run's iterations differ in their data.
-func (*concrete) tape(*stepper, *lstmt, int64, int64, int64) int64 { return 0 }
+// Mem charges the access of a data call; each one makes a role.
+func (d *concrete) Mem(n int64) {
+	d.roles++
+	d.Proc.Mem(n)
+}
+
+func (d *concrete) LoopStep() {
+	d.roles++
+	d.Proc.LoopStep()
+}
+
+// tape serves a uniform keyed loop (keyed.go) and declines one with keys: a
+// real run's iterations differ in their data, and only where this process
+// plays no role do they differ in nothing else. It steps the first iteration.
+// If that played a role, the stepper steps the rest. If not, no other
+// iteration plays one either: every read that decides a role reads a slot the
+// loop leaves alone, and an assignment writes what it wrote before. Each
+// other iteration would charge a loop step and the operations the first
+// charged, and the machine charges them in one call; it declines under
+// Faults and Placement, and the stepper steps them.
+func (d *concrete) tape(st *stepper, s *lstmt, lo, hi, step int64) int64 {
+	if s.y != nil {
+		return 0
+	}
+	st.d.LoopStep()
+	st.induct(s.dst, lo)
+	ops, roles := d.ops, d.roles
+	st.exec(s.body)
+	n := iterations(lo, hi, step)
+	if d.roles != roles || !d.Proc.LoopSteps(n, d.ops-ops) {
+		return 1
+	}
+	st.induct(s.dst, lo+n*step)
+	return n + 1
+}
 
 // defineScalar writes v to the scalar's I-variable; a definition (def)
 // writes a fresh one.
 func (d *concrete) defineScalar(st *stepper, slot int32, v Value, def bool) {
+	d.roles++
 	iv := d.ivars[slot]
 	if iv == nil || def {
 		iv = istruct.NewIVar(st.low.scalars[slot])
@@ -447,15 +496,23 @@ func (d *concrete) bufWrite(st *stepper, s *lstmt, v Value) {
 	d.span(st, s.obj, i, i)[0] = v
 }
 
-func (d *concrete) send(dst int, tag int64, v Value) { d.Send(dst, tag, v) }
+func (d *concrete) send(dst int, tag int64, v Value) {
+	d.roles++
+	d.Send(dst, tag, v)
+}
 
-func (d *concrete) recv(src int, tag int64) (Value, bool) { return d.Recv1(src, tag), true }
+func (d *concrete) recv(src int, tag int64) (Value, bool) {
+	d.roles++
+	return d.Recv1(src, tag), true
+}
 
 func (d *concrete) sendBuf(st *stepper, buf int32, lo, hi int64, dst int, tag int64) {
+	d.roles++
 	d.Send(dst, tag, d.span(st, buf, lo, hi)...)
 }
 
 func (d *concrete) recvBuf(st *stepper, buf int32, lo, hi int64, src int, tag int64) {
+	d.roles++
 	into := d.span(st, buf, lo, hi)
 	vals := d.Recv(src, tag)
 	if len(vals) != len(into) {

@@ -29,14 +29,10 @@ type domain interface {
 	Ops(n int64)
 	Mem(n int64)
 	LoopStep()
-	// loopSteps charges n iterations of a loop that each make a loop step
-	// and ops operations and nothing else, in one call, or declines (false,
-	// nothing charged) when the charges must be made one at a time.
-	loopSteps(n, ops int64) bool
-	// tape runs keyed loop s from lo to hi by step, stepping one iteration
-	// per value of its keys and charging every other like the one with its
-	// keys, and returns how many iterations it ran: 0 when it declines, and
-	// the stepper steps the rest.
+	// tape runs keyed loop s from lo to hi by step, stepping an iteration and
+	// charging others like it without stepping them, and returns how many
+	// iterations it ran, from lo: 0 when it declines, and the stepper steps
+	// the rest.
 	tape(st *stepper, s *lstmt, lo, hi, step int64) int64
 
 	// undefined answers a read of a variable the frame does not hold, and
@@ -255,16 +251,13 @@ func (st *stepper) block(s *lstmt, what string) (lo, hi int64, peer int) {
 	return lo, hi, peer
 }
 
-// loop runs a For. A walk steps a keyed loop's (fKeyed, keyed.go) first
-// iteration of each key vector once and charges every later one like it; the
-// machine declines, and what a walk leaves steps on. An inert-capable loop
-// (fInert, memo.go) watches its first iteration: when this process plays no
-// role in it, no later iteration can play one either, because every owner,
-// needer and guard process reads only slots the loop does not assign. Each
-// later iteration would charge a loop step and s.ops operations and do
-// nothing else, so the domain charges them in one call. A domain that must
-// see every charge by itself declines, and the loop steps on. Either way the
-// induction variable takes its last value.
+// loop runs a For. A keyed loop (fKeyed, keyed.go) of more than one
+// iteration is first offered to the domain's tape, which runs as many of its
+// iterations as it can charge without stepping each: a walk tapes one
+// iteration per key vector, and the machine charges a uniform loop in one
+// call when its first iteration gives this process no role. The stepper steps
+// whatever the tape leaves; either way the induction variable takes its last
+// value.
 func (st *stepper) loop(s *lstmt) {
 	lo, hi, step := st.ctl(s, mLo), st.ctl(s, mHi), st.ctl(s, mX)
 	if step <= 0 {
@@ -278,17 +271,6 @@ func (st *stepper) loop(s *lstmt) {
 			return
 		}
 		x += k * step
-	}
-	if s.flags&fInert != 0 && x <= hi {
-		st.d.LoopStep()
-		st.induct(s.dst, x)
-		if st.roleless(s.body) {
-			if n := iterations(x, hi, step); n > 0 && st.d.loopSteps(n, int64(s.ops)) {
-				st.induct(s.dst, x+n*step)
-				return
-			}
-		}
-		x += step
 	}
 	for ; x <= hi; x += step {
 		st.d.LoopStep()
@@ -307,28 +289,12 @@ func (st *stepper) induct(slot int32, x int64) {
 	st.f.Vals[slot], st.f.Known[slot] = x, true // exact integer, not a float round-trip
 }
 
-// roleless runs one iteration of an inert-capable loop's body, coerces and
-// guards only, and reports whether this process played no role in it.
-func (st *stepper) roleless(body []lstmt) bool {
-	acted := false
-	for i := range body {
-		if s := &body[i]; s.op == opGuard {
-			acted = st.guard(s) || acted
-		} else {
-			acted = st.coerce(s) || acted
-		}
-	}
-	return !acted
-}
-
-// guard runs a Guard and reports whether this process is the one it names.
-func (st *stepper) guard(s *lstmt) bool {
+// guard runs a Guard.
+func (st *stepper) guard(s *lstmt) {
 	st.d.Ops(1) // the mynode() test of run-time resolution, charged on every process
-	if st.ctl(s, mX) != st.me {
-		return false
+	if st.ctl(s, mX) == st.me {
+		st.exec(s.body)
 	}
-	st.exec(s.body)
-	return true
 }
 
 // coerceSrc reads a coerce's source element or scalar, charging the access.
@@ -343,16 +309,15 @@ func (st *stepper) coerceSrc(s *lstmt) (Value, bool) {
 
 // coerce implements run-time resolution's value movement (§3.1). Every
 // process executes the statement and plays its role; the ownership tests are
-// charged as compute. s.x is the owner and s.y the needer. It reports whether
-// this process had a role: read, sent or received.
-func (st *stepper) coerce(s *lstmt) bool {
+// charged as compute. s.x is the owner and s.y the needer.
+func (st *stepper) coerce(s *lstmt) {
 	d := st.d
 	d.Ops(2) // owner/needer membership tests
 	switch {
 	case s.flags&fOwnerAll != 0:
 		// Replicated source: everyone who needs it reads its own copy.
 		if s.flags&fNeederAll == 0 && st.ctl(s, mY) != st.me {
-			return false
+			return
 		}
 		v, known := st.coerceSrc(s)
 		st.set(s.dst, v, known)
@@ -376,17 +341,12 @@ func (st *stepper) coerce(s *lstmt) bool {
 		case owner == needer && owner == st.me:
 			v, known := st.coerceSrc(s)
 			st.set(s.dst, v, known)
-		case owner == needer:
-			return false
 		case owner == st.me:
 			v, _ := st.coerceSrc(s)
 			d.send(int(needer), s.tag, v)
 		case needer == st.me:
 			v, known := d.recv(int(owner), s.tag)
 			st.set(s.dst, v, known)
-		default:
-			return false
 		}
 	}
-	return true
 }

@@ -8,6 +8,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"procdecomp/internal/lang"
 )
@@ -98,11 +99,45 @@ func stencil(rng *rand.Rand) lang.Expr {
 	return e
 }
 
-// Program builds a random wavefront-style Idn program.
+// Program builds a random wavefront-style Idn program. Apart from its
+// stencil it independently draws a scalar let in the inner loop, replicated
+// or on process 0, whose value feeds the stencil, and a call of a one-line
+// scalar procedure in the stencil's value or in a subscript.
 func Program(rng *rand.Rand) (src string, distName string) {
 	dists := []string{"cyclic_cols", "cyclic_rows", "block_cols", "block_rows"}
 	distName = dists[rng.Intn(len(dists))]
-	biased := func(e lang.Expr) string {
+
+	var let, callee string
+	var fed []lang.Expr // added, with bias, to the stencil value
+	if rng.Intn(2) == 0 {
+		on := ""
+		if rng.Intn(2) == 0 {
+			on = ": real on proc(0)"
+		}
+		let = fmt.Sprintf("      let t%s = %s;\n", on, lang.FormatExpr(stencil(rng)))
+		fed = append(fed, &lang.VarRef{Name: "t"})
+	}
+	old := func(i, j lang.Expr) lang.Expr { return &lang.IndexExpr{Array: "Old", Indices: []lang.Expr{i, j}} }
+	call := func(name string, arg lang.Expr) lang.Expr { return &lang.CallExpr{Name: name, Args: []lang.Expr{arg}} }
+	near := func(v string) lang.Expr { return offset(v, int64(rng.Intn(3)-1)) }
+	switch rng.Intn(3) {
+	case 1:
+		callee = "proc half(x: real): real {\n  return x * 0.5;\n}\n\n"
+		fed = append(fed, call("half", old(near("i"), near("j"))))
+	case 2:
+		// On the dimension the mapping does not split, so every owner stays
+		// a function of the loop indices and a walk can follow it.
+		callee = "proc wrap(k: int): int {\n  return k mod N + 1;\n}\n\n"
+		if strings.HasSuffix(distName, "_cols") {
+			fed = append(fed, old(call("wrap", near("i")), near("j")))
+		} else {
+			fed = append(fed, old(near("i"), call("wrap", near("j"))))
+		}
+	}
+	value := func(e lang.Expr) string {
+		for _, f := range fed {
+			e = &lang.BinExpr{Op: lang.OpAdd, L: e, R: f}
+		}
 		return lang.FormatExpr(&lang.BinExpr{Op: lang.OpAdd, L: e, R: &lang.VarRef{Name: "bias"}})
 	}
 
@@ -113,9 +148,9 @@ func Program(rng *rand.Rand) (src string, distName string) {
         New[i, j] = %s;
       } else {
         New[i, j] = %s;
-      }`, lang.FormatExpr(condition(rng, 2)), lang.FormatExpr(stencil(rng)), biased(stencil(rng)))
+      }`, lang.FormatExpr(condition(rng, 2)), lang.FormatExpr(stencil(rng)), value(stencil(rng)))
 	} else {
-		body = fmt.Sprintf("      New[i, j] = %s;", biased(stencil(rng)))
+		body = fmt.Sprintf("      New[i, j] = %s;", value(stencil(rng)))
 	}
 
 	// The bias scalar lives on a random processor (or replicated),
@@ -141,17 +176,17 @@ proc boundary(New: matrix[N, N] on D) {
   }
 }
 
-proc step(Old: matrix[N, N] on D): matrix[N, N] on D {
+%sproc step(Old: matrix[N, N] on D): matrix[N, N] on D {
   let New = matrix(N, N) on D;
   let bias: real on %s = 0.125;
   call boundary(New);
   for j = 2 to N - 1 {
     for i = 2 to N - 1 {
-%s
+%s%s
     }
   }
   return New;
 }
-`, 8+rng.Intn(9), distName, biasMap, body)
+`, 8+rng.Intn(9), distName, callee, biasMap, let, body)
 	return src, distName
 }
