@@ -155,14 +155,11 @@ type recorder struct {
 	acc  uint64 // pending compute cycles
 }
 
-func (r *recorder) Procs() int  { return r.cfg.Procs }
-func (r *recorder) Ops(n int64) { r.acc += uint64(n) * r.cfg.OpCost }
-func (r *recorder) Mem(n int64) { r.acc += uint64(n) * r.cfg.MemCost }
-func (r *recorder) LoopStep()   { r.acc += r.cfg.LoopCost }
-
-func (r *recorder) LoopSteps(n, ops int64) {
-	r.acc += uint64(n) * (uint64(ops)*r.cfg.OpCost + r.cfg.LoopCost)
-}
+func (r *recorder) Procs() int        { return r.cfg.Procs }
+func (r *recorder) Ops(n int64)       { r.acc += uint64(n) * r.cfg.OpCost }
+func (r *recorder) Mem(n int64)       { r.acc += uint64(n) * r.cfg.MemCost }
+func (r *recorder) LoopStep()         { r.acc += r.cfg.LoopCost }
+func (r *recorder) LoopSteps(n int64) { r.acc += uint64(n) * r.cfg.LoopCost }
 
 func (r *recorder) flush() {
 	if r.acc > 0 {

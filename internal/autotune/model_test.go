@@ -2,17 +2,28 @@ package autotune
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"procdecomp/internal/bench"
 	"procdecomp/internal/expr"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
 )
 
+// wrapSource is Gauss-Seidel with a subscript call on the row dimension:
+// under a mapping that splits rows, run-time resolution coerces the call's
+// result to every process and the owner code reads it, which a walk, with no
+// data, cannot follow.
+var wrapSource = strings.Replace(strings.Replace(bench.GSSource,
+	"Old[i + 1, j]", "Old[wrap(i + 1), j]", 1),
+	"proc gs_iteration", "proc wrap(k: int): int {\n  return k mod N + 1;\n}\n\nproc gs_iteration", 1)
+
 // What the walk cannot decide, and what the recorder refuses, both surface
 // as *ErrUnmodeled naming the process, with the bare reason a report prints
 // as the candidate's Note; a matched profile that cannot run is a plain error.
+// A search measures what the walk cannot decide instead of modeling it.
 func TestBuildProfileFailures(t *testing.T) {
 	c := expr.C
 	idx := []expr.Expr{c(1), c(1)}
@@ -72,5 +83,32 @@ func TestBuildProfileFailures(t *testing.T) {
 		if err == nil || errors.As(err, &um) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want a plain error containing %q", tc.name, err, tc.want)
 		}
+	}
+
+	// Only the run-time resolution of a mapping that splits rows stops the
+	// walk, at the coerced call (the stencil's third coerced term); its
+	// compile-time points model, and nothing is infeasible.
+	w := &Workload{Name: "gs-wrap", Source: wrapSource, Entry: "gs_iteration", Dist: "Column", Defines: map[string]int64{"N": 16}}
+	rep, err := Search(w, machine.DefaultConfig(4), Options{})
+	if err != nil {
+		t.Fatalf("the search of a program the walk cannot follow everywhere failed: %v", err)
+	}
+	const note = `expr: unbound variable "t3"`
+	var got []string
+	for _, r := range rep.Results {
+		switch {
+		case r.Unmodeled:
+			got = append(got, r.Candidate.Key())
+			if r.Status != StatusMeasured || r.Note != note {
+				t.Errorf("%s: %s with note %q, want %s with note %q", r.Candidate.Key(), r.Status, r.Note, StatusMeasured, note)
+			}
+		case r.Status == StatusInfeasible:
+			t.Errorf("%s: infeasible (%s)", r.Candidate.Key(), r.Note)
+		}
+	}
+	slices.Sort(got)
+	want := []string{"block2d(2x2)/rtr", "block_rows(2)/rtr", "block_rows(4)/rtr", "cyclic_rows(2)/rtr", "cyclic_rows(4)/rtr"}
+	if !slices.Equal(got, want) {
+		t.Errorf("unmodeled candidates %v, want %v", got, want)
 	}
 }

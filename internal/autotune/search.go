@@ -15,7 +15,6 @@ import (
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
-	"procdecomp/internal/spmd"
 	"procdecomp/internal/trace"
 	"procdecomp/internal/xform"
 )
@@ -178,9 +177,19 @@ type Progress struct {
 // cannot take down a whole search.
 var ErrEvalPanic = errors.New("autotune: candidate evaluation panicked")
 
-func panicAsError(c Candidate, r any) error {
-	return fmt.Errorf("%w: %s: panic: %v", ErrEvalPanic, c.Key(), r)
+// evalPanic is a candidate evaluation that panicked, as the pool recovered
+// it: the candidate's key and the value it panicked with.
+type evalPanic struct {
+	key string
+	val any
 }
+
+func panicAsError(c Candidate, val any) error { return &evalPanic{key: c.Key(), val: val} }
+
+func (e *evalPanic) Error() string {
+	return fmt.Sprintf("%v: %s: panic: %v", ErrEvalPanic, e.key, e.val)
+}
+func (e *evalPanic) Unwrap() error { return ErrEvalPanic }
 
 // Measurement is one confirmed run.
 type Measurement struct {
@@ -204,37 +213,6 @@ func Measure(w *Workload, c Candidate, cfg machine.Config) (Measurement, error) 
 	}
 	m, _, err := measure(context.Background(), w, c, b, ins, cfg, false)
 	return m, err
-}
-
-// run is one image's tier-3 outcome, which every twin sharing the image
-// reads.
-type run struct {
-	done bool
-	m    Measurement
-	d    *analysis.Dump // the trace of an image tier 1 could not model
-	err  error
-}
-
-// safeMeasure is a tier-3 run of what tier 1 built, with the worker pool's
-// panic isolation: a panicking evaluation comes back as an
-// ErrEvalPanic-wrapped error instead of unwinding the pool. The image runs
-// once per twin set: the first twin to get past its hook fills r, and the
-// others copy it. An unmodeled image runs traced: it has no profile to
-// replay, so its trace is what attributes it should it win.
-func safeMeasure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[string]*istruct.Matrix, cfg machine.Config, hook func(string, Candidate), r *run, traced bool) (m Measurement, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			m, err = Measurement{}, panicAsError(c, p)
-		}
-	}()
-	if hook != nil {
-		hook("measure", c)
-	}
-	if !r.done {
-		r.m, r.d, r.err = measure(ctx, w, c, b, ins, cfg, traced)
-		r.done = true
-	}
-	return r.m, r.err
 }
 
 // wrongAnswer is a run that completed with a result the sequential reference
@@ -315,14 +293,6 @@ func Search(w *Workload, cfg machine.Config, opts Options) (*Report, error) {
 	return SearchCtx(context.Background(), w, cfg, opts)
 }
 
-// interrupted finalizes a partial report after context cancellation: every
-// result accumulated so far is kept so the caller can still print what the
-// search learned, alongside a nonzero ("interrupted") error.
-func interrupted(rep *Report, results []Result, err error) (*Report, error) {
-	rep.Results = orderResults(results)
-	return rep, fmt.Errorf("autotune: search interrupted: %w", err)
-}
-
 // SearchCtx is Search under a context. Cancellation is honored between tiers,
 // by both worker pools (no further mapping is compiled and no further
 // candidate measured once ctx is done; those under way finish) and inside the
@@ -356,286 +326,421 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	if opts.BaselineMode == "" {
 		opts.BaselineMode = "ctr"
 	}
-	hand := DefaultHand(cfg.Procs)
-	if opts.Hand != nil {
-		hand = *opts.Hand
+	s := &search{ctx: ctx, w: w, cfg: cfg, opts: opts,
+		rep: &Report{Workload: w.Name, Procs: cfg.Procs, Defines: w.Defines}}
+	s.enumerate()
+	anchorErr := s.tier1()
+	if err := ctx.Err(); err != nil {
+		// A mapping never handed out has no results to report.
+		s.results = slices.DeleteFunc(s.results, func(r Result) bool { return r == Result{} })
+		return s.interrupted(err)
 	}
-	handKey := hand.Key()
+	if anchorErr != nil {
+		return nil, anchorErr
+	}
+	modeled, err := s.tier2()
+	if err != nil {
+		return s.interrupted(err)
+	}
+	mIdx, errs := s.tier3(modeled)
+	if err := ctx.Err(); err != nil {
+		return s.interrupted(err)
+	}
+	if err := s.crown(mIdx, errs); err != nil {
+		return nil, err
+	}
+	s.rep.Results = orderResults(s.results)
+	return s.rep, nil
+}
 
-	rep := &Report{Workload: w.Name, Procs: cfg.Procs, Defines: w.Defines, Hand: handKey}
-	emit := func(p Progress) {
-		if opts.Progress != nil {
-			opts.Progress(p)
+// A search is one run of SearchCtx: its candidates, what each tier made of
+// them, and the report it fills.
+type search struct {
+	ctx  context.Context
+	w    *Workload
+	cfg  machine.Config
+	opts Options
+	rep  *Report
+	// cands stays sorted by key, and keys[i] is cands[i]'s key, rendered
+	// once: every later test and sort of a candidate reads it. seed[i] is
+	// cands[i]'s seed rank, or -1.
+	cands   []Candidate
+	keys    []string
+	seed    []int
+	results []Result
+	imgs    []*image                   // each candidate's image, from tier 1
+	ins     map[string]*istruct.Matrix // the run inputs, from the anchor
+}
+
+// An image is one distinct compiled stage of the search and what each tier
+// made of it. Twins — the candidates of a mapping whose stages are the same
+// programs, because a pass applied nowhere — share one record, created in
+// tier 1, so they share its lowering, walk, replay and run by construction.
+// Each tier's part is filled by the first twin to reach it, and only once its
+// work has returned: work that panicked is tried again by the next twin.
+type image struct {
+	// Tier 1: the lowered image (kept when the walk is unmodeled, for tier 3
+	// to run) and its static score.
+	b       *built
+	static  uint64
+	walkErr error
+	// Tier 2: the profile the replay reads and the predicted makespan.
+	pf      *Profile
+	pred    uint64
+	predErr error
+	// Tier 3: the run, and the trace of an image tier 1 could not model.
+	m      Measurement
+	d      *analysis.Dump
+	runErr error
+	// Which tiers' parts are filled; each is set last.
+	walked, replayed, ran bool
+}
+
+// walk is tier 1's work on the image: lower its stage and score it. A walk
+// the image's control flow defeats (*ErrUnmodeled) keeps what it lowered.
+func (im *image) walk(info *sem.Info, st xform.Stage, cfg machine.Config) error {
+	if !im.walked {
+		if im.b, im.walkErr = lower(info, st, cfg.Procs); im.walkErr == nil {
+			im.static, im.walkErr = score(im.b.img, cfg)
 		}
+		im.walked = true
 	}
+	return im.walkErr
+}
 
-	// Enumerate, forcing the hand-chosen reference in so the winner is never
-	// worse than it. cands stays sorted by key, and keys[i] is cands[i]'s key,
-	// rendered once: every later test and sort of a candidate reads it.
-	cands, keys := opts.Space.enumerate(cfg.Procs)
-	rep.Enumerated = len(cands)
+// replay is tier 2's work on the image: walk it again, into the profile the
+// replay reads, and predict its makespan.
+func (im *image) replay(cfg machine.Config) error {
+	if !im.replayed {
+		if im.pf, im.predErr = profileOf(im.b.img, cfg); im.predErr == nil {
+			im.pred, im.predErr = im.pf.Predict(cfg)
+		}
+		im.replayed = true
+	}
+	return im.predErr
+}
+
+// run is tier 3's work on the image: run it on the simulated machine and
+// validate its result. An unmodeled image runs traced: it has no profile to
+// replay, so its trace is what attributes it should it win.
+func (im *image) run(s *search, c Candidate, traced bool) error {
+	if !im.ran {
+		im.m, im.d, im.runErr = measure(s.ctx, s.w, c, im.b, s.ins, s.cfg, traced)
+		im.ran = true
+	}
+	return im.runErr
+}
+
+// emit hands p to the Progress callback, if there is one.
+func (s *search) emit(p Progress) {
+	if s.opts.Progress != nil {
+		s.opts.Progress(p)
+	}
+}
+
+// eval is one candidate evaluation under the worker pool's panic isolation:
+// the stage's hook for c, then f. A panic in either comes back as an
+// ErrEvalPanic-wrapped error naming c instead of unwinding the pool.
+func (s *search) eval(stage string, c Candidate, f func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = panicAsError(c, p)
+		}
+	}()
+	if s.opts.evalHook != nil {
+		s.opts.evalHook(stage, c)
+	}
+	return f()
+}
+
+// interrupted finalizes a partial report after context cancellation: every
+// result accumulated so far is kept so the caller can still print what the
+// search learned, alongside a nonzero ("interrupted") error.
+func (s *search) interrupted(err error) (*Report, error) {
+	s.rep.Results = orderResults(s.results)
+	return s.rep, fmt.Errorf("autotune: search interrupted: %w", err)
+}
+
+// enumerate lists the space's candidates, forcing the hand-chosen reference
+// in so the winner is never worse than it, and each seeded mapping, expanded
+// across the space's pipeline points, with its rank, so tier 2 replays it
+// first.
+func (s *search) enumerate() {
+	hand := DefaultHand(s.cfg.Procs)
+	if s.opts.Hand != nil {
+		hand = *s.opts.Hand
+	}
+	s.rep.Hand = hand.Key()
+	s.cands, s.keys = s.opts.Space.enumerate(s.cfg.Procs)
+	s.rep.Enumerated = len(s.cands)
 	force := func(c Candidate, key string) {
-		if at, found := slices.BinarySearch(keys, key); !found {
-			cands, keys = slices.Insert(cands, at, c), slices.Insert(keys, at, key)
+		if at, found := slices.BinarySearch(s.keys, key); !found {
+			s.cands, s.keys = slices.Insert(s.cands, at, c), slices.Insert(s.keys, at, key)
 		}
 	}
-	force(hand, handKey)
-	// Warm start: force each seeded mapping in, expanded across the space's
-	// pipeline points, and remember its rank so tier 2 replays it first.
+	force(hand, s.rep.Hand)
 	seedRank := map[string]int{}
-	for _, m := range opts.Seed {
-		if err := m.Validate(int64(cfg.Procs)); err != nil {
+	for _, m := range s.opts.Seed {
+		if err := m.Validate(int64(s.cfg.Procs)); err != nil {
 			continue
 		}
-		for _, pp := range opts.Space.pipelinePoints() {
+		for _, pp := range s.opts.Space.pipelinePoints() {
 			c := Candidate{Mapping: m, Mode: pp.mode, Blk: pp.blk}
 			key := c.Key()
 			if _, ok := seedRank[key]; ok {
 				continue
 			}
-			seedRank[key] = len(seedRank)
+			seedRank[key] = len(seedRank) + 1 // so an unseeded key reads 0
 			force(c, key)
 		}
 	}
-	seed := make([]int, len(cands)) // each candidate's seed rank, or -1
-	for i, key := range keys {
-		seed[i] = -1
-		if r, ok := seedRank[key]; ok {
-			seed[i] = r
-		}
+	s.seed = make([]int, len(s.cands))
+	for i, key := range s.keys {
+		s.seed[i] = seedRank[key] - 1
 	}
+}
 
-	// Tier 1: compile and walk everything, one mapping per pool task — its
-	// candidates share one retarget, one check and one resolution of the
-	// entry, and differ only in the pass suffix xform.CompileAll applies.
-	// What each candidate lowers to is kept: tiers 2 and 3 read it. What it
-	// walks to is not: the walk is matched in a pooled scratch, so a deadlock
-	// or a mismatched value count shows here, and only its static score is
-	// kept. Twins — the candidates of a mapping whose stages are the same
-	// programs, because a pass applied nowhere — share one lowering and one
-	// walk. Every evaluation runs under a recover, so a candidate whose
-	// lowering or walk panics is recorded as infeasible (with the panic
-	// message) instead of crashing the pool; a panic in the shared front
-	// half marks each of the mapping's candidates so.
-	//
-	// The anchor is the pool's task 0, beside the mappings: tier 1 only
-	// compiles and walks, and trusts nothing the anchor decides, while tiers
-	// 2 and 3 start only once the pool has drained. It runs the program as
-	// annotated, traced, and demands that the walked profile's replayed
-	// timeline be that trace, event for event, before the model is trusted
-	// anywhere else. If it fails, the mappings' work is
-	// discarded; a panic in it is held until the pool drains and then raised
-	// on the caller's goroutine.
-	results := make([]Result, len(cands))
-	builds := make([]*built, len(cands))
-	groups := groupBy(len(cands), func(i int) Mapping { return cands[i].Mapping })
-	var (
-		ins         map[string]*istruct.Matrix
-		anchorErr   error
-		anchorPanic any
-	)
-	runAnchor := func() {
-		defer func() { anchorPanic = recover() }()
-		if opts.evalHook != nil {
-			opts.evalHook("anchor", Candidate{Mode: opts.BaselineMode, Blk: opts.BaselineBlk})
-		}
-		if ins, anchorErr = anchor(ctx, w, cfg, opts, rep); anchorErr == nil {
-			emit(Progress{Stage: "baseline", Makespan: rep.Baseline.Measured})
-			emit(Progress{Stage: "enumerated", Total: len(cands)})
-		}
-	}
-	forEach(ctx, 1+len(groups), opts.Workers, func(task int) {
-		if task == 0 {
-			runAnchor()
+// tier1 compiles and walks everything, one mapping per pool task (see
+// mapping), and returns the anchor's error.
+//
+// The anchor is the pool's task 0, beside the mappings: tier 1 only compiles
+// and walks, and trusts nothing the anchor decides, while tiers 2 and 3 start
+// only once the pool has drained. It runs the program as annotated, traced,
+// and demands that the walked profile's replayed timeline be that trace,
+// event for event, before the model is trusted anywhere else. If it fails,
+// the mappings' work is discarded; a panic in it is held until the pool
+// drains and then raised on the caller's goroutine.
+func (s *search) tier1() error {
+	s.results = make([]Result, len(s.cands))
+	s.imgs = make([]*image, len(s.cands))
+	groups := groupBy(len(s.cands), func(i int) Mapping { return s.cands[i].Mapping })
+	var anchorErr error
+	var anchorPanic any
+	forEach(s.ctx, 1+len(groups), s.opts.Workers, func(task int) {
+		if task > 0 {
+			s.mapping(groups[task-1])
 			return
 		}
-		idx := groups[task-1]
-		mapping := cands[idx[0]].Mapping
-		points := make([]xform.Point, len(idx))
-		for k, i := range idx {
-			points[k] = xform.Point{Mode: cands[i].Mode, Blk: cands[i].Blk}
-		}
-		var (
-			info       *sem.Info
-			stages     []xform.Stage
-			frontErr   error
-			frontPanic any
-		)
-		func() {
-			defer func() { frontPanic = recover() }()
-			if opts.evalHook != nil {
-				opts.evalHook("compile", Candidate{Mapping: mapping})
-			}
-			info, stages, frontErr = w.compileAll(&mapping, points, cfg.Procs)
-		}()
-		twins := map[*spmd.Program]*walk{}
-		for k, i := range idx {
-			c := cands[i]
-			results[i] = Result{Candidate: c}
-			err := frontErr
-			if frontPanic != nil {
-				err = panicAsError(c, frontPanic)
-			}
-			var static uint64
-			if err == nil {
-				builds[i], static, err = model(info, stages[k], c, cfg, opts.evalHook, twins)
-			}
-			var um *ErrUnmodeled
-			switch {
-			case err == nil:
-				results[i].Status = StatusPruned
-				results[i].Static = static
-			case errors.As(err, &um):
-				results[i].Unmodeled = true
-				results[i].Note = um.Reason
-			default:
-				results[i].Status = StatusInfeasible
-				results[i].Note = err.Error()
-			}
-		}
+		defer func() { anchorPanic = recover() }()
+		anchorErr = s.anchor()
 	})
 	if anchorPanic != nil {
 		panic(anchorPanic)
 	}
-	if err := ctx.Err(); err != nil {
-		// A mapping never handed out has no results to report.
-		return interrupted(rep, slices.DeleteFunc(results, func(r Result) bool { return r == Result{} }), err)
-	}
-	if anchorErr != nil {
-		return nil, anchorErr
-	}
+	return anchorErr
+}
 
-	// Tier 2, with a sound prune. The static score is a lower bound on the
-	// makespan (busy time can only be stretched by waits), so replaying in
-	// static order and stopping once the bound passes the best prediction is
-	// branch-and-bound, not a heuristic: a pruned candidate provably cannot
-	// win. Keep forces at least that many replays regardless of the bound.
-	// Only a replayed image is walked again, into the profile the replay
-	// reads, once for all its twins.
-	modeled := indicesWhere(results, func(r Result) bool { return r.Status == StatusPruned })
-	emit(Progress{Stage: "static", Done: len(modeled), Total: len(cands)})
+// mapping is tier 1 for one mapping's candidates: they share one retarget,
+// one check and one resolution of the entry, and differ only in the pass
+// suffix xform.CompileAll applies. Each distinct stage gets one image, which
+// is lowered and walked once for all its twins. What it lowers to is kept:
+// tiers 2 and 3 read it. What it walks to is not: the walk is matched in a
+// pooled scratch, so a deadlock or a mismatched value count shows here, and
+// only its static score is kept. A candidate whose front half, lowering or
+// walk panics is recorded as infeasible (with the panic message, under its
+// own key) instead of crashing the pool.
+func (s *search) mapping(idx []int) {
+	m := s.cands[idx[0]].Mapping
+	points := make([]xform.Point, len(idx))
+	for k, i := range idx {
+		points[k] = xform.Point{Mode: s.cands[i].Mode, Blk: s.cands[i].Blk}
+	}
+	var info *sem.Info
+	var stages []xform.Stage
+	frontErr := s.eval("compile", Candidate{Mapping: m}, func() (err error) {
+		info, stages, err = s.w.compileAll(&m, points, s.cfg.Procs)
+		return err
+	})
+	// A stage's image, by its first program; a failed stage, by its index,
+	// has its own.
+	images := map[any]*image{}
+	for k, i := range idx {
+		c, r := s.cands[i], &s.results[i]
+		*r = Result{Candidate: c}
+		err := frontErr
+		if p, ok := err.(*evalPanic); ok {
+			err = panicAsError(c, p.val) // each candidate under its own key
+		}
+		if err == nil {
+			st, key := stages[k], any(k)
+			if st.Err == nil {
+				key = st.Progs[0]
+			}
+			if images[key] == nil {
+				images[key] = &image{}
+			}
+			im := images[key]
+			s.imgs[i] = im
+			err = s.eval("static", c, func() error { return im.walk(info, st, s.cfg) })
+		}
+		var um *ErrUnmodeled
+		switch {
+		case err == nil:
+			r.Status = StatusPruned
+			r.Static = s.imgs[i].static
+		case errors.As(err, &um):
+			r.Unmodeled = true
+			r.Note = um.Reason
+		default:
+			r.Status = StatusInfeasible
+			r.Note = err.Error()
+		}
+	}
+}
+
+// anchor measures the declared program traced and checks the model against
+// it: the walked profile's replayed timeline must be the trace, event for
+// event — every compute span, message and wait of every process, so the
+// makespan and the message totals too. The run inputs it builds are the ones
+// every later run of the search shares.
+func (s *search) anchor() error {
+	if s.opts.evalHook != nil {
+		s.opts.evalHook("anchor", Candidate{Mode: s.opts.BaselineMode, Blk: s.opts.BaselineBlk})
+	}
+	b, err := s.w.build(nil, s.opts.BaselineMode, s.opts.BaselineBlk, s.cfg.Procs)
+	if err != nil {
+		return fmt.Errorf("autotune: baseline does not compile: %w", err)
+	}
+	if s.ins, err = exec.PatternInputs(b.info, s.w.Entry); err != nil {
+		return err
+	}
+	m, traced, err := measure(s.ctx, s.w, Candidate{Mode: s.opts.BaselineMode, Blk: s.opts.BaselineBlk}, b, s.ins, s.cfg, true)
+	var wrong *wrongAnswer
+	if errors.As(err, &wrong) {
+		return fmt.Errorf("autotune: baseline computes the wrong answer: %w", wrong.err)
+	}
+	if err != nil {
+		return fmt.Errorf("autotune: baseline run: %w", err)
+	}
+	sc := getScratch() // the walk is replayed where it was matched
+	defer sc.release()
+	if _, _, err := sc.walk(b.img, s.cfg); err != nil {
+		return fmt.Errorf("autotune: baseline is not statically modelable: %w", err)
+	}
+	replayed, err := analysis.ReplayDump(sc.acts, analysis.CostsOf(s.cfg))
+	if err != nil {
+		return fmt.Errorf("autotune: baseline DAG replay: %w", err)
+	}
+	for p := range traced.Events {
+		if !slices.Equal(replayed.Events[p], traced.Events[p]) {
+			return fmt.Errorf("autotune: baseline process %d: the DAG replay's timeline disagrees with the machine's trace", p)
+		}
+	}
+	s.rep.Baseline = Baseline{
+		Mode: s.opts.BaselineMode, Blk: s.opts.BaselineBlk,
+		Measured: m.Makespan, Predicted: replayed.Makespan(),
+		Messages: m.Messages, Values: m.Values,
+	}
+	s.emit(Progress{Stage: "baseline", Makespan: m.Makespan})
+	s.emit(Progress{Stage: "enumerated", Total: len(s.cands)})
+	return nil
+}
+
+// tier2 predicts, with a sound prune, and returns how many candidates tier 1
+// modeled. The static score is a lower bound on the makespan (busy time can
+// only be stretched by waits), so replaying in static order and stopping once
+// the bound passes the best prediction is branch-and-bound, not a heuristic:
+// a pruned candidate provably cannot win. Keep forces at least that many
+// replays regardless of the bound. Only a replayed image is walked again,
+// into the profile the replay reads, once for all its twins.
+func (s *search) tier2() (int, error) {
+	modeled := indicesWhere(s.results, func(r Result) bool { return r.Status == StatusPruned })
+	s.emit(Progress{Stage: "static", Done: len(modeled), Total: len(s.cands)})
 	sort.SliceStable(modeled, func(a, b int) bool {
 		i, j := modeled[a], modeled[b]
-		if (seed[i] >= 0) != (seed[j] >= 0) {
+		if (s.seed[i] >= 0) != (s.seed[j] >= 0) {
 			// Seeded candidates replay first: the incumbent's bound is in
 			// place before anything else can be pruned against it.
-			return seed[i] >= 0
+			return s.seed[i] >= 0
 		}
-		if seed[i] != seed[j] {
-			return seed[i] < seed[j]
+		if s.seed[i] != s.seed[j] {
+			return s.seed[i] < s.seed[j]
 		}
-		if results[i].Static != results[j].Static {
-			return results[i].Static < results[j].Static
+		if s.results[i].Static != s.results[j].Static {
+			return s.results[i].Static < s.results[j].Static
 		}
-		return keys[i] < keys[j]
+		return s.keys[i] < s.keys[j]
 	})
-	best := uint64(0)
-	haveBest := false
-	type replay struct {
-		pf   *Profile
-		pred uint64
-		err  error
-	}
-	replays := map[*built]*replay{} // twins share one image, so one walk and one replay
+	best, haveBest := uint64(0), false
 	for n, i := range modeled {
-		if err := ctx.Err(); err != nil {
-			return interrupted(rep, results, err)
+		if err := s.ctx.Err(); err != nil {
+			return 0, err
 		}
-		forced := seed[i] >= 0 || keys[i] == handKey
-		if n >= opts.Keep && haveBest && results[i].Static >= best && !forced {
+		r := &s.results[i]
+		forced := s.seed[i] >= 0 || s.keys[i] == s.rep.Hand
+		if n >= s.opts.Keep && haveBest && r.Static >= best && !forced {
 			continue // provably not the winner
 		}
-		rep.Replayed++
-		pr := replays[builds[i]]
-		if pr == nil {
-			pr = &replay{}
-			if pr.pf, pr.err = profileOf(builds[i].img, cfg); pr.err == nil {
-				pr.pred, pr.err = pr.pf.Predict(cfg)
-			}
-			replays[builds[i]] = pr
-		}
-		pred, err := pr.pred, pr.err
-		if err != nil {
-			results[i].Status = StatusInfeasible
-			results[i].Note = err.Error()
+		s.rep.Replayed++
+		im := s.imgs[i]
+		if err := im.replay(s.cfg); err != nil {
+			r.Status = StatusInfeasible
+			r.Note = err.Error()
 			continue
 		}
-		results[i].Status = StatusPredicted
-		results[i].Predicted = pred
-		results[i].Messages = pr.pf.Messages
-		results[i].Values = pr.pf.Values
-		if !haveBest || pred < best {
-			best, haveBest = pred, true
+		r.Status = StatusPredicted
+		r.Predicted, r.Messages, r.Values = im.pred, im.pf.Messages, im.pf.Values
+		if !haveBest || im.pred < best {
+			best, haveBest = im.pred, true
 		}
 	}
+	return len(modeled), nil
+}
 
-	// Tier 3 selection: the TopK best-predicted, the reference, and every
-	// unmodeled candidate (the model cannot rank what it cannot walk).
-	predicted := indicesWhere(results, func(r Result) bool { return r.Status == StatusPredicted })
+// tier3 confirms on the simulated machine the TopK best-predicted
+// candidates, the reference, and every unmodeled candidate (the model cannot
+// rank what it cannot walk), one pool task per image, so that twins run it
+// once. It returns the candidates it confirmed, in order, and the error of
+// each one that failed.
+func (s *search) tier3(modeled int) ([]int, []error) {
+	predicted := indicesWhere(s.results, func(r Result) bool { return r.Status == StatusPredicted })
 	sort.SliceStable(predicted, func(a, b int) bool {
 		i, j := predicted[a], predicted[b]
-		if results[i].Predicted != results[j].Predicted {
-			return results[i].Predicted < results[j].Predicted
+		if s.results[i].Predicted != s.results[j].Predicted {
+			return s.results[i].Predicted < s.results[j].Predicted
 		}
-		return keys[i] < keys[j]
+		return s.keys[i] < s.keys[j]
 	})
-	if opts.Progress != nil {
+	if s.opts.Progress != nil {
 		top := make([]string, 0, 5)
-		for _, i := range predicted {
-			if len(top) == 5 {
-				break
-			}
-			top = append(top, keys[i])
+		for _, i := range predicted[:min(5, len(predicted))] {
+			top = append(top, s.keys[i])
 		}
-		emit(Progress{Stage: "predicted", Done: len(predicted), Total: len(modeled), Top: top})
+		s.emit(Progress{Stage: "predicted", Done: len(predicted), Total: modeled, Top: top})
 	}
-	toMeasure := map[int]bool{}
+	confirm := map[int]bool{}
 	for n, i := range predicted {
-		if n < opts.TopK || keys[i] == handKey {
-			toMeasure[i] = true
-		}
-	}
-	for i, r := range results {
-		if r.Unmodeled {
-			toMeasure[i] = true
-		}
+		confirm[i] = n < s.opts.TopK || s.keys[i] == s.rep.Hand
 	}
 	var mIdx []int
-	for i := range toMeasure {
-		mIdx = append(mIdx, i)
-	}
-	sort.Ints(mIdx)
-	if err := ctx.Err(); err != nil {
-		return interrupted(rep, results, err)
+	for i, r := range s.results {
+		if confirm[i] || r.Unmodeled {
+			mIdx = append(mIdx, i)
+		}
 	}
 
-	// Tier 3: confirm on the simulated machine, one pool task per image so
-	// that twins run it once and copy the outcome.
 	errs := make([]error, len(mIdx))
-	dumps := make([]*analysis.Dump, len(cands))
-	images := groupBy(len(mIdx), func(n int) *built { return builds[mIdx[n]] })
+	images := groupBy(len(mIdx), func(n int) *image { return s.imgs[mIdx[n]] })
 	var measuredSoFar atomic.Int64
-	forEach(ctx, len(images), opts.Workers, func(task int) {
-		var r run
+	forEach(s.ctx, len(images), s.opts.Workers, func(task int) {
 		for _, n := range images[task] {
 			i := mIdx[n]
-			m, err := safeMeasure(ctx, w, cands[i], builds[i], ins, cfg, opts.evalHook, &r, results[i].Unmodeled)
-			if err != nil {
-				errs[n] = err
+			c, r, im := s.cands[i], &s.results[i], s.imgs[i]
+			if errs[n] = s.eval("measure", c, func() error { return im.run(s, c, r.Unmodeled) }); errs[n] != nil {
 				continue
 			}
-			dumps[i] = r.d
-			results[i].Status = StatusMeasured
-			results[i].Measured = m.Makespan
-			results[i].Messages = m.Messages
-			results[i].Values = m.Values
-			emit(Progress{Stage: "measured", Candidate: keys[i],
-				Makespan: m.Makespan, Done: int(measuredSoFar.Add(1)), Total: len(mIdx)})
+			r.Status = StatusMeasured
+			r.Measured, r.Messages, r.Values = im.m.Makespan, im.m.Messages, im.m.Values
+			s.emit(Progress{Stage: "measured", Candidate: s.keys[i],
+				Makespan: im.m.Makespan, Done: int(measuredSoFar.Add(1)), Total: len(mIdx)})
 		}
 	})
-	if err := ctx.Err(); err != nil {
-		return interrupted(rep, results, err)
-	}
+	return mIdx, errs
+}
+
+// crown settles tier 3's outcome, picks the winner, quotes the reference's
+// regret and attributes the winner's makespan.
+func (s *search) crown(mIdx []int, errs []error) error {
 	for n, err := range errs {
 		if err != nil {
 			// A candidate that compiles and models but fails to run (or runs
@@ -644,150 +749,61 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 			// never a model violation: the pool isolated it, so it is just
 			// recorded and the search carries on.
 			i := mIdx[n]
-			if !results[i].Unmodeled && !errors.Is(err, ErrEvalPanic) {
-				return nil, fmt.Errorf("autotune: modeled candidate %s failed to run: %w", keys[i], err)
+			if !s.results[i].Unmodeled && !errors.Is(err, ErrEvalPanic) {
+				return fmt.Errorf("autotune: modeled candidate %s failed to run: %w", s.keys[i], err)
 			}
-			results[i].Status = StatusInfeasible
-			results[i].Note = err.Error()
+			s.results[i].Status = StatusInfeasible
+			s.results[i].Note = err.Error()
 		}
 	}
 
 	// The invariant that makes the report trustworthy: a modeled candidate's
 	// measured makespan must equal its DAG-replay prediction, cycle for cycle.
-	for _, i := range mIdx {
-		r := results[i]
-		if r.Status == StatusMeasured && !r.Unmodeled && r.Predicted != r.Measured {
-			return nil, fmt.Errorf("autotune: %s predicted %d but measured %d — the cost model is wrong",
-				keys[i], r.Predicted, r.Measured)
-		}
-	}
-
-	// Winner and regret.
 	winner, handIdx := -1, -1
 	for _, i := range mIdx {
-		r := results[i]
+		r := s.results[i]
 		if r.Status != StatusMeasured {
 			continue
 		}
-		if keys[i] == handKey {
+		if !r.Unmodeled && r.Predicted != r.Measured {
+			return fmt.Errorf("autotune: %s predicted %d but measured %d — the cost model is wrong",
+				s.keys[i], r.Predicted, r.Measured)
+		}
+		if s.keys[i] == s.rep.Hand {
 			handIdx = i
 		}
-		if winner < 0 || r.Measured < results[winner].Measured ||
-			(r.Measured == results[winner].Measured && keys[i] < keys[winner]) {
+		if winner < 0 || r.Measured < s.results[winner].Measured ||
+			(r.Measured == s.results[winner].Measured && s.keys[i] < s.keys[winner]) {
 			winner = i
 		}
 	}
 	if winner < 0 {
-		return nil, errors.New("autotune: no candidate survived to measurement")
+		return errors.New("autotune: no candidate survived to measurement")
 	}
 	if handIdx < 0 {
-		return nil, fmt.Errorf("autotune: reference candidate %s was not measurable", handKey)
+		return fmt.Errorf("autotune: reference candidate %s was not measurable", s.rep.Hand)
 	}
-	rep.Winner = keys[winner]
-	rep.Regret = results[handIdx].Measured - results[winner].Measured
+	s.rep.Winner = s.keys[winner]
+	s.rep.Regret = s.results[handIdx].Measured - s.results[winner].Measured
 
 	// The winner's critical path attributes its makespan by cause. A modeled
 	// winner's replayed timeline is its run's trace event for event — the
 	// anchor demands exactly that of the one run the search traces — so
 	// replaying its profile attributes it without running it again.
-	d := dumps[winner]
+	d := s.imgs[winner].d
 	if d == nil {
 		var err error
-		if d, err = analysis.ReplayDump(replays[builds[winner]].pf.Acts, analysis.CostsOf(cfg)); err != nil {
-			return nil, fmt.Errorf("autotune: winner replay: %w", err)
+		if d, err = analysis.ReplayDump(s.imgs[winner].pf.Acts, analysis.CostsOf(s.cfg)); err != nil {
+			return fmt.Errorf("autotune: winner replay: %w", err)
 		}
 	}
 	cp, err := d.CriticalPath()
 	if err != nil {
-		return nil, fmt.Errorf("autotune: winner attribution: %w", err)
+		return fmt.Errorf("autotune: winner attribution: %w", err)
 	}
-	rep.Attr = cp.Attr
-	emit(Progress{Stage: "winner", Candidate: rep.Winner, Makespan: results[winner].Measured})
-
-	rep.Results = orderResults(results)
-	return rep, nil
-}
-
-// walk is one stage's tier-1 outcome, which every twin sharing the stage
-// reads.
-type walk struct {
-	b      *built
-	static uint64
-	err    error
-}
-
-// model is tier 1 for one candidate of a compiled mapping: lower its stage
-// and score the image, with the worker pool's panic isolation. A candidate
-// the walk cannot decide (*ErrUnmodeled) still returns its image: tier 3
-// measures it. A stage is lowered and walked once: twins, keyed by the
-// stage's first program, read what the first of them to get past its hook
-// left in twins.
-func model(info *sem.Info, st xform.Stage, c Candidate, cfg machine.Config, hook func(string, Candidate), twins map[*spmd.Program]*walk) (b *built, static uint64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			b, static, err = nil, 0, panicAsError(c, r)
-		}
-	}()
-	if hook != nil {
-		hook("static", c)
-	}
-	if st.Err != nil {
-		_, err = lower(info, st, cfg.Procs)
-		return nil, 0, err
-	}
-	wk := twins[st.Progs[0]]
-	if wk == nil {
-		wk = &walk{}
-		if wk.b, wk.err = lower(info, st, cfg.Procs); wk.err == nil {
-			wk.static, wk.err = score(wk.b.img, cfg)
-		}
-		twins[st.Progs[0]] = wk
-	}
-	return wk.b, wk.static, wk.err
-}
-
-// anchor measures the declared program traced and checks the model against
-// it: the walked profile's replayed timeline must be the trace, event for
-// event — every compute span, message and wait of every process, so the
-// makespan and the message totals too. It returns the run inputs it built,
-// which every later run of the search shares.
-func anchor(ctx context.Context, w *Workload, cfg machine.Config, opts Options, rep *Report) (map[string]*istruct.Matrix, error) {
-	b, err := w.build(nil, opts.BaselineMode, opts.BaselineBlk, cfg.Procs)
-	if err != nil {
-		return nil, fmt.Errorf("autotune: baseline does not compile: %w", err)
-	}
-	ins, err := exec.PatternInputs(b.info, w.Entry)
-	if err != nil {
-		return nil, err
-	}
-	m, traced, err := measure(ctx, w, Candidate{Mode: opts.BaselineMode, Blk: opts.BaselineBlk}, b, ins, cfg, true)
-	var wrong *wrongAnswer
-	if errors.As(err, &wrong) {
-		return nil, fmt.Errorf("autotune: baseline computes the wrong answer: %w", wrong.err)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("autotune: baseline run: %w", err)
-	}
-	sc := getScratch() // the walk is replayed where it was matched
-	defer sc.release()
-	if _, _, err := sc.walk(b.img, cfg); err != nil {
-		return nil, fmt.Errorf("autotune: baseline is not statically modelable: %w", err)
-	}
-	replayed, err := analysis.ReplayDump(sc.acts, analysis.CostsOf(cfg))
-	if err != nil {
-		return nil, fmt.Errorf("autotune: baseline DAG replay: %w", err)
-	}
-	for p := range traced.Events {
-		if !slices.Equal(replayed.Events[p], traced.Events[p]) {
-			return nil, fmt.Errorf("autotune: baseline process %d: the DAG replay's timeline disagrees with the machine's trace", p)
-		}
-	}
-	rep.Baseline = Baseline{
-		Mode: opts.BaselineMode, Blk: opts.BaselineBlk,
-		Measured: m.Makespan, Predicted: replayed.Makespan(),
-		Messages: m.Messages, Values: m.Values,
-	}
-	return ins, nil
+	s.rep.Attr = cp.Attr
+	s.emit(Progress{Stage: "winner", Candidate: s.rep.Winner, Makespan: s.results[winner].Measured})
+	return nil
 }
 
 // groupBy partitions 0..n-1 by key, groups and members both in order of

@@ -2,14 +2,18 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/autotune"
 	"procdecomp/internal/exec"
+	"procdecomp/internal/gen"
 	"procdecomp/internal/istruct"
+	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
 	"procdecomp/internal/trace"
 	"procdecomp/internal/xform"
@@ -21,12 +25,24 @@ import (
 // process — not only the makespan, where errors off the critical path (or
 // compensating ones on it) would hide. Equal events cover each process's
 // compute cycles, its send/recv sequence (endpoint, tag, value count and
-// message number), and every wait. For every compiled variant, and the
-// reversed-loop program under every mode, × S∈{1,4,8}.
+// message number), and every wait. For every compiled variant, the
+// reversed-loop program and generated programs (gen.Program's, entry step,
+// on the pattern inputs) under every mode, × S∈{1,4,8}.
 func TestWalkMatchesRunPerProcess(t *testing.T) {
 	const n, blk = 16, 4
+	type point struct {
+		progs []*spmd.Program
+		ins   map[string]*istruct.Matrix
+	}
+	rng := rand.New(rand.NewSource(45))
+	var generated []string
+	for range 6 {
+		src, _ := gen.Program(rng)
+		generated = append(generated, src)
+	}
 	for _, procs := range []int{1, 4, 8} {
-		compiled := map[string][]*spmd.Program{}
+		compiled := map[string]point{}
+		gsIn := map[string]*istruct.Matrix{"Old": Input(n)}
 		for _, spec := range Variants() {
 			if spec.Handwritten {
 				continue
@@ -35,7 +51,7 @@ func TestWalkMatchesRunPerProcess(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s S=%d: %v", spec.Name, procs, err)
 			}
-			compiled[spec.Name] = progs
+			compiled[spec.Name] = point{progs, gsIn}
 		}
 		info, err := checkGS(GSReversedSource, procs, n)
 		if err != nil {
@@ -46,12 +62,33 @@ func TestWalkMatchesRunPerProcess(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reversed %s S=%d: %v", mode, procs, err)
 			}
-			compiled["reversed/"+mode] = progs
+			compiled["reversed/"+mode] = point{progs, gsIn}
 		}
-		for name, progs := range compiled {
+		for seed, src := range generated {
+			prog, err := lang.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, errs := sem.Check(prog, sem.Config{Procs: int64(procs)})
+			if len(errs) > 0 {
+				t.Fatalf("gen/%d S=%d: %v", seed, procs, errs[0])
+			}
+			ins, err := exec.PatternInputs(info, "step")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range xform.StandardModes() {
+				progs, err := xform.Compile(info, "step", mode, blk)
+				if err != nil {
+					t.Fatalf("gen/%d %s S=%d: %v", seed, mode, procs, err)
+				}
+				compiled[fmt.Sprintf("gen/%d/%s", seed, mode)] = point{progs, ins}
+			}
+		}
+		for name, pt := range compiled {
 			t.Run(fmt.Sprintf("%s/S=%d", name, procs), func(t *testing.T) {
 				cfg := machine.DefaultConfig(procs)
-				pf, err := autotune.BuildProfile(progs, cfg)
+				pf, err := autotune.BuildProfile(pt.progs, cfg)
 				if err != nil {
 					t.Fatalf("walk: %v", err)
 				}
@@ -61,7 +98,7 @@ func TestWalkMatchesRunPerProcess(t *testing.T) {
 				}
 				tr := trace.New()
 				cfg.Tracer = tr
-				if _, err := exec.RunSPMD(progs, cfg, map[string]*istruct.Matrix{"Old": Input(n)}); err != nil {
+				if _, err := exec.RunSPMD(pt.progs, cfg, pt.ins); err != nil {
 					t.Fatal(err)
 				}
 				traced := analysis.NewDump(cfg, tr)

@@ -131,11 +131,11 @@ type counter struct {
 	me, procs int
 }
 
-func (c *counter) Procs() int           { return c.procs }
-func (c *counter) Ops(int64)            {}
-func (c *counter) Mem(int64)            {}
-func (c *counter) LoopStep()            {}
-func (c *counter) LoopSteps(_, _ int64) {}
+func (c *counter) Procs() int      { return c.procs }
+func (c *counter) Ops(int64)       {}
+func (c *counter) Mem(int64)       {}
+func (c *counter) LoopStep()       {}
+func (c *counter) LoopSteps(int64) {}
 func (c *counter) Send(dst int, _ int64, values int) error {
 	c.tr.messages++
 	c.tr.sent[[2]int{c.me, dst}] += int64(values)

@@ -1,18 +1,17 @@
 package exec
 
 // Sink receives what an abstract run of one process charges and
-// communicates. Procs, Ops, Mem, LoopStep and LoopSteps have machine.Proc's
-// meaning; LoopSteps(n, ops) stands for n iterations of LoopStep and
-// Ops(ops). Charges are additive: between two messages a walk may deliver a
-// run of them in any grouping, as one call per kind or as LoopSteps, so a
-// Sink must depend only on their sums. Send and Recv carry the message's
+// communicates. Procs, Ops, Mem and LoopStep have machine.Proc's meaning;
+// LoopSteps(n) stands for n calls of LoopStep. Charges are additive: between
+// two messages a walk may deliver a run of them in any grouping, as one call
+// per kind or as LoopSteps, so a Sink must depend only on their sums. Send and Recv carry the message's
 // endpoint, tag and value count, and an error from either stops the walk.
 type Sink interface {
 	Procs() int
 	Ops(n int64)
 	Mem(n int64)
 	LoopStep()
-	LoopSteps(n, ops int64)
+	LoopSteps(n int64)
 	Send(dst int, tag int64, values int) error
 	Recv(src int, tag int64, values int) error
 }

@@ -203,10 +203,7 @@ func (t *tape) Ops(n int64) { t.ops += n }
 func (t *tape) Mem(n int64) { t.mem += n }
 func (t *tape) LoopStep()   { t.steps++ }
 
-func (t *tape) LoopSteps(n, ops int64) {
-	t.steps += n
-	t.ops += n * ops
-}
+func (t *tape) LoopSteps(n int64) { t.steps += n }
 
 // A tape refuses no message: the Sink it is played into decides.
 func (t *tape) Send(dst int, tag int64, values int) error { return t.message(false, dst, tag, values) }
@@ -395,6 +392,6 @@ func charge(sink Sink, ops, mem, steps int64) {
 		sink.Mem(mem)
 	}
 	if steps != 0 {
-		sink.LoopSteps(steps, 0)
+		sink.LoopSteps(steps)
 	}
 }

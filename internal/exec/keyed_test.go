@@ -374,7 +374,7 @@ func (c *callCounter) Procs() int                 { return c.procs }
 func (c *callCounter) Ops(int64)                  { c.calls++ }
 func (c *callCounter) Mem(int64)                  { c.calls++ }
 func (c *callCounter) LoopStep()                  { c.calls++ }
-func (c *callCounter) LoopSteps(int64, int64)     { c.calls++ }
+func (c *callCounter) LoopSteps(int64)            { c.calls++ }
 func (c *callCounter) Send(int, int64, int) error { c.calls++; c.msgs++; return nil }
 func (c *callCounter) Recv(int, int64, int) error { c.calls++; c.msgs++; return nil }
 

@@ -37,11 +37,11 @@ type recorder struct {
 	refuse int
 }
 
-func (r *recorder) Procs() int             { return r.procs }
-func (r *recorder) Ops(n int64)            { r.log = append(r.log, 1, n) }
-func (r *recorder) Mem(n int64)            { r.log = append(r.log, 2, n) }
-func (r *recorder) LoopStep()              { r.log = append(r.log, 3) }
-func (r *recorder) LoopSteps(n, ops int64) { r.log = append(r.log, 6, n, ops) }
+func (r *recorder) Procs() int        { return r.procs }
+func (r *recorder) Ops(n int64)       { r.log = append(r.log, 1, n) }
+func (r *recorder) Mem(n int64)       { r.log = append(r.log, 2, n) }
+func (r *recorder) LoopStep()         { r.log = append(r.log, 3) }
+func (r *recorder) LoopSteps(n int64) { r.log = append(r.log, 6, n) }
 func (r *recorder) Send(dst int, tag int64, values int) error {
 	if len(r.sends)+1 == r.refuse {
 		return fmt.Errorf("send %d refused", r.refuse)
@@ -261,8 +261,7 @@ func (r *recorder) spans() []int64 {
 			i++
 		case 6:
 			steps += r.log[i+1]
-			ops += r.log[i+1] * r.log[i+2]
-			i += 3
+			i += 2
 		default: // a message: kind, peer, tag, values
 			flush()
 			out = append(out, r.log[i:i+4]...)
@@ -348,7 +347,7 @@ func walksAlike(t *testing.T, name string, im, ctl *exec.Image, procs int, c con
 // calls counts the Sink calls r was handed: its log holds each call as its
 // kind (1 Ops, 2 Mem, 3 LoopStep, 4 Send, 5 Recv, 6 LoopSteps) and arguments.
 func (r *recorder) calls() (n int) {
-	for i := 0; i < len(r.log); i += [...]int{1: 2, 2: 2, 3: 1, 4: 4, 5: 4, 6: 3}[r.log[i]] {
+	for i := 0; i < len(r.log); i += [...]int{1: 2, 2: 2, 3: 1, 4: 4, 5: 4, 6: 2}[r.log[i]] {
 		n++
 	}
 	return n

@@ -111,7 +111,7 @@ func (s nullSink) Procs() int               { return s.procs }
 func (nullSink) Ops(int64)                  {}
 func (nullSink) Mem(int64)                  {}
 func (nullSink) LoopStep()                  {}
-func (nullSink) LoopSteps(int64, int64)     {}
+func (nullSink) LoopSteps(int64)            {}
 func (nullSink) Send(int, int64, int) error { return nil }
 func (nullSink) Recv(int, int64, int) error { return nil }
 

@@ -1,50 +1,15 @@
 package lang
 
-// Deep-copy and substitution utilities over the AST. The semantic analyzer
-// uses them to monomorphize mapping-polymorphic procedures (§5.1), and the
-// compile-time resolution inliner uses them to apply a participants function
-// symbolically to the actual parameters of a call (§3.2).
+// Deep-copy utilities over the AST. The semantic analyzer uses them, with a
+// substitution of mapping annotations, to monomorphize mapping-polymorphic
+// procedures (§5.1); autotune uses CloneProgram to retarget a private copy of
+// a parsed program.
 
-// Subst rewrites identifiers and mapping annotations during cloning.
+// Subst rewrites mapping annotations during cloning.
 type Subst struct {
-	// Vars maps identifier names to replacement expressions (for inlining
-	// actual parameters and renaming locals).
-	Vars map[string]Expr
-	// Arrays renames array identifiers (array actuals must be names).
-	Arrays map[string]string
 	// Maps replaces named mapping annotations (for dist-parameter
 	// instantiation).
 	Maps map[string]*MapExpr
-	// Procs renames procedure call targets.
-	Procs map[string]string
-}
-
-func (s *Subst) varRepl(name string) (Expr, bool) {
-	if s == nil || s.Vars == nil {
-		return nil, false
-	}
-	e, ok := s.Vars[name]
-	return e, ok
-}
-
-func (s *Subst) arrayRepl(name string) string {
-	if s == nil || s.Arrays == nil {
-		return name
-	}
-	if r, ok := s.Arrays[name]; ok {
-		return r
-	}
-	return name
-}
-
-func (s *Subst) procRepl(name string) string {
-	if s == nil || s.Procs == nil {
-		return name
-	}
-	if r, ok := s.Procs[name]; ok {
-		return r
-	}
-	return name
 }
 
 func (s *Subst) mapRepl(m *MapExpr) (*MapExpr, bool) {
@@ -65,13 +30,10 @@ func CloneExpr(e Expr, s *Subst) Expr {
 		c := *e
 		return &c
 	case *VarRef:
-		if r, ok := s.varRepl(e.Name); ok {
-			return CloneExpr(r, nil) // fresh copy of the replacement
-		}
 		c := *e
 		return &c
 	case *IndexExpr:
-		c := &IndexExpr{Pos: e.Pos, Array: s.arrayRepl(e.Array)}
+		c := &IndexExpr{Pos: e.Pos, Array: e.Array}
 		for _, ix := range e.Indices {
 			c.Indices = append(c.Indices, CloneExpr(ix, s))
 		}
@@ -81,7 +43,7 @@ func CloneExpr(e Expr, s *Subst) Expr {
 	case *UnExpr:
 		return &UnExpr{Pos: e.Pos, Op: e.Op, X: CloneExpr(e.X, s)}
 	case *CallExpr:
-		c := &CallExpr{Pos: e.Pos, Name: s.procRepl(e.Name)}
+		c := &CallExpr{Pos: e.Pos, Name: e.Name}
 		for i := range e.DistArgs {
 			c.DistArgs = append(c.DistArgs, *CloneMap(&e.DistArgs[i], s))
 		}
@@ -141,34 +103,22 @@ func CloneBlock(b *Block, s *Subst) *Block {
 	return c
 }
 
-// CloneStmt deep-copies a statement, applying the substitution. Binding
-// occurrences (let names, loop variables, assignment targets) are renamed
-// when the substitution maps them to a VarRef; mapping them to any other
-// expression is a misuse and panics.
+// CloneStmt deep-copies a statement, applying the substitution.
 func CloneStmt(st Stmt, s *Subst) Stmt {
-	bindName := func(name string) string {
-		if r, ok := s.varRepl(name); ok {
-			if v, isVar := r.(*VarRef); isVar {
-				return v.Name
-			}
-			panic("lang: CloneStmt: binding occurrence substituted by non-variable")
-		}
-		return name
-	}
 	switch st := st.(type) {
 	case *LetStmt:
-		return &LetStmt{Pos: st.Pos, Name: bindName(st.Name),
+		return &LetStmt{Pos: st.Pos, Name: st.Name,
 			Type: CloneType(st.Type, s), Map: CloneMap(st.Map, s), Init: CloneExpr(st.Init, s)}
 	case *AssignStmt:
-		return &AssignStmt{Pos: st.Pos, Name: bindName(st.Name), Value: CloneExpr(st.Value, s)}
+		return &AssignStmt{Pos: st.Pos, Name: st.Name, Value: CloneExpr(st.Value, s)}
 	case *StoreStmt:
-		c := &StoreStmt{Pos: st.Pos, Array: s.arrayRepl(st.Array), Value: CloneExpr(st.Value, s)}
+		c := &StoreStmt{Pos: st.Pos, Array: st.Array, Value: CloneExpr(st.Value, s)}
 		for _, ix := range st.Indices {
 			c.Indices = append(c.Indices, CloneExpr(ix, s))
 		}
 		return c
 	case *ForStmt:
-		c := &ForStmt{Pos: st.Pos, Var: bindName(st.Var),
+		c := &ForStmt{Pos: st.Pos, Var: st.Var,
 			Lo: CloneExpr(st.Lo, s), Hi: CloneExpr(st.Hi, s)}
 		if st.Step != nil {
 			c.Step = CloneExpr(st.Step, s)
@@ -179,7 +129,7 @@ func CloneStmt(st Stmt, s *Subst) Stmt {
 		return &IfStmt{Pos: st.Pos, Cond: CloneExpr(st.Cond, s),
 			Then: CloneBlock(st.Then, s), Else: CloneBlock(st.Else, s)}
 	case *CallStmt:
-		c := &CallStmt{Pos: st.Pos, Name: s.procRepl(st.Name)}
+		c := &CallStmt{Pos: st.Pos, Name: st.Name}
 		for i := range st.DistArgs {
 			c.DistArgs = append(c.DistArgs, *CloneMap(&st.DistArgs[i], s))
 		}
