@@ -38,15 +38,20 @@ func ParseMapping(s string) (Mapping, error) {
 			args = append(args, v)
 		}
 	}
-	m := Mapping{Kind: k}
-	switch {
-	case len(args) == 0 && k.Arity() == 1: // no span given: Span stays 0
-	case len(args) != k.Arity():
+	if len(args) != k.Arity() && !(len(args) == 0 && k.Arity() == 1) { // no span given: Span stays 0
 		return Mapping{}, fmt.Errorf("autotune: mapping %q: %s takes %d parameter(s)", s, k, k.Arity())
-	case len(args) == 1:
-		m.Span = args[0]
-	case len(args) == 2:
-		m.PR, m.PC = args[0], args[1]
 	}
-	return m, nil
+	return mappingOf(k, args), nil
+}
+
+// mappingOf is family k with its declaration's parameters args: the span,
+// the grid, or none.
+func mappingOf(k dist.Kind, args []int64) Mapping {
+	m := Mapping{Kind: k}
+	if len(args) == 2 {
+		m.PR, m.PC = args[0], args[1]
+	} else if len(args) == 1 {
+		m.Span = args[0]
+	}
+	return m
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"procdecomp/internal/analysis"
-	"procdecomp/internal/dist"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
@@ -248,12 +247,6 @@ func measure(ctx context.Context, w *Workload, c Candidate, b *built, ins map[st
 	return m, nil, nil
 }
 
-// DefaultHand is the paper's hand-chosen mapping for a machine of the given
-// size: cyclic columns across every processor, fully optimized, block size 8.
-func DefaultHand(procs int) Candidate {
-	return Candidate{Mapping: Mapping{Kind: dist.KindCyclicCols, Span: int64(procs)}, Mode: "opt3", Blk: 8}
-}
-
 // forEach runs f(0..n-1) on a bounded worker pool. Callers write results by
 // index, so scheduling order never leaks into the output. Once ctx is done it
 // hands out no more indices; the calls already running finish.
@@ -328,8 +321,16 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	}
 	s := &search{ctx: ctx, w: w, cfg: cfg, opts: opts,
 		rep: &Report{Workload: w.Name, Procs: cfg.Procs, Defines: w.Defines}}
-	s.enumerate()
-	anchorErr := s.tier1()
+	// The program as declared: the anchor compiles it, and its mapping is
+	// the default reference.
+	declared, _, err := w.compileAll(nil, nil, cfg.Procs)
+	if err != nil {
+		return nil, fmt.Errorf("autotune: baseline does not compile: %w", err)
+	}
+	if err := s.enumerate(declared); err != nil {
+		return nil, err
+	}
+	anchorErr := s.tier1(declared)
 	if err := ctx.Err(); err != nil {
 		// A mapping never handed out has no results to report.
 		s.results = slices.DeleteFunc(s.results, func(r Result) bool { return r == Result{} })
@@ -461,14 +462,19 @@ func (s *search) interrupted(err error) (*Report, error) {
 	return s.rep, fmt.Errorf("autotune: search interrupted: %w", err)
 }
 
-// enumerate lists the space's candidates, forcing the hand-chosen reference
-// in so the winner is never worse than it, and each seeded mapping, expanded
-// across the space's pipeline points, with its rank, so tier 2 replays it
-// first.
-func (s *search) enumerate() {
-	hand := DefaultHand(s.cfg.Procs)
-	if s.opts.Hand != nil {
-		hand = *s.opts.Hand
+// enumerate lists the space's candidates, forcing the reference in so the
+// winner is never worse than it, and each seeded mapping, expanded across the
+// space's pipeline points, with its rank, so tier 2 replays it first. The
+// reference is Options.Hand, or else the mapping the checked declared program
+// binds to the workload's dist declaration, at opt3 with block size 8.
+func (s *search) enumerate(declared *sem.Info) error {
+	hand := s.opts.Hand
+	if hand == nil {
+		d, ok := declared.Decomps[s.w.Dist]
+		if !ok {
+			return fmt.Errorf("autotune: the program maps nothing by dist %s", s.w.Dist)
+		}
+		hand = &Candidate{Mapping: mappingOf(d.Kind, d.Args), Mode: "opt3", Blk: 8}
 	}
 	s.rep.Hand = hand.Key()
 	s.cands, s.keys = s.opts.Space.enumerate(s.cfg.Procs)
@@ -478,7 +484,7 @@ func (s *search) enumerate() {
 			s.cands, s.keys = slices.Insert(s.cands, at, c), slices.Insert(s.keys, at, key)
 		}
 	}
-	force(hand, s.rep.Hand)
+	force(*hand, s.rep.Hand)
 	seedRank := map[string]int{}
 	for _, m := range s.opts.Seed {
 		if err := m.Validate(int64(s.cfg.Procs)); err != nil {
@@ -498,6 +504,7 @@ func (s *search) enumerate() {
 	for i, key := range s.keys {
 		s.seed[i] = seedRank[key] - 1
 	}
+	return nil
 }
 
 // tier1 compiles and walks everything, one mapping per pool task (see
@@ -510,7 +517,7 @@ func (s *search) enumerate() {
 // event for event, before the model is trusted anywhere else. If it fails,
 // the mappings' work is discarded; a panic in it is held until the pool
 // drains and then raised on the caller's goroutine.
-func (s *search) tier1() error {
+func (s *search) tier1(declared *sem.Info) error {
 	s.results = make([]Result, len(s.cands))
 	s.imgs = make([]*image, len(s.cands))
 	groups := groupBy(len(s.cands), func(i int) Mapping { return s.cands[i].Mapping })
@@ -522,7 +529,7 @@ func (s *search) tier1() error {
 			return
 		}
 		defer func() { anchorPanic = recover() }()
-		anchorErr = s.anchor()
+		anchorErr = s.anchor(declared)
 	})
 	if anchorPanic != nil {
 		panic(anchorPanic)
@@ -593,18 +600,19 @@ func (s *search) mapping(idx []int) {
 // event — every compute span, message and wait of every process, so the
 // makespan and the message totals too. The run inputs it builds are the ones
 // every later run of the search shares.
-func (s *search) anchor() error {
+func (s *search) anchor(declared *sem.Info) error {
+	c := Candidate{Mode: s.opts.BaselineMode, Blk: s.opts.BaselineBlk}
 	if s.opts.evalHook != nil {
-		s.opts.evalHook("anchor", Candidate{Mode: s.opts.BaselineMode, Blk: s.opts.BaselineBlk})
+		s.opts.evalHook("anchor", c)
 	}
-	b, err := s.w.build(nil, s.opts.BaselineMode, s.opts.BaselineBlk, s.cfg.Procs)
+	b, err := lower(declared, xform.CompileAll(declared, s.w.Entry, []xform.Point{{Mode: c.Mode, Blk: c.Blk}})[0], s.cfg.Procs)
 	if err != nil {
 		return fmt.Errorf("autotune: baseline does not compile: %w", err)
 	}
 	if s.ins, err = exec.PatternInputs(b.info, s.w.Entry); err != nil {
 		return err
 	}
-	m, traced, err := measure(s.ctx, s.w, Candidate{Mode: s.opts.BaselineMode, Blk: s.opts.BaselineBlk}, b, s.ins, s.cfg, true)
+	m, traced, err := measure(s.ctx, s.w, c, b, s.ins, s.cfg, true)
 	var wrong *wrongAnswer
 	if errors.As(err, &wrong) {
 		return fmt.Errorf("autotune: baseline computes the wrong answer: %w", wrong.err)

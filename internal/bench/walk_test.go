@@ -1,22 +1,18 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"math/rand"
+	"path"
 	"slices"
 	"testing"
 
 	"procdecomp/internal/analysis"
 	"procdecomp/internal/autotune"
-	"procdecomp/internal/exec"
 	"procdecomp/internal/gen"
-	"procdecomp/internal/istruct"
-	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
-	"procdecomp/internal/sem"
-	"procdecomp/internal/spmd"
 	"procdecomp/internal/trace"
-	"procdecomp/internal/xform"
 )
 
 // The abstract run and the real run are one stepper over two domains, and
@@ -25,70 +21,51 @@ import (
 // process — not only the makespan, where errors off the critical path (or
 // compensating ones on it) would hide. Equal events cover each process's
 // compute cycles, its send/recv sequence (endpoint, tag, value count and
-// message number), and every wait. For every compiled variant, the
-// reversed-loop program and generated programs (gen.Program's, entry step,
-// on the pattern inputs) under every mode, × S∈{1,4,8}.
+// message number), and every wait. For every case of gen's corpus and the
+// compiled Fig. 1 program and its reversed-loop variant at N=16, blk 4, S ∈
+// {1, 4, 8}, at every pipeline point.
+//
+// Domain: the identity is the direct-mode machine's, so a multiplexed case is
+// checked on its direct-mode machine, and it holds wherever the walk
+// succeeds. A case that branches on an element value (gen.Case.StopsWalk)
+// is outside it; its walks must stop, and no other case's may.
 func TestWalkMatchesRunPerProcess(t *testing.T) {
-	const n, blk = 16, 4
-	type point struct {
-		progs []*spmd.Program
-		ins   map[string]*istruct.Matrix
+	corpus, err := gen.CompiledCorpus()
+	if err != nil {
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(45))
-	var generated []string
-	for range 6 {
-		src, _ := gen.Program(rng)
-		generated = append(generated, src)
-	}
+	var cases []*gen.Compiled
 	for _, procs := range []int{1, 4, 8} {
-		compiled := map[string]point{}
-		gsIn := map[string]*istruct.Matrix{"Old": Input(n)}
-		for _, spec := range Variants() {
-			if spec.Handwritten {
-				continue
-			}
-			progs, err := CompileGS(spec.Variant, procs, n, blk)
-			if err != nil {
-				t.Fatalf("%s S=%d: %v", spec.Name, procs, err)
-			}
-			compiled[spec.Name] = point{progs, gsIn}
-		}
-		info, err := checkGS(GSReversedSource, procs, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range xform.StandardModes() {
-			progs, err := xform.Compile(info, "gs_iteration", mode, blk)
-			if err != nil {
-				t.Fatalf("reversed %s S=%d: %v", mode, procs, err)
-			}
-			compiled["reversed/"+mode] = point{progs, gsIn}
-		}
-		for seed, src := range generated {
-			prog, err := lang.Parse(src)
+		for _, c := range []gen.Case{{Src: GSSource}, {Name: "reversed", Src: GSReversedSource}} {
+			c.Entry, c.Procs, c.Blk, c.Defines = "gs_iteration", procs, 4, map[string]int64{"N": 16}
+			cc, err := gen.Compile(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			info, errs := sem.Check(prog, sem.Config{Procs: int64(procs)})
-			if len(errs) > 0 {
-				t.Fatalf("gen/%d S=%d: %v", seed, procs, errs[0])
-			}
-			ins, err := exec.PatternInputs(info, "step")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range xform.StandardModes() {
-				progs, err := xform.Compile(info, "step", mode, blk)
-				if err != nil {
-					t.Fatalf("gen/%d %s S=%d: %v", seed, mode, procs, err)
+			cases = append(cases, cc)
+		}
+	}
+	cases = append(slices.Clip(corpus), cases...)
+	images, outside := 0, 0
+	for _, c := range cases {
+		for i, pt := range c.Points {
+			t.Run(path.Join(c.Name, pt.Mode, fmt.Sprintf("S=%d", c.Procs)), func(t *testing.T) {
+				if k := c.First[i]; k != i {
+					t.Logf("the image of %s", gen.Label(c.Points[k]))
+					return
 				}
-				compiled[fmt.Sprintf("gen/%d/%s", seed, mode)] = point{progs, ins}
-			}
-		}
-		for name, pt := range compiled {
-			t.Run(fmt.Sprintf("%s/S=%d", name, procs), func(t *testing.T) {
-				cfg := machine.DefaultConfig(procs)
-				pf, err := autotune.BuildProfile(pt.progs, cfg)
+				images++
+				cfg := machine.DefaultConfig(c.Procs)
+				pf, err := autotune.BuildProfile(c.Stages[i].Progs, cfg)
+				var um *autotune.ErrUnmodeled
+				if c.StopsWalk && errors.As(err, &um) {
+					outside++
+					t.Logf("outside the domain: %v", err)
+					return
+				}
+				if c.StopsWalk {
+					t.Fatalf("branches on an element value, and the walk gave %v, not an unmodeled program", err)
+				}
 				if err != nil {
 					t.Fatalf("walk: %v", err)
 				}
@@ -98,20 +75,24 @@ func TestWalkMatchesRunPerProcess(t *testing.T) {
 				}
 				tr := trace.New()
 				cfg.Tracer = tr
-				if _, err := exec.RunSPMD(pt.progs, cfg, pt.ins); err != nil {
+				if _, err := c.Images[i].Run(context.Background(), cfg, c.Inputs); err != nil {
 					t.Fatal(err)
 				}
 				traced := analysis.NewDump(cfg, tr)
-				for p := range procs {
+				for p := range c.Procs {
 					// slices.Equal: a process with no events is nil in the
 					// log and empty in the replay.
 					if !slices.Equal(replayed.Events[p], traced.Events[p]) {
-						t.Errorf("process %d: replayed %d events, traced %d; first difference at %d",
-							p, len(replayed.Events[p]), len(traced.Events[p]), firstDiff(replayed.Events[p], traced.Events[p]))
+						t.Errorf("process %d: replayed %d events, traced %d; first difference at %d\n%s",
+							p, len(replayed.Events[p]), len(traced.Events[p]), firstDiff(replayed.Events[p], traced.Events[p]), c.Src)
 					}
 				}
 			})
 		}
+	}
+	t.Logf("%d cases, %d distinct images, %d of them outside the domain", len(cases), images, outside)
+	if outside == 0 {
+		t.Error("no walk stopped: the corpus has lost its branches on element values")
 	}
 }
 

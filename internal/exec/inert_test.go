@@ -8,28 +8,28 @@ import (
 	"testing"
 
 	"procdecomp/internal/autotune"
-	"procdecomp/internal/bench"
 	"procdecomp/internal/dist"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/expr"
 	"procdecomp/internal/faults"
-	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
+	"procdecomp/internal/xform"
 )
 
 // Uniform loops on the machine (run.go's tape). A uniform keyed loop whose
 // first iteration gives this process no role is charged in one call for the
 // rest. That must change how often the host steps and nothing else:
-// TestInertLoopsAreInvisible holds every observable of the memo corpus to the
-// same images without keys, the edge cases pin the rule one row at a time,
-// and the host-work pin holds what the bulk charge buys.
+// TestInertLoopsAreInvisible holds every observable of the differential corpus
+// to the same images without keys, the edge cases pin the rule one row at a
+// time, and the host-work pin holds what the bulk charge buys.
 
-// The memo corpus, generated programs included, walks, runs, traces, fails
-// and gathers alike with and without keys, and its runs charge loops in bulk.
+// The differential corpus, gen's corpus included, walks, runs, traces,
+// fails and gathers alike with and without keys, and its runs charge loops in
+// bulk.
 func TestInertLoopsAreInvisible(t *testing.T) {
-	if bulk := differAll(t, noKeys); bulk == 0 {
+	if sw := invisible(t, noKeys); sw.bulk == 0 {
 		t.Error("no run charged a loop in bulk")
 	}
 }
@@ -47,17 +47,8 @@ func runBoth(t *testing.T, body ...spmd.Stmt) ([]int, [2]int64, string) {
 	}
 	cfg := machine.DefaultConfig(2)
 	oa, ta, ea := tracedRun(im, cfg, nil)
-	ob, tb, eb := tracedRun(im.WithoutKeys(), cfg, nil)
-	if errText(ea) != errText(eb) {
-		t.Fatalf("run error with keys %q, without %q", errText(ea), errText(eb))
-	}
-	for q := range 2 {
-		if !slices.Equal(ta.Events(q), tb.Events(q)) {
-			t.Fatalf("process %d traces differently with and without keys", q)
-		}
-	}
-	if ea == nil {
-		sameOutcome(t, "without keys", oa, ob)
+	if err := sameRun(oa, ta, ea, im.WithoutKeys(), cfg, nil); err != nil {
+		t.Fatalf("without keys: %v", err)
 	}
 	charges, err := im.RunCharges(cfg, nil)
 	if errText(err) != errText(ea) {
@@ -156,22 +147,15 @@ func TestInertLoopsChargeInLinearHostWork(t *testing.T) {
 	const procs, idle = 32, 31
 	m := autotune.Mapping{Kind: dist.KindCyclicCols, Span: 16}
 	calls := func(n int64, undo bool) int64 {
-		info, progs, err := compile(bench.GSSource, "gs_iteration", procs, map[string]int64{"N": n}, &m, "rtr", 0)
+		c, err := compileGS(procs, n, &m, xform.Point{Mode: "rtr"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ins, err := exec.PatternInputs(info, "gs_iteration")
-		if err != nil {
-			t.Fatal(err)
-		}
-		im, err := exec.LowerAll(progs, procs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		im := c.Images[0]
 		if undo {
 			im = im.WithoutKeys()
 		}
-		charges, err := im.RunCharges(machine.DefaultConfig(procs), ins)
+		charges, err := im.RunCharges(machine.DefaultConfig(procs), c.Inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,11 +176,7 @@ func TestInertLoopsChargeInLinearHostWork(t *testing.T) {
 // A host cancellation still lands while processes charge loops in bulk: the
 // bulk charge is a Compute, the machine's cancellation point.
 func TestInertStretchHonoursCancel(t *testing.T) {
-	progs, err := bench.CompileGS(bench.RunTime, 32, 256, bench.DefaultBlk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := exec.LowerAll(progs, 32)
+	gs, err := compileGS(32, 256, nil, xform.Point{Mode: "rtr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +185,7 @@ func TestInertStretchHonoursCancel(t *testing.T) {
 	var once sync.Once
 	cfg := machine.DefaultConfig(32)
 	cfg.Heartbeat = func(machine.Cost) { once.Do(cancel) }
-	_, err = im.Run(ctx, cfg, map[string]*istruct.Matrix{"Old": bench.Input(256)})
+	_, err = gs.Images[0].Run(ctx, cfg, gs.Inputs)
 	if !errors.Is(err, machine.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want one wrapping machine.ErrCanceled and context.Canceled", err)
 	}
@@ -260,29 +240,16 @@ func TestInertLoopsUnderFaults(t *testing.T) {
 		}
 	}
 
-	progs, err := bench.CompileGS(bench.RunTime, procs, 16, bench.DefaultBlk)
+	gs, err := compileGS(procs, 16, nil, xform.Point{Mode: "rtr"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, err := exec.LowerAll(progs, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := map[string]*istruct.Matrix{"Old": bench.Input(16)}
+	im, ins := gs.Images[0], gs.Inputs
 	failed := 0
 	for name, cfg := range cfgs {
 		oa, ta, ea := tracedRun(im, cfg, ins)
-		ob, tb, eb := tracedRun(im.WithoutKeys(), cfg, ins)
-		if errText(ea) != errText(eb) {
-			t.Fatalf("%s: run error with keys %q, without %q", name, errText(ea), errText(eb))
-		}
-		if !slices.Equal(ta.WireEvents(), tb.WireEvents()) {
-			t.Errorf("%s: wire events differ with and without keys", name)
-		}
-		for p := 0; p < procs; p++ {
-			if !slices.Equal(ta.Events(p), tb.Events(p)) {
-				t.Errorf("%s: process %d traces differently with and without keys", name, p)
-			}
+		if err := sameRun(oa, ta, ea, im.WithoutKeys(), cfg, ins); err != nil {
+			t.Errorf("%s without keys: %v", name, err)
 		}
 		charges, _ := im.RunCharges(cfg, ins)
 		for p, c := range charges {
@@ -292,9 +259,7 @@ func TestInertLoopsUnderFaults(t *testing.T) {
 		}
 		if ea != nil {
 			failed++
-			continue
 		}
-		sameOutcome(t, name+" without keys", oa, ob)
 	}
 	if charges, err := im.RunCharges(machine.DefaultConfig(procs), ins); err != nil || charges[procs-1].Bulk == 0 {
 		t.Errorf("plain: charges %v, error %v; want process %d to charge some loops in bulk", charges, err, procs-1)

@@ -10,9 +10,9 @@ import (
 	"procdecomp/internal/dist"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/expr"
+	"procdecomp/internal/gen"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
-	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
 	"procdecomp/internal/xform"
 )
@@ -28,12 +28,15 @@ import (
 // Jacobi at S ∈ {2, 3, 4, 8} and N ∈ {16, 24, 29, 37} (odd N and S=3 give
 // ragged blocks) walks alike with and without keys: span for span, the view a
 // matched profile is built from, and with the same error text. The keys save
-// Sink calls. The memo corpus is held to the same control, runs included, by
-// TestInertLoopsAreInvisible.
+// Sink calls. The differential corpus is held to the same control, runs
+// included, by TestInertLoopsAreInvisible.
 func TestKeyedLoopsAreInvisible(t *testing.T) {
 	images, walks, calls := 0, 0, [2]int{}
-	eachSearchedImage(t, func(name string, im *exec.Image, procs int) {
-		c := walksAlike(t, name, im, im.WithoutKeys(), procs, noKeys)
+	eachSearchedImage(func(name string, im *exec.Image, procs int) {
+		c, _, err := walksAlike(im, im.WithoutKeys(), procs, noKeys)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		images++
 		walks += procs
 		calls[0] += c[0]
@@ -53,61 +56,53 @@ func TestKeyedLoopsAreInvisible(t *testing.T) {
 // {16, 24, 29, 37}: the program as declared at ctr, and each candidate of the
 // default space, compiled once per mapping at all of its points, twins
 // (points sharing programs) once.
-func eachSearchedImage(t *testing.T, f func(name string, im *exec.Image, procs int)) {
-	t.Helper()
-	type workload struct {
-		name, src, entry, dist string
-		defines                map[string]int64
-	}
-	var workloads []workload
-	for _, n := range []int64{16, 24, 29, 37} {
-		defines := map[string]int64{"N": n}
-		workloads = append(workloads,
-			workload{fmt.Sprintf("gauss-seidel N=%d", n), bench.GSSource, "gs_iteration", "Column", defines},
-			workload{fmt.Sprintf("gs-reversed N=%d", n), bench.GSReversedSource, "gs_iteration", "Column", defines},
-			workload{fmt.Sprintf("jacobi N=%d", n), jacobiSource, "jacobi", "D", defines})
-	}
+func eachSearchedImage(f func(name string, im *exec.Image, procs int)) {
 	for _, procs := range []int{2, 3, 4, 8} {
-		for _, w := range workloads {
-			walk := func(mapping string, m *autotune.Mapping, points []xform.Point) {
-				prog, err := lang.Parse(w.src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m != nil && autotune.Retarget(prog, w.dist, *m) != nil {
-					return
-				}
-				info, errs := sem.Check(prog, sem.Config{Procs: int64(procs), Defines: w.defines})
-				if len(errs) > 0 {
-					return
-				}
-				walked := map[*spmd.Program]bool{}
-				for k, st := range xform.CompileAll(info, w.entry, points) {
-					if st.Err != nil || walked[st.Progs[0]] {
-						continue
-					}
-					walked[st.Progs[0]] = true
-					im, err := exec.LowerAll(st.Progs, procs)
+		for _, n := range []int64{16, 24, 29, 37} {
+			for _, w := range []struct {
+				gen.Case
+				dist string
+			}{
+				{gen.Case{Name: "gauss-seidel", Src: bench.GSSource, Entry: "gs_iteration"}, "Column"},
+				{gen.Case{Name: "gs-reversed", Src: bench.GSReversedSource, Entry: "gs_iteration"}, "Column"},
+				{gen.Case{Name: "jacobi", Src: jacobiSource, Entry: "jacobi"}, "D"},
+			} {
+				w.Name, w.Procs, w.Defines = fmt.Sprintf("%s N=%d S=%d", w.Name, n, procs), procs, map[string]int64{"N": n}
+				declared := w.Case
+				declared.Name, declared.Points = w.Name+" declared", []xform.Point{{Mode: "ctr"}}
+				for _, c := range append([]gen.Case{declared}, candidates(w.Case, w.dist)...) {
+					cc, err := gen.Compile(c)
 					if err != nil {
-						t.Fatal(err)
+						continue // a mapping this machine cannot take
 					}
-					f(fmt.Sprintf("%s S=%d %s/%s/blk%d", w.name, procs, mapping, points[k].Mode, points[k].Blk), im, procs)
+					for k, im := range cc.Images {
+						if im != nil && cc.First[k] == k {
+							f(c.Name+" "+gen.Label(c.Points[k]), im, procs)
+						}
+					}
 				}
-			}
-			walk("declared", nil, []xform.Point{{Mode: "ctr"}})
-			// Enumerate sorts by key, which starts with the mapping: each
-			// mapping's candidates are consecutive.
-			cands := autotune.Space{}.Enumerate(procs)
-			for i := 0; i < len(cands); {
-				m := cands[i].Mapping
-				var points []xform.Point
-				for ; i < len(cands) && cands[i].Mapping == m; i++ {
-					points = append(points, xform.Point{Mode: cands[i].Mode, Blk: cands[i].Blk})
-				}
-				walk(m.String(), &m, points)
 			}
 		}
 	}
+}
+
+// candidates is one case per mapping of the default search space on
+// base.Procs processes: base retargeted to the mapping through its dist
+// declaration dist, at the points of that mapping's candidates. Enumerate
+// sorts by key, which starts with the mapping: each mapping's candidates are
+// consecutive.
+func candidates(base gen.Case, dist string) []gen.Case {
+	var out []gen.Case
+	cands := autotune.Space{}.Enumerate(base.Procs)
+	for i := 0; i < len(cands); {
+		c, m := base, cands[i].Mapping
+		c.Name, c.Retarget, c.Points = base.Name+" "+m.String(), func(p *lang.Program) error { return autotune.Retarget(p, dist, m) }, nil
+		for ; i < len(cands) && cands[i].Mapping == m; i++ {
+			c.Points = append(c.Points, xform.Point{Mode: cands[i].Mode, Blk: cands[i].Blk})
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // tapeBoth walks process me of a one-statement-list program on two processes
@@ -385,29 +380,7 @@ func (c *callCounter) Recv(int, int64, int) error { c.calls++; c.msgs++; return 
 // charges. Stepped, a block costs charges in proportion to its N/4 rows, and
 // the walk's charges grow quadratically.
 func TestUniformLoopsChargeInLinearHostWork(t *testing.T) {
-	const procs, me = 4, 1
-	charges := func(n int64, undo bool) int {
-		_, progs, err := compile(bench.GSSource, "gs_iteration", procs, map[string]int64{"N": n}, nil, "opt3", n/4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		low := exec.Lower(progs[me])
-		if undo {
-			low = exec.WithoutKeys(low)
-		}
-		c := &callCounter{procs: procs}
-		if err := low.Walk(me, c); err != nil {
-			t.Fatal(err)
-		}
-		return c.calls - c.msgs
-	}
-	for _, undo := range []bool{false, true} {
-		c16, c32, c64 := charges(16, undo), charges(32, undo), charges(64, undo)
-		if grows := c64 - c32; undo && grows <= 2*(c32-c16) || !undo && grows != 2*(c32-c16) {
-			t.Errorf("tapes undone %v: %d, %d, %d charges at N = 16, 32, 64; want linear growth with tapes, faster without",
-				undo, c16, c32, c64)
-		}
-	}
+	linearCharges(t, nil, func(n int64) xform.Point { return xform.Point{Mode: "opt3", Blk: n / 4} })
 }
 
 // The charges of a block2d(2x2) Gauss-Seidel walk at ctr are linear in N with
@@ -417,14 +390,23 @@ func TestUniformLoopsChargeInLinearHostWork(t *testing.T) {
 // receives a linear number of boundary values. Stepped, every process walks
 // all N² iterations, and the charges grow quadratically.
 func TestKeyedLoopsChargeInLinearHostWork(t *testing.T) {
-	const procs, me = 4, 1
 	m := autotune.Mapping{Kind: dist.KindBlock2D, PR: 2, PC: 2}
+	linearCharges(t, &m, func(int64) xform.Point { return xform.Point{Mode: "ctr"} })
+}
+
+// linearCharges fails t unless the charges (the Sink calls that are not
+// messages) of process 1's walk of Gauss-Seidel on four processes at N = 16,
+// 32 and 64, retargeted to m unless it is nil and compiled at at(N), grow
+// linearly in N with keys and faster without.
+func linearCharges(t *testing.T, m *autotune.Mapping, at func(n int64) xform.Point) {
+	t.Helper()
+	const procs, me = 4, 1
 	charges := func(n int64, undo bool) int {
-		_, progs, err := compile(bench.GSSource, "gs_iteration", procs, map[string]int64{"N": n}, &m, "ctr", 0)
+		gs, err := compileGS(procs, n, m, at(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		low := exec.Lower(progs[me])
+		low := exec.Lower(gs.Stages[0].Progs[me])
 		if undo {
 			low = exec.WithoutKeys(low)
 		}

@@ -3,9 +3,9 @@ package exec_test
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"procdecomp/internal/autotune"
@@ -16,7 +16,6 @@ import (
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
-	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
 	"procdecomp/internal/trace"
 	"procdecomp/internal/xform"
@@ -291,57 +290,172 @@ var (
 	noKeys = control{undone: "keys", undo: (*exec.Image).WithoutKeys, walked: (*recorder).spans}
 )
 
-// differ walks and runs (traced) progs as lowered and with c's decision
-// undone, and fails on any difference. It reports whether the run succeeded
-// and how many loops the lowered image's run charged in bulk.
-func differ(t *testing.T, name string, progs []*spmd.Program, procs int, ins map[string]*istruct.Matrix, c control) (ran bool, bulk int64) {
+// The memo is the only variable: every image of the differential corpus
+// walks, runs, traces, fails and gathers exactly alike with and without it.
+func TestMemoIsInvisible(t *testing.T) { invisible(t, noMemos) }
+
+// invisible fails t on each difference the differential sweep found between
+// an image and its control under c, and returns the sweep.
+func invisible(t *testing.T, c control) *sweep {
 	t.Helper()
-	im, err := exec.LowerAll(progs, procs)
+	sw, err := differential()
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatal(err)
 	}
-	ctl := c.undo(im)
-	walksAlike(t, name, im, ctl, procs, c)
-	oa, ta, ea := tracedRun(im, machine.DefaultConfig(procs), ins)
-	ob, tb, eb := tracedRun(ctl, machine.DefaultConfig(procs), ins)
-	if errText(ea) != errText(eb) {
-		t.Fatalf("%s: run error with %s %q, without %q", name, c.undone, errText(ea), errText(eb))
+	for _, diff := range sw.diffs[c.undone] {
+		t.Error(diff)
 	}
-	if ea != nil {
-		return false, 0
-	}
-	sameOutcome(t, name+" without "+c.undone, oa, ob)
-	for p := 0; p < procs; p++ {
-		if !slices.Equal(ta.Events(p), tb.Events(p)) {
-			t.Fatalf("%s: process %d traces differently with and without %s", name, p, c.undone)
-		}
-	}
-	charges, err := im.RunCharges(machine.DefaultConfig(procs), ins)
-	if err != nil {
-		t.Fatalf("%s: counted run: %v", name, err)
-	}
-	for _, ch := range charges {
-		bulk += ch.Bulk
-	}
-	return true, bulk
+	t.Logf("%d distinct images: %d walks stopped, %d runs failed, each alike on both sides", sw.images, sw.stopped, sw.failedRun)
+	return sw
 }
 
-// walksAlike walks every process of im and of its control ctl and fails
-// unless c's view of the walks and their errors agree. It returns the Sink
-// calls of both sides' walks.
-func walksAlike(t *testing.T, name string, im, ctl *exec.Image, procs int, c control) (calls [2]int) {
-	t.Helper()
+// A sweep is the differential corpus held to both controls.
+type sweep struct {
+	diffs     map[string][]string // each control's differences, by what it undoes
+	images    int
+	stopped   int   // images whose walk stopped: both sides must stop alike
+	failedRun int   // images whose run failed: both sides must fail alike
+	bulk      int64 // loops the lowered images' runs charged in bulk
+}
+
+// differential sweeps the differential corpus once per test binary: the
+// compiled variants of Fig. 6 at S ∈ {1, 2, 4, 8, 32}, N ∈ {8, 16}; Jacobi,
+// heat and reversed Gauss-Seidel at S ∈ {2, 4}; every candidate pdmap
+// enumerates for Gauss-Seidel at N=16, S=4 (no candidate is skipped for being
+// unmodeled or infeasible: at this size all 66 compile and walk, and
+// pdmap_gs_s4_n24.json has none of either kind at N=24 too); and gen's
+// corpus, each case on its own machine. Exactly one run fails: heat's on a
+// fully defined input, whose first boundary write is a second one, and both
+// sides must fail with the same words.
+var differential = sync.OnceValues(func() (*sweep, error) {
+	sw := &sweep{diffs: map[string][]string{}}
+	n16, heat := map[string]int64{"N": 16}, map[string]int64{"T": 16, "W": 16}
+	var cases []gen.Case
+	for _, s := range []int{1, 2, 4, 8, 32} {
+		for _, n := range []int64{8, 16} {
+			cases = append(cases, gen.Case{Name: fmt.Sprintf("gs N=%d", n), Src: bench.GSSource, Entry: "gs_iteration",
+				Procs: s, Blk: bench.DefaultBlk, Defines: map[string]int64{"N": n}})
+		}
+	}
+	for _, s := range []int{2, 4} {
+		cases = append(cases,
+			gen.Case{Name: "jacobi", Src: jacobiSource, Entry: "jacobi", Procs: s, Blk: 4},
+			gen.Case{Name: "heat", Src: heatSource, Entry: "heat", Procs: s, Blk: 4, Defines: heat},
+			gen.Case{Name: "gs-reversed", Src: bench.GSReversedSource, Entry: "gs_iteration", Procs: s, Blk: 4, Defines: n16})
+	}
+	cases = append(cases, gen.Case{Name: "heat on a defined input", Src: heatSource, Entry: "heat", Procs: 2, Defines: heat,
+		Points: []xform.Point{{Mode: "rtr"}}})
+	cases = append(cases, candidates(gen.Case{Name: "pdmap", Src: bench.GSSource, Entry: "gs_iteration", Procs: 4, Defines: n16}, "Column")...)
+	var compiled []*gen.Compiled
+	for _, c := range cases {
+		cc, err := gen.Compile(c)
+		if err != nil {
+			return nil, fmt.Errorf("%s S=%d: %w", c.Name, c.Procs, err)
+		}
+		if c.Name == "heat" {
+			cc.Inputs = map[string]*istruct.Matrix{"U": rod(16, 16)}
+		}
+		compiled = append(compiled, cc)
+	}
+	corpus, err := gen.CompiledCorpus()
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range append(compiled, corpus...) {
+		for i, pt := range c.Points {
+			name := fmt.Sprintf("%s S=%d %s", c.Name, c.Procs, gen.Label(pt))
+			if err := c.Stages[i].Err; err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			if c.First[i] != i {
+				continue
+			}
+			if err := sw.differ(name, c.Images[i], c.Config(), c.Inputs); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if sw.failedRun != 1 || sw.stopped == 0 {
+		return nil, fmt.Errorf("%d runs failed, want 1: heat's on a defined input; %d walks stopped, want some", sw.failedRun, sw.stopped)
+	}
+	return sw, nil
+})
+
+// differ holds im, walked and run traced under cfg on ins, to each control:
+// the lowered side's run is made once, and its traces, Stats, outputs and
+// error text are compared with each control's. It records each difference
+// under its control, and what the lowered side's walks and runs did; an
+// error is a counted run that failed where the traced one did not.
+func (sw *sweep) differ(name string, im *exec.Image, cfg machine.Config, ins map[string]*istruct.Matrix) error {
+	sw.images++
+	oa, ta, ea := tracedRun(im, cfg, ins)
+	stopped := false
+	for _, c := range []control{noMemos, noKeys} {
+		ctl := c.undo(im)
+		_, s, err := walksAlike(im, ctl, cfg.Procs, c)
+		if err == nil {
+			err = sameRun(oa, ta, ea, ctl, cfg, ins)
+		}
+		if err != nil {
+			sw.diffs[c.undone] = append(sw.diffs[c.undone], fmt.Sprintf("%s without %s: %v", name, c.undone, err))
+		}
+		stopped = stopped || s
+	}
+	if stopped {
+		sw.stopped++
+	}
+	if ea != nil {
+		sw.failedRun++
+		return nil
+	}
+	charges, err := im.RunCharges(cfg, ins)
+	for _, ch := range charges {
+		sw.bulk += ch.Bulk
+	}
+	if err != nil {
+		return fmt.Errorf("%s: counted run: %w", name, err)
+	}
+	return nil
+}
+
+// sameRun runs ctl traced under cfg on ins and returns its first difference
+// from the run that returned oa, ta and ea: error text, then wire events and
+// each process's trace (a failing run's too), then Stats and outputs.
+func sameRun(oa *exec.SPMDOutcome, ta *trace.Log, ea error, ctl *exec.Image, cfg machine.Config, ins map[string]*istruct.Matrix) error {
+	ob, tb, eb := tracedRun(ctl, cfg, ins)
+	if errText(ea) != errText(eb) {
+		return fmt.Errorf("run error %q, the control's %q", errText(ea), errText(eb))
+	}
+	if !slices.Equal(ta.WireEvents(), tb.WireEvents()) {
+		return fmt.Errorf("wire events differ")
+	}
+	for p := 0; p < cfg.Procs; p++ {
+		if !slices.Equal(ta.Events(p), tb.Events(p)) {
+			return fmt.Errorf("process %d traces differently", p)
+		}
+	}
+	if ea != nil {
+		return nil
+	}
+	return sameOutcome(oa, ob)
+}
+
+// walksAlike walks every process of im and of its control ctl and returns an
+// error unless c's view of the walks and their errors agree. It returns the
+// Sink calls of both sides' walks, and whether the walks stopped.
+func walksAlike(im, ctl *exec.Image, procs int, c control) (calls [2]int, stopped bool, err error) {
 	for p := 0; p < procs; p++ {
 		a, b := &recorder{procs: procs}, &recorder{procs: procs}
 		ea, eb := im.Walk(p, a), ctl.Walk(p, b)
 		if errText(ea) != errText(eb) || !slices.Equal(c.walked(a), c.walked(b)) {
-			t.Fatalf("%s: process %d walks differently: with %s %q, %d actions; without %q, %d actions",
-				name, p, c.undone, errText(ea), len(c.walked(a)), errText(eb), len(c.walked(b)))
+			return calls, false, fmt.Errorf("process %d walks differently: with %s %q, %d actions; without %q, %d actions",
+				p, c.undone, errText(ea), len(c.walked(a)), errText(eb), len(c.walked(b)))
 		}
 		calls[0] += a.calls()
 		calls[1] += b.calls()
+		stopped = stopped || ea != nil
 	}
-	return calls
+	return calls, stopped, nil
 }
 
 // calls counts the Sink calls r was handed: its log holds each call as its
@@ -360,152 +474,44 @@ func tracedRun(im *exec.Image, cfg machine.Config, ins map[string]*istruct.Matri
 	return out, cfg.Tracer, err
 }
 
-// sameOutcome fails unless two runs' Stats, scalars and gathered arrays are
-// identical.
-func sameOutcome(t *testing.T, name string, oa, ob *exec.SPMDOutcome) {
-	t.Helper()
+// sameOutcome returns an error unless two runs' Stats, scalars and gathered
+// arrays are identical.
+func sameOutcome(oa, ob *exec.SPMDOutcome) error {
 	if !reflect.DeepEqual(oa.Stats, ob.Stats) || !reflect.DeepEqual(oa.Scalars, ob.Scalars) || len(oa.Arrays) != len(ob.Arrays) {
-		t.Fatalf("%s: run %+v, control %+v", name, oa.Stats, ob.Stats)
+		return fmt.Errorf("run %+v, control %+v", oa.Stats, ob.Stats)
 	}
 	for n, ma := range oa.Arrays {
 		va, da := ma.Snapshot()
 		vb, db := ob.Arrays[n].Snapshot()
 		if !reflect.DeepEqual(va, vb) || !reflect.DeepEqual(da, db) {
-			t.Fatalf("%s: output %s differs from the control's", name, n)
+			return fmt.Errorf("output %s differs from the control's", n)
 		}
 	}
+	return nil
 }
 
-// compile checks src at procs processes (retargeted to m unless nil) and
-// compiles entry under mode.
-func compile(src, entry string, procs int, defines map[string]int64, m *autotune.Mapping, mode string, blk int64) (*sem.Info, []*spmd.Program, error) {
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
+// compileGS compiles Gauss-Seidel at one point for procs processes and grid
+// size n, retargeted to m unless it is nil.
+func compileGS(procs int, n int64, m *autotune.Mapping, pt xform.Point) (*gen.Compiled, error) {
+	c := gen.Case{Src: bench.GSSource, Entry: "gs_iteration", Procs: procs, Defines: map[string]int64{"N": n}, Points: []xform.Point{pt}}
 	if m != nil {
-		if err := m.Validate(int64(procs)); err != nil {
-			return nil, nil, err
-		}
-		name, err := autotune.PickDist(prog, "")
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := autotune.Retarget(prog, name, *m); err != nil {
-			return nil, nil, err
-		}
+		c.Retarget = func(p *lang.Program) error { return autotune.Retarget(p, "Column", *m) }
 	}
-	info, errs := sem.Check(prog, sem.Config{Procs: int64(procs), Defines: defines})
-	if len(errs) > 0 {
-		return nil, nil, errs[0]
-	}
-	progs, err := xform.Compile(info, entry, mode, blk)
-	return info, progs, err
-}
-
-// The memo is the only variable: the compiled variants of Fig. 6, Jacobi,
-// heat, reversed Gauss-Seidel, every candidate pdmap enumerates for
-// Gauss-Seidel at N=16, S=4 and generated programs at every pipeline point
-// walk, run, trace, fail and gather exactly alike with and without it.
-func TestMemoIsInvisible(t *testing.T) { differAll(t, noMemos) }
-
-// differAll runs differ over the corpus of the differential tests. No
-// candidate is skipped for being unmodeled or infeasible; at this size all 66
-// compile and walk (pdmap_gs_s4_n24.json has none of either kind at N=24
-// too). The generated programs are gen.Program's, 24 seeds at S = 1 … 5; a
-// walk stops at the data-dependent if some of them draw, and the two sides
-// must stop alike. It returns the loops the lowered images' runs charged in
-// bulk.
-func differAll(t *testing.T, c control) (bulk int64) {
-	t.Helper()
-	type point struct {
-		name, src, entry string
-		procs            int
-		defines          map[string]int64
-		m                *autotune.Mapping
-		mode             string
-		blk              int64
-		rod              bool // heat's input, row 1 only, instead of the pattern
-	}
-	heatSize := map[string]int64{"T": 16, "W": 16}
-	var points []point
-	for _, spec := range bench.Variants() {
-		if spec.Handwritten { // the wavefront is not a stepped program
-			continue
-		}
-		for _, s := range []int{1, 2, 4, 8, 32} {
-			for _, n := range []int64{8, 16} {
-				points = append(points, point{fmt.Sprintf("gs/%s/S=%d/N=%d", spec.Name, s, n),
-					bench.GSSource, "gs_iteration", s, map[string]int64{"N": n}, nil, spec.Name, bench.DefaultBlk, false})
-			}
-		}
-	}
-	for _, mode := range xform.StandardModes() {
-		for _, s := range []int{2, 4} {
-			points = append(points,
-				point{fmt.Sprintf("jacobi/%s/S=%d", mode, s), jacobiSource, "jacobi", s, nil, nil, mode, 4, false},
-				point{fmt.Sprintf("heat/%s/S=%d", mode, s), heatSource, "heat", s, heatSize, nil, mode, 4, true},
-				point{fmt.Sprintf("gs-reversed/%s/S=%d", mode, s), bench.GSReversedSource, "gs_iteration", s, map[string]int64{"N": 16}, nil, mode, 4, false})
-		}
-	}
-	// A fully defined input makes heat's first boundary write a second one:
-	// the run fails, and must fail with the same words.
-	points = append(points, point{"heat/rtr/S=2/pattern-input", heatSource, "heat", 2, heatSize, nil, "rtr", 4, false})
-	cands := autotune.Space{}.Enumerate(4)
-	for _, c := range cands {
-		m := c.Mapping
-		points = append(points, point{"pdmap/" + c.Key(), bench.GSSource, "gs_iteration", 4, map[string]int64{"N": 16}, &m, c.Mode, c.Blk, false})
-	}
-	rng := rand.New(rand.NewSource(44))
-	for seed := range 24 {
-		src, distName := gen.Program(rng)
-		procs, blk := 1+seed%5, int64(1+rng.Intn(6))
-		for _, mode := range xform.StandardModes() {
-			points = append(points, point{fmt.Sprintf("gen/%d/%s/%s/S=%d", seed, distName, mode, procs), src, "step", procs, nil, nil, mode, blk, false})
-		}
-	}
-	failedRun := 0
-	for _, p := range points {
-		info, progs, err := compile(p.src, p.entry, p.procs, p.defines, p.m, p.mode, p.blk)
-		if err != nil {
-			if p.m == nil {
-				t.Fatalf("%s: %v", p.name, err)
-			}
-			continue // an infeasible candidate that does not compile has nothing to step
-		}
-		ins, err := exec.PatternInputs(info, p.entry)
-		if err != nil {
-			t.Fatalf("%s: %v", p.name, err)
-		}
-		if p.rod {
-			ins = map[string]*istruct.Matrix{"U": rod(t, 16, 16)}
-		}
-		ran, n := differ(t, p.name, progs, p.procs, ins, c)
-		if !ran {
-			failedRun++
-		}
-		bulk += n
-	}
-	if failedRun != 1 {
-		t.Errorf("%d runs failed, want 1: the heat point with a defined input", failedRun)
-	}
-	return bulk
+	return gen.Compile(c)
 }
 
 // rod is heat's input: row 1 defined, a hot spot in the middle.
-func rod(t *testing.T, steps, width int64) *istruct.Matrix {
+func rod(steps, width int64) *istruct.Matrix {
 	m, err := istruct.NewMatrix("U", steps, width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := int64(1); x <= width; x++ {
+	for x := int64(1); x <= width && err == nil; x++ {
 		v := 0.0
 		if x > width/3 && x < 2*width/3 {
 			v = 100.0
 		}
-		if err := m.Write(1, x, v); err != nil {
-			t.Fatal(err)
-		}
+		err = m.Write(1, x, v)
+	}
+	if err != nil {
+		panic(err)
 	}
 	return m
 }

@@ -7,20 +7,22 @@ import (
 
 	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
-	"procdecomp/internal/machine"
 )
 
 // A generated program passes at all five points, and one gathered element
 // moved at any one point fails the run with that point's name.
 func TestCheckNamesThePointThatDiffers(t *testing.T) {
 	src, _ := Program(rand.New(rand.NewSource(1)))
-	cfg := machine.DefaultConfig(3)
-	if outs, err := Check(src, "step", cfg, 2); err != nil || len(outs) != 5 {
+	c, err := Compile(Case{Src: src, Entry: "step", Procs: 3, Blk: 2})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	if outs, err := Check(c, c.Config()); err != nil || len(outs) != 5 {
 		t.Fatalf("%d outcomes, %v\n%s", len(outs), err, src)
 	}
-	for _, mode := range []string{"rtr", "ctr", "opt3/blk=2"} {
-		_, err := check(src, "step", cfg, 2, func(m string, out *exec.SPMDOutcome) {
-			if strings.HasPrefix(mode, m) {
+	for _, point := range []string{"rtr", "ctr", "opt3/blk=2"} {
+		_, err := check(c, c.Config(), func(p string, out *exec.SPMDOutcome) {
+			if p == point {
 				vals, defined := out.Arrays["New"].Snapshot()
 				vals[2][3]++
 				moved, _ := istruct.NewMatrix("New", int64(len(vals)), int64(len(vals[0])))
@@ -34,8 +36,8 @@ func TestCheckNamesThePointThatDiffers(t *testing.T) {
 				out.Arrays["New"] = moved
 			}
 		})
-		if want := mode + ": output array New: element (3,4) is "; err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Errorf("%s perturbed: %v, want %q…", mode, err, want)
+		if want := point + ": output array New: element (3,4) is "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s perturbed: %v, want %q…", point, err, want)
 		}
 	}
 }

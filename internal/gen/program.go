@@ -1,7 +1,8 @@
 // Package gen is test support for the paper's claim on programs nobody
-// picked: Program generates random wavefront-style Idn programs, and Check
-// runs one through every point of the standard pipeline and holds each
-// gathered result to one sequential reference, by exec's one checked run.
+// picked. Program generates random wavefront-style Idn programs; Corpus is
+// the one set of cases every pipeline property runs on, Compile the one front
+// half that compiles and lowers a case, and Check holds every point of a
+// compiled case to one sequential reference, by exec's one checked run.
 // Import it from _test.go files only.
 package gen
 

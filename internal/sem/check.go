@@ -231,6 +231,7 @@ func (c *checker) bind(m *lang.MapExpr, shape []int64, pos lang.Pos) dist.Dist {
 		c.errorf(dd.Pos, "%v", err)
 		return nil
 	}
+	c.info.Decomps[dd.Name] = Decomp{k, args}
 	return k.Bind(args, shape)
 }
 

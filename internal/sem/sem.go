@@ -135,6 +135,15 @@ type Info struct {
 	Refs map[any]*Symbol
 	// Types records the resolved type of every expression.
 	Types map[lang.Expr]Type
+	// Decomps holds each dist declaration a mapping named, as bound.
+	Decomps map[string]Decomp
+}
+
+// A Decomp is a bound dist declaration: its family and its arguments,
+// evaluated.
+type Decomp struct {
+	Kind dist.Kind
+	Args []int64
 }
 
 // SymbolOf returns the symbol a node resolves to, panicking if the node was
@@ -164,12 +173,13 @@ func Check(prog *lang.Program, cfg Config) (*Info, []error) {
 	}
 	c := &checker{
 		info: &Info{
-			Cfg:    cfg,
-			Prog:   prog,
-			Consts: map[string]*Symbol{},
-			Procs:  map[string]*Proc{},
-			Refs:   map[any]*Symbol{},
-			Types:  map[lang.Expr]Type{},
+			Cfg:     cfg,
+			Prog:    prog,
+			Consts:  map[string]*Symbol{},
+			Procs:   map[string]*Proc{},
+			Refs:    map[any]*Symbol{},
+			Types:   map[lang.Expr]Type{},
+			Decomps: map[string]Decomp{},
 		},
 		distDecls: map[string]*lang.DistDecl{},
 		templates: map[string]*lang.ProcDecl{},

@@ -227,16 +227,19 @@ func cLocal(idx []expr.Expr) string {
 	return "LOCAL(" + strings.Join(parts, ", ") + ")"
 }
 
-// cExpr renders a symbolic integer expression in C. div and mod are emitted
-// through the FLOORDIV/EUCMOD macros so the C semantics match the
-// compiler's (the paper's index arithmetic is non-negative, where they
-// coincide with / and %).
+// cExpr renders a symbolic integer expression in C, spelling an operator C
+// does not have through its cMacros macro as cVExpr does, so the C semantics
+// match the compiler's (the paper's index arithmetic is non-negative, where
+// div and mod coincide with / and %). The canonical printer writes div and
+// mod infix, "((x) mod m)", and min and max as calls, "min(a, b)".
 func cExpr(e expr.Expr) string {
-	s := e.String()
-	s = strings.NewReplacer("#", "_", ".", "_").Replace(s)
-	// The canonical printer uses "a div b" and "(x mod m)"; rewrite to macros.
-	s = rewriteBinword(s, "div", "FLOORDIV")
-	s = rewriteBinword(s, "mod", "EUCMOD")
+	s := strings.NewReplacer("#", "_", ".", "_").Replace(e.String())
+	for _, op := range []lang.Op{lang.OpDivInt, lang.OpMod} {
+		s = rewriteBinword(s, op.String(), cMacros[op])
+	}
+	for _, op := range []lang.Op{lang.OpMin, lang.OpMax} {
+		s = strings.ReplaceAll(s, op.String()+"(", cMacros[op]+"(")
+	}
 	return s
 }
 
