@@ -28,11 +28,15 @@ import (
 // Domain: the identity is the direct-mode machine's, so a multiplexed case is
 // checked on its direct-mode machine, and it holds wherever the walk
 // succeeds. A case that branches on an element value (gen.Case.StopsWalk)
-// is outside it; its walks must stop, and no other case's may.
+// is outside it; its walks must stop, and no other case's may. Every point
+// must have an image of its own on some corpus case.
 func TestWalkMatchesRunPerProcess(t *testing.T) {
 	corpus, err := gen.CompiledCorpus()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if modes := gen.Unexercised(corpus); len(modes) > 0 {
+		t.Errorf("no corpus case has an image of its own at %v: only Gauss-Seidel checks those passes", modes)
 	}
 	var cases []*gen.Compiled
 	for _, procs := range []int{1, 4, 8} {

@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"procdecomp/internal/bench"
+	"procdecomp/internal/core"
 	"procdecomp/internal/exec"
+	"procdecomp/internal/expr"
 	"procdecomp/internal/gen"
+	"procdecomp/internal/xform"
 )
 
 // Conformance property: on gen's corpus, every point of the standard
@@ -75,7 +78,8 @@ func checkCorpus(t *testing.T, in func(gen.Case) bool) {
 // with a receive, so both ends are counted.
 //
 // Domain: a case that branches on an element value (gen.Case.StopsWalk) is
-// outside it; its walks must stop, and no other case's may.
+// outside it; its walks must stop, and no other case's may. Every pass must
+// apply on some corpus case, not only on Gauss-Seidel.
 func TestConformanceValuesInvariant(t *testing.T) {
 	steps, applied, outside := 0, 0, 0
 	check := func(c *gen.Compiled) {
@@ -124,22 +128,116 @@ func TestConformanceValuesInvariant(t *testing.T) {
 	for _, c := range cases {
 		check(c)
 	}
-	for _, procs := range []int{2, 3, 4, 8} {
-		for _, blk := range []int64{1, 4} {
-			for _, c := range []gen.Case{{Name: "Gauss-Seidel", Src: bench.GSSource}, {Name: "reversed Gauss-Seidel", Src: bench.GSReversedSource}} {
-				c.Entry, c.Procs, c.Blk, c.Defines = "gs_iteration", procs, blk, map[string]int64{"N": 16}
-				c, err := gen.Compile(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(c)
-			}
-		}
+	if modes := gen.Unexercised(cases); len(modes) > 0 {
+		t.Errorf("no corpus case has an image of its own at %v: only Gauss-Seidel checks those passes", modes)
+	}
+	for _, c := range gaussSeidel(t) {
+		check(c)
 	}
 	t.Logf("%d pass steps checked, %d of them on programs the pass changed; %d cases outside the domain", steps, applied, outside)
 	if outside == 0 {
 		t.Error("no case outside the domain: the corpus has lost its branches on element values")
 	}
+}
+
+// gaussSeidel is the paper's program and its reversed form at N = 16 on 2,
+// 3, 4 and 8 processes, opt3 at blk 1 and 4, through gen's front half.
+func gaussSeidel(t *testing.T) []*gen.Compiled {
+	t.Helper()
+	var out []*gen.Compiled
+	for _, procs := range []int{2, 3, 4, 8} {
+		for _, blk := range []int64{1, 4} {
+			for _, c := range []gen.Case{{Name: "Gauss-Seidel", Src: bench.GSSource}, {Name: "reversed Gauss-Seidel", Src: bench.GSReversedSource}} {
+				c.Entry, c.Procs, c.Blk, c.Defines = "gs_iteration", procs, blk, map[string]int64{"N": 16}
+				cc, err := gen.Compile(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, cc)
+			}
+		}
+	}
+	return out
+}
+
+// Partition property of compile-time resolution: for every guard condition
+// restrictLoop solves, on gen's corpus and on Gauss-Seidel and its reversed
+// form, the owned sets of p = 0 … S−1 (the loop's range intersected with each
+// solved class) partition the range at the case's sizes. Every member lies
+// in the range and solves owner == p, no iteration is in two sets, each
+// set's Count is its number of members, and the Counts sum to the range's
+// size.
+func TestRestrictedSetsPartitionTheLoop(t *testing.T) {
+	cases, err := gen.CompiledCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, c := range append(cases, gaussSeidel(t)...) {
+		rtr := slices.IndexFunc(c.Points, func(pt xform.Point) bool { return pt.Mode == "rtr" })
+		for _, g := range core.SolvedGuards(c.Stages[rtr].Progs[0], int64(c.Procs)) {
+			key := fmt.Sprintf("%v == p, %s = %v to %v", g.Cond, g.Var, g.Lo, g.Hi)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			if err := partitions(g); err != nil {
+				t.Errorf("%s S=%d: %s: %v", c.Name, c.Procs, key, err)
+			}
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("restrictLoop solved no guard")
+	}
+	t.Logf("%d distinct solved guards", len(seen))
+}
+
+// partitions reports how the owned sets of g's condition fail to partition
+// its loop's range.
+func partitions(g core.SolvedGuard) (err error) {
+	eval := func(e expr.Expr, env expr.Env) int64 {
+		v, bad := e.Eval(env)
+		if bad != nil && err == nil {
+			err = fmt.Errorf("%v: %w", e, bad)
+		}
+		return v
+	}
+	lo, hi := eval(g.Lo, nil), eval(g.Hi, nil)
+	period, _ := expr.Solve(g.Cond, 0, g.Var)
+	owner, total := map[int64]int64{}, int64(0)
+	for p := range period.Stride {
+		class, ok := expr.Solve(g.Cond, p, g.Var)
+		if !ok {
+			return fmt.Errorf("p = %d is not solved", p)
+		}
+		set := expr.Range(g.Lo, g.Hi).Intersect(class)
+		first, last, members := eval(set.First, nil), eval(set.Hi, nil), int64(0)
+		for v := first; err == nil && v <= last; v += set.Stride {
+			if v < lo {
+				return fmt.Errorf("p = %d owns %d, below the range", p, v)
+			}
+			if q, twice := owner[v]; twice {
+				return fmt.Errorf("%d is owned by %d and %d", v, q, p)
+			}
+			if got := eval(g.Cond, expr.Env{g.Var: v}); got != p {
+				return fmt.Errorf("p = %d owns %d, whose owner is %d", p, v, got)
+			}
+			owner[v] = p
+			members++
+		}
+		n := eval(set.Count(), nil)
+		if err != nil {
+			return err
+		}
+		if n != members {
+			return fmt.Errorf("p = %d: Count %v is %d, the set has %d members", p, set.Count(), n, members)
+		}
+		total += n
+	}
+	if size := max(0, hi-lo+1); total != size {
+		return fmt.Errorf("the Counts sum to %d, the range holds %d", total, size)
+	}
+	return err
 }
 
 // traffic is what the walks of every process of an image send and receive.

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"procdecomp/internal/expr"
 	"procdecomp/internal/lang"
@@ -21,31 +22,30 @@ import (
 //     coerces stay (run-time resolution fallback).
 //  4. Loops whose residual guards solve to congruence classes of the loop
 //     variable (j mod S == p, Fig. 5; expr.Solve) are restricted to the
-//     iterations the process participates in. The restricted form preserves the exact
-//     global execution order of run-time resolution: when several classes
-//     coexist, the loop iterates over "rounds" of S consecutive iterations,
-//     visiting each class at its position within the round; a single class
-//     becomes the classic strided loop of Fig. 5.
+//     iterations the process participates in: the loop's range intersected
+//     with each class, one expr.Owned set per guard. The restricted form
+//     preserves the exact global execution order of run-time resolution:
+//     when several sets coexist, the loop iterates over "rounds" of S
+//     consecutive iterations, visiting each set at its position within the
+//     round; a single set becomes the classic strided loop of Fig. 5.
 
 // SpecializeAll produces one specialized program per process from the
 // generic program.
 func SpecializeAll(generic *spmd.Program, procs int64, restrict bool) []*spmd.Program {
 	out := make([]*spmd.Program, procs)
 	for p := int64(0); p < procs; p++ {
-		out[p] = Specialize(generic, p, procs, restrict)
+		out[p] = (&spec{p: p, procs: procs, restrict: restrict}).specialize(generic)
 	}
 	return out
 }
 
-// Specialize produces the program for one process of a procs-sized machine.
-func Specialize(generic *spmd.Program, p, procs int64, restrict bool) *spmd.Program {
+// specialize produces the program for process s.p.
+func (s *spec) specialize(generic *spmd.Program) *spmd.Program {
 	body := spmd.CloneBody(generic.Body)
-	spmd.SubstBody(body, spmd.Me, expr.C(p))
-	s := &spec{p: p, procs: procs, restrict: restrict}
-	body = s.stmts(body)
+	spmd.SubstBody(body, spmd.Me, s.me())
 	prog := *generic
-	prog.Body = body
-	prog.Proc = int(p)
+	prog.Body = s.stmts(body)
+	prog.Proc = int(s.p)
 	return &prog
 }
 
@@ -54,6 +54,9 @@ type spec struct {
 	procs    int64
 	restrict bool
 	nextTmp  int
+	// solved, when set, is told each guard condition restrictLoop solves,
+	// with its loop (a test hook).
+	solved func(cond expr.Expr, loop *spmd.For)
 }
 
 func (s *spec) tmp() string {
@@ -253,57 +256,60 @@ func (s *spec) restrictLoop(loop *spmd.For) []spmd.Stmt {
 		return []spmd.Stmt{loop}
 	}
 
-	// Each class is the set of iterations this process owns under its
-	// condition; all must share one stride and start at a known iteration.
-	type class struct {
-		start int64 // the constant First of the class's Owned set
+	// Each piece runs on the iterations of the loop's range that this
+	// process owns under its condition, one set per piece. The sets are
+	// ordered by their first iterations, so those must be constants, and
+	// the rounds form below steps them all by one stride.
+	type owned struct {
+		expr.Owned
 		stmts []spmd.Stmt
 	}
-	var classes []class
-	var stride int64
-	for _, pc := range pieces {
-		owned, solved := expr.Solve(*pc.cond, s.p, loop.Var, loop.Lo)
-		if !solved || (stride != 0 && owned.Stride != stride) {
+	sets := make([]owned, len(pieces))
+	for i, pc := range pieces {
+		class, solved := expr.Solve(*pc.cond, s.p, loop.Var)
+		if !solved {
 			return []spmd.Stmt{loop}
 		}
-		start, known := owned.First.ConstVal()
-		if !known {
+		if s.solved != nil {
+			s.solved(*pc.cond, loop)
+		}
+		sets[i] = owned{expr.Range(loop.Lo, loop.Hi).Intersect(class), pc.stmts}
+		if _, known := sets[i].First.ConstVal(); !known || sets[i].Stride != sets[0].Stride {
 			return []spmd.Stmt{loop}
 		}
-		stride = owned.Stride
-		classes = append(classes, class{start, pc.stmts})
 	}
-	sort.SliceStable(classes, func(i, j int) bool { return classes[i].start < classes[j].start })
+	slices.SortStableFunc(sets, func(a, b owned) int {
+		d, _ := expr.Sub(a.First, b.First).ConstVal()
+		return cmp.Compare(d, 0)
+	})
 
-	if len(classes) == 1 {
+	if len(sets) == 1 {
 		// Fig. 5: the classic strided loop "for j = p to N by S".
-		cl := classes[0]
-		return []spmd.Stmt{&spmd.For{Var: loop.Var, Lo: expr.C(cl.start), Hi: loop.Hi, Step: expr.C(stride), Body: cl.stmts}}
+		return []spmd.Stmt{&spmd.For{Var: loop.Var, Lo: sets[0].First, Hi: sets[0].Hi, Step: expr.C(sets[0].Stride), Body: sets[0].stmts}}
 	}
 
-	// Several disjoint classes: iterate over rounds of S consecutive
-	// iterations, visiting each class at its position within the round.
-	// This preserves the exact global iteration order of the unrestricted
-	// loop while skipping every iteration this process has no role in.
+	// Several disjoint sets: iterate over rounds of S consecutive
+	// iterations, visiting each set at its position within the round, as
+	// many rounds as the first set has members. This preserves the exact
+	// global iteration order of the unrestricted loop while skipping every
+	// iteration this process has no role in.
 	round := loop.Var + ".round"
-	minStart := classes[0].start
-	rounds := expr.Div(expr.Sub(loop.Hi, expr.C(minStart)), expr.C(stride))
 	var body []spmd.Stmt
-	for _, cl := range classes {
-		v := expr.Add(expr.C(cl.start), expr.Mul(expr.V(round), expr.C(stride)))
-		stmts := spmd.CloneBody(cl.stmts)
+	for _, o := range sets {
+		v := expr.Add(o.First, expr.Mul(expr.V(round), expr.C(o.Stride)))
+		stmts := spmd.CloneBody(o.stmts)
 		spmd.SubstBody(stmts, loop.Var, v)
 		inRange := spmd.VBin{
 			Op: lang.OpLe,
 			L:  spmd.VInt{X: v},
-			R:  spmd.VInt{X: loop.Hi},
+			R:  spmd.VInt{X: o.Hi},
 		}
 		body = append(body, &spmd.IfValue{Cond: inRange, Then: stmts})
 	}
 	return []spmd.Stmt{&spmd.For{
 		Var:  round,
 		Lo:   expr.C(0),
-		Hi:   rounds,
+		Hi:   expr.Sub(sets[0].Count(), expr.C(1)),
 		Step: expr.C(1),
 		Body: body,
 	}}

@@ -280,11 +280,12 @@ func (e Expr) Equal(f Expr) bool {
 }
 
 // EqualTri decides e == f as well as the algebra allows: Yes when the
-// canonical forms coincide, No when the difference is a non-zero constant,
-// No when both sides are mods by the same constant whose arguments differ by
-// a constant not divisible by the modulus (the "(j+1) mod S vs j mod S"
-// neighbours of cyclic decompositions), No when one side is a mod and the
-// other a constant outside [0, modulus), and Maybe otherwise.
+// canonical forms coincide, No when the difference is a non-zero constant;
+// when both sides are mods by the same constant S whose arguments differ by
+// a constant modulo S, Yes if it is 0 ("(−3j) mod 4" is "j mod 4") and No
+// otherwise (the "(j+1) mod S vs j mod S" neighbours of cyclic
+// decompositions); No when one side is a mod and the other a constant
+// outside [0, modulus), and Maybe otherwise.
 func EqualTri(e, f Expr) Tri {
 	d := Sub(e, f)
 	if v, ok := d.ConstVal(); ok {
@@ -295,8 +296,8 @@ func EqualTri(e, f Expr) Tri {
 	}
 	if ae, se, eok := asMod(e); eok {
 		if af, sf, fok := asMod(f); fok && se == sf {
-			if dv, ok := Sub(ae, af).ConstVal(); ok {
-				if EucMod(dv, se) == 0 {
+			if dv, ok := Mod(Sub(ae, af), C(se)).ConstVal(); ok {
+				if dv == 0 {
 					return Yes
 				}
 				return No

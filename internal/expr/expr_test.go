@@ -170,10 +170,11 @@ func TestStringStable(t *testing.T) {
 
 func TestSolveModEqSimple(t *testing.T) {
 	// (j+1) mod 4 == 2  =>  j ≡ 1 (mod 4), so "for j = 0 to 12" starts at 1.
-	o, ok := Solve(Mod(Add(V("j"), C(1)), C(4)), 2, "j", C(0))
+	class, ok := Solve(Mod(Add(V("j"), C(1)), C(4)), 2, "j")
 	if !ok {
 		t.Fatal("Solve failed")
 	}
+	o := Range(C(0), C(12)).Intersect(class)
 	first, err := o.First.Eval(Env{})
 	if err != nil || first != 1 {
 		t.Fatalf("first = %v (%v), want 1", o.First, err)
@@ -185,10 +186,11 @@ func TestSolveModEqSimple(t *testing.T) {
 
 func TestSolveModEqNegativeCoef(t *testing.T) {
 	// (5 - j) mod 3 == 1  =>  -j ≡ -4 ≡ 2 (mod 3)  =>  j ≡ 1 (mod 3)
-	o, ok := Solve(Mod(Sub(C(5), V("j")), C(3)), 1, "j", C(0))
+	class, ok := Solve(Mod(Sub(C(5), V("j")), C(3)), 1, "j")
 	if !ok {
 		t.Fatal("Solve failed")
 	}
+	o := Range(C(0), C(30)).Intersect(class)
 	first := o.First.MustEval(Env{})
 	for j := int64(0); j < 30; j++ {
 		want := EucMod(5-j, 3) == 1
@@ -200,27 +202,26 @@ func TestSolveModEqNegativeCoef(t *testing.T) {
 }
 
 func TestSolveModEqUndecidable(t *testing.T) {
-	lo := V("lo")
 	// Coefficient not coprime with modulus.
-	if _, ok := Solve(Mod(Mul(C(2), V("j")), C(4)), 1, "j", lo); ok {
+	if _, ok := Solve(Mod(Mul(C(2), V("j")), C(4)), 1, "j"); ok {
 		t.Error("2j mod 4 == 1 should be undecidable (gcd 2)")
 	}
 	// Variable inside an opaque atom.
-	if _, ok := Solve(Mod(Div(V("j"), C(2)), C(4)), 1, "j", lo); ok {
+	if _, ok := Solve(Mod(Div(V("j"), C(2)), C(4)), 1, "j"); ok {
 		t.Error("j inside div should be undecidable")
 	}
 	// Target outside the values the owner takes.
 	for _, p := range []int64{-1, 4} {
-		if _, ok := Solve(Mod(V("j"), C(4)), p, "j", lo); ok {
+		if _, ok := Solve(Mod(V("j"), C(4)), p, "j"); ok {
 			t.Errorf("j mod 4 == %d should be rejected", p)
 		}
 	}
 	// Variable absent.
-	if _, ok := Solve(Mod(V("i"), C(4)), 1, "j", lo); ok {
+	if _, ok := Solve(Mod(V("i"), C(4)), 1, "j"); ok {
 		t.Error("absent variable should be rejected")
 	}
 	// Owner not a mod.
-	if _, ok := Solve(Div(Sub(V("j"), C(1)), C(2)), 1, "j", lo); ok {
+	if _, ok := Solve(Div(Sub(V("j"), C(1)), C(2)), 1, "j"); ok {
 		t.Error("a block owner should be undecidable")
 	}
 }
@@ -229,11 +230,11 @@ func TestFirstAtLeast(t *testing.T) {
 	// (j - 3) mod 5 == 0: the owned iterations are j ≡ 3 (mod 5).
 	owner := Mod(Sub(V("j"), C(3)), C(5))
 	for lo := int64(-7); lo < 20; lo++ {
-		o, ok := Solve(owner, 0, "j", C(lo))
+		class, ok := Solve(owner, 0, "j")
 		if !ok {
 			t.Fatalf("Solve from %d failed", lo)
 		}
-		first := o.First.MustEval(Env{})
+		first := Range(C(lo), C(20)).Intersect(class).First.MustEval(Env{})
 		if first < lo || EucMod(first-3, 5) != 0 || first-lo >= 5 {
 			t.Fatalf("first at or after %d = %d", lo, first)
 		}
@@ -252,7 +253,7 @@ func TestSolveModEqMatchesBruteForce(t *testing.T) {
 		d := int64(rng.Intn(21) - 10)
 		p := int64(rng.Intn(int(s)))
 		owner := Mod(Add(Mul(C(coef), V("j")), C(d)), C(s))
-		o, ok := Solve(owner, p, "j", C(-25))
+		class, ok := Solve(owner, p, "j")
 		g, _, _ := extGCD(EucMod(coef, s), s)
 		if g != 1 {
 			if ok {
@@ -264,6 +265,7 @@ func TestSolveModEqMatchesBruteForce(t *testing.T) {
 		if !ok {
 			t.Fatalf("solver failed on coprime case coef=%d s=%d", coef, s)
 		}
+		o := Range(C(-25), C(25)).Intersect(class)
 		first := o.First.MustEval(Env{})
 		for j := int64(-25); j <= 25; j++ {
 			direct := EucMod(coef*j+d, s) == p
@@ -392,8 +394,9 @@ func TestFloorDivEucModAgree(t *testing.T) {
 func ExampleSolve() {
 	// Which iterations of "for j = 2 to 12" does processor 2 own under
 	// wrapped columns, (j+1) mod 4?
-	o, _ := Solve(Mod(Add(V("j"), C(1)), C(4)), 2, "j", C(2))
-	fmt.Printf("for j = %v to 12 by %d\n", o.First, o.Stride)
+	class, _ := Solve(Mod(Add(V("j"), C(1)), C(4)), 2, "j")
+	o := Range(C(2), C(12)).Intersect(class)
+	fmt.Printf("for j = %v to %v by %d\n", o.First, o.Hi, o.Stride)
 	// Output:
 	// for j = 5 to 12 by 4
 }

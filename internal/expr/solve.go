@@ -9,22 +9,42 @@ package expr
 // j ≡ (p-d) mod S. Solve handles the general affine case
 // (a·v + rest) mod S == p whenever gcd(a, S) = 1.
 
-// Owned is the set of iterations a process owns in a loop: First,
-// First+Stride, First+2·Stride, ... up to the loop's upper bound. First may
-// mention the free variables of the loop's lower bound and of the owner
-// expression; it is a constant when they are.
+// Owned is a set of iterations of a loop variable v: the strided interval
+// {First ≤ v ≤ Hi, v ≡ First (mod Stride)}, First, First+Stride, ... up to
+// Hi. First and Hi may mention free variables (the loop's bounds and the
+// owner expression's other variables); First is a constant when they are.
+// A class Solve returns is not bounded yet: its First is one member and Hi
+// is unset, and only Intersect reads it.
 type Owned struct {
-	First  Expr
-	Stride int64
+	First, Hi Expr
+	Stride    int64
 }
 
-// Solve returns the iterations v ≥ lo for which owner == p. ok is false
+// Range is every iteration of a unit-stride loop from lo to hi.
+func Range(lo, hi Expr) Owned { return Owned{First: lo, Hi: hi, Stride: 1} }
+
+// Intersect returns the members of class, as Solve returns it, that lie in
+// o, a Range: the class's first iteration at or after o's First, by the
+// class's stride, up to o's Hi.
+func (o Owned) Intersect(class Owned) Owned {
+	return Owned{First: Add(o.First, Mod(Sub(class.First, o.First), C(class.Stride))), Hi: o.Hi, Stride: class.Stride}
+}
+
+// Count returns how many iterations o holds, (Hi − First) div Stride + 1.
+// It is exact whenever Hi ≥ First − Stride: for a Range from lo to hi with
+// hi ≥ lo − 1, and for every set Intersect takes from one (an empty range
+// counts 0).
+func (o Owned) Count() Expr {
+	return Add(Div(Sub(o.Hi, o.First), C(o.Stride)), C(1))
+}
+
+// Solve returns the class of iterations v for which owner == p. ok is false
 // when the equation is outside the decidable fragment (compile-time
 // resolution then keeps a run-time test, §3.2's "inconclusive" outcome):
 // owner is not (e) mod S for a constant S > 0, p is not a value it takes,
 // v's coefficient in e is 0 or shares a factor with S, or v occurs inside an
 // opaque atom of e.
-func Solve(owner Expr, p int64, v string, lo Expr) (Owned, bool) {
+func Solve(owner Expr, p int64, v string) (Owned, bool) {
 	e, s, ok := asMod(owner)
 	if !ok || p < 0 || p >= s {
 		return Owned{}, false
@@ -37,10 +57,8 @@ func Solve(owner Expr, p int64, v string, lo Expr) (Owned, bool) {
 	if !ok {
 		return Owned{}, false
 	}
-	// a·v ≡ p - rest (mod S)  =>  v ≡ inv·(p - rest) (mod S), and the first
-	// such v ≥ lo is lo + ((inv·(p - rest) - lo) mod S).
-	off := Mul(C(inv), Sub(C(p), rest))
-	return Owned{First: Add(lo, Mod(Sub(off, lo), C(s))), Stride: s}, true
+	// a·v ≡ p - rest (mod S)  =>  v ≡ inv·(p - rest) (mod S).
+	return Owned{First: Mul(C(inv), Sub(C(p), rest)), Stride: s}, true
 }
 
 // asMod decomposes e as (inner mod s) for a positive constant s. It accepts

@@ -17,6 +17,37 @@ func Check(c *Compiled, cfg machine.Config) (map[string]*exec.SPMDOutcome, error
 	return check(c, cfg, nil)
 }
 
+// CheckScaled is the cost-scaling relation on c: run under cfg with each of
+// its seven costs multiplied by k, every point passes Check and every
+// process's clock, so the makespan too, ends exactly k times as late as under
+// cfg. A charge made outside the tariff breaks it.
+func CheckScaled(c *Compiled, cfg machine.Config, k machine.Cost) error {
+	base, err := Check(c, cfg)
+	if err != nil {
+		return err
+	}
+	for _, cost := range []*machine.Cost{&cfg.OpCost, &cfg.MemCost, &cfg.LoopCost, &cfg.SendStartup, &cfg.RecvStartup, &cfg.PerValue, &cfg.Latency} {
+		*cost *= k
+	}
+	scaled, err := Check(c, cfg)
+	if err != nil {
+		return fmt.Errorf("costs ×%d: %w", k, err)
+	}
+	for _, pt := range c.Points {
+		label := Label(pt)
+		b, s := base[label].Stats, scaled[label].Stats
+		if s.Makespan != k*b.Makespan {
+			return fmt.Errorf("%s: costs ×%d give makespan %d, ×1 gave %d", label, k, s.Makespan, b.Makespan)
+		}
+		for p := range b.ProcTimes {
+			if s.ProcTimes[p] != k*b.ProcTimes[p] {
+				return fmt.Errorf("%s: costs ×%d end process %d at %d, ×1 at %d", label, k, p, s.ProcTimes[p], b.ProcTimes[p])
+			}
+		}
+	}
+	return nil
+}
+
 // check is Check with a hook that may alter each outcome before it is
 // compared, so a test can watch a wrong result fail.
 func check(c *Compiled, cfg machine.Config, tamper func(point string, out *exec.SPMDOutcome)) (map[string]*exec.SPMDOutcome, error) {

@@ -41,3 +41,19 @@ func TestCheckNamesThePointThatDiffers(t *testing.T) {
 		}
 	}
 }
+
+// Cost scaling, a metamorphic relation over the corpus: every machine cost
+// multiplied by 3 multiplies every process's clock by 3, at every point of
+// every case, on its own machine (multiplexed ones too).
+func TestCostScaling(t *testing.T) {
+	cases, err := CompiledCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if err := CheckScaled(c, c.Config(), 3); err != nil {
+			t.Errorf("%s S=%d: %v\n%s", c.Name, c.Procs, err, c.Src)
+		}
+	}
+	t.Logf("%d cases", len(cases))
+}

@@ -182,6 +182,25 @@ func Corpus() []Case {
 	return cases
 }
 
+// Unexercised names the pipeline modes at which no case of cases compiles
+// to an image of its own: there a pass applied nowhere, so a property that
+// looks at images checks it on none of them.
+func Unexercised(cases []*Compiled) []string {
+	own := map[string]bool{}
+	for _, c := range cases {
+		for i, pt := range c.Points {
+			own[pt.Mode] = own[pt.Mode] || c.First[i] == i
+		}
+	}
+	var modes []string
+	for _, mode := range xform.StandardModes() {
+		if !own[mode] {
+			modes = append(modes, mode)
+		}
+	}
+	return modes
+}
+
 // CompiledCorpus is the corpus through the front half, compiled once per
 // test binary.
 var CompiledCorpus = sync.OnceValues(func() ([]*Compiled, error) {

@@ -110,6 +110,14 @@ var rows = []struct {
       }
     }
   }`), true},
+	// Gauss-Seidel's wavefront with a replicated bias: the three message
+	// passes each apply, as they do to the paper's program, so each
+	// pipeline point has an image of its own.
+	{"wavefront with a replicated bias", row("cyclic_cols", "", wavefront(
+		"New[i, j] = 0.25 * (New[i - 1, j] + New[i, j - 1] + Old[i + 1, j] + Old[i, j + 1]) + bias;")), false},
+	// The same wavefront with its subscripts swapped, under rows.
+	{"transposed wavefront", row("cyclic_rows", "", wavefront(
+		"New[j, i] = 0.25 * (New[j, i - 1] + New[j - 1, i] + Old[j, i + 1] + Old[j + 1, i]) + bias;")), false},
 	// A branch on an owned scalar let, fed through a call.
 	{"branch on an owned scalar", row("block_cols", `proc half(x: real): real {
   return x * 0.5;
@@ -142,4 +150,23 @@ dist D = %s(NPROCS);
   return New;
 }
 `, family, procs, body)
+}
+
+// wavefront is a body that sets New's boundary to 1, then assigns stmt over
+// the interior in j-major order, with a replicated scalar bias in scope.
+func wavefront(stmt string) string {
+	return fmt.Sprintf(`  let bias = 0.125;
+  for j = 1 to N {
+    New[1, j] = 1.0;
+    New[N, j] = 1.0;
+  }
+  for i = 2 to N - 1 {
+    New[i, 1] = 1.0;
+    New[i, N] = 1.0;
+  }
+  for j = 2 to N - 1 {
+    for i = 2 to N - 1 {
+      %s
+    }
+  }`, stmt)
 }

@@ -55,8 +55,8 @@ func stripMineChannel(tag spmd.Tag, sites []loopSite, blksize int64) {
 		kVar := f.Var + ".blk"
 		blkLo := expr.Add(f.Lo, expr.Mul(expr.V(kVar), expr.C(blksize)))
 		blkHi := expr.Min(expr.Add(blkLo, expr.C(blksize-1)), f.Hi)
-		cnt := expr.Add(expr.Sub(blkHi, blkLo), expr.C(1))
-		pos := expr.Add(expr.Sub(expr.V(f.Var), blkLo), expr.C(1))
+		cnt := expr.Range(blkLo, blkHi).Count()
+		pos := expr.Range(blkLo, expr.V(f.Var)).Count()
 
 		rbuf := fmt.Sprintf("rnewvalues%d", tag)
 		sbuf := fmt.Sprintf("snewvalues%d", tag)
@@ -95,8 +95,9 @@ func stripMineChannel(tag spmd.Tag, sites []loopSite, blksize int64) {
 			}
 			blockBody = append(blockBody, sendBuf)
 		}
-		blocks := expr.Div(expr.Sub(f.Hi, f.Lo), expr.C(blksize))
-		outer := &spmd.For{Var: kVar, Lo: expr.C(0), Hi: blocks, Step: expr.C(1), Body: blockBody}
+		// The blocks start at Lo, Lo + blksize, ... up to Hi.
+		blocks := expr.Owned{First: f.Lo, Hi: f.Hi, Stride: blksize}.Count()
+		outer := &spmd.For{Var: kVar, Lo: expr.C(0), Hi: expr.Sub(blocks, expr.C(1)), Step: expr.C(1), Body: blockBody}
 
 		var repl []spmd.Stmt
 		if site.recvPos >= 0 {

@@ -71,8 +71,8 @@ func (s *suite) vectorizeChannel(tag spmd.Tag) {
 			continue
 		}
 		buf := fmt.Sprintf("oldvalues%d", tag)
-		count := expr.Add(expr.Sub(sl.loop.Hi, sl.loop.Lo), expr.C(1))
-		pos := expr.Add(expr.Sub(expr.V(sl.loop.Var), sl.loop.Lo), expr.C(1))
+		count := expr.Range(sl.loop.Lo, sl.loop.Hi).Count()
+		pos := expr.Range(sl.loop.Lo, expr.V(sl.loop.Var)).Count()
 		// The pair's send becomes a buffer write (the loop may pack other
 		// channels too, so it is rewritten in place), and the single column
 		// message goes out after the loop.
@@ -90,8 +90,8 @@ func (s *suite) vectorizeChannel(tag spmd.Tag) {
 		f := rt.home
 		home := s.loops[f]
 		buf := fmt.Sprintf("rvalues%d", tag)
-		count := expr.Add(expr.Sub(f.Hi, f.Lo), expr.C(1))
-		pos := expr.Add(expr.Sub(expr.V(f.Var), f.Lo), expr.C(1))
+		count := expr.Range(f.Lo, f.Hi).Count()
+		pos := expr.Range(f.Lo, expr.V(f.Var)).Count()
 		// Replace the element receive with a buffer read.
 		(*rt.holder)[rt.pos] = &spmd.BufRead{Dst: rt.recv.Dst, Buf: buf, Idx: pos}
 		// Hoist one block receive before the loop.
