@@ -12,6 +12,7 @@ import (
 	"procdecomp/internal/exec"
 	"procdecomp/internal/expr"
 	"procdecomp/internal/gen"
+	"procdecomp/internal/spmd"
 	"procdecomp/internal/xform"
 )
 
@@ -166,13 +167,15 @@ func gaussSeidel(t *testing.T) []*gen.Compiled {
 // solved class) partition the range at the case's sizes. Every member lies
 // in the range and solves owner == p, no iteration is in two sets, each
 // set's Count is its number of members, and the Counts sum to the range's
-// size.
+// size. A range whose bounds name an outer loop's variable (j to N) is
+// checked with that variable at each value from −8 to 16 that leaves
+// hi ≥ lo − 1, where Count is exact.
 func TestRestrictedSetsPartitionTheLoop(t *testing.T) {
 	cases, err := gen.CompiledCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
+	seen, symbolic := map[string]bool{}, 0
 	for _, c := range append(cases, gaussSeidel(t)...) {
 		rtr := slices.IndexFunc(c.Points, func(pt xform.Point) bool { return pt.Mode == "rtr" })
 		for _, g := range core.SolvedGuards(c.Stages[rtr].Progs[0], int64(c.Procs)) {
@@ -181,20 +184,81 @@ func TestRestrictedSetsPartitionTheLoop(t *testing.T) {
 				continue
 			}
 			seen[key] = true
+			if len(g.Lo.Vars())+len(g.Hi.Vars()) > 0 {
+				symbolic++
+			}
 			if err := partitions(g); err != nil {
 				t.Errorf("%s S=%d: %s: %v", c.Name, c.Procs, key, err)
 			}
 		}
 	}
-	if len(seen) == 0 {
-		t.Fatal("restrictLoop solved no guard")
+	if len(seen) == 0 || symbolic == 0 {
+		t.Fatalf("restrictLoop solved %d guards, %d of them over a range with a symbolic bound", len(seen), symbolic)
 	}
-	t.Logf("%d distinct solved guards", len(seen))
+	t.Logf("%d distinct solved guards, %d over a range with a symbolic bound", len(seen), symbolic)
+}
+
+// A loop whose one owned set starts at an outer loop's variable becomes
+// Fig. 5's strided loop from that symbolic first iteration: the corpus row
+// built for it specializes with no run-time guard left.
+func TestOneSymbolicSetIsStrided(t *testing.T) {
+	cases, err := gen.CompiledCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(cases, func(c *gen.Compiled) bool { return c.Name == "row/loop from the outer variable" })
+	if i < 0 {
+		t.Fatal("the corpus has no row whose loop starts at an outer variable")
+	}
+	c := cases[i]
+	ctr := slices.IndexFunc(c.Points, func(pt xform.Point) bool { return pt.Mode == "ctr" })
+	for _, prog := range c.Stages[ctr].Progs {
+		spmd.Inspect(prog.Body, func(st spmd.Stmt) bool {
+			if g, ok := st.(*spmd.Guard); ok {
+				t.Errorf("process %d keeps a run-time guard on %v:\n%s", prog.Proc, g.Proc, spmd.Format(prog))
+			}
+			return true
+		})
+	}
 }
 
 // partitions reports how the owned sets of g's condition fail to partition
-// its loop's range.
-func partitions(g core.SolvedGuard) (err error) {
+// its loop's range, at each binding of the range's other variables.
+func partitions(g core.SolvedGuard) error {
+	free := slices.Concat(g.Lo.Vars(), g.Hi.Vars())
+	if len(free) == 0 {
+		return partitionsAt(g, expr.Env{})
+	}
+	checked := false
+	for k := int64(-8); k <= 16; k++ {
+		env := expr.Env{}
+		for _, v := range free {
+			env[v] = k
+		}
+		lo, err := g.Lo.Eval(env)
+		if err != nil {
+			return err
+		}
+		hi, err := g.Hi.Eval(env)
+		if err != nil {
+			return err
+		}
+		if lo > hi+1 {
+			continue
+		}
+		if err := partitionsAt(g, env); err != nil {
+			return fmt.Errorf("at %v: %w", env, err)
+		}
+		checked = true
+	}
+	if !checked {
+		return fmt.Errorf("no binding of %v leaves a range", free)
+	}
+	return nil
+}
+
+// partitionsAt is partitions with the range's other variables bound by env.
+func partitionsAt(g core.SolvedGuard, env expr.Env) (err error) {
 	eval := func(e expr.Expr, env expr.Env) int64 {
 		v, bad := e.Eval(env)
 		if bad != nil && err == nil {
@@ -202,7 +266,8 @@ func partitions(g core.SolvedGuard) (err error) {
 		}
 		return v
 	}
-	lo, hi := eval(g.Lo, nil), eval(g.Hi, nil)
+	at := maps.Clone(env)
+	lo, hi := eval(g.Lo, env), eval(g.Hi, env)
 	period, _ := expr.Solve(g.Cond, 0, g.Var)
 	owner, total := map[int64]int64{}, int64(0)
 	for p := range period.Stride {
@@ -211,7 +276,7 @@ func partitions(g core.SolvedGuard) (err error) {
 			return fmt.Errorf("p = %d is not solved", p)
 		}
 		set := expr.Range(g.Lo, g.Hi).Intersect(class)
-		first, last, members := eval(set.First, nil), eval(set.Hi, nil), int64(0)
+		first, last, members := eval(set.First, env), eval(set.Hi, env), int64(0)
 		for v := first; err == nil && v <= last; v += set.Stride {
 			if v < lo {
 				return fmt.Errorf("p = %d owns %d, below the range", p, v)
@@ -219,13 +284,14 @@ func partitions(g core.SolvedGuard) (err error) {
 			if q, twice := owner[v]; twice {
 				return fmt.Errorf("%d is owned by %d and %d", v, q, p)
 			}
-			if got := eval(g.Cond, expr.Env{g.Var: v}); got != p {
+			at[g.Var] = v
+			if got := eval(g.Cond, at); got != p {
 				return fmt.Errorf("p = %d owns %d, whose owner is %d", p, v, got)
 			}
 			owner[v] = p
 			members++
 		}
-		n := eval(set.Count(), nil)
+		n := eval(set.Count(), env)
 		if err != nil {
 			return err
 		}

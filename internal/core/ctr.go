@@ -11,9 +11,12 @@ import (
 )
 
 // Compile-time resolution (§3.2). The generic run-time resolution program is
-// specialized for each process:
+// specialized for each process by one walk over it:
 //
-//  1. "me" is replaced by the process number everywhere.
+//  1. Loops, guards and ifs are rebuilt for the process; every other
+//     statement it keeps is the generic program's own, shared by every
+//     process and never rewritten (the generic program never mentions
+//     "me", so nothing in it waits for the process number).
 //  2. Ownership guards are resolved with the three-valued comparison, at one
 //     place (on): true guards are spliced, false guards are dropped,
 //     inconclusive guards stay as run-time tests.
@@ -27,7 +30,8 @@ import (
 //     preserves the exact global execution order of run-time resolution:
 //     when several sets coexist, the loop iterates over "rounds" of S
 //     consecutive iterations, visiting each set at its position within the
-//     round; a single set becomes the classic strided loop of Fig. 5.
+//     round; a single set becomes the classic strided loop of Fig. 5, from
+//     its first iteration even when only the run knows it.
 
 // SpecializeAll produces one specialized program per process from the
 // generic program.
@@ -41,10 +45,8 @@ func SpecializeAll(generic *spmd.Program, procs int64, restrict bool) []*spmd.Pr
 
 // specialize produces the program for process s.p.
 func (s *spec) specialize(generic *spmd.Program) *spmd.Program {
-	body := spmd.CloneBody(generic.Body)
-	spmd.SubstBody(body, spmd.Me, s.me())
 	prog := *generic
-	prog.Body = s.stmts(body)
+	prog.Body = s.stmts(generic.Body)
 	prog.Proc = int(s.p)
 	return &prog
 }
@@ -257,9 +259,10 @@ func (s *spec) restrictLoop(loop *spmd.For) []spmd.Stmt {
 	}
 
 	// Each piece runs on the iterations of the loop's range that this
-	// process owns under its condition, one set per piece. The sets are
-	// ordered by their first iterations, so those must be constants, and
-	// the rounds form below steps them all by one stride.
+	// process owns under its condition, one set per piece. The rounds form
+	// below steps the sets by one stride and orders them by their first
+	// iterations, so several sets must share a stride and start at
+	// constants; a single set may start anywhere.
 	type owned struct {
 		expr.Owned
 		stmts []spmd.Stmt
@@ -274,19 +277,18 @@ func (s *spec) restrictLoop(loop *spmd.For) []spmd.Stmt {
 			s.solved(*pc.cond, loop)
 		}
 		sets[i] = owned{expr.Range(loop.Lo, loop.Hi).Intersect(class), pc.stmts}
-		if _, known := sets[i].First.ConstVal(); !known || sets[i].Stride != sets[0].Stride {
+		if _, known := sets[i].First.ConstVal(); len(pieces) > 1 && (!known || sets[i].Stride != sets[0].Stride) {
 			return []spmd.Stmt{loop}
 		}
+	}
+	if len(sets) == 1 {
+		// Fig. 5: the classic strided loop "for j = p to N by S".
+		return []spmd.Stmt{&spmd.For{Var: loop.Var, Lo: sets[0].First, Hi: sets[0].Hi, Step: expr.C(sets[0].Stride), Body: sets[0].stmts}}
 	}
 	slices.SortStableFunc(sets, func(a, b owned) int {
 		d, _ := expr.Sub(a.First, b.First).ConstVal()
 		return cmp.Compare(d, 0)
 	})
-
-	if len(sets) == 1 {
-		// Fig. 5: the classic strided loop "for j = p to N by S".
-		return []spmd.Stmt{&spmd.For{Var: loop.Var, Lo: sets[0].First, Hi: sets[0].Hi, Step: expr.C(sets[0].Stride), Body: sets[0].stmts}}
-	}
 
 	// Several disjoint sets: iterate over rounds of S consecutive
 	// iterations, visiting each set at its position within the round, as
@@ -297,14 +299,12 @@ func (s *spec) restrictLoop(loop *spmd.For) []spmd.Stmt {
 	var body []spmd.Stmt
 	for _, o := range sets {
 		v := expr.Add(o.First, expr.Mul(expr.V(round), expr.C(o.Stride)))
-		stmts := spmd.CloneBody(o.stmts)
-		spmd.SubstBody(stmts, loop.Var, v)
 		inRange := spmd.VBin{
 			Op: lang.OpLe,
 			L:  spmd.VInt{X: v},
 			R:  spmd.VInt{X: o.Hi},
 		}
-		body = append(body, &spmd.IfValue{Cond: inRange, Then: stmts})
+		body = append(body, &spmd.IfValue{Cond: inRange, Then: spmd.SubstBody(o.stmts, loop.Var, v)})
 	}
 	return []spmd.Stmt{&spmd.For{
 		Var:  round,

@@ -133,6 +133,17 @@ var rows = []struct {
       }
     }
   }`), true},
+	// An inner loop that starts at the outer loop's variable: its one
+	// owned set starts where only the run can tell, and is still Fig. 5's
+	// strided loop, as the loop below it that ends there is.
+	{"loop from the outer variable", row("cyclic_rows", "", `  for j = 1 to N {
+    for i = j to N {
+      New[i, j] = Old[i, j] + 1.0;
+    }
+    for i = 1 to j - 1 {
+      New[i, j] = Old[i, j];
+    }
+  }`), false},
 }
 
 // row is a program over an N×N grid, N = 8, under dist D of the given

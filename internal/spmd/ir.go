@@ -2,28 +2,38 @@
 // process-decomposition compiler targets.
 //
 // A Program is the code for one process (or, for run-time resolution, the
-// single "generic" program every process executes, parameterized by the
-// special variable "me" — the paper's mynode()). Statements manipulate three
-// kinds of state: write-once I-structure arrays (allocated per-process with
-// their local shape), write-once scalar I-variables, and mutable compiler
-// temporaries and message buffers. Communication is explicit: element sends
-// and receives (the paper's csend/crecv), block transfers for vectorized
-// messages, and the coerce primitive of run-time resolution (§3.1), which
-// moves a value from its owner to the process that needs it.
+// single "generic" program every process executes, whose guards and coerces
+// compare process expressions with the paper's mynode()). Statements
+// manipulate three kinds of state: write-once I-structure arrays (allocated
+// per-process with their local shape), write-once scalar I-variables, and
+// mutable compiler temporaries and message buffers. Communication is
+// explicit: element sends and receives (the paper's csend/crecv), block
+// transfers for vectorized messages, and the coerce primitive of run-time
+// resolution (§3.1), which moves a value from its owner to the process that
+// needs it.
 //
 // Index, bound, and processor expressions are symbolic integer expressions
 // (internal/expr), which is what lets compile-time resolution and the §4
 // transformations reason about them; data values are VExprs evaluated over
 // the process's scalar environment.
+//
+// A leaf statement (every kind but For, Guard and IfValue) is never written
+// after it is built, so programs share leaves freely: each process's
+// specialized program shares the generic program's, and a copy made before a
+// pass rewrites a stage (CloneProgram) rebuilds only the
+// containers and the statement lists.
 package spmd
 
 import (
+	"slices"
+
 	"procdecomp/internal/dist"
 	"procdecomp/internal/expr"
 	"procdecomp/internal/lang"
 )
 
-// Me is the reserved variable bound to the executing process's number.
+// Me is the reserved variable bound to the executing process's number. The
+// compiler never emits it; programs built by hand may read it.
 const Me = "me"
 
 // Tag identifies a communication site; all messages of one syntactic
@@ -251,84 +261,21 @@ type Program struct {
 	Outputs []OutVar
 }
 
-// Clone returns a deep copy of the statement list (metadata is shared).
-// Transformations clone before rewriting so the untransformed program
-// remains usable.
-func CloneBody(body []Stmt) []Stmt {
-	out := make([]Stmt, len(body))
-	for i, s := range body {
-		out[i] = cloneStmt(s)
-	}
-	return out
+// SubstBody returns a copy of body with val in place of the variable name in
+// every integer expression. Its containers (For, Guard, IfValue) and
+// statement lists are new, and a leaf is copied only where name occurs in
+// it; body is unchanged.
+func SubstBody(body []Stmt, name string, val expr.Expr) []Stmt {
+	return (&copier{name: name, val: val}).body(body)
 }
 
-func cloneStmt(s Stmt) Stmt {
-	switch s := s.(type) {
-	case *Alloc:
-		c := *s
-		c.Shape = append([]expr.Expr(nil), s.Shape...)
-		return &c
-	case *AllocBuf:
-		c := *s
-		return &c
-	case *AssignVar:
-		c := *s
-		return &c
-	case *AssignIVar:
-		c := *s
-		return &c
-	case *ARead:
-		c := *s
-		c.Idx = append([]expr.Expr(nil), s.Idx...)
-		return &c
-	case *AWrite:
-		c := *s
-		c.Idx = append([]expr.Expr(nil), s.Idx...)
-		return &c
-	case *BufRead:
-		c := *s
-		return &c
-	case *BufWrite:
-		c := *s
-		return &c
-	case *Send:
-		c := *s
-		return &c
-	case *Recv:
-		c := *s
-		return &c
-	case *SendBuf:
-		c := *s
-		return &c
-	case *RecvBuf:
-		c := *s
-		return &c
-	case *Coerce:
-		c := *s
-		c.Idx = append([]expr.Expr(nil), s.Idx...)
-		return &c
-	case *For:
-		c := *s
-		c.Body = CloneBody(s.Body)
-		return &c
-	case *Guard:
-		c := *s
-		c.Body = CloneBody(s.Body)
-		return &c
-	case *IfValue:
-		c := *s
-		c.Then = CloneBody(s.Then)
-		c.Else = CloneBody(s.Else)
-		return &c
-	default:
-		panic("spmd: cloneStmt: unknown statement")
-	}
-}
-
-// CloneProgram deep-copies a program's body (metadata shared).
+// CloneProgram returns a copy of p whose containers and statement lists are
+// new and whose leaf statements and metadata are shared. No code writes a
+// field of a leaf after building it, so a pass may rewrite the copy's lists
+// and loops while p stays as it was.
 func (p *Program) CloneProgram() *Program {
 	c := *p
-	c.Body = CloneBody(p.Body)
+	c.Body = (&copier{}).body(p.Body)
 	return &c
 }
 
@@ -354,83 +301,138 @@ func Inspect(body []Stmt, f func(Stmt) bool) {
 	}
 }
 
-// SubstBody substitutes a symbolic variable (typically Me) by a constant in
-// every integer expression of the body, in place. Used when specializing the
-// generic program for one process.
-func SubstBody(body []Stmt, name string, val expr.Expr) {
-	Inspect(body, func(s Stmt) bool {
-		substStmt(s, name, val)
-		return true
-	})
+// copier is the IR's one copying rule. Containers are rebuilt; a leaf is
+// shared unless name is set and occurs in it, and is then rebuilt with val
+// substituted. hit records whether the statement being copied mentions name.
+type copier struct {
+	name string
+	val  expr.Expr
+	hit  bool
 }
 
-func substIdx(idx []expr.Expr, name string, val expr.Expr) {
-	for i := range idx {
-		idx[i] = idx[i].Subst(name, val)
+func (c *copier) body(in []Stmt) []Stmt {
+	out := make([]Stmt, len(in))
+	for i, s := range in {
+		out[i] = c.stmt(s)
 	}
+	return out
 }
 
-func substV(v VExpr, name string, val expr.Expr) VExpr {
-	switch v := v.(type) {
-	case VInt:
-		return VInt{X: v.X.Subst(name, val)}
-	case VBin:
-		return VBin{Op: v.Op, L: substV(v.L, name, val), R: substV(v.R, name, val)}
-	case VUn:
-		return VUn{Op: v.Op, X: substV(v.X, name, val)}
-	default:
+func (c *copier) x(e expr.Expr) expr.Expr {
+	if c.name == "" || !e.HasVar(c.name) {
+		return e
+	}
+	c.hit = true
+	return e.Subst(c.name, c.val)
+}
+
+func (c *copier) xs(idx []expr.Expr) []expr.Expr {
+	if c.name == "" || !slices.ContainsFunc(idx, func(e expr.Expr) bool { return e.HasVar(c.name) }) {
+		return idx
+	}
+	out := make([]expr.Expr, len(idx))
+	for i, e := range idx {
+		out[i] = c.x(e)
+	}
+	return out
+}
+
+func (c *copier) v(v VExpr) VExpr {
+	if c.name == "" {
 		return v
 	}
+	out, hit := substV(v, c.name, c.val)
+	c.hit = c.hit || hit
+	return out
 }
 
-func substStmt(s Stmt, name string, val expr.Expr) {
+func (c *copier) stmt(s Stmt) Stmt {
+	c.hit = false
 	switch s := s.(type) {
-	case *Alloc:
-		substIdx(s.Shape, name, val)
-	case *AllocBuf:
-		s.Size = s.Size.Subst(name, val)
-	case *AssignVar:
-		s.Val = substV(s.Val, name, val)
-	case *AssignIVar:
-		s.Val = substV(s.Val, name, val)
-	case *ARead:
-		substIdx(s.Idx, name, val)
-	case *AWrite:
-		substIdx(s.Idx, name, val)
-		s.Val = substV(s.Val, name, val)
-	case *BufRead:
-		s.Idx = s.Idx.Subst(name, val)
-	case *BufWrite:
-		s.Idx = s.Idx.Subst(name, val)
-		s.Val = substV(s.Val, name, val)
-	case *Send:
-		s.Dst = s.Dst.Subst(name, val)
-		s.Val = substV(s.Val, name, val)
-	case *Recv:
-		s.Src = s.Src.Subst(name, val)
-	case *SendBuf:
-		s.Dst = s.Dst.Subst(name, val)
-		s.Lo = s.Lo.Subst(name, val)
-		s.Hi = s.Hi.Subst(name, val)
-	case *RecvBuf:
-		s.Src = s.Src.Subst(name, val)
-		s.Lo = s.Lo.Subst(name, val)
-		s.Hi = s.Hi.Subst(name, val)
-	case *Coerce:
-		substIdx(s.Idx, name, val)
-		if !s.OwnerAll {
-			s.Owner = s.Owner.Subst(name, val)
-		}
-		if !s.NeederAll {
-			s.Needer = s.Needer.Subst(name, val)
-		}
 	case *For:
-		s.Lo = s.Lo.Subst(name, val)
-		s.Hi = s.Hi.Subst(name, val)
-		s.Step = s.Step.Subst(name, val)
+		return &For{Var: s.Var, Lo: c.x(s.Lo), Hi: c.x(s.Hi), Step: c.x(s.Step), Body: c.body(s.Body)}
 	case *Guard:
-		s.Proc = s.Proc.Subst(name, val)
+		return &Guard{Proc: c.x(s.Proc), Body: c.body(s.Body)}
 	case *IfValue:
-		s.Cond = substV(s.Cond, name, val)
+		return &IfValue{Cond: c.v(s.Cond), Then: c.body(s.Then), Else: c.body(s.Else)}
+	case *Alloc:
+		if shape := c.xs(s.Shape); c.hit {
+			return &Alloc{Array: s.Array, Shape: shape}
+		}
+	case *AllocBuf:
+		if size := c.x(s.Size); c.hit {
+			return &AllocBuf{Buf: s.Buf, Size: size}
+		}
+	case *AssignVar:
+		if val := c.v(s.Val); c.hit {
+			return &AssignVar{Name: s.Name, Val: val}
+		}
+	case *AssignIVar:
+		if val := c.v(s.Val); c.hit {
+			return &AssignIVar{Name: s.Name, Val: val, Def: s.Def}
+		}
+	case *ARead:
+		if idx := c.xs(s.Idx); c.hit {
+			return &ARead{Dst: s.Dst, Array: s.Array, Idx: idx}
+		}
+	case *AWrite:
+		if idx, val := c.xs(s.Idx), c.v(s.Val); c.hit {
+			return &AWrite{Array: s.Array, Idx: idx, Val: val}
+		}
+	case *BufRead:
+		if idx := c.x(s.Idx); c.hit {
+			return &BufRead{Dst: s.Dst, Buf: s.Buf, Idx: idx}
+		}
+	case *BufWrite:
+		if idx, val := c.x(s.Idx), c.v(s.Val); c.hit {
+			return &BufWrite{Buf: s.Buf, Idx: idx, Val: val}
+		}
+	case *Send:
+		if dst, val := c.x(s.Dst), c.v(s.Val); c.hit {
+			return &Send{Dst: dst, Tag: s.Tag, Val: val}
+		}
+	case *Recv:
+		if src := c.x(s.Src); c.hit {
+			return &Recv{Src: src, Tag: s.Tag, Dst: s.Dst}
+		}
+	case *SendBuf:
+		if dst, lo, hi := c.x(s.Dst), c.x(s.Lo), c.x(s.Hi); c.hit {
+			return &SendBuf{Dst: dst, Tag: s.Tag, Buf: s.Buf, Lo: lo, Hi: hi}
+		}
+	case *RecvBuf:
+		if src, lo, hi := c.x(s.Src), c.x(s.Lo), c.x(s.Hi); c.hit {
+			return &RecvBuf{Src: src, Tag: s.Tag, Buf: s.Buf, Lo: lo, Hi: hi}
+		}
+	case *Coerce:
+		if idx, owner, needer := c.xs(s.Idx), c.x(s.Owner), c.x(s.Needer); c.hit {
+			d := *s
+			d.Idx, d.Owner, d.Needer = idx, owner, needer
+			return &d
+		}
+	default:
+		panic("spmd: copy: unknown statement")
 	}
+	return s
+}
+
+// substV returns v with val in place of name in its integer parts, and
+// whether name occurs in v; v itself when it does not.
+func substV(v VExpr, name string, val expr.Expr) (VExpr, bool) {
+	switch v := v.(type) {
+	case VInt:
+		if v.X.HasVar(name) {
+			return VInt{X: v.X.Subst(name, val)}, true
+		}
+	case VBin:
+		l, lhit := substV(v.L, name, val)
+		r, rhit := substV(v.R, name, val)
+		if lhit || rhit {
+			return VBin{Op: v.Op, L: l, R: r}, true
+		}
+	case VUn:
+		if x, hit := substV(v.X, name, val); hit {
+			return VUn{Op: v.Op, X: x}, true
+		}
+	}
+	return v, false
 }

@@ -82,51 +82,74 @@ func TestFormatSpecialized(t *testing.T) {
 	}
 }
 
+// TestCloneBodyIndependence: a program copy's containers and statement lists
+// are its own, and its leaves are the original's.
 func TestCloneBodyIndependence(t *testing.T) {
 	p := sample()
-	clone := CloneBody(p.Body)
-	// Mutate the clone deeply; the original must not change.
+	before := Format(p)
+	clone := p.CloneProgram().Body
 	cloneFor := clone[4].(*For)
-	cloneFor.Body[0].(*ARead).Dst = "CHANGED"
+	cloneFor.Lo = expr.C(3)
 	cloneFor.Body = append(cloneFor.Body, &AssignVar{Name: "extra", Val: VConst{}})
-	clone[0].(*Alloc).Shape[0] = expr.C(999)
+	cloneFor.Body[0] = &AssignVar{Name: "other", Val: VConst{}}
+	clone[2].(*Guard).Body[0] = &AssignVar{Name: "other", Val: VConst{}}
+	clone[7].(*IfValue).Else = nil
+	clone[0] = &AllocBuf{Buf: "other", Size: expr.C(1)}
+	if got := Format(p); got != before {
+		t.Errorf("rewriting the clone's containers changed the original:\n%s", got)
+	}
+	sharedLeaves(t, p.Body, p.CloneProgram().Body)
+}
 
-	origFor := p.Body[4].(*For)
-	if origFor.Body[0].(*ARead).Dst != "t2" {
-		t.Error("clone shares ARead with original")
+// sharedLeaves fails unless out, a copy of body, has body's shape with new
+// containers and shares each of body's leaves that it formats alike: a leaf
+// is copied only where a substitution changed it.
+func sharedLeaves(t *testing.T, body, out []Stmt) {
+	t.Helper()
+	if len(out) != len(body) {
+		t.Fatalf("the copy has %d statements, want %d", len(out), len(body))
 	}
-	if len(origFor.Body) != 6 {
-		t.Error("clone shares loop body slice with original")
-	}
-	if v, _ := p.Body[0].(*Alloc).Shape[0].ConstVal(); v != 8 {
-		t.Error("clone shares alloc shape with original")
+	for i, s := range body {
+		switch s := s.(type) {
+		case *For:
+			if out[i] == Stmt(s) {
+				t.Errorf("loop %s is shared", s.Var)
+			}
+			sharedLeaves(t, s.Body, out[i].(*For).Body)
+		case *Guard:
+			if out[i] == Stmt(s) {
+				t.Error("a guard is shared")
+			}
+			sharedLeaves(t, s.Body, out[i].(*Guard).Body)
+		case *IfValue:
+			if out[i] == Stmt(s) {
+				t.Error("an if is shared")
+			}
+			sharedLeaves(t, s.Then, out[i].(*IfValue).Then)
+			sharedLeaves(t, s.Else, out[i].(*IfValue).Else)
+		default:
+			var was, is strings.Builder
+			FormatBody(&was, []Stmt{s}, 0)
+			FormatBody(&is, out[i:i+1], 0)
+			if changed := was.String() != is.String(); changed == (out[i] == s) {
+				t.Errorf("leaf %q: changed is %v, shared is %v", strings.TrimSpace(was.String()), changed, out[i] == s)
+			}
+		}
 	}
 }
 
-func TestSubstBodyMe(t *testing.T) {
-	p := sample()
-	body := CloneBody(p.Body)
-	SubstBody(body, Me, expr.C(2))
-	recv := body[4].(*For).Body[2].(*Recv)
-	if v, ok := recv.Src.ConstVal(); !ok || v != 2 {
-		t.Errorf("me not substituted in Recv.Src: %v", recv.Src)
-	}
-	// Formatting the substituted body must not mention "me" anywhere.
-	var b strings.Builder
-	FormatBody(&b, body, 0)
-	if strings.Contains(b.String(), "me") {
-		t.Errorf("substituted body still mentions me:\n%s", b.String())
-	}
-}
-
+// TestSubstBodyLoopVar: SubstBody replaces a variable in every integer
+// expression of a copy, bounds, subscripts, values and processes alike, leaves
+// its input as it was, and copies only the leaves that mention the variable.
 func TestSubstBodyLoopVar(t *testing.T) {
 	body := []Stmt{
 		&For{Var: "k", Lo: expr.C(0), Hi: expr.V("r"), Step: expr.C(1), Body: []Stmt{
 			&AWrite{Array: "A", Idx: []expr.Expr{expr.V("r"), expr.V("k")}, Val: VInt{X: expr.V("r")}},
+			&AssignVar{Name: "t", Val: VInt{X: expr.V("k")}},
 		}},
 	}
-	SubstBody(body, "r", expr.C(5))
-	f := body[0].(*For)
+	out := SubstBody(body, "r", expr.C(5))
+	f := out[0].(*For)
 	if v, _ := f.Hi.ConstVal(); v != 5 {
 		t.Errorf("Hi not substituted: %v", f.Hi)
 	}
@@ -141,6 +164,30 @@ func TestSubstBodyLoopVar(t *testing.T) {
 	if !w.Idx[1].Equal(expr.V("k")) {
 		t.Error("loop variable was substituted")
 	}
+	if !body[0].(*For).Hi.Equal(expr.V("r")) || !body[0].(*For).Body[0].(*AWrite).Idx[0].Equal(expr.V("r")) {
+		t.Error("SubstBody rewrote its input")
+	}
+	sharedLeaves(t, body, out)
+}
+
+// TestSubstBodyMe: me, in a process, a subscript and a value, is substituted
+// everywhere in the copy, and the input keeps it.
+func TestSubstBodyMe(t *testing.T) {
+	p := sample()
+	before := Format(p)
+	me := SubstBody(p.Body, Me, expr.C(2))
+	if v, ok := me[4].(*For).Body[2].(*Recv).Src.ConstVal(); !ok || v != 2 {
+		t.Errorf("me not substituted in Recv.Src: %v", me[4].(*For).Body[2].(*Recv).Src)
+	}
+	var b strings.Builder
+	FormatBody(&b, me, 0)
+	if strings.Contains(b.String(), "me") {
+		t.Errorf("substituted body still mentions me:\n%s", b.String())
+	}
+	if Format(p) != before {
+		t.Error("SubstBody rewrote its input")
+	}
+	sharedLeaves(t, p.Body, me)
 }
 
 func TestSubstVExpr(t *testing.T) {
@@ -163,13 +210,11 @@ func TestVExprEqual(t *testing.T) {
 	}
 }
 
+// TestCloneProgram: a program's copy carries its metadata; its body is
+// TestCloneBodyIndependence's.
 func TestCloneProgram(t *testing.T) {
 	p := sample()
 	c := p.CloneProgram()
-	c.Body[0].(*Alloc).Array = "Other"
-	if p.Body[0].(*Alloc).Array != "New" {
-		t.Error("CloneProgram shares body")
-	}
 	if c.Name != p.Name || len(c.Outputs) != len(p.Outputs) {
 		t.Error("metadata not carried over")
 	}

@@ -5,7 +5,8 @@ import "procdecomp/internal/expr"
 // SubstVExpr substitutes a symbolic variable in the integer parts of a value
 // expression.
 func SubstVExpr(v VExpr, name string, val expr.Expr) VExpr {
-	return substV(v, name, val)
+	out, _ := substV(v, name, val)
+	return out
 }
 
 // VExprEqual reports structural equality of value expressions (via their

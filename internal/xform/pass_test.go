@@ -2,14 +2,10 @@ package xform
 
 import (
 	"errors"
-	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
 	"procdecomp/internal/core"
-	"procdecomp/internal/lang"
-	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
 )
 
@@ -146,118 +142,6 @@ func formatAll(progs []*spmd.Program) string {
 		b.WriteString(spmd.Format(p))
 	}
 	return b.String()
-}
-
-// retargeted checks Gauss-Seidel at S=4, N=16 with its Column mapping
-// replaced: a builtin family names the declaration's new builtin, anything
-// else ("all", "proc(0)") replaces every use, as the auto-mapper retargets.
-func retargeted(t *testing.T, mapping string) *sem.Info {
-	t.Helper()
-	src := gsSource
-	switch mapping {
-	case "":
-	case "block_cols":
-		src = strings.Replace(src, "cyclic_cols(NPROCS)", "block_cols(NPROCS)", 1)
-	default:
-		src = strings.ReplaceAll(src, " on Column", " on "+mapping)
-	}
-	prog, err := lang.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, errs := sem.Check(prog, sem.Config{Procs: 4, Defines: map[string]int64{"N": 16}})
-	if len(errs) > 0 {
-		t.Fatal(errs)
-	}
-	return info
-}
-
-// applied names what a point's programs are: its resolution and the passes of
-// its pipeline up to the last one that applied somewhere, on a one-point
-// compile of its own. Two points share programs iff their names are equal —
-// every pass between them applied nowhere.
-func applied(t *testing.T, info *sem.Info, pt Point) string {
-	t.Helper()
-	if pt.Mode == "rtr" {
-		return "rtr"
-	}
-	passes, _ := StandardPipeline(pt.Mode, pt.Blk)
-	counts, err := Apply(compileCTR(t, info), passes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := "ctr"
-	for i, n := range counts {
-		if n > 0 {
-			name = fmt.Sprint("ctr", passes[:i+1])
-		}
-	}
-	return name
-}
-
-// TestCompileAllSharesOnlyWhatNoPassChanged: for every nonempty set of the six
-// pipeline points, asked in either order, on Gauss-Seidel as declared and
-// retargeted to all, single (on proc(0)) and block_cols, each point formats exactly as a
-// one-point Compile does, and two points share a program iff every pass
-// between them applied nowhere — in which case they share the whole slice.
-func TestCompileAllSharesOnlyWhatNoPassChanged(t *testing.T) {
-	points := []Point{{Mode: "rtr"}, {Mode: "ctr"}, {Mode: "opt1"}, {Mode: "opt2"},
-		{Mode: "opt3", Blk: 4}, {Mode: "opt3", Blk: 8}}
-	for _, mapping := range []string{"", "all", "proc(0)", "block_cols"} {
-		info := retargeted(t, mapping)
-		want := make([]string, len(points))
-		name := make([]string, len(points))
-		for i, pt := range points {
-			progs, err := Compile(info, "gs_iteration", pt.Mode, pt.Blk)
-			if err != nil {
-				t.Fatalf("%q %v: %v", mapping, pt, err)
-			}
-			want[i], name[i] = formatAll(progs), applied(t, info, pt)
-		}
-		shared := 0
-		for set := 1; set < 1<<len(points); set++ {
-			var idx []int
-			for i := range points {
-				if set&(1<<i) != 0 {
-					idx = append(idx, i)
-				}
-			}
-			back := slices.Clone(idx)
-			slices.Reverse(back)
-			for _, order := range [][]int{idx, back} {
-				asked := make([]Point, len(order))
-				for k, i := range order {
-					asked[k] = points[i]
-				}
-				stages := CompileAll(info, "gs_iteration", asked)
-				for k, i := range order {
-					at := fmt.Sprintf("%q %v of %v", mapping, points[i], asked)
-					if stages[k].Err != nil {
-						t.Fatalf("%s: %v", at, stages[k].Err)
-					}
-					if formatAll(stages[k].Progs) != want[i] {
-						t.Errorf("%s: differs from a one-point compile", at)
-					}
-					for l := range k {
-						j := order[l]
-						same := &stages[k].Progs[0] == &stages[l].Progs[0]
-						common := slices.ContainsFunc(stages[k].Progs, func(p *spmd.Program) bool {
-							return slices.Contains(stages[l].Progs, p)
-						})
-						switch {
-						case name[i] == name[j] && !same:
-							t.Errorf("%s: no pass between it and %v applied (%s), yet it is a copy", at, points[j], name[i])
-						case name[i] != name[j] && common:
-							t.Errorf("%s: shares a program with %v, though %s and %s differ", at, points[j], name[i], name[j])
-						case same:
-							shared++
-						}
-					}
-				}
-			}
-		}
-		t.Logf("%q: %d shared pairs over every set of points", mapping, shared)
-	}
 }
 
 // A stage a pass left as its prefix's is never rewritten in place. No program
