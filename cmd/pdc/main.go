@@ -52,6 +52,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	)
 	fs.Var(&defines, "D", "override a constant, e.g. -D N=64 (repeatable)")
 	fs.Parse(args)
+	if *spec < -1 || *spec >= *procs {
+		return fmt.Errorf("-spec %d names no process of %d: want 0 to %d, or -1 for all", *spec, *procs, *procs-1)
+	}
 
 	src, err := cli.ReadSource(*file, stdin)
 	if err != nil {

@@ -318,3 +318,20 @@ func TestSearchSurvivesDegenerateHand(t *testing.T) {
 		t.Fatal("search with a degenerate reference succeeded")
 	}
 }
+
+// Measure compiles and runs one candidate on the simulated machine, validates
+// its result against the sequential reference, and reports the measurement.
+// It is deterministic: rerunning the same candidate reproduces the makespan
+// exactly, which the search (and its tests) rely on.
+func Measure(w *Workload, c Candidate, cfg machine.Config) (Measurement, error) {
+	b, err := w.build(&c.Mapping, c.Mode, c.Blk, cfg.Procs)
+	if err != nil {
+		return Measurement{}, err
+	}
+	ins, err := exec.PatternInputs(b.info, w.Entry)
+	if err != nil {
+		return Measurement{}, err
+	}
+	m, _, err := measure(context.Background(), w, c, b, ins, cfg, false)
+	return m, err
+}

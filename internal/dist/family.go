@@ -62,10 +62,10 @@ func (k Kind) Arity() int {
 	return families[k].arity
 }
 
-// Kinds lists every decomposition family in declaration order. It is the
-// canonical enumeration for flag parsing, search-space construction, and the
-// round-trip tests that keep Parse and Kind.String inverses of each other.
-func Kinds() []Kind {
+// kinds lists every decomposition family in declaration order: the
+// enumeration the round-trip tests walk to keep Parse and Kind.String
+// inverses of each other.
+func kinds() []Kind {
 	ks := make([]Kind, len(families))
 	for i := range ks {
 		ks[i] = Kind(i)

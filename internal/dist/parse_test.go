@@ -11,7 +11,7 @@ import (
 // command-line -dist flags round-trip without a parallel name table drifting.
 func TestParseRoundTrip(t *testing.T) {
 	seen := map[string]Kind{}
-	for _, k := range Kinds() {
+	for _, k := range kinds() {
 		name := k.String()
 		if strings.HasPrefix(name, "Kind(") {
 			t.Fatalf("kind %d has no canonical name", int(k))
@@ -32,8 +32,8 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("Parse(%q uppercased) = %v, %v; want %v", name, got, err, k)
 		}
 	}
-	if len(seen) != len(Kinds()) {
-		t.Fatalf("Kinds() lists %d kinds, %d unique names", len(Kinds()), len(seen))
+	if len(seen) != len(kinds()) {
+		t.Fatalf("kinds() lists %d kinds, %d unique names", len(kinds()), len(seen))
 	}
 }
 
@@ -150,7 +150,7 @@ func checkVecPartition(t *testing.T, d Dist, procs, n int64) {
 // A dist declaration names exactly a family that takes parameters, spelled
 // as the table spells it; all and single are annotations.
 func TestDeclared(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range kinds() {
 		got, ok := Declared(k.String())
 		if want := k.Arity() > 0; ok != want || (ok && got != k) {
 			t.Errorf("Declared(%q) = %v, %v; want %v, %v", k, got, ok, k, want)

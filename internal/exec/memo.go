@@ -64,7 +64,7 @@ func (s *lstmt) code(f uint16) *expr.Code {
 }
 
 // ctl evaluates the control code of s that memo bit f names. It is the one
-// place a statement's lo, hi, x or y is evaluated (CI keeps it so).
+// place a statement's lo, hi, x or y is evaluated (internal/rules keeps it so).
 func (st *stepper) ctl(s *lstmt, f uint16) int64 {
 	m := int32(-1)
 	if s.flags&f != 0 {
@@ -85,7 +85,7 @@ func (st *stepper) ctl(s *lstmt, f uint16) int64 {
 
 // keys appends the values of keyed For s's keys to out, or reports false
 // when one fails to evaluate. It is the one place a For's keys are evaluated
-// (CI keeps it so); they have no memo.
+// (internal/rules keeps it so); they have no memo.
 func (st *stepper) keys(s *lstmt, out []int64) ([]int64, bool) {
 	if s.y == nil {
 		return out, true

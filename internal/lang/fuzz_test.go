@@ -26,12 +26,12 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		once := Format(prog)
+		once := format(prog)
 		prog2, err := Parse(once)
 		if err != nil {
 			t.Fatalf("accepted program failed to re-parse: %v\n%s", err, once)
 		}
-		if twice := Format(prog2); once != twice {
+		if twice := format(prog2); once != twice {
 			t.Fatalf("format not a fixpoint:\n%s\nvs\n%s", once, twice)
 		}
 	})

@@ -105,7 +105,7 @@ func TestInspectRewritesMappingsInPlace(t *testing.T) {
 		}
 		return true
 	})
-	src := Format(prog)
+	src := format(prog)
 	if n != 3 || strings.Contains(src, "on D") || strings.Contains(src, "[D]") {
 		t.Errorf("rewrote %d mappings, want 3; program now:\n%s", n, src)
 	}

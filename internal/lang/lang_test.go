@@ -285,18 +285,18 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// Round-trip property: Format(Parse(Format(p))) == Format(p).
+// Round-trip property: format(Parse(format(p))) == format(p).
 func TestFormatRoundTrip(t *testing.T) {
 	prog, err := Parse(gsSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	once := Format(prog)
+	once := format(prog)
 	prog2, err := Parse(once)
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\nsource:\n%s", err, once)
 	}
-	twice := Format(prog2)
+	twice := format(prog2)
 	if once != twice {
 		t.Errorf("format not a fixpoint:\n--- once ---\n%s\n--- twice ---\n%s", once, twice)
 	}
@@ -307,12 +307,12 @@ func TestFormatRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 60; iter++ {
 		prog := randomProgram(rng)
-		once := Format(prog)
+		once := format(prog)
 		prog2, err := Parse(once)
 		if err != nil {
 			t.Fatalf("iteration %d: re-parse failed: %v\n%s", iter, err, once)
 		}
-		twice := Format(prog2)
+		twice := format(prog2)
 		if once != twice {
 			t.Fatalf("iteration %d: not a fixpoint:\n%s\nvs\n%s", iter, once, twice)
 		}
@@ -409,12 +409,12 @@ proc f(A: matrix[N, N] on G, v: vector[N] on V, w: vector[N] on B): vector[N] on
 	if err != nil {
 		t.Fatal(err)
 	}
-	once := Format(prog)
+	once := format(prog)
 	prog2, err := Parse(once)
 	if err != nil {
 		t.Fatalf("re-parse: %v\n%s", err, once)
 	}
-	if twice := Format(prog2); once != twice {
+	if twice := format(prog2); once != twice {
 		t.Errorf("not a fixpoint:\n%s\nvs\n%s", once, twice)
 	}
 	dd := prog.Decls[1].(*DistDecl)

@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// Format pretty-prints a program as Idn source. The output re-parses to an
+// format pretty-prints a program as Idn source. The output re-parses to an
 // equivalent tree (verified by the round-trip property test).
-func Format(p *Program) string {
+func format(p *Program) string {
 	var b strings.Builder
 	for i, d := range p.Decls {
 		if i > 0 {
