@@ -11,6 +11,7 @@ import (
 	"procdecomp/internal/exec"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/trace"
 )
 
 func gsWorkload(n int64) *Workload {
@@ -151,7 +152,7 @@ func TestSearchGaussSeidel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, d, err := measure(context.Background(), w, c, b, ins, cfg, true)
+			_, d, err := measure(context.Background(), w, c, b, ins, cfg, trace.New())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,6 +333,6 @@ func Measure(w *Workload, c Candidate, cfg machine.Config) (Measurement, error) 
 	if err != nil {
 		return Measurement{}, err
 	}
-	m, _, err := measure(context.Background(), w, c, b, ins, cfg, false)
+	m, _, err := measure(context.Background(), w, c, b, ins, cfg, nil)
 	return m, err
 }

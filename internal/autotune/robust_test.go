@@ -12,6 +12,7 @@ import (
 	"procdecomp/internal/dist"
 	"procdecomp/internal/exec"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/trace"
 	"procdecomp/internal/xform"
 )
 
@@ -325,7 +326,7 @@ func TestSearchSurvivesPanickingWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d, err := measure(context.Background(), w, c, b, ins, cfg, true)
+	_, d, err := measure(context.Background(), w, c, b, ins, cfg, trace.New())
 	if err != nil {
 		t.Fatal(err)
 	}

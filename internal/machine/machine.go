@@ -423,6 +423,9 @@ func (m *Machine) Run(body func(p *Proc)) error {
 		go m.watchCancel(stop)
 	}
 	m.ev.run(body)
+	if t := m.cfg.Tracer; t != nil {
+		t.End()
+	}
 	return m.failed
 }
 

@@ -81,12 +81,12 @@ func (l *Log) WriteChromeTraceWith(w io.Writer, payload any) error {
 		})
 	}
 
-	for p, evs := range l.events {
+	for p := range l.events {
 		pid := 0
 		if l.Multiplexed() {
 			pid = l.Node(p)
 		}
-		for _, e := range evs {
+		for _, e := range l.Events(p) {
 			ce := chromeEvent{
 				Name: e.Kind.String(), Cat: e.Kind.String(), Ph: "X",
 				Ts: e.Start, Dur: e.Dur(), Pid: pid, Tid: p,

@@ -15,8 +15,8 @@ func (l *Log) MessageMatrix() [][]int64 {
 	for i := range m {
 		m[i] = make([]int64, n)
 	}
-	for src, evs := range l.events {
-		for _, e := range evs {
+	for src := range l.events {
+		for _, e := range l.Events(src) {
 			if e.Kind == KindSend {
 				m[src][e.Peer]++
 			}
@@ -36,8 +36,8 @@ type TagStats struct {
 // traffic.
 func (l *Log) TagHistogram() map[int64]TagStats {
 	h := map[int64]TagStats{}
-	for _, evs := range l.events {
-		for _, e := range evs {
+	for p := range l.events {
+		for _, e := range l.Events(p) {
 			if e.Kind != KindSend {
 				continue
 			}
@@ -53,8 +53,8 @@ func (l *Log) TagHistogram() map[int64]TagStats {
 // Messages is the total message count recorded in the log.
 func (l *Log) Messages() int64 {
 	var n int64
-	for _, evs := range l.events {
-		for _, e := range evs {
+	for p := range l.events {
+		for _, e := range l.Events(p) {
 			if e.Kind == KindSend {
 				n++
 			}
