@@ -112,7 +112,10 @@ func (cp *CriticalPath) Len() uint64 {
 	return n
 }
 
-// CriticalPath extracts and verifies the run's critical path.
+// CriticalPath extracts and verifies the run's critical path. Every slice it
+// makes has its exact size: the send index is counted before it is filled,
+// and the backward walk runs twice, once to count the segments and once to
+// lay them down, last first, so none grows by appending.
 func (d *Dump) CriticalPath() (*CriticalPath, error) {
 	makespan := d.Makespan()
 	cp := &CriticalPath{Makespan: makespan}
@@ -127,100 +130,39 @@ func (d *Dump) CriticalPath() (*CriticalPath, error) {
 	}
 
 	// Index send spans by their (sender, Seq) edge ID. Seq is the sender's
-	// 1-based message counter, so a slice per sender suffices.
-	sends := make([][]*trace.Event, d.Procs)
-	for p := range d.Events {
-		for i, e := range d.Events[p] {
+	// 1-based message counter, so a slice per sender suffices; the slices
+	// share one array.
+	n := 0
+	for _, evs := range d.Events {
+		for _, e := range evs {
 			if e.Kind == trace.KindSend {
-				sends[p] = append(sends[p], &d.Events[p][i])
+				n++
 			}
 		}
 	}
-	findSend := func(src int, seq uint64) (*trace.Event, error) {
-		if src < 0 || src >= d.Procs || seq == 0 || seq > uint64(len(sends[src])) {
-			return nil, fmt.Errorf("analysis: no send span for message (proc %d, seq %d); the trace lacks message causality", src, seq)
-		}
-		e := sends[src][seq-1]
-		if e.Seq != seq {
-			return nil, fmt.Errorf("analysis: send spans of proc %d are not numbered consecutively (index %d holds seq %d)", src, seq-1, e.Seq)
-		}
-		return e, nil
-	}
-
-	proc, t := cp.EndProc, makespan
-	// Each iteration either consumes ≥1 cycle or jumps along a message edge;
-	// jumps at a constant instant cannot revisit a (proc, instant) pair, so
-	// this bound is generous. It guards degenerate zero-cost traces.
-	maxSteps := 2*totalEvents(d.Events) + d.Procs + 16
-	for steps := 0; t > 0; steps++ {
-		if steps > maxSteps {
-			return nil, fmt.Errorf("analysis: critical-path walk did not terminate (stuck near proc %d, cycle %d)", proc, t)
-		}
-		e, err := eventBefore(d.Events[proc], proc, t)
-		if err != nil {
-			return nil, err
-		}
-		switch e.Kind {
-		case trace.KindCompute:
-			cp.push(Segment{Proc: proc, Start: e.Start, End: e.End, Kind: "compute", Peer: -1,
-				Attr: Attribution{Compute: e.Dur()}})
-			t = e.Start
-		case trace.KindSend:
-			startup := min64(e.Dur(), d.Costs.SendStartup)
-			cp.push(Segment{Proc: proc, Start: e.Start, End: e.End, Kind: "send",
-				Peer: e.Peer, Tag: e.Tag, Seq: e.Seq,
-				Attr: Attribution{SendStartup: startup, PerValue: e.Dur() - startup}})
-			t = e.Start
-		case trace.KindRecv:
-			startup := min64(e.Dur(), d.Costs.RecvStartup)
-			cp.push(Segment{Proc: proc, Start: e.Start, End: e.End, Kind: "recv",
-				Peer: e.Peer, Tag: e.Tag, Seq: e.Seq,
-				Attr: Attribution{RecvStartup: startup, PerValue: e.Dur() - startup}})
-			t = e.Start
-		case trace.KindBlocked:
-			cp.push(Segment{Proc: proc, Start: e.Start, End: e.End, Kind: "blocked", Peer: e.Peer,
-				Attr: Attribution{Blocked: e.Dur()}})
-			t = e.Start
-		case trace.KindIdle:
-			// The wait [e.Start, e.End) ended when the message from e.Peer
-			// was released at e.End. Find its departure (send-span end).
-			snd, err := findSend(e.Peer, e.Seq)
-			if err != nil {
-				return nil, err
+	all := make([]*trace.Event, 0, n)
+	sends := make([][]*trace.Event, d.Procs)
+	for p, evs := range d.Events {
+		from := len(all)
+		for i := range evs {
+			if evs[i].Kind == trace.KindSend {
+				all = append(all, &evs[i])
 			}
-			depart := snd.End
-			from := e.Start
-			if depart > from {
-				from = depart // the sender was the constraint before departure
-			}
-			if from < e.End {
-				// Tail beyond depart+Latency is transport-induced delay.
-				faultFrom := depart + d.Costs.Latency
-				if faultFrom < from {
-					faultFrom = from
-				}
-				if faultFrom > e.End {
-					faultFrom = e.End
-				}
-				cp.push(Segment{Proc: proc, Start: from, End: e.End, Kind: "wait",
-					Peer: e.Peer, Tag: e.Tag, Seq: e.Seq,
-					Attr: Attribution{Wire: faultFrom - from, Fault: e.End - faultFrom}})
-			}
-			if depart > e.Start {
-				proc, t = e.Peer, depart // follow the message to its sender
-			} else {
-				t = e.Start // the wait was pure wire time; stay local
-			}
-		default:
-			return nil, fmt.Errorf("analysis: proc %d has an event of unknown kind %v", proc, e.Kind)
 		}
+		sends[p] = all[from:len(all):len(all)]
 	}
 
-	// Reverse into time order and verify exactness: the segments must tile
-	// [0, makespan) and the attribution must tile the segments.
-	for i, j := 0, len(cp.Segments)-1; i < j; i, j = i+1, j-1 {
-		cp.Segments[i], cp.Segments[j] = cp.Segments[j], cp.Segments[i]
+	segs := 0
+	if err := d.walkBack(cp.EndProc, makespan, sends, func(Segment) { segs++ }); err != nil {
+		return nil, err
 	}
+	cp.Segments = make([]Segment, segs)
+	if err := d.walkBack(cp.EndProc, makespan, sends, func(s Segment) { segs--; cp.Segments[segs] = s }); err != nil {
+		return nil, err
+	}
+
+	// Verify exactness: the segments must tile [0, makespan) and the
+	// attribution must tile the segments.
 	var sum uint64
 	for _, s := range cp.Segments {
 		if s.Attr.Total() != s.Dur() {
@@ -239,7 +181,90 @@ func (d *Dump) CriticalPath() (*CriticalPath, error) {
 	return cp, nil
 }
 
-func (cp *CriticalPath) push(s Segment) { cp.Segments = append(cp.Segments, s) }
+// walkBack walks the critical path backward from instant t on proc's
+// timeline, handing visit each segment, latest first. sends[p][seq-1] is
+// process p's send span of message seq.
+func (d *Dump) walkBack(proc int, t uint64, sends [][]*trace.Event, visit func(Segment)) error {
+	findSend := func(src int, seq uint64) (*trace.Event, error) {
+		if src < 0 || src >= d.Procs || seq == 0 || seq > uint64(len(sends[src])) {
+			return nil, fmt.Errorf("analysis: no send span for message (proc %d, seq %d); the trace lacks message causality", src, seq)
+		}
+		e := sends[src][seq-1]
+		if e.Seq != seq {
+			return nil, fmt.Errorf("analysis: send spans of proc %d are not numbered consecutively (index %d holds seq %d)", src, seq-1, e.Seq)
+		}
+		return e, nil
+	}
+
+	// Each iteration either consumes ≥1 cycle or jumps along a message edge;
+	// jumps at a constant instant cannot revisit a (proc, instant) pair, so
+	// this bound is generous. It guards degenerate zero-cost traces.
+	maxSteps := 2*totalEvents(d.Events) + d.Procs + 16
+	for steps := 0; t > 0; steps++ {
+		if steps > maxSteps {
+			return fmt.Errorf("analysis: critical-path walk did not terminate (stuck near proc %d, cycle %d)", proc, t)
+		}
+		e, err := eventBefore(d.Events[proc], proc, t)
+		if err != nil {
+			return err
+		}
+		switch e.Kind {
+		case trace.KindCompute:
+			visit(Segment{Proc: proc, Start: e.Start, End: e.End, Kind: "compute", Peer: -1,
+				Attr: Attribution{Compute: e.Dur()}})
+			t = e.Start
+		case trace.KindSend:
+			startup := min64(e.Dur(), d.Costs.SendStartup)
+			visit(Segment{Proc: proc, Start: e.Start, End: e.End, Kind: "send",
+				Peer: e.Peer, Tag: e.Tag, Seq: e.Seq,
+				Attr: Attribution{SendStartup: startup, PerValue: e.Dur() - startup}})
+			t = e.Start
+		case trace.KindRecv:
+			startup := min64(e.Dur(), d.Costs.RecvStartup)
+			visit(Segment{Proc: proc, Start: e.Start, End: e.End, Kind: "recv",
+				Peer: e.Peer, Tag: e.Tag, Seq: e.Seq,
+				Attr: Attribution{RecvStartup: startup, PerValue: e.Dur() - startup}})
+			t = e.Start
+		case trace.KindBlocked:
+			visit(Segment{Proc: proc, Start: e.Start, End: e.End, Kind: "blocked", Peer: e.Peer,
+				Attr: Attribution{Blocked: e.Dur()}})
+			t = e.Start
+		case trace.KindIdle:
+			// The wait [e.Start, e.End) ended when the message from e.Peer
+			// was released at e.End. Find its departure (send-span end).
+			snd, err := findSend(e.Peer, e.Seq)
+			if err != nil {
+				return err
+			}
+			depart := snd.End
+			from := e.Start
+			if depart > from {
+				from = depart // the sender was the constraint before departure
+			}
+			if from < e.End {
+				// Tail beyond depart+Latency is transport-induced delay.
+				faultFrom := depart + d.Costs.Latency
+				if faultFrom < from {
+					faultFrom = from
+				}
+				if faultFrom > e.End {
+					faultFrom = e.End
+				}
+				visit(Segment{Proc: proc, Start: from, End: e.End, Kind: "wait",
+					Peer: e.Peer, Tag: e.Tag, Seq: e.Seq,
+					Attr: Attribution{Wire: faultFrom - from, Fault: e.End - faultFrom}})
+			}
+			if depart > e.Start {
+				proc, t = e.Peer, depart // follow the message to its sender
+			} else {
+				t = e.Start // the wait was pure wire time; stay local
+			}
+		default:
+			return fmt.Errorf("analysis: proc %d has an event of unknown kind %v", proc, e.Kind)
+		}
+	}
+	return nil
+}
 
 // eventBefore finds the unique nonzero-length event of proc containing the
 // instant just before t. Because events tile the clock, the first event whose

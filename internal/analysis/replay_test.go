@@ -208,6 +208,41 @@ func TestReplayAllocationsDoNotGrowWithMessages(t *testing.T) {
 	}
 }
 
+// TestCriticalPathAllocationsDoNotGrowWithSpans: CriticalPath counts its send
+// index and its segments before it makes them, so it allocates as often on a
+// ring of 1,000 messages as on one of 10.
+func TestCriticalPathAllocationsDoNotGrowWithSpans(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const procs = 4
+	allocs := func(messages int) float64 {
+		acts := make([][]Action, procs)
+		seq := make([]uint64, procs)
+		for m := range messages {
+			src := m % procs
+			dst := (src + 1) % procs
+			seq[src]++
+			acts[src] = append(acts[src], Action{Kind: trace.KindCompute, Dur: 3},
+				Action{Kind: trace.KindSend, Peer: dst, Values: 2, Seq: seq[src]})
+			acts[dst] = append(acts[dst], Action{Kind: trace.KindRecv, Peer: src, Values: 2, Seq: seq[src]})
+		}
+		d, err := ReplayDump(acts, testCosts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := d.CriticalPath(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(1000)
+	if small != large {
+		t.Errorf("CriticalPath allocates %.0f times at 10 messages, %.0f at 1,000", small, large)
+	}
+}
+
 // TestReplayDumpPing: the ping of machine's TestTraceDirectPing, replayed
 // under that test's calibration, lays down the spans the machine traced —
 // the sender's compute [0,50) and send [50,152), the receiver's idle
