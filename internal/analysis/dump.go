@@ -15,7 +15,7 @@
 //     given optimization could buy without rerunning the program — the
 //     cost-model-driven discipline of the PGAS-compiler literature.
 //   - Hotspots ranks links and tags by their critical-path occupancy, on top
-//     of the log's MessageMatrix/TagHistogram.
+//     of the log's send events.
 //
 // The Dump is what pdrun/pdbench write with -trace: a Chrome trace-event
 // file whose top-level "pdtrace" key carries the events plus the machine
@@ -124,7 +124,7 @@ func NewDump(cfg machine.Config, log *trace.Log) *Dump {
 }
 
 // Log revives the dump as a trace.Log, giving access to the log's pattern
-// analyses (MessageMatrix, TagHistogram) and the Chrome exporter.
+// analyses (MessageMatrix) and the Chrome exporter.
 func (d *Dump) Log() *trace.Log {
 	return trace.Rebuild(d.Placement, d.Events, d.Wire)
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"procdecomp/internal/golden"
 	"procdecomp/internal/trace"
 )
 
@@ -176,7 +177,7 @@ func TestReplayMatchesMapOracle(t *testing.T) {
 // number of slices, sized by its counting pass; nothing is allocated per
 // message.
 func TestReplayAllocationsDoNotGrowWithMessages(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const procs = 4
@@ -212,7 +213,7 @@ func TestReplayAllocationsDoNotGrowWithMessages(t *testing.T) {
 // index and its segments before it makes them, so it allocates as often on a
 // ring of 1,000 messages as on one of 10.
 func TestCriticalPathAllocationsDoNotGrowWithSpans(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const procs = 4
@@ -284,7 +285,7 @@ func TestReplayDumpPing(t *testing.T) {
 // process's events once, from its actions, so its allocations are the same
 // at 10 messages as at 1,000.
 func TestReplayDumpAllocationsDoNotGrowWithMessages(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const procs = 4

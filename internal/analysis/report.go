@@ -58,8 +58,7 @@ type Report struct {
 	Links       []LinkHotspot
 	Tags        []TagHotspot
 	// Wire summarizes the transport stream by event kind, in a fixed kind
-	// order (a sorted rendering of trace.Log.WireCounts); empty for runs on
-	// the ideal network.
+	// order; empty for runs on the ideal network.
 	Wire   []WireCount `json:",omitempty"`
 	WhatIf []WhatIf
 	// Path is the full critical path, populated only on request

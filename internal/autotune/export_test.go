@@ -7,9 +7,6 @@ import (
 	"procdecomp/internal/machine"
 )
 
-// RaceEnabled is raceEnabled for package autotune_test.
-const RaceEnabled = raceEnabled
-
 // SearchWork is what one search did, counted through the search's test
 // seams rather than by the product.
 type SearchWork struct {

@@ -7,7 +7,9 @@ package autotune_test
 // stage, with no wall clock and no benchmark run:
 //
 //   - alloc/…: the allocations of one call of each pipeline stage for
-//     Gauss-Seidel at N=64, opt3/blk 8, on 1 and 8 processes;
+//     Gauss-Seidel at N=64, opt3/blk 8, on 1 and 8 processes, and of
+//     lowering and running the first generated corpus case of each family at
+//     its ctr point;
 //   - work/…: what one cold map-search search (GS, N=24, S=4, one worker)
 //     does: the candidates tier 2 replays, tier 3's evaluations, the events
 //     the anchor's replayed timeline holds and the events its traced run
@@ -24,12 +26,15 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"procdecomp/internal/autotune"
 	"procdecomp/internal/bench"
+	"procdecomp/internal/dist"
 	"procdecomp/internal/exec"
+	"procdecomp/internal/gen"
 	"procdecomp/internal/golden"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
@@ -47,10 +52,7 @@ type ledgerRow struct {
 
 // allocRows counts each stage's allocations for GS at N=64, opt3/blk 8, on
 // procs processes. Each stage runs on the previous stage's result, built
-// once outside the count. A row is the least of five counts: a collection
-// that lands inside a call can cost it an allocation or two on its own
-// account (a pool refilled), while an allocation the stage makes shows in
-// every count.
+// once outside the count.
 func allocRows(t *testing.T, procs int) []ledgerRow {
 	t.Helper()
 	const entry, n = "gs_iteration", 64
@@ -97,21 +99,60 @@ func allocRows(t *testing.T, procs int) []ledgerRow {
 	}
 	var rows []ledgerRow
 	for _, s := range stages {
-		var err error
-		least := math.Inf(1)
-		for range 5 {
-			least = min(least, testing.AllocsPerRun(1, func() {
-				if e := s.f(); e != nil {
-					err = e
-				}
-			}))
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		rows = append(rows, ledgerRow{fmt.Sprintf("alloc/gs N=%d S=%d opt3 blk8/%s", n, procs, s.name), int64(least)})
+		rows = append(rows, leastAllocs(t, fmt.Sprintf("alloc/gs N=%d S=%d opt3 blk8/%s", n, procs, s.name), s.f))
 	}
 	return rows
+}
+
+// corpusRows counts exec.LowerAll and (*Image).Run for the first corpus case
+// of each family gen draws, at its ctr point.
+func corpusRows(t *testing.T) []ledgerRow {
+	t.Helper()
+	cases, err := gen.CompiledCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []ledgerRow
+	for _, family := range []dist.Kind{dist.KindCyclicCols, dist.KindCyclicRows, dist.KindBlockCols, dist.KindBlockRows} {
+		i := slices.IndexFunc(cases, func(c *gen.Compiled) bool { return c.Info.Decomps["D"].Kind == family })
+		if i < 0 {
+			t.Fatalf("the corpus has no case of %s", family)
+		}
+		c := cases[i]
+		ctr := slices.IndexFunc(c.Points, func(pt xform.Point) bool { return pt.Mode == "ctr" })
+		if c.Images[ctr] == nil {
+			t.Fatalf("%s: ctr: %v", c.Name, c.Stages[ctr].Err)
+		}
+		at := fmt.Sprintf("alloc/corpus %s %s S=%d ctr/", family, c.Name, c.Procs)
+		rows = append(rows,
+			leastAllocs(t, at+"exec.LowerAll", func() error { _, err := exec.LowerAll(c.Stages[ctr].Progs, c.Procs); return err }),
+			leastAllocs(t, at+"(*Image).Run", func() error {
+				_, err := c.Images[ctr].Run(context.Background(), c.Config(), c.Inputs)
+				return err
+			}))
+	}
+	return rows
+}
+
+// leastAllocs is the row name for f's allocations, the least of five counts:
+// a collection that lands inside a call can cost it an allocation or two on
+// its own account (a pool refilled), while an allocation f makes shows in
+// every count.
+func leastAllocs(t *testing.T, name string, f func() error) ledgerRow {
+	t.Helper()
+	var err error
+	least := math.Inf(1)
+	for range 5 {
+		least = min(least, testing.AllocsPerRun(1, func() {
+			if e := f(); e != nil {
+				err = e
+			}
+		}))
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return ledgerRow{name, int64(least)}
 }
 
 // workRows counts one cold search of map-search's GS N=24 op at S=4, on one
@@ -138,7 +179,7 @@ func workRows(t *testing.T) []ledgerRow {
 // from the golden rather than measured.
 func TestLedger(t *testing.T) {
 	var rows []ledgerRow
-	if autotune.RaceEnabled {
+	if golden.RaceEnabled {
 		b, err := os.ReadFile(ledgerPath)
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +194,7 @@ func TestLedger(t *testing.T) {
 			}
 		}
 	} else {
-		rows = append(allocRows(t, 1), allocRows(t, 8)...)
+		rows = slices.Concat(allocRows(t, 1), allocRows(t, 8), corpusRows(t))
 	}
 	rows = append(rows, workRows(t)...)
 	var b bytes.Buffer

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"procdecomp/internal/bench"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/sem"
@@ -82,7 +83,7 @@ func formatAll(progs []*spmd.Program) string {
 // error — is exactly what a compile of its own produces.
 func TestCompileAllMatchesCompile(t *testing.T) {
 	for _, procs := range []int{2, 4, 8} {
-		cands := Space{}.Enumerate(procs)
+		cands, _ := Space{}.enumerate(procs)
 		for _, w := range searchedWorkloads(12) {
 			for _, idx := range groupBy(len(cands), func(i int) Mapping { return cands[i].Mapping }) {
 				mapping := cands[idx[0]].Mapping
@@ -135,7 +136,7 @@ func TestSearchIndependentOfWorkers(t *testing.T) {
 // process on top — the action lists, the send index and the channel table are
 // each built once, never grown by doubling.
 func TestBuildProfileAllocationsDoNotGrowWithActions(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		// The detector drops sync.Pool puts at random, and walkScratch is a
 		// pool: a dropped slice is regrown by doubling.
 		t.Skip("the race detector allocates on its own account")

@@ -188,7 +188,7 @@ func TestSearchCtxCanceledMidSearch(t *testing.T) {
 // and adapt's runTrigger recover — and only once every mapping has been
 // handed out and the pool has drained.
 func TestSearchAnchorPanicReachesCaller(t *testing.T) {
-	cands := Space{}.Enumerate(4)
+	cands, _ := Space{}.enumerate(4)
 	mappings := len(groupBy(len(cands), func(i int) Mapping { return cands[i].Mapping }))
 	for _, workers := range []int{1, 4} {
 		var compiles atomic.Int64

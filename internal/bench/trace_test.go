@@ -79,7 +79,8 @@ func TestTraceReconcilesFig6Placement(t *testing.T) {
 // at once (mux scheduling, reliable-transport retries, blocked-for-CPU spans
 // all active). The trace must still reconcile exactly — Sums against the
 // Breakdown, Totals against the per-process sums, and the pattern analyses
-// (MessageMatrix, TagHistogram) against the machine's message counters.
+// (MessageMatrix, the send events' values) against the machine's message
+// counters.
 func TestTraceReconcilesPlacementChaos(t *testing.T) {
 	cfg := machine.DefaultConfig(8)
 	cfg.Placement = []int{0, 1, 2, 3, 0, 1, 2, 3}
@@ -117,14 +118,16 @@ func TestTraceReconcilesPlacementChaos(t *testing.T) {
 	if matrixMsgs != st.Messages {
 		t.Errorf("message matrix sums to %d, machine counted %d", matrixMsgs, st.Messages)
 	}
-	var tagMsgs, tagVals int64
-	for _, ts := range tr.TagHistogram() {
-		tagMsgs += ts.Messages
-		tagVals += ts.Values
+	var values int64
+	for p := range tr.Procs() {
+		for _, e := range tr.Events(p) {
+			if e.Kind == trace.KindSend {
+				values += int64(e.Values)
+			}
+		}
 	}
-	if tagMsgs != st.Messages || tagVals != st.Values {
-		t.Errorf("tag histogram sums to %d msgs / %d values, machine counted %d / %d",
-			tagMsgs, tagVals, st.Messages, st.Values)
+	if values != st.Values {
+		t.Errorf("send events carry %d values, machine counted %d", values, st.Values)
 	}
 }
 
@@ -177,8 +180,15 @@ func TestTraceWavefrontRingPattern(t *testing.T) {
 		}
 	}
 	// Both logical channels (old columns, new-value blocks) must appear.
-	h := tr.TagHistogram()
-	if len(h) < 2 {
-		t.Errorf("tag histogram = %v, want the wavefront's two channels", h)
+	tags := map[int64]bool{}
+	for p := range procs {
+		for _, e := range tr.Events(p) {
+			if e.Kind == trace.KindSend {
+				tags[e.Tag] = true
+			}
+		}
+	}
+	if len(tags) < 2 {
+		t.Errorf("sends carry tags %v, want the wavefront's two channels", tags)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"procdecomp/internal/exec"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
@@ -484,7 +485,7 @@ proc step(Old: matrix[N, N] on D): matrix[N, N] on D {
 // body for each process first cost 9,771 allocations here. The pin keeps
 // per-statement state from creeping into each process's copy.
 func TestSpecializeAllocs(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const pin = 8267

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"procdecomp/internal/expr"
+	"procdecomp/internal/golden"
 )
 
 // span binds the family k over a span of s processors to data of the given
@@ -81,12 +82,12 @@ func TestSymbolicAgreesWithConcrete(t *testing.T) {
 		for i := int64(1); i <= 11; i++ {
 			for j := int64(1); j <= 13; j++ {
 				env := expr.Env{"i": i, "j": j}
-				if got, want := so.MustEval(env), d.Owner([]int64{i, j}); got != want {
+				if got, want := value(t, so, env), d.Owner([]int64{i, j}); got != want {
 					t.Fatalf("%v: symbolic owner(%d,%d) = %d, want %d", d, i, j, got, want)
 				}
 				loc := d.Local(nil, []int64{i, j})
 				for k := range sl {
-					if got := sl[k].MustEval(env); got != loc[k] {
+					if got := value(t, sl[k], env); got != loc[k] {
 						t.Fatalf("%v: symbolic local[%d](%d,%d) = %d, want %d", d, k, i, j, got, loc[k])
 					}
 				}
@@ -283,10 +284,10 @@ func TestVectorDistributions(t *testing.T) {
 			seen[key] = true
 			// Symbolic agreement.
 			env := expr.Env{"i": i}
-			if got := d.SymbolicOwner([]expr.Expr{expr.V("i")}).MustEval(env); got != p {
+			if got := value(t, d.SymbolicOwner([]expr.Expr{expr.V("i")}), env); got != p {
 				t.Fatalf("%v: symbolic owner(%d) = %d, want %d", d, i, got, p)
 			}
-			if got := d.SymbolicLocal([]expr.Expr{expr.V("i")})[0].MustEval(env); got != l[0] {
+			if got := value(t, d.SymbolicLocal([]expr.Expr{expr.V("i")})[0], env); got != l[0] {
 				t.Fatalf("%v: symbolic local(%d) = %d, want %d", d, i, got, l[0])
 			}
 		}
@@ -308,11 +309,21 @@ func TestLocalFillsTheCallersBuffer(t *testing.T) {
 		if &got[0] != &buf[0] || fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%v: Local(buf, %v) = %v in a new array, want %v in buf", d, idx, got, want)
 		}
-		if raceEnabled {
+		if golden.RaceEnabled {
 			continue // the race detector allocates on its own account
 		}
 		if n := testing.AllocsPerRun(100, func() { buf = d.Local(buf, idx) }); n != 0 {
 			t.Errorf("%v: Local into a buffer with room: %.0f allocations, want 0", d, n)
 		}
 	}
+}
+
+// value evaluates e, which the test knows is closed under env.
+func value(t *testing.T, e expr.Expr, env expr.Env) int64 {
+	t.Helper()
+	v, err := e.Eval(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -6,6 +6,7 @@ import (
 
 	"procdecomp/internal/dist"
 	"procdecomp/internal/expr"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
@@ -370,7 +371,7 @@ func TestScatterAllocationsDoNotGrowWithProcs(t *testing.T) {
 // scatter and gather allocate per array and per process, never per element:
 // the same count for a 64×64 array as for a 16×16 one.
 func TestScatterGatherAllocsDoNotGrowWithN(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const procs = 4

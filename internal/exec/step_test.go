@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"procdecomp/internal/expr"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
@@ -187,7 +188,7 @@ func TestSteppingDoesNotAllocate(t *testing.T) {
 			}
 		})
 	}
-	if a, b := walk(10), walk(1000); a != b && !raceEnabled {
+	if a, b := walk(10), walk(1000); a != b && !golden.RaceEnabled {
 		t.Errorf("abstract walk: %.0f allocations at 10 trips, %.0f at 1,000", a, b)
 	}
 	run := func(trips int64) float64 {

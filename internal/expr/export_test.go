@@ -10,3 +10,8 @@ func CodeCorpus() []Expr {
 	}
 	return out
 }
+
+// Swap substitutes a and b for each other at once, through a fresh name.
+func Swap(e Expr) Expr {
+	return e.Subst("a", V("\x00")).Subst("b", V("a")).Subst("\x00", V("b"))
+}

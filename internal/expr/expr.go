@@ -17,7 +17,6 @@ package expr
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -41,7 +40,6 @@ type atom interface {
 	key() string // canonical, unambiguous; used for ordering and equality
 	eval(env Env) (int64, error)
 	subst(name string, r Expr) Expr // result of substituting into this atom
-	vars(set map[string]bool)
 	hasVar(name string) bool
 }
 
@@ -329,34 +327,6 @@ func (e Expr) Eval(env Env) (int64, error) {
 	return v, nil
 }
 
-// MustEval evaluates e and panics on error; for use with known-closed
-// expressions in tests and generated code.
-func (e Expr) MustEval(env Env) int64 {
-	v, err := e.Eval(env)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// Vars returns the free variables of e in sorted order.
-func (e Expr) Vars() []string {
-	set := map[string]bool{}
-	e.collect(set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (e Expr) collect(set map[string]bool) {
-	for _, t := range e.terms {
-		t.atom.vars(set)
-	}
-}
-
 // HasVar reports whether name occurs free in e.
 func (e Expr) HasVar(name string) bool {
 	for _, t := range e.terms {
@@ -384,24 +354,6 @@ func (e Expr) Subst(name string, r Expr) Expr {
 		out = plus(out, t.atom.subst(name, r), t.coef)
 	}
 	return Add(Expr{terms: kept}, out)
-}
-
-// SubstAll applies a set of substitutions simultaneously.
-func (e Expr) SubstAll(sub map[string]Expr) Expr {
-	names := make([]string, 0, len(sub))
-	for n := range sub {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	// Simultaneity: first rename targets to fresh names, then substitute.
-	tmp := e
-	for i, n := range names {
-		tmp = tmp.Subst(n, V(fmt.Sprintf("\x00subst%d", i)))
-	}
-	for i, n := range names {
-		tmp = tmp.Subst(fmt.Sprintf("\x00subst%d", i), sub[n])
-	}
-	return tmp
 }
 
 // String renders e in canonical, re-parsable form.
@@ -501,8 +453,7 @@ func (v varAtom) subst(name string, r Expr) Expr {
 	}
 	return atomExpr(v)
 }
-func (v varAtom) vars(set map[string]bool) { set[string(v)] = true }
-func (v varAtom) hasVar(name string) bool  { return string(v) == name }
+func (v varAtom) hasVar(name string) bool { return string(v) == name }
 
 // pair is an opaque atom's two operands and its canonical key. The
 // constructor (Mod, Div, Min, Max, Mul) renders the key once, from operands
@@ -513,9 +464,8 @@ type pair struct {
 	k    string
 }
 
-func (p pair) key() string              { return p.k }
-func (p pair) vars(set map[string]bool) { p.a.collect(set); p.b.collect(set) }
-func (p pair) hasVar(name string) bool  { return p.a.HasVar(name) || p.b.HasVar(name) }
+func (p pair) key() string             { return p.k }
+func (p pair) hasVar(name string) bool { return p.a.HasVar(name) || p.b.HasVar(name) }
 
 // operands evaluates a, then b, stopping at the first error.
 func (p pair) operands(env Env) (av, bv int64, err error) {

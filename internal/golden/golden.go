@@ -1,8 +1,10 @@
 // Package golden holds a test's output to a file recorded earlier: the one
 // way the repository's witness and golden tests compare, keep what they saw,
-// and say where it departs. It uses the standard library only, so any test
-// package can import it, internal ones included. Import it from _test.go
-// files only.
+// and say where it departs. It also says whether the race detector
+// instruments the build (RaceEnabled), the one flag a test reads to shrink or
+// skip a bound the detector's slowdown breaks. It uses the standard library
+// only, so any test package can import it, internal ones included. Import it
+// from _test.go files only.
 package golden
 
 import (

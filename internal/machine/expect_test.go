@@ -8,6 +8,7 @@ import (
 	"procdecomp/internal/autotune"
 	"procdecomp/internal/bench"
 	"procdecomp/internal/exec"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/trace"
@@ -21,7 +22,7 @@ import (
 // and at most the log, Begin's two per-process slices and the two slices of
 // the Stats that VerifyTrace reconciles against.
 func TestExpectingTraceAllocationsDoNotGrowWithEvents(t *testing.T) {
-	if machine.RaceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const procs, pin = 4, 5

@@ -298,7 +298,10 @@ func TestFaultsWireTrace(t *testing.T) {
 		t.Errorf("trace does not reconcile under faults: %v", err)
 	}
 	st := mustStats(t, m)
-	counts := log.WireCounts()
+	counts := map[trace.WireKind]int64{}
+	for _, e := range log.WireEvents() {
+		counts[e.Kind]++
+	}
 	if counts[trace.WireDeliver] != st.Messages {
 		t.Errorf("wire deliveries = %d, want %d (one per message)", counts[trace.WireDeliver], st.Messages)
 	}

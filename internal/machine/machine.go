@@ -269,8 +269,8 @@ func (s Stats) MeanUtilization() float64 {
 type Machine struct {
 	cfg Config
 
-	// mu guards ran and running, and nothing else: it is what lets Stats and
-	// NodeTimes, called from any goroutine, refuse a mid-run snapshot.
+	// mu guards ran and running, and nothing else: it is what lets Stats,
+	// called from any goroutine, refuse a mid-run snapshot.
 	mu      sync.Mutex
 	ran     bool // Run was called
 	running bool // Run in progress

@@ -89,16 +89,3 @@ func (p *Proc) charge(c Cost) {
 	}
 	p.clock += c
 }
-
-// NodeTimes reports the physical node clocks of a multiplexed run: nil when
-// the machine was not multiplexed, and — the node clocks being written
-// lock-free by the token holder, like everything Stats reads — nil while Run
-// is in progress.
-func (m *Machine) NodeTimes() []Cost {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sched == nil || m.running {
-		return nil
-	}
-	return append([]Cost(nil), m.sched.nodes...)
-}

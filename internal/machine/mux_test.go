@@ -257,3 +257,16 @@ func TestMuxBadPlacement(t *testing.T) {
 	}()
 	New(muxConfig(3, []int{0, 1}))
 }
+
+// NodeTimes reports the physical node clocks of a multiplexed run: nil when
+// the machine was not multiplexed, and — the node clocks being written
+// lock-free by the token holder, like everything Stats reads — nil while Run
+// is in progress.
+func (m *Machine) NodeTimes() []Cost {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.sched == nil || m.running {
+		return nil
+	}
+	return append([]Cost(nil), m.sched.nodes...)
+}

@@ -3,6 +3,8 @@ package machine
 import (
 	"testing"
 	"time"
+
+	"procdecomp/internal/golden"
 )
 
 // Absolute pins on the engine's own cost. They replace a gate that compared
@@ -44,7 +46,7 @@ func perStep(t *testing.T, procs int, body func(laps int) func(p *Proc)) float64
 // 1.5). pdperf reports the same number as machine.ring_allocs_per_msg;
 // nothing may raise it unnoticed.
 func TestRingAllocsPerMessage(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const pin = 0.01
@@ -71,7 +73,7 @@ func TestRingAllocsPerMessage(t *testing.T) {
 // keeps that entry fee from creeping. The processes share one seq closure and
 // one slab of Procs, or it would be 13.
 func TestEmptyRunAllocsPerProcess(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const procs, pin = 32, 12
@@ -87,7 +89,7 @@ func TestEmptyRunAllocsPerProcess(t *testing.T) {
 
 // Compute is the simulator's hottest call and allocates nothing.
 func TestComputeDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if golden.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	got := perStep(t, 8, func(laps int) func(p *Proc) {
@@ -110,7 +112,7 @@ func TestComputeDoesNotAllocate(t *testing.T) {
 // still fails any engine of that complexity class by an order of magnitude.
 func TestMultiplexedRingStaysSubquadratic(t *testing.T) {
 	procs, rounds, bound := 256, 50, 3*time.Second
-	if raceEnabled || testing.Short() {
+	if golden.RaceEnabled || testing.Short() {
 		procs, rounds = 64, 20
 	}
 	cfg := DefaultConfig(procs)

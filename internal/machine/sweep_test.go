@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"procdecomp/internal/faults"
+	"procdecomp/internal/golden"
 	"procdecomp/internal/trace"
 )
 
@@ -178,7 +179,7 @@ func sweepDump(m *Machine, log *trace.Log, err error) string {
 
 func TestGeneratedProgramsSweep(t *testing.T) {
 	seeds := 2000
-	if raceEnabled || testing.Short() {
+	if golden.RaceEnabled || testing.Short() {
 		seeds = 200
 	}
 	base := runtime.NumGoroutine()

@@ -232,9 +232,16 @@ func TestTraceMatrixMatchesStats(t *testing.T) {
 	if mat[0][1] != 2 || mat[0][2] != 1 {
 		t.Errorf("matrix = %v", mat)
 	}
-	h := tr.TagHistogram()
-	if h[1].Messages != 2 || h[1].Values != 2 || h[2].Messages != 1 || h[2].Values != 2 {
-		t.Errorf("histogram = %v", h)
+	h := map[int64][2]int64{} // tag → messages, values
+	for p := range tr.Procs() {
+		for _, e := range tr.Events(p) {
+			if e.Kind == trace.KindSend {
+				h[e.Tag] = [2]int64{h[e.Tag][0] + 1, h[e.Tag][1] + int64(e.Values)}
+			}
+		}
+	}
+	if h[1] != [2]int64{2, 2} || h[2] != [2]int64{1, 2} {
+		t.Errorf("messages and values by tag = %v", h)
 	}
 }
 

@@ -3,10 +3,12 @@ package rules
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"path"
 	"slices"
 	"strconv"
 	"strings"
+	"testing"
 )
 
 // unusedExports are the exported names no product file uses yet, each with
@@ -20,6 +22,18 @@ var unusedExports = map[string]string{
 	"internal/lang.Ops":              "gen's grammar draws its operators from the table through it",
 }
 
+// unusedMethods are the exported methods no product file selects yet, each
+// with its reason, keyed dir.Recv.Name. Like unusedExports it only shrinks.
+var unusedMethods = map[string]string{
+	"internal/lang.Op.Unary":            "gen's grammar asks it of each operator of lang.Ops",
+	"internal/autotune.Space.Enumerate": "exec's and analysis's tests walk the default space's candidates through it",
+}
+
+// interfaceMethods are the standard library's interface methods a product
+// type implements, which the library calls and no product file selects.
+var interfaceMethods = []string{"Error", "String", "Unwrap", "Is", "As", "MarshalJSON", "UnmarshalJSON",
+	"ServeHTTP", "Write", "Read", "Close"}
+
 // testSupport are the packages that serve tests only: they neither declare a
 // product export nor count as its caller.
 var testSupport = []string{"internal/gen/", "internal/golden/", "internal/durable/durabletest/", "internal/rules/"}
@@ -32,11 +46,32 @@ func product(f file) bool {
 
 // exportsUsed holds every exported package-level func, type, var and const
 // of the product to a reference from a non-test product file: any use of
-// the bare name inside its own package, pkg.Name from another. Methods and
-// fields are not names of the package and are not checked.
+// the bare name inside its own package, pkg.Name from another. It holds
+// every exported method to a selector of its name in a non-test product
+// file, whatever the selector's operand, unless an interface of the tree or
+// of the standard library declares the name. Fields are not checked.
 func exportsUsed(files []file) []string {
 	declared := map[string]string{} // "dir.Name" → where it is declared
+	methods := map[string]string{}  // "dir.Recv.Name" → where it is declared
 	decls := map[*ast.Ident]bool{}  // declaring identifiers, which are not uses
+	exempt := map[string]bool{}     // method names an interface declares
+	for _, name := range interfaceMethods {
+		exempt[name] = true
+	}
+	for _, f := range files {
+		if f.test() {
+			continue
+		}
+		for _, n := range f.nodes {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, id := range m.Names {
+						exempt[id.Name] = true
+					}
+				}
+			}
+		}
+	}
 	for _, f := range files {
 		if !product(f) {
 			continue
@@ -52,6 +87,9 @@ func exportsUsed(files []file) []string {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
 					declare(d.Name)
+				} else if d.Name.IsExported() && !exempt[d.Name.Name] {
+					recv := receiver(d.Recv.List[0].Type)
+					methods[dir+"."+recv+"."+d.Name.Name] = f.at(d.Name, "%s.(%s).%s", path.Base(dir), recv, d.Name.Name)
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
@@ -67,7 +105,7 @@ func exportsUsed(files []file) []string {
 			}
 		}
 	}
-	used := map[string]bool{}
+	used, selected := map[string]bool{}, map[string]bool{}
 	for _, f := range files {
 		if !product(f) {
 			continue
@@ -88,6 +126,7 @@ func exportsUsed(files []file) []string {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				decls[n.Sel] = true // a field, a method, or another package's name
+				selected[n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 					used[imports[x.Name]+"."+n.Sel.Name] = true
 				}
@@ -119,6 +158,56 @@ func exportsUsed(files []file) []string {
 			bad = append(bad, fmt.Sprintf("%s is listed in unusedExports but not declared", name))
 		}
 	}
+	for key, at := range methods {
+		_, listed := unusedMethods[key]
+		switch used := selected[path.Ext(key)[1:]]; {
+		case listed && used:
+			bad = append(bad, at+" has a product caller now: take it off unusedMethods")
+		case !listed && !used:
+			bad = append(bad, at+" has no product caller: unexport it, move it into a test file, or delete it")
+		}
+	}
+	for key := range unusedMethods {
+		if methods[key] == "" {
+			bad = append(bad, fmt.Sprintf("%s is listed in unusedMethods but not declared", key))
+		}
+	}
 	slices.Sort(bad)
 	return bad
+}
+
+// receiver is the name of a method's receiver type: T of T, *T, T[P] or *T[P].
+func receiver(x ast.Expr) string {
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	switch t := x.(type) {
+	case *ast.IndexExpr:
+		x = t.X
+	case *ast.IndexListExpr:
+		x = t.X
+	}
+	return x.(*ast.Ident).Name
+}
+
+// The export row passes a method whose name an interface of the tree
+// declares, and fails an unusedMethods entry whose method is gone: two cases
+// a plant, which only adds files to a tree the row passes, cannot show.
+func TestExportRowMethods(t *testing.T) {
+	files := tree(t)
+	base := exportsUsed(files)
+	shape, err := parse(token.NewFileSet(), "internal/lang/shape.go", "internal/lang/shape.go",
+		"package lang\n\ntype shaper interface{ Shape() int }\n\nfunc (o Op) Shape() int { return 0 }\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := exportsUsed(append(files[:len(files):len(files)], shape)); !slices.Equal(bad, base) {
+		t.Errorf("a method an interface declares fails the row:\n%s", strings.Join(bad, "\n"))
+	}
+	const gone = "internal/lang.Op.Gone"
+	unusedMethods[gone] = "planted"
+	defer delete(unusedMethods, gone)
+	if bad := exportsUsed(files); !slices.Contains(bad, gone+" is listed in unusedMethods but not declared") {
+		t.Errorf("an unusedMethods entry whose method is gone passes the row:\n%s", strings.Join(bad, "\n"))
+	}
 }

@@ -416,10 +416,12 @@ var rules = []rule{
 		},
 	},
 	{
-		// Every exported package-level name of the product has a product
-		// caller: a name only tests or test support use is unexported,
-		// moved into a test file, or deleted with its claim. The few that
-		// cannot go yet are listed in unusedExports with their reason.
+		// Every exported package-level name and method of the product has
+		// a product caller: a name only tests or test support use is
+		// unexported, moved into a test file, or deleted with its claim. A
+		// method whose name an interface declares is exempt. The few that
+		// cannot go yet are listed in unusedExports or unusedMethods with
+		// their reason.
 		name:  "every export has a product caller",
 		check: exportsUsed,
 		plants: []plant{
@@ -433,6 +435,15 @@ var rules = []rule{
 				{"internal/gen/drawn.go", "package gen\n\nimport \"procdecomp/internal/dist\"\n\nvar _ = dist.Drawn\n"},
 			},
 			{{"cmd/pdmap/search.go", "package main\n\nimport \"procdecomp/internal/autotune\"\n\nvar _ = autotune.Search\n"}},
+			{
+				{"internal/lang/tested.go", "package lang\n\nfunc (o Op) Tested() bool { return false }\n"},
+				{"internal/lang/tested_test.go", "package lang_test\n\nimport \"procdecomp/internal/lang\"\n\nvar _ = lang.OpAdd.Tested()\n"},
+			},
+			{
+				{"internal/dist/drawn.go", "package dist\n\nfunc (k Kind) Drawn() int { return 3 }\n"},
+				{"internal/gen/drawn.go", "package gen\n\nimport \"procdecomp/internal/dist\"\n\nvar _ = dist.KindBlock2D.Drawn()\n"},
+			},
+			{{"cmd/pdc/unary.go", "package main\n\nimport \"procdecomp/internal/lang\"\n\nvar _ = lang.OpNeg.Unary()\n"}},
 		},
 	},
 }
@@ -1190,11 +1201,17 @@ func TestRules(t *testing.T) {
 	}
 }
 
+// parsed is the tree, parsed once per test binary.
+var parsed []file
+
 // tree parses every Go file of the module's internal, cmd and examples
 // directories, the root's, and the benchmark's under benchmarks, comments
 // included.
 func tree(t *testing.T) []file {
 	t.Helper()
+	if parsed != nil {
+		return parsed
+	}
 	root, fset := filepath.Join("..", ".."), token.NewFileSet()
 	var files []file
 	add := func(path string) error {
@@ -1231,5 +1248,6 @@ func tree(t *testing.T) []file {
 			t.Fatal(err)
 		}
 	}
+	parsed = files
 	return files
 }

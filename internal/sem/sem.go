@@ -156,15 +156,6 @@ func (in *Info) SymbolOf(node any) *Symbol {
 	return s
 }
 
-// TypeOf returns the resolved type of a checked expression.
-func (in *Info) TypeOf(e lang.Expr) Type {
-	t, ok := in.Types[e]
-	if !ok {
-		panic(fmt.Sprintf("sem: expression %T has no resolved type", e))
-	}
-	return t
-}
-
 // Check analyzes a program for a machine configuration. On failure it
 // returns the list of semantic errors found (at least one).
 func Check(prog *lang.Program, cfg Config) (*Info, []error) {

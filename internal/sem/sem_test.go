@@ -289,13 +289,13 @@ func TestTypesRecorded(t *testing.T) {
 	src := `proc main() { let x = 1 + 2; let y = 1.0 + 2; let b = 1 < 2; }`
 	info := check(t, src, Config{Procs: 2})
 	body := info.Procs["main"].Decl.Body
-	if tt := info.TypeOf(body.Stmts[0].(*lang.LetStmt).Init); tt.Base != lang.TInt {
+	if tt := typeOf(t, info, body.Stmts[0].(*lang.LetStmt).Init); tt.Base != lang.TInt {
 		t.Errorf("1+2: %v", tt)
 	}
-	if tt := info.TypeOf(body.Stmts[1].(*lang.LetStmt).Init); tt.Base != lang.TReal {
+	if tt := typeOf(t, info, body.Stmts[1].(*lang.LetStmt).Init); tt.Base != lang.TReal {
 		t.Errorf("1.0+2: %v", tt)
 	}
-	if tt := info.TypeOf(body.Stmts[2].(*lang.LetStmt).Init); tt.Base != lang.TBool {
+	if tt := typeOf(t, info, body.Stmts[2].(*lang.LetStmt).Init); tt.Base != lang.TBool {
 		t.Errorf("1<2: %v", tt)
 	}
 }
@@ -417,9 +417,9 @@ func TestConstFoldMatchesEvaluator(t *testing.T) {
 		folds[op] = true
 		let := prog.Decls[1].(*lang.ProcDecl).Body.Stmts[0].(*lang.LetStmt).Init
 		want, failed := run()
-		if failed || c.Const != want || c.ConstIsInt != (info.TypeOf(let).Base == lang.TInt) {
+		if failed || c.Const != want || c.ConstIsInt != (typeOf(t, info, let).Base == lang.TInt) {
 			t.Errorf("const C = %s folds to %g (int %v), the run time gives %g (failed %v, typed %s)",
-				lang.FormatExpr(e), c.Const, c.ConstIsInt, want, failed, info.TypeOf(let))
+				lang.FormatExpr(e), c.Const, c.ConstIsInt, want, failed, typeOf(t, info, let))
 		}
 	}
 	for _, op := range lang.Ops() {
@@ -490,4 +490,14 @@ func TestOperatorErrorTexts(t *testing.T) {
 			t.Errorf("%s: %v, want [%s]", src, errs, want)
 		}
 	}
+}
+
+// typeOf is the resolved type of a checked expression.
+func typeOf(t *testing.T, info *Info, e lang.Expr) Type {
+	t.Helper()
+	tt, ok := info.Types[e]
+	if !ok {
+		t.Fatalf("expression %T has no resolved type", e)
+	}
+	return tt
 }

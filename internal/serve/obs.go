@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -310,22 +309,6 @@ func (s *Server) handleLogz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(s.ring.Lines(r.URL.Query().Get("req")))
-}
-
-// VerifyMetrics writes the server's own registry, parses it back strictly and
-// checks every reconciliation identity against the live Stats. Meaningful
-// after Shutdown: the conservation identities only hold once every admitted
-// job has settled.
-func (s *Server) VerifyMetrics() error {
-	var buf bytes.Buffer
-	if err := s.WriteMetrics(&buf); err != nil {
-		return err
-	}
-	sc, err := obs.ParsePrometheus(&buf)
-	if err != nil {
-		return err
-	}
-	return VerifyScrape(sc, s.Stats())
 }
 
 // allowedCauses is the response-cause contract: every typed response's cause

@@ -543,3 +543,19 @@ func TestMetricsExpositionIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// VerifyMetrics writes the server's own registry, parses it back strictly and
+// checks every reconciliation identity against the live Stats. Meaningful
+// after Shutdown: the conservation identities only hold once every admitted
+// job has settled.
+func (s *Server) VerifyMetrics() error {
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		return err
+	}
+	sc, err := obs.ParsePrometheus(&buf)
+	if err != nil {
+		return err
+	}
+	return VerifyScrape(sc, s.Stats())
+}

@@ -2,10 +2,9 @@ package trace
 
 // Communication-pattern analysis over the event log, in the spirit of the
 // per-message communication profiles PGAS-compiler work uses to drive
-// optimization decisions: who talks to whom (MessageMatrix) and what the
-// traffic is made of (TagHistogram). Both are derived purely from send
-// events, so they agree with the machine's Messages/Values counters by
-// construction.
+// optimization decisions: who talks to whom (MessageMatrix). It is derived
+// purely from send events, so it agrees with the machine's Messages counter
+// by construction.
 
 // MessageMatrix returns per-(src,dst) message counts: m[src][dst] is the
 // number of messages src sent to dst.
@@ -23,31 +22,6 @@ func (l *Log) MessageMatrix() [][]int64 {
 		}
 	}
 	return m
-}
-
-// TagStats aggregates the traffic carried under one message tag.
-type TagStats struct {
-	Messages int64
-	Values   int64
-}
-
-// TagHistogram returns per-tag message and value counts — which logical
-// channels (old-column shipments vs. new-value blocks, say) carry the
-// traffic.
-func (l *Log) TagHistogram() map[int64]TagStats {
-	h := map[int64]TagStats{}
-	for p := range l.events {
-		for _, e := range l.Events(p) {
-			if e.Kind != KindSend {
-				continue
-			}
-			s := h[e.Tag]
-			s.Messages++
-			s.Values += int64(e.Values)
-			h[e.Tag] = s
-		}
-	}
-	return h
 }
 
 // Messages is the total message count recorded in the log.

@@ -88,15 +88,6 @@ func (l *Log) WireEvents() []WireEvent {
 	return l.wire
 }
 
-// WireCounts sums the transport stream by kind.
-func (l *Log) WireCounts() map[WireKind]int64 {
-	c := map[WireKind]int64{}
-	for _, e := range l.WireEvents() {
-		c[e.Kind]++
-	}
-	return c
-}
-
 // wireState is embedded in Log (kept in a separate struct so trace.go stays
 // focused on process spans).
 type wireState struct {

@@ -3,6 +3,7 @@ package wavefront
 import (
 	"testing"
 
+	"procdecomp/internal/golden"
 	"procdecomp/internal/machine"
 )
 
@@ -14,7 +15,7 @@ import (
 // the grid shrinks; the full size runs in plain CI.
 func TestScale1024x4096(t *testing.T) {
 	s, n, blk := 1024, int64(4096), int64(32)
-	if raceEnabled || testing.Short() {
+	if golden.RaceEnabled || testing.Short() {
 		s, n, blk = 64, 512, 16
 	}
 
