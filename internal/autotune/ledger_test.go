@@ -8,8 +8,8 @@ package autotune_test
 //
 //   - alloc/…: the allocations of one call of each pipeline stage for
 //     Gauss-Seidel at N=64, opt3/blk 8, on 1 and 8 processes, and of
-//     lowering and running the first generated corpus case of each family at
-//     its ctr point;
+//     lowering and running the first generated corpus case of each family on
+//     two or more processes at its ctr point;
 //   - work/…: what one cold map-search search (GS, N=24, S=4, one worker)
 //     does: the candidates tier 2 replays, tier 3's evaluations, the events
 //     the anchor's replayed timeline holds and the events its traced run
@@ -105,7 +105,8 @@ func allocRows(t *testing.T, procs int) []ledgerRow {
 }
 
 // corpusRows counts exec.LowerAll and (*Image).Run for the first corpus case
-// of each family gen draws, at its ctr point.
+// of each family gen draws that runs on two or more processes, so that every
+// row's run sends messages, at its ctr point.
 func corpusRows(t *testing.T) []ledgerRow {
 	t.Helper()
 	cases, err := gen.CompiledCorpus()
@@ -114,14 +115,17 @@ func corpusRows(t *testing.T) []ledgerRow {
 	}
 	var rows []ledgerRow
 	for _, family := range []dist.Kind{dist.KindCyclicCols, dist.KindCyclicRows, dist.KindBlockCols, dist.KindBlockRows} {
-		i := slices.IndexFunc(cases, func(c *gen.Compiled) bool { return c.Info.Decomps["D"].Kind == family })
+		i := slices.IndexFunc(cases, func(c *gen.Compiled) bool { return c.Info.Decomps["D"].Kind == family && c.Procs >= 2 })
 		if i < 0 {
-			t.Fatalf("the corpus has no case of %s", family)
+			t.Fatalf("the corpus has no case of %s on two or more processes", family)
 		}
 		c := cases[i]
 		ctr := slices.IndexFunc(c.Points, func(pt xform.Point) bool { return pt.Mode == "ctr" })
 		if c.Images[ctr] == nil {
 			t.Fatalf("%s: ctr: %v", c.Name, c.Stages[ctr].Err)
+		}
+		if out, err := c.Images[ctr].Run(context.Background(), c.Config(), c.Inputs); err != nil || out.Stats.Messages == 0 {
+			t.Fatalf("%s S=%d: ctr sends no message (err %v)", c.Name, c.Procs, err)
 		}
 		at := fmt.Sprintf("alloc/corpus %s %s S=%d ctr/", family, c.Name, c.Procs)
 		rows = append(rows,
