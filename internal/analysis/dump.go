@@ -6,7 +6,7 @@
 //   - CriticalPath extracts the dependency chain of compute spans and message
 //     edges whose lengths sum exactly to the makespan, and attributes every
 //     cycle of it to a cause (compute, send/recv startup, per-value copying,
-//     wire latency, fault-retry delay, CPU/backpressure blocking). The same
+//     wire latency, fault-retry delay, CPU blocking). The same
 //     exactness discipline machine.VerifyTrace applies to the Breakdown is
 //     applied here: an attribution that does not tile the makespan is an
 //     error, never a report.
@@ -49,7 +49,6 @@ type Costs struct {
 	PerValue    uint64
 	Latency     uint64
 	ValueBytes  int
-	MailboxCap  int `json:",omitempty"`
 }
 
 // CostsOf extracts the calibration from a machine configuration.
@@ -63,7 +62,6 @@ func CostsOf(cfg machine.Config) Costs {
 		PerValue:    cfg.PerValue,
 		Latency:     cfg.Latency,
 		ValueBytes:  cfg.ValueBytes,
-		MailboxCap:  cfg.MailboxCap,
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"procdecomp/internal/bench"
 	"procdecomp/internal/dist"
 	"procdecomp/internal/exec"
+	"procdecomp/internal/faults"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/trace"
@@ -244,10 +245,10 @@ func TestSearchRejectsUnmodeledMachines(t *testing.T) {
 	if _, err := Search(w, mux, Options{}); err == nil {
 		t.Error("search accepted a multiplexed placement")
 	}
-	capped := machine.DefaultConfig(4)
-	capped.MailboxCap = 1
-	if _, err := Search(w, capped, Options{}); err == nil {
-		t.Error("search accepted bounded mailboxes")
+	chaotic := machine.DefaultConfig(4)
+	chaotic.Faults = faults.Chaos(1, 0.1)
+	if _, err := Search(w, chaotic, Options{}); err == nil {
+		t.Error("search accepted a fault schedule")
 	}
 }
 

@@ -286,9 +286,6 @@ func SearchCtx(ctx context.Context, w *Workload, cfg machine.Config, opts Option
 	if cfg.Placement != nil {
 		return nil, errors.New("autotune: the cost model does not cover multiplexed placement")
 	}
-	if cfg.MailboxCap > 0 {
-		return nil, errors.New("autotune: the cost model does not cover bounded mailboxes")
-	}
 	if opts.Keep <= 0 {
 		opts.Keep = 12
 	}

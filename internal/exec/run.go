@@ -400,7 +400,7 @@ func (d *concrete) LoopStep() {
 // loop leaves alone, and an assignment writes what it wrote before. Each
 // other iteration would charge a loop step and the operations the first
 // charged, and the machine charges them in one call; it declines under
-// Faults and Placement, and the stepper steps them.
+// Placement, and the stepper steps them.
 func (d *concrete) tape(st *stepper, s *lstmt, lo, hi, step int64) int64 {
 	if s.y != nil {
 		return 0

@@ -88,8 +88,8 @@ func newStepper(low *Lowered, me int, d domain) *stepper {
 }
 
 // failure is the panic a failed step unwinds with; run turns it back into an
-// error. Anything else that panics (the machine's aborts and crash-stops)
-// passes through untouched.
+// error. Anything else that panics (the machine's aborts) passes through
+// untouched.
 type failure struct{ err error }
 
 func fail(err error) { panic(failure{err}) }

@@ -2,11 +2,10 @@
 // simulated multicomputer. The paper's machine model (§2.2) assumes a
 // perfectly reliable in-order network; attaching a Schedule to
 // machine.Config.Faults replaces that ideal fabric with one that can drop,
-// duplicate, or delay/jitter individual transmission attempts, take links
-// down for virtual-time windows, and slow down or crash-stop individual
-// processes. The machine's reliable transport retries over the faulty fabric
-// until delivery succeeds, so programs still compute the same values — only
-// virtual time (and the event trace) shows the storm.
+// duplicate, or delay/jitter individual transmission attempts and lose their
+// acknowledgements. The machine's reliable transport retries over the faulty
+// fabric until delivery succeeds, so programs still compute the same values —
+// only virtual time (and the event trace) shows the storm.
 //
 // Determinism is the design constraint: the simulated machine runs its
 // processes as real goroutines, so any fault decision that depended on
@@ -17,20 +16,6 @@
 // the moment the Schedule is created, whatever order the goroutines reach it
 // in. Two runs with the same seed see byte-for-byte the same faults.
 package faults
-
-// Any is a wildcard endpoint in a Window: it matches every process.
-const Any = -1
-
-// Window takes the link Src→Dst down for the virtual-time interval [From,
-// To): every transmission attempt departing inside the window is dropped.
-// Src or Dst may be Any to down all links from/to a process, or the whole
-// fabric. With the reliable transport retrying under exponential backoff, a
-// finite window manifests as delay; an unbounded one (To = MaxUint64) as a
-// lost-forever message and a receive-watchdog error.
-type Window struct {
-	Src, Dst int
-	From, To uint64
-}
 
 // Schedule is one deterministic fault scenario. The zero value injects
 // nothing; probabilities are in [0, 1] and evaluated independently per
@@ -55,29 +40,6 @@ type Schedule struct {
 	// attempt can incur (uniform in [1, MaxJitter]). Jitter reorders
 	// arrivals; the transport's in-order release restores delivery order.
 	MaxJitter uint64
-
-	// Down lists link outage windows in virtual time.
-	Down []Window
-
-	// Slow multiplies the compute cost of the listed processes (a factor of
-	// 2 makes every Compute charge twice the cycles — a straggler).
-	Slow map[int]float64
-
-	// Crash stops the listed processes at the given virtual times: the first
-	// machine action a process begins at or after its crash point does not
-	// happen, and the process silently stops, like a node failing mid-run.
-	// Peers blocked on it surface receive-watchdog errors, not hangs.
-	Crash map[int]uint64
-
-	// RTO is the transport's initial retransmission timeout in cycles
-	// (doubled per retry). 0 means the machine picks a default from its
-	// wire latency.
-	RTO uint64
-	// MaxAttempts bounds the transport's retries; after this many failed
-	// attempts the message is lost forever and the link is declared dead.
-	// 0 means the default (16 — with 10% drop, loss odds are ~1e-16, so
-	// chaos runs still terminate).
-	MaxAttempts int
 }
 
 // Chaos is a convenience scenario: rate controls message drops, with
@@ -139,12 +101,11 @@ func (s *Schedule) roll(stream uint64, src, dst int, seq uint64, attempt int) fl
 }
 
 // Attempt decides the fate of transmission attempt number attempt (1-based)
-// of message seq on link src→dst, departing at virtual time depart. The
-// result is deterministic: it depends only on the schedule and the
-// arguments, never on call order.
-func (s *Schedule) Attempt(src, dst int, seq uint64, attempt int, depart uint64) Outcome {
+// of message seq on link src→dst. The result is deterministic: it depends
+// only on the schedule and the arguments, never on call order.
+func (s *Schedule) Attempt(src, dst int, seq uint64, attempt int) Outcome {
 	var o Outcome
-	if s.LinkDown(src, dst, depart) || s.roll(streamDrop, src, dst, seq, attempt) < s.Drop {
+	if s.roll(streamDrop, src, dst, seq, attempt) < s.Drop {
 		o.Drop = true
 		return o
 	}
@@ -154,58 +115,18 @@ func (s *Schedule) Attempt(src, dst int, seq uint64, attempt int, depart uint64)
 	if s.roll(streamDup, src, dst, seq, attempt) < s.Dup {
 		o.Dup = true
 	}
-	// The ack travels the reverse link after the data lands.
-	arrive := depart + o.Jitter
-	if s.LinkDown(dst, src, arrive) || s.roll(streamAckDrop, src, dst, seq, attempt) < s.AckDrop {
+	if s.roll(streamAckDrop, src, dst, seq, attempt) < s.AckDrop {
 		o.AckDrop = true
 	}
 	return o
 }
 
-// LinkDown reports whether the link src→dst is inside an outage window at
-// virtual time t.
-func (s *Schedule) LinkDown(src, dst int, t uint64) bool {
-	for _, w := range s.Down {
-		if w.Src != Any && w.Src != src {
-			continue
-		}
-		if w.Dst != Any && w.Dst != dst {
-			continue
-		}
-		if t >= w.From && t < w.To {
-			return true
-		}
-	}
-	return false
-}
-
-// ScaleCompute applies process p's slowdown factor to a compute charge.
-func (s *Schedule) ScaleCompute(p int, c uint64) uint64 {
-	f, ok := s.Slow[p]
-	if !ok || f <= 0 || f == 1 {
-		return c
-	}
-	return uint64(float64(c) * f)
-}
-
-// CrashPoint returns process p's crash-stop virtual time, if it has one.
-func (s *Schedule) CrashPoint(p int) (uint64, bool) {
-	t, ok := s.Crash[p]
-	return t, ok
-}
-
-// Retry returns the transport's retransmission parameters with defaults
-// applied: rto is the initial timeout given the machine's wire latency, and
-// max is the attempt cap after which a message is lost forever.
-func (s *Schedule) Retry(latency uint64) (rto uint64, max int) {
-	rto = s.RTO
-	if rto == 0 {
-		// Past one round trip plus slack, so a fault-free ack beats the timer.
-		rto = 4*latency + 16
-	}
-	max = s.MaxAttempts
-	if max <= 0 {
-		max = 16
-	}
-	return rto, max
+// Retry returns the transport's retransmission parameters: rto is the
+// initial timeout given the machine's wire latency (doubled per retry), past
+// one round trip plus slack so that a fault-free ack beats the timer, and max
+// is the attempt cap after which a message is lost forever and its link is
+// declared dead. With a 10% drop rate a message's loss odds are ~1e-16, so
+// chaos runs still terminate.
+func Retry(latency uint64) (rto uint64, max int) {
+	return 4*latency + 16, 16
 }

@@ -9,14 +9,14 @@ import (
 // only on the schedule and the coordinates, never on call order.
 func TestFaultsAttemptPure(t *testing.T) {
 	s := Chaos(42, 0.3)
-	first := s.Attempt(2, 5, 17, 3, 1000)
-	s.Attempt(5, 2, 17, 3, 1000) // interleave other decisions
-	s.Attempt(2, 5, 18, 1, 2000)
-	if again := s.Attempt(2, 5, 17, 3, 1000); again != first {
+	first := s.Attempt(2, 5, 17, 3)
+	s.Attempt(5, 2, 17, 3) // interleave other decisions
+	s.Attempt(2, 5, 18, 1)
+	if again := s.Attempt(2, 5, 17, 3); again != first {
 		t.Errorf("same coordinates, different outcome: %+v vs %+v", first, again)
 	}
-	other := Chaos(43, 0.3).Attempt(2, 5, 17, 3, 1000)
-	same := Chaos(42, 0.3).Attempt(2, 5, 17, 3, 1000)
+	other := Chaos(43, 0.3).Attempt(2, 5, 17, 3)
+	same := Chaos(42, 0.3).Attempt(2, 5, 17, 3)
 	if same != first {
 		t.Errorf("same seed, different outcome: %+v vs %+v", first, same)
 	}
@@ -30,7 +30,7 @@ func TestFaultsDropRate(t *testing.T) {
 	drops := 0
 	const n = 20000
 	for seq := uint64(0); seq < n; seq++ {
-		if s.Attempt(0, 1, seq, 1, 0).Drop {
+		if s.Attempt(0, 1, seq, 1).Drop {
 			drops++
 		}
 	}
@@ -44,69 +44,27 @@ func TestFaultsDropRate(t *testing.T) {
 func TestFaultsJitterBounds(t *testing.T) {
 	s := &Schedule{Seed: 3, Delay: 1, MaxJitter: 50}
 	for seq := uint64(0); seq < 1000; seq++ {
-		j := s.Attempt(0, 1, seq, 1, 0).Jitter
+		j := s.Attempt(0, 1, seq, 1).Jitter
 		if j < 1 || j > 50 {
 			t.Fatalf("jitter %d outside [1, 50]", j)
 		}
 	}
 	none := &Schedule{Seed: 3, MaxJitter: 50}
-	if j := none.Attempt(0, 1, 0, 1, 0).Jitter; j != 0 {
+	if j := none.Attempt(0, 1, 0, 1).Jitter; j != 0 {
 		t.Errorf("jitter %d with Delay 0, want 0", j)
 	}
 }
 
-// TestFaultsLinkDown: window matching, including Any wildcards and the
-// half-open interval.
-func TestFaultsLinkDown(t *testing.T) {
-	s := &Schedule{Down: []Window{
-		{Src: 0, Dst: 1, From: 100, To: 200},
-		{Src: Any, Dst: 3, From: 500, To: 600},
-	}}
-	cases := []struct {
-		src, dst int
-		at       uint64
-		want     bool
-	}{
-		{0, 1, 100, true},
-		{0, 1, 199, true},
-		{0, 1, 200, false}, // half-open
-		{0, 1, 99, false},
-		{1, 0, 150, false}, // directional
-		{2, 3, 550, true},  // Any source
-		{7, 3, 550, true},
-		{3, 2, 550, false},
-	}
-	for _, c := range cases {
-		if got := s.LinkDown(c.src, c.dst, c.at); got != c.want {
-			t.Errorf("LinkDown(%d,%d,%d) = %v, want %v", c.src, c.dst, c.at, got, c.want)
-		}
-	}
-	if !(&Schedule{Down: []Window{{Src: 0, Dst: 1, From: 0, To: 100}}}).Attempt(0, 1, 0, 1, 50).Drop {
-		t.Error("attempt departing inside a down window was not dropped")
-	}
-}
-
-// TestFaultsDefaults: zero values mean no faults, and Retry applies the
-// documented defaults.
+// TestFaultsDefaults: zero values mean no faults, and Retry gives the
+// documented timeout and attempt cap.
 func TestFaultsDefaults(t *testing.T) {
 	var s Schedule
 	for seq := uint64(0); seq < 100; seq++ {
-		if o := s.Attempt(0, 1, seq, 1, 0); o != (Outcome{}) {
+		if o := s.Attempt(0, 1, seq, 1); o != (Outcome{}) {
 			t.Fatalf("zero schedule injected a fault: %+v", o)
 		}
 	}
-	if rto, max := s.Retry(50); rto != 216 || max != 16 {
+	if rto, max := Retry(50); rto != 216 || max != 16 {
 		t.Errorf("Retry(50) = (%d, %d), want (216, 16)", rto, max)
-	}
-	s.RTO, s.MaxAttempts = 99, 3
-	if rto, max := s.Retry(50); rto != 99 || max != 3 {
-		t.Errorf("explicit Retry = (%d, %d), want (99, 3)", rto, max)
-	}
-	if c := s.ScaleCompute(0, 40); c != 40 {
-		t.Errorf("ScaleCompute with no Slow entry = %d, want 40", c)
-	}
-	s.Slow = map[int]float64{0: 2.5}
-	if c := s.ScaleCompute(0, 40); c != 100 {
-		t.Errorf("ScaleCompute x2.5 = %d, want 100", c)
 	}
 }

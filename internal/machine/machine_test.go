@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -393,5 +394,56 @@ func TestIdleMeasuresWaiting(t *testing.T) {
 	}
 	if b.Compute != 0 {
 		t.Errorf("receiver compute = %d, want 0", b.Compute)
+	}
+}
+
+// TestDeadlockDiagnostics: the deadlock error names who is blocked on which
+// (src, tag) and what is sitting unread in their mailboxes.
+func TestDeadlockDiagnostics(t *testing.T) {
+	m := New(testConfig(2))
+	err := m.Run(func(p *Proc) {
+		switch p.ID() {
+		case 0:
+			p.Send(1, 9, 1.0) // delivered but never asked for
+			p.Recv(1, 1)
+		case 1:
+			p.Recv(0, 2) // wrong tag: 9 is pending, 2 never comes
+		}
+	})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %T, want *DeadlockError", err)
+	}
+	if len(de.Blocked) != 2 || de.Blocked[0].Proc != 0 || de.Blocked[1].Proc != 1 {
+		t.Fatalf("blocked = %+v, want procs 0 and 1 in order", de.Blocked)
+	}
+	msg := err.Error()
+	for _, want := range []string{
+		"proc 0 blocked in recv",
+		"awaits (src 1, tag 1)",
+		"proc 1 blocked in recv",
+		"awaits (src 0, tag 2)",
+		"mailbox holds (src 0, tag 9)x1",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("deadlock error %q missing %q", msg, want)
+		}
+	}
+}
+
+// TestRecvOutOfRangePanics: Recv validates its source like Send validates
+// its destination (the seed's guard, pinned by test).
+func TestRecvOutOfRangePanics(t *testing.T) {
+	m := New(testConfig(2))
+	err := m.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			p.Recv(2, 0)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "recv from processor 2 out of range [0,2)") {
+		t.Errorf("err = %v, want out-of-range receive panic", err)
 	}
 }

@@ -16,11 +16,11 @@ import (
 
 // A seeded sweep over generated message-passing programs: random
 // straight-line send/recv/compute scripts for 1–6 processes, crossed with
-// Placement, MailboxCap, a chaos schedule, a crash-stop and a receive nobody
-// answers. Its properties need no second engine to compare with: a run
-// repeats byte for byte, its trace tiles every process's clock, every value
-// arrives where and in the order it was sent, messages are conserved when a
-// run fails, and no goroutine is left. The same scripts, dumped by the engine
+// Placement, a chaos schedule and a receive nobody answers. Its properties
+// need no second engine to compare with: a run repeats byte for byte, its
+// trace tiles every process's clock, every value arrives where and in the
+// order it was sent, messages are conserved when a run fails, and no
+// goroutine is left. The same scripts, dumped by the engine
 // this one replaced, are how a change to the engine is compared with its
 // parent (EXPERIMENTS, "Coroutines and dense mailboxes").
 
@@ -36,12 +36,10 @@ type sweepCase struct {
 	procs     int
 	ops       [][]sweepOp
 	placement []int
-	mailbox   int
 	faults    *faults.Schedule
-	// mayFail: a crash-stop or an unanswered receive is in play, so the run
-	// may end in an error; mustFail: it has to (nobody crashes, and one
-	// process waits for a message that is never sent).
-	mayFail, mustFail bool
+	// mustFail: one process waits for a message that is never sent, so the
+	// run has to end in an error.
+	mustFail bool
 }
 
 // sweepPayload is what the k-th message from src with tag carries: between
@@ -55,13 +53,12 @@ func sweepPayload(src int, tag int64, k int) []Value {
 }
 
 // genSweepCase builds case number seed. The script is laid out along one
-// global order in which every receive follows its send and no (src, dst)
-// channel ever holds more than MailboxCap messages, so a complete schedule
-// exists and — the machine being a deterministic process network — every
-// run finds it. Receives are deferred at random to let queues build up.
+// global order in which every receive follows its send, so a complete
+// schedule exists and — the machine being a deterministic process network —
+// every run finds it. Receives are deferred at random to let queues build up.
 func genSweepCase(seed int64) sweepCase {
 	rng := rand.New(rand.NewSource(seed))
-	c := sweepCase{procs: 1 + rng.Intn(6), mailbox: rng.Intn(3)}
+	c := sweepCase{procs: 1 + rng.Intn(6)}
 	c.ops = make([][]sweepOp, c.procs)
 	type link struct{ src, dst int }
 	type owed struct {
@@ -69,11 +66,9 @@ func genSweepCase(seed int64) sweepCase {
 		tag int64
 	}
 	var deferred []owed
-	inFlight := map[link]int{}
 	emitRecv := func(i int) {
 		o := deferred[i]
 		deferred = append(deferred[:i], deferred[i+1:]...)
-		inFlight[o.link]--
 		c.ops[o.dst] = append(c.ops[o.dst], sweepOp{kind: 'r', peer: o.src, tag: o.tag})
 	}
 	for n := rng.Intn(100); n > 0; n-- {
@@ -83,18 +78,9 @@ func genSweepCase(seed int64) sweepCase {
 			c.ops[p] = append(c.ops[p], sweepOp{kind: 'c', cost: Cost(rng.Intn(400))})
 		case r < 7:
 			l := link{rng.Intn(c.procs), rng.Intn(c.procs)}
-			for c.mailbox > 0 && inFlight[l] >= c.mailbox {
-				for i, o := range deferred {
-					if o.link == l {
-						emitRecv(i)
-						break
-					}
-				}
-			}
 			tag := int64(rng.Intn(3))
 			c.ops[l.src] = append(c.ops[l.src], sweepOp{kind: 's', peer: l.dst, tag: tag})
 			deferred = append(deferred, owed{l, tag})
-			inFlight[l]++
 		default:
 			if len(deferred) > 0 {
 				emitRecv(rng.Intn(len(deferred)))
@@ -113,16 +99,11 @@ func genSweepCase(seed int64) sweepCase {
 	}
 	if rng.Intn(2) == 0 {
 		c.faults = faults.Chaos(uint64(seed), 0.1)
-		if rng.Intn(2) == 0 {
-			c.faults.Crash = map[int]uint64{rng.Intn(c.procs): uint64(rng.Intn(3000))}
-			c.mayFail = true
-		}
 	}
 	if rng.Intn(4) == 0 {
 		p := rng.Intn(c.procs)
 		c.ops[p] = append(c.ops[p], sweepOp{kind: 'r', peer: rng.Intn(c.procs), tag: 7})
-		c.mustFail = !c.mayFail
-		c.mayFail = true
+		c.mustFail = true
 	}
 	return c
 }
@@ -130,7 +111,7 @@ func genSweepCase(seed int64) sweepCase {
 // run executes the case once on a traced machine.
 func (c sweepCase) run() (*Machine, *trace.Log, error) {
 	cfg := DefaultConfig(c.procs)
-	cfg.Placement, cfg.MailboxCap, cfg.Faults = c.placement, c.mailbox, c.faults
+	cfg.Placement, cfg.Faults = c.placement, c.faults
 	cfg.Tracer = trace.New()
 	m := New(cfg)
 	err := m.Run(func(p *Proc) {
@@ -188,13 +169,13 @@ func TestGeneratedProgramsSweep(t *testing.T) {
 		c := genSweepCase(seed)
 		m, log, err := c.run()
 		switch {
-		case err != nil && !c.mayFail:
+		case err != nil && !c.mustFail:
 			t.Fatalf("seed %d: %v", seed, err)
 		case err == nil && c.mustFail:
 			t.Fatalf("seed %d: a receive nobody answers did not fail the run", seed)
 		case err != nil && strings.Contains(err.Error(), "arrived as"):
 			t.Fatalf("seed %d: %v", seed, err)
-		case err != nil && !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrRecvTimeout) && !errors.Is(err, ErrSendTimeout):
+		case err != nil && !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrRecvTimeout):
 			t.Fatalf("seed %d: failed with neither a deadlock nor a watchdog report: %v", seed, err)
 		}
 		if verr := m.VerifyTrace(); verr != nil {

@@ -7,89 +7,11 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"procdecomp/internal/faults"
 )
 
 // The tests in this file ran once per simulation core, as subtests named
 // after it. One core is left; its subtest keeps the name ("event") under
 // which these checks have been tracked since they were written.
-
-// TestCapBlockedSenderOnCrashedPeer: MailboxCap backpressure interacting
-// with a crash-stop fault. Process 1 crash-stops before receiving anything;
-// process 0 fills the bounded 0→1 channel and blocks on capacity. The send
-// watchdog must diagnose the wait as unsatisfiable — a typed SendTimeoutError
-// naming the sender, the dead destination, and the reason — never a bare
-// deadlock report and never a hang.
-func TestCapBlockedSenderOnCrashedPeer(t *testing.T) {
-	t.Run("event", func(t *testing.T) {
-		cfg := DefaultConfig(2)
-		cfg.MailboxCap = 1
-		cfg.Faults = &faults.Schedule{Seed: 1, Crash: map[int]uint64{1: 0}}
-		m := New(cfg)
-		err := m.Run(func(p *Proc) {
-			if p.ID() == 1 {
-				p.Compute(1) // crash-stops here (crash point 0)
-				p.Recv(0, 7)
-				return
-			}
-			p.Send(1, 7, 1.0) // fills the one-slot channel
-			p.Send(1, 7, 2.0) // blocks on capacity, forever
-		})
-		if err == nil {
-			t.Fatal("run succeeded; want a send watchdog error")
-		}
-		if errors.Is(err, ErrDeadlock) {
-			t.Fatalf("got a deadlock report, want a typed send watchdog error: %v", err)
-		}
-		if !errors.Is(err, ErrSendTimeout) {
-			t.Fatalf("errors.Is(err, ErrSendTimeout) = false for %v", err)
-		}
-		var ste *SendTimeoutError
-		if !errors.As(err, &ste) {
-			t.Fatalf("error is %T, want *SendTimeoutError: %v", err, err)
-		}
-		if ste.Proc != 0 || ste.Dst != 1 {
-			t.Errorf("watchdog blamed proc %d -> %d, want 0 -> 1", ste.Proc, ste.Dst)
-		}
-		if ste.Reason == "" {
-			t.Error("watchdog reported no reason")
-		}
-	})
-}
-
-// TestCapBlockedSenderCrashAfterBlock covers the other interleaving: the
-// sender is already parked on the full channel when the receiver crashes
-// mid-run. The crash wake-up must reach capacity-blocked senders, not only
-// blocked receivers.
-func TestCapBlockedSenderCrashAfterBlock(t *testing.T) {
-	t.Run("event", func(t *testing.T) {
-		cfg := DefaultConfig(2)
-		cfg.MailboxCap = 1
-		// Process 1 crashes at virtual time 5000: after it has received one
-		// message (freeing a slot) but before it drains the rest.
-		cfg.Faults = &faults.Schedule{Seed: 1, Crash: map[int]uint64{1: 5000}}
-		m := New(cfg)
-		err := m.Run(func(p *Proc) {
-			if p.ID() == 1 {
-				p.Recv(0, 7)
-				p.Compute(10000) // crosses the crash point
-				p.Recv(0, 7)
-				p.Recv(0, 7)
-				return
-			}
-			for i := 0; i < 3; i++ {
-				p.Send(1, 7, float64(i))
-			}
-		})
-		if err == nil {
-			t.Fatal("run succeeded; want a send watchdog error")
-		}
-		if !errors.Is(err, ErrSendTimeout) {
-			t.Fatalf("want ErrSendTimeout, got %v", err)
-		}
-	})
-}
 
 // TestCancelAbortsRun: closing Config.Cancel makes a long compute-bound run
 // return a typed *CanceledError instead of running to completion.

@@ -49,7 +49,8 @@ func product(f file) bool {
 // the bare name inside its own package, pkg.Name from another. It holds
 // every exported method to a selector of its name in a non-test product
 // file, whatever the selector's operand, unless an interface of the tree or
-// of the standard library declares the name. Fields are not checked.
+// of the standard library declares the name. It holds every exported field of
+// an option struct to a setter (fieldsSet).
 func exportsUsed(files []file) []string {
 	declared := map[string]string{} // "dir.Name" → where it is declared
 	methods := map[string]string{}  // "dir.Recv.Name" → where it is declared
@@ -110,17 +111,7 @@ func exportsUsed(files []file) []string {
 		if !product(f) {
 			continue
 		}
-		imports := map[string]string{} // local name → directory
-		for _, im := range f.ast.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			if dir, ok := strings.CutPrefix(p, "procdecomp/"); ok {
-				name := path.Base(dir)
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imports[name] = dir
-			}
-		}
+		imports := importsOf(f)
 		dir := path.Dir(f.path)
 		for _, n := range f.nodes {
 			switch n := n.(type) {
@@ -172,7 +163,113 @@ func exportsUsed(files []file) []string {
 			bad = append(bad, fmt.Sprintf("%s is listed in unusedMethods but not declared", key))
 		}
 	}
+	bad = append(bad, fieldsSet(files)...)
 	slices.Sort(bad)
+	return bad
+}
+
+// importsOf maps the local name of each of f's imports from the module to
+// the directory it names.
+func importsOf(f file) map[string]string {
+	imports := map[string]string{}
+	for _, im := range f.ast.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		if dir, ok := strings.CutPrefix(p, "procdecomp/"); ok {
+			name := path.Base(dir)
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = dir
+		}
+	}
+	return imports
+}
+
+// optionType reports whether the type name declared in dir is an option
+// struct: an exported struct named Config or Options, or faults.Schedule.
+func optionType(dir, name string) bool {
+	return name == "Config" || name == "Options" || dir == "internal/faults" && name == "Schedule"
+}
+
+// fieldsSet holds every exported field of an option struct of the product to
+// a setter in a non-test product file: a keyed element of a composite literal
+// written with the struct's type, or an assignment, an ++ or --, or an & of a
+// selector of the field's name, whatever the selector's operand. Like the
+// method half of the row it goes by name, so it over-counts setters.
+func fieldsSet(files []file) []string {
+	fields := map[string]string{} // "dir.Type.Field" → where it is declared
+	for _, f := range files {
+		if !product(f) {
+			continue
+		}
+		dir := path.Dir(f.path)
+		for _, n := range f.nodes {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !optionType(dir, ts.Name.Name) {
+				continue
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			for _, fl := range st.Fields.List {
+				for _, id := range fl.Names {
+					if id.IsExported() {
+						fields[dir+"."+ts.Name.Name+"."+id.Name] = f.at(id, "%s.%s.%s", path.Base(dir), ts.Name.Name, id.Name)
+					}
+				}
+			}
+		}
+	}
+	set := map[string]bool{} // "dir.Type.Field" keyed in a literal, ".Field" a selector written to
+	for _, f := range files {
+		if !product(f) {
+			continue
+		}
+		imports, dir := importsOf(f), path.Dir(f.path)
+		written := func(x ast.Expr) {
+			if s, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+				set["."+s.Sel.Name] = true
+			}
+		}
+		for _, n := range f.nodes {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				var typ string
+				switch t := n.Type.(type) {
+				case *ast.Ident:
+					typ = dir + "." + t.Name
+				case *ast.SelectorExpr:
+					if x, ok := t.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						typ = imports[x.Name] + "." + t.Sel.Name
+					}
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok && typ != "" {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							set[typ+"."+k.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, x := range n.Lhs {
+					written(x)
+				}
+			case *ast.IncDecStmt:
+				written(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					written(n.X)
+				}
+			}
+		}
+	}
+	var bad []string
+	for key, at := range fields {
+		if !set[key] && !set[path.Ext(key)] {
+			bad = append(bad, at+" has no product setter: set it in product code, or delete it with what only it reaches")
+		}
+	}
 	return bad
 }
 
@@ -209,5 +306,30 @@ func TestExportRowMethods(t *testing.T) {
 	defer delete(unusedMethods, gone)
 	if bad := exportsUsed(files); !slices.Contains(bad, gone+" is listed in unusedMethods but not declared") {
 		t.Errorf("an unusedMethods entry whose method is gone passes the row:\n%s", strings.Join(bad, "\n"))
+	}
+}
+
+// The export row passes an option field that cmd sets through a flag's
+// address, or that product code assigns: the two setter shapes no field of
+// today's tree depends on alone.
+func TestExportRowFields(t *testing.T) {
+	files := tree(t)
+	base := exportsUsed(files)
+	for _, setter := range []string{
+		"package main\n\nimport (\n\t\"flag\"\n\n\t\"procdecomp/internal/sem\"\n)\n\nfunc define(cfg *sem.Config) { flag.Int64Var(&cfg.Planted, \"planted\", 0, \"\") }\n",
+		"package main\n\nimport \"procdecomp/internal/sem\"\n\nfunc define(cfg *sem.Config) { cfg.Planted = 1 }\n",
+	} {
+		field, err := parse(token.NewFileSet(), "internal/sem/planted.go", "internal/sem/planted.go",
+			"package sem\n\ntype Config struct{ Planted int64 }\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := parse(token.NewFileSet(), "cmd/pdc/planted.go", "cmd/pdc/planted.go", setter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := exportsUsed(append(files[:len(files):len(files)], field, set)); !slices.Equal(bad, base) {
+			t.Errorf("an option field set by\n%s\nfails the row:\n%s", setter, strings.Join(bad, "\n"))
+		}
 	}
 }

@@ -16,7 +16,7 @@ type WireKind uint8
 const (
 	// WireXmit is a data transmission attempt leaving the sender's NIC.
 	WireXmit WireKind = iota
-	// WireDrop is an attempt dropped by the fault schedule or a downed link.
+	// WireDrop is an attempt dropped by the fault schedule.
 	WireDrop
 	// WireDeliver is the first copy of a message reaching the receiver's
 	// transport (the copy that is released to the application).
