@@ -3,7 +3,8 @@
 // processor; abstracting the mapping ("λP.λa:P.a") lets each call site be
 // compiled where its data lives, eliminating the messages and letting the
 // calls proceed in parallel. This example compiles both versions and counts
-// the messages.
+// the messages. It exits nonzero unless both compute (14, 18) and the
+// polymorphic version sends fewer messages than the monomorphic one.
 //
 //	go run ./examples/polymap
 package main
@@ -49,7 +50,8 @@ proc main(Out: matrix[2, 1] on proc(2)) {
 }
 `
 
-func run(label, src string) {
+// run compiles and runs src, prints its row, and returns its message count.
+func run(label, src string) int64 {
 	prog, err := lang.Parse(src)
 	if err != nil {
 		log.Fatal(err)
@@ -72,13 +74,20 @@ func run(label, src string) {
 	v2, _ := res.Arrays["Out"].Read(2, 1)
 	fmt.Printf("%-22s  results (%g, %g)  messages %d  makespan %d\n",
 		label, v1, v2, res.Stats.Messages, res.Stats.Makespan)
+	if v1 != 14 || v2 != 18 {
+		log.Fatalf("%s: results (%g, %g), want (14, 18)", label, v1, v2)
+	}
+	return res.Stats.Messages
 }
 
 func main() {
 	fmt.Println("Mapping polymorphism (paper §5.1, Figs. 8/9), three processors")
 	fmt.Println()
-	run("monomorphic (on P0)", monoSrc)
-	run("polymorphic (on D)", polySrc)
+	mono := run("monomorphic (on P0)", monoSrc)
+	poly := run("polymorphic (on D)", polySrc)
+	if poly >= mono {
+		log.Fatalf("the polymorphic version sends %d messages, the monomorphic %d; §5.1 says fewer (1 against 4)", poly, mono)
+	}
 	fmt.Println()
 	fmt.Println("The monomorphic version coerces both arguments to processor 0 and the")
 	fmt.Println("results back out; the polymorphic version computes where the data lives.")

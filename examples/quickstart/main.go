@@ -1,6 +1,7 @@
 // Quickstart: compile a three-statement program (the paper's Fig. 4
 // example) with run-time and compile-time resolution, print both, and
-// execute them on a simulated three-processor machine.
+// execute them on a simulated three-processor machine. It exits nonzero
+// unless the result is 12 and the run sent Fig. 4d's 2 messages.
 //
 //	go run ./examples/quickstart
 package main
@@ -72,4 +73,7 @@ func main() {
 	fmt.Printf("\nresult: %g (expected 12)\n", v)
 	fmt.Printf("messages exchanged: %d, makespan: %d cycles\n",
 		res.Stats.Messages, res.Stats.Makespan)
+	if v != 12 || res.Stats.Messages != 2 {
+		log.Fatalf("result %g with %d messages; Fig. 4d computes 12 with 2", v, res.Stats.Messages)
+	}
 }
