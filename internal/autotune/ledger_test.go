@@ -7,9 +7,10 @@ package autotune_test
 // stage, with no wall clock and no benchmark run:
 //
 //   - alloc/…: the allocations of one call of each pipeline stage for
-//     Gauss-Seidel at N=64, opt3/blk 8, on 1 and 8 processes, and of
-//     lowering and running the first generated corpus case of each family on
-//     two or more processes at its ctr point;
+//     Gauss-Seidel at N=64, opt3/blk 8, on 1 and 8 processes, and of its
+//     compiling, lowering and running on 32; and of lowering and running the
+//     first generated corpus case of each family on two or more processes at
+//     its ctr point;
 //   - work/…: what one cold map-search search (GS, N=24, S=4, one worker)
 //     does: the candidates tier 2 replays, tier 3's evaluations, the events
 //     the anchor's replayed timeline holds and the events its traced run
@@ -50,10 +51,11 @@ type ledgerRow struct {
 	Count int64  `json:"count"`
 }
 
-// allocRows counts each stage's allocations for GS at N=64, opt3/blk 8, on
-// procs processes. Each stage runs on the previous stage's result, built
-// once outside the count.
-func allocRows(t *testing.T, procs int) []ledgerRow {
+// allocRows counts the allocations of the stages named in only, or of every
+// stage when it names none, for GS at N=64, opt3/blk 8, on procs processes.
+// Each stage runs on the previous stage's result, built once outside the
+// count.
+func allocRows(t *testing.T, procs int, only ...string) []ledgerRow {
 	t.Helper()
 	const entry, n = "gs_iteration", 64
 	point := []xform.Point{{Mode: "opt3", Blk: 8}}
@@ -99,6 +101,9 @@ func allocRows(t *testing.T, procs int) []ledgerRow {
 	}
 	var rows []ledgerRow
 	for _, s := range stages {
+		if len(only) > 0 && !slices.Contains(only, s.name) {
+			continue
+		}
 		rows = append(rows, leastAllocs(t, fmt.Sprintf("alloc/gs N=%d S=%d opt3 blk8/%s", n, procs, s.name), s.f))
 	}
 	return rows
@@ -198,7 +203,8 @@ func TestLedger(t *testing.T) {
 			}
 		}
 	} else {
-		rows = slices.Concat(allocRows(t, 1), allocRows(t, 8), corpusRows(t))
+		rows = slices.Concat(allocRows(t, 1), allocRows(t, 8),
+			allocRows(t, 32, "xform.CompileAll", "exec.LowerAll", "(*Image).Run"), corpusRows(t))
 	}
 	rows = append(rows, workRows(t)...)
 	var b bytes.Buffer

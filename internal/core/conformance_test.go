@@ -349,17 +349,18 @@ func (c *counter) Recv(src int, tag int64, values int) error {
 	return nil
 }
 
-// freeVars names the free variables of es, each once: the names Compile
+// freeVars names the free variables of es, each once: the names a Compiler
 // asks a slot of.
 func freeVars(es ...expr.Expr) []string {
 	var names []string
+	k := expr.Compiler{Slot: func(name string) int32 {
+		if !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+		return 0
+	}}
 	for _, e := range es {
-		expr.Compile(e, func(name string) int32 {
-			if !slices.Contains(names, name) {
-				names = append(names, name)
-			}
-			return 0
-		})
+		k.Compile(e)
 	}
 	return names
 }

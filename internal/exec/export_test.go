@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"slices"
 
+	"procdecomp/internal/expr"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/spmd"
 )
 
 // WithoutMemos returns a copy of l with nothing memoized: every memo bit,
@@ -182,4 +184,29 @@ func memos(out []Memo, body []lstmt, depth int) []Memo {
 		out = memos(out, s.els, inner)
 	}
 	return out
+}
+
+// Codes lists the control codes (lo, hi, x, y) of every statement of
+// process p's program whose opcode opNames names op, in pre-order.
+func (im *Image) Codes(p int, op string) [][4]*expr.Code {
+	var out [][4]*expr.Code
+	var walk func(body []lstmt)
+	walk = func(body []lstmt) {
+		for i := range body {
+			s := &body[i]
+			if opNames[s.op] == op {
+				out = append(out, [4]*expr.Code{s.lo, s.hi, s.x, s.y})
+			}
+			walk(s.body)
+			walk(s.els)
+		}
+	}
+	walk(im.low[p].body)
+	return out
+}
+
+// Lower lowers prog alone: LowerAll's path, with one program run by one
+// process, whatever process it was specialized for.
+func Lower(prog *spmd.Program) *Lowered {
+	return lower(func(int) *spmd.Program { return prog }, 1)[0]
 }

@@ -11,7 +11,7 @@ import (
 // codes ctl evaluates (a buffer's size, a message's peer, a block's range, a
 // coerce's owner and needer, a loop's bounds and step, a guard's process) and
 // the value expressions evalV evaluates (AssignVar, AssignIVar, IfValue).
-// Subscripts and stored or sent values never reach it. Lower marks a For
+// Subscripts and stored or sent values never reach it. Lowering marks a For
 // keyed when every such read anywhere in its body does one of two things:
 //
 //   - it touches no slot the loop assigns, but a nested For's induction

@@ -9,31 +9,43 @@ import (
 	"procdecomp/internal/spmd"
 )
 
-// Lowering. The stepper does not run spmd.Program trees: Lower resolves one,
-// once, into the form it runs. Every name becomes a slot — variables
+// Lowering. The stepper does not run spmd.Program trees: LowerAll resolves an
+// image's programs, once, into the form it runs, with one lowerer for them
+// all. Every name becomes a slot in the image's one name table — variables
 // (temporaries, loop variables and me) index the stepper's frame; arrays,
-// buffers and scalar I-variables index the domain's stores — every expr.Expr
-// becomes an expr.Code over the variable slots, every value expression's
+// buffers and scalar I-variables index the domain's stores — so every process
+// numbers a name alike. Every expr.Expr becomes an expr.Code over the
+// variable slots through the image's one expr.Compiler, so the processes of a
+// compile-time-resolution image, which hold the same bounds, subscripts,
+// owner codes and process numbers, share one Code for each value; a small
+// constant's Code is built once for every image. Every value expression's
 // operator count, the one charge that depends on the program text alone, is
-// taken here, and every loop-invariant control code gets a memo slot and
-// every keyed loop its mark and its keys (memo.go, keyed.go).
+// taken here, and, once every program is lowered, every loop-invariant
+// control code gets a memo slot past the table's variables and every keyed
+// loop its mark and its keys (memo.go, keyed.go).
 // Nothing is evaluated or checked: which statements run, what they charge
 // and how they fail is decided when the stepper reaches them, exactly as
 // before, so a lowered program that is never run has reported nothing.
 
 // Lowered is an spmd.Program ready to step. It is immutable, so the processes
-// of a run-time-resolution run share one.
+// of a run-time-resolution run share one, and the processes of an image share
+// its name table and its Codes.
 type Lowered struct {
 	body []lstmt
-	// Slot → name, for messages (and for finding a parameter's or an output's
-	// slot by name). vars[meSlot] is spmd.Me.
+	*nameTable
+	// memos counts the memo slots a stepper's frame holds past the
+	// variables (memo.go).
+	memos int32
+}
+
+// nameTable is an image's one name table: slot → name, for messages (and for
+// finding a parameter's or an output's slot by name). vars[meSlot] is
+// spmd.Me.
+type nameTable struct {
 	vars, arrays, bufs, scalars []string
 	// unknown holds the "unknown statement/value expression" messages of
 	// nodes the lowering did not recognise; they fail only if reached.
 	unknown []string
-	// memos counts the memo slots a stepper's frame holds past the
-	// variables (memo.go).
-	memos int32
 }
 
 // meSlot is the variable slot of spmd.Me, bound before the first step.
@@ -116,19 +128,34 @@ const (
 	vUn
 )
 
-// Lower resolves prog for stepping.
-func Lower(prog *spmd.Program) *Lowered {
-	l := &Lowered{vars: []string{meSlot: spmd.Me}}
-	lw := lowerer{Lowered: l}
-	lw.varSlot = func(name string) int32 { return intern(&l.vars, name) }
-	// A parameter has a slot even if the body never touches it: the harness
-	// fills it before the run and gathers it back as an output.
-	for _, prm := range prog.Params {
-		intern(&l.arrays, prm.Name)
+// lower lowers the program each of procs processes runs, pick(p) being
+// process p's, with one lowerer: one name table and one expression-code
+// table for the image. A program process p shares with process p-1 is
+// lowered once. Memo slots are numbered last, past every variable any
+// process names.
+func lower(pick func(p int) *spmd.Program, procs int) []*Lowered {
+	lw := &lowerer{nameTable: &nameTable{vars: []string{meSlot: spmd.Me}}}
+	lw.exprs.Slot = lw.varSlot
+	low := make([]*Lowered, procs)
+	for p := range low {
+		if p > 0 && pick(p) == pick(p-1) {
+			low[p] = low[p-1]
+			continue
+		}
+		prog := pick(p)
+		// A parameter has a slot even if the body never touches it: the
+		// harness fills it before the run and gathers it back as an output.
+		for _, prm := range prog.Params {
+			intern(&lw.arrays, prm.Name)
+		}
+		low[p] = &Lowered{body: lw.stmts(prog.Body), nameTable: lw.nameTable}
 	}
-	l.body = lw.stmts(prog.Body)
-	l.memoize()
-	return l
+	for p, l := range low {
+		if p == 0 || l != low[p-1] {
+			l.memoize()
+		}
+	}
+	return low
 }
 
 // intern returns name's index in names, appending it if new. Programs name a
@@ -145,11 +172,13 @@ func intern(names *[]string, name string) int32 {
 func index(names []string, name string) int32 { return int32(slices.Index(names, name)) }
 
 type lowerer struct {
-	*Lowered
-	varSlot func(name string) int32
+	*nameTable
+	exprs expr.Compiler
 }
 
-func (lw *lowerer) code(e expr.Expr) *expr.Code { return expr.Compile(e, lw.varSlot) }
+func (lw *lowerer) varSlot(name string) int32 { return intern(&lw.vars, name) }
+
+func (lw *lowerer) code(e expr.Expr) *expr.Code { return lw.exprs.Compile(e) }
 
 // codes lowers up to two subscripts or dimensions into (lo, hi).
 func (lw *lowerer) codes(es []expr.Expr) (lo, hi *expr.Code) {

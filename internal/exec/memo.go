@@ -10,7 +10,7 @@ import (
 // Loop-invariant control codes. Under run-time resolution every process steps
 // every statement, and most of what decides its role there — a guard's
 // process, a coerce's owner and needer, a local column subscript — depends on
-// outer loop indices only. Lower gives each control code (a statement's lo,
+// outer loop indices only. Lowering gives each control code (a statement's lo,
 // hi, x or y) that is invariant in an enclosing loop a memo slot, and the
 // stepper evaluates it at most once per activation of the loop that owns the
 // slot. A linear code (no mod, div, min, max or product) costs what reading
@@ -99,8 +99,8 @@ func (st *stepper) keys(s *lstmt, out []int64) ([]int64, bool) {
 // and counts each loop's slots, number lays the loops' ranges out one after
 // another and gives each statement its first slot.
 func (l *Lowered) memoize() {
-	// The loop stacks live on the goroutine's stack, so Lower allocates no
-	// more than it did (TestLowerAllocsUnchangedByMemo); a nest deeper than
+	// The loop stacks live on the goroutine's stack, so lowering allocates
+	// no more than it did (TestLowerAllocsUnchangedByMemo); a nest deeper than
 	// eight, which the compiler never emits, grows them.
 	var scopes [8]scope
 	own(l.body, scopes[:0])

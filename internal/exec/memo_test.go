@@ -206,17 +206,19 @@ func TestMemoDecisionsGaussSeidelRTR(t *testing.T) {
 	}
 }
 
-// Lowering allocates what it did before memo slots existed, plus two
-// allocations per loop with keys (keyed.go): its keys' code and their terms.
-// The analyses walk the tree they built and keep their state on the stack.
-// The base counts were measured on the parent commit (b14db00) before any
-// edit: 155 for the RTR program, 219 for process 0's opt3 program (blk 4),
-// both at N=16, S=4.
+// Lowering allocates what it does without memo slots, plus two allocations
+// per loop with keys (keyed.go): its keys' code and their terms. The analyses
+// walk the tree they built and keep their state on the stack. The base counts
+// are those of the lowering alone, for the RTR program and for process 0's
+// opt3 program (blk 4), both at N=16, S=4. They were 155 and 219 when memo
+// slots came (b14db00), and fell to 114 and 147 when one expression-code
+// table came to serve a whole image: a value compiles once, and a small
+// constant not at all.
 func TestLowerAllocsUnchangedByMemo(t *testing.T) {
 	for _, tc := range []struct {
 		v    bench.Variant
 		base float64
-	}{{bench.RunTime, 155}, {bench.OptimizedIII, 219}} {
+	}{{bench.RunTime, 114}, {bench.OptimizedIII, 147}} {
 		progs, err := bench.CompileGS(tc.v, 4, 16, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -231,6 +233,47 @@ func TestLowerAllocsUnchangedByMemo(t *testing.T) {
 			t.Errorf("Lower(%v): %.0f allocations, want %.0f", tc.v, got, want)
 		}
 		t.Logf("Lower(%v): %.0f allocations, %.0f of them keys", tc.v, want, want-tc.base)
+	}
+}
+
+// The processes of an image share one Code per expression value. GS opt3 at
+// S=32 specializes one generic program 32 ways. Processes 0 and 31 keep its
+// interior row loop's upper bound, N-1, a constant whose Code every image
+// shares, and its stencil reads' row subscripts, such as i-1, which the
+// image's table compiles once.
+func TestImageSharesCodes(t *testing.T) {
+	const procs, n = 32, 64
+	progs, err := bench.CompileGS(bench.OptimizedIII, procs, n, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := exec.LowerAll(progs, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// shared lists the codes in field f of op's statements that processes 0
+	// and procs-1 both hold.
+	shared := func(op string, f int) []*expr.Code {
+		first := map[*expr.Code]bool{}
+		for _, cs := range im.Codes(0, op) {
+			first[cs[f]] = cs[f] != nil
+		}
+		var out []*expr.Code
+		for _, cs := range im.Codes(procs-1, op) {
+			if first[cs[f]] {
+				out = append(out, cs[f])
+			}
+		}
+		return out
+	}
+	if !slices.ContainsFunc(shared("for", 1), func(c *expr.Code) bool {
+		v, err := c.Eval(&expr.Frame{})
+		return c.Terms() == 0 && err == nil && v == n-1
+	}) {
+		t.Errorf("processes 0 and %d hold the row loop's bound %d as two Codes", procs-1, n-1)
+	}
+	if !slices.ContainsFunc(shared("aread", 0), func(c *expr.Code) bool { return c.Terms() > 0 }) {
+		t.Errorf("processes 0 and %d hold no row subscript of a read as one Code", procs-1)
 	}
 }
 

@@ -73,22 +73,15 @@ type Image struct {
 }
 
 // LowerAll resolves progs for procs processes (as PerProcess accepts them)
-// and lowers each distinct program once: the generic program of run-time
-// resolution is shared by every process.
+// and lowers each distinct program once, all of them with one name table and
+// one expression-code table: the generic program of run-time resolution is
+// shared by every process.
 func LowerAll(progs []*spmd.Program, procs int) (*Image, error) {
 	pick, err := PerProcess(progs, procs)
 	if err != nil {
 		return nil, err
 	}
-	im := &Image{low: make([]*Lowered, procs), params: pick(0).Params, arrays: pick(0).Arrays, outputs: pick(0).Outputs}
-	for p := range im.low {
-		if p > 0 && pick(p) == pick(p-1) {
-			im.low[p] = im.low[p-1]
-		} else {
-			im.low[p] = Lower(pick(p))
-		}
-	}
-	return im, nil
+	return &Image{low: lower(pick, procs), params: pick(0).Params, arrays: pick(0).Arrays, outputs: pick(0).Outputs}, nil
 }
 
 // Outputs lists the values a run of the image produces.
@@ -190,12 +183,9 @@ func (im *Image) states(inputs map[string]*istruct.Matrix) ([]*concrete, error) 
 		if err != nil {
 			return nil, fmt.Errorf("exec: parameter %s: %w", prm.Name, err)
 		}
+		// Lowering gives every parameter a slot, the same on every process.
 		for p, st := range states {
-			// A program that does not declare the parameter has no slot for
-			// it, and no use for its piece.
-			if slot := index(st.low.arrays, prm.Name); slot >= 0 {
-				st.arrays[slot] = locals[p]
-			}
+			st.arrays[index(st.low.arrays, prm.Name)] = locals[p]
 		}
 	}
 	return states, nil
@@ -265,11 +255,10 @@ func gather(states []*concrete, name string, info spmd.ArrayInfo) (*istruct.Matr
 	if err != nil {
 		return nil, err
 	}
-	// Each process's piece, found by name once: specialized programs number
-	// their arrays independently.
+	// The image's one name table numbers the array alike on every process.
 	locals := make([]*istruct.Matrix, len(states))
-	for p, st := range states {
-		if slot := index(st.low.arrays, name); slot >= 0 {
+	if slot := index(states[0].low.arrays, name); slot >= 0 {
+		for p, st := range states {
 			locals[p] = st.arrays[slot]
 		}
 	}

@@ -386,8 +386,9 @@ func TestScatterGatherAllocsDoNotGrowWithN(t *testing.T) {
 			t.Fatal(err)
 		}
 		states := make([]*concrete, procs)
+		low := &Lowered{nameTable: &nameTable{arrays: []string{"Old"}}}
 		for p := range states {
-			states[p] = &concrete{low: &Lowered{arrays: []string{"Old"}}, arrays: []*istruct.Matrix{locals[p]}}
+			states[p] = &concrete{low: low, arrays: []*istruct.Matrix{locals[p]}}
 		}
 		return testing.AllocsPerRun(5, func() {
 			if _, err := scatter(g, info.Dist, procs); err != nil {

@@ -11,15 +11,16 @@
 // communicate to a Sink — the static cost model of internal/autotune. The
 // cost semantics are stated once, in the stepper.
 //
-// The stepper runs lowered programs only. Lower (lower.go) resolves an
-// spmd.Program once: variable, array, buffer and scalar I-variable names
-// become integer slots, every expr.Expr becomes an expr.Code over the
-// variable slots, and each value expression's operator count becomes a
+// The stepper runs lowered programs only. LowerAll (lower.go) resolves an
+// image's spmd.Programs once, with one lowerer: variable, array, buffer and
+// scalar I-variable names become integer slots of one name table, every
+// expr.Expr becomes an expr.Code over the variable slots, one Code per
+// expression value, and each value expression's operator count becomes a
 // constant. What is left for a step is what depends on the run: the frame
 // (a Value and an int64 view of each variable slot, with a known bit that
 // an untracked value clears), the checks, the charges and the messages.
-// Each distinct program is lowered once per run or walk — the generic
-// program of run-time resolution once, not once per process — and nothing
+// Each distinct program is lowered once per image — the generic program of
+// run-time resolution once, not once per process — and nothing
 // lowered outlives the call that lowered it. RunSPMD's set-up is linear as
 // well: a parameter is scattered to all processes in one pass over its
 // elements. The sequential interpreter in this file shares none of this; it
@@ -27,7 +28,7 @@
 // pre-pass over the Idn AST gives each sem.Symbol a slot in its procedure's
 // frame and turns each statement and expression into a closure, so a run
 // touches no map and no name. It resolves through sem.Info, not through
-// Lower, so that the two sides share one definition only: lang's operator
+// LowerAll, so that the two sides share one definition only: lang's operator
 // table, whose evaluator (lang.EvalBin, lang.EvalUn) computes div and mod as
 // expr.FloorDiv and expr.EucMod.
 package exec

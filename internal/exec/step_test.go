@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 	"unsafe"
 
@@ -173,8 +174,8 @@ func stepLoop(trips int64) *spmd.Program {
 	}}
 }
 
-// Stepping allocates nothing: a run's allocations are its set-up (lowering,
-// the frame, the machine), so a loop of 1,000 trips allocates exactly what a
+// Stepping allocates nothing: a run's allocations are its set-up (the frame,
+// the machine), so a loop of 1,000 trips allocates exactly what a
 // loop of 10 does — in the abstract domain, where every t1 is unknown, and
 // in the concrete one on a one-process machine. The walk's half does not run
 // under the race detector, which drops sync.Pool puts at random: a walk's
@@ -192,9 +193,12 @@ func TestSteppingDoesNotAllocate(t *testing.T) {
 		t.Errorf("abstract walk: %.0f allocations at 10 trips, %.0f at 1,000", a, b)
 	}
 	run := func(trips int64) float64 {
-		progs := []*spmd.Program{stepLoop(trips)}
+		im, err := LowerAll([]*spmd.Program{stepLoop(trips)}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := RunSPMD(progs, machine.DefaultConfig(1), nil); err != nil {
+			if _, err := im.Run(context.Background(), machine.DefaultConfig(1), nil); err != nil {
 				t.Fatal(err)
 			}
 		})

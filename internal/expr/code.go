@@ -11,7 +11,8 @@ import (
 // Expr.Eval computes — the same value, or the same first error — without a map
 // lookup or a dynamic dispatch per atom. It is for an interpreter that
 // evaluates one expression many times; Expr.Eval remains the definition, and
-// the cheaper choice for evaluating an expression once.
+// the cheaper choice for evaluating an expression once. A Code is never
+// written after it is built, so a Compiler hands one out to every use.
 type Code struct {
 	terms []cterm // in the Expr's own (sorted-key) order, so errors agree
 	c     int64
@@ -44,9 +45,63 @@ type Frame struct {
 	Names []string
 }
 
-// Compile resolves e's variables through slot, which numbers a name (the
-// same name always gets the same slot).
-func Compile(e Expr, slot func(name string) int32) *Code {
+// A Compiler resolves expressions against one slot numbering: Slot numbers a
+// name, the same name always the same slot. It is a table as well: compiling
+// an expression value it has compiled before returns the same Code, and an
+// atom's operands go through the table too, so the programs of one image,
+// which hold the same bounds, subscripts, owner codes and process numbers,
+// share one Code for each. Constants from -1 to 254 compile to Codes built
+// once for every Compiler; they take no allocation and no entry. A Compiler
+// is for one goroutine; the Codes it returns are never written after they
+// are built, so any number of goroutines may evaluate them.
+type Compiler struct {
+	Slot func(name string) int32
+	seen map[ident]*Code
+}
+
+// ident is an expression value's identity, the table's key: the address of
+// its first term, its number of terms and its constant. Two values with one
+// identity hold the same terms because no function of this package writes a
+// terms slice after building it: plus, scale and Mod build fresh ones, and
+// normalize sorts and merges in place only the slice its caller built for the
+// call. A key keeps its terms alive, so no other slice takes the address
+// while the table lives.
+type ident struct {
+	first *term
+	n     int
+	c     int64
+}
+
+// small holds the Codes of the constants -1 … 254: small[i] is i-1.
+var small = func() (s [256]Code) {
+	for i := range s {
+		s[i].c = int64(i) - 1
+	}
+	return s
+}()
+
+// Compile returns e's Code, building it the first time the table meets e.
+func (k *Compiler) Compile(e Expr) *Code {
+	if len(e.terms) == 0 && e.c >= -1 && e.c < int64(len(small))-1 {
+		return &small[e.c+1]
+	}
+	id := ident{n: len(e.terms), c: e.c}
+	if id.n > 0 {
+		id.first = &e.terms[0]
+	}
+	if c, ok := k.seen[id]; ok {
+		return c
+	}
+	c := k.build(e)
+	if k.seen == nil {
+		k.seen = map[ident]*Code{}
+	}
+	k.seen[id] = c
+	return c
+}
+
+// build compiles e, its atoms' operands through the table.
+func (k *Compiler) build(e Expr) *Code {
 	c := &Code{c: e.c}
 	if len(e.terms) > 0 {
 		c.terms = make([]cterm, len(e.terms))
@@ -57,7 +112,7 @@ func Compile(e Expr, slot func(name string) int32) *Code {
 		var p pair
 		switch at := t.atom.(type) {
 		case varAtom:
-			ct.kind, ct.slot = cVar, slot(string(at))
+			ct.kind, ct.slot = cVar, k.Slot(string(at))
 			continue
 		case modAtom:
 			ct.kind, p = cMod, at.pair
@@ -72,7 +127,7 @@ func Compile(e Expr, slot func(name string) int32) *Code {
 		default:
 			panic(fmt.Sprintf("expr: Compile: unknown atom %T", at))
 		}
-		ct.a, ct.b = Compile(p.a, slot), Compile(p.b, slot)
+		ct.a, ct.b = k.Compile(p.a), k.Compile(p.b)
 	}
 	return c
 }
